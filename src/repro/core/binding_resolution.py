@@ -80,11 +80,17 @@ def resolve_missing_bindings(
     copies).  Values the sites already agreed on are left untouched.
     """
     stats = stats if stats is not None else ResolutionStats()
+    results = answer.all_results()
+    if not results:
+        return stats  # nothing to walk, so no target is resolved either
     schema = system.global_schema.schema
-    for result in answer.all_results():
+    chains = [
+        (target, schema.resolve_path(query.range_class, target.steps))
+        for target in answer.targets
+    ]
+    for result in results:
         touched = False
-        for target in answer.targets:
-            chain = schema.resolve_path(query.range_class, target.steps)
+        for target, chain in chains:
             current = result.bindings.get(target, NULL)
             if not chain[-1].multi_valued and not is_null(current):
                 continue

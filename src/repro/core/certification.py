@@ -20,26 +20,62 @@ example:
   violation taking precedence over satisfaction;
 * the final answer re-evaluates the query's ``Where`` clause (conjunctive
   or DNF) over the merged per-predicate statuses.
+
+The rule is evaluated once per distinct *status pattern*, not once per
+entity.  An entity's pattern is the per-site tuple of its rows' packed
+Kleene codes (``TRUE=2 / UNKNOWN=1 / FALSE=0``, the codes of
+:mod:`repro.objectdb.columnar`) in ``query.all_predicates()`` order.
+Everything the rule derives from the statuses alone — the merged vector
+and its exact comparison charge, the ``Where`` code (conjunction is
+``min``, disjunction ``max``), the still-unsolved predicates and the
+``(site, predicate)`` pairs of the :class:`NullAttr` atoms — is a
+function of the pattern, so it is computed on the pattern's first
+entity and read back for the rest.  What stays per entity is what
+depends on the entity: GOid grouping, the root-presence rule, assistant
+verdicts for rows that carry unsolved items, binding merge and result
+construction.  The tables live for one :func:`certify` call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import (
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from repro.conditions.algebra import NullAttr
 from repro.core.query import Path, Predicate, Query
 from repro.core.results import GlobalResult, ResultKind, ResultSet
-from repro.core.tvl import TV, all3, any3
 from repro.errors import MappingError
 from repro.integration.global_schema import GlobalSchema
 from repro.integration.mapping import MappingCatalog
+from repro.objectdb.columnar import (
+    CODE_OF_TV,
+    FALSE_CODE,
+    TRUE_CODE,
+    UNKNOWN_CODE,
+)
 from repro.objectdb.ids import GOid, LOid
 from repro.objectdb.local_query import (
     CheckReport,
     LocalResultRow,
     LocalResultSet,
 )
-from repro.objectdb.values import MultiValue, NULL, Value, is_null
+from repro.objectdb.values import MultiValue, NULL, Value
+
+#: One site's packed codes in ``query.all_predicates()`` order.
+Codes = Tuple[int, ...]
+#: An entity's rows, one slot per queried site (``None``: no row there).
+SiteRows = Sequence[Optional[LocalResultRow]]
+
+_GOID_VALUE = attrgetter("value")
 
 #: Assistant-check verdict labels.
 SATISFIED = "satisfied"
@@ -133,94 +169,166 @@ def certify(
     """
     stats = stats if stats is not None else CertificationStats()
     root_table = catalog.table(query.range_class)
-    queried_dbs = tuple(local_results)
+    sites = tuple(local_results)
 
-    groups: Dict[GOid, Dict[str, LocalResultRow]] = {}
-    for db_name, result in local_results.items():
+    groups: Dict[GOid, List[Optional[LocalResultRow]]] = {}
+    goid_of = root_table.goid_of
+    for slot, result in enumerate(local_results.values()):
         for row in result.rows:
-            goid = root_table.goid_of(row.loid)
+            goid = goid_of(row.loid)
             if goid is None:
                 raise MappingError(
                     f"local result row {row.loid} has no GOid for root "
                     f"class {query.range_class!r}"
                 )
-            groups.setdefault(goid, {})[db_name] = row
+            rows = groups.get(goid)
+            if rows is None:
+                rows = groups[goid] = [None] * len(sites)
+            rows[slot] = row
 
-    answer = ResultSet(targets=query.targets)
-    for goid in sorted(groups, key=lambda g: g.value):
+    patterns = _PatternTables(query, sites)
+    targets = query.targets
+    loids_of = root_table.loids_of
+    answer = ResultSet(targets=targets)
+    stats.groups += len(groups)
+    for goid in sorted(groups, key=_GOID_VALUE):
         rows = groups[goid]
-        stats.groups += 1
-        if _eliminated_by_absence(goid, rows, root_table, queried_dbs, stats):
+        if _eliminated_by_absence(rows, loids_of(goid), sites, stats):
             stats.eliminated_by_absence += 1
             continue
-        status = _merge_statuses(query, rows.values(), stats)
-        _apply_assistant_verdicts(
-            rows.values(), global_schema, catalog, verdicts, status, stats
-        )
-        tv = _where_tv(query, status)
-        if tv is TV.FALSE:
-            stats.eliminated_by_violation += 1
-            continue
-        bindings = _merge_bindings(query.targets, rows.values())
-        if tv is TV.TRUE:
-            stats.promoted_to_certain += 1
-            answer.add(
-                GlobalResult(
-                    goid=goid, kind=ResultKind.CERTAIN, bindings=bindings
+        pattern = patterns.of(rows)
+        stats.comparisons += pattern.comparisons
+        codes = pattern.merged
+        for row in rows:
+            if row is not None and row.unsolved_items:
+                codes = _apply_assistant_verdicts(
+                    rows, global_schema, catalog, verdicts,
+                    patterns.index, codes, stats,
                 )
-            )
+                break
+        where, unsolved, null_atoms = patterns.conclude(pattern, codes)
+        if where == FALSE_CODE:
+            stats.eliminated_by_violation += 1
+        elif where == TRUE_CODE:
+            stats.promoted_to_certain += 1
+            answer.certain.append(GlobalResult(
+                goid, ResultKind.CERTAIN, _merge_bindings(targets, rows)
+            ))
         else:
             stats.remained_maybe += 1
-            unsolved = _still_unsolved(query, status)
-            result = GlobalResult(
-                goid=goid,
-                kind=ResultKind.MAYBE,
-                bindings=bindings,
-                unsolved=unsolved,
-            )
-            if conditions:
-                _attach_null_atoms(result, goid, rows, unsolved)
-            answer.add(result)
+            # The atoms are already deduplicated and in ``attach`` order.
+            answer.maybe.append(GlobalResult(
+                goid,
+                ResultKind.MAYBE,
+                _merge_bindings(targets, rows),
+                unsolved,
+                conditions=tuple(
+                    [NullAttr(site, goid, attr) for site, attr in null_atoms]
+                ) if conditions else (),
+            ))
     return answer
 
 
-def _attach_null_atoms(
-    result: GlobalResult,
-    goid: GOid,
-    rows: Mapping[str, LocalResultRow],
-    unsolved: Tuple[Predicate, ...],
-) -> None:
-    """Record which sites observed each still-unsolved predicate UNKNOWN.
+class _Outcome(NamedTuple):
+    """What the rule concludes from one final status vector."""
 
-    These atoms are never dischargeable (the null is in the data, not in
-    the topology): they mark the row as sampling missingness unless a
-    site/copy/flux atom is attached on top by a degradation path.
+    #: Packed code of the ``Where`` clause.
+    where: int
+    #: Predicates keeping the entity a maybe result.
+    unsolved: Tuple[Predicate, ...]
+    #: Sorted ``(site, attr)`` of the row's :class:`NullAttr` atoms.
+    null_atoms: Tuple[Tuple[str, str], ...]
+
+
+class _Pattern(NamedTuple):
+    """Everything derived from one per-site status pattern."""
+
+    #: Per queried site, the row's codes (``None``: no row there).
+    site_codes: Tuple[Optional[Codes], ...]
+    #: The merged status vector, and what merging it charges.
+    merged: Codes
+    comparisons: int
+    #: Status vector after assistant verdicts -> the rule's conclusion.
+    outcomes: Dict[Codes, _Outcome]
+
+
+class _PatternTables:
+    """The per-call memo: status pattern -> :class:`_Pattern`.
+
+    Two keys reach a pattern.  The fast one is the identity of each
+    row's ``predicate_status`` dict: columnar local evaluation hands
+    every row of one pattern the same dict, so the usual entity costs
+    one probe and decodes nothing.  The other is the decoded codes
+    themselves (one dict probe per predicate, once per dict), which is
+    how rows that own their dict — the row path's, or a test's — find
+    the pattern an earlier entity built.  Identity is a sound key
+    because every row, and so every dict, outlives the call that holds
+    these tables.
     """
-    from repro.conditions.algebra import NullAttr, attach
 
-    atoms = []
-    for predicate in unsolved:
-        sources = [
-            db_name
-            for db_name in sorted(rows)
-            if rows[db_name].predicate_status.get(predicate, TV.UNKNOWN)
-            is TV.UNKNOWN
-        ]
-        if not sources:
-            atoms.append(NullAttr(site="", goid=goid, attr=str(predicate)))
-        atoms.extend(
-            NullAttr(site=db_name, goid=goid, attr=str(predicate))
-            for db_name in sources
+    def __init__(self, query: Query, sites: Tuple[str, ...]) -> None:
+        self.sites = sites
+        self.predicates = query.all_predicates()
+        self.index = index = {p: i for i, p in enumerate(self.predicates)}
+        #: The ``Where`` clause over predicate positions.
+        self.where = [[index[p] for p in conjunct] for conjunct in query.where]
+        self._codes_of_status: Dict[int, Codes] = {}
+        self._by_identity: Dict[Tuple[int, ...], _Pattern] = {}
+        self._by_codes: Dict[Tuple[Optional[Codes], ...], _Pattern] = {}
+
+    def of(self, rows: SiteRows) -> _Pattern:
+        key = tuple(
+            [0 if row is None else id(row.predicate_status) for row in rows]
         )
-    if atoms:
-        attach(result, *atoms)
+        pattern = self._by_identity.get(key)
+        if pattern is None:
+            site_codes = tuple(
+                [None if row is None else self._decode(row) for row in rows]
+            )
+            pattern = self._by_codes.get(site_codes)
+            if pattern is None:
+                merged, comparisons = _merge_codes(
+                    site_codes, len(self.predicates)
+                )
+                pattern = self._by_codes[site_codes] = _Pattern(
+                    site_codes, merged, comparisons, {}
+                )
+            self._by_identity[key] = pattern
+        return pattern
+
+    def _decode(self, row: LocalResultRow) -> Codes:
+        status = row.predicate_status
+        codes = self._codes_of_status.get(id(status))
+        if codes is None:
+            # A predicate the site did not report is UNKNOWN.
+            codes = self._codes_of_status[id(status)] = tuple([
+                CODE_OF_TV.get(status.get(p), UNKNOWN_CODE)
+                for p in self.predicates
+            ])
+        return codes
+
+    def conclude(self, pattern: _Pattern, codes: Codes) -> _Outcome:
+        """The rule's conclusion once assistant verdicts gave *codes*."""
+        outcome = pattern.outcomes.get(codes)
+        if outcome is None:
+            where = _where_code(self.where, codes)
+            unsolved: Tuple[int, ...] = ()
+            if where == UNKNOWN_CODE:
+                unsolved = _still_unsolved(self.where, codes)
+            outcome = pattern.outcomes[codes] = _Outcome(
+                where,
+                tuple([self.predicates[i] for i in unsolved]),
+                _null_atoms(
+                    unsolved, self.sites, pattern.site_codes, self.predicates
+                ),
+            )
+        return outcome
 
 
 def _eliminated_by_absence(
-    goid: GOid,
-    rows: Mapping[str, LocalResultRow],
-    root_table,
-    queried_dbs: Tuple[str, ...],
+    rows: SiteRows,
+    placements: Mapping[str, LOid],
+    sites: Tuple[str, ...],
     stats: CertificationStats,
 ) -> bool:
     """Root-presence rule: an isomeric root object filtered out elsewhere.
@@ -230,56 +338,60 @@ def _eliminated_by_absence(
     violated a local predicate there — the entity certainly fails the
     query and is eliminated (the paper's s1 example).
     """
-    placements = root_table.loids_of(goid)
-    for db_name in queried_dbs:
+    for row, db_name in zip(rows, sites):
         stats.comparisons += 1
-        if db_name in placements and db_name not in rows:
+        if row is None and db_name in placements:
             return True
     return False
 
 
-def _merge_statuses(
-    query: Query,
-    rows: Iterable[LocalResultRow],
-    stats: CertificationStats,
-) -> Dict[Predicate, TV]:
-    """Combine per-site predicate statuses for one entity.
+def _merge_codes(
+    site_codes: Sequence[Optional[Codes]], width: int
+) -> Tuple[Codes, int]:
+    """Combine per-site statuses; returns (merged codes, comparisons).
 
     FALSE anywhere wins (some site evaluated real data and it failed),
-    then TRUE anywhere, then UNKNOWN.
+    then TRUE anywhere, then UNKNOWN.  Sites are read in order and a
+    FALSE stops the scan of its predicate, which the charge reflects.
     """
-    status: Dict[Predicate, TV] = {}
-    for predicate in query.all_predicates():
-        merged = TV.UNKNOWN
-        for row in rows:
-            tv = row.predicate_status.get(predicate, TV.UNKNOWN)
-            stats.comparisons += 1
-            if tv is TV.FALSE:
-                merged = TV.FALSE
+    present = [codes for codes in site_codes if codes is not None]
+    merged: List[int] = []
+    comparisons = 0
+    for position in range(width):
+        value = UNKNOWN_CODE
+        for codes in present:
+            comparisons += 1
+            code = codes[position]
+            if code == FALSE_CODE:
+                value = FALSE_CODE
                 break
-            if tv is TV.TRUE:
-                merged = TV.TRUE
-        status[predicate] = merged
-    return status
+            if code == TRUE_CODE:
+                value = TRUE_CODE
+        merged.append(value)
+    return tuple(merged), comparisons
 
 
 def _apply_assistant_verdicts(
-    rows: Iterable[LocalResultRow],
+    rows: SiteRows,
     global_schema: GlobalSchema,
     catalog: MappingCatalog,
     verdicts: VerdictIndex,
-    status: Dict[Predicate, TV],
+    index: Mapping[Predicate, int],
+    merged: Codes,
     stats: CertificationStats,
-) -> None:
+) -> Codes:
     """Resolve UNKNOWN predicates through unsolved-item assistant checks.
 
     For every unsolved item of every merged row, look up the verdicts of
     its assistant objects on the item's relative predicates and fold them
     into the original predicate's status.  Violation has precedence:
     "object o is eliminated when any of its assistant objects violates an
-    unsolved predicate".
+    unsolved predicate".  Returns the status vector after the verdicts.
     """
+    codes = list(merged)
     for row in rows:
+        if row is None:
+            continue
         for item in row.unsolved_items:
             global_class = global_schema.global_class_of(
                 item.loid.db, item.class_name
@@ -288,72 +400,113 @@ def _apply_assistant_verdicts(
                 continue
             assistants = catalog.assistants_of(global_class, item.loid)
             for unsolved in item.unsolved:
-                original = unsolved.original
-                if status.get(original) is TV.FALSE:
+                position = index.get(unsolved.original)
+                if position is None:
+                    raise MappingError(
+                        f"unsolved item {item.loid} names predicate "
+                        f"{unsolved.original}, which the query does not have"
+                    )
+                if codes[position] == FALSE_CODE:
                     continue
+                relative = unsolved.relative_predicate
                 for assistant in assistants:
                     stats.comparisons += 1
-                    verdict = verdicts.get(
-                        assistant, unsolved.relative_predicate
-                    )
+                    verdict = verdicts.get(assistant, relative)
                     if verdict == VIOLATED:
-                        status[original] = TV.FALSE
+                        codes[position] = FALSE_CODE
                         break
-                    if verdict == SATISFIED and status[original] is not TV.TRUE:
-                        status[original] = TV.TRUE
+                    if verdict == SATISFIED:
+                        codes[position] = TRUE_CODE
+    return tuple(codes)
 
 
-def _where_tv(query: Query, status: Mapping[Predicate, TV]) -> TV:
-    """Evaluate the query's Where clause over merged predicate statuses."""
-    if not query.where:
-        return TV.TRUE
-    return any3(
-        all3(status.get(p, TV.UNKNOWN) for p in conjunct)
-        for conjunct in query.where
-    )
+def _where_code(where: Sequence[Sequence[int]], codes: Codes) -> int:
+    """The ``Where`` clause over packed codes: ``max`` of ``min``s."""
+    if not where:
+        return TRUE_CODE
+    return max([
+        min([codes[i] for i in conjunct], default=TRUE_CODE)
+        for conjunct in where
+    ])
 
 
 def _still_unsolved(
-    query: Query, status: Mapping[Predicate, TV]
-) -> Tuple[Predicate, ...]:
-    """Predicates keeping the entity a maybe result.
+    where: Sequence[Sequence[int]], codes: Codes
+) -> Tuple[int, ...]:
+    """Positions of the predicates keeping the entity a maybe result.
 
-    UNKNOWN predicates appearing in conjuncts that are not already FALSE.
+    UNKNOWN predicates appearing in conjuncts that are not already FALSE,
+    in first-occurrence order.
     """
-    unsolved: List[Predicate] = []
-    for conjunct in query.where:
-        tv = all3(status.get(p, TV.UNKNOWN) for p in conjunct)
-        if tv is TV.FALSE:
+    unsolved: Dict[int, None] = {}
+    for conjunct in where:
+        if FALSE_CODE in [codes[i] for i in conjunct]:
             continue
-        for predicate in conjunct:
-            if status.get(predicate, TV.UNKNOWN) is TV.UNKNOWN:
-                if predicate not in unsolved:
-                    unsolved.append(predicate)
+        for i in conjunct:
+            if codes[i] == UNKNOWN_CODE:
+                unsolved.setdefault(i)
     return tuple(unsolved)
 
 
+def _null_atoms(
+    unsolved: Sequence[int],
+    sites: Tuple[str, ...],
+    site_codes: Sequence[Optional[Codes]],
+    predicates: Sequence[Predicate],
+) -> Tuple[Tuple[str, str], ...]:
+    """Which sites observed each still-unsolved predicate UNKNOWN.
+
+    One ``(site, attr)`` per :class:`NullAttr` atom of the row, with
+    site ``""`` when no site holding a row saw the predicate UNKNOWN —
+    deduplicated and sorted as :func:`repro.conditions.algebra.attach`
+    would leave them.  These atoms are never dischargeable (the null is
+    in the data, not in the topology): they mark the row as sampling
+    missingness unless a site/copy/flux atom is attached on top by a
+    degradation path.
+    """
+    atoms = set()
+    for i in unsolved:
+        attr = str(predicates[i])
+        sources = [
+            site
+            for site, codes in zip(sites, site_codes)
+            if codes is not None and codes[i] == UNKNOWN_CODE
+        ]
+        atoms.update([(site, attr) for site in sources or ("",)])
+    return tuple(sorted(atoms))
+
+
 def _merge_bindings(
-    targets: Tuple[Path, ...], rows: Iterable[LocalResultRow]
+    targets: Tuple[Path, ...], rows: SiteRows
 ) -> Dict[Path, Value]:
     """Merge target bindings across isomeric rows (first non-null wins;
     multi-values union)."""
+    sources = [row.bindings for row in rows if row is not None]
     bindings: Dict[Path, Value] = {}
     for target in targets:
-        collected: List[Value] = []
-        multi = False
-        for row in rows:
-            value = row.bindings.get(target, NULL)
-            if is_null(value):
+        merged: Value = NULL
+        for source in sources:
+            value = source.get(target, NULL)
+            if value is NULL:
                 continue
             if isinstance(value, MultiValue):
-                multi = True
-                collected.extend(value)
-            else:
-                collected.append(value)
-        if not collected:
-            bindings[target] = NULL
-        elif multi:
-            bindings[target] = MultiValue(collected)
-        else:
-            bindings[target] = collected[0]
+                if not value:  # an empty multi-value is missing data
+                    continue
+                merged = _union_bindings(target, sources)
+                break
+            if merged is NULL:
+                merged = value
+        bindings[target] = merged
     return bindings
+
+
+def _union_bindings(target: Path, sources: List[Dict[Path, Value]]) -> Value:
+    """One target some site bound to a multi-value: the union of all."""
+    collected: List[Value] = []
+    for source in sources:
+        value = source.get(target, NULL)
+        if isinstance(value, MultiValue):
+            collected.extend(value)
+        elif value is not NULL:
+            collected.append(value)
+    return MultiValue(collected)

@@ -26,6 +26,24 @@ from repro.objectdb.schema import Schema
 from repro.objectdb.values import Primitive
 
 
+#: Stores a derived value on a frozen instance.  Unlike a write through
+#: ``__dict__`` it leaves the instance's attributes where the
+#: interpreter reads them fastest, which every ``path.steps`` and
+#: ``predicate.op`` of the evaluation loops depends on.
+_remember = object.__setattr__
+
+
+def _without_cached_hash(obj: object) -> dict:
+    """Pickle state minus the cached hash.
+
+    String hashes are salted per interpreter, so a cached value must not
+    travel to another process.
+    """
+    state = dict(obj.__dict__)
+    state.pop("_hash", None)
+    return state
+
+
 @dataclass(frozen=True, order=True)
 class Path:
     """A path expression: attribute steps from the range class.
@@ -76,6 +94,21 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    #: Set on the instance by the first ``hash()``; not a field.
+    _hash = None
+
+    def __hash__(self) -> int:
+        # The dataclass-generated value, computed once per instance:
+        # paths key the binding and walk dicts of every hot loop.
+        value = self._hash
+        if value is None:
+            value = hash((self.steps,))
+            _remember(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> dict:
+        return _without_cached_hash(self)
 
 
 class Op(enum.Enum):
@@ -144,6 +177,22 @@ class Predicate:
     def __str__(self) -> str:
         return f"{self.path} {self.op} {self.operand!r}"
 
+    #: Set on the instance by the first ``hash()``; not a field.
+    _hash = None
+
+    def __hash__(self) -> int:
+        # The dataclass-generated value, computed once per instance and
+        # lazily: a predicate with an unhashable operand can be built
+        # and evaluated, it only cannot key a dict.
+        value = self._hash
+        if value is None:
+            value = hash((self.path, self.op, self.operand))
+            _remember(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> dict:
+        return _without_cached_hash(self)
+
 
 Conjunction = Tuple[Predicate, ...]
 
@@ -195,6 +244,10 @@ class Query:
 
     # --- structure --------------------------------------------------------
 
+    #: Set on the instance by the first call of the method; not fields.
+    _all_predicates = None
+    _all_paths = None
+
     @property
     def is_conjunctive(self) -> bool:
         return len(self.where) <= 1
@@ -214,25 +267,30 @@ class Query:
         return self.where[0] if self.where else ()
 
     def all_predicates(self) -> Tuple[Predicate, ...]:
-        """Every distinct predicate mentioned in any disjunct (stable order)."""
-        seen: Set[Predicate] = set()
-        ordered: List[Predicate] = []
-        for conj in self.where:
-            for pred in conj:
-                if pred not in seen:
-                    seen.add(pred)
-                    ordered.append(pred)
-        return tuple(ordered)
+        """Every distinct predicate mentioned in any disjunct (stable order).
+
+        Computed on first use and kept: the query is immutable.
+        """
+        ordered = self._all_predicates
+        if ordered is None:
+            ordered = tuple(
+                dict.fromkeys(pred for conj in self.where for pred in conj)
+            )
+            _remember(self, "_all_predicates", ordered)
+        return ordered
 
     def all_paths(self) -> Tuple[Path, ...]:
-        """Every path mentioned by targets or predicates (stable order)."""
-        seen: Set[Path] = set()
-        ordered: List[Path] = []
-        for path in list(self.targets) + [p.path for p in self.all_predicates()]:
-            if path not in seen:
-                seen.add(path)
-                ordered.append(path)
-        return tuple(ordered)
+        """Every path mentioned by targets or predicates (stable order).
+
+        Computed on first use and kept, like :meth:`all_predicates`.
+        """
+        ordered = self._all_paths
+        if ordered is None:
+            ordered = tuple(dict.fromkeys(
+                list(self.targets) + [p.path for p in self.all_predicates()]
+            ))
+            _remember(self, "_all_paths", ordered)
+        return ordered
 
     def branch_classes(self, schema: Schema) -> Tuple[str, ...]:
         """Classes other than the range class visited by any path.

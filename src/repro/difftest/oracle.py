@@ -9,6 +9,13 @@ reproduce.  What it checks:
     Every registered strategy's fault-free answer strictly equals CA's
     (:func:`repro.core.results.same_answers`: kinds, projected bindings,
     unsolved-predicate sets).
+``certify``
+    Every ``certify`` call any run below makes — each localized
+    execution's ``(local_results, verdicts)``, and each repair's — also
+    goes through :func:`repro.difftest.reference.certify_reference`,
+    the per-entity Certification Rule the pattern-batched kernel
+    replaced.  The two must give an equal ``ResultSet`` (binding order
+    included), equal ``conditions`` and equal ``CertificationStats``.
 ``batching``
     For strategies whose execution batching can change at all
     (:attr:`Strategy.affected_by_batching`), the unbatched answer
@@ -79,6 +86,7 @@ from repro.core.results import (
 from repro.core.strategies import DEFAULT_REGISTRY
 from repro.core.system import DistributedSystem
 from repro.difftest.cases import FuzzCase
+from repro.difftest.reference import shadowed_certify
 from repro.objectdb.ids import GOid
 from repro.objectdb.values import is_null
 
@@ -171,6 +179,17 @@ class StrategyOracle:
 
     def check(self, case: FuzzCase) -> List[Violation]:
         """All invariant violations of *case* (empty list = clean)."""
+        differences: List[str] = []
+        with shadowed_certify(differences):
+            violations = self._check_strategies(case)
+        violations.extend(
+            Violation("certify", case.label, difference, case)
+            for difference in differences
+        )
+        return violations
+
+    def _check_strategies(self, case: FuzzCase) -> List[Violation]:
+        """Every invariant but ``certify``, which watches these runs."""
         violations: List[Violation] = []
         built = case.build()
         engine = GlobalQueryEngine(built.system)

@@ -342,6 +342,10 @@ class ComponentDatabase:
         memo = col.row_bookkeeping(
             (query.where, query.removed, query.removed_by_conjunct)
         )
+        # Rows with the same packed codes share one status dict (and one
+        # certain/maybe verdict): the global site recognises a status
+        # pattern by the dict's identity and certifies it once.
+        by_pattern: Dict[bytes, Tuple[Dict[Predicate, TV], bool]] = {}
         for r, obj in zip(rows, cand_objs):
             scanned += 1
             comp_acc += row_comp[r]
@@ -350,25 +354,32 @@ class ComponentDatabase:
                 continue
             cached = None if memo is None else memo.get(r)
             if cached is None:
-                status: Dict[Predicate, TV] = {}
+                packed = bytes([pcol.codes[r] for _, pcol, _ in ordered_preds])
+                shared = by_pattern.get(packed)
+                if shared is None:
+                    status: Dict[Predicate, TV] = {
+                        predicate: TV_OF_CODE[code]
+                        for (predicate, _, _), code in zip(ordered_preds, packed)
+                    }
+                    for rem, _ in removed_cols:
+                        status.setdefault(rem.predicate, TV.UNKNOWN)
+                    shared = by_pattern[packed] = (
+                        status, not self._locally_certain(query, status)
+                    )
+                status, maybe = shared
                 root_unsolved: List[UnsolvedPredicateOnObject] = []
                 items: Dict[LOid, UnsolvedItem] = {}
                 unsolved_derefs = 0
-                for predicate, pcol, ucol in ordered_preds:
-                    code = pcol.codes[r]
-                    status[predicate] = TV_OF_CODE[code]
+                for code, (_, _, ucol) in zip(packed, ordered_preds):
                     if code == UNKNOWN_CODE:
                         entry = ucol[r]
                         if entry is not None:
                             unsolved_derefs += entry.derefs
                             self._apply_unsolved(entry, root_unsolved, items)
-                for rem, rcol in removed_cols:
-                    if rem.predicate not in status:
-                        status[rem.predicate] = TV.UNKNOWN
+                for _, rcol in removed_cols:
                     entry = rcol[r]
                     unsolved_derefs += entry.derefs
                     self._apply_unsolved(entry, root_unsolved, items)
-                maybe = not self._locally_certain(query, status)
                 cached = (
                     RowKind.MAYBE if maybe else RowKind.CERTAIN,
                     status,

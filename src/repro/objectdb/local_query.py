@@ -139,13 +139,22 @@ class UnsolvedPredicateOnObject:
     original: Predicate
     relative_path: Path
 
+    #: Set on the instance by the first read of the property below.
+    _relative_predicate = None
+
     @property
     def relative_predicate(self) -> Predicate:
-        return Predicate(
-            path=self.relative_path,
-            op=self.original.op,
-            operand=self.original.operand,
-        )
+        # Built once: certification probes the verdict index with it per
+        # assistant, and a kept instance keeps its cached hash.
+        relative = self._relative_predicate
+        if relative is None:
+            relative = Predicate(
+                path=self.relative_path,
+                op=self.original.op,
+                operand=self.original.operand,
+            )
+            object.__setattr__(self, "_relative_predicate", relative)
+        return relative
 
 
 class RowKind(enum.Enum):
@@ -189,7 +198,8 @@ class LocalResultRow:
     unsolved_items: Tuple[UnsolvedItem, ...] = ()
     # Three-valued status of every global predicate at this site, keyed by
     # the original predicate.  Certification recombines these across sites
-    # and assistant checks.
+    # and assistant checks.  Read-only: columnar evaluation hands every
+    # row of one status pattern the same dict.
     predicate_status: Dict[Predicate, TV] = field(default_factory=dict)
 
     @property
