@@ -23,8 +23,11 @@ contracts:
   for every localized strategy;
 * a repeated query hits the caches (warm hit rate > 0);
 * warm local evaluation over the columnar kernels is at least 5x faster
-  than the row path at the sweep's largest grid cell (the
-  ``local_eval`` section records the wall-clock for every cell).
+  than the row path at the sweep's largest grid cell when the query
+  *repeats* (``local_eval``: every per-operand cache is hot, which is
+  the best case, not the usual one), and at least 3x faster when every
+  repetition brings operands the extent has never seen
+  (``local_eval_unseen``: only the per-extent structures are warm).
 
 Runs standalone; CI runs the quick grid and diffs against the committed
 baseline::
@@ -33,13 +36,15 @@ baseline::
         --json BENCH_hotpath.json --check benchmarks/results/BENCH_hotpath.json
 
 The JSON output is fully determined by the grid: no timestamps and no
-dict-order dependence.  ``wall_s`` fields and the ``local_eval`` timing
-section are informational only and are ignored by ``--check``.
+dict-order dependence.  ``wall_s`` fields and the ``local_eval`` /
+``local_eval_unseen`` timing sections are informational only and are
+ignored by ``--check``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -56,6 +61,7 @@ from bench_common import make_workload, write_result
 
 from repro.bench.reporting import format_table
 from repro.core.engine import GlobalQueryEngine
+from repro.core.query import Op, Predicate
 
 SCHEMA = "BENCH_hotpath/v2"
 STRATEGIES = ("CA", "BL", "PL", "BL-S", "PL-S")
@@ -87,8 +93,13 @@ CHECKED_FIELDS = (
 )
 
 #: Minimum warm local-eval speedup (columnar vs row path) the sweep's
-#: largest grid cell must reach.
+#: largest grid cell must reach on a repeated query.
 MIN_COLUMNAR_SPEEDUP = 5.0
+
+#: The same floor when no repetition has seen its operands before.
+MIN_UNSEEN_SPEEDUP = 3.0
+
+_ORDER_OPS = (Op.LT, Op.LE, Op.GT, Op.GE)
 
 
 def _digest(report) -> str:
@@ -162,12 +173,50 @@ def run_cell(n_db: int, scale: float, strategy: str) -> dict:
     }
 
 
-def measure_local_eval(n_db: int, scale: float, reps: int = 3) -> dict:
+def _with_unseen_operands(local_query, shift: int):
+    """*local_query* with every ordering operand moved by *shift*.
+
+    The generator's range attributes are spread over ~10^6 integers, so
+    a moved bound keeps its selectivity and is a value no cache has
+    seen.  Its equality tests are on two-valued attributes and have no
+    unseen value to take; the predicate columns they hit are the only
+    per-operand state a repetition finds warm.
+    """
+    def move(predicate):
+        if predicate.op not in _ORDER_OPS:
+            return predicate
+        return Predicate(
+            path=predicate.path,
+            op=predicate.op,
+            operand=predicate.operand + shift,
+        )
+
+    return dataclasses.replace(
+        local_query,
+        where=tuple(
+            tuple(move(p) for p in conjunct) for conjunct in local_query.where
+        ),
+        removed=tuple(
+            dataclasses.replace(r, predicate=move(r.predicate))
+            for r in local_query.removed
+        ),
+        removed_by_conjunct=tuple(
+            tuple(move(p) for p in conjunct)
+            for conjunct in local_query.removed_by_conjunct
+        ),
+    )
+
+
+def measure_local_eval(
+    n_db: int, scale: float, reps: int = 3, unseen: bool = False
+) -> dict:
     """Warm local-evaluation wall-clock: columnar kernels vs row path.
 
     Times repeated :meth:`ComponentDatabase.execute_local` calls over
     the workload's decomposed local queries — the loop the columnar
-    extent exists for — after one warm-up pass on each path.  Timing
+    extent exists for — after one warm-up pass on each path.  With
+    *unseen* every repetition runs the queries with operands moved by
+    its own number, so nothing keyed on an operand is warm.  Timing
     only; answer equality is enforced per cell by :func:`run_cell` and
     object-by-object by the test suite.
     """
@@ -181,14 +230,21 @@ def measure_local_eval(n_db: int, scale: float, reps: int = 3) -> dict:
     for db, lq in pairs:
         db.execute_local(lq, columnar=True)
         db.execute_local(lq, columnar=False)
+    passes = [
+        [
+            (db, _with_unseen_operands(lq, rep) if unseen else lq)
+            for db, lq in pairs
+        ]
+        for rep in range(1, reps + 1)
+    ]
     start = time.perf_counter()
-    for _ in range(reps):
-        for db, lq in pairs:
+    for one_pass in passes:
+        for db, lq in one_pass:
             db.execute_local(lq, columnar=True)
     columnar_s = (time.perf_counter() - start) / reps
     start = time.perf_counter()
-    for _ in range(reps):
-        for db, lq in pairs:
+    for one_pass in passes:
+        for db, lq in one_pass:
             db.execute_local(lq, columnar=False)
     row_s = (time.perf_counter() - start) / reps
     return {
@@ -207,25 +263,34 @@ def sweep(grid) -> dict:
         for strategy in STRATEGIES:
             cells.append(run_cell(n_db, scale, strategy))
     local_eval = [measure_local_eval(n_db, scale) for n_db, scale in grid]
-    _assert_contract(cells, local_eval)
+    local_eval_unseen = [
+        measure_local_eval(n_db, scale, reps=5, unseen=True)
+        for n_db, scale in grid
+    ]
+    _assert_contract(cells, local_eval, local_eval_unseen)
     return {
         "schema": SCHEMA,
         "seeds": {str(k): v for k, v in sorted(WORKLOAD_SEEDS.items())},
         "grid": [{"n_db": n, "scale": s} for n, s in grid],
         "cells": cells,
         "local_eval": local_eval,
+        "local_eval_unseen": local_eval_unseen,
     }
 
 
-def _assert_contract(cells, local_eval) -> None:
+def _assert_contract(cells, local_eval, local_eval_unseen) -> None:
     """Aggregate guarantees the per-cell checks cannot express."""
-    largest = max(local_eval, key=lambda e: (e["n_db"], e["scale"]))
-    if largest["speedup"] < MIN_COLUMNAR_SPEEDUP:
-        raise AssertionError(
-            f"{largest['workload']}: columnar local eval only "
-            f"{largest['speedup']}x faster than the row path "
-            f"(contract: >= {MIN_COLUMNAR_SPEEDUP}x at the largest cell)"
-        )
+    for section, floor, what in (
+        (local_eval, MIN_COLUMNAR_SPEEDUP, "repeated"),
+        (local_eval_unseen, MIN_UNSEEN_SPEEDUP, "unseen-operand"),
+    ):
+        largest = max(section, key=lambda e: (e["n_db"], e["scale"]))
+        if largest["speedup"] < floor:
+            raise AssertionError(
+                f"{largest['workload']}: columnar {what} local eval only "
+                f"{largest['speedup']}x faster than the row path "
+                f"(contract: >= {floor}x at the largest cell)"
+            )
     for strategy in LOCALIZED:
         batched = sum(
             c["messages_batched"] for c in cells
@@ -292,16 +357,21 @@ def render(result: dict) -> str:
     ]
     text = format_table(headers, rows)
     eval_headers = ["workload", "columnar (s)", "row path (s)", "speedup"]
-    eval_rows = [
-        [e["workload"], f"{e['columnar_wall_s']:.4f}",
-         f"{e['row_wall_s']:.4f}", f"{e['speedup']:.1f}x"]
-        for e in result["local_eval"]
-    ]
-    return (
-        text
-        + "\n\nwarm local evaluation (columnar kernels vs row path):\n"
-        + format_table(eval_headers, eval_rows)
-    )
+    for section, title in (
+        ("local_eval", "repeated query, every per-operand cache hot"),
+        ("local_eval_unseen", "operands never seen before"),
+    ):
+        eval_rows = [
+            [e["workload"], f"{e['columnar_wall_s']:.4f}",
+             f"{e['row_wall_s']:.4f}", f"{e['speedup']:.1f}x"]
+            for e in result[section]
+        ]
+        text += (
+            f"\n\nwarm local evaluation, {title} "
+            "(columnar kernels vs row path):\n"
+            + format_table(eval_headers, eval_rows)
+        )
+    return text
 
 
 def main(argv=None):

@@ -111,59 +111,6 @@ def compare_values(op: Op, value: Value, operand: Value, meter: Optional[EvalMet
     return _compare_scalar(op, value, operand)
 
 
-def batch_compare(
-    op: Op,
-    values: Sequence[Value],
-    operand: Value,
-    meter: Optional[EvalMeter] = None,
-) -> List[TV]:
-    """Compare a whole column of stored values with a constant in one pass.
-
-    The batch kernel behind the columnar extent path: verdicts, meter
-    charges, and raised exceptions are element-exact with calling
-    :func:`compare_values` once per value in order — including the charge
-    for the element that raises (``compare_values`` meters before it
-    throws).  Nulls stay UNKNOWN (the 3VL missing marker); multi-values
-    keep their existential semantics.
-    """
-    out: List[TV] = []
-    append = out.append
-    comparisons = 0
-    is_eq = op is Op.EQ
-    is_ne = op is Op.NE
-    try:
-        for value in values:
-            comparisons += 1
-            if is_null(value):
-                append(TV.UNKNOWN)
-            elif isinstance(value, MultiValue):
-                if op is Op.CONTAINS:
-                    append(from_bool(operand in value))
-                elif op is Op.NOT_CONTAINS:
-                    append(from_bool(operand not in value))
-                else:
-                    # one comparison per member beyond the first
-                    comparisons += max(0, len(value) - 1)
-                    append(
-                        any3(
-                            _compare_scalar(op, member, operand)
-                            for member in value
-                        )
-                    )
-            elif op in (Op.CONTAINS, Op.NOT_CONTAINS):
-                raise QueryError(f"{op} requires a multi-valued attribute")
-            elif is_eq:
-                append(from_bool(value == operand))
-            elif is_ne:
-                append(from_bool(value != operand))
-            else:
-                append(_compare_scalar(op, value, operand))
-    finally:
-        if meter is not None:
-            meter.comparisons += comparisons
-    return out
-
-
 def _compare_scalar(op: Op, value: Value, operand: Value) -> TV:
     if op is Op.EQ:
         return from_bool(value == operand)

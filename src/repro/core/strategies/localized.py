@@ -226,7 +226,9 @@ class _LocalizedStrategy(Strategy):
                 db for db in queried
                 if ctx.contact(system.global_site, db).ok
             ]
-        avg_branch_bytes = self._avg_branch_bytes(system, query, surviving)
+        sizes, avg_branch_bytes = self._site_sizes(
+            system, query, branch_classes, surviving
+        )
 
         for db_name, local_query in decomposed.local_queries.items():
             if constraints is not None:
@@ -270,9 +272,7 @@ class _LocalizedStrategy(Strategy):
                     )
                     continue
             db = system.db(db_name)
-            root_obj_bytes, branch_obj_bytes = self._object_sizes(
-                system, query, db_name
-            )
+            root_obj_bytes, branch_obj_bytes = sizes[db_name]
             branch_capacity = sum(
                 db.count(local_cls)
                 for global_cls in branch_classes
@@ -1149,51 +1149,50 @@ class _LocalizedStrategy(Strategy):
     # --- sizes ----------------------------------------------------------------
 
     @staticmethod
-    def _avg_branch_bytes(
-        system: DistributedSystem, query: Query, sites
-    ) -> float:
-        """Average branch-object size across the sites consulted."""
-        sizes = [
-            _LocalizedStrategy._object_sizes(system, query, db)[1]
-            for db in sites
-        ]
-        return sum(sizes) / len(sizes) if sizes else 0.0
+    def _site_sizes(
+        system: DistributedSystem,
+        query: Query,
+        branch_classes: Tuple[str, ...],
+        sites: Iterable[str],
+    ) -> Tuple[Dict[str, Tuple[float, float]], float]:
+        """Object sizes at each of *sites*, and their branch average.
 
-    @staticmethod
-    def _object_sizes(
-        system: DistributedSystem, query: Query, db_name: str
-    ) -> Tuple[float, float]:
-        """(root object bytes, average branch object bytes) at one site.
-
+        Per site: (root object bytes, average branch object bytes).
         Only attributes the site's constituent classes actually define
         are stored there, so projections (and disk reads) are sized
-        per-site.
+        per-site.  The second result averages the branch figure across
+        *sites* (0.0 when there are none).
         """
         cost = system.cost_model
-        db = system.db(db_name)
+        global_schema = system.global_schema
+        needed = {
+            global_cls: attributes_needed(query, global_schema, global_cls)
+            for global_cls in (query.range_class,) + branch_classes
+        }
 
-        def local_attr_count(global_cls: str) -> int:
-            local_cls = system.global_schema.constituent_class(
-                db_name, global_cls
-            )
-            needed = attributes_needed(query, system.global_schema, global_cls)
+        def local_attr_count(db_name: str, global_cls: str) -> int:
+            local_cls = global_schema.constituent_class(db_name, global_cls)
             if local_cls is None:
-                return len(needed)
-            cdef = db.schema.cls(local_cls)
-            return sum(1 for a in needed if cdef.has_attribute(a))
+                return len(needed[global_cls])
+            cdef = system.db(db_name).schema.cls(local_cls)
+            return sum(1 for a in needed[global_cls] if cdef.has_attribute(a))
 
-        root_attrs = local_attr_count(query.range_class)
-        branch_classes = query.branch_classes(system.global_schema.schema)
-        if branch_classes:
-            avg_attrs = sum(
-                local_attr_count(cls) for cls in branch_classes
-            ) / len(branch_classes)
-        else:
-            avg_attrs = 0.0
-        return (
-            cost.object_bytes(root_attrs),
-            cost.object_bytes(avg_attrs) if branch_classes else 0.0,
+        sizes: Dict[str, Tuple[float, float]] = {}
+        for db_name in sites:
+            root_attrs = local_attr_count(db_name, query.range_class)
+            if branch_classes:
+                avg_attrs = sum(
+                    local_attr_count(db_name, cls) for cls in branch_classes
+                ) / len(branch_classes)
+                branch_bytes = cost.object_bytes(avg_attrs)
+            else:
+                branch_bytes = 0.0
+            sizes[db_name] = (cost.object_bytes(root_attrs), branch_bytes)
+        average = (
+            sum(branch for _, branch in sizes.values()) / len(sizes)
+            if sizes else 0.0
         )
+        return sizes, average
 
     def _result_bytes(self, result: LocalResultSet, query: Query, cost) -> int:
         """Bytes of one site's local result shipment.

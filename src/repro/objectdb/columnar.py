@@ -11,11 +11,14 @@ class extent that turns those per-object walks into *columns*:
   3VL missing-data marker in columnar form;
 * :meth:`ColumnarExtent.walk` — a :class:`WalkColumn` materializing one
   path expression over every row at once (final values, per-row missing
-  locations, per-row deref counts);
+  locations, per-row deref counts), with a :class:`ValueIndex` over the
+  values reached;
 * :meth:`ColumnarExtent.predicate_column` — a :class:`PredicateColumn` of
   packed truth codes (``TRUE=2 / UNKNOWN=1 / FALSE=0``) so conjunction is
   elementwise ``min`` and disjunction elementwise ``max`` — exactly
-  Kleene's strong 3VL;
+  Kleene's strong 3VL; an operand never seen before costs a bisection
+  of the value index plus the rows it makes TRUE, not a pass over the
+  extent;
 * :meth:`ColumnarExtent.dnf_summary` — the whole ``Where`` clause reduced
   to one code array plus per-row comparison/deref charge arrays.
 
@@ -43,6 +46,7 @@ stale column can never serve a query (see docs/PERFORMANCE.md).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from operator import add
 from typing import (
     TYPE_CHECKING,
@@ -79,6 +83,10 @@ CODE_OF_TV = {TV.FALSE: FALSE_CODE, TV.UNKNOWN: UNKNOWN_CODE, TV.TRUE: TRUE_CODE
 
 #: A missing location in columnar form: (depth, holder LOid, holder class).
 Miss = Tuple[int, LOid, str]
+
+#: Where an unsolved predicate attaches: (blocking depth, holder LOid,
+#: holder class, holder is the row's root, derefs paid walking there).
+Holder = Tuple[int, LOid, str, bool, int]
 
 
 class AttributeColumn:
@@ -117,7 +125,7 @@ class WalkColumn:
     exception the row path would raise there.
     """
 
-    __slots__ = ("values", "miss", "derefs", "errors")
+    __slots__ = ("values", "miss", "derefs", "errors", "_index")
 
     def __init__(
         self,
@@ -130,6 +138,68 @@ class WalkColumn:
         self.miss = miss
         self.derefs = derefs
         self.errors = errors
+        self._index: Optional[ValueIndex] = None
+
+    @property
+    def index(self) -> "ValueIndex":
+        """The operand-independent half of every compare on this column."""
+        if self._index is None:
+            self._index = ValueIndex(self)
+        return self._index
+
+
+class ValueIndex:
+    """What a compare over one walk column needs that no operand changes.
+
+    Built once per walk column (so once per extent version) and only an
+    implementation detail of this process: the modelled site still scans,
+    and the charge arrays say so.  Rows fall into three sorts:
+
+    * *missing* and walk-error rows — UNKNOWN, uncharged;
+    * *scalar* rows (exact ``int``/``float``/``str``/``bool``, NaN
+      excepted) — one comparison each, FALSE in ``base`` until an operand
+      says otherwise.  When they are all numbers or all strings
+      (``kind`` is ``"num"``/``"str"``) ``rows`` lists them in ascending
+      order of ``values``, so every operator's TRUE rows are a slice
+      found by bisection (``1``, ``1.0`` and ``True`` sit side by side);
+      a mixed column (``kind`` is ``None``) lists them in row order;
+    * *irregular* rows (multi-values, references, NaN, anything else) —
+      only :func:`~repro.core.predicates.compare_values` knows their
+      verdict and charge.
+    """
+
+    __slots__ = ("base", "charges", "kind", "rows", "values", "irregular_rows")
+
+    def __init__(self, walk: WalkColumn) -> None:
+        values = walk.values
+        n = len(values)
+        base = [UNKNOWN_CODE] * n
+        charges = [0] * n
+        rows: List[int] = []
+        irregular_rows: List[int] = []
+        kinds = set()
+        errors = walk.errors
+        for row, missing in enumerate(walk.miss):
+            if missing is not None or row in errors:
+                continue
+            value = values[row]
+            kind = _KIND_OF_TYPE.get(type(value))
+            if kind is None or value != value:
+                irregular_rows.append(row)
+                continue
+            kinds.add(kind)
+            rows.append(row)
+            base[row] = FALSE_CODE
+            charges[row] = 1
+        self.base = base
+        self.charges = charges
+        self.irregular_rows = irregular_rows
+        self.kind: Optional[str] = kinds.pop() if len(kinds) == 1 else None
+        self.values: List[Value] = []
+        if self.kind is not None:
+            rows.sort(key=values.__getitem__)
+            self.values = [values[row] for row in rows]
+        self.rows = rows
 
 
 class PredicateColumn:
@@ -242,13 +312,15 @@ class ColumnarExtent:
         self._deref = db.deref
         self._attrs: Dict[str, AttributeColumn] = {}
         self._walks: Dict[Tuple[str, ...], WalkColumn] = {}
-        self._compares: Dict[object, Optional["_CompareColumn"]] = {}
-        self._preds: Dict[Predicate, Optional[PredicateColumn]] = {}
+        self._preds: Dict[Predicate, PredicateColumn] = {}
         self._dnfs: Dict[
             Tuple[Conjunction, ...], Optional[DnfSummary]
         ] = {}
         self._unsolved: Dict[
-            Tuple[Predicate, Optional[int]], List[Optional[UnsolvedEntry]]
+            Tuple[Predicate, Optional[int]], "UnsolvedColumn"
+        ] = {}
+        self._holder_walks: Dict[
+            Tuple[Tuple[str, ...], Optional[int]], List[Optional[Holder]]
         ] = {}
         self._row_book: Dict[object, Dict[int, tuple]] = {}
 
@@ -335,101 +407,60 @@ class ColumnarExtent:
             derefs[row] = paid
         return WalkColumn(values, miss, derefs, errors)
 
-    # --- compare columns ---------------------------------------------------
-
-    def _compare(
-        self, path: Path, op: Op, operand: Value
-    ) -> Optional["_CompareColumn"]:
-        try:
-            key = (path.steps, op, operand)
-            col = self._compares.get(key)
-        except TypeError:
-            # Unhashable operand: no column caching is possible.
-            return None
-        if col is None and key not in self._compares:
-            col = self._build_compare(path, op, operand)
-            self._compares[key] = col
-        return col
-
-    def _build_compare(
-        self, path: Path, op: Op, operand: Value
-    ) -> "_CompareColumn":
-        walk = self.walk(path)
-        n = len(self.objects)
-        codes = [UNKNOWN_CODE] * n  # missing rows stay UNKNOWN, uncharged
-        comps = [0] * n
-        errors: Dict[int, BaseException] = {}
-        wvalues = walk.values
-        wmiss = walk.miss
-        werrors = walk.errors
-        if op is Op.EQ or op is Op.NE:
-            want = op is Op.EQ
-            for row in range(n):
-                if wmiss[row] is not None or row in werrors:
-                    continue
-                value = wvalues[row]
-                try:
-                    if type(value) in _SCALAR_TYPES:
-                        codes[row] = (
-                            TRUE_CODE
-                            if (value == operand) is want
-                            else FALSE_CODE
-                        )
-                        comps[row] = 1
-                    else:
-                        meter = EvalMeter()
-                        codes[row] = CODE_OF_TV[
-                            compare_values(op, value, operand, meter)
-                        ]
-                        comps[row] = meter.comparisons
-                except Exception as exc:  # row path raises this in order
-                    errors[row] = exc
-        else:
-            for row in range(n):
-                if wmiss[row] is not None or row in werrors:
-                    continue
-                meter = EvalMeter()
-                try:
-                    codes[row] = CODE_OF_TV[
-                        compare_values(op, wvalues[row], operand, meter)
-                    ]
-                    comps[row] = meter.comparisons
-                except Exception as exc:
-                    errors[row] = exc
-        return _CompareColumn(codes, comps, errors)
-
     # --- predicate / DNF kernels ---------------------------------------------
 
     def predicate_column(self, predicate: Predicate) -> Optional[PredicateColumn]:
-        """Evaluate *predicate* over every row in one pass (cached).
+        """Evaluate *predicate* over every row (cached per operand).
 
         Returns ``None`` when the operand is unhashable (no caching);
         callers must fall back to the row path.
         """
         try:
             col = self._preds.get(predicate)
-            known = predicate in self._preds
         except TypeError:
             return None
-        if col is None and not known:
-            walk = self.walk(predicate.path)
-            cmp = self._compare(
-                predicate.path, predicate.op, predicate.operand
-            )
-            if cmp is None:
-                col = None
-            else:
-                error_rows = set(walk.errors)
-                error_rows.update(cmp.errors)
-                col = PredicateColumn(
-                    codes=cmp.codes,
-                    comparisons=cmp.comparisons,
-                    derefs=walk.derefs,
-                    miss=walk.miss,
-                    error_rows=error_rows,
-                )
-            self._preds[predicate] = col
+        if col is None:
+            col = self._preds[predicate] = self._build_compare(predicate)
         return col
+
+    def _build_compare(self, predicate: Predicate) -> PredicateColumn:
+        """The operand-dependent half: O(log n + matching rows).
+
+        Copies the walk's base arrays and marks only the rows the value
+        index finds; rows it cannot classify are compared one by one.
+        """
+        op = predicate.op
+        operand = predicate.operand
+        walk = self.walk(predicate.path)
+        index = walk.index
+        codes = index.base[:]
+        comps = index.charges[:]
+        slow = index.irregular_rows
+        true_rows = _TRUE_ROWS.get(op)
+        # NaN orders and equals nothing; it goes the slow way like any
+        # operand of another kind than the column's.
+        kind = _KIND_OF_TYPE.get(type(operand)) if operand == operand else None
+        if true_rows is not None and kind is not None and kind == index.kind:
+            lo = bisect_left(index.values, operand)
+            hi = bisect_right(index.values, operand)
+            for row in true_rows(index.rows, lo, hi):
+                codes[row] = TRUE_CODE
+        else:
+            slow = slow + index.rows
+        error_rows = set(walk.errors)
+        wvalues = walk.values
+        for row in slow:
+            meter = EvalMeter()
+            try:
+                codes[row] = CODE_OF_TV[
+                    compare_values(op, wvalues[row], operand, meter)
+                ]
+                comps[row] = meter.comparisons
+            except Exception:  # the row path raises this, in scan order
+                codes[row] = UNKNOWN_CODE
+                comps[row] = 0
+                error_rows.add(row)
+        return PredicateColumn(codes, comps, walk.derefs, walk.miss, error_rows)
 
     def dnf_summary(
         self, where: Tuple[Conjunction, ...]
@@ -505,8 +536,8 @@ class ColumnarExtent:
 
     def unsolved_column(
         self, predicate: Predicate, depth: Optional[int] = None
-    ) -> List[Optional[UnsolvedEntry]]:
-        """Per-row :class:`UnsolvedEntry` values for *predicate* (cached).
+    ) -> "UnsolvedColumn":
+        """Per-row :class:`UnsolvedEntry` values for *predicate*.
 
         With ``depth=None`` entries exist exactly at the predicate walk's
         missing rows — the evaluation-miss form.  With an explicit
@@ -514,61 +545,45 @@ class ColumnarExtent:
         entry: the holder walk retraces the path prefix and may be
         blocked earlier than *depth* by a null/non-reference value or a
         dangling reference, exactly like the row path's holder walk.
+
+        The holder walk is shared by every predicate on the same path;
+        the column (and the relative predicates it hands out) is cached
+        per predicate.
         """
+        holders = self._holders(predicate.path, depth)
         key = (predicate, depth)
         try:
             col = self._unsolved.get(key)
-        except TypeError:  # unhashable operand: compute uncached
-            return self._build_unsolved(predicate, depth)
+        except TypeError:  # unhashable operand: the column is not kept
+            return UnsolvedColumn(predicate, holders)
         if col is None:
-            col = self._build_unsolved(predicate, depth)
-            self._unsolved[key] = col
+            col = self._unsolved[key] = UnsolvedColumn(predicate, holders)
         return col
 
-    def _build_unsolved(
-        self, predicate: Predicate, depth: Optional[int]
-    ) -> List[Optional[UnsolvedEntry]]:
-        steps = predicate.path.steps
+    def _holders(
+        self, path: Path, depth: Optional[int]
+    ) -> List[Optional[Holder]]:
+        """Where each row's unsolved predicate on *path* attaches (cached)."""
+        key = (path.steps, depth)
+        holders = self._holder_walks.get(key)
+        if holders is None:
+            holders = self._holder_walks[key] = self._build_holders(path, depth)
+        return holders
+
+    def _build_holders(
+        self, path: Path, depth: Optional[int]
+    ) -> List[Optional[Holder]]:
         loids = self.loids
-        n = len(loids)
-        entries: List[Optional[UnsolvedEntry]] = [None] * n
-        # The relative predicate and reached-via prefix only depend on
-        # the blocking depth: build each once and share across rows.
-        relatives: Dict[int, UnsolvedPredicateOnObject] = {}
-        vias: Dict[int, Optional[Path]] = {}
-
-        def parts(d: int) -> Tuple[UnsolvedPredicateOnObject, Optional[Path]]:
-            relative = relatives.get(d)
-            if relative is None:
-                relative = UnsolvedPredicateOnObject(
-                    original=predicate, relative_path=Path(steps[d:])
-                )
-                relatives[d] = relative
-                # At depth 0 the holder is the root itself: the row path
-                # never builds a reached-via prefix there.
-                vias[d] = Path(steps[:d]) if d else None
-            return relative, vias[d]
-
         if depth is None:
-            miss = self.walk(predicate.path).miss
-            for row in range(n):
-                m = miss[row]
-                if m is None:
-                    continue
-                d, holder_loid, holder_class = m
-                relative, via = parts(d)
-                # Retracing d successful steps charges d derefs.
-                entries[row] = UnsolvedEntry(
-                    holder_loid,
-                    holder_class,
-                    holder_loid == loids[row],
-                    relative,
-                    via,
-                    d,
-                )
-            return entries
+            # Retracing d successful steps charges d derefs.
+            return [
+                None if m is None else (m[0], m[1], m[2], m[1] == loid, m[0])
+                for m, loid in zip(self.walk(path).miss, loids)
+            ]
+        steps = path.steps
         deref = self._deref
-        for row, obj in enumerate(self.objects):
+        holders: List[Optional[Holder]] = []
+        for obj in self.objects:
             current = obj
             reached = depth
             paid = 0
@@ -583,34 +598,75 @@ class ColumnarExtent:
                     reached = index
                     break
                 current = nxt
-            relative, via = parts(reached)
-            entries[row] = UnsolvedEntry(
+            holders.append((
+                reached,
                 current.loid,
                 current.class_name,
-                current.loid == loids[row],
-                relative,
-                via,
+                current.loid == obj.loid,
                 paid,
-            )
-        return entries
+            ))
+        return holders
 
 
-class _CompareColumn:
-    """Internal: compare verdicts + charges for one (path, op, operand)."""
+class UnsolvedColumn:
+    """``column[row]`` -> the row's :class:`UnsolvedEntry` (or ``None``).
 
-    __slots__ = ("codes", "comparisons", "errors")
+    Most rows of a local evaluation are eliminated before anyone asks
+    where their missing data sits, so an entry is made when its row is
+    first read and kept for the next reader.  The relative predicate and
+    reached-via prefix depend on the blocking depth alone: each is built
+    once and shared across rows.
+    """
+
+    __slots__ = ("predicate", "holders", "_parts", "_entries")
 
     def __init__(
-        self,
-        codes: List[int],
-        comparisons: List[int],
-        errors: Dict[int, BaseException],
-    ):
-        self.codes = codes
-        self.comparisons = comparisons
-        self.errors = errors
+        self, predicate: Predicate, holders: List[Optional[Holder]]
+    ) -> None:
+        self.predicate = predicate
+        self.holders = holders
+        self._parts: Dict[
+            int, Tuple[UnsolvedPredicateOnObject, Optional[Path]]
+        ] = {}
+        self._entries: List[Optional[UnsolvedEntry]] = [None] * len(holders)
+
+    def __getitem__(self, row: int) -> Optional[UnsolvedEntry]:
+        entry = self._entries[row]
+        if entry is not None:
+            return entry
+        holder = self.holders[row]
+        if holder is None:
+            return None
+        reached, holder_loid, holder_class, is_root, paid = holder
+        parts = self._parts.get(reached)
+        if parts is None:
+            steps = self.predicate.path.steps
+            # At depth 0 the holder is the root itself: the row path
+            # never builds a reached-via prefix there.
+            parts = self._parts[reached] = (
+                UnsolvedPredicateOnObject(
+                    original=self.predicate,
+                    relative_path=Path(steps[reached:]),
+                ),
+                Path(steps[:reached]) if reached else None,
+            )
+        entry = self._entries[row] = UnsolvedEntry(
+            holder_loid, holder_class, is_root, parts[0], parts[1], paid
+        )
+        return entry
 
 
-#: Scalar types eligible for the inlined EQ/NE fast path; everything else
-#: (MultiValue, references, exotic values) goes through compare_values.
-_SCALAR_TYPES = frozenset({int, float, str, bool})
+#: Exact types the value index classifies, by ordering kind; everything
+#: else (MultiValue, references, exotic values) goes through compare_values.
+_KIND_OF_TYPE = {int: "num", float: "num", bool: "num", str: "str"}
+
+#: The rows an operator makes TRUE, as slices of the index's value-sorted
+#: rows: ``values[lo:hi]`` is the run equal to the operand.
+_TRUE_ROWS = {
+    Op.EQ: lambda rows, lo, hi: rows[lo:hi],
+    Op.NE: lambda rows, lo, hi: rows[:lo] + rows[hi:],
+    Op.LT: lambda rows, lo, hi: rows[:lo],
+    Op.LE: lambda rows, lo, hi: rows[:hi],
+    Op.GT: lambda rows, lo, hi: rows[hi:],
+    Op.GE: lambda rows, lo, hi: rows[lo:],
+}

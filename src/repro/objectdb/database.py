@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.predicates import (
     EvalMeter,
@@ -286,14 +286,12 @@ class ComponentDatabase:
             return None
         candidates, probe = self._select_candidates(query)
         if probe is None:
-            cand_objs: List[LocalObject] = col.objects
-            rows: Iterable[int] = range(len(cand_objs))
+            rows: Sequence[int] = range(len(col.objects))
             if summary.error_rows:
                 return None
         else:
-            cand_objs = list(candidates)
             row_of = col.row_of
-            rows = [row_of[obj.loid] for obj in cand_objs]
+            rows = [row_of[obj.loid] for obj in candidates]
             err = summary.error_rows
             if err and any(r in err for r in rows):
                 return None
@@ -325,17 +323,17 @@ class ComponentDatabase:
             db_name=self.name, range_class=query.range_class
         )
         result.index_probe = probe
-        meter = EvalMeter()
-        if probe is not None:
-            meter.comparisons += probe.comparisons
         codes = summary.codes
-        row_comp = summary.comparisons
-        row_deref = summary.derefs
+        objects = col.objects
         targets = query.targets
         rows_out = result.rows
-        comp_acc = 0
-        deref_acc = 0
-        scanned = 0
+        # The modelled site scans every candidate; this process only
+        # walks the survivors.
+        result.objects_scanned = len(rows)
+        comp_acc = sum(map(summary.comparisons.__getitem__, rows))
+        deref_acc = sum(map(summary.derefs.__getitem__, rows))
+        if probe is not None:
+            comp_acc += probe.comparisons
         # Per-row bookkeeping (status, kind, unsolved tuples, holder-walk
         # deref charge) is deterministic for one query shape on one
         # extent version: memoize it so a repeated query only re-reads.
@@ -346,12 +344,8 @@ class ComponentDatabase:
         # certain/maybe verdict): the global site recognises a status
         # pattern by the dict's identity and certifies it once.
         by_pattern: Dict[bytes, Tuple[Dict[Predicate, TV], bool]] = {}
-        for r, obj in zip(rows, cand_objs):
-            scanned += 1
-            comp_acc += row_comp[r]
-            deref_acc += row_deref[r]
-            if codes[r] == FALSE_CODE:
-                continue
+        for r in [r for r in rows if codes[r]]:
+            obj = objects[r]
             cached = None if memo is None else memo.get(r)
             if cached is None:
                 packed = bytes([pcol.codes[r] for _, pcol, _ in ordered_preds])
@@ -408,9 +402,8 @@ class ComponentDatabase:
                     predicate_status=status,
                 )
             )
-        result.objects_scanned = scanned
-        result.comparisons = meter.comparisons + comp_acc
-        result.derefs = meter.derefs + deref_acc
+        result.comparisons = comp_acc
+        result.derefs = deref_acc
         return result
 
     def _select_candidates(

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.engine import GlobalQueryEngine
 from repro.core.options import ExecutionOptions
-from repro.core.predicates import EvalMeter, batch_compare, compare_values
+from repro.core.predicates import EvalMeter, evaluate_predicate
 from repro.core.query import Op, Path, Predicate
 from repro.core.results import same_answers
 from repro.core.tvl import TV
@@ -98,8 +98,31 @@ def assert_result_sets_equal(columnar, row):
         assert left.predicate_status == right.predicate_status
 
 
+def column_db(values):
+    """A ``C`` extent whose attribute ``a`` holds *values*, one per row."""
+    return make_db(
+        [(f"c{i}", {"a": value}) for i, value in enumerate(values)]
+    )
+
+
+def kernel_and_row_path(values, op, operand):
+    """((verdicts, charge) of the compare kernel, the same of the row path)."""
+    db = column_db(values)
+    predicate = Predicate(path=Path.of("a"), op=op, operand=operand)
+    col = db.columnar_extent("C")
+    pcol = col.predicate_column(predicate)
+    assert not pcol.error_rows
+    meter = EvalMeter()
+    rows = [
+        evaluate_predicate(obj, predicate, db.deref, meter).tv
+        for obj in col.objects
+    ]
+    kernel = [TV_OF_CODE[code] for code in pcol.codes]
+    return (kernel, sum(pcol.comparisons)), (rows, meter.comparisons)
+
+
 class TestBatchCompare:
-    """batch_compare is element-exact with compare_values."""
+    """The compare kernel is element-exact with the row path."""
 
     COLUMN = [
         1, NULL, "x", 2.5, MultiValue([1, 2]), MultiValue([]), True, 0,
@@ -107,41 +130,44 @@ class TestBatchCompare:
 
     @pytest.mark.parametrize("op", [Op.EQ, Op.NE])
     def test_eq_ne_parity(self, op):
-        batch_meter, row_meter = EvalMeter(), EvalMeter()
-        batch = batch_compare(op, self.COLUMN, 1, batch_meter)
-        rows = [compare_values(op, v, 1, row_meter) for v in self.COLUMN]
-        assert batch == rows
-        assert batch_meter.comparisons == row_meter.comparisons
+        kernel, rows = kernel_and_row_path(self.COLUMN, op, 1)
+        assert kernel == rows
 
     @pytest.mark.parametrize("op", [Op.LT, Op.LE, Op.GT, Op.GE])
     def test_order_ops_parity(self, op):
         column = [1, NULL, 2.5, MultiValue([1, 2]), 0]
-        batch_meter, row_meter = EvalMeter(), EvalMeter()
-        batch = batch_compare(op, column, 1, batch_meter)
-        rows = [compare_values(op, v, 1, row_meter) for v in column]
-        assert batch == rows
-        assert batch_meter.comparisons == row_meter.comparisons
+        kernel, rows = kernel_and_row_path(column, op, 1)
+        assert kernel == rows
 
     def test_contains_parity(self):
         column = [MultiValue([1, 2]), NULL, MultiValue([3])]
-        batch = batch_compare(Op.CONTAINS, column, 2, None)
-        assert batch == [TV.TRUE, TV.UNKNOWN, TV.FALSE]
+        kernel, rows = kernel_and_row_path(column, Op.CONTAINS, 2)
+        assert kernel == rows
+        assert kernel[0] == [TV.TRUE, TV.UNKNOWN, TV.FALSE]
 
-    def test_raises_in_order_and_charges_before_raise(self):
-        # The row path charges the raising element's comparison before
-        # throwing; the batch kernel must do the same.
-        column = [1, "unorderable", 2]
-        batch_meter, row_meter = EvalMeter(), EvalMeter()
-        with pytest.raises(QueryError):
-            batch_compare(Op.LT, column, 5, batch_meter)
-        with pytest.raises(QueryError):
-            for v in column:
-                compare_values(Op.LT, v, 5, row_meter)
-        assert batch_meter.comparisons == row_meter.comparisons == 2
+    def test_unorderable_rows_defer_to_the_row_path(self):
+        # The kernel never raises: it marks the rows the row path would
+        # raise on, and the caller re-runs the row path, which raises at
+        # the first of them in scan order.
+        db = column_db([1, "unorderable", 2, "later"])
+        predicate = Predicate(path=Path.of("a"), op=Op.LT, operand=5)
+        pcol = db.columnar_extent("C").predicate_column(predicate)
+        assert pcol.error_rows == {1, 3}
+        assert pcol.codes == [
+            TRUE_CODE, UNKNOWN_CODE, TRUE_CODE, UNKNOWN_CODE
+        ]
+        assert pcol.comparisons == [1, 0, 1, 0]
+        with pytest.raises(QueryError, match="'unorderable'"):
+            db.execute_local(local_query(((predicate,),)))
 
     def test_contains_on_scalar_raises(self):
+        db = column_db([1])
+        predicate = Predicate(path=Path.of("a"), op=Op.CONTAINS, operand=1)
+        assert db.columnar_extent("C").predicate_column(
+            predicate
+        ).error_rows == {0}
         with pytest.raises(QueryError):
-            batch_compare(Op.CONTAINS, [1], 1, None)
+            db.batch_evaluate_predicate("C", predicate)
 
 
 class TestPartitionCodes:
@@ -186,8 +212,6 @@ class TestColumnarExtentKernels:
         pred = Predicate(path=Path.of("a"), op=op, operand=1)
         col = db.columnar_extent("C")
         pcol = col.predicate_column(pred)
-        from repro.core.predicates import evaluate_predicate
-
         for row, obj in enumerate(col.objects):
             expected = evaluate_predicate(obj, pred, db.deref)
             assert TV_OF_CODE[pcol.codes[row]] is expected.tv, (

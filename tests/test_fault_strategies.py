@@ -248,11 +248,15 @@ class TestSurvivingSiteCosting:
         workload = make_workload(seed=304)
         system, query = workload.system, workload.query
         all_sites = tuple(system.databases)
-        full = _LocalizedStrategy._avg_branch_bytes(system, query, all_sites)
-        per_site = {
-            db: _LocalizedStrategy._avg_branch_bytes(system, query, [db])
-            for db in all_sites
-        }
+        branch_classes = query.branch_classes(system.global_schema.schema)
+
+        def average(sites):
+            return _LocalizedStrategy._site_sizes(
+                system, query, branch_classes, sites
+            )[1]
+
+        full = average(all_sites)
+        per_site = {db: average([db]) for db in all_sites}
         # This federation's sites store different constituent attributes,
         # so the per-site sizes differ and a subset shifts the average.
         assert len(set(per_site.values())) > 1
@@ -265,7 +269,9 @@ class TestSurvivingSiteCosting:
         from repro.sqlx import parse_query
 
         query = parse_query(Q1_TEXT)
-        assert _LocalizedStrategy._avg_branch_bytes(school, query, []) == 0.0
+        assert _LocalizedStrategy._site_sizes(
+            school, query, query.branch_classes(school.global_schema.schema), []
+        ) == ({}, 0.0)
 
     def test_faulted_run_uses_surviving_average(self, school):
         """With DB3 down, check replies are costed at the DB1/DB2
