@@ -26,7 +26,7 @@ def run_batch():
             for name in ("CA", "BL", "PL")
         }
         chooser = AdaptiveStrategy(objective="response")
-        chooser.execute(workload.system, workload.query)
+        engine.execute(workload.query, chooser)
         rows.append((seed, chooser.last_choice, actual))
     return rows
 

@@ -17,7 +17,11 @@ from repro.bench.reporting import format_table
 from repro.core.certification import CertificationStats, VerdictIndex, certify
 from repro.core.decompose import decompose
 from repro.core.engine import GlobalQueryEngine
-from repro.core.strategies import collect_verdicts, plan_dispatch, run_checks
+from repro.core.strategies import (
+    collect_verdicts,
+    plan_dispatch,
+    run_checks_paired,
+)
 from repro.workload.generator import generate
 from repro.workload.params import sample_params
 
@@ -45,7 +49,10 @@ def certification_outcomes():
                 item for row in result.maybe_rows for item in row.unsolved_items
             ]
             plan = plan_dispatch(db_name, items, system)
-            reports.extend(run_checks(plan.requests, system))
+            reports.extend(
+                report
+                for _, report in run_checks_paired(plan.requests, system)
+            )
 
         # With certification (assistant verdicts applied).
         stats_with = CertificationStats()

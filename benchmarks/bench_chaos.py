@@ -101,8 +101,10 @@ def _assert_fault_visibility(report, plan):
 def run_cell(strategy, plan, seed):
     """One (strategy, scenario) execution on a fresh federation."""
     engine = GlobalQueryEngine(build_school_federation())
-    report = engine.execute(Q1_TEXT, strategy,
-                            fault_plan=plan, fault_seed=seed)
+    report = engine.execute(
+        Q1_TEXT, strategy,
+        options=engine.options.with_(fault_plan=plan, fault_seed=seed),
+    )
     if plan is not None and plan.active:
         _assert_fault_visibility(report, plan)
     return {
@@ -165,12 +167,13 @@ def run_failover_cell(strategy, plan, mode):
     """One (strategy, storm, failover-mode) execution."""
     engine = GlobalQueryEngine(build_school_federation())
     report = engine.execute(
-        Q1_TEXT,
-        strategy,
-        fault_plan=plan,
-        fault_seed=FAILOVER_SEED,
-        failover=mode != "off",
-        policy=HEDGE_POLICY if mode == "hedge" else None,
+        Q1_TEXT, strategy,
+        options=engine.options.with_(
+            fault_plan=plan,
+            fault_seed=FAILOVER_SEED,
+            failover=mode != "off",
+            policy=HEDGE_POLICY if mode == "hedge" else None,
+        ),
     )
     avail = report.availability
     return {

@@ -12,7 +12,11 @@ Run:  python examples/school_walkthrough.py
 
 from repro.core.certification import CertificationStats, certify
 from repro.core.decompose import decompose
-from repro.core.strategies import collect_verdicts, plan_dispatch, run_checks
+from repro.core.strategies import (
+    collect_verdicts,
+    plan_dispatch,
+    run_checks_paired,
+)
 from repro.sqlx import parse_query
 from repro.workload.paper_example import Q1_TEXT, build_school_federation
 
@@ -72,7 +76,9 @@ def main() -> None:
             predicates = ", ".join(str(p) for p in request.predicates)
             print(f"\n{db_name} sends to {request.db_name}: "
                   f"check [{loids}] against [{predicates}]")
-        site_reports = run_checks(plan.requests, system)
+        site_reports = [
+            report for _, report in run_checks_paired(plan.requests, system)
+        ]
         for report in site_reports:
             for predicate, loids in report.satisfied.items():
                 for loid in loids:

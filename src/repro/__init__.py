@@ -33,16 +33,13 @@ from repro.core import (
     TV,
 )
 from repro.core.strategies import (
-    ALL_STRATEGIES,
     BasicLocalizedStrategy,
     CentralizedStrategy,
-    PAPER_STRATEGIES,
     ParallelLocalizedStrategy,
     SignatureBasicLocalizedStrategy,
     SignatureParallelLocalizedStrategy,
     Strategy,
     StrategyResult,
-    strategy_by_name,
 )
 from repro.errors import ReproError
 from repro.sim.costs import CostModel, PAPER_COSTS
@@ -50,7 +47,6 @@ from repro.sim.costs import CostModel, PAPER_COSTS
 __version__ = "1.0.0"
 
 __all__ = [
-    "ALL_STRATEGIES",
     "BasicLocalizedStrategy",
     "CentralizedStrategy",
     "CostModel",
@@ -60,7 +56,6 @@ __all__ = [
     "GlobalResult",
     "Op",
     "PAPER_COSTS",
-    "PAPER_STRATEGIES",
     "ParallelLocalizedStrategy",
     "Path",
     "Predicate",
@@ -73,5 +68,4 @@ __all__ = [
     "Strategy",
     "StrategyResult",
     "TV",
-    "strategy_by_name",
 ]

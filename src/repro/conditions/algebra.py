@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Tuple
 
 from repro.core.tvl import TV, all3, any3
 from repro.objectdb.ids import GOid
@@ -47,13 +47,14 @@ SYSTEMATIC = "systematic"
 class SystemState:
     """A live view of the federation a condition evaluates against.
 
-    *ctx* carries reachability (``None`` means every present site is
-    reachable — the fully-healed view the re-certifier defaults to);
-    *flux_labels* are the evolution windows currently open.
+    *ctx* carries reachability (a context that injects no faults
+    reaches every present site — the fully-healed view the re-certifier
+    defaults to); *flux_labels* are the evolution windows currently
+    open.
     """
 
     system: "DistributedSystem"
-    ctx: Optional["ExecutionContext"] = None
+    ctx: "ExecutionContext"
     flux_labels: Tuple[str, ...] = ()
     epoch: int = 0
 
@@ -61,7 +62,7 @@ class SystemState:
     def current(
         cls,
         system: "DistributedSystem",
-        ctx: Optional["ExecutionContext"] = None,
+        ctx: "ExecutionContext",
     ) -> "SystemState":
         """Snapshot the federation as it stands right now."""
         evo = getattr(system, "evolution", None)
@@ -84,8 +85,6 @@ class SystemState:
         """
         if site not in self.system.databases:
             return TV.FALSE
-        if self.ctx is None:
-            return TV.TRUE
         return (
             TV.TRUE
             if self.ctx.reachable(self.system.global_site, site)

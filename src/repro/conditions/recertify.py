@@ -138,15 +138,14 @@ def _leaf_atoms(row) -> List:
 class ReCertifier:
     """Monotone, incremental repair of a degraded execution report.
 
-    *ctx* carries the reachability view the repair runs under: ``None``
-    (the default the engine passes for a fully recovered federation)
-    treats every present site as reachable; a live
-    :class:`~repro.faults.injector.ExecutionContext` yields partial
-    repairs that leave still-blocked conditions (and an updated repair
-    state) in place.
+    *ctx* carries the reachability view the repair runs under: a
+    context that injects no faults (what the engine passes for a fully
+    recovered federation) reaches every present site; one with an
+    active fault plan yields partial repairs that leave still-blocked
+    conditions (and an updated repair state) in place.
     """
 
-    def __init__(self, system, ctx=None):
+    def __init__(self, system, ctx):
         self.system = system
         self.ctx = ctx
         self.state = SystemState.current(system, ctx)
@@ -221,7 +220,7 @@ class ReCertifier:
         )
         from repro.core.strategies.base import (
             chase_blocked,
-            plan_dispatch,
+            evaluate_site,
             run_checks_paired,
         )
         from repro.objectdb.local_query import BlockedAt, CheckReport
@@ -260,20 +259,14 @@ class ReCertifier:
             if local_query is None:
                 still_down.append(site)
                 continue
-            result = system.db(site).execute_local(
-                local_query, columnar=state.columnar
+            result, _scan, _items, plan = evaluate_site(
+                system, site, local_query,
+                columnar=state.columnar,
+                use_signatures=state.use_signatures,
             )
             local_results[site] = result
             contacted.append(site)
             messages += 2
-            items = [
-                item
-                for row in result.maybe_rows
-                for item in row.unsolved_items
-            ]
-            plan = plan_dispatch(
-                site, items, system, use_signatures=state.use_signatures
-            )
             for loid, predicate, verdict in plan.signature_verdicts:
                 verdicts.add(loid, predicate, verdict)
             for request in plan.requests:
@@ -344,7 +337,7 @@ class ReCertifier:
                 system,
                 verdicts,
                 max_rounds,
-                ctx=self.ctx,
+                self.ctx,
                 deferred_skips=deferred,
                 columnar=state.columnar,
                 skip_log=skipped_entries,
@@ -379,7 +372,7 @@ class ReCertifier:
         )
         res_stats = ResolutionStats()
         resolve_missing_bindings(
-            system, state.query, answer, ctx=self.ctx, stats=res_stats
+            system, state.query, answer, self.ctx, stats=res_stats
         )
         messages += 2 * len(res_stats.fetches_by_site)
         for fetch_db in sorted(res_stats.fetches_by_site):
@@ -430,10 +423,11 @@ class ReCertifier:
     # -- centralized (CA) repair ---------------------------------------
 
     def _repair_centralized(self, state: CentralizedRepairState):
-        from repro.core.decompose import attributes_needed
+        from repro.core.decompose import attributes_needed_by_class
         from repro.core.strategies.centralized import (
             demote_outerjoin_incomplete,
             evaluate_global_extent,
+            export_site,
         )
         from repro.integration.outerjoin import materialize
 
@@ -443,6 +437,9 @@ class ReCertifier:
             cls: dict(by_site)
             for cls, by_site in state.exports_by_class.items()
         }
+        needed = attributes_needed_by_class(
+            state.query, schema, state.involved_classes
+        )
         messages = 0
         contacted: List[str] = []
         still_down: List[str] = []
@@ -450,24 +447,9 @@ class ReCertifier:
             if self.state.site_status(site) is not TV.TRUE:
                 still_down.append(site)
                 continue
-            db = system.db(site)
-            shipped = False
-            for global_class in state.involved_classes:
-                local_class = schema.constituent_class(site, global_class)
-                if local_class is None:
-                    continue
-                needed = attributes_needed(
-                    state.query, schema, global_class
-                )
-                local_needed = tuple(
-                    a
-                    for a in needed
-                    if db.schema.cls(local_class).has_attribute(a)
-                )
-                exports.setdefault(global_class, {})[site] = (
-                    db.scan_for_export(local_class, local_needed)
-                )
-                shipped = True
+            shipped = list(export_site(system, site, needed))
+            for global_class, objs, _n_attrs in shipped:
+                exports.setdefault(global_class, {})[site] = objs
             if shipped:
                 contacted.append(site)
                 messages += 2

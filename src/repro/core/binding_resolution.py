@@ -68,7 +68,7 @@ def resolve_missing_bindings(
     system: DistributedSystem,
     query: Query,
     answer: ResultSet,
-    ctx: Optional[ExecutionContext] = None,
+    ctx: ExecutionContext,
     stats: Optional[ResolutionStats] = None,
 ) -> ResolutionStats:
     """Fill the target bindings local evaluation could not produce.
@@ -112,7 +112,7 @@ def _global_walk(
     range_class: str,
     steps,
     chain: List[AttributeDef],
-    ctx: Optional[ExecutionContext],
+    ctx: ExecutionContext,
     stats: ResolutionStats,
 ) -> Value:
     """Walk a target path entity-by-entity across the whole federation."""
@@ -136,7 +136,7 @@ def _merge_entity_attribute(
     global_class: str,
     goid: GOid,
     attr: AttributeDef,
-    ctx: Optional[ExecutionContext],
+    ctx: ExecutionContext,
     stats: ResolutionStats,
 ) -> Value:
     """Merge one attribute across every copy of one entity.
@@ -155,9 +155,7 @@ def _merge_entity_attribute(
         loid = placements.get(db_name)
         if loid is None:
             continue
-        if ctx is not None and not ctx.reachable(
-            system.global_site, db_name
-        ):
+        if not ctx.reachable(system.global_site, db_name):
             if db_name not in stats.skipped_sites:
                 stats.skipped_sites.append(db_name)
             skipped_here = True

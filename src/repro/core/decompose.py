@@ -15,7 +15,7 @@ predicate's path expression a given site's schema runs out of data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.query import Conjunction, Path, Predicate, Query
 from repro.errors import QueryError
@@ -144,3 +144,16 @@ def attributes_needed(
     if key not in needed:
         needed.append(key)
     return tuple(needed)
+
+
+def attributes_needed_by_class(
+    query: Query, global_schema: GlobalSchema, classes: Iterable[str]
+) -> Dict[str, Tuple[str, ...]]:
+    """:func:`attributes_needed` of each of *classes*.
+
+    The lists depend on the class only, so one execution computes them
+    once and every site projects (or is sized) through them.
+    """
+    return {
+        cls: attributes_needed(query, global_schema, cls) for cls in classes
+    }

@@ -12,23 +12,21 @@ never re-runs the query.
 Per-execution configuration lives in one immutable
 :class:`~repro.core.options.ExecutionOptions` value (``engine.options``);
 derive variants with ``engine.options.with_(batch_checks=False)`` and
-pass them as ``options=``.  The historical ``fault_plan=`` / ``policy=``
-/ ``fault_seed=`` / ``batch_checks=`` / ``failover=`` kwargs on
-``execute()`` and ``compare()`` still work but are deprecated.
+pass them as ``options=`` — the one way to configure an execution.
 
 Concurrent callers over one shared federation each take an
 :meth:`GlobalQueryEngine.session` — a lightweight handle with its own
-default strategy, options and per-worker cache accounting.  All
-per-execution state (fault negotiations, breakers, hedges) lives in an
-:class:`~repro.faults.injector.ExecutionContext` created per call, so
-interleaved executions can never bleed into each other.
+default strategy, options and per-worker cache accounting.  Every
+execution gets its own
+:class:`~repro.faults.injector.ExecutionContext`, the single carrier of
+its options and all per-execution state (fault negotiations, breakers,
+hedges), so strategies hold no option and interleaved executions can
+never bleed into each other.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.options import ExecutionOptions
@@ -42,11 +40,7 @@ from repro.core.system import DistributedSystem
 from repro.errors import ReproError
 from repro.faults.injector import ExecutionContext
 from repro.faults.plan import FaultPlan
-from repro.faults.policy import ExecutionPolicy
 from repro.obs.spans import TraceEvent
-
-#: The deprecated per-call override kwargs (now ExecutionOptions fields).
-_LEGACY_KWARGS = ("fault_plan", "policy", "fault_seed", "batch_checks", "failover")
 
 
 def _with_departed_outages(
@@ -142,32 +136,6 @@ def _demote_uncertified(
     return len(demoted), hit
 
 
-def _merge_legacy(
-    where: str,
-    options: Optional[ExecutionOptions],
-    base: ExecutionOptions,
-    legacy: Dict[str, object],
-) -> ExecutionOptions:
-    """Fold deprecated override kwargs into an options value.
-
-    *base* is the caller's default options (engine- or session-wide);
-    explicit ``options=`` wins as the starting point, then any legacy
-    kwarg overrides field-by-field (with a DeprecationWarning).
-    """
-    given = {k: v for k, v in legacy.items() if v is not None}
-    effective = options if options is not None else base
-    if not given:
-        return effective
-    warnings.warn(
-        f"{where}({', '.join(sorted(given))}=...) is deprecated; pass "
-        f"options=engine.options.with_({', '.join(sorted(given))}=...) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return effective.with_(**given)
-
-
 class GlobalQueryEngine:
     """Executes global queries against a federation."""
 
@@ -176,104 +144,17 @@ class GlobalQueryEngine:
         system: DistributedSystem,
         default_strategy: Union[str, Strategy] = "BL",
         registry: Optional[StrategyRegistry] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        policy: Union[str, ExecutionPolicy, None] = None,
-        fault_seed: Optional[int] = None,
-        batch_checks: Optional[bool] = None,
-        failover: Optional[bool] = None,
-        columnar: Optional[bool] = None,
-        planner: Optional[str] = None,
         options: Optional[ExecutionOptions] = None,
     ) -> None:
         self.system = system
         self.registry = registry or DEFAULT_REGISTRY
         self.default_strategy = self._resolve(default_strategy)
-        base = options if options is not None else ExecutionOptions()
-        overrides = {
-            name: value
-            for name, value in (
-                ("fault_plan", fault_plan),
-                ("policy", policy),
-                ("fault_seed", fault_seed),
-                ("batch_checks", batch_checks),
-                ("failover", failover),
-                ("columnar", columnar),
-                ("planner", planner),
-            )
-            if value is not None
-        }
         #: Engine-wide default :class:`ExecutionOptions`; immutable —
         #: replace it (``engine.options = engine.options.with_(...)``)
         #: rather than mutating.
-        self.options = base.with_(**overrides) if overrides else base
+        self.options = options if options is not None else ExecutionOptions()
         self._sessions = 0
         self._root_session = EngineSession(self, name="main")
-
-    # --- configuration shims (legacy attribute views onto options) --------
-
-    @property
-    def fault_plan(self) -> Optional[FaultPlan]:
-        return self.options.fault_plan
-
-    @fault_plan.setter
-    def fault_plan(self, value: Optional[FaultPlan]) -> None:
-        self.options = self.options.with_(fault_plan=value)
-
-    @property
-    def policy(self) -> ExecutionPolicy:
-        return self.options.policy
-
-    @policy.setter
-    def policy(self, value: Union[str, ExecutionPolicy, None]) -> None:
-        self.options = self.options.with_(policy=value)
-
-    @property
-    def fault_seed(self) -> int:
-        return self.options.fault_seed
-
-    @fault_seed.setter
-    def fault_seed(self, value: int) -> None:
-        self.options = self.options.with_(fault_seed=value)
-
-    @property
-    def batch_checks(self) -> bool:
-        return self.options.batch_checks
-
-    @batch_checks.setter
-    def batch_checks(self, value: bool) -> None:
-        self.options = self.options.with_(batch_checks=value)
-
-    @property
-    def failover(self) -> bool:
-        return self.options.failover
-
-    @failover.setter
-    def failover(self, value: bool) -> None:
-        self.options = self.options.with_(failover=value)
-
-    @property
-    def columnar(self) -> bool:
-        return self.options.columnar
-
-    @columnar.setter
-    def columnar(self, value: bool) -> None:
-        self.options = self.options.with_(columnar=value)
-
-    @property
-    def planner(self) -> str:
-        return self.options.planner
-
-    @planner.setter
-    def planner(self, value: str) -> None:
-        self.options = self.options.with_(planner=value)
-
-    @property
-    def conditions(self) -> bool:
-        return self.options.conditions
-
-    @conditions.setter
-    def conditions(self, value: bool) -> None:
-        self.options = self.options.with_(conditions=value)
 
     # --- sessions ----------------------------------------------------------
 
@@ -324,28 +205,6 @@ class GlobalQueryEngine:
         """
         self.system.ensure_signatures()
 
-    def _fault_context(
-        self, options: ExecutionOptions
-    ) -> Optional[ExecutionContext]:
-        """The execution's fault context, or None when faults are off.
-
-        A ``None`` context is load-bearing: strategies then run their
-        original two-argument code path, so fault-free executions are
-        byte-identical to the pre-fault-layer engine.
-        """
-        if not options.faults_active:
-            return None
-        return ExecutionContext(
-            options.fault_plan,
-            options.policy,
-            seed=options.fault_seed,
-            failover=options.failover,
-            batch_checks=options.batch_checks,
-            columnar=options.columnar,
-            planner=options.planner,
-            conditions=options.conditions,
-        )
-
     def _run(
         self,
         query: Union[Query, str],
@@ -355,10 +214,9 @@ class GlobalQueryEngine:
     ) -> ExecutionReport:
         """One execution with fully-resolved options, on behalf of *session*.
 
-        The chosen strategy instance is never mutated: a ``batch_checks``
-        or ``columnar`` override rides the :class:`ExecutionContext` when
-        one exists and a private copy of the strategy otherwise, so a
-        Strategy shared between sessions is safe under interleaving.
+        The options ride the execution's :class:`ExecutionContext`; the
+        chosen strategy instance holds none, so a Strategy shared
+        between sessions is safe under interleaving.
         """
         query_text = query if isinstance(query, str) else str(query)
         if isinstance(query, str):
@@ -368,17 +226,6 @@ class GlobalQueryEngine:
             if strategy is None
             else self._resolve(strategy)
         )
-        if (
-            chosen.batch_checks != options.batch_checks
-            or chosen.columnar != options.columnar
-            or chosen.planner != options.planner
-            or chosen.conditions != options.conditions
-        ):
-            chosen = copy.copy(chosen)
-            chosen.batch_checks = options.batch_checks
-            chosen.columnar = options.columnar
-            chosen.planner = options.planner
-            chosen.conditions = options.conditions
         built_signatures = False
         if getattr(chosen, "use_signatures", False) and self.system.signatures is None:
             self.system.build_signatures()
@@ -391,17 +238,14 @@ class GlobalQueryEngine:
         flux = evo.in_flux_view() if evo is not None else None
         if flux is not None and flux.departed_sites:
             options = _with_departed_outages(options, flux.departed_sites)
-        ctx = self._fault_context(options)
-        if ctx is not None and ctx.health is not None and flux is not None:
+        ctx = ExecutionContext(options)
+        if ctx.health is not None and flux is not None:
             for site in flux.departed_sites:
                 # Formal leave: suppress contact ladders immediately.
                 ctx.health.force_open(site)
         cache_before = self.system.cache_stats()
         with self.system.cache_scope(session.name):
-            if ctx is None:
-                result = chosen.execute(self.system, query)
-            else:
-                result = chosen.execute(self.system, query, ctx)
+            result = chosen.execute(self.system, query, ctx)
         demoted, flux_labels = 0, []
         if evo is not None:
             if flux is not None and flux.active:
@@ -442,7 +286,7 @@ class GlobalQueryEngine:
         result.metrics.work.cache_hits = cache_delta.hits
         result.metrics.work.cache_misses = cache_delta.misses
         session.note_execution(cache_delta)
-        if ctx is not None:
+        if ctx.active:
             # Trace-fed planning: fold this execution's observed stalls,
             # breaker transitions and span queue delays into the shared
             # feedback store.  Collected regardless of planner mode (so
@@ -472,7 +316,7 @@ class GlobalQueryEngine:
                     demoted=demoted,
                     windows=",".join(flux_labels),
                 ))
-        if ctx is not None:
+        if ctx.active:
             report.record_event(TraceEvent.of(
                 "faults.plan",
                 outages=len(ctx.plan.outages),
@@ -497,12 +341,6 @@ class GlobalQueryEngine:
         query: Union[Query, str],
         strategy: Optional[Union[str, Strategy]] = None,
         options: Optional[ExecutionOptions] = None,
-        *,
-        fault_plan: Optional[FaultPlan] = None,
-        policy: Union[str, ExecutionPolicy, None] = None,
-        fault_seed: Optional[int] = None,
-        batch_checks: Optional[bool] = None,
-        failover: Optional[bool] = None,
     ) -> ExecutionReport:
         """Run *query* (Query object or SQL/X text) once.
 
@@ -512,9 +350,7 @@ class GlobalQueryEngine:
         from the same run.
 
         *options* overrides the engine-wide :class:`ExecutionOptions`
-        for this execution only.  The individual *fault_plan* / *policy*
-        / *fault_seed* / *batch_checks* / *failover* kwargs are a
-        deprecated shim for the same thing.
+        for this execution only.
 
         Raises:
             UnavailableError: a site stayed unreachable under a
@@ -522,16 +358,7 @@ class GlobalQueryEngine:
             ExecutionTimeout: cumulative fault waits exceeded the
                 policy's deadline.
         """
-        effective = _merge_legacy(
-            "execute", options, self.options,
-            {
-                "fault_plan": fault_plan,
-                "policy": policy,
-                "fault_seed": fault_seed,
-                "batch_checks": batch_checks,
-                "failover": failover,
-            },
-        )
+        effective = options if options is not None else self.options
         return self._run(query, strategy, effective, self._root_session)
 
     def recertify(
@@ -565,8 +392,9 @@ class GlobalQueryEngine:
         from repro.conditions.recertify import ReCertifier
 
         effective = options if options is not None else ExecutionOptions()
-        ctx = self._fault_context(effective)
-        return ReCertifier(self.system, ctx=ctx).repair(report)
+        return ReCertifier(
+            self.system, ExecutionContext(effective)
+        ).repair(report)
 
     def explain(
         self,
@@ -591,12 +419,6 @@ class GlobalQueryEngine:
         strategies: Optional[Sequence[Union[str, Strategy]]] = None,
         check_agreement: bool = True,
         options: Optional[ExecutionOptions] = None,
-        *,
-        fault_plan: Optional[FaultPlan] = None,
-        policy: Union[str, ExecutionPolicy, None] = None,
-        fault_seed: Optional[int] = None,
-        batch_checks: Optional[bool] = None,
-        failover: Optional[bool] = None,
     ) -> Dict[str, ExecutionReport]:
         """Execute *query* under several strategies (default: CA, BL, PL).
 
@@ -609,24 +431,13 @@ class GlobalQueryEngine:
         certify a subset of what a complete one certifies — degradation
         must never add certainty.
 
-        *options* (or the deprecated individual kwargs) applies to every
-        strategy's execution.
+        *options* applies to every strategy's execution.
         """
-        effective = _merge_legacy(
-            "compare", options, self.options,
-            {
-                "fault_plan": fault_plan,
-                "policy": policy,
-                "fault_seed": fault_seed,
-                "batch_checks": batch_checks,
-                "failover": failover,
-            },
-        )
         return self._root_session.compare(
             query,
             strategies=strategies,
             check_agreement=check_agreement,
-            options=effective,
+            options=options if options is not None else self.options,
         )
 
     @staticmethod

@@ -1,11 +1,11 @@
 """Per-execution options, collapsed into one immutable value object.
 
-:class:`ExecutionOptions` replaces the ``fault_plan`` / ``policy`` /
-``fault_seed`` / ``batch_checks`` / ``failover`` override-kwarg sprawl
-that :meth:`GlobalQueryEngine.execute` and ``compare`` used to thread
-through every call.  An engine (and each
-:class:`~repro.core.session.EngineSession`) holds one instance as its
-default; callers derive variants with :meth:`ExecutionOptions.with_`::
+:class:`ExecutionOptions` is the one place an execution is configured:
+an engine (and each :class:`~repro.core.session.EngineSession`) holds
+one instance as its default, every execution's
+:class:`~repro.faults.injector.ExecutionContext` carries the instance
+it runs under to the strategy as ``ctx.options``, and callers derive
+variants with :meth:`ExecutionOptions.with_`::
 
     opts = engine.options.with_(batch_checks=False)
     engine.execute(query, "PL", options=opts)
@@ -27,8 +27,7 @@ from typing import Optional, Union
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import ExecutionPolicy, resolve_policy
 
-#: Field names accepted by :meth:`ExecutionOptions.with_` (and by the
-#: engine's deprecated legacy kwargs).
+#: Field names accepted by :meth:`ExecutionOptions.with_`.
 OPTION_FIELDS = (
     "fault_plan",
     "policy",

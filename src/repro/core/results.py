@@ -284,6 +284,10 @@ class Availability:
         return " ".join(parts)
 
 
+#: The annotation every fault-free execution shares (it is frozen).
+COMPLETE = Availability()
+
+
 def certified_subset(degraded: ResultSet, full: ResultSet) -> bool:
     """True when *degraded* certifies no GOid that *full* does not.
 

@@ -21,7 +21,7 @@ from repro.core.strategies.base import (
     StrategyResult,
     collect_verdicts,
     plan_dispatch,
-    run_checks,
+    run_checks_paired,
 )
 from repro.core.strategies.centralized import CentralizedStrategy
 from repro.core.strategies.localized import (
@@ -37,38 +37,13 @@ from repro.core.strategies.registry import (
     resolve,
 )
 
-# --- deprecated shims --------------------------------------------------------
-# The tuples and strategy_by_name() predate the registry; they survive as
-# views of DEFAULT_REGISTRY so older callers keep working.
-
-#: Deprecated: use ``DEFAULT_REGISTRY.infos(paper_only=True)``.
-PAPER_STRATEGIES = (
-    CentralizedStrategy,
-    BasicLocalizedStrategy,
-    ParallelLocalizedStrategy,
-)
-
-#: Deprecated: use ``DEFAULT_REGISTRY.infos()``.
-ALL_STRATEGIES = PAPER_STRATEGIES + (
-    SignatureBasicLocalizedStrategy,
-    SignatureParallelLocalizedStrategy,
-)
-
-
-def strategy_by_name(name: str) -> Strategy:
-    """Deprecated alias for :func:`repro.core.strategies.registry.resolve`."""
-    return resolve(name)
-
-
 __all__ = [
-    "ALL_STRATEGIES",
     "DEFAULT_REGISTRY",
     "AdaptiveStrategy",
     "BasicLocalizedStrategy",
     "CentralizedStrategy",
     "DispatchPlan",
     "NullRatioSample",
-    "PAPER_STRATEGIES",
     "ParallelLocalizedStrategy",
     "SignatureBasicLocalizedStrategy",
     "SignatureParallelLocalizedStrategy",
@@ -81,6 +56,5 @@ __all__ = [
     "extract_params_ex",
     "plan_dispatch",
     "resolve",
-    "run_checks",
-    "strategy_by_name",
+    "run_checks_paired",
 ]

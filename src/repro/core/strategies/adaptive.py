@@ -201,7 +201,7 @@ class AdaptiveStrategy(Strategy):
 
     @staticmethod
     def _unreachable_sites(
-        system: DistributedSystem, ctx: Optional[ExecutionContext]
+        system: DistributedSystem, ctx: ExecutionContext
     ) -> Tuple[str, ...]:
         """Sites the fault plan makes unreachable at dispatch time.
 
@@ -211,7 +211,7 @@ class AdaptiveStrategy(Strategy):
         outcomes before the delegate runs and corrupt the execution's
         availability bookkeeping.
         """
-        if ctx is None or not ctx.plan.active:
+        if not ctx.active:
             return ()
         down: List[str] = []
         for site in system.site_names:
@@ -227,7 +227,7 @@ class AdaptiveStrategy(Strategy):
         self,
         system: DistributedSystem,
         query: Query,
-        ctx: Optional[ExecutionContext] = None,
+        ctx: ExecutionContext,
     ) -> Dict[str, float]:
         """Analytic per-strategy predictions for the chosen objective.
 
@@ -238,7 +238,7 @@ class AdaptiveStrategy(Strategy):
         ladder of every dead export, while the localized strategies
         degrade that site to a partial answer and move on.
 
-        When the effective planner mode consumes feedback and the
+        When the execution's planner mode consumes feedback and the
         federation's :class:`PlannerFeedback` store has observations,
         the model is built with observed entry/peer stall gates and
         per-site slowdown multipliers, and observed-unreliable sites
@@ -247,9 +247,10 @@ class AdaptiveStrategy(Strategy):
         steers the pick.
         """
         params, self.last_notes = extract_params_ex(system, query)
-        mode = self.effective_planner(ctx)
         feedback = system.planner_feedback
-        self.last_used_feedback = uses_feedback(mode) and feedback.has_data
+        self.last_used_feedback = (
+            uses_feedback(ctx.options.planner) and feedback.has_data
+        )
         if self.last_used_feedback:
             model = AnalyticModel(
                 params,
@@ -285,28 +286,28 @@ class AdaptiveStrategy(Strategy):
             predictions["CA"] *= 1e3 * len(penalized)
         return predictions
 
-    def execute(self, system: DistributedSystem, query: Query, ctx=None) -> StrategyResult:
-        from repro.core.strategies import strategy_by_name
+    def execute(
+        self,
+        system: DistributedSystem,
+        query: Query,
+        ctx: ExecutionContext,
+    ) -> StrategyResult:
+        from repro.core.strategies.registry import resolve
         from repro.obs.spans import TraceEvent
 
         predictions = self.predict(system, query, ctx)
         choice = min(predictions, key=predictions.get)
         self.last_choice = choice
         self.last_predictions = predictions
-        delegate = strategy_by_name(choice)
-        delegate.batch_checks = self.effective_batch_checks(ctx)
-        delegate.columnar = self.effective_columnar(ctx)
-        delegate.planner = self.effective_planner(ctx)
-        if ctx is None:
-            result = delegate.execute(system, query)
-        else:
-            result = delegate.execute(system, query, ctx)
+        # The delegate runs under the very same context, so every
+        # option of this execution reaches it.
+        result = resolve(choice).execute(system, query, ctx)
         result.metrics.strategy = f"AUTO->{choice}"
         result.metrics.add_event(TraceEvent.of(
             "auto.predict",
             choice=choice,
             objective=self.objective,
-            planner=self.effective_planner(ctx),
+            planner=ctx.options.planner,
             used_feedback=str(self.last_used_feedback).lower(),
             unreachable=",".join(self.last_unreachable) or "none",
             observed_unreliable=(

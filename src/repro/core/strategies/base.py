@@ -41,7 +41,7 @@ from repro.faults.injector import ExecutionContext, Negotiation
 from repro.obs.spans import TraceEvent
 from repro.objectdb.ids import LOid
 from repro.objectdb.local_query import CheckReport, CheckRequest, UnsolvedItem
-from repro.sim.metrics import ExecutionMetrics, WorkCounters
+from repro.sim.metrics import ExecutionMetrics
 from repro.sim.taskgraph import FederationSim, Node
 
 
@@ -72,118 +72,31 @@ class StrategyResult:
 
 
 class Strategy(abc.ABC):
-    """A query-execution strategy over a distributed federation."""
+    """A query-execution strategy over a distributed federation.
+
+    Strategies hold no execution option: everything configurable about
+    one run (wire protocol, evaluation path, planner mode, condition
+    capture, faults) arrives on the :class:`ExecutionContext`, so one
+    instance can serve any number of interleaved sessions.
+    """
 
     #: Short name used in reports ("CA", "BL", "PL", "BL-S", "PL-S").
     name: str = "?"
-    #: Coalesce phase-O check/chase requests per (src, dst) link into one
-    #: batched exchange (the engine's ``--no-batch`` escape hatch flips
-    #: this to the historical one-message-per-request protocol).  Only
-    #: the localized strategies dispatch checks; CA ignores the flag.
-    batch_checks: bool = True
-    #: Whether flipping :attr:`batch_checks` changes this strategy's
-    #: execution at all.  CA never dispatches checks, so it sets this to
-    #: False; the difftest oracle uses the flag to know which strategies
-    #: owe a batched-vs-unbatched equivalence proof.
-    affected_by_batching: bool = True
-    #: Evaluate local queries / assistant checks / the outerjoin merge
-    #: through the columnar extent kernels (the engine's
-    #: ``--no-columnar`` escape hatch flips this back to the per-object
-    #: row path).  A transparency contract like :attr:`batch_checks`:
-    #: answers, work counters and raised errors are byte-identical
-    #: either way.
-    columnar: bool = True
-    #: Whether flipping :attr:`columnar` changes this strategy's
-    #: execution path at all.  Every shipped strategy evaluates locally
-    #: (CA through ``materialize``), so they all owe the difftest oracle
-    #: a columnar-vs-row equivalence proof.
-    affected_by_columnar: bool = True
-    #: Adaptive-planning mode of this execution (see
-    #: :data:`repro.planner.PLANNER_MODES`): ``constraints``/``full``
-    #: let the localized strategies prune provably-irrelevant sites and
-    #: assistant checks via the constraint catalog; ``feedback``/``full``
-    #: let AUTO rank CA/BL/PL from observed conditions.  Same carrier
-    #: contract as :attr:`columnar`: answers are identical in every mode.
-    planner: str = "static"
-    #: Whether the planner mode changes this strategy's execution at
-    #: all.  CA neither prunes nor predicts, so it opts out; the
-    #: difftest oracle uses the flag to know which strategies owe a
-    #: planner answer-identity proof.
-    affected_by_planner: bool = True
-    #: Attach discharge conditions to maybe/uncertified rows and capture
-    #: the repair state that makes a degraded answer incrementally
-    #: re-certifiable (the engine's ``--no-conditions`` escape hatch
-    #: flips this off).  Conditions never reach exported answers, so the
-    #: flag cannot change answer bytes.
-    conditions: bool = True
 
     @abc.abstractmethod
     def execute(
         self,
         system: DistributedSystem,
         query: Query,
-        ctx: Optional[ExecutionContext] = None,
+        ctx: ExecutionContext,
     ) -> StrategyResult:
         """Run *query* on *system*; return answer and metrics.
 
-        *ctx* is the fault context of this execution; ``None`` (the
-        default, and what fault-free engine runs pass) means no fault
-        injection and must leave the execution byte-identical to the
-        pre-fault-layer behavior.
+        *ctx* carries this execution's options (``ctx.options``) and its
+        fault state.  A context whose options inject no faults
+        negotiates every contact cleanly and records nothing, so a
+        fault-free run is this same code path, not a second one.
         """
-
-    def effective_batch_checks(self, ctx: Optional[ExecutionContext]) -> bool:
-        """This execution's wire protocol: the context override wins.
-
-        The engine never mutates a (possibly shared) Strategy instance;
-        a per-execution ``batch_checks`` override travels on the
-        :class:`ExecutionContext` when faults are active and on a
-        private copy of the strategy otherwise.  Strategies must consult
-        this instead of reading :attr:`batch_checks` directly wherever a
-        context is in scope.
-        """
-        if ctx is not None and ctx.batch_checks is not None:
-            return ctx.batch_checks
-        return self.batch_checks
-
-    def effective_columnar(self, ctx: Optional[ExecutionContext]) -> bool:
-        """This execution's local-evaluation path: the context override wins.
-
-        Same carrier rule as :meth:`effective_batch_checks` — the
-        per-execution ``columnar`` override travels on the
-        :class:`ExecutionContext` when faults are active and on a private
-        copy of the strategy otherwise, so a shared Strategy instance is
-        never mutated.
-        """
-        if ctx is not None and ctx.columnar is not None:
-            return ctx.columnar
-        return self.columnar
-
-    def effective_planner(self, ctx: Optional[ExecutionContext]) -> str:
-        """This execution's planner mode: the context override wins.
-
-        Same carrier rule as :meth:`effective_batch_checks` — the
-        per-execution ``planner`` override travels on the
-        :class:`ExecutionContext` when faults are active and on a
-        private copy of the strategy otherwise, so a shared Strategy
-        instance is never mutated.
-        """
-        if ctx is not None and ctx.planner is not None:
-            return ctx.planner
-        return self.planner
-
-    def effective_conditions(self, ctx: Optional[ExecutionContext]) -> bool:
-        """This execution's condition capture: the context override wins.
-
-        Same carrier rule as :meth:`effective_batch_checks` — the
-        per-execution ``conditions`` override travels on the
-        :class:`ExecutionContext` when faults are active and on a
-        private copy of the strategy otherwise, so a shared Strategy
-        instance is never mutated.
-        """
-        if ctx is not None and ctx.conditions is not None:
-            return ctx.conditions
-        return self.conditions
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
@@ -310,30 +223,28 @@ def plan_dispatch(
             )
             if not answerable:
                 continue
+            home_class = system.global_schema.constituent_class(
+                assistant.db, global_class
+            )
+            if home_class is None:  # pragma: no cover - mapping implies it
+                continue
             if constraints is not None:
-                home_class = system.global_schema.constituent_class(
-                    assistant.db, global_class
-                )
-                if home_class is not None:
-                    kept = []
-                    for up in answerable:
-                        if constraints.check_provably_unknown(
-                            system.db(assistant.db),
-                            home_class,
-                            up.relative_predicate,
-                        ):
-                            plan.checks_pruned += 1
-                        else:
-                            kept.append(up)
-                    answerable = kept
+                kept = []
+                for up in answerable:
+                    if constraints.check_provably_unknown(
+                        system.db(assistant.db),
+                        home_class,
+                        up.relative_predicate,
+                    ):
+                        plan.checks_pruned += 1
+                    else:
+                        kept.append(up)
+                answerable = kept
                 if not answerable:
                     continue
             if signatures is not None:
-                target_class = system.global_schema.constituent_class(
-                    assistant.db, global_class
-                )
                 precheck = signatures.precheck_assistants(
-                    target_class or item.class_name,
+                    home_class,
                     (assistant,),
                     [up.relative_predicate for up in answerable],
                 )
@@ -354,14 +265,9 @@ def plan_dispatch(
                 ]
                 if not answerable:
                     continue
-            target_class = system.global_schema.constituent_class(
-                assistant.db, global_class
-            )
-            if target_class is None:  # pragma: no cover - mapping implies it
-                continue
             key = (
                 assistant.db,
-                target_class,
+                home_class,
                 tuple(sorted(
                     {up.relative_predicate for up in answerable}, key=str
                 )),
@@ -413,6 +319,43 @@ def _answerable_predicates(
     return answerable
 
 
+def evaluate_site(
+    system: DistributedSystem,
+    db_name: str,
+    local_query,
+    columnar: bool,
+    use_signatures: bool,
+    scan_first: bool = False,
+    constraints=None,
+):
+    """One site's logic-layer work (steps C1/C2): evaluate its local
+    query, gather the unsolved items, plan their assistant checks.
+
+    The items are those of the local maybe rows (BL, and every repair);
+    with *scan_first* (PL's phase-O scan) they are every root object's,
+    and the scan and its meter come back for costing.  Returns
+    ``(result, (scan, meter) or None, items, plan)``.
+    """
+    db = system.db(db_name)
+    result = db.execute_local(local_query, columnar=columnar)
+    scanned = None
+    if scan_first:
+        scanned = db.collect_unsolved(local_query, columnar=columnar)
+        items = scanned[0].all_items()
+    else:
+        items = [
+            item
+            for row in result.maybe_rows
+            for item in row.unsolved_items
+        ]
+    plan = plan_dispatch(
+        db_name, items, system,
+        use_signatures=use_signatures,
+        constraints=constraints,
+    )
+    return result, scanned, items, plan
+
+
 def run_checks_paired(
     requests: Sequence[CheckRequest],
     system: DistributedSystem,
@@ -438,13 +381,6 @@ def run_checks_paired(
     ]
 
 
-def run_checks(
-    requests: Sequence[CheckRequest], system: DistributedSystem
-) -> List[CheckReport]:
-    """Reports only (legacy view of :func:`run_checks_paired`)."""
-    return [report for _, report in run_checks_paired(requests, system)]
-
-
 @dataclass
 class CheckBatch:
     """Every check request one site sends to one destination, coalesced
@@ -461,14 +397,6 @@ class CheckBatch:
     pairs: List[Tuple[CheckRequest, CheckReport]] = field(
         default_factory=list
     )
-
-    @property
-    def requests(self) -> List[CheckRequest]:
-        return [request for request, _ in self.pairs]
-
-    @property
-    def reports(self) -> List[CheckReport]:
-        return [report for _, report in self.pairs]
 
     @property
     def total_loids(self) -> int:
@@ -501,13 +429,24 @@ class CheckBatch:
 
 
 def batch_exchanges(
-    src: str, pairs: Sequence[Tuple[CheckRequest, CheckReport]]
+    src: str,
+    pairs: Sequence[Tuple[CheckRequest, CheckReport]],
+    coalesce: bool = True,
 ) -> List[CheckBatch]:
     """Group ``(request, report)`` pairs into one batch per destination.
 
     Batches come out ordered by destination name for deterministic
     scheduling; pairs keep their relative order within a batch.
+    Without *coalesce* (the unbatched wire protocol) nothing is grouped:
+    every pair is its own batch of one, in pair order — a request's
+    predicates are distinct by construction, so such a batch costs
+    exactly the bytes of the single request.
     """
+    if not coalesce:
+        return [
+            CheckBatch(src=src, dst=request.db_name, pairs=[(request, report)])
+            for request, report in pairs
+        ]
     by_dst: Dict[str, CheckBatch] = {}
     for request, report in pairs:
         batch = by_dst.get(request.db_name)
@@ -540,7 +479,7 @@ def chase_blocked(
     system: DistributedSystem,
     verdicts: VerdictIndex,
     max_rounds: int,
-    ctx: Optional[ExecutionContext] = None,
+    ctx: ExecutionContext,
     deferred_skips: Optional[List[Tuple]] = None,
     columnar: bool = True,
     skip_log: Optional[List[Tuple]] = None,
@@ -602,9 +541,7 @@ def chase_blocked(
                 )
                 if depth is not None and depth == 0:
                     continue  # cannot even start the walk there
-                if ctx is not None and not ctx.reachable(
-                    system.global_site, assistant.db
-                ):
+                if not ctx.reachable(system.global_site, assistant.db):
                     # The follow-up check cannot be issued; the chain
                     # stays UNKNOWN and the row remains maybe — unless
                     # failover defers the verdict to a live copy.

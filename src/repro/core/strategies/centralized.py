@@ -10,14 +10,14 @@ step CA_G3).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.conditions.algebra import NullAttr, SiteDown, attach
 from repro.conditions.reasons import DegradationReason
-from repro.core.decompose import attributes_needed
+from repro.core.decompose import attributes_needed_by_class
 from repro.core.predicates import EvalMeter, evaluate_dnf, walk_path
 from repro.core.query import Query
-from repro.core.results import Availability, GlobalResult, ResultKind, ResultSet
+from repro.core.results import GlobalResult, ResultKind, ResultSet
 from repro.core.strategies.base import Strategy, StrategyResult, fault_wait_chain
 from repro.core.system import DistributedSystem
 from repro.core.tvl import TV
@@ -111,31 +111,48 @@ def demote_outerjoin_incomplete(
     return len(demoted)
 
 
+def export_site(
+    system: DistributedSystem,
+    db_name: str,
+    needed: Dict[str, Tuple[str, ...]],
+) -> Iterator[Tuple[str, List[LocalObject], int]]:
+    """Step CA_C1 at one site: retrieve and project its extents.
+
+    *needed* maps each involved global class to the attributes the
+    query needs of it (:func:`attributes_needed_by_class`).  For each
+    class the site holds a constituent of, yields ``(global class,
+    exported objects, attributes projected)`` — projected on the LOid
+    and the needed attributes the local class actually defines.
+    """
+    db = system.db(db_name)
+    for global_class, attributes in needed.items():
+        local_class = system.global_schema.constituent_class(
+            db_name, global_class
+        )
+        if local_class is None:
+            continue
+        cdef = db.schema.cls(local_class)
+        local_needed = tuple(a for a in attributes if cdef.has_attribute(a))
+        yield (
+            global_class,
+            db.scan_for_export(local_class, local_needed),
+            len(local_needed),
+        )
+
+
 class CentralizedStrategy(Strategy):
     """The paper's algorithm CA."""
 
     name = "CA"
-    #: CA ships whole extents and never dispatches phase-O checks, so
-    #: the batching flag cannot change its execution.
-    affected_by_batching = False
-    #: The columnar flag does reach CA: it picks the outerjoin merge
-    #: path (batched per-attribute merge vs per-object), so CA owes the
-    #: oracle the columnar equivalence proof like everyone else.
-    affected_by_columnar = True
-    #: CA ships whole extents unconditionally — it never consults the
-    #: constraint catalog (nothing to prune: no per-site evaluation, no
-    #: assistant checks) and has no strategy pick for feedback to steer,
-    #: so the planner mode cannot change its execution.
-    affected_by_planner = False
 
     def execute(
         self,
         system: DistributedSystem,
         query: Query,
-        ctx: Optional[ExecutionContext] = None,
+        ctx: ExecutionContext,
     ) -> StrategyResult:
         query.validate(system.global_schema.schema)
-        fed = system.simulator(ctx.plan if ctx is not None else None)
+        fed = system.simulator(ctx.plan)
         work = WorkCounters()
         cost = system.cost_model
         fault_events: List[TraceEvent] = []
@@ -144,57 +161,40 @@ class CentralizedStrategy(Strategy):
         involved_classes = (query.range_class,) + query.branch_classes(
             system.global_schema.schema
         )
+        needed = attributes_needed_by_class(
+            query, system.global_schema, involved_classes
+        )
 
         # --- step CA_C1: each site retrieves, projects and ships extents ---
         exports_by_class: Dict[str, Dict[str, List[LocalObject]]] = {
             cls: {} for cls in involved_classes
         }
         ship_nodes = []
-        for db_name, db in system.databases.items():
-            entry_deps: List = []
-            if ctx is not None:
-                negotiation = ctx.contact(system.global_site, db_name)
-                entry_deps = fault_wait_chain(
-                    fed, ctx, negotiation, fault_events
-                )
-                if not negotiation.ok:
-                    # The extent never ships: the fused outerjoin will
-                    # run over a partial materialization.
-                    skipped_sites.append(db_name)
-                    fault_events.append(
-                        TraceEvent.of(
-                            "fault.site_skipped",
-                            site=db_name,
-                            reason=negotiation.reason,
-                            attempts=len(negotiation.attempts),
-                        )
+        for db_name in system.databases:
+            negotiation = ctx.contact(system.global_site, db_name)
+            entry_deps = fault_wait_chain(fed, ctx, negotiation, fault_events)
+            if not negotiation.ok:
+                # The extent never ships: the fused outerjoin will
+                # run over a partial materialization.
+                skipped_sites.append(db_name)
+                fault_events.append(
+                    TraceEvent.of(
+                        "fault.site_skipped",
+                        site=db_name,
+                        reason=negotiation.reason,
+                        attempts=len(negotiation.attempts),
                     )
-                    continue
+                )
+                continue
+            exports = list(export_site(system, db_name, needed))
+            if not exports:
+                continue
             site_bytes = 0
             site_objects = 0
-            shipped: List[Tuple[str, List[LocalObject]]] = []
-            for global_class in involved_classes:
-                local_class = system.global_schema.constituent_class(
-                    db_name, global_class
-                )
-                if local_class is None:
-                    continue
-                needed = attributes_needed(
-                    query, system.global_schema, global_class
-                )
-                local_needed = tuple(
-                    a
-                    for a in needed
-                    if db.schema.cls(local_class).has_attribute(a)
-                )
-                objs = db.scan_for_export(local_class, local_needed)
+            for global_class, objs, n_attrs in exports:
                 exports_by_class[global_class][db_name] = objs
-                obj_bytes = cost.object_bytes(len(local_needed))
-                site_bytes += len(objs) * obj_bytes
+                site_bytes += len(objs) * cost.object_bytes(n_attrs)
                 site_objects += len(objs)
-                shipped.append((global_class, objs))
-            if not shipped:
-                continue
             work.objects_scanned += site_objects
             work.objects_shipped += site_objects
             work.bytes_disk += site_bytes
@@ -232,7 +232,7 @@ class CentralizedStrategy(Strategy):
             system.catalog,
             exports_by_class,
             stats,
-            columnar=self.effective_columnar(ctx),
+            columnar=ctx.options.columnar,
         )
         work.comparisons += stats.comparisons
         integrate = fed.cpu(
@@ -244,7 +244,7 @@ class CentralizedStrategy(Strategy):
         )
 
         # --- step CA_G3: evaluate predicates on materialized classes (P) ---
-        use_conditions = self.effective_conditions(ctx)
+        use_conditions = ctx.options.conditions
         meter = EvalMeter()
         results = evaluate_global_extent(
             query, extent, meter, conditions=use_conditions
@@ -260,7 +260,7 @@ class CentralizedStrategy(Strategy):
 
         # --- degraded-answer semantics under site loss ---------------------
         repair_state = None
-        if ctx is not None and skipped_sites:
+        if skipped_sites:
             demoted = demote_outerjoin_incomplete(
                 results, skipped_sites, conditions=use_conditions
             )
@@ -279,7 +279,7 @@ class CentralizedStrategy(Strategy):
 
                 repair_state = CentralizedRepairState(
                     query=query,
-                    columnar=self.effective_columnar(ctx),
+                    columnar=ctx.options.columnar,
                     involved_classes=involved_classes,
                     exports_by_class=exports_by_class,
                     skipped_sites=tuple(sorted(skipped_sites)),
@@ -293,13 +293,7 @@ class CentralizedStrategy(Strategy):
                     )
                 )
 
-        fault_windows = ()
-        if ctx is not None:
-            work.retries = ctx.retries
-            work.timeouts = ctx.timeouts
-            work.messages_lost = ctx.messages_lost
-            fault_windows = ctx.plan.fault_windows(fed.sites)
-
+        ctx.charge(work)
         outcome_sim = fed.run()
         metrics = ExecutionMetrics.from_outcome(
             self.name,
@@ -313,13 +307,11 @@ class CentralizedStrategy(Strategy):
                 objects_shipped=work.objects_shipped,
                 outerjoin_comparisons=stats.comparisons,
             )] + fault_events,
-            fault_windows=fault_windows,
+            fault_windows=ctx.fault_windows(fed.sites),
         )
         return StrategyResult(
             results=results.sort(),
             metrics=metrics,
-            availability=(
-                ctx.availability() if ctx is not None else Availability()
-            ),
+            availability=ctx.availability(),
             repair=repair_state,
         )

@@ -1,14 +1,10 @@
 """Registry of query-execution strategies.
 
-Replaces the old module-level ``PAPER_STRATEGIES`` / ``ALL_STRATEGIES``
-tuples and the ``strategy_by_name`` lookup with one queryable object:
-each strategy is registered with metadata (short name, phase order,
-whether it consults signature files, whether it is one of the paper's
-three algorithms), so the CLI, benchmarks and docs can enumerate
-strategies without hard-coding their names.
-
-The old entry points remain as thin deprecated shims in
-:mod:`repro.core.strategies`.
+One queryable object names every strategy: each is registered with
+metadata (short name, phase order, whether it consults signature files,
+whether it is one of the paper's three algorithms), so the CLI,
+benchmarks and docs can enumerate strategies without hard-coding their
+names, and :func:`resolve` instantiates one by short name.
 """
 
 from __future__ import annotations

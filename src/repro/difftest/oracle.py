@@ -17,15 +17,14 @@ reproduce.  What it checks:
     replaced.  The two must give an equal ``ResultSet`` (binding order
     included), equal ``conditions`` and equal ``CertificationStats``.
 ``batching``
-    For strategies whose execution batching can change at all
-    (:attr:`Strategy.affected_by_batching`), the unbatched answer
-    strictly equals the batched one.
+    For strategies that dispatch phase-O checks at all (everything
+    but :attr:`StrategyOracle.UNBATCHED_STRATEGIES`), the unbatched
+    answer strictly equals the batched one.
 ``columnar``
-    For strategies that touch a columnar kernel at all
-    (:attr:`Strategy.affected_by_columnar`), flipping the columnar
-    extent path (batch 3VL predicate kernels, batched assistant
-    checks, batched outerjoin merge) and re-running yields an answer
-    strictly equal to the other path's — the transparency contract.
+    Flipping the columnar extent path (batch 3VL predicate kernels,
+    batched assistant checks, batched outerjoin merge) and re-running
+    yields, for every strategy, an answer strictly equal to the other
+    path's — the transparency contract.
 ``planner``
     For the :attr:`StrategyOracle.PLANNER_MATRIX` pairs, running with
     an adaptive planner mode (constraint pruning, trace feedback, or
@@ -195,7 +194,7 @@ class StrategyOracle:
         engine = GlobalQueryEngine(built.system)
         engine.ensure_signatures()
         # One session per case: every oracle execution flows through it
-        # with explicit ExecutionOptions (never the deprecated kwargs).
+        # with explicit ExecutionOptions.
         session = engine.session(name=f"difftest:{case.label}")
         if self.columnar is not None:
             session.options = session.options.with_(columnar=self.columnar)
@@ -241,12 +240,16 @@ class StrategyOracle:
 
     # --- invariants --------------------------------------------------------
 
+    #: CA ships whole extents and never dispatches phase-O checks, so
+    #: the batching flag cannot change its execution.
+    UNBATCHED_STRATEGIES = ("CA",)
+
     def _check_batching(self, case, session, built, answers) -> List[Violation]:
         """Flipping batch_checks must never change an answer."""
         violations = []
         unbatched_options = session.options.with_(batch_checks=False)
         for name in self.strategy_names:
-            if not self.registry.create(name).affected_by_batching:
+            if name in self.UNBATCHED_STRATEGIES:
                 continue
             unbatched = session.execute(
                 built.query, name, options=unbatched_options
@@ -266,16 +269,14 @@ class StrategyOracle:
         The transparency contract of the columnar extent kernels: batch
         3VL predicate evaluation, batched assistant checks and the
         batched outerjoin merge must reproduce the per-object row path
-        byte for byte.  Every strategy that touches a columnar kernel
-        (:attr:`Strategy.affected_by_columnar`) is re-run on the
-        opposite path and compared strictly against its base answer.
+        byte for byte.  Every strategy evaluates locally (CA through
+        ``materialize``), so each is re-run on the opposite path and
+        compared strictly against its base answer.
         """
         violations = []
         base = session.options.columnar
         flipped_options = session.options.with_(columnar=not base)
         for name in self.strategy_names:
-            if not self.registry.create(name).affected_by_columnar:
-                continue
             other = session.execute(
                 built.query, name, options=flipped_options
             ).results
@@ -291,8 +292,8 @@ class StrategyOracle:
     #: (strategy, planner mode) pairs exercised by the planner invariant.
     #: BL and PL cover both localized phase orders under constraint
     #: pruning; AUTO covers the trace-fed pick; ``full`` composes both.
-    #: CA opts out via ``affected_by_planner = False`` (nothing to
-    #: prune, no pick to steer), and the signature variants share BL/PL's
+    #: CA is absent (it neither prunes nor predicts: nothing for a
+    #: planner mode to change), and the signature variants share BL/PL's
     #: pruning seam, so the matrix stays at six extra executions a case.
     PLANNER_MATRIX = (
         ("BL", "constraints"),
@@ -317,8 +318,6 @@ class StrategyOracle:
         static_options = session.options.with_(planner="static")
         for name, mode in self.PLANNER_MATRIX:
             if name not in self.strategy_names:
-                continue
-            if not self.registry.create(name).affected_by_planner:
                 continue
             base = answers[name]
             if session.options.planner != "static":

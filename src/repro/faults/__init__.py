@@ -12,7 +12,8 @@ answers instead of crashing.
   retries, exponential backoff with seeded jitter, fail-fast vs degrade;
 * :mod:`repro.faults.injector` — :class:`FaultInjector` /
   :class:`ExecutionContext`: the per-execution deterministic outcome of
-  every contact attempt, plus availability bookkeeping.
+  every contact attempt, plus availability bookkeeping; the context is
+  also what carries an execution's options to its strategy.
 
 See ``docs/FAULTS.md`` for the full schema and semantics.
 """

@@ -22,13 +22,17 @@ skipped / retried, messages lost, cumulative wait).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.options import ExecutionOptions
     from repro.resilience.health import SiteHealthRegistry
+    from repro.sim.metrics import WorkCounters
 
+from repro.core.results import COMPLETE, Availability
 from repro.errors import ExecutionTimeout, UnavailableError
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import DEGRADE, ExecutionPolicy
@@ -69,7 +73,7 @@ class Negotiation:
         """Attempts beyond the first (failed or eventually successful)."""
         return max(0, len(self.attempts) - 1)
 
-    @property
+    @functools.cached_property
     def failures(self) -> Tuple[Attempt, ...]:
         return tuple(a for a in self.attempts if a.failed)
 
@@ -146,50 +150,41 @@ class FaultInjector:
         return negotiation
 
 
-class ExecutionContext:
-    """One execution's fault state: injector + availability bookkeeping.
+#: What every contact of a fault-free execution negotiates to.  Shared:
+#: nothing about a clean first attempt depends on the link.
+_CLEAN = Negotiation(
+    src="", dst="", ok=True, attempts=(Attempt(at=0.0, outcome=OK),)
+)
 
-    Strategies call :meth:`contact` before talking to a site; the
-    context accumulates what :class:`~repro.core.results.Availability`
-    reports and enforces the policy's fail-fast and deadline semantics.
+
+class ExecutionContext:
+    """The carrier of one execution: its options and its fault state.
+
+    Every strategy run gets exactly one context, built from the frozen
+    :class:`~repro.core.options.ExecutionOptions` it exposes as
+    :attr:`options`.  Strategies call :meth:`contact` before talking to
+    a site; the context accumulates what
+    :class:`~repro.core.results.Availability` reports and enforces the
+    policy's fail-fast and deadline semantics.
+
+    When the options inject no faults the context is *inactive*: it
+    allocates no injector and no breakers, every contact negotiates to
+    one shared clean :class:`Negotiation`, nothing is recorded and
+    :meth:`availability` is the default ``Availability()`` — so a
+    fault-free execution is the faulted code path with a context that
+    injects nothing.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        policy: ExecutionPolicy = DEGRADE,
-        seed: int = 0,
-        failover: bool = False,
-        health: Optional["SiteHealthRegistry"] = None,
-        batch_checks: Optional[bool] = None,
-        columnar: Optional[bool] = None,
-        planner: Optional[str] = None,
-        conditions: Optional[bool] = None,
-    ) -> None:
-        self.plan = plan
-        self.policy = policy
-        self.injector = FaultInjector(plan, policy, seed=seed)
-        #: This execution's wire protocol for phase-O checks.  Carried
-        #: here (not mutated onto the Strategy instance, which may be
-        #: shared between concurrent sessions); ``None`` defers to the
-        #: strategy's own default — see
-        #: :meth:`Strategy.effective_batch_checks`.
-        self.batch_checks = batch_checks
-        #: This execution's local-evaluation path (columnar extent
-        #: kernels vs per-object rows).  Same carrier pattern as
-        #: ``batch_checks``; ``None`` defers to the strategy's own
-        #: default — see :meth:`Strategy.effective_columnar`.
-        self.columnar = columnar
-        #: This execution's adaptive-planning mode ("static" /
-        #: "feedback" / "constraints" / "full").  Same carrier pattern
-        #: as ``batch_checks``; ``None`` defers to the strategy's own
-        #: default — see :meth:`Strategy.effective_planner`.
-        self.planner = planner
-        #: Whether this execution attaches discharge conditions and
-        #: captures repair state.  Same carrier pattern as
-        #: ``batch_checks``; ``None`` defers to the strategy's own
-        #: default — see :meth:`Strategy.effective_conditions`.
-        self.conditions = conditions
+    def __init__(self, options: "ExecutionOptions") -> None:
+        self.options = options
+        #: Whether this execution injects faults at all.
+        self.active = options.faults_active
+        self.plan = options.fault_plan
+        self.policy = options.policy
+        self.injector = (
+            FaultInjector(self.plan, self.policy, seed=options.fault_seed)
+            if self.active else None
+        )
         self.contacted: List[str] = []
         self.skipped: List[str] = []
         self.retried: Dict[str, int] = {}
@@ -205,14 +200,15 @@ class ExecutionContext:
         self.scheduled_links: set = set()
         #: Replica failover: reroute checks over the global-site relay
         #: and demote rows only when every isomeric copy is unreachable.
-        self.failover = failover
-        if health is None and failover:
-            from repro.resilience.health import SiteHealthRegistry
-
-            health = SiteHealthRegistry(seed=seed)
+        #: There is nothing to fail over from without faults.
+        self.failover = self.active and options.failover
         #: Per-site breakers; None when failover is disabled, keeping
         #: the original contact path byte-identical.
-        self.health = health
+        self.health: Optional["SiteHealthRegistry"] = None
+        if self.failover:
+            from repro.resilience.health import SiteHealthRegistry
+
+            self.health = SiteHealthRegistry(seed=options.fault_seed)
         #: Check requests recovered by rerouting through the relay.
         self.checks_failed_over = 0
         #: Hedge races fired / won by the relay route.
@@ -229,16 +225,20 @@ class ExecutionContext:
     def contact(self, src: str, dst: str) -> Negotiation:
         """Negotiate the ``src -> dst`` link, with policy enforcement.
 
-        With a health registry attached (failover mode), a fresh
-        negotiation to an open-circuit site is suppressed: a synthetic
-        zero-wait ``open-circuit`` negotiation is memoized instead of
-        paying the retry ladder, and half-open probes go through the
-        normal injector path.
+        An inactive context injects nothing: every link negotiates to
+        the shared clean outcome and nothing is recorded.  With a health
+        registry attached (failover mode), a fresh negotiation to an
+        open-circuit site is suppressed: a synthetic zero-wait
+        ``open-circuit`` negotiation is memoized instead of paying the
+        retry ladder, and half-open probes go through the normal
+        injector path.
 
         Raises:
             UnavailableError: the link is dead and the policy fails fast.
             ExecutionTimeout: the cumulative wait blew the deadline.
         """
+        if self.injector is None:
+            return _CLEAN
         fresh = (src, dst) not in self.injector._memo
         if fresh and self.health is not None and not self.health.allow(dst):
             negotiation = Negotiation(
@@ -307,9 +307,23 @@ class ExecutionContext:
         if base is None:
             return None
         u = random.Random(
-            f"hedge:{self.injector.seed}:{self.plan.seed}:{src}->{dst}"
+            f"hedge:{self.options.fault_seed}:{self.plan.seed}:{src}->{dst}"
         ).random()
         return base * (1.0 + self.policy.jitter * u)
+
+    def charge(self, work: "WorkCounters") -> None:
+        """Fold this execution's fault totals into its work counters."""
+        work.retries = self.retries
+        work.timeouts = self.timeouts
+        work.messages_lost = self.messages_lost
+        work.checks_failed_over = self.checks_failed_over
+        work.hedges = self.hedges
+
+    def fault_windows(
+        self, sites: Iterable[str]
+    ) -> Tuple[Tuple[str, float, float], ...]:
+        """The injected outage windows at *sites*, for trace export."""
+        return self.plan.fault_windows(sites) if self.active else ()
 
     @property
     def complete(self) -> bool:
@@ -332,10 +346,10 @@ class ExecutionContext:
             and self.fetches_unresolved == 0
         )
 
-    def availability(self) -> "Availability":
+    def availability(self) -> Availability:
         """Snapshot the bookkeeping as a result annotation."""
-        from repro.core.results import Availability
-
+        if not self.active:
+            return COMPLETE
         return Availability(
             complete=self.complete,
             sites_contacted=tuple(sorted(self.contacted)),

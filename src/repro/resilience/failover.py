@@ -164,10 +164,10 @@ def plan_hedge(
     goes through the global-site relay; whichever route completes first
     wins, and the loser's request message is still paid for.
     """
+    if not negotiation.ok or not negotiation.failures:
+        return None  # dead links fail over instead; clean ones never wait
     delay = ctx.hedge_delay(src, dst)
-    if delay is None or not negotiation.ok:
-        return None
-    if negotiation.wait_s <= delay:
+    if delay is None or negotiation.wait_s <= delay:
         return None
     if src == system.global_site or dst == system.global_site:
         return None

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from repro.core.options import ExecutionOptions
+from repro.faults.injector import ExecutionContext
 from repro.workload.generator import generate
 from repro.workload.params import sample_params
 
@@ -14,3 +16,8 @@ def make_workload(seed: int, scale: float = 0.03, **kwargs):
     params = sample_params(rng, **kwargs)
     params.seed = seed
     return generate(params, scale=scale)
+
+
+def context(**options) -> ExecutionContext:
+    """The execution context of *options* (no options: fault-free)."""
+    return ExecutionContext(ExecutionOptions(**options))

@@ -13,6 +13,7 @@ import pytest
 
 from helpers import make_workload
 from repro.core.engine import GlobalQueryEngine
+from repro.core.options import ExecutionOptions
 from repro.core.query import Predicate
 from repro.core.strategies.base import (
     CheckBatch,
@@ -42,7 +43,8 @@ class TestBatchingContract:
         engine = GlobalQueryEngine(busy_workload.system)
         batched = engine.execute(busy_workload.query, strategy)
         unbatched = engine.execute(
-            busy_workload.query, strategy, batch_checks=False
+            busy_workload.query, strategy,
+            options=engine.options.with_(batch_checks=False),
         )
         assert batched.results.to_json() == unbatched.results.to_json()
 
@@ -51,7 +53,8 @@ class TestBatchingContract:
         engine = GlobalQueryEngine(busy_workload.system)
         batched = engine.execute(busy_workload.query, strategy)
         unbatched = engine.execute(
-            busy_workload.query, strategy, batch_checks=False
+            busy_workload.query, strategy,
+            options=engine.options.with_(batch_checks=False),
         )
         assert (batched.metrics.work.messages
                 < unbatched.metrics.work.messages)
@@ -63,7 +66,8 @@ class TestBatchingContract:
         engine = GlobalQueryEngine(busy_workload.system)
         batched = engine.execute(busy_workload.query, strategy)
         unbatched = engine.execute(
-            busy_workload.query, strategy, batch_checks=False
+            busy_workload.query, strategy,
+            options=engine.options.with_(batch_checks=False),
         )
         assert (batched.metrics.work.bytes_network
                 <= unbatched.metrics.work.bytes_network)
@@ -84,7 +88,8 @@ class TestBatchingContract:
 
     def test_unbatched_run_has_no_batch_events(self, busy_workload):
         report = GlobalQueryEngine(busy_workload.system).execute(
-            busy_workload.query, "BL", batch_checks=False
+            busy_workload.query, "BL",
+            options=ExecutionOptions(batch_checks=False),
         )
         assert not [e for e in report.metrics.events
                     if e.name == "dispatch.batch"]
@@ -106,7 +111,8 @@ class TestChaseBatching:
             QUERY, "BL"
         )
         unbatched = GlobalQueryEngine(build_chain_federation(7)).execute(
-            QUERY, "BL", batch_checks=False
+            QUERY, "BL",
+            options=ExecutionOptions(batch_checks=False),
         )
         assert batched.results.to_json() == unbatched.results.to_json()
         assert (batched.metrics.work.messages
@@ -189,17 +195,22 @@ class TestCheckBatchUnits:
 class TestEnginePlumbing:
     def test_engine_wide_flag_and_per_call_override(self, busy_workload):
         engine = GlobalQueryEngine(
-            busy_workload.system, batch_checks=False
+            busy_workload.system,
+            options=ExecutionOptions(batch_checks=False),
         )
         off = engine.execute(busy_workload.query, "BL")
-        on = engine.execute(busy_workload.query, "BL", batch_checks=True)
+        on = engine.execute(
+            busy_workload.query, "BL",
+            options=engine.options.with_(batch_checks=True),
+        )
         assert on.metrics.work.messages < off.metrics.work.messages
 
     def test_auto_threads_flag_to_delegate(self, busy_workload):
         engine = GlobalQueryEngine(busy_workload.system)
         batched = engine.execute(busy_workload.query, "AUTO")
         unbatched = engine.execute(
-            busy_workload.query, "AUTO", batch_checks=False
+            busy_workload.query, "AUTO",
+            options=engine.options.with_(batch_checks=False),
         )
         assert batched.results.to_json() == unbatched.results.to_json()
         assert (batched.metrics.work.messages

@@ -16,6 +16,7 @@ CA assembles the chain by integration; BL/PL must chase: check b2 at DB2
 
 import pytest
 
+from helpers import context
 from repro.core.engine import GlobalQueryEngine
 from repro.core.query import Predicate, Query
 from repro.core.results import same_answers
@@ -131,7 +132,9 @@ class TestChaseUnit:
         )
         assert report.blocked  # stuck at c2
         verdicts = VerdictIndex()
-        rounds = chase_blocked([report], system, verdicts, max_rounds=3)
+        rounds = chase_blocked(
+            [report], system, verdicts, max_rounds=3, ctx=context()
+        )
         assert 1 <= len(rounds) <= 3
         assert (
             verdicts.get(LOid("DB2", "b2"), Predicate.of("ref.x", "=", 7))
@@ -143,4 +146,4 @@ class TestChaseUnit:
         from repro.core.strategies.base import chase_blocked
 
         system = build_chain_federation(payload_value=7)
-        assert chase_blocked([], system, VerdictIndex(), 0) == []
+        assert chase_blocked([], system, VerdictIndex(), 0, context()) == []

@@ -406,23 +406,3 @@ class TestEngineTransparency:
                     on.metrics.work.comparisons
                     == off.metrics.work.comparisons
                 ), (seed, name)
-
-    def test_engine_property_shim(self):
-        engine = GlobalQueryEngine(build_school_federation())
-        assert engine.columnar is True
-        engine.columnar = False
-        assert engine.options.columnar is False
-        engine.columnar = True
-        assert engine.columnar is True
-
-    def test_strategy_effective_columnar(self):
-        from repro.core.strategies import DEFAULT_REGISTRY
-        from repro.faults.injector import ExecutionContext
-        from repro.faults.plan import FaultPlan
-
-        strategy = DEFAULT_REGISTRY.create("BL")
-        assert strategy.effective_columnar(None) is True
-        ctx = ExecutionContext(FaultPlan(), "degrade", columnar=False)
-        assert strategy.effective_columnar(ctx) is False
-        strategy.columnar = False
-        assert strategy.effective_columnar(None) is False

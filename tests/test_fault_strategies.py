@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro.core.engine import GlobalQueryEngine
+from repro.core.options import ExecutionOptions
 from repro.core.results import Availability, certified_subset
 from repro.errors import ExecutionTimeout, ReproError, UnavailableError
 from repro.faults import EMPTY_PLAN, ExecutionPolicy, FaultPlan
@@ -25,9 +26,18 @@ DB3_DOWN = FaultPlan.single_site_loss("DB3")
 class TestDegradedAnswers:
     def test_ca_collapses_under_db1_loss_but_bl_pl_do_not(self, school):
         engine = GlobalQueryEngine(school)
-        ca = engine.execute(Q1_TEXT, "CA", fault_plan=DB1_DOWN)
-        bl = engine.execute(Q1_TEXT, "BL", fault_plan=DB1_DOWN)
-        pl = engine.execute(Q1_TEXT, "PL", fault_plan=DB1_DOWN)
+        ca = engine.execute(
+            Q1_TEXT, "CA",
+            options=engine.options.with_(fault_plan=DB1_DOWN),
+        )
+        bl = engine.execute(
+            Q1_TEXT, "BL",
+            options=engine.options.with_(fault_plan=DB1_DOWN),
+        )
+        pl = engine.execute(
+            Q1_TEXT, "PL",
+            options=engine.options.with_(fault_plan=DB1_DOWN),
+        )
         # CA demotes everything: the outerjoin is missing an extent.
         assert len(ca.results.certain) == 0
         # Susan's provenance (DB2 + DB3) avoids DB1 entirely.
@@ -39,7 +49,8 @@ class TestDegradedAnswers:
 
     def test_ca_demotion_notes_name_the_dead_site(self, school):
         report = GlobalQueryEngine(school).execute(
-            Q1_TEXT, "CA", fault_plan=DB1_DOWN
+            Q1_TEXT, "CA",
+            options=ExecutionOptions(fault_plan=DB1_DOWN),
         )
         assert report.results.maybe, "demoted rows must survive as maybe"
         for row in report.results.maybe:
@@ -48,7 +59,8 @@ class TestDegradedAnswers:
 
     def test_bl_notes_blame_the_unreachable_assistant_site(self, school):
         report = GlobalQueryEngine(school).execute(
-            Q1_TEXT, "BL", fault_plan=DB2_DOWN
+            Q1_TEXT, "BL",
+            options=ExecutionOptions(fault_plan=DB2_DOWN),
         )
         noted = {
             str(row.goid): row.notes
@@ -66,7 +78,10 @@ class TestDegradedAnswers:
         for strategy in ("CA", "BL", "PL", "BL-S", "PL-S"):
             clean = engine.execute(Q1_TEXT, strategy)
             for plan in (DB1_DOWN, DB2_DOWN, DB3_DOWN):
-                degraded = engine.execute(Q1_TEXT, strategy, fault_plan=plan)
+                degraded = engine.execute(
+                    Q1_TEXT, strategy,
+                    options=engine.options.with_(fault_plan=plan),
+                )
                 assert certified_subset(degraded.results, clean.results), (
                     f"{strategy} under {plan.outages[0].site} loss "
                     "certified a row the clean run does not"
@@ -74,7 +89,8 @@ class TestDegradedAnswers:
 
     def test_auto_threads_the_fault_context_through(self, school):
         report = GlobalQueryEngine(school).execute(
-            Q1_TEXT, "AUTO", fault_plan=DB1_DOWN
+            Q1_TEXT, "AUTO",
+            options=ExecutionOptions(fault_plan=DB1_DOWN),
         )
         assert not report.availability.complete
         assert report.metrics.strategy.startswith("AUTO->")
@@ -86,10 +102,12 @@ class TestDeterminismAndOverhead:
         # decomposition caches — cache traffic is part of the report.
         plan = FaultPlan.from_spec("DB2@0:0.4,link:*>DB1:loss0.4", seed=11)
         first = GlobalQueryEngine(build_school_federation()).execute(
-            Q1_TEXT, "BL", fault_plan=plan, fault_seed=3
+            Q1_TEXT, "BL",
+            options=ExecutionOptions(fault_plan=plan, fault_seed=3),
         )
         second = GlobalQueryEngine(build_school_federation()).execute(
-            Q1_TEXT, "BL", fault_plan=plan, fault_seed=3
+            Q1_TEXT, "BL",
+            options=ExecutionOptions(fault_plan=plan, fault_seed=3),
         )
         assert first.to_dict() == second.to_dict()
 
@@ -100,7 +118,8 @@ class TestDeterminismAndOverhead:
         clean = engine.execute(Q1_TEXT, "BL")
         for seed in range(4):
             report = engine.execute(
-                Q1_TEXT, "BL", fault_plan=plan, fault_seed=seed
+                Q1_TEXT, "BL",
+                options=engine.options.with_(fault_plan=plan, fault_seed=seed),
             )
             # Whatever the draws did, the partial answer never certifies
             # anything the clean run does not.
@@ -114,16 +133,23 @@ class TestDeterminismAndOverhead:
             Q1_TEXT, "PL"
         )
         gated = GlobalQueryEngine(build_school_federation()).execute(
-            Q1_TEXT, "PL", fault_plan=EMPTY_PLAN
+            Q1_TEXT, "PL",
+            options=ExecutionOptions(fault_plan=EMPTY_PLAN),
         )
         assert gated.to_dict() == baseline.to_dict()
         assert gated.total_time == baseline.total_time
         assert gated.response_time == baseline.response_time
 
     def test_engine_wide_plan_applies_and_per_call_overrides(self, school):
-        engine = GlobalQueryEngine(school, fault_plan=DB1_DOWN)
+        engine = GlobalQueryEngine(
+            school,
+            options=ExecutionOptions(fault_plan=DB1_DOWN),
+        )
         assert not engine.execute(Q1_TEXT, "BL").availability.complete
-        overridden = engine.execute(Q1_TEXT, "BL", fault_plan=EMPTY_PLAN)
+        overridden = engine.execute(
+            Q1_TEXT, "BL",
+            options=engine.options.with_(fault_plan=EMPTY_PLAN),
+        )
         assert overridden.availability.complete
 
 
@@ -132,7 +158,11 @@ class TestPolicies:
         engine = GlobalQueryEngine(school)
         with pytest.raises(UnavailableError) as excinfo:
             engine.execute(
-                Q1_TEXT, "BL", fault_plan=DB1_DOWN, policy="fail-fast"
+                Q1_TEXT, "BL",
+                options=engine.options.with_(
+                    fault_plan=DB1_DOWN,
+                    policy="fail-fast",
+                ),
             )
         assert "DB1" in str(excinfo.value)
 
@@ -140,14 +170,16 @@ class TestPolicies:
         tight = ExecutionPolicy(name="tight", deadline_s=0.05)
         with pytest.raises(ExecutionTimeout):
             GlobalQueryEngine(school).execute(
-                Q1_TEXT, "CA", fault_plan=DB1_DOWN, policy=tight
+                Q1_TEXT, "CA",
+                options=ExecutionOptions(fault_plan=DB1_DOWN, policy=tight),
             )
 
     def test_patient_policy_waits_out_short_outage(self, school):
         # DB1 recovers after 0.4s; patient retries reach past that.
         blip = FaultPlan.from_spec("DB1@0:0.4")
         report = GlobalQueryEngine(school).execute(
-            Q1_TEXT, "BL", fault_plan=blip, policy="patient"
+            Q1_TEXT, "BL",
+            options=ExecutionOptions(fault_plan=blip, policy="patient"),
         )
         assert report.availability.complete
         assert report.availability.retries  # it did have to retry
@@ -157,7 +189,8 @@ class TestPolicies:
 class TestObservability:
     def test_fault_artifacts_visible_everywhere(self, school):
         report = GlobalQueryEngine(school).execute(
-            Q1_TEXT, "BL", fault_plan=DB1_DOWN
+            Q1_TEXT, "BL",
+            options=ExecutionOptions(fault_plan=DB1_DOWN),
         )
         assert ("DB1", 0.0, 1e9) in report.metrics.fault_windows
         events = {event.name for event in report.metrics.events}
@@ -173,7 +206,8 @@ class TestObservability:
 
     def test_fault_waits_surface_in_phase_times(self, school):
         report = GlobalQueryEngine(school).execute(
-            Q1_TEXT, "BL", fault_plan=DB1_DOWN
+            Q1_TEXT, "BL",
+            options=ExecutionOptions(fault_plan=DB1_DOWN),
         )
         assert report.metrics.phase_time.get("fault", 0.0) > 0
         assert "INCOMPLETE" in report.summary()
@@ -182,7 +216,8 @@ class TestObservability:
 class TestCompareAgreement:
     def test_compare_passes_when_all_degrade(self, school):
         outcomes = GlobalQueryEngine(school).compare(
-            Q1_TEXT, fault_plan=DB1_DOWN
+            Q1_TEXT,
+            options=ExecutionOptions(fault_plan=DB1_DOWN),
         )
         assert all(
             not report.availability.complete for report in outcomes.values()
@@ -194,14 +229,18 @@ class TestCompareAgreement:
         # way the relaxed agreement check must hold.
         plan = FaultPlan.from_spec("DB1@0:0.4")
         outcomes = GlobalQueryEngine(school).compare(
-            Q1_TEXT, fault_plan=plan, policy="patient"
+            Q1_TEXT,
+            options=ExecutionOptions(fault_plan=plan, policy="patient"),
         )
         assert len(outcomes) >= 3  # no ReproError raised
 
     def test_added_certainty_is_rejected(self, school):
         engine = GlobalQueryEngine(school)
         clean = engine.execute(Q1_TEXT, "BL")
-        degraded_ca = engine.execute(Q1_TEXT, "CA", fault_plan=DB1_DOWN)
+        degraded_ca = engine.execute(
+            Q1_TEXT, "CA",
+            options=engine.options.with_(fault_plan=DB1_DOWN),
+        )
         # Forge the pathological pair: a "complete" run certifying
         # nothing and an "incomplete" one certifying a row.
         fake_complete = dataclasses.replace(
@@ -222,7 +261,10 @@ class TestCompareAgreement:
             availability=Availability(complete=False),
         )
         b = dataclasses.replace(
-            engine.execute(Q1_TEXT, "BL", fault_plan=DB1_DOWN),
+            engine.execute(
+                Q1_TEXT, "BL",
+                options=engine.options.with_(fault_plan=DB1_DOWN),
+            ),
         )
         GlobalQueryEngine._check_agreement({"CA": a, "BL": b})  # no raise
 
@@ -278,7 +320,10 @@ class TestSurvivingSiteCosting:
         average — the run must not silently keep the three-site figure."""
         engine = GlobalQueryEngine(school)
         clean = engine.execute(Q1_TEXT, "BL")
-        faulted = engine.execute(Q1_TEXT, "BL", fault_plan=DB3_DOWN)
+        faulted = engine.execute(
+            Q1_TEXT, "BL",
+            options=engine.options.with_(fault_plan=DB3_DOWN),
+        )
         assert faulted.availability.sites_skipped == ("DB3",)
         # Different surviving set, different byte accounting.
         assert (faulted.metrics.work.bytes_network

@@ -2,12 +2,12 @@
 
 import pytest
 
+from helpers import context
 from repro.errors import ExecutionTimeout, FaultPlanError, UnavailableError
 from repro.faults import (
     DEGRADE,
     EMPTY_PLAN,
     FAIL_FAST,
-    ExecutionContext,
     ExecutionPolicy,
     FaultInjector,
     FaultPlan,
@@ -195,9 +195,17 @@ class TestFaultInjector:
         assert first != other
 
 
+def down_context(**options):
+    """A context under DB1's loss, with eager (no-failover) skipping."""
+    return context(
+        fault_plan=FaultPlan.single_site_loss("DB1"), failover=False,
+        **options,
+    )
+
+
 class TestExecutionContext:
     def test_bookkeeping(self):
-        ctx = ExecutionContext(FaultPlan.single_site_loss("DB1"))
+        ctx = down_context()
         assert ctx.reachable("G", "DB2")
         assert not ctx.reachable("G", "DB1")
         ctx.note_skipped_check()
@@ -209,7 +217,7 @@ class TestExecutionContext:
         assert availability.fault_wait_s == pytest.approx(ctx.wait_s)
 
     def test_wait_counted_once_per_link(self):
-        ctx = ExecutionContext(FaultPlan.single_site_loss("DB1"))
+        ctx = down_context()
         ctx.contact("G", "DB1")
         waited = ctx.wait_s
         ctx.contact("G", "DB1")  # memoized: no extra wait
@@ -217,20 +225,45 @@ class TestExecutionContext:
         assert ctx.timeouts == DEGRADE.max_retries + 1
 
     def test_fail_fast_raises(self):
-        ctx = ExecutionContext(
-            FaultPlan.single_site_loss("DB1"), policy=FAIL_FAST
-        )
+        ctx = down_context(policy=FAIL_FAST)
         with pytest.raises(UnavailableError):
             ctx.contact("G", "DB1")
 
     def test_deadline_raises(self):
         policy = ExecutionPolicy(name="tight", deadline_s=0.1)
-        ctx = ExecutionContext(FaultPlan.single_site_loss("DB1"), policy)
+        ctx = down_context(policy=policy)
         with pytest.raises(ExecutionTimeout):
             ctx.contact("G", "DB1")
 
     def test_complete_when_nothing_skipped(self):
-        ctx = ExecutionContext(FaultPlan.single_site_loss("DB1"))
+        ctx = down_context()
         ctx.contact("G", "DB2")
         assert ctx.complete
         assert ctx.availability().summary() == "complete"
+
+    def test_fault_free_context_injects_nothing(self, monkeypatch):
+        from repro.core.results import Availability
+        from repro.faults import injector
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a fault-free context built an injector")
+
+        monkeypatch.setattr(injector, "FaultInjector", forbidden)
+        for ctx in (context(), context(fault_plan=FaultPlan())):
+            assert not ctx.active and not ctx.failover
+            assert ctx.health is None
+            assert ctx.reachable("G", "DB1")
+            assert ctx.contact("G", "DB1") is ctx.contact("DB2", "DB3")
+            assert ctx.contacted == [] and ctx.wait_s == 0.0
+            assert ctx.availability() == Availability()
+            assert ctx.fault_windows(("DB1",)) == ()
+
+    def test_strategies_require_a_context(self, school):
+        from repro.core.strategies import DEFAULT_REGISTRY
+        from repro.sqlx import parse_query
+        from repro.workload.paper_example import Q1_TEXT
+
+        query = parse_query(Q1_TEXT)
+        for info in DEFAULT_REGISTRY:
+            with pytest.raises(TypeError):
+                info.create().execute(school, query)

@@ -1,11 +1,9 @@
-"""ExecutionOptions, the legacy-kwarg shim, and per-caller sessions.
+"""ExecutionOptions, the single option carrier, and per-caller sessions.
 
 Covers the options value object (immutability, ``with_`` validation,
-policy normalization), the engine's deprecated override kwargs (both
-paths must produce identical reports), the attribute shims
-(``engine.batch_checks = ...`` still works), the no-strategy-mutation
-regression (a shared Strategy instance must never see its
-``batch_checks`` flipped by one caller), and :class:`EngineSession`:
+policy normalization), the one-carrier contract (strategies hold no
+execution option, so a Strategy instance shared between callers serves
+each under that caller's own options), and :class:`EngineSession`:
 per-session defaults, per-session cache accounting summing to the
 federation-wide delta, and cross-session shared-hit attribution.
 """
@@ -13,7 +11,6 @@ federation-wide delta, and cross-session shared-hit attribution.
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -29,6 +26,15 @@ def _digest(report) -> str:
 
 
 PLAN = "DB2@0:0.8,link:*>DB3:loss0.4"
+
+
+@pytest.fixture
+def busy():
+    """A federation whose sites hold several checks per destination, so
+    the wire protocol shows in the message count."""
+    from helpers import make_workload
+
+    return make_workload(103, n_dbs=3)
 
 
 class TestExecutionOptions:
@@ -79,110 +85,76 @@ class TestExecutionOptions:
         )
 
 
-class TestLegacyKwargShim:
-    def test_legacy_kwargs_warn_and_match_options_path(self, school):
-        engine = GlobalQueryEngine(school)
-        plan = FaultPlan.from_spec(PLAN)
-        with pytest.warns(DeprecationWarning, match="execute"):
-            legacy = engine.execute(
-                Q1_TEXT, "BL", fault_plan=plan, fault_seed=5,
-                batch_checks=False,
-            )
-        modern = engine.execute(
-            Q1_TEXT, "BL",
-            options=engine.options.with_(
-                fault_plan=plan, fault_seed=5, batch_checks=False
-            ),
-        )
-        assert _digest(legacy) == _digest(modern)
-        assert legacy.total_time == modern.total_time
-        assert (legacy.availability.summary()
-                == modern.availability.summary())
-
-    def test_options_path_emits_no_warning(self, school):
-        engine = GlobalQueryEngine(school)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            engine.execute(
-                Q1_TEXT, "BL",
-                options=engine.options.with_(batch_checks=False),
-            )
-
-    def test_compare_legacy_kwargs_warn(self, school):
-        engine = GlobalQueryEngine(school)
-        with pytest.warns(DeprecationWarning, match="compare"):
-            outcomes = engine.compare(
-                Q1_TEXT, strategies=("CA", "BL"),
-                fault_plan=FaultPlan.from_spec(PLAN), fault_seed=2,
-            )
-        assert set(outcomes) == {"CA", "BL"}
-
-    def test_constructor_kwargs_fold_into_options(self, school):
-        engine = GlobalQueryEngine(
-            school, batch_checks=False, fault_seed=9, failover=False
-        )
-        assert not engine.options.batch_checks
-        assert engine.options.fault_seed == 9
-        assert not engine.options.failover
-
-    def test_attribute_shims_read_and_write_options(self, school):
-        engine = GlobalQueryEngine(school)
-        assert engine.batch_checks is True
-        engine.batch_checks = False
-        engine.fault_seed = 11
-        engine.policy = "fail-fast"
-        assert not engine.options.batch_checks
-        assert engine.options.fault_seed == 11
-        assert engine.policy.fail_fast
-        assert engine.fault_plan is None
-
-
 class TestNoStrategyMutation:
-    """Regression: execute() must never flip a shared Strategy's flags."""
+    """Options ride the execution context; a Strategy holds none."""
 
-    def test_batch_override_leaves_instance_alone_fault_free(self):
-        from helpers import make_workload
+    def test_no_registered_strategy_carries_an_option(self):
+        from repro.core.strategies import DEFAULT_REGISTRY
 
-        workload = make_workload(103, n_dbs=3)
-        engine = GlobalQueryEngine(workload.system)
+        for info in DEFAULT_REGISTRY:
+            strategy = info.create()
+            carried = [
+                name for name in OPTION_FIELDS
+                if hasattr(strategy, name) or hasattr(type(strategy), name)
+            ]
+            assert not carried, f"{info.name} carries {carried}"
+
+    def test_batch_override_leaves_instance_alone_fault_free(self, busy):
+        engine = GlobalQueryEngine(busy.system)
         shared = engine.registry.create("BL")
-        assert shared.batch_checks
-        unbatched = engine.execute(
-            workload.query, shared,
+        batched = engine.session("batched", strategy=shared)
+        unbatched = engine.session(
+            "unbatched", strategy=shared,
             options=engine.options.with_(batch_checks=False),
         )
-        assert shared.batch_checks, (
-            "engine mutated the caller's Strategy instance"
+        # Interleave the two callers over the one instance: each gets
+        # its own wire protocol every time.
+        counts = {"batched": set(), "unbatched": set()}
+        for _ in range(2):
+            for session in (batched, unbatched):
+                report = session.execute(busy.query)
+                counts[session.name].add(report.metrics.work.messages)
+        assert len(counts["batched"]) == len(counts["unbatched"]) == 1
+        assert counts["unbatched"].pop() > counts["batched"].pop()
+        assert not hasattr(shared, "batch_checks")
+
+    def test_batch_override_leaves_instance_alone_under_faults(self, busy):
+        engine = GlobalQueryEngine(busy.system)
+        shared = engine.registry.create("BL")
+        faulted = engine.options.with_(fault_plan=FaultPlan.from_spec(PLAN))
+        unbatched = engine.execute(
+            busy.query, shared, options=faulted.with_(batch_checks=False)
         )
-        # The override still took effect: unbatched sends more messages.
-        batched = engine.execute(workload.query, shared)
+        batched = engine.execute(busy.query, shared, options=faulted)
         assert (unbatched.metrics.work.messages
                 > batched.metrics.work.messages)
+        assert not hasattr(shared, "batch_checks")
 
-    def test_batch_override_leaves_instance_alone_under_faults(self, school):
-        engine = GlobalQueryEngine(school)
-        shared = engine.registry.create("BL")
-        faulted = engine.options.with_(
-            fault_plan=FaultPlan.from_spec(PLAN), batch_checks=False
-        )
-        engine.execute(Q1_TEXT, shared, options=faulted)
-        assert shared.batch_checks
-
-    def test_default_strategy_not_mutated_by_session_override(self, school):
-        engine = GlobalQueryEngine(school)
+    def test_default_strategy_not_mutated_by_session_override(self, busy):
+        engine = GlobalQueryEngine(busy.system)
+        before = engine.execute(busy.query).metrics.work.messages
         session = engine.session(
             options=engine.options.with_(batch_checks=False)
         )
-        session.execute(Q1_TEXT)
-        assert engine.default_strategy.batch_checks
+        assert session.execute(busy.query).metrics.work.messages > before
+        # The engine's own default strategy still runs batched.
+        assert engine.execute(busy.query).metrics.work.messages == before
 
-    def test_auto_delegate_honors_override_without_mutation(self, school):
-        engine = GlobalQueryEngine(school)
+    def test_auto_delegate_honors_override_without_mutation(self, busy):
+        engine = GlobalQueryEngine(busy.system)
         auto = engine.registry.create("AUTO")
-        engine.execute(
-            Q1_TEXT, auto, options=engine.options.with_(batch_checks=False)
+        override = engine.options.with_(batch_checks=False, conditions=False)
+        report = engine.execute(busy.query, auto, options=override)
+        # The delegate ran under the very same options as a direct run.
+        direct = engine.execute(
+            busy.query, auto.last_choice, options=override
         )
-        assert auto.batch_checks
+        assert report.metrics.work.messages == direct.metrics.work.messages
+        assert (report.metrics.work.messages
+                > engine.execute(busy.query, auto).metrics.work.messages)
+        assert report.results.maybe
+        assert not any(row.conditions for row in report.results.maybe)
+        assert not hasattr(auto, "batch_checks")
 
 
 class TestEngineSession:
@@ -190,7 +162,7 @@ class TestEngineSession:
         engine = GlobalQueryEngine(school)
         session = engine.session()
         assert session.options == engine.options
-        engine.batch_checks = False
+        engine.options = engine.options.with_(batch_checks=False)
         assert not session.options.batch_checks  # inherits live
 
     def test_session_own_options_are_isolated(self, school):

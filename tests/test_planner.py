@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import make_workload
+from helpers import context, make_workload
 from repro.core.engine import GlobalQueryEngine
 from repro.core.options import ExecutionOptions
 from repro.core.query import Op, Predicate, Query
@@ -209,7 +209,7 @@ class TestNullRatioSampling:
         _null_the_tails(w)
         system, query = w.system, w.query
 
-        stride_pred = AdaptiveStrategy().predict(system, query)
+        stride_pred = AdaptiveStrategy().predict(system, query, context())
         stride_pick = min(stride_pred, key=stride_pred.get)
 
         def first_n(db, class_name, attributes):
@@ -222,7 +222,7 @@ class TestNullRatioSampling:
             )
 
         monkeypatch.setattr(adaptive, "_sampled_null_ratio", first_n)
-        biased_pred = AdaptiveStrategy().predict(system, query)
+        biased_pred = AdaptiveStrategy().predict(system, query, context())
         biased_pick = min(biased_pred, key=biased_pred.get)
         monkeypatch.undo()
 

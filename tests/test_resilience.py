@@ -9,6 +9,7 @@ of ``failover=False``, and the new CLI flags.
 import pytest
 
 from repro.core.engine import GlobalQueryEngine
+from repro.core.options import ExecutionOptions
 from repro.core.results import Availability
 from repro.errors import FaultPlanError
 from repro.faults import ExecutionPolicy, FaultPlan
@@ -167,7 +168,8 @@ class TestReplicaFailover:
         engine = GlobalQueryEngine(school)
         clean = engine.execute(Q1_TEXT, strategy)
         on = engine.execute(
-            Q1_TEXT, strategy, fault_plan=storm_plan(), fault_seed=0
+            Q1_TEXT, strategy,
+            options=engine.options.with_(fault_plan=storm_plan(), fault_seed=0),
         )
         avail = on.availability
         assert not avail.complete
@@ -181,11 +183,16 @@ class TestReplicaFailover:
     def test_failover_beats_eager_demotion(self, school, strategy):
         engine = GlobalQueryEngine(school)
         off = engine.execute(
-            Q1_TEXT, strategy, fault_plan=storm_plan(), fault_seed=0,
-            failover=False,
+            Q1_TEXT, strategy,
+            options=engine.options.with_(
+                fault_plan=storm_plan(),
+                fault_seed=0,
+                failover=False,
+            ),
         )
         on = engine.execute(
-            Q1_TEXT, strategy, fault_plan=storm_plan(), fault_seed=0,
+            Q1_TEXT, strategy,
+            options=engine.options.with_(fault_plan=storm_plan(), fault_seed=0),
         )
         assert off.availability.checks_skipped > 0
         assert not off.availability.fully_recovered
@@ -197,7 +204,8 @@ class TestReplicaFailover:
 
     def test_failover_emits_relay_events(self, school):
         report = GlobalQueryEngine(school).execute(
-            Q1_TEXT, "PL", fault_plan=storm_plan(), fault_seed=0
+            Q1_TEXT, "PL",
+            options=ExecutionOptions(fault_plan=storm_plan(), fault_seed=0),
         )
         relays = [
             e for e in report.metrics.events
@@ -213,8 +221,14 @@ class TestReplicaFailover:
         # must degrade exactly like the eager path.
         plan = FaultPlan.single_site_loss("DB2")
         engine = GlobalQueryEngine(school)
-        on = engine.execute(Q1_TEXT, "BL", fault_plan=plan)
-        off = engine.execute(Q1_TEXT, "BL", fault_plan=plan, failover=False)
+        on = engine.execute(
+            Q1_TEXT, "BL",
+            options=engine.options.with_(fault_plan=plan),
+        )
+        off = engine.execute(
+            Q1_TEXT, "BL",
+            options=engine.options.with_(fault_plan=plan, failover=False),
+        )
         assert on.results.to_dicts() == off.results.to_dicts()
         assert not on.availability.fully_recovered
         assert on.availability.checks_failed_over == 0
@@ -223,8 +237,12 @@ class TestReplicaFailover:
         engine = GlobalQueryEngine(school)
         runs = [
             engine.execute(
-                Q1_TEXT, "PL", fault_plan=storm_plan(), fault_seed=0,
-                policy="degrade:hedge=0.05",
+                Q1_TEXT, "PL",
+                options=engine.options.with_(
+                    fault_plan=storm_plan(),
+                    fault_seed=0,
+                    policy="degrade:hedge=0.05",
+                ),
             )
             for _ in range(2)
         ]
@@ -234,11 +252,71 @@ class TestReplicaFailover:
 
     def test_context_without_failover_has_no_health(self):
         plan = storm_plan()
-        ctx = ExecutionContext(plan, ExecutionPolicy())
+        base = ExecutionOptions(fault_plan=plan, policy=ExecutionPolicy())
+        ctx = ExecutionContext(base.with_(failover=False))
         assert not ctx.failover
         assert ctx.health is None
-        on = ExecutionContext(plan, ExecutionPolicy(), failover=True)
+        on = ExecutionContext(base)
         assert on.health is not None
+
+
+class TestUnbatchedFailoverPins:
+    """The unbatched wire protocol under failover, pinned.
+
+    No other test (and not the oracle) runs ``batch_checks=False``
+    together with relays or hedges; the unbatched protocol is scheduled
+    as batches of one, so these cells pin that the two agree to the
+    byte and the simulated second.  Values recorded before the two
+    schedulers were folded into one.
+    """
+
+    #: (policy, strategy) -> (messages, bytes_network, bytes_disk,
+    #: total_time, response_time, event names in order).
+    PINS = {
+        (None, "BL"): (
+            10, 1152, 1469, 0.7462754368698258, 0.702062436869826,
+            ["dispatch.plan", "fault.failover", "fault.attempt",
+             "fault.attempt", "fault.recovered", "dispatch.plan",
+             "fault.failover", "faults.plan"],
+        ),
+        (None, "PL"): (
+            13, 1328, 1527, 0.7605749368698258, 0.7020659368698259,
+            ["dispatch.plan", "fault.failover", "fault.attempt",
+             "fault.attempt", "fault.recovered", "dispatch.plan",
+             "fault.failover", "fault.failover", "faults.plan"],
+        ),
+        ("degrade:hedge=0.05", "BL"): (
+            12, 1312, 1469, 0.13186426583713307, 0.08765126583713306,
+            ["dispatch.plan", "fault.failover", "fault.hedge",
+             "dispatch.plan", "fault.failover", "faults.plan"],
+        ),
+        ("degrade:hedge=0.05", "PL"): (
+            15, 1488, 1527, 0.14616376583713303, 0.08765476583713307,
+            ["dispatch.plan", "fault.failover", "fault.hedge",
+             "dispatch.plan", "fault.failover", "fault.failover",
+             "faults.plan"],
+        ),
+    }
+
+    @pytest.mark.parametrize("policy,strategy", sorted(
+        PINS, key=lambda cell: (cell[0] or "", cell[1])
+    ))
+    def test_unbatched_storm(self, school, policy, strategy):
+        report = GlobalQueryEngine(school).execute(
+            Q1_TEXT, strategy,
+            options=ExecutionOptions(
+                fault_plan=storm_plan(), fault_seed=0, policy=policy,
+                batch_checks=False,
+            ),
+        )
+        work = report.metrics.work
+        assert (
+            work.messages, work.bytes_network, work.bytes_disk,
+            report.total_time, report.response_time,
+            [event.name for event in report.metrics.events],
+        ) == self.PINS[policy, strategy]
+        assert report.availability.checks_failed_over > 0
+        assert report.availability.hedges == (1 if policy else 0)
 
 
 class TestHedgedDispatch:
@@ -247,8 +325,11 @@ class TestHedgedDispatch:
     def run(self, school, policy):
         return GlobalQueryEngine(school).execute(
             Q1_TEXT, "PL",
-            fault_plan=FaultPlan.from_spec(self.PLAN),
-            fault_seed=2, policy=policy,
+            options=ExecutionOptions(
+                fault_plan=FaultPlan.from_spec(self.PLAN),
+                fault_seed=2,
+                policy=policy,
+            ),
         )
 
     def test_hedging_never_changes_answers(self, school):
@@ -261,6 +342,17 @@ class TestHedgedDispatch:
         hedged = self.run(school, "degrade:hedge=0.05")
         assert hedged.availability.hedges_won > 0
         assert hedged.response_time < plain.response_time
+
+    def test_hedge_policy_without_faults_changes_nothing(self, school):
+        engine = GlobalQueryEngine(school)
+        plain = engine.execute(Q1_TEXT, "PL")
+        hedged = engine.execute(
+            Q1_TEXT, "PL",
+            options=ExecutionOptions(policy="degrade:hedge=0.05"),
+        )
+        assert hedged.availability == plain.availability
+        assert hedged.total_time == plain.total_time
+        assert hedged.metrics.work.messages == plain.metrics.work.messages
 
     def test_hedge_events_and_counters(self, school):
         hedged = self.run(school, "degrade:hedge=0.05")

@@ -6,9 +6,9 @@ from repro.core.engine import GlobalQueryEngine
 from repro.core.query import Path, Predicate, Query
 from repro.core.results import GlobalResult, ResultKind, ResultSet, same_answers
 from repro.core.strategies import (
-    ALL_STRATEGIES,
+    DEFAULT_REGISTRY,
     BasicLocalizedStrategy,
-    strategy_by_name,
+    resolve,
 )
 from repro.core.system import DistributedSystem
 from repro.errors import ReproError, SchemaError
@@ -134,15 +134,18 @@ class TestResultSet:
 
 class TestStrategyRegistry:
     def test_lookup_by_name(self):
-        assert strategy_by_name("bl").name == "BL"
-        assert strategy_by_name("PL-S").name == "PL-S"
+        assert resolve("bl").name == "BL"
+        assert resolve("PL-S").name == "PL-S"
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
-            strategy_by_name("nope")
+            resolve("nope")
 
     def test_all_strategies_have_unique_names(self):
-        names = [cls.name for cls in ALL_STRATEGIES]
+        names = [
+            info.create().name for info in DEFAULT_REGISTRY
+            if info.name != "AUTO"
+        ]
         assert len(names) == len(set(names)) == 5
 
     def test_repr(self):
@@ -212,8 +215,8 @@ class TestEngine:
 
         real = CentralizedStrategy.execute
 
-        def broken(self, system, query):
-            outcome = real(self, system, query)
+        def broken(self, system, query, ctx):
+            outcome = real(self, system, query, ctx)
             outcome.results.certain.clear()
             return outcome
 

@@ -1,15 +1,12 @@
-"""Tests for the strategy registry and its deprecated shims."""
+"""Tests for the strategy registry."""
 
 import pytest
 
 from repro.core.strategies import (
-    ALL_STRATEGIES,
     DEFAULT_REGISTRY,
-    PAPER_STRATEGIES,
     StrategyInfo,
     StrategyRegistry,
     resolve,
-    strategy_by_name,
 )
 from repro.core.strategies.adaptive import AdaptiveStrategy
 from repro.core.strategies.centralized import CentralizedStrategy
@@ -69,17 +66,3 @@ class TestCustomRegistry:
             registry.register(info)
 
 
-class TestDeprecatedShims:
-    def test_tuples_match_registry(self):
-        assert [cls.name for cls in PAPER_STRATEGIES] == (
-            DEFAULT_REGISTRY.names(paper_only=True)
-        )
-        assert [cls.name for cls in ALL_STRATEGIES] == [
-            n for n in DEFAULT_REGISTRY.names() if n != "AUTO"
-        ]
-
-    def test_strategy_by_name_delegates(self):
-        assert isinstance(strategy_by_name("PL"), ParallelLocalizedStrategy)
-        assert isinstance(strategy_by_name("AUTO"), AdaptiveStrategy)
-        with pytest.raises(ValueError):
-            strategy_by_name("bogus")
