@@ -25,9 +25,11 @@ def run_batch():
             name: engine.execute(workload.query, name).response_time
             for name in ("CA", "BL", "PL")
         }
-        chooser = AdaptiveStrategy(objective="response")
-        engine.execute(workload.query, chooser)
-        rows.append((seed, chooser.last_choice, actual))
+        report = engine.execute(
+            workload.query, AdaptiveStrategy(objective="response")
+        )
+        choice = report.metrics.strategy.removeprefix("AUTO->")
+        rows.append((seed, choice, actual))
     return rows
 
 

@@ -4,26 +4,25 @@ Sweeps generated federations over an (N_db x extent scale) grid and, per
 strategy, runs each query
 
 * **batched** (the default wire protocol: one check request/reply pair
-  per ``(src, dst)`` link),
+  per ``(src, dst)`` link; every local evaluation of this run is
+  shadowed by the per-object reference evaluator),
 * **batched again** (same engine — measures mapping-index/decomposition
-  cache hits on a repeated query),
+  cache hits on a repeated query), and
 * **unbatched** (``batch_checks=False``: the historical
-  one-message-pair-per-request protocol), and
-* **row path** (``columnar=False``: per-object evaluation instead of the
-  columnar extent kernels),
+  one-message-pair-per-request protocol),
 
 recording network messages, bytes, simulated total/response time, cache
-traffic and wall-clock.  The bench enforces the batching and columnar
+traffic and wall-clock.  The bench enforces the batching and kernel
 contracts:
 
 * answers are byte-identical between the batched and unbatched runs
-  *and* between the columnar and row paths (same ResultSet JSON, cell by
-  cell);
+  (same ResultSet JSON, cell by cell), and every site's columnar local
+  evaluation equals the reference's — rows, bookkeeping and meters;
 * batching never sends more messages, and strictly fewer in aggregate
   for every localized strategy;
 * a repeated query hits the caches (warm hit rate > 0);
 * warm local evaluation over the columnar kernels is at least 5x faster
-  than the row path at the sweep's largest grid cell when the query
+  than the reference evaluator at the sweep's largest grid cell when the query
   *repeats* (``local_eval``: every per-operand cache is hot, which is
   the best case, not the usual one), and at least 3x faster when every
   repetition brings operands the extent has never seen
@@ -38,7 +37,8 @@ baseline::
 The JSON output is fully determined by the grid: no timestamps and no
 dict-order dependence.  ``wall_s`` fields and the ``local_eval`` /
 ``local_eval_unseen`` timing sections are informational only and are
-ignored by ``--check``.
+ignored by ``--check``; a cell's ``wall_s`` is its cold execution *with*
+the shadowing reference, so it reads higher than an unshadowed run.
 """
 
 from __future__ import annotations
@@ -62,8 +62,12 @@ from bench_common import make_workload, write_result
 from repro.bench.reporting import format_table
 from repro.core.engine import GlobalQueryEngine
 from repro.core.query import Op, Predicate
+from repro.difftest.reference import (
+    execute_local_reference,
+    shadowed_local_evaluation,
+)
 
-SCHEMA = "BENCH_hotpath/v2"
+SCHEMA = "BENCH_hotpath/v3"
 STRATEGIES = ("CA", "BL", "PL", "BL-S", "PL-S")
 LOCALIZED = ("BL", "PL", "BL-S", "PL-S")
 
@@ -81,7 +85,6 @@ QUICK_GRID = ((3, 0.03), (4, 0.03))
 #: Fields compared by --check (everything deterministic; wall_s is not).
 CHECKED_FIELDS = (
     "answer_digest",
-    "row_path_digest",
     "messages_batched",
     "messages_unbatched",
     "bytes_batched",
@@ -92,7 +95,7 @@ CHECKED_FIELDS = (
     "warm_cache_misses",
 )
 
-#: Minimum warm local-eval speedup (columnar vs row path) the sweep's
+#: Minimum warm local-eval speedup (kernels vs reference) the sweep's
 #: largest grid cell must reach on a repeated query.
 MIN_COLUMNAR_SPEEDUP = 5.0
 
@@ -113,16 +116,20 @@ def run_cell(n_db: int, scale: float, strategy: str) -> dict:
     workload = make_workload(WORKLOAD_SEEDS[n_db], scale, n_dbs=n_db)
     engine = GlobalQueryEngine(workload.system)
 
+    differences = []
     start = time.perf_counter()
-    cold = engine.execute(workload.query, strategy)
+    with shadowed_local_evaluation(differences):
+        cold = engine.execute(workload.query, strategy)
     wall_s = time.perf_counter() - start
+    if differences:
+        raise AssertionError(
+            f"{strategy} ndb{n_db} scale{scale:g}: local evaluation differs "
+            f"from the reference: {differences[0]}"
+        )
     warm = engine.execute(workload.query, strategy)
     unbatched = engine.execute(
         workload.query, strategy,
         options=engine.options.with_(batch_checks=False),
-    )
-    row_path = engine.execute(
-        workload.query, strategy, engine.options.with_(columnar=False)
     )
 
     cold_digest = _digest(cold)
@@ -135,12 +142,6 @@ def run_cell(n_db: int, scale: float, strategy: str) -> dict:
         raise AssertionError(
             f"{strategy} ndb{n_db} scale{scale:g}: repeated query changed "
             "the answer"
-        )
-    row_path_digest = _digest(row_path)
-    if row_path_digest != cold_digest:
-        raise AssertionError(
-            f"{strategy} ndb{n_db} scale{scale:g}: columnar and row-path "
-            "answers differ"
         )
     batched_msgs = cold.metrics.work.messages
     unbatched_msgs = unbatched.metrics.work.messages
@@ -156,7 +157,6 @@ def run_cell(n_db: int, scale: float, strategy: str) -> dict:
         "scale": scale,
         "strategy": strategy,
         "answer_digest": cold_digest,
-        "row_path_digest": row_path_digest,
         "certain": len(cold.results.certain),
         "maybe": len(cold.results.maybe),
         "messages_batched": batched_msgs,
@@ -211,11 +211,12 @@ def _with_unseen_operands(local_query, shift: int):
 def measure_local_eval(
     n_db: int, scale: float, reps: int = 3, unseen: bool = False
 ) -> dict:
-    """Warm local-evaluation wall-clock: columnar kernels vs row path.
+    """Warm local-evaluation wall-clock: columnar kernels vs reference.
 
     Times repeated :meth:`ComponentDatabase.execute_local` calls over
     the workload's decomposed local queries — the loop the columnar
-    extent exists for — after one warm-up pass on each path.  With
+    extent exists for — against ``execute_local_reference``, the
+    per-object scan, after one warm-up pass of each.  With
     *unseen* every repetition runs the queries with operands moved by
     its own number, so nothing keyed on an operand is warm.  Timing
     only; answer equality is enforced per cell by :func:`run_cell` and
@@ -229,8 +230,8 @@ def measure_local_eval(
         for lq in decomp.local_queries.values()
     ]
     for db, lq in pairs:
-        db.execute_local(lq, columnar=True)
-        db.execute_local(lq, columnar=False)
+        db.execute_local(lq)
+        execute_local_reference(db, lq)
     passes = [
         [
             (db, _with_unseen_operands(lq, rep) if unseen else lq)
@@ -241,20 +242,20 @@ def measure_local_eval(
     start = time.perf_counter()
     for one_pass in passes:
         for db, lq in one_pass:
-            db.execute_local(lq, columnar=True)
+            db.execute_local(lq)
     columnar_s = (time.perf_counter() - start) / reps
     start = time.perf_counter()
     for one_pass in passes:
         for db, lq in one_pass:
-            db.execute_local(lq, columnar=False)
-    row_s = (time.perf_counter() - start) / reps
+            execute_local_reference(db, lq)
+    reference_s = (time.perf_counter() - start) / reps
     return {
         "workload": f"ndb{n_db}-scale{scale:g}",
         "n_db": n_db,
         "scale": scale,
         "columnar_wall_s": round(columnar_s, 6),
-        "row_wall_s": round(row_s, 6),
-        "speedup": round(row_s / columnar_s, 2),
+        "reference_wall_s": round(reference_s, 6),
+        "speedup": round(reference_s / columnar_s, 2),
     }
 
 
@@ -289,7 +290,7 @@ def _assert_contract(cells, local_eval, local_eval_unseen) -> None:
         if largest["speedup"] < floor:
             raise AssertionError(
                 f"{largest['workload']}: columnar {what} local eval only "
-                f"{largest['speedup']}x faster than the row path "
+                f"{largest['speedup']}x faster than the reference "
                 f"(contract: >= {floor}x at the largest cell)"
             )
     for strategy in LOCALIZED:
@@ -357,19 +358,19 @@ def render(result: dict) -> str:
         for c in result["cells"]
     ]
     text = format_table(headers, rows)
-    eval_headers = ["workload", "columnar (s)", "row path (s)", "speedup"]
+    eval_headers = ["workload", "columnar (s)", "reference (s)", "speedup"]
     for section, title in (
         ("local_eval", "repeated query, every per-operand cache hot"),
         ("local_eval_unseen", "operands never seen before"),
     ):
         eval_rows = [
             [e["workload"], f"{e['columnar_wall_s']:.4f}",
-             f"{e['row_wall_s']:.4f}", f"{e['speedup']:.1f}x"]
+             f"{e['reference_wall_s']:.4f}", f"{e['speedup']:.1f}x"]
             for e in result[section]
         ]
         text += (
             f"\n\nwarm local evaluation, {title} "
-            "(columnar kernels vs row path):\n"
+            "(columnar kernels vs reference evaluator):\n"
             + format_table(eval_headers, eval_rows)
         )
     return text

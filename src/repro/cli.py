@@ -49,6 +49,7 @@ from repro.bench.experiments import figure9, figure10, figure11
 from repro.bench.reporting import dump_traces, format_table, series_table
 from repro.core.engine import GlobalQueryEngine
 from repro.core.options import PLANNER_MODES, ExecutionOptions
+from repro.core.results import answer_digest
 from repro.core.strategies import DEFAULT_REGISTRY
 from repro.errors import EvolutionError, FaultPlanError
 from repro.faults import POLICIES, FaultPlan, resolve_policy
@@ -80,10 +81,10 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
 def _load_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
     """Build the plan from --faults: a JSON file path or an inline spec
     (``"DB2@0:1.5,link:*>DB1:loss0.3"``)."""
-    raw = getattr(args, "faults", "")
+    raw = args.faults
     if not raw:
         return None
-    seed = getattr(args, "fault_seed", 0)
+    seed = args.fault_seed
     if os.path.exists(raw):
         with open(raw) as handle:
             plan = FaultPlan.from_json(handle.read())
@@ -96,66 +97,6 @@ def _load_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
     return FaultPlan.from_spec(raw, seed=seed)
 
 
-def _add_fault_args(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--faults", default="",
-        help="fault plan: a JSON file path or an inline spec like "
-             "'DB2@0:1.5,link:*>DB1:loss0.3'",
-    )
-    command.add_argument(
-        "--fault-seed", type=int, default=0, dest="fault_seed",
-        help="seed for loss draws and backoff jitter",
-    )
-    command.add_argument(
-        "--policy", default="degrade", metavar="SPEC",
-        help="fault-handling policy: a preset "
-             f"({', '.join(sorted(POLICIES))}) optionally followed by "
-             "inline overrides, e.g. 'degrade:timeout=0.5,retries=3,"
-             "hedge=0.1' (default: degrade to partial answers)",
-    )
-    command.add_argument(
-        "--failover", action=argparse.BooleanOptionalAction, default=True,
-        help="reroute checks over the global-site relay and demote rows "
-             "only when no isomeric copy answered (--no-failover "
-             "restores eager skip-and-demote)",
-    )
-    command.add_argument(
-        "--hedge", type=float, default=None, metavar="SECONDS",
-        help="hedged dispatch: duplicate a check over the relay when "
-             "the direct link is slower than this seeded delay",
-    )
-
-
-def _resolve_cli_policy(args: argparse.Namespace):
-    """The execution policy from --policy (+ --hedge shorthand)."""
-    policy = resolve_policy(args.policy)
-    hedge = getattr(args, "hedge", None)
-    if hedge is not None:
-        policy = dataclasses.replace(
-            policy,
-            name=f"{policy.name}+hedge",
-            hedge_delay_s=hedge,
-        )
-    return policy
-
-
-def _add_batch_arg(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--no-batch", action="store_true", dest="no_batch",
-        help="disable per-link batching of phase-O check messages "
-             "(one request/reply pair per check request)",
-    )
-
-
-def _add_columnar_arg(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--no-columnar", action="store_true", dest="no_columnar",
-        help="evaluate local queries, assistant checks and the outerjoin "
-             "merge on the per-object row path instead of the columnar "
-             "extent kernels (answers are identical either way)",
-    )
-
-
 def _add_planner_arg(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--planner", default="static", choices=PLANNER_MODES,
@@ -166,26 +107,77 @@ def _add_planner_arg(command: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_conditions_arg(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
+def _execution_option_flags() -> argparse.ArgumentParser:
+    """The ``ExecutionOptions`` flags, as an argparse parent parser.
+
+    Every query-running subcommand takes ``parents=[...]`` of it, so
+    :func:`_cli_options` finds each attribute on any of their namespaces.
+    """
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--faults", default="",
+        help="fault plan: a JSON file path or an inline spec like "
+             "'DB2@0:1.5,link:*>DB1:loss0.3'",
+    )
+    flags.add_argument(
+        "--fault-seed", type=int, default=0, dest="fault_seed",
+        help="seed for loss draws and backoff jitter",
+    )
+    flags.add_argument(
+        "--policy", default="degrade", metavar="SPEC",
+        help="fault-handling policy: a preset "
+             f"({', '.join(sorted(POLICIES))}) optionally followed by "
+             "inline overrides, e.g. 'degrade:timeout=0.5,retries=3,"
+             "hedge=0.1' (default: degrade to partial answers)",
+    )
+    flags.add_argument(
+        "--failover", action=argparse.BooleanOptionalAction, default=True,
+        help="reroute checks over the global-site relay and demote rows "
+             "only when no isomeric copy answered (--no-failover "
+             "restores eager skip-and-demote)",
+    )
+    flags.add_argument(
+        "--hedge", type=float, default=None, metavar="SECONDS",
+        help="hedged dispatch: duplicate a check over the relay when "
+             "the direct link is slower than this seeded delay",
+    )
+    flags.add_argument(
+        "--no-batch", action="store_true", dest="no_batch",
+        help="disable per-link batching of phase-O check messages "
+             "(one request/reply pair per check request)",
+    )
+    _add_planner_arg(flags)
+    flags.add_argument(
         "--no-conditions", action="store_true", dest="no_conditions",
         help="do not attach discharge conditions to degraded rows "
              "(notes-only degradation; such reports cannot be repaired "
              "with 'recertify')",
     )
+    return flags
+
+
+def _resolve_cli_policy(args: argparse.Namespace):
+    """The execution policy from --policy (+ --hedge shorthand)."""
+    policy = resolve_policy(args.policy)
+    if args.hedge is not None:
+        policy = dataclasses.replace(
+            policy,
+            name=f"{policy.name}+hedge",
+            hedge_delay_s=args.hedge,
+        )
+    return policy
 
 
 def _cli_options(args: argparse.Namespace) -> ExecutionOptions:
-    """One ExecutionOptions value from the fault/batching flags."""
+    """One ExecutionOptions value from the execution-option flags."""
     return ExecutionOptions(
         fault_plan=_load_fault_plan(args),
         policy=_resolve_cli_policy(args),
-        fault_seed=getattr(args, "fault_seed", 0),
-        batch_checks=not getattr(args, "no_batch", False),
-        failover=getattr(args, "failover", True),
-        columnar=not getattr(args, "no_columnar", False),
-        planner=getattr(args, "planner", "static"),
-        conditions=not getattr(args, "no_conditions", False),
+        fault_seed=args.fault_seed,
+        batch_checks=not args.no_batch,
+        failover=args.failover,
+        planner=args.planner,
+        conditions=not args.no_conditions,
     )
 
 
@@ -298,22 +290,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     # Imported lazily: the harness pulls in the whole strategy stack.
-    from repro.difftest import replay_cases, run_fuzz
-    from repro.difftest.oracle import StrategyOracle
+    from repro.difftest import StrategyOracle, replay_cases, run_fuzz
 
-    # --no-columnar anchors every invariant run on the row path (the
-    # oracle's columnar invariant still cross-checks the opposite path);
     # --planner pins every invariant run to an adaptive mode (the
     # planner invariant still cross-checks against static).
-    planner = getattr(args, "planner", "static")
-    if args.no_columnar or planner != "static" or args.recertify:
-        oracle = StrategyOracle(
-            columnar=False if args.no_columnar else None,
-            planner=planner if planner != "static" else None,
-            recertify=args.recertify,
-        )
-    else:
-        oracle = None
+    oracle = StrategyOracle(planner=args.planner, recertify=args.recertify)
     if args.replay:
         violations = replay_cases(args.replay, oracle=oracle)
     else:
@@ -324,7 +305,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_traffic(args: argparse.Namespace) -> int:
-    # Imported lazily: traffic pulls in the difftest oracle.
     from repro.traffic import AdmissionControl, TrafficEngine, default_mix
 
     def build_workload():
@@ -398,7 +378,6 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     """Step an evolution plan epoch by epoch, re-querying at each one."""
-    from repro.difftest.oracle import answer_digest
     from repro.evolution import (
         EvolutionController,
         EvolutionPlan,
@@ -507,10 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Koh & Chen (ICDCS 1996) reproduction CLI",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = [_execution_option_flags()]
 
     sub.add_parser("demo", help="run Q1 on the school federation")
 
-    query = sub.add_parser("query", help="run SQL/X on the school federation")
+    query = sub.add_parser(
+        "query", parents=options, help="run SQL/X on the school federation"
+    )
     query.add_argument("sql", help="SQL/X query text")
     query.add_argument(
         "--strategy", default="BL", choices=QUERY_STRATEGIES
@@ -521,14 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--jsonl", default="", help="write a JSONL event log here"
     )
-    _add_fault_args(query)
-    _add_batch_arg(query)
-    _add_columnar_arg(query)
-    _add_planner_arg(query)
-    _add_conditions_arg(query)
 
     explain = sub.add_parser(
-        "explain", help="run a query once and print its execution report"
+        "explain", parents=options,
+        help="run a query once and print its execution report",
     )
     explain.add_argument("sql", nargs="?", default=Q1_TEXT,
                          help="SQL/X query text (default: the paper's Q1)")
@@ -539,11 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--trace", default="", help="also write a Chrome-trace JSON here"
     )
-    _add_fault_args(explain)
-    _add_batch_arg(explain)
-    _add_columnar_arg(explain)
-    _add_planner_arg(explain)
-    _add_conditions_arg(explain)
 
     sub.add_parser("strategies", help="list registered strategies")
 
@@ -553,24 +526,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--figures", default="", help="comma-separated subset, e.g. 9,11"
     )
 
-    compare = sub.add_parser("compare", help="compare strategies on a "
-                                             "synthetic federation")
+    compare = sub.add_parser(
+        "compare", parents=options,
+        help="compare strategies on a synthetic federation",
+    )
     compare.add_argument("--seed", type=int, default=2026)
     compare.add_argument("--scale", type=float, default=0.05)
     compare.add_argument(
         "--trace-dir", default="",
         help="write each strategy's Chrome-trace JSON into this directory",
     )
-    _add_fault_args(compare)
-    _add_batch_arg(compare)
-    _add_columnar_arg(compare)
-    _add_planner_arg(compare)
-    _add_conditions_arg(compare)
 
     sub.add_parser("tables", help="print Tables 1 and 2")
 
     traffic = sub.add_parser(
-        "traffic",
+        "traffic", parents=options,
         help="drive a deterministic concurrent workload against a "
              "synthetic federation",
     )
@@ -611,14 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-site propagation lag in simulated seconds (a window "
              "over N sites stays open N*lag)",
     )
-    _add_fault_args(traffic)
-    _add_batch_arg(traffic)
-    _add_columnar_arg(traffic)
-    _add_planner_arg(traffic)
-    _add_conditions_arg(traffic)
 
     evolve = sub.add_parser(
-        "evolve",
+        "evolve", parents=options,
         help="step an evolution plan through a synthetic federation, "
              "re-querying at every epoch",
     )
@@ -636,11 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument(
         "--strategy", default="BL", choices=QUERY_STRATEGIES
     )
-    _add_fault_args(evolve)
-    _add_batch_arg(evolve)
-    _add_columnar_arg(evolve)
-    _add_planner_arg(evolve)
-    _add_conditions_arg(evolve)
 
     fuzz = sub.add_parser(
         "fuzz", help="differential-test the strategies on random "
@@ -663,11 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
              "execution must repair to the fault-free baseline via "
              "engine.recertify on the healed federation",
     )
-    _add_columnar_arg(fuzz)
     _add_planner_arg(fuzz)
 
     recert = sub.add_parser(
-        "recertify",
+        "recertify", parents=options,
         help="run a query degraded under a fault plan, then repair the "
              "answer incrementally against the healed federation",
     )
@@ -676,11 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     recert.add_argument(
         "--strategy", default="BL", choices=QUERY_STRATEGIES
     )
-    _add_fault_args(recert)
-    _add_batch_arg(recert)
-    _add_columnar_arg(recert)
-    _add_planner_arg(recert)
-    _add_conditions_arg(recert)
     return parser
 
 

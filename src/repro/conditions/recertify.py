@@ -97,7 +97,6 @@ class LocalizedRepairState:
     strategy: str
     query: object
     use_signatures: bool
-    columnar: bool
     #: Every decomposed per-site local query (down sites included).
     local_queries: Dict[str, object]
     #: Per-site local results actually obtained (pruned sites hold
@@ -119,7 +118,6 @@ class CentralizedRepairState:
     """A CA repair ships only the exports the degraded run skipped."""
 
     query: object
-    columnar: bool
     involved_classes: Tuple[str, ...]
     #: global class -> site -> exported objects (the partial
     #: materialization input the degraded run fused).
@@ -240,9 +238,7 @@ class ReCertifier:
 
         def run_request(request) -> None:
             nonlocal messages
-            for _req, rep in run_checks_paired(
-                [request], system, columnar=state.columnar
-            ):
+            for _req, rep in run_checks_paired([request], system):
                 reports.append(rep)
                 verdicts.add_report(rep)
             messages += 2
@@ -261,7 +257,6 @@ class ReCertifier:
                 continue
             result, _scan, _items, plan = evaluate_site(
                 system, site, local_query,
-                columnar=state.columnar,
                 use_signatures=state.use_signatures,
             )
             local_results[site] = result
@@ -339,7 +334,6 @@ class ReCertifier:
                 max_rounds,
                 self.ctx,
                 deferred_skips=deferred,
-                columnar=state.columnar,
                 skip_log=skipped_entries,
             )
             for chase in rounds:
@@ -410,7 +404,6 @@ class ReCertifier:
                 strategy=state.strategy,
                 query=state.query,
                 use_signatures=state.use_signatures,
-                columnar=state.columnar,
                 local_queries=state.local_queries,
                 local_results=local_results,
                 down_sites=tuple(still_down),
@@ -459,7 +452,6 @@ class ReCertifier:
             schema,
             system.catalog,
             exports,
-            columnar=state.columnar,
         )
         answer = evaluate_global_extent(state.query, extent)
         new_state: Optional[CentralizedRepairState] = None
@@ -467,7 +459,6 @@ class ReCertifier:
             demote_outerjoin_incomplete(answer, still_down)
             new_state = CentralizedRepairState(
                 query=state.query,
-                columnar=state.columnar,
                 involved_classes=state.involved_classes,
                 exports_by_class=exports,
                 skipped_sites=tuple(still_down),

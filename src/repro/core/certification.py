@@ -260,10 +260,10 @@ class _PatternTables:
     every row of one pattern the same dict, so the usual entity costs
     one probe and decodes nothing.  The other is the decoded codes
     themselves (one dict probe per predicate, once per dict), which is
-    how rows that own their dict — the row path's, or a test's — find
-    the pattern an earlier entity built.  Identity is a sound key
-    because every row, and so every dict, outlives the call that holds
-    these tables.
+    how rows that own their dict — the reference evaluator's, or a
+    test's — find the pattern an earlier entity built.  Identity is a
+    sound key because every row, and so every dict, outlives the call
+    that holds these tables.
     """
 
     def __init__(self, query: Query, sites: Tuple[str, ...]) -> None:

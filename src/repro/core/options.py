@@ -27,18 +27,6 @@ from typing import Optional, Union
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import ExecutionPolicy, resolve_policy
 
-#: Field names accepted by :meth:`ExecutionOptions.with_`.
-OPTION_FIELDS = (
-    "fault_plan",
-    "policy",
-    "fault_seed",
-    "batch_checks",
-    "failover",
-    "columnar",
-    "planner",
-    "conditions",
-)
-
 #: Valid values of :attr:`ExecutionOptions.planner` (mirrored by
 #: :data:`repro.planner.PLANNER_MODES`; duplicated here to keep this
 #: module import-light).
@@ -63,11 +51,6 @@ class ExecutionOptions:
         failover: resilient dispatch under a fault plan — circuit
             breakers, relay rerouting and verdict-aware demotion
             (``False`` restores eager skip-and-demote).
-        columnar: evaluate local queries, assistant checks, and the
-            outerjoin merge over the columnar extent kernels
-            (``False`` forces the per-object row path everywhere; answers
-            are byte-identical either way — the transparency contract the
-            difftest oracle enforces).
         planner: adaptive-planning mode — ``"static"`` (default; the
             analytic model's unmodified predictions, no pruning),
             ``"feedback"`` (AUTO's pick consults observed stalls,
@@ -90,7 +73,6 @@ class ExecutionOptions:
     fault_seed: int = 0
     batch_checks: bool = True
     failover: bool = True
-    columnar: bool = True
     planner: str = "static"
     conditions: bool = True
 
@@ -124,7 +106,6 @@ class ExecutionOptions:
             f"fault_seed={self.fault_seed}",
             f"batch_checks={self.batch_checks}",
             f"failover={self.failover}",
-            f"columnar={self.columnar}",
             f"planner={self.planner}",
             f"conditions={self.conditions}",
         ]
@@ -134,3 +115,7 @@ class ExecutionOptions:
                 f"links={len(self.fault_plan.links)})"
             ))
         return " ".join(parts)
+
+
+#: Field names accepted by :meth:`ExecutionOptions.with_`.
+OPTION_FIELDS = tuple(f.name for f in dataclasses.fields(ExecutionOptions))

@@ -165,6 +165,18 @@ class Predicate:
     op: Op
     operand: Operand
 
+    def __post_init__(self) -> None:
+        # Predicates key the columns, status dicts and verdict indexes of
+        # every evaluation: one that cannot be hashed is rejected here,
+        # not by whichever dict meets it first.
+        try:
+            hash(self.operand)
+        except TypeError:
+            raise QueryError(
+                f"predicate on {self.path}: operand {self.operand!r} is "
+                "not hashable"
+            ) from None
+
     @classmethod
     def of(cls, dotted_path: str, op: Union[Op, str], operand: Operand) -> "Predicate":
         if isinstance(op, str):
@@ -181,9 +193,7 @@ class Predicate:
     _hash = None
 
     def __hash__(self) -> int:
-        # The dataclass-generated value, computed once per instance and
-        # lazily: a predicate with an unhashable operand can be built
-        # and evaluated, it only cannot key a dict.
+        # The dataclass-generated value, computed once per instance.
         value = self._hash
         if value is None:
             value = hash((self.path, self.op, self.operand))

@@ -10,6 +10,8 @@ informative answers".
 from __future__ import annotations
 
 import enum
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -353,3 +355,9 @@ def same_entities(left: ResultSet, right: ResultSet) -> bool:
     left_maybe = {r.goid for r in left.maybe}
     right_maybe = {r.goid for r in right.maybe}
     return left_certain == right_certain and left_maybe == right_maybe
+
+
+def answer_digest(results: ResultSet) -> str:
+    """Stable content hash of an answer (first 12 hex chars)."""
+    payload = json.dumps(results.to_dicts(), sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]

@@ -24,7 +24,7 @@ mode, are answer-equivalent).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analytic.model import AnalyticModel
 from repro.core.query import Query
@@ -173,6 +173,27 @@ def _sampled_null_ratio(
     return NullRatioSample(min(raw, NULL_RATIO_CAP), raw, raw > NULL_RATIO_CAP, sampled)
 
 
+@dataclass(frozen=True)
+class Prediction:
+    """What one :meth:`AdaptiveStrategy.predict` call concluded.
+
+    Attributes:
+        predictions: strategy name -> predicted seconds for the
+            strategy's objective (CA already penalized).
+        unreachable: sites the fault plan makes unreachable at dispatch.
+        observed_unreliable: sites whose CA penalty came from observed
+            feedback (the ones plan-peeking alone would have missed).
+        notes: estimation notes (e.g. null-ratio clamps).
+        used_feedback: whether the prediction consumed trace feedback.
+    """
+
+    predictions: Dict[str, float]
+    unreachable: Tuple[str, ...] = ()
+    observed_unreliable: Tuple[str, ...] = ()
+    notes: Tuple[str, ...] = ()
+    used_feedback: bool = False
+
+
 class AdaptiveStrategy(Strategy):
     """Pick CA/BL/PL per query with the analytic model, then execute."""
 
@@ -184,20 +205,6 @@ class AdaptiveStrategy(Strategy):
                 f"objective must be 'response' or 'total', not {objective!r}"
             )
         self.objective = objective
-        #: Name of the strategy chosen by the most recent execute().
-        self.last_choice: Optional[str] = None
-        #: The analytic predictions backing the most recent choice.
-        self.last_predictions: Dict[str, float] = {}
-        #: Sites the most recent prediction considered unreachable.
-        self.last_unreachable: Tuple[str, ...] = ()
-        #: Sites whose CA penalty came from observed feedback (subset of
-        #: the penalized set that plan-peeking alone would have missed).
-        self.last_observed_unreliable: Tuple[str, ...] = ()
-        #: Estimation notes (e.g. null-ratio clamps) from the most
-        #: recent prediction.
-        self.last_notes: Tuple[str, ...] = ()
-        #: Whether the most recent prediction consumed trace feedback.
-        self.last_used_feedback: bool = False
 
     @staticmethod
     def _unreachable_sites(
@@ -228,7 +235,7 @@ class AdaptiveStrategy(Strategy):
         system: DistributedSystem,
         query: Query,
         ctx: ExecutionContext,
-    ) -> Dict[str, float]:
+    ) -> Prediction:
         """Analytic per-strategy predictions for the chosen objective.
 
         Signature variants join the ranking when the federation has
@@ -246,12 +253,12 @@ class AdaptiveStrategy(Strategy):
         so partial link degradation the plan-peek cannot see still
         steers the pick.
         """
-        params, self.last_notes = extract_params_ex(system, query)
+        params, notes = extract_params_ex(system, query)
         feedback = system.planner_feedback
-        self.last_used_feedback = (
+        used_feedback = (
             uses_feedback(ctx.options.planner) and feedback.has_data
         )
-        if self.last_used_feedback:
+        if used_feedback:
             model = AnalyticModel(
                 params,
                 cost_model=system.cost_model,
@@ -275,16 +282,17 @@ class AdaptiveStrategy(Strategy):
             predictions = {n: o.response_time for n, o in outcomes.items()}
         else:
             predictions = {n: o.total_time for n, o in outcomes.items()}
-        self.last_unreachable = self._unreachable_sites(system, ctx)
-        self.last_observed_unreliable = tuple(
-            s for s in observed if s not in self.last_unreachable
+        unreachable = self._unreachable_sites(system, ctx)
+        observed_unreliable = tuple(
+            s for s in observed if s not in unreachable
         )
-        penalized = tuple(sorted(
-            set(self.last_unreachable) | set(self.last_observed_unreliable)
-        ))
+        penalized = len(unreachable) + len(observed_unreliable)
         if penalized and "CA" in predictions:
-            predictions["CA"] *= 1e3 * len(penalized)
-        return predictions
+            predictions["CA"] *= 1e3 * penalized
+        return Prediction(
+            predictions, unreachable, observed_unreliable, notes,
+            used_feedback,
+        )
 
     def execute(
         self,
@@ -295,10 +303,9 @@ class AdaptiveStrategy(Strategy):
         from repro.core.strategies.registry import resolve
         from repro.obs.spans import TraceEvent
 
-        predictions = self.predict(system, query, ctx)
+        predicted = self.predict(system, query, ctx)
+        predictions = predicted.predictions
         choice = min(predictions, key=predictions.get)
-        self.last_choice = choice
-        self.last_predictions = predictions
         # The delegate runs under the very same context, so every
         # option of this execution reaches it.
         result = resolve(choice).execute(system, query, ctx)
@@ -308,12 +315,12 @@ class AdaptiveStrategy(Strategy):
             choice=choice,
             objective=self.objective,
             planner=ctx.options.planner,
-            used_feedback=str(self.last_used_feedback).lower(),
-            unreachable=",".join(self.last_unreachable) or "none",
+            used_feedback=str(predicted.used_feedback).lower(),
+            unreachable=",".join(predicted.unreachable) or "none",
             observed_unreliable=(
-                ",".join(self.last_observed_unreliable) or "none"
+                ",".join(predicted.observed_unreliable) or "none"
             ),
-            notes="; ".join(self.last_notes) or "none",
+            notes="; ".join(predicted.notes) or "none",
             **{f"predicted_{name}_s": f"{value:.6f}"
                for name, value in sorted(predictions.items())},
         ))

@@ -323,7 +323,6 @@ def evaluate_site(
     system: DistributedSystem,
     db_name: str,
     local_query,
-    columnar: bool,
     use_signatures: bool,
     scan_first: bool = False,
     constraints=None,
@@ -337,10 +336,10 @@ def evaluate_site(
     ``(result, (scan, meter) or None, items, plan)``.
     """
     db = system.db(db_name)
-    result = db.execute_local(local_query, columnar=columnar)
+    result = db.execute_local(local_query)
     scanned = None
     if scan_first:
-        scanned = db.collect_unsolved(local_query, columnar=columnar)
+        scanned = db.collect_unsolved(local_query)
         items = scanned[0].all_items()
     else:
         items = [
@@ -359,24 +358,16 @@ def evaluate_site(
 def run_checks_paired(
     requests: Sequence[CheckRequest],
     system: DistributedSystem,
-    columnar: bool = True,
 ) -> List[Tuple[CheckRequest, CheckReport]]:
     """Execute check requests at their home databases (steps BL_C3/PL_C3).
 
     Returns explicit ``(request, report)`` pairs so callers never rely on
     positional alignment between a request list and a report list — the
     seam batching rewrites, and the one a dropped or reordered report
-    would silently corrupt.  *columnar* picks the home database's
-    evaluation path (kernel vs per-object rows); verdicts are identical
-    either way.
+    would silently corrupt.
     """
     return [
-        (
-            request,
-            system.db(request.db_name).check_assistants(
-                request, columnar=columnar
-            ),
-        )
+        (request, system.db(request.db_name).check_assistants(request))
         for request in requests
     ]
 
@@ -481,7 +472,6 @@ def chase_blocked(
     max_rounds: int,
     ctx: ExecutionContext,
     deferred_skips: Optional[List[Tuple]] = None,
-    columnar: bool = True,
     skip_log: Optional[List[Tuple]] = None,
 ) -> List[ChaseRound]:
     """Resolve multi-hop missing-reference chains by iterated checking.
@@ -589,9 +579,7 @@ def chase_blocked(
                     predicates=(predicate,),
                 )
             )
-        round_data.pairs = run_checks_paired(
-            round_data.requests, system, columnar=columnar
-        )
+        round_data.pairs = run_checks_paired(round_data.requests, system)
         round_data.reports = [report for _, report in round_data.pairs]
         rounds.append(round_data)
 

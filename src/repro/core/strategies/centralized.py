@@ -232,7 +232,6 @@ class CentralizedStrategy(Strategy):
             system.catalog,
             exports_by_class,
             stats,
-            columnar=ctx.options.columnar,
         )
         work.comparisons += stats.comparisons
         integrate = fed.cpu(
@@ -279,7 +278,6 @@ class CentralizedStrategy(Strategy):
 
                 repair_state = CentralizedRepairState(
                     query=query,
-                    columnar=ctx.options.columnar,
                     involved_classes=involved_classes,
                     exports_by_class=exports_by_class,
                     skipped_sites=tuple(sorted(skipped_sites)),

@@ -411,7 +411,6 @@ class _LocalizedRun:
         # --- run the site's work for real (logic layer) -----------------
         result, scanned, items, plan = evaluate_site(
             system, db_name, local_query,
-            columnar=self.options.columnar,
             use_signatures=self.strategy.use_signatures,
             scan_first=self.strategy.phase_o_first,
             constraints=self.constraints,
@@ -506,9 +505,8 @@ class _LocalizedRun:
                 "fault.check_skipped",
                 src=src, dst=dst, assistants=len(request.loids),
             )
-        columnar = self.options.columnar
-        paired = run_checks_paired(runnable, system, columnar=columnar)
-        relayed_paired = run_checks_paired(relayed, system, columnar=columnar)
+        paired = run_checks_paired(runnable, system)
+        relayed_paired = run_checks_paired(relayed, system)
         self.reports.extend(report for _, report in paired)
         self.reports.extend(report for _, report in relayed_paired)
         coalesce = self.options.batch_checks
@@ -675,7 +673,6 @@ class _LocalizedRun:
         chase_rounds = chase_blocked(
             self.reports, system, verdicts, max_rounds, ctx,
             deferred_skips=deferred_chase_skips,
-            columnar=self.options.columnar,
             skip_log=chase_skip_log,
         )
         for round_no, chase in enumerate(chase_rounds, start=1):
@@ -901,7 +898,6 @@ class _LocalizedRun:
             strategy=self.name,
             query=self.query,
             use_signatures=self.strategy.use_signatures,
-            columnar=self.options.columnar,
             local_queries=dict(self.decomposed.local_queries),
             local_results=dict(self.local_results),
             down_sites=down_sites,

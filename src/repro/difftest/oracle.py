@@ -20,11 +20,13 @@ reproduce.  What it checks:
     For strategies that dispatch phase-O checks at all (everything
     but :attr:`StrategyOracle.UNBATCHED_STRATEGIES`), the unbatched
     answer strictly equals the batched one.
-``columnar``
-    Flipping the columnar extent path (batch 3VL predicate kernels,
-    batched assistant checks, batched outerjoin merge) and re-running
-    yields, for every strategy, an answer strictly equal to the other
-    path's — the transparency contract.
+``local-eval``
+    Every ``execute_local`` / ``collect_unsolved`` / ``check_assistants``
+    call any run below makes at any site is also answered by the
+    per-object evaluator in :mod:`repro.difftest.reference`.  The
+    columnar kernel must give an equal result — rows field by field,
+    unsolved bookkeeping, index probe and every meter — or raise the
+    same exception type and message.
 ``planner``
     For the :attr:`StrategyOracle.PLANNER_MATRIX` pairs, running with
     an adaptive planner mode (constraint pruning, trace feedback, or
@@ -69,8 +71,6 @@ reproduce.  What it checks:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -79,13 +79,17 @@ from repro.core.engine import GlobalQueryEngine
 from repro.core.results import (
     ResultSet,
     _answer_key,
+    answer_digest,
     certified_subset,
     same_answers,
 )
 from repro.core.strategies import DEFAULT_REGISTRY
 from repro.core.system import DistributedSystem
 from repro.difftest.cases import FuzzCase
-from repro.difftest.reference import shadowed_certify
+from repro.difftest.reference import (
+    shadowed_certify,
+    shadowed_local_evaluation,
+)
 from repro.objectdb.ids import GOid
 from repro.objectdb.values import is_null
 
@@ -104,12 +108,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"[{self.invariant}] {self.label}: {self.detail}"
-
-
-def answer_digest(results: ResultSet) -> str:
-    """Stable content hash of an answer (first 12 hex chars)."""
-    payload = json.dumps(results.to_dicts(), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
 def case_digest(case: FuzzCase) -> str:
@@ -145,23 +143,15 @@ class StrategyOracle:
     def __init__(
         self,
         registry=DEFAULT_REGISTRY,
-        columnar: Optional[bool] = None,
-        planner: Optional[str] = None,
+        planner: str = "static",
         recertify: bool = False,
     ) -> None:
         self.registry = registry
-        #: Base execution path for every invariant run: ``None`` keeps
-        #: the engine default (columnar on), ``False`` forces the row
-        #: path (the fuzz CLI's ``--no-columnar``).  The ``columnar``
-        #: invariant always compares against the *opposite* path, so
-        #: on/off equivalence is checked either way.
-        self.columnar = columnar
-        #: Base planner mode for every invariant run: ``None`` keeps the
-        #: engine default (``static``); the fuzz CLI's ``--planner``
-        #: flag pins another mode, so the whole invariant suite also
-        #: runs with pruning/feedback live.  The ``planner`` invariant
-        #: below always compares ``static`` against the adaptive modes
-        #: regardless of this base.
+        #: Base planner mode for every invariant run; the fuzz CLI's
+        #: ``--planner`` flag pins another than ``static``, so the whole
+        #: invariant suite also runs with pruning/feedback live.  The
+        #: ``planner`` invariant below always compares ``static`` against
+        #: the adaptive modes regardless of this base.
         self.planner = planner
         #: With ``recertify``, every degraded fault execution is handed
         #: to ``engine.recertify`` against the healed federation and the
@@ -178,17 +168,21 @@ class StrategyOracle:
 
     def check(self, case: FuzzCase) -> List[Violation]:
         """All invariant violations of *case* (empty list = clean)."""
-        differences: List[str] = []
-        with shadowed_certify(differences):
+        certify: List[str] = []
+        local_eval: List[str] = []
+        with shadowed_certify(certify), shadowed_local_evaluation(local_eval):
             violations = self._check_strategies(case)
-        violations.extend(
-            Violation("certify", case.label, difference, case)
-            for difference in differences
-        )
+        for invariant, differences in (
+            ("certify", certify), ("local-eval", local_eval)
+        ):
+            violations.extend(
+                Violation(invariant, case.label, difference, case)
+                for difference in differences
+            )
         return violations
 
     def _check_strategies(self, case: FuzzCase) -> List[Violation]:
-        """Every invariant but ``certify``, which watches these runs."""
+        """Every invariant but the two that watch these runs."""
         violations: List[Violation] = []
         built = case.build()
         engine = GlobalQueryEngine(built.system)
@@ -196,10 +190,7 @@ class StrategyOracle:
         # One session per case: every oracle execution flows through it
         # with explicit ExecutionOptions.
         session = engine.session(name=f"difftest:{case.label}")
-        if self.columnar is not None:
-            session.options = session.options.with_(columnar=self.columnar)
-        if self.planner is not None:
-            session.options = session.options.with_(planner=self.planner)
+        session.options = session.options.with_(planner=self.planner)
 
         # Fault-free answers, one per strategy; CA anchors comparisons.
         answers: Dict[str, ResultSet] = {}
@@ -215,7 +206,6 @@ class StrategyOracle:
                 ))
 
         violations.extend(self._check_batching(case, session, built, answers))
-        violations.extend(self._check_columnar(case, session, built, answers))
         violations.extend(self._check_planner(case, session, built, answers))
         violations.extend(self._check_determinism(case, baseline))
         if built.fault_plan is not None:
@@ -259,32 +249,6 @@ class StrategyOracle:
                     "batching", case.label,
                     f"{name}: batched vs unbatched: "
                     f"{_first_difference(answers[name], unbatched)}",
-                    case,
-                ))
-        return violations
-
-    def _check_columnar(self, case, session, built, answers) -> List[Violation]:
-        """Flipping the columnar execution path must never change an answer.
-
-        The transparency contract of the columnar extent kernels: batch
-        3VL predicate evaluation, batched assistant checks and the
-        batched outerjoin merge must reproduce the per-object row path
-        byte for byte.  Every strategy evaluates locally (CA through
-        ``materialize``), so each is re-run on the opposite path and
-        compared strictly against its base answer.
-        """
-        violations = []
-        base = session.options.columnar
-        flipped_options = session.options.with_(columnar=not base)
-        for name in self.strategy_names:
-            other = session.execute(
-                built.query, name, options=flipped_options
-            ).results
-            if not same_answers(answers[name], other):
-                violations.append(Violation(
-                    "columnar", case.label,
-                    f"{name}: columnar={base} vs columnar={not base}: "
-                    f"{_first_difference(answers[name], other)}",
                     case,
                 ))
         return violations

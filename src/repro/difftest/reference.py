@@ -9,6 +9,18 @@ helper with the kernel, and is never imported by ``repro.core`` — the
 :class:`~repro.difftest.oracle.StrategyOracle` ``certify`` invariant and
 ``tests/test_certification_kernel.py`` run both on the same evidence and
 require equal answers, conditions and :class:`CertificationStats`.
+
+:func:`execute_local_reference`, :func:`collect_unsolved_reference` and
+:func:`check_assistants_reference` are, likewise, the bodies
+:class:`~repro.objectdb.database.ComponentDatabase` ran object by object
+before the columnar kernels became its only path: one
+:func:`~repro.core.predicates.evaluate_dnf` per candidate, one holder
+walk per unsolved predicate, one :class:`EvalMeter` charged as it goes.
+They read storage (``extent``, ``get``, ``deref`` and the index probe of
+``_select_candidates``) and :mod:`repro.core.predicates`, and nothing of
+:mod:`repro.objectdb.columnar`; :func:`shadowed_local_evaluation` runs
+them beside every kernel call made in a block — the ``local-eval``
+invariant.
 """
 
 from __future__ import annotations
@@ -24,14 +36,32 @@ from repro.core.certification import (
     CertificationStats,
     VerdictIndex,
 )
+from repro.core.predicates import (
+    EvalMeter,
+    evaluate_dnf,
+    evaluate_predicate,
+    walk_path,
+)
 from repro.core.query import Path, Predicate, Query
 from repro.core.results import GlobalResult, ResultKind, ResultSet
 from repro.core.tvl import TV, all3, any3
-from repro.errors import MappingError
+from repro.errors import MappingError, ObjectStoreError
 from repro.integration.global_schema import GlobalSchema
 from repro.integration.mapping import MappingCatalog
-from repro.objectdb.ids import GOid
-from repro.objectdb.local_query import LocalResultRow, LocalResultSet
+from repro.objectdb.database import ComponentDatabase, UnsolvedScan
+from repro.objectdb.ids import GOid, LOid
+from repro.objectdb.local_query import (
+    BlockedAt,
+    CheckReport,
+    CheckRequest,
+    LocalQuery,
+    LocalResultRow,
+    LocalResultSet,
+    RowKind,
+    UnsolvedItem,
+    UnsolvedPredicateOnObject,
+)
+from repro.objectdb.objects import LocalObject
 from repro.objectdb.values import MultiValue, NULL, Value, is_null
 
 
@@ -278,40 +308,60 @@ def _merge_bindings(
     return bindings
 
 
+#: The results that hold a dict, or a list of such results: compared
+#: field by field.  Everything else they hold is a value, compared by ``==``.
+_RECORDS = (
+    ResultSet, GlobalResult, LocalResultSet, LocalResultRow, UnsolvedScan,
+    CheckReport,
+)
+
+
+def record_difference(got, want) -> Optional[str]:
+    """Where a kernel's result first differs from a reference's, or ``None``.
+
+    Stricter than ``==``.  Results are compared field by field, the
+    fields they declare ``compare=False`` (a :class:`GlobalResult`'s
+    ``conditions``) included, and the key order of every dict counts:
+    binding order reaches every export, status order the certification
+    patterns, verdict order the check reports.  The message starts with
+    the path to the difference (``.rows[3].kind: ...``).
+    """
+    if isinstance(got, _RECORDS) and type(got) is type(want):
+        for f in dataclasses.fields(got):
+            difference = record_difference(
+                getattr(got, f.name), getattr(want, f.name)
+            )
+            if difference is not None:
+                return f".{f.name}{difference}"
+        return None
+    if (
+        isinstance(got, (list, tuple))
+        and got and isinstance(got[0], _RECORDS)
+        and type(got) is type(want) and len(got) == len(want)
+    ):
+        for i, (mine, theirs) in enumerate(zip(got, want)):
+            difference = record_difference(mine, theirs)
+            if difference is not None:
+                return f"[{i}]{difference}"
+        return None
+    if isinstance(got, dict) and isinstance(want, dict):
+        got, want = list(got.items()), list(want.items())
+    return None if got == want else f": {got!r} != reference {want!r}"
+
+
 def certification_difference(
     answer: ResultSet,
     stats: CertificationStats,
     expected: ResultSet,
     expected_stats: CertificationStats,
 ) -> Optional[str]:
-    """Why a kernel answer differs from the reference's, or ``None``.
-
-    Stricter than ``==`` on the result sets: binding order counts (it
-    reaches every export), and so do ``conditions``, which
-    :class:`GlobalResult` declares ``compare=False``.
-    """
-    if stats != expected_stats:
-        return f"stats {stats} != reference {expected_stats}"
-    if answer.targets != expected.targets:
-        return "target lists differ"
-    for part in ("certain", "maybe"):
-        got, want = getattr(answer, part), getattr(expected, part)
-        if [r.goid for r in got] != [r.goid for r in want]:
-            return (
-                f"{part} entities {[str(r.goid) for r in got]} != "
-                f"reference {[str(r.goid) for r in want]}"
-            )
-        for mine, theirs in zip(got, want):
-            if mine != theirs or (
-                list(mine.bindings.items()) != list(theirs.bindings.items())
-            ):
-                return f"{part} {mine.goid}: {mine} != reference {theirs}"
-            if mine.conditions != theirs.conditions:
-                return (
-                    f"{part} {mine.goid}: conditions "
-                    f"{[str(c) for c in mine.conditions]} != reference "
-                    f"{[str(c) for c in theirs.conditions]}"
-                )
+    """Why a kernel answer differs from the reference's, or ``None``."""
+    for what, got, want in (
+        ("stats", stats, expected_stats), ("answer", answer, expected)
+    ):
+        difference = record_difference(got, want)
+        if difference is not None:
+            return what + difference
     return None
 
 
@@ -364,3 +414,365 @@ def shadowed_certify(differences: List[str]) -> Iterator[None]:
     finally:
         for module in holders:
             module.certify = production
+
+
+# --- local query execution (steps BL_C1 / PL_C2) -----------------------------
+
+
+def execute_local_reference(
+    db: ComponentDatabase, query: LocalQuery
+) -> LocalResultSet:
+    """:meth:`ComponentDatabase.execute_local`, one object at a time."""
+    if query.db_name != db.name:
+        raise ObjectStoreError(
+            f"query for db {query.db_name!r} executed at {db.name!r}"
+        )
+    result = LocalResultSet(db_name=db.name, range_class=query.range_class)
+    meter = EvalMeter()
+    candidates, probe = db._select_candidates(query)
+    result.index_probe = probe
+    if probe is not None:
+        meter.comparisons += probe.comparisons
+    for obj in candidates:
+        result.objects_scanned += 1
+        row = _evaluate_root_object(db, obj, query, meter)
+        if row is not None:
+            result.rows.append(row)
+    result.comparisons = meter.comparisons
+    result.derefs = meter.derefs
+    return result
+
+
+def _evaluate_root_object(
+    db: ComponentDatabase, obj: LocalObject, query: LocalQuery,
+    meter: EvalMeter,
+) -> Optional[LocalResultRow]:
+    outcome = evaluate_dnf(obj, query.where, db.deref, meter)
+    if outcome.tv is TV.FALSE:
+        return None
+
+    root_unsolved: List[UnsolvedPredicateOnObject] = []
+    items: Dict[LOid, UnsolvedItem] = {}
+    status: Dict[Predicate, TV] = {}
+
+    # Per-predicate statuses from every conjunct; unsolved predicates
+    # discovered dynamically (null values) are located on their holder.
+    for conj_outcome in outcome.conjunctions:
+        for pred_outcome in conj_outcome.outcomes:
+            if pred_outcome.predicate in status:
+                continue
+            status[pred_outcome.predicate] = pred_outcome.tv
+            missing = pred_outcome.missing
+            if pred_outcome.tv is TV.UNKNOWN and missing is not None:
+                _record_unsolved(
+                    db,
+                    obj,
+                    pred_outcome.predicate,
+                    missing.depth,
+                    root_unsolved,
+                    items,
+                    meter,
+                )
+
+    # Predicates removed because of missing attributes of local classes:
+    # statically unsolved for every object at this site.
+    for removed in query.removed:
+        if removed.predicate not in status:
+            status[removed.predicate] = TV.UNKNOWN
+        _record_unsolved(
+            db,
+            obj,
+            removed.predicate,
+            removed.missing_depth,
+            root_unsolved,
+            items,
+            meter,
+        )
+
+    kind = (
+        RowKind.CERTAIN
+        if _locally_certain(query, status)
+        else RowKind.MAYBE
+    )
+    bindings = _bind_targets(db, obj, query.targets, meter)
+    return LocalResultRow(
+        loid=obj.loid,
+        class_name=obj.class_name,
+        kind=kind,
+        bindings=bindings,
+        unsolved=tuple(root_unsolved) if kind is RowKind.MAYBE else (),
+        unsolved_items=tuple(items.values()) if kind is RowKind.MAYBE else (),
+        predicate_status=status,
+    )
+
+
+def _locally_certain(query: LocalQuery, status: Dict[Predicate, TV]) -> bool:
+    """True when some conjunct is fully TRUE and lost no predicate.
+
+    The reference's own copy of the kernel's rule, so a slip in either
+    shows as a difference.
+    """
+    if not query.where:
+        return not query.removed
+    removed_by_conjunct = query.removed_by_conjunct or tuple(
+        () for _ in query.where
+    )
+    for conjunct, removed in zip(query.where, removed_by_conjunct):
+        if removed:
+            continue
+        if all(status.get(p) is TV.TRUE for p in conjunct):
+            return True
+    return False
+
+
+def _record_unsolved(
+    db: ComponentDatabase,
+    root: LocalObject,
+    predicate: Predicate,
+    missing_depth: int,
+    root_unsolved: List[UnsolvedPredicateOnObject],
+    items: Dict[LOid, UnsolvedItem],
+    meter: EvalMeter,
+) -> None:
+    """Attach *predicate* as unsolved on the object holding the data.
+
+    Walks the path prefix up to *missing_depth* to locate the holder;
+    the walk may be blocked even earlier by a null reference, in which
+    case the blocking object is the holder.
+    """
+    holder, depth = _holder_at_depth(
+        db, root, predicate.path, missing_depth, meter
+    )
+    relative = UnsolvedPredicateOnObject(
+        original=predicate,
+        relative_path=Path(predicate.path.steps[depth:]),
+    )
+    if holder.loid == root.loid:
+        if relative not in root_unsolved:
+            root_unsolved.append(relative)
+        return
+    item = items.get(holder.loid)
+    if item is None:
+        items[holder.loid] = UnsolvedItem(
+            loid=holder.loid,
+            class_name=holder.class_name,
+            reached_via=Path(predicate.path.steps[:depth]),
+            unsolved=(relative,),
+        )
+    elif relative not in item.unsolved:
+        items[holder.loid] = UnsolvedItem(
+            loid=item.loid,
+            class_name=item.class_name,
+            reached_via=item.reached_via,
+            unsolved=item.unsolved + (relative,),
+        )
+
+
+def _holder_at_depth(
+    db: ComponentDatabase, root: LocalObject, path: Path, depth: int,
+    meter: EvalMeter,
+) -> Tuple[LocalObject, int]:
+    """Object on which path step *depth* would be read (or the blocker)."""
+    current = root
+    for index in range(depth):
+        value = current.get(path.steps[index])
+        if is_null(value):
+            return current, index
+        if not isinstance(value, LOid):
+            return current, index
+        meter.derefs += 1
+        nxt = db.deref(value)
+        if nxt is None:
+            return current, index
+        current = nxt
+    return current, depth
+
+
+def _bind_targets(
+    db: ComponentDatabase, obj: LocalObject, targets: Tuple[Path, ...],
+    meter: EvalMeter,
+) -> Dict[Path, Value]:
+    bindings: Dict[Path, Value] = {}
+    for target in targets:
+        walk = walk_path(obj, target, db.deref, meter)
+        bindings[target] = NULL if walk.is_missing else walk.value
+    return bindings
+
+
+# --- phase-O-first scan (step PL_C1) ------------------------------------------
+
+
+def collect_unsolved_reference(
+    db: ComponentDatabase, query: LocalQuery
+) -> Tuple[UnsolvedScan, EvalMeter]:
+    """:meth:`ComponentDatabase.collect_unsolved`, one object at a time."""
+    if query.db_name != db.name:
+        raise ObjectStoreError(
+            f"query for db {query.db_name!r} executed at {db.name!r}"
+        )
+    meter = EvalMeter()
+    scan = UnsolvedScan(db_name=db.name, range_class=query.range_class)
+    local_predicates = query.local_predicates
+    for obj in db.extent(query.range_class).values():
+        scan.objects_scanned += 1
+        root_unsolved: List[UnsolvedPredicateOnObject] = []
+        items: Dict[LOid, UnsolvedItem] = {}
+        for predicate in local_predicates:
+            meter.comparisons += 1  # missing-data probe
+            walk = walk_path(obj, predicate.path, db.deref, meter)
+            if walk.is_missing and walk.missing is not None:
+                _record_unsolved(
+                    db,
+                    obj,
+                    predicate,
+                    walk.missing.depth,
+                    root_unsolved,
+                    items,
+                    meter,
+                )
+        for removed in query.removed:
+            meter.comparisons += 1  # missing-data probe
+            _record_unsolved(
+                db,
+                obj,
+                removed.predicate,
+                removed.missing_depth,
+                root_unsolved,
+                items,
+                meter,
+            )
+        if root_unsolved or items:
+            scan.per_root[obj.loid] = (
+                tuple(root_unsolved),
+                tuple(items.values()),
+            )
+    return scan, meter
+
+
+# --- assistant checking (steps BL_C3 / PL_C3) ---------------------------------
+
+
+def check_assistants_reference(
+    db: ComponentDatabase, request: CheckRequest
+) -> CheckReport:
+    """:meth:`ComponentDatabase.check_assistants`, one object at a time."""
+    if request.db_name != db.name:
+        raise ObjectStoreError(
+            f"check request for db {request.db_name!r} executed at "
+            f"{db.name!r}"
+        )
+    report = CheckReport(db_name=db.name, class_name=request.class_name)
+    meter = EvalMeter()
+    satisfied: Dict[Predicate, List[LOid]] = {p: [] for p in request.predicates}
+    violated: Dict[Predicate, List[LOid]] = {p: [] for p in request.predicates}
+    unknown: Dict[Predicate, List[LOid]] = {p: [] for p in request.predicates}
+    blocked: List[BlockedAt] = []
+    for loid in request.loids:
+        obj = db.get(loid)
+        report.objects_checked += 1
+        for predicate in request.predicates:
+            if obj is None:
+                unknown[predicate].append(loid)
+                continue
+            outcome = evaluate_predicate(obj, predicate, db.deref, meter)
+            if outcome.tv is TV.TRUE:
+                satisfied[predicate].append(loid)
+            elif outcome.tv is TV.FALSE:
+                violated[predicate].append(loid)
+            else:
+                unknown[predicate].append(loid)
+                missing = outcome.missing
+                if missing is not None and missing.holder_id != loid:
+                    # Stuck at a *different* object: report it so the
+                    # global site can chase its isomeric copies.
+                    blocked.append(
+                        BlockedAt(
+                            checked=loid,
+                            predicate=predicate,
+                            holder=missing.holder_id,  # type: ignore[arg-type]
+                            holder_class=missing.holder_class,
+                            remaining=Predicate(
+                                path=Path(
+                                    predicate.path.steps[missing.depth:]
+                                ),
+                                op=predicate.op,
+                                operand=predicate.operand,
+                            ),
+                        )
+                    )
+    report.satisfied = {p: tuple(v) for p, v in satisfied.items()}
+    report.violated = {p: tuple(v) for p, v in violated.items()}
+    report.unknown = {p: tuple(v) for p, v in unknown.items()}
+    report.blocked = tuple(blocked)
+    report.comparisons = meter.comparisons
+    report.derefs = meter.derefs
+    return report
+
+
+def local_evaluation_difference(got, want) -> Optional[str]:
+    """Why a kernel result differs from the reference's, or ``None``.
+
+    Takes what any of the three methods returns — a
+    :class:`LocalResultSet`, an ``(UnsolvedScan, EvalMeter)`` pair or a
+    :class:`CheckReport` — and compares all of it: rows field by field
+    with binding and status order, unsolved bookkeeping, the index probe
+    and every meter.
+    """
+    difference = record_difference(got, want)
+    return None if difference is None else "result" + difference
+
+
+def _attempt(method, db, arg):
+    """``(result, None)``, or ``(None, the exception raised)``."""
+    try:
+        return method(db, arg), None
+    except Exception as exc:  # compared by type and message by the caller
+        return None, exc
+
+
+@contextlib.contextmanager
+def shadowed_local_evaluation(differences: List[str]) -> Iterator[None]:
+    """Run the reference beside every local evaluation made in the block.
+
+    ``execute_local``, ``collect_unsolved`` and ``check_assistants`` are
+    rebound on :class:`ComponentDatabase` to wrappers that answer the
+    same request twice — kernel, then reference — and append a line to
+    *differences* when the results differ, or when one side raises and
+    the other does not raise the same type and message.  The caller gets
+    the kernel's result (or exception) either way.  The methods are
+    restored on exit; this is test scaffolding and swaps class
+    attributes, so it is not for concurrent use.
+    """
+    references = {
+        "execute_local": execute_local_reference,
+        "collect_unsolved": collect_unsolved_reference,
+        "check_assistants": check_assistants_reference,
+    }
+    kernels = {name: getattr(ComponentDatabase, name) for name in references}
+
+    def both(name: str):
+        kernel, reference = kernels[name], references[name]
+
+        def evaluate(db, request):
+            got, raised = _attempt(kernel, db, request)
+            want, expected = _attempt(reference, db, request)
+            difference = None
+            if (type(raised), str(raised)) != (type(expected), str(expected)):
+                difference = f"raised {raised!r} != reference {expected!r}"
+            elif raised is None:
+                difference = local_evaluation_difference(got, want)
+            if difference is not None:
+                differences.append(f"{name} at {db.name}: {difference}")
+            if raised is not None:
+                raise raised
+            return got
+
+        return evaluate
+
+    for name in references:
+        setattr(ComponentDatabase, name, both(name))
+    try:
+        yield
+    finally:
+        for name, kernel in kernels.items():
+            setattr(ComponentDatabase, name, kernel)

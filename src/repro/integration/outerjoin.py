@@ -30,7 +30,7 @@ from repro.integration.global_schema import GlobalSchema
 from repro.integration.mapping import MappingCatalog
 from repro.objectdb.ids import GOid, LOid
 from repro.objectdb.objects import IntegratedObject, LocalObject
-from repro.objectdb.values import MultiValue, NULL, Value, is_null
+from repro.objectdb.values import MultiValue, Value, is_null
 
 
 @dataclass
@@ -129,7 +129,6 @@ def integrate_class(
     catalog: MappingCatalog,
     exports: Mapping[str, Iterable[LocalObject]],
     stats: Optional[IntegrationStats] = None,
-    columnar: bool = True,
 ) -> Dict[GOid, IntegratedObject]:
     """Outerjoin the exported constituent extents of *global_class*.
 
@@ -139,10 +138,6 @@ def integrate_class(
             attributes); accepts a plain mapping or a
             :class:`SiteExports`.
         stats: optional accumulator for integration work.
-        columnar: use the batched merge (per-class attribute metadata
-            and mapping tables hoisted out of the per-object loop).
-            Output objects, stats charges, and raised errors are
-            identical either way.
 
     Merge policy per attribute (matching Figure 6):
         * multi-valued attributes collect all distinct non-null values;
@@ -171,58 +166,9 @@ def integrate_class(
                 )
             grouped.setdefault(goid, []).append(obj)
 
-    if columnar:
-        return _merge_groups_batched(
-            global_class, cdef, catalog, grouped, stats
-        )
-
-    integrated: Dict[GOid, IntegratedObject] = {}
-    for goid, contributors in grouped.items():
-        values: Dict[str, Value] = {}
-        for attr in cdef.attributes:
-            merged = _merge_attribute(
-                attr.name,
-                attr.multi_valued,
-                attr.is_complex,
-                attr.domain,
-                contributors,
-                catalog,
-                stats,
-            )
-            if not is_null(merged):
-                values[attr.name] = merged
-        integrated[goid] = IntegratedObject(
-            goid=goid,
-            class_name=global_class,
-            values=values,
-            sources=tuple(obj.loid for obj in contributors),
-        )
-        stats.objects_out += 1
-    return integrated
-
-
-def _merge_groups_batched(
-    global_class: str,
-    cdef,
-    catalog: MappingCatalog,
-    grouped: Dict[GOid, List[LocalObject]],
-    stats: IntegrationStats,
-) -> Dict[GOid, IntegratedObject]:
-    """Batched merge: one pass per attribute column over all groups.
-
-    The per-object path re-reads attribute metadata (name, flags,
-    domain) from the schema and re-resolves the domain's mapping table
-    through the catalog for every ``(group, attribute)`` pair; here both
-    are hoisted once per class into a flat descriptor list the group
-    loop runs over.  Transparency contract: integrated objects, stats
-    charges, and :class:`MappingError`\\ s are identical to the
-    per-object merge — the (group, attribute, contributor) visit order
-    is unchanged, so first-non-null selection, translation charges, and
-    the first error raised all coincide.
-    """
-    # Hoisted per-attribute metadata: (name, multi_valued, is_complex,
-    # domain mapping table or None).  catalog.table() is resolved once
-    # per complex attribute instead of once per (group, member).
+    # Per-attribute metadata, read once per class: (name, multi_valued,
+    # is_complex, domain mapping table or None).  catalog.table() is
+    # resolved once per complex attribute, not per (group, member).
     attr_meta = [
         (
             attr.name,
@@ -248,6 +194,8 @@ def _merge_groups_batched(
                 )
                 for member in members:
                     if is_complex:
+                        # Rewrite a complex-attribute LOid to the GOid
+                        # of its entity.
                         if isinstance(member, GOid):
                             collected.append(member)
                             continue
@@ -264,7 +212,10 @@ def _merge_groups_batched(
                         stats.comparisons += 1  # mapping-table probe
                         translated = domain_table.goid_of(member)
                         if translated is None:
-                            # Dangling local reference -> missing data.
+                            # Dangling local reference: the referenced
+                            # entity was never catalogued.  Treat as
+                            # missing data rather than failing the whole
+                            # integration.
                             continue
                         collected.append(translated)
                     else:
@@ -285,77 +236,14 @@ def _merge_groups_batched(
     return integrated
 
 
-def _merge_attribute(
-    name: str,
-    multi_valued: bool,
-    is_complex: bool,
-    domain: Optional[str],
-    contributors: List[LocalObject],
-    catalog: MappingCatalog,
-    stats: IntegrationStats,
-) -> Value:
-    """Merge one attribute across isomeric contributors."""
-    collected: List[Value] = []
-    for obj in contributors:
-        raw = obj.get(name)
-        if is_null(raw):
-            continue
-        members = list(raw) if isinstance(raw, MultiValue) else [raw]
-        for member in members:
-            if is_complex:
-                member = _translate_reference(member, domain, catalog, stats)
-                if is_null(member):
-                    continue
-            collected.append(member)
-        if collected and not multi_valued:
-            break  # first non-null contributor wins
-    if not collected:
-        return NULL
-    if multi_valued:
-        return MultiValue(collected)
-    return collected[0]
-
-
-def _translate_reference(
-    value: Value,
-    domain: Optional[str],
-    catalog: MappingCatalog,
-    stats: IntegrationStats,
-) -> Value:
-    """Rewrite a complex-attribute LOid to the GOid of its entity."""
-    if isinstance(value, GOid):
-        return value
-    if not isinstance(value, LOid):
-        raise MappingError(
-            f"complex attribute holds non-reference value {value!r}"
-        )
-    if domain is None:
-        raise MappingError("complex attribute without a domain class")
-    stats.translations += 1
-    stats.comparisons += 1  # mapping-table probe
-    goid = catalog.table(domain).goid_of(value)
-    if goid is None:
-        # Dangling local reference: the referenced entity was never
-        # catalogued.  Treat as missing data rather than failing the whole
-        # integration.
-        return NULL
-    return goid
-
-
 def materialize(
     global_classes: Iterable[str],
     global_schema: GlobalSchema,
     catalog: MappingCatalog,
     exports_by_class: Mapping[str, Mapping[str, Iterable[LocalObject]]],
     stats: Optional[IntegrationStats] = None,
-    columnar: bool = True,
 ) -> GlobalExtent:
-    """Integrate several global classes into one :class:`GlobalExtent`.
-
-    *columnar* picks the batched per-class merge (the default) or the
-    historical per-object merge; the materialized extent is identical
-    either way.
-    """
+    """Integrate several global classes into one :class:`GlobalExtent`."""
     extent = GlobalExtent()
     for class_name in global_classes:
         integrated = integrate_class(
@@ -364,7 +252,6 @@ def materialize(
             catalog,
             exports_by_class.get(class_name, {}),
             stats,
-            columnar=columnar,
         )
         extent.install(class_name, integrated)
     return extent

@@ -1,10 +1,9 @@
 """Columnar extent views: per-attribute parallel arrays + batch 3VL kernels.
 
-The row path (:mod:`repro.objectdb.database`) evaluates predicates one
-object at a time, re-walking every path expression and allocating a
-:class:`~repro.core.predicates.PathOutcome` per (object, predicate)
-occurrence.  A :class:`ColumnarExtent` is a cached, versioned view of one
-class extent that turns those per-object walks into *columns*:
+Local evaluation (:mod:`repro.objectdb.database`) never walks a path or
+compares a value object by object.  A :class:`ColumnarExtent` is a
+cached, versioned view of one class extent that holds those per-object
+walks as *columns*:
 
 * :meth:`ColumnarExtent.column` — one parallel array per attribute with an
   explicit null bitmap (bit ``r`` set when row ``r`` is NULL), the paper's
@@ -22,22 +21,24 @@ class extent that turns those per-object walks into *columns*:
 * :meth:`ColumnarExtent.dnf_summary` — the whole ``Where`` clause reduced
   to one code array plus per-row comparison/deref charge arrays.
 
-Transparency contract
----------------------
+What the kernels owe a scan
+---------------------------
 
-The columnar path must be *byte-identical* to the row path: same rows,
-same unsolved bookkeeping, same :class:`~repro.core.predicates.EvalMeter`
-totals, and the same exceptions.  Two mechanisms keep that honest:
+The modelled site scans its extent object by object with
+:mod:`repro.core.predicates`; the kernels must give the same rows, the
+same unsolved bookkeeping, the same
+:class:`~repro.core.predicates.EvalMeter` totals and the same
+exceptions (``repro.difftest`` keeps that scan as the reference and
+shadows every kernel call with it):
 
-* charge arrays replicate the row path's metering per (row, occurrence),
-  so aggregating them gives the exact row-path totals;
-* a row whose evaluation would raise (non-reference mid-path, unorderable
+* charge arrays hold the scan's metering per (row, occurrence), so
+  aggregating them gives its exact totals;
+* a row whose evaluation raises (non-reference mid-path, unorderable
   operands, ``CONTAINS`` on a scalar, ...) is recorded as an *error row*
-  instead of raising eagerly.  Callers that would touch an error row
-  abandon the columnar attempt entirely and re-run the unmodified row
-  path, which raises the canonical exception in canonical order.  Rows
-  outside the candidate set may hold error markers harmlessly — the row
-  path would never have evaluated them either.
+  and building a column never raises.  A caller that is about to read an
+  error row evaluates the first such object, in its own scan order, with
+  the per-object evaluator, which raises the canonical exception.  Rows
+  no scan would reach may hold error markers harmlessly.
 
 Views are keyed by :attr:`ComponentDatabase.data_version`, which every
 insert and every :meth:`ComponentDatabase.note_mutation` bumps, so a
@@ -61,7 +62,6 @@ from typing import (
 from repro.core.predicates import EvalMeter, compare_values
 from repro.core.query import Conjunction, Op, Path, Predicate
 from repro.core.tvl import TV
-from repro.errors import QueryError
 from repro.objectdb.ids import GOid, LOid
 from repro.objectdb.local_query import UnsolvedPredicateOnObject
 from repro.objectdb.objects import LocalObject
@@ -120,9 +120,9 @@ class WalkColumn:
     ``miss[r]`` is ``None`` when the walk reached a (non-null) final
     value, else ``(depth, holder_loid, holder_class)`` — the columnar
     form of :class:`~repro.core.predicates.MissingAt`.  ``derefs[r]``
-    counts the dereferences the row path would charge (including the one
-    paid *before* a dangling deref).  ``errors`` maps row -> the
-    exception the row path would raise there.
+    counts the dereferences a scan is charged (including the one paid
+    *before* a dangling deref).  ``errors`` holds the rows where
+    :func:`~repro.core.predicates.walk_path` raises.
     """
 
     __slots__ = ("values", "miss", "derefs", "errors", "_index")
@@ -132,7 +132,7 @@ class WalkColumn:
         values: List[Value],
         miss: List[Optional[Miss]],
         derefs: List[int],
-        errors: Dict[int, BaseException],
+        errors: Set[int],
     ):
         self.values = values
         self.miss = miss
@@ -206,8 +206,8 @@ class PredicateColumn:
     """One predicate evaluated over every row: codes + charge arrays.
 
     ``codes[r]`` is the packed 3VL verdict (missing rows are UNKNOWN).
-    ``comparisons[r]`` is the comparison charge the row path would pay
-    (0 for missing rows — the row path never reaches ``compare_values``
+    ``comparisons[r]`` is the comparison charge a scan pays
+    (0 for missing rows — it never reaches ``compare_values``
     there); ``derefs[r]`` the walk's deref charge.  ``miss`` aliases the
     walk column's missing locations; ``error_rows`` is the union of walk
     and compare error rows.
@@ -236,7 +236,7 @@ class DnfSummary:
     ``codes[r]`` is the DNF verdict (``max`` over conjuncts of ``min``
     over that conjunct's predicate codes); ``comparisons[r]`` /
     ``derefs[r]`` are the total evaluation charges for row ``r`` across
-    *every* (conjunct, predicate) occurrence — the row path evaluates
+    *every* (conjunct, predicate) occurrence — a scan evaluates
     them all (no short-circuit), so charges are occurrence-exact.
     """
 
@@ -258,11 +258,10 @@ class DnfSummary:
 class UnsolvedEntry:
     """Precomputed unsolved bookkeeping for one (row, predicate) miss.
 
-    Mirrors ``ComponentDatabase._record_unsolved``: the holder object the
-    relative predicate attaches to (``is_root`` when it is the row's root
-    object itself), the relative predicate/``reached_via`` prefix — shared
-    across rows blocked at the same depth — and the deref charge the row
-    path pays walking to the holder.
+    The holder object the relative predicate attaches to (``is_root``
+    when it is the row's root object itself), the relative
+    predicate/``reached_via`` prefix — shared across rows blocked at the
+    same depth — and the deref charge a scan pays walking to the holder.
     """
 
     __slots__ = (
@@ -313,9 +312,7 @@ class ColumnarExtent:
         self._attrs: Dict[str, AttributeColumn] = {}
         self._walks: Dict[Tuple[str, ...], WalkColumn] = {}
         self._preds: Dict[Predicate, PredicateColumn] = {}
-        self._dnfs: Dict[
-            Tuple[Conjunction, ...], Optional[DnfSummary]
-        ] = {}
+        self._dnfs: Dict[Tuple[Conjunction, ...], DnfSummary] = {}
         self._unsolved: Dict[
             Tuple[Predicate, Optional[int]], "UnsolvedColumn"
         ] = {}
@@ -362,11 +359,11 @@ class ColumnarExtent:
         steps = path.steps
         n = len(self.objects)
         last = len(steps) - 1
-        errors: Dict[int, BaseException] = {}
+        errors: Set[int] = set()
         if last == 0:
             # Single-step path: a projection of the attribute column.
-            # The row path reports a null *final* value as missing (the
-            # null check precedes the is-final check in walk_path).
+            # A null *final* value is missing (the null check precedes
+            # the is-final check in walk_path).
             attr = self.column(steps[0])
             miss: List[Optional[Miss]] = [None] * n
             bitmap = attr.null_bitmap
@@ -393,12 +390,9 @@ class ColumnarExtent:
                     values[row] = value
                     break
                 if not isinstance(value, (LOid, GOid)):
-                    errors[row] = QueryError(
-                        f"path {path}: step {step!r} holds non-reference "
-                        f"{value!r} but is not final"
-                    )
+                    errors.add(row)  # walk_path raises here
                     break
-                paid += 1  # the row path charges before a failed deref
+                paid += 1  # a scan is charged before a failed deref
                 nxt = deref(value)
                 if nxt is None:
                     miss[row] = (depth, current.loid, current.class_name)
@@ -409,16 +403,9 @@ class ColumnarExtent:
 
     # --- predicate / DNF kernels ---------------------------------------------
 
-    def predicate_column(self, predicate: Predicate) -> Optional[PredicateColumn]:
-        """Evaluate *predicate* over every row (cached per operand).
-
-        Returns ``None`` when the operand is unhashable (no caching);
-        callers must fall back to the row path.
-        """
-        try:
-            col = self._preds.get(predicate)
-        except TypeError:
-            return None
+    def predicate_column(self, predicate: Predicate) -> PredicateColumn:
+        """Evaluate *predicate* over every row (cached per operand)."""
+        col = self._preds.get(predicate)
         if col is None:
             col = self._preds[predicate] = self._build_compare(predicate)
         return col
@@ -456,33 +443,20 @@ class ColumnarExtent:
                     compare_values(op, wvalues[row], operand, meter)
                 ]
                 comps[row] = meter.comparisons
-            except Exception:  # the row path raises this, in scan order
+            except Exception:  # raised by whoever reads this row first
                 codes[row] = UNKNOWN_CODE
                 comps[row] = 0
                 error_rows.add(row)
         return PredicateColumn(codes, comps, walk.derefs, walk.miss, error_rows)
 
-    def dnf_summary(
-        self, where: Tuple[Conjunction, ...]
-    ) -> Optional[DnfSummary]:
-        """Reduce a whole ``Where`` clause to flat per-row arrays (cached).
-
-        Returns ``None`` when any operand is unhashable; callers fall
-        back to the row path.
-        """
-        try:
-            cached = self._dnfs.get(where)
-            known = where in self._dnfs
-        except TypeError:
-            return None
-        if cached is None and not known:
-            cached = self._build_dnf(where)
-            self._dnfs[where] = cached
+    def dnf_summary(self, where: Tuple[Conjunction, ...]) -> DnfSummary:
+        """Reduce a whole ``Where`` clause to flat per-row arrays (cached)."""
+        cached = self._dnfs.get(where)
+        if cached is None:
+            cached = self._dnfs[where] = self._build_dnf(where)
         return cached
 
-    def _build_dnf(
-        self, where: Tuple[Conjunction, ...]
-    ) -> Optional[DnfSummary]:
+    def _build_dnf(self, where: Tuple[Conjunction, ...]) -> DnfSummary:
         n = len(self.objects)
         if not where:
             return DnfSummary([TRUE_CODE] * n, [0] * n, [0] * n, set())
@@ -494,8 +468,6 @@ class ColumnarExtent:
             conj_codes: Optional[List[int]] = None
             for predicate in conjunct:
                 col = self.predicate_column(predicate)
-                if col is None:
-                    return None
                 error_rows.update(col.error_rows)
                 comparisons = list(map(add, comparisons, col.comparisons))
                 derefs = list(map(add, derefs, col.derefs))
@@ -516,23 +488,16 @@ class ColumnarExtent:
 
     # --- unsolved bookkeeping columns ----------------------------------------
 
-    def row_bookkeeping(self, key: object) -> Optional[Dict[int, tuple]]:
-        """Mutable per-row memo for one query shape (or ``None``).
+    def row_bookkeeping(self, key: object) -> Dict[int, tuple]:
+        """Mutable per-row memo for one query shape.
 
         The caller owns the contents: it stores whatever per-row
         bookkeeping (status dict, unsolved tuples, kind, charges) one
         query shape produces, so a repeated query re-reads it instead of
         re-deriving it.  Everything stored is deterministic given this
-        extent version.  ``None`` when *key* is unhashable.
+        extent version.
         """
-        try:
-            memo = self._row_book.get(key)
-        except TypeError:
-            return None
-        if memo is None:
-            memo = {}
-            self._row_book[key] = memo
-        return memo
+        return self._row_book.setdefault(key, {})
 
     def unsolved_column(
         self, predicate: Predicate, depth: Optional[int] = None
@@ -544,7 +509,7 @@ class ColumnarExtent:
         *depth* (a statically removed predicate) **every** row gets an
         entry: the holder walk retraces the path prefix and may be
         blocked earlier than *depth* by a null/non-reference value or a
-        dangling reference, exactly like the row path's holder walk.
+        dangling reference.
 
         The holder walk is shared by every predicate on the same path;
         the column (and the relative predicates it hands out) is cached
@@ -552,10 +517,7 @@ class ColumnarExtent:
         """
         holders = self._holders(predicate.path, depth)
         key = (predicate, depth)
-        try:
-            col = self._unsolved.get(key)
-        except TypeError:  # unhashable operand: the column is not kept
-            return UnsolvedColumn(predicate, holders)
+        col = self._unsolved.get(key)
         if col is None:
             col = self._unsolved[key] = UnsolvedColumn(predicate, holders)
         return col
@@ -592,7 +554,7 @@ class ColumnarExtent:
                 if is_null(value) or not isinstance(value, LOid):
                     reached = index
                     break
-                paid += 1  # the row path charges before a failed deref
+                paid += 1  # a scan is charged before a failed deref
                 nxt = deref(value)
                 if nxt is None:
                     reached = index
@@ -641,8 +603,8 @@ class UnsolvedColumn:
         parts = self._parts.get(reached)
         if parts is None:
             steps = self.predicate.path.steps
-            # At depth 0 the holder is the root itself: the row path
-            # never builds a reached-via prefix there.
+            # At depth 0 the holder is the root itself: no reached-via
+            # prefix is ever read there.
             parts = self._parts[reached] = (
                 UnsolvedPredicateOnObject(
                     original=self.predicate,

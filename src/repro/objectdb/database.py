@@ -38,7 +38,6 @@ from repro.objectdb.columnar import (
 from repro.objectdb.ids import GOid, LOid
 from repro.objectdb.indexes import IndexManager, IndexProbe
 from repro.objectdb.local_query import (
-    BatchPredicateSets,
     BlockedAt,
     CheckReport,
     CheckRequest,
@@ -49,11 +48,10 @@ from repro.objectdb.local_query import (
     RowKind,
     UnsolvedItem,
     UnsolvedPredicateOnObject,
-    partition_codes,
 )
 from repro.objectdb.objects import LocalObject
 from repro.objectdb.schema import ComponentSchema
-from repro.objectdb.values import NULL, Value, is_null
+from repro.objectdb.values import NULL, Value
 
 
 @dataclass
@@ -228,9 +226,7 @@ class ComponentDatabase:
 
     # --- local query execution (steps BL_C1 / PL_C2) -------------------------
 
-    def execute_local(
-        self, query: LocalQuery, *, columnar: bool = True
-    ) -> LocalResultSet:
+    def execute_local(self, query: LocalQuery) -> LocalResultSet:
         """Evaluate *query* against the local root class extent.
 
         Objects whose local predicates are FALSE are eliminated.  For the
@@ -239,70 +235,28 @@ class ComponentDatabase:
         and the unsolved items (branch objects with missing data) together
         with their relative unsolved predicates.
 
-        With ``columnar`` (the default) evaluation runs over the cached
-        :class:`~repro.objectdb.columnar.ColumnarExtent` batch kernels —
-        byte-identical rows and meter totals; the row path runs instead
-        whenever the columnar attempt would hit an evaluation error or an
-        uncacheable operand (see docs/PERFORMANCE.md).
+        Evaluation is one pass over the cached
+        :class:`~repro.objectdb.columnar.ColumnarExtent` kernels; the
+        meter totals are what a site scanning every candidate object by
+        object would be charged (see docs/PERFORMANCE.md).
         """
         if query.db_name != self.name:
             raise ObjectStoreError(
                 f"query for db {query.db_name!r} executed at {self.name!r}"
             )
-        if columnar:
-            result = self._execute_local_columnar(query)
-            if result is not None:
-                return result
-        result = LocalResultSet(db_name=self.name, range_class=query.range_class)
-        meter = EvalMeter()
-        candidates, probe = self._select_candidates(query)
-        result.index_probe = probe
-        if probe is not None:
-            meter.comparisons += probe.comparisons
-        for obj in candidates:
-            result.objects_scanned += 1
-            row = self._evaluate_root_object(obj, query, meter)
-            if row is not None:
-                result.rows.append(row)
-        result.comparisons = meter.comparisons
-        result.derefs = meter.derefs
-        return result
-
-    def _execute_local_columnar(
-        self, query: LocalQuery
-    ) -> Optional[LocalResultSet]:
-        """One-pass columnar evaluation; ``None`` means "use the row path".
-
-        The transparency contract: rows, bookkeeping, and meter totals
-        are byte-identical to the row path.  The columnar attempt is
-        abandoned (returning ``None``, with no observable side effects)
-        whenever a *candidate* row carries an error marker — the row path
-        then raises the canonical exception in canonical order — or when
-        an operand is unhashable, which defeats column caching.
-        """
         col = self.columnar_extent(query.range_class)
         summary = col.dnf_summary(query.where)
-        if summary is None:
-            return None
         candidates, probe = self._select_candidates(query)
         if probe is None:
             rows: Sequence[int] = range(len(col.objects))
-            if summary.error_rows:
-                return None
         else:
             row_of = col.row_of
             rows = [row_of[obj.loid] for obj in candidates]
-            err = summary.error_rows
-            if err and any(r in err for r in rows):
-                return None
         target_walks = [col.walk(target) for target in query.targets]
-        for walk in target_walks:
-            if walk.errors and (
-                probe is None or any(r in walk.errors for r in rows)
-            ):
-                return None
+        if summary.error_rows or any(walk.errors for walk in target_walks):
+            self._raise_first_error(query, col, rows, summary, target_walks)
         # First-occurrence predicate order across conjuncts — the order
-        # the row path populates each row's status dict in.
+        # a row's status dict is populated in.
         ordered_preds = []
         seen = set()
         for conjunct in query.where:
@@ -310,8 +264,6 @@ class ComponentDatabase:
                 if predicate not in seen:
                     seen.add(predicate)
                     pcol = col.predicate_column(predicate)
-                    if pcol is None:
-                        return None
                     ordered_preds.append(
                         (predicate, pcol, col.unsolved_column(predicate))
                     )
@@ -346,7 +298,7 @@ class ComponentDatabase:
         by_pattern: Dict[bytes, Tuple[Dict[Predicate, TV], bool]] = {}
         for r in [r for r in rows if codes[r]]:
             obj = objects[r]
-            cached = None if memo is None else memo.get(r)
+            cached = memo.get(r)
             if cached is None:
                 packed = bytes([pcol.codes[r] for _, pcol, _ in ordered_preds])
                 shared = by_pattern.get(packed)
@@ -374,15 +326,13 @@ class ComponentDatabase:
                     entry = rcol[r]
                     unsolved_derefs += entry.derefs
                     self._apply_unsolved(entry, root_unsolved, items)
-                cached = (
+                cached = memo[r] = (
                     RowKind.MAYBE if maybe else RowKind.CERTAIN,
                     status,
                     tuple(root_unsolved) if maybe else (),
                     tuple(items.values()) if maybe else (),
                     unsolved_derefs,
                 )
-                if memo is not None:
-                    memo[r] = cached
             kind, status, unsolved_t, items_t, unsolved_derefs = cached
             deref_acc += unsolved_derefs
             bindings: Dict[Path, Value] = {}
@@ -405,6 +355,29 @@ class ComponentDatabase:
         result.comparisons = comp_acc
         result.derefs = deref_acc
         return result
+
+    def _raise_first_error(
+        self, query, col, rows, summary, target_walks
+    ) -> None:
+        """Raise what a site scanning *rows* in order would hit first.
+
+        The kernels mark an error row instead of raising; here the first
+        marked candidate is evaluated by the canonical per-object
+        evaluator, which raises the canonical exception.  A row errs when
+        its ``Where`` evaluation does, or when it survives and a target
+        walk does — in that order, as a scan evaluates before it binds.
+        Marked rows outside the candidate set, and eliminated rows with a
+        bad target walk, are never evaluated and so are harmless.
+        """
+        codes = summary.codes
+        for r in rows:
+            obj = col.objects[r]
+            if r in summary.error_rows:
+                evaluate_dnf(obj, query.where, self.deref)
+            if codes[r] != FALSE_CODE:
+                for target, walk in zip(query.targets, target_walks):
+                    if r in walk.errors:
+                        walk_path(obj, target, self.deref)
 
     def _select_candidates(
         self, query: LocalQuery
@@ -456,65 +429,6 @@ class ComponentDatabase:
         objects satisfying another disjunct."""
         return query.where if len(query.where) == 1 else ()
 
-    def _evaluate_root_object(
-        self, obj: LocalObject, query: LocalQuery, meter: EvalMeter
-    ) -> Optional[LocalResultRow]:
-        outcome = evaluate_dnf(obj, query.where, self.deref, meter)
-        if outcome.tv is TV.FALSE:
-            return None
-
-        root_unsolved: List[UnsolvedPredicateOnObject] = []
-        items: Dict[LOid, UnsolvedItem] = {}
-        status: Dict[Predicate, TV] = {}
-
-        # Per-predicate statuses from every conjunct; unsolved predicates
-        # discovered dynamically (null values) are located on their holder.
-        for conj_outcome in outcome.conjunctions:
-            for pred_outcome in conj_outcome.outcomes:
-                if pred_outcome.predicate in status:
-                    continue
-                status[pred_outcome.predicate] = pred_outcome.tv
-                missing = pred_outcome.missing
-                if pred_outcome.tv is TV.UNKNOWN and missing is not None:
-                    self._record_unsolved(
-                        obj,
-                        pred_outcome.predicate,
-                        missing.depth,
-                        root_unsolved,
-                        items,
-                        meter,
-                    )
-
-        # Predicates removed because of missing attributes of local classes:
-        # statically unsolved for every object at this site.
-        for removed in query.removed:
-            if removed.predicate not in status:
-                status[removed.predicate] = TV.UNKNOWN
-            self._record_unsolved(
-                obj,
-                removed.predicate,
-                removed.missing_depth,
-                root_unsolved,
-                items,
-                meter,
-            )
-
-        kind = (
-            RowKind.CERTAIN
-            if self._locally_certain(query, status)
-            else RowKind.MAYBE
-        )
-        bindings = self._bind_targets(obj, query.targets, meter)
-        return LocalResultRow(
-            loid=obj.loid,
-            class_name=obj.class_name,
-            kind=kind,
-            bindings=bindings,
-            unsolved=tuple(root_unsolved) if kind is RowKind.MAYBE else (),
-            unsolved_items=tuple(items.values()) if kind is RowKind.MAYBE else (),
-            predicate_status=status,
-        )
-
     @staticmethod
     def _locally_certain(query: LocalQuery, status: Dict[Predicate, TV]) -> bool:
         """True when some conjunct is fully TRUE and lost no predicate.
@@ -535,58 +449,17 @@ class ComponentDatabase:
                 return True
         return False
 
-    def _record_unsolved(
-        self,
-        root: LocalObject,
-        predicate: Predicate,
-        missing_depth: int,
-        root_unsolved: List[UnsolvedPredicateOnObject],
-        items: Dict[LOid, UnsolvedItem],
-        meter: EvalMeter,
-    ) -> None:
-        """Attach *predicate* as unsolved on the object holding the data.
-
-        Walks the path prefix up to *missing_depth* to locate the holder;
-        the walk may be blocked even earlier by a null reference, in which
-        case the blocking object is the holder.
-        """
-        holder, depth = self._holder_at_depth(
-            root, predicate.path, missing_depth, meter
-        )
-        relative = UnsolvedPredicateOnObject(
-            original=predicate,
-            relative_path=Path(predicate.path.steps[depth:]),
-        )
-        if holder.loid == root.loid:
-            if relative not in root_unsolved:
-                root_unsolved.append(relative)
-            return
-        item = items.get(holder.loid)
-        if item is None:
-            items[holder.loid] = UnsolvedItem(
-                loid=holder.loid,
-                class_name=holder.class_name,
-                reached_via=Path(predicate.path.steps[:depth]),
-                unsolved=(relative,),
-            )
-        elif relative not in item.unsolved:
-            items[holder.loid] = UnsolvedItem(
-                loid=item.loid,
-                class_name=item.class_name,
-                reached_via=item.reached_via,
-                unsolved=item.unsolved + (relative,),
-            )
-
     @staticmethod
     def _apply_unsolved(
         entry: "UnsolvedEntry",
         root_unsolved: List[UnsolvedPredicateOnObject],
         items: Dict[LOid, UnsolvedItem],
     ) -> None:
-        """:meth:`_record_unsolved` from a precomputed columnar entry.
+        """Attach *entry*'s predicate as unsolved on the object holding
+        the data: the row's root object, or an unsolved item.
 
-        Same bookkeeping, but the holder walk and the relative-predicate
-        construction were done once per extent version by
+        The holder walk and the relative-predicate construction were
+        done once per extent version by
         :meth:`~repro.objectdb.columnar.ColumnarExtent.unsolved_column`.
         """
         relative = entry.relative
@@ -610,37 +483,10 @@ class ComponentDatabase:
                 unsolved=item.unsolved + (relative,),
             )
 
-    def _holder_at_depth(
-        self, root: LocalObject, path: Path, depth: int, meter: EvalMeter
-    ) -> Tuple[LocalObject, int]:
-        """Object on which path step *depth* would be read (or the blocker)."""
-        current = root
-        for index in range(depth):
-            value = current.get(path.steps[index])
-            if is_null(value):
-                return current, index
-            if not isinstance(value, LOid):
-                return current, index
-            meter.derefs += 1
-            nxt = self.deref(value)
-            if nxt is None:
-                return current, index
-            current = nxt
-        return current, depth
-
-    def _bind_targets(
-        self, obj: LocalObject, targets: Tuple[Path, ...], meter: EvalMeter
-    ) -> Dict[Path, Value]:
-        bindings: Dict[Path, Value] = {}
-        for target in targets:
-            walk = walk_path(obj, target, self.deref, meter)
-            bindings[target] = NULL if walk.is_missing else walk.value
-        return bindings
-
     # --- phase-O-first scan (step PL_C1) --------------------------------------
 
     def collect_unsolved(
-        self, query: LocalQuery, *, columnar: bool = True
+        self, query: LocalQuery
     ) -> Tuple["UnsolvedScan", EvalMeter]:
         """Locate unsolved predicates/items for *every* root object.
 
@@ -652,74 +498,24 @@ class ComponentDatabase:
         overhead.
 
         One comparison per (object, predicate) probe is charged to the
-        meter for the missing-data test; path walks charge derefs.  With
-        ``columnar`` the probe reads cached walk columns (byte-identical
-        scan and meter totals; the row path runs when a walk would raise).
+        meter for the missing-data test; path walks charge derefs.  The
+        probes read cached walk columns; only objects with actual misses
+        (or statically removed predicates) take the per-object
+        bookkeeping path.
         """
         if query.db_name != self.name:
             raise ObjectStoreError(
                 f"query for db {query.db_name!r} executed at {self.name!r}"
             )
-        if columnar:
-            out = self._collect_unsolved_columnar(query)
-            if out is not None:
-                return out
-        meter = EvalMeter()
-        scan = UnsolvedScan(db_name=self.name, range_class=query.range_class)
-        local_predicates = query.local_predicates
-        for obj in self.extent(query.range_class).values():
-            scan.objects_scanned += 1
-            root_unsolved: List[UnsolvedPredicateOnObject] = []
-            items: Dict[LOid, UnsolvedItem] = {}
-            for predicate in local_predicates:
-                meter.comparisons += 1  # missing-data probe
-                walk = walk_path(obj, predicate.path, self.deref, meter)
-                if walk.is_missing and walk.missing is not None:
-                    self._record_unsolved(
-                        obj,
-                        predicate,
-                        walk.missing.depth,
-                        root_unsolved,
-                        items,
-                        meter,
-                    )
-            for removed in query.removed:
-                meter.comparisons += 1  # missing-data probe
-                self._record_unsolved(
-                    obj,
-                    removed.predicate,
-                    removed.missing_depth,
-                    root_unsolved,
-                    items,
-                    meter,
-                )
-            if root_unsolved or items:
-                scan.per_root[obj.loid] = (
-                    tuple(root_unsolved),
-                    tuple(items.values()),
-                )
-        return scan, meter
-
-    def _collect_unsolved_columnar(
-        self, query: LocalQuery
-    ) -> Optional[Tuple["UnsolvedScan", EvalMeter]]:
-        """Columnar PL_C1 probe; ``None`` means "use the row path".
-
-        The missing-data probes read cached walk columns; only objects
-        with actual misses (or statically removed predicates) take the
-        per-object bookkeeping path.  Comparison charges aggregate to
-        exactly ``objects x probes``, matching the row path's per-probe
-        metering.
-        """
         local_predicates = query.local_predicates
         col = self.columnar_extent(query.range_class)
-        walks = []
-        for predicate in local_predicates:
-            walk = col.walk(predicate.path)
-            if walk.errors:
-                # The row path scans every object, so it raises here.
-                return None
-            walks.append(walk)
+        walks = [col.walk(predicate.path) for predicate in local_predicates]
+        if any(walk.errors for walk in walks):
+            # Every object is probed, so a scan stops at the lowest error
+            # row, on its first predicate whose walk raises.
+            obj = col.objects[min(r for walk in walks for r in walk.errors)]
+            for predicate in local_predicates:
+                walk_path(obj, predicate.path, self.deref)
         n = len(col.objects)
         meter = EvalMeter()
         scan = UnsolvedScan(db_name=self.name, range_class=query.range_class)
@@ -765,122 +561,40 @@ class ComponentDatabase:
 
     # --- assistant checking (steps BL_C3 / PL_C3) -----------------------------
 
-    def check_assistants(
-        self, request: CheckRequest, *, columnar: bool = True
-    ) -> CheckReport:
+    def check_assistants(self, request: CheckRequest) -> CheckReport:
         """Evaluate the appended unsolved predicates on listed objects.
 
-        With ``columnar`` verdicts come from cached predicate columns
-        (byte-identical reports and meter totals; the row path runs when
-        a checked row would raise or an operand defeats caching).
+        Verdicts for objects of the request class come straight from the
+        class's cached predicate columns.  A LOid outside that extent —
+        stored under another class, absent, or every LOid when the site
+        lacks the class altogether — is fetched and evaluated on its own,
+        inline, so the report keeps the request's LOid-major order.
         """
         if request.db_name != self.name:
             raise ObjectStoreError(
                 f"check request for db {request.db_name!r} executed at "
                 f"{self.name!r}"
             )
-        if columnar:
-            report = self._check_assistants_columnar(request)
-            if report is not None:
-                return report
-        report = CheckReport(db_name=self.name, class_name=request.class_name)
-        meter = EvalMeter()
-        satisfied: Dict[Predicate, List[LOid]] = {p: [] for p in request.predicates}
-        violated: Dict[Predicate, List[LOid]] = {p: [] for p in request.predicates}
-        unknown: Dict[Predicate, List[LOid]] = {p: [] for p in request.predicates}
-        blocked: List[BlockedAt] = []
-        for loid in request.loids:
-            obj = self.get(loid)
-            report.objects_checked += 1
-            for predicate in request.predicates:
-                if obj is None:
-                    unknown[predicate].append(loid)
-                    continue
-                outcome = evaluate_predicate(obj, predicate, self.deref, meter)
-                if outcome.tv is TV.TRUE:
-                    satisfied[predicate].append(loid)
-                elif outcome.tv is TV.FALSE:
-                    violated[predicate].append(loid)
-                else:
-                    unknown[predicate].append(loid)
-                    missing = outcome.missing
-                    if missing is not None and missing.holder_id != loid:
-                        # Stuck at a *different* object: report it so the
-                        # global site can chase its isomeric copies.
-                        blocked.append(
-                            BlockedAt(
-                                checked=loid,
-                                predicate=predicate,
-                                holder=missing.holder_id,  # type: ignore[arg-type]
-                                holder_class=missing.holder_class,
-                                remaining=Predicate(
-                                    path=Path(
-                                        predicate.path.steps[missing.depth:]
-                                    ),
-                                    op=predicate.op,
-                                    operand=predicate.operand,
-                                ),
-                            )
-                        )
-        report.satisfied = {p: tuple(v) for p, v in satisfied.items()}
-        report.violated = {p: tuple(v) for p, v in violated.items()}
-        report.unknown = {p: tuple(v) for p, v in unknown.items()}
-        report.blocked = tuple(blocked)
-        report.comparisons = meter.comparisons
-        report.derefs = meter.derefs
-        return report
-
-    def _check_assistants_columnar(
-        self, request: CheckRequest
-    ) -> Optional[CheckReport]:
-        """Columnar assistant check; ``None`` means "use the row path".
-
-        Verdicts for listed objects come straight from the class's cached
-        predicate columns.  LOids outside the request class's extent fall
-        back to per-object row evaluation inline (preserving the row
-        path's loid-major report order); a checked row with an error
-        marker abandons the whole attempt so the row path raises
-        canonically.
-        """
-        try:
+        predicates = request.predicates
+        row_of: Dict[LOid, int] = {}
+        pcols: List = []
+        if request.class_name in self._extents:
             col = self.columnar_extent(request.class_name)
-        except UnknownClassError:
-            # The row path resolves LOids via get() and never needs the
-            # class extent; stay on it for classes this site lacks.
-            return None
-        pcols = []
-        for predicate in request.predicates:
-            pcol = col.predicate_column(predicate)
-            if pcol is None:
-                return None
-            pcols.append(pcol)
-        row_of = col.row_of
-        for loid in request.loids:
-            r = row_of.get(loid)
-            if r is not None and any(r in pcol.error_rows for pcol in pcols):
-                return None
+            row_of = col.row_of
+            pcols = [col.predicate_column(p) for p in predicates]
+        error_rows = set().union(*(pcol.error_rows for pcol in pcols))
         report = CheckReport(db_name=self.name, class_name=request.class_name)
         meter = EvalMeter()
-        satisfied: Dict[Predicate, List[LOid]] = {
-            p: [] for p in request.predicates
-        }
-        violated: Dict[Predicate, List[LOid]] = {
-            p: [] for p in request.predicates
-        }
-        unknown: Dict[Predicate, List[LOid]] = {
-            p: [] for p in request.predicates
-        }
+        satisfied: Dict[Predicate, List[LOid]] = {p: [] for p in predicates}
+        violated: Dict[Predicate, List[LOid]] = {p: [] for p in predicates}
+        unknown: Dict[Predicate, List[LOid]] = {p: [] for p in predicates}
         blocked: List[BlockedAt] = []
         comp_acc = 0
         deref_acc = 0
-        predicates = request.predicates
         for loid in request.loids:
             report.objects_checked += 1
             r = row_of.get(loid)
             if r is None:
-                # Not in this class's extent: replicate the row path's
-                # get()-based check for this loid (it may live in another
-                # extent, or be absent entirely).
                 obj = self.get(loid)
                 for predicate in predicates:
                     if obj is None:
@@ -897,24 +611,17 @@ class ComponentDatabase:
                         unknown[predicate].append(loid)
                         missing = outcome.missing
                         if missing is not None and missing.holder_id != loid:
-                            blocked.append(
-                                BlockedAt(
-                                    checked=loid,
-                                    predicate=predicate,
-                                    holder=missing.holder_id,  # type: ignore[arg-type]
-                                    holder_class=missing.holder_class,
-                                    remaining=Predicate(
-                                        path=Path(
-                                            predicate.path.steps[
-                                                missing.depth:
-                                            ]
-                                        ),
-                                        op=predicate.op,
-                                        operand=predicate.operand,
-                                    ),
-                                )
-                            )
+                            blocked.append(_blocked_at(
+                                loid, predicate, missing.depth,
+                                missing.holder_id,  # type: ignore[arg-type]
+                                missing.holder_class,
+                            ))
                 continue
+            if r in error_rows:
+                # The first checked object with an error marker: its
+                # first predicate that raises, raises canonically.
+                for predicate in predicates:
+                    evaluate_predicate(col.objects[r], predicate, self.deref)
             for predicate, pcol in zip(predicates, pcols):
                 code = pcol.codes[r]
                 comp_acc += pcol.comparisons[r]
@@ -925,21 +632,11 @@ class ComponentDatabase:
                     unknown[predicate].append(loid)
                     miss = pcol.miss[r]
                     if miss is not None and miss[1] != loid:
-                        blocked.append(
-                            BlockedAt(
-                                checked=loid,
-                                predicate=predicate,
-                                holder=miss[1],
-                                holder_class=miss[2],
-                                remaining=Predicate(
-                                    path=Path(
-                                        predicate.path.steps[miss[0]:]
-                                    ),
-                                    op=predicate.op,
-                                    operand=predicate.operand,
-                                ),
-                            )
-                        )
+                        # Stuck at a *different* object: report it so the
+                        # global site can chase its isomeric copies.
+                        blocked.append(_blocked_at(
+                            loid, predicate, miss[0], miss[1], miss[2]
+                        ))
                 else:
                     satisfied[predicate].append(loid)
         report.satisfied = {p: tuple(v) for p, v in satisfied.items()}
@@ -950,44 +647,20 @@ class ComponentDatabase:
         report.derefs = meter.derefs + deref_acc
         return report
 
-    # --- batch predicate kernel (public, id-set form) --------------------------
 
-    def batch_evaluate_predicate(
-        self, class_name: str, predicate: Predicate, *, columnar: bool = True
-    ) -> BatchPredicateSets:
-        """Evaluate one predicate over a whole extent in one pass.
-
-        Returns true/maybe/false LOid-sets (extent order) instead of
-        per-object ``TV`` values — the kernel form the paper's phase-L
-        check reduces to.  With ``columnar`` off, or when a row's
-        evaluation would raise, objects are evaluated in extent order via
-        :func:`~repro.core.predicates.evaluate_predicate` so exceptions
-        surface canonically.
-        """
-        if columnar:
-            col = self.columnar_extent(class_name)
-            pcol = col.predicate_column(predicate)
-            if pcol is not None and not pcol.error_rows:
-                true, maybe, false = partition_codes(
-                    tuple(col.loids), pcol.codes
-                )
-                return BatchPredicateSets(
-                    predicate=predicate, true=true, maybe=maybe, false=false
-                )
-        true_l: List[LOid] = []
-        maybe_l: List[LOid] = []
-        false_l: List[LOid] = []
-        for obj in self.extent(class_name).values():
-            outcome = evaluate_predicate(obj, predicate, self.deref)
-            if outcome.tv is TV.TRUE:
-                true_l.append(obj.loid)
-            elif outcome.tv is TV.FALSE:
-                false_l.append(obj.loid)
-            else:
-                maybe_l.append(obj.loid)
-        return BatchPredicateSets(
-            predicate=predicate,
-            true=tuple(true_l),
-            maybe=tuple(maybe_l),
-            false=tuple(false_l),
-        )
+def _blocked_at(
+    checked: LOid, predicate: Predicate, depth: int,
+    holder: LOid, holder_class: str,
+) -> BlockedAt:
+    """The block record of a check stuck at *holder*, *depth* steps in."""
+    return BlockedAt(
+        checked=checked,
+        predicate=predicate,
+        holder=holder,
+        holder_class=holder_class,
+        remaining=Predicate(
+            path=Path(predicate.path.steps[depth:]),
+            op=predicate.op,
+            operand=predicate.operand,
+        ),
+    )

@@ -92,41 +92,6 @@ class LocalQuery:
 
 
 @dataclass(frozen=True)
-class BatchPredicateSets:
-    """One predicate evaluated over a whole extent: true/maybe/false ids.
-
-    The columnar kernels return these id-sets instead of per-object
-    :class:`~repro.core.tvl.TV` values (see
-    :meth:`~repro.objectdb.database.ComponentDatabase
-    .batch_evaluate_predicate`).  The three tuples partition the extent's
-    LOids in extent order; ``maybe`` holds the objects whose missing data
-    left the predicate UNKNOWN under 3VL.
-    """
-
-    predicate: Predicate
-    true: Tuple[LOid, ...]
-    maybe: Tuple[LOid, ...]
-    false: Tuple[LOid, ...]
-
-
-def partition_codes(
-    loids: Tuple[LOid, ...], codes
-) -> Tuple[Tuple[LOid, ...], Tuple[LOid, ...], Tuple[LOid, ...]]:
-    """Split extent *loids* by packed 3VL codes (TRUE=2/UNKNOWN=1/FALSE=0).
-
-    Returns ``(true, maybe, false)`` tuples preserving extent order — the
-    partition step of the batch predicate kernels.
-    """
-    true: List[LOid] = []
-    maybe: List[LOid] = []
-    false: List[LOid] = []
-    buckets = (false.append, maybe.append, true.append)
-    for loid, code in zip(loids, codes):
-        buckets[code](loid)
-    return tuple(true), tuple(maybe), tuple(false)
-
-
-@dataclass(frozen=True)
 class UnsolvedPredicateOnObject:
     """An unsolved predicate expressed relative to the object holding it.
 
@@ -198,7 +163,7 @@ class LocalResultRow:
     unsolved_items: Tuple[UnsolvedItem, ...] = ()
     # Three-valued status of every global predicate at this site, keyed by
     # the original predicate.  Certification recombines these across sites
-    # and assistant checks.  Read-only: columnar evaluation hands every
+    # and assistant checks.  Read-only: local evaluation hands every
     # row of one status pattern the same dict.
     predicate_status: Dict[Predicate, TV] = field(default_factory=dict)
 

@@ -120,16 +120,13 @@ class SignatureCatalog:
     _encoded: Dict[LOid, frozenset] = field(default_factory=dict)
     #: Memoized predicate masks keyed by (attribute, operand): the
     #: blake2b code of an operand is recomputed for every probe
-    #: otherwise.  Unhashable operands skip the cache.
+    #: otherwise.
     _mask_cache: Dict[Tuple[str, object], int] = field(default_factory=dict)
 
     def _predicate_mask(self, attribute: str, operand: object) -> int:
         """The operand's code, memoized per (attribute, operand)."""
-        try:
-            key = (attribute, operand)
-            cached = self._mask_cache.get(key)
-        except TypeError:
-            return predicate_mask(attribute, operand, self.width, self.k)
+        key = (attribute, operand)
+        cached = self._mask_cache.get(key)
         if cached is None:
             cached = predicate_mask(attribute, operand, self.width, self.k)
             self._mask_cache[key] = cached

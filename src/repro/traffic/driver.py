@@ -44,8 +44,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.engine import GlobalQueryEngine
 from repro.core.options import ExecutionOptions
+from repro.core.results import answer_digest
 from repro.core.system import DistributedSystem
-from repro.difftest.oracle import answer_digest
 from repro.errors import WorkloadError
 from repro.evolution.controller import EvolutionController
 from repro.evolution.plan import EvolutionPlan

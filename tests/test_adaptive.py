@@ -49,6 +49,16 @@ class TestExtraction:
             extract_params(school, Query.conjunctive("Ghost", ["x"]))
 
 
+def predicted_seconds(metrics):
+    """strategy -> predicted seconds, read back from ``auto.predict``."""
+    (event,) = [e for e in metrics.events if e.name == "auto.predict"]
+    return {
+        key[len("predicted_"):-len("_s")]: float(value)
+        for key, value in event.attr_dict().items()
+        if key.startswith("predicted_")
+    }
+
+
 class TestAdaptiveExecution:
     def test_auto_answers_match_paper(self, school):
         engine = GlobalQueryEngine(school)
@@ -59,10 +69,11 @@ class TestAdaptiveExecution:
         assert outcome.metrics.strategy.startswith("AUTO->")
 
     def test_choice_recorded(self, school):
-        strategy = AdaptiveStrategy()
-        strategy.execute(school, parse_query(Q1_TEXT), context())
-        assert strategy.last_choice in ("CA", "BL", "PL")
-        assert set(strategy.last_predictions) == {"CA", "BL", "PL"}
+        result = AdaptiveStrategy().execute(
+            school, parse_query(Q1_TEXT), context()
+        )
+        assert result.metrics.strategy in ("AUTO->CA", "AUTO->BL", "AUTO->PL")
+        assert set(predicted_seconds(result.metrics)) == {"CA", "BL", "PL"}
 
     def test_objectives(self, school):
         query = parse_query(Q1_TEXT)
@@ -72,8 +83,8 @@ class TestAdaptiveExecution:
         total = AdaptiveStrategy(objective="total").predict(
             school, query, context()
         )
-        assert all(v > 0 for v in response.values())
-        assert all(v > 0 for v in total.values())
+        assert all(v > 0 for v in response.predictions.values())
+        assert all(v > 0 for v in total.predictions.values())
 
     def test_bad_objective_rejected(self):
         with pytest.raises(QueryError):
@@ -108,10 +119,12 @@ class TestAdaptiveExecution:
 
     def test_choice_tracks_objective_ranking(self):
         workload = make_workload(seed=405, scale=0.02)
-        strategy = AdaptiveStrategy(objective="response")
-        strategy.execute(workload.system, workload.query, context())
-        predictions = strategy.last_predictions
-        assert strategy.last_choice == min(predictions, key=predictions.get)
+        result = AdaptiveStrategy(objective="response").execute(
+            workload.system, workload.query, context()
+        )
+        predictions = predicted_seconds(result.metrics)
+        choice = min(predictions, key=predictions.get)
+        assert result.metrics.strategy == f"AUTO->{choice}"
 
 
 class TestFaultAwarePrediction:
@@ -120,20 +133,22 @@ class TestFaultAwarePrediction:
         query = parse_query(Q1_TEXT)
         from repro.faults import EMPTY_PLAN
 
-        assert strategy.predict(school, query, context()) == strategy.predict(
+        clean = strategy.predict(school, query, context())
+        assert clean == strategy.predict(
             school, query, context(fault_plan=EMPTY_PLAN)
         )
-        assert strategy.last_unreachable == ()
+        assert clean.unreachable == ()
 
     def test_down_site_penalizes_ca(self, school):
         from repro.faults import FaultPlan
 
         strategy = AdaptiveStrategy()
         query = parse_query(Q1_TEXT)
-        clean = strategy.predict(school, query, context())
+        clean = strategy.predict(school, query, context()).predictions
         ctx = context(fault_plan=FaultPlan.single_site_loss("DB2"))
-        faulted = strategy.predict(school, query, ctx)
-        assert strategy.last_unreachable == ("DB2",)
+        predicted = strategy.predict(school, query, ctx)
+        faulted = predicted.predictions
+        assert predicted.unreachable == ("DB2",)
         assert faulted["CA"] > clean["CA"]
         # Localized predictions are untouched.
         assert faulted["BL"] == clean["BL"]
@@ -156,9 +171,10 @@ class TestFaultAwarePrediction:
         ctx = context(fault_plan=FaultPlan.from_spec(
             "link:*>DB3:loss0.9,link:GPS>DB3:loss0.9"
         ))
-        strategy = AdaptiveStrategy()
-        strategy.predict(school, parse_query(Q1_TEXT), ctx)
-        assert "DB3" in strategy.last_unreachable
+        predicted = AdaptiveStrategy().predict(
+            school, parse_query(Q1_TEXT), ctx
+        )
+        assert "DB3" in predicted.unreachable
 
     def test_auto_event_records_unreachable(self, school):
         from repro.faults import FaultPlan
@@ -175,9 +191,9 @@ class TestFaultAwarePrediction:
     def test_signature_variants_ranked_when_built(self, school):
         strategy = AdaptiveStrategy()
         query = parse_query(Q1_TEXT)
-        assert set(strategy.predict(school, query, context())) == {
+        assert set(strategy.predict(school, query, context()).predictions) == {
             "CA", "BL", "PL"
         }
         school.build_signatures()
-        ranked = set(strategy.predict(school, query, context()))
+        ranked = set(strategy.predict(school, query, context()).predictions)
         assert {"BL-S", "PL-S"} <= ranked

@@ -33,7 +33,7 @@ from repro.core.certification import (
 from repro.core.query import Op, Path, Predicate, Query
 from repro.core.results import ResultKind
 from repro.core.tvl import TV
-from repro.errors import MappingError
+from repro.errors import MappingError, QueryError
 from repro.difftest.reference import (
     certification_difference,
     certify_reference,
@@ -118,7 +118,7 @@ def federation(combos, sites, share, items=True):
     when P2 is unknown to it, unless the query has no P2 (*items* off).
     With *share*, rows at one site with equal statuses share one
     ``predicate_status`` dict, as columnar local evaluation hands them
-    over; without, every row owns its dict, as the row path does.
+    over; without, every row owns its dict, as the reference scan's do.
     """
     students, teachers = [], []
     rows = {site: [] for site in sites}
@@ -227,7 +227,7 @@ class TestTruthTable:
 
     @pytest.mark.parametrize("shape", sorted(QUERIES))
     def test_rows_owning_their_status_dict(self, shape):
-        """The row path's evidence: no two rows share a status dict."""
+        """The reference scan's evidence: no two rows share a status dict."""
         assert_kernel_equals_reference(
             QUERIES[shape], SITES, "violated-then-satisfied", share=False
         )
@@ -528,12 +528,13 @@ class TestHashStability:
         assert back == predicate and hash(back) == hash(predicate)
         assert {predicate: 1}[back] == 1
 
-    def test_unhashable_operand_raises_on_hash_only(self):
-        predicate = Predicate(Path.parse("a"), Op.EQ, [1, 2])
-        assert str(predicate) == "a = [1, 2]"
-        for _ in range(2):  # a failed hash caches nothing
-            with pytest.raises(TypeError):
-                hash(predicate)
+    def test_unhashable_operand_is_rejected_at_construction(self):
+        # It could key no column, status dict or verdict index: a typed
+        # error where the predicate is made, not a bare TypeError later.
+        with pytest.raises(QueryError, match=r"operand \[1, 2\] is not"):
+            Predicate(Path.parse("a"), Op.EQ, [1, 2])
+        with pytest.raises(QueryError, match="predicate on a.b"):
+            Predicate.of("a.b", "contains", {"x": 1})
 
     def test_cached_hash_does_not_travel_through_pickle(self):
         """String hashes are salted per process; a cached one must stay."""

@@ -1,31 +1,37 @@
-"""The columnar extent hot path and its transparency contract.
+"""The columnar kernels against the per-object reference evaluator.
 
-Every batch kernel must be *byte-identical* to the row path it replaces:
-same rows, same bindings and unsolved bookkeeping, same meter totals,
-same exceptions.  These tests pin that contract down object by object on
-hand-built extents covering the 3VL edge cases (all-null columns, mixed
-null/value under every operator, empty extents) and verify the
-ExecutionOptions/engine plumbing end to end.
+Every kernel must be *byte-identical* to a scan that evaluates one
+object at a time (``repro.difftest.reference``): same rows, same
+bindings and unsolved bookkeeping, same meter totals, same exceptions.
+These tests pin that down object by object on hand-built extents
+covering the 3VL edge cases (all-null columns, mixed null/value under
+every operator, empty extents), the order in which error rows raise,
+and whole strategy runs shadowed by the reference.
 """
 
 import pytest
 
 from repro.core.engine import GlobalQueryEngine
-from repro.core.options import ExecutionOptions
+from repro.core.options import OPTION_FIELDS, ExecutionOptions
 from repro.core.predicates import EvalMeter, evaluate_predicate
 from repro.core.query import Op, Path, Predicate
-from repro.core.results import same_answers
 from repro.core.tvl import TV
+from repro.difftest.reference import (
+    check_assistants_reference,
+    collect_unsolved_reference,
+    execute_local_reference,
+    local_evaluation_difference,
+    shadowed_local_evaluation,
+)
 from repro.errors import QueryError
 from repro.objectdb.columnar import (
-    FALSE_CODE,
     TRUE_CODE,
     TV_OF_CODE,
     UNKNOWN_CODE,
 )
 from repro.objectdb.database import ComponentDatabase
 from repro.objectdb.ids import LOid
-from repro.objectdb.local_query import CheckRequest, LocalQuery, partition_codes
+from repro.objectdb.local_query import CheckRequest, LocalQuery
 from repro.objectdb.objects import LocalObject
 from repro.objectdb.schema import (
     ClassDef,
@@ -80,22 +86,43 @@ def local_query(where, targets=(Path.of("b"),)):
     )
 
 
-def assert_result_sets_equal(columnar, row):
-    """Field-by-field equality of two LocalResultSets (the contract)."""
-    assert columnar.db_name == row.db_name
-    assert columnar.range_class == row.range_class
-    assert columnar.objects_scanned == row.objects_scanned
-    assert columnar.comparisons == row.comparisons
-    assert columnar.derefs == row.derefs
-    assert len(columnar.rows) == len(row.rows)
-    for left, right in zip(columnar.rows, row.rows):
-        assert left.loid == right.loid
-        assert left.class_name == right.class_name
-        assert left.kind == right.kind
-        assert left.bindings == right.bindings
-        assert left.unsolved == right.unsolved
-        assert left.unsolved_items == right.unsolved_items
-        assert left.predicate_status == right.predicate_status
+def outcome(call, *args):
+    """What *call* returns, or the (type, message) of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_kernel_is_reference(kernel, reference, db, request):
+    """Same result field by field, or the same exception; returns it."""
+    got = outcome(kernel, db, request)
+    want = outcome(reference, db, request)
+    if isinstance(got, tuple) and isinstance(got[0], type):
+        assert got == want
+    else:
+        assert local_evaluation_difference(got, want) is None
+    return got
+
+
+def assert_execute_local_is_reference(db, query):
+    return assert_kernel_is_reference(
+        ComponentDatabase.execute_local, execute_local_reference, db, query
+    )
+
+
+def assert_collect_unsolved_is_reference(db, query):
+    return assert_kernel_is_reference(
+        ComponentDatabase.collect_unsolved, collect_unsolved_reference,
+        db, query,
+    )
+
+
+def assert_check_assistants_is_reference(db, request):
+    return assert_kernel_is_reference(
+        ComponentDatabase.check_assistants, check_assistants_reference,
+        db, request,
+    )
 
 
 def column_db(values):
@@ -107,9 +134,14 @@ def column_db(values):
 
 def kernel_and_row_path(values, op, operand):
     """((verdicts, charge) of the compare kernel, the same of the row path)."""
-    db = column_db(values)
-    predicate = Predicate(path=Path.of("a"), op=op, operand=operand)
-    col = db.columnar_extent("C")
+    return column_and_row_path(
+        column_db(values), Predicate(path=Path.of("a"), op=op, operand=operand)
+    )
+
+
+def column_and_row_path(db, predicate, class_name="C"):
+    """The same pair for any predicate over any extent without error rows."""
+    col = db.columnar_extent(class_name)
     pcol = col.predicate_column(predicate)
     assert not pcol.error_rows
     meter = EvalMeter()
@@ -146,9 +178,9 @@ class TestBatchCompare:
         assert kernel[0] == [TV.TRUE, TV.UNKNOWN, TV.FALSE]
 
     def test_unorderable_rows_defer_to_the_row_path(self):
-        # The kernel never raises: it marks the rows the row path would
-        # raise on, and the caller re-runs the row path, which raises at
-        # the first of them in scan order.
+        # Building the column never raises: it marks the rows a scan
+        # would raise on, and the caller evaluates the first of them in
+        # scan order object by object, which raises.
         db = column_db([1, "unorderable", 2, "later"])
         predicate = Predicate(path=Path.of("a"), op=Op.LT, operand=5)
         pcol = db.columnar_extent("C").predicate_column(predicate)
@@ -157,8 +189,9 @@ class TestBatchCompare:
             TRUE_CODE, UNKNOWN_CODE, TRUE_CODE, UNKNOWN_CODE
         ]
         assert pcol.comparisons == [1, 0, 1, 0]
-        with pytest.raises(QueryError, match="'unorderable'"):
-            db.execute_local(local_query(((predicate,),)))
+        assert assert_execute_local_is_reference(
+            db, local_query(((predicate,),))
+        ) == (QueryError, "cannot order-compare 'unorderable' with 5")
 
     def test_contains_on_scalar_raises(self):
         db = column_db([1])
@@ -167,20 +200,9 @@ class TestBatchCompare:
             predicate
         ).error_rows == {0}
         with pytest.raises(QueryError):
-            db.batch_evaluate_predicate("C", predicate)
-
-
-class TestPartitionCodes:
-    def test_three_way_split_preserves_order(self):
-        loids = tuple(LOid("DB", f"o{i}") for i in range(5))
-        codes = [TRUE_CODE, FALSE_CODE, UNKNOWN_CODE, TRUE_CODE, FALSE_CODE]
-        true, maybe, false = partition_codes(loids, codes)
-        assert true == (loids[0], loids[3])
-        assert maybe == (loids[2],)
-        assert false == (loids[1], loids[4])
-
-    def test_empty(self):
-        assert partition_codes((), []) == ((), (), ())
+            evaluate_predicate(
+                db.get(LOid("DB", "c0")), predicate, db.deref
+            )
 
 
 class TestColumnarExtentKernels:
@@ -203,8 +225,8 @@ class TestColumnarExtentKernels:
         pred = Predicate(path=Path.of("a"), op=Op.EQ, operand=1)
         pcol = col.predicate_column(pred)
         assert pcol.codes == []
-        sets = db.batch_evaluate_predicate("C", pred)
-        assert sets.true == sets.maybe == sets.false == ()
+        assert pcol.comparisons == []
+        assert not pcol.error_rows
 
     @pytest.mark.parametrize("op", ALL_OPS)
     def test_mixed_nulls_match_row_path_per_object(self, op):
@@ -223,20 +245,17 @@ class TestColumnarExtentKernels:
         db = make_db(mixed_rows())
         attr = "tags" if op is Op.CONTAINS else "a"
         pred = Predicate(path=Path.of(attr), op=op, operand=1)
-        on = db.batch_evaluate_predicate("C", pred, columnar=True)
-        off = db.batch_evaluate_predicate("C", pred, columnar=False)
-        assert on == off
+        kernel, rows = column_and_row_path(db, pred)
+        assert kernel == rows
 
     def test_nested_path_misses_match_row_path(self):
         db = make_db(mixed_rows())
         pred = Predicate(path=Path.of("ref", "x"), op=Op.EQ, operand=10)
-        on = db.batch_evaluate_predicate("C", pred, columnar=True)
-        off = db.batch_evaluate_predicate("C", pred, columnar=False)
-        assert on == off
+        kernel, rows = column_and_row_path(db, pred)
+        assert kernel == rows
         # c1 -> d1.x=10 TRUE; c2 -> d2.x NULL, c4 dangling, c5 missing,
         # c3 has no ref: all UNKNOWN.
-        assert on.true == (LOid("DB", "c1"),)
-        assert len(on.maybe) == 4
+        assert kernel[0] == [TV.TRUE] + [TV.UNKNOWN] * 4
 
     def test_stale_view_never_served(self):
         db = make_db(mixed_rows())
@@ -264,36 +283,24 @@ class TestExecuteLocalParity:
     @pytest.mark.parametrize("where", WHERES)
     def test_rows_and_meters_identical(self, where):
         query = local_query(where, targets=(Path.of("b"), Path.of("ref", "x")))
-        on = make_db(mixed_rows()).execute_local(query, columnar=True)
-        off = make_db(mixed_rows()).execute_local(query, columnar=False)
-        assert_result_sets_equal(on, off)
+        assert_execute_local_is_reference(make_db(mixed_rows()), query)
 
     def test_indexed_candidates_identical(self):
         where = ((Predicate(path=Path.of("a"), op=Op.EQ, operand=1),),)
         query = local_query(where)
-        indexed_on = make_db(mixed_rows())
-        indexed_on.create_index("C", "a")
-        indexed_off = make_db(mixed_rows())
-        indexed_off.create_index("C", "a")
-        on = indexed_on.execute_local(query, columnar=True)
-        off = indexed_off.execute_local(query, columnar=False)
-        assert_result_sets_equal(on, off)
-        assert on.index_probe is not None
+        indexed = make_db(mixed_rows())
+        indexed.create_index("C", "a")
+        result = assert_execute_local_is_reference(indexed, query)
+        assert result.index_probe is not None
 
     def test_collect_unsolved_identical(self):
         where = ((Predicate(path=Path.of("a"), op=Op.EQ, operand=1),
                   Predicate(path=Path.of("ref", "x"), op=Op.LT, operand=99)),)
         query = local_query(where)
-        scan_on, meter_on = make_db(mixed_rows()).collect_unsolved(
-            query, columnar=True
+        scan, _meter = assert_collect_unsolved_is_reference(
+            make_db(mixed_rows()), query
         )
-        scan_off, meter_off = make_db(mixed_rows()).collect_unsolved(
-            query, columnar=False
-        )
-        assert scan_on.objects_scanned == scan_off.objects_scanned
-        assert scan_on.per_root == scan_off.per_root
-        assert meter_on.comparisons == meter_off.comparisons
-        assert meter_on.derefs == meter_off.derefs
+        assert scan.per_root
 
     def test_check_assistants_identical(self):
         request = CheckRequest(
@@ -309,19 +316,14 @@ class TestExecuteLocalParity:
                 Predicate(path=Path.of("ref", "x"), op=Op.GE, operand=10),
             ),
         )
-        on = make_db(mixed_rows()).check_assistants(request, columnar=True)
-        off = make_db(mixed_rows()).check_assistants(request, columnar=False)
-        assert on.satisfied == off.satisfied
-        assert on.violated == off.violated
-        assert on.unknown == off.unknown
-        assert on.blocked == off.blocked
-        assert on.objects_checked == off.objects_checked
-        assert on.comparisons == off.comparisons
-        assert on.derefs == off.derefs
+        report = assert_check_assistants_is_reference(
+            make_db(mixed_rows()), request
+        )
+        assert report.objects_checked == 5 and report.blocked
 
 
 class TestErrorFallback:
-    """Rows that would raise force the canonical row-path exception."""
+    """Rows that would raise surface the canonical per-object exception."""
 
     def badly_typed_db(self):
         # c1's ref holds a plain int: walking ref.x raises QueryError.
@@ -332,59 +334,190 @@ class TestErrorFallback:
 
     def test_execute_local_raises_canonically(self):
         where = ((Predicate(path=Path.of("ref", "x"), op=Op.EQ, operand=1),),)
-        with pytest.raises(QueryError) as on:
-            self.badly_typed_db().execute_local(
-                local_query(where), columnar=True
-            )
-        with pytest.raises(QueryError) as off:
-            self.badly_typed_db().execute_local(
-                local_query(where), columnar=False
-            )
-        assert str(on.value) == str(off.value)
+        assert assert_execute_local_is_reference(
+            self.badly_typed_db(), local_query(where)
+        ) == (
+            QueryError,
+            "path ref.x: step 'ref' holds non-reference 42 but is not final",
+        )
 
     def test_batch_kernel_falls_back_and_raises(self):
         pred = Predicate(path=Path.of("ref", "x"), op=Op.EQ, operand=1)
-        with pytest.raises(QueryError):
-            self.badly_typed_db().batch_evaluate_predicate("C", pred)
-
-    def test_unhashable_operand_falls_back(self):
-        db = make_db(mixed_rows())
-        pred = Predicate(path=Path.of("a"), op=Op.EQ, operand=[1, 2])
+        db = self.badly_typed_db()
         col = db.columnar_extent("C")
-        assert col.predicate_column(pred) is None  # caching impossible
-        on = db.batch_evaluate_predicate("C", pred, columnar=True)
-        off = db.batch_evaluate_predicate("C", pred, columnar=False)
-        assert on == off
+        assert col.predicate_column(pred).error_rows == {0}
+        with pytest.raises(QueryError):
+            evaluate_predicate(col.objects[0], pred, db.deref)
+        evaluate_predicate(col.objects[1], pred, db.deref)  # c2 is fine
+
+
+#: ``b < 5`` raises on a string, ``ref.x`` on a non-reference ``ref``.
+B_LT_5 = Predicate(path=Path.of("b"), op=Op.LT, operand=5)
+A_EQ_1 = Predicate(path=Path.of("a"), op=Op.EQ, operand=1)
+REF_X = Path.of("ref", "x")
+
+
+def unorderable(value):
+    return QueryError, f"cannot order-compare {value!r} with 5"
+
+
+def non_reference(path, step, value):
+    return QueryError, (
+        f"path {path}: step {step!r} holds non-reference {value!r} "
+        "but is not final"
+    )
+
+
+class TestErrorOrder:
+    """An error row raises where a scan would reach it first — the
+    reference's exception, and the literal one."""
+
+    def test_two_error_rows_raise_the_earlier(self):
+        db = make_db([
+            ("c0", {"b": 1}), ("c1", {"b": "first"}), ("c2", {"b": "second"}),
+        ])
+        assert assert_execute_local_is_reference(
+            db, local_query(((B_LT_5,),))
+        ) == unorderable("first")
+
+    def test_index_probe_order_is_the_scan_order(self):
+        # The probe lists matches before null holders: c1 is reached
+        # before c0 although it is stored after it.
+        db = make_db([
+            ("c0", {"a": NULL, "b": "stored first"}),
+            ("c1", {"a": 1, "b": "probed first"}),
+        ])
+        db.create_index("C", "a")
+        assert assert_execute_local_is_reference(
+            db, local_query(((A_EQ_1, B_LT_5),))
+        ) == unorderable("probed first")
+
+    def test_error_row_outside_the_candidates_is_harmless(self):
+        db = make_db([
+            ("c0", {"a": 2, "b": "never probed"}), ("c1", {"a": 1, "b": 3}),
+        ])
+        db.create_index("C", "a")
+        result = assert_execute_local_is_reference(
+            db, local_query(((A_EQ_1, B_LT_5),))
+        )
+        assert [row.loid for row in result.rows] == [LOid("DB", "c1")]
+        assert result.objects_scanned == 1
+
+    def test_bad_target_walk_on_an_eliminated_row_is_harmless(self):
+        db = make_db([("c0", {"a": 2, "ref": 42}), ("c1", {"a": 1})])
+        result = assert_execute_local_is_reference(
+            db, local_query(((A_EQ_1,),), targets=(REF_X,))
+        )
+        assert [row.loid for row in result.rows] == [LOid("DB", "c1")]
+
+    def test_bad_target_walk_on_a_surviving_row_raises(self):
+        db = make_db([
+            ("c0", {"a": 2, "ref": 41}),  # eliminated: never bound
+            ("c1", {"a": NULL, "ref": 42}),  # maybe rows are bound too
+            ("c2", {"a": 1, "ref": 43}),
+        ])
+        assert assert_execute_local_is_reference(
+            db, local_query(((A_EQ_1,),), targets=(REF_X,))
+        ) == non_reference("ref.x", "ref", 42)
+
+    def test_where_error_beats_target_error_within_a_row(self):
+        db = make_db([("c0", {"b": "where", "ref": 42})])
+        assert assert_execute_local_is_reference(
+            db, local_query(((B_LT_5,),), targets=(REF_X,))
+        ) == unorderable("where")
+
+    def test_target_error_on_an_earlier_row_beats_a_where_error(self):
+        db = make_db([
+            ("c0", {"b": 1, "ref": 42}), ("c1", {"b": "later"}),
+        ])
+        assert assert_execute_local_is_reference(
+            db, local_query(((B_LT_5,),), targets=(REF_X,))
+        ) == non_reference("ref.x", "ref", 42)
+
+    def test_collect_unsolved_raises_at_the_lowest_row(self):
+        first = Predicate(path=REF_X, op=Op.EQ, operand=1)
+        second = Predicate(path=Path.of("ref2", "x"), op=Op.EQ, operand=1)
+        db = make_db([
+            ("c0", {"ref": NULL, "ref2": 7}),  # only the second walk raises
+            ("c1", {"ref": 42, "ref2": 8}),  # both do
+        ])
+        query = local_query(((first, second),))
+        assert assert_collect_unsolved_is_reference(db, query) == (
+            non_reference("ref2.x", "ref2", 7)
+        )
+        # Within a row the first predicate in query order raises.
+        assert assert_collect_unsolved_is_reference(
+            make_db([("c1", {"ref": 42, "ref2": 8})]), query
+        ) == non_reference("ref.x", "ref", 42)
+
+    def test_check_assistants_raises_in_request_order(self):
+        db = make_db([
+            ("d1", {"b": "not a C"}),
+            ("c0", {"b": "stored first"}),
+            ("c1", {"b": "asked first"}),
+            ("c2", {"b": 1}),
+        ])
+
+        def request(*names):
+            return CheckRequest(
+                db_name="DB", class_name="C",
+                loids=tuple(LOid("DB", name) for name in names),
+                predicates=(A_EQ_1, B_LT_5),
+            )
+
+        assert assert_check_assistants_is_reference(
+            db, request("c2", "c1", "c0")
+        ) == unorderable("asked first")
+        # An object of another extent is evaluated on its own, and its
+        # exception still comes first when it is asked about first.
+        assert assert_check_assistants_is_reference(
+            db, request("d1", "c1")
+        ) == unorderable("not a C")
+        assert assert_check_assistants_is_reference(
+            db, request("c0", "d1")
+        ) == unorderable("stored first")
+        # An error row nobody asks about is harmless.
+        report = assert_check_assistants_is_reference(db, request("c2"))
+        assert report.satisfied[B_LT_5] == (LOid("DB", "c2"),)
+
+    def test_check_for_a_class_the_site_lacks(self):
+        db = make_db(mixed_rows())
+        report = assert_check_assistants_is_reference(db, CheckRequest(
+            db_name="DB", class_name="Nowhere",
+            loids=(LOid("DB", "c1"), LOid("DB", "absent"), LOid("DB", "c2")),
+            predicates=(A_EQ_1, Predicate(path=REF_X, op=Op.GE, operand=10)),
+        ))
+        assert report.class_name == "Nowhere"
+        assert report.satisfied[A_EQ_1] == (LOid("DB", "c1"),)
+        assert report.unknown[A_EQ_1] == (
+            LOid("DB", "absent"), LOid("DB", "c2")
+        )
+        assert [block.holder for block in report.blocked] == [
+            LOid("DB", "d2")
+        ]
 
 
 class TestEngineTransparency:
-    """The end-to-end contract through ExecutionOptions."""
+    """Whole strategy runs, every local evaluation shadowed."""
 
     def test_describe_and_with(self):
+        # There is one local-evaluation path and nothing to select.
         options = ExecutionOptions()
-        assert options.columnar is True
-        assert "columnar=True" in options.describe()
-        assert options.with_(columnar=False).columnar is False
+        assert "columnar" not in OPTION_FIELDS
+        assert "columnar" not in options.describe()
+        with pytest.raises(TypeError, match="unknown execution option"):
+            options.with_(**{"columnar": False})
 
     @pytest.mark.parametrize("name", ["CA", "BL", "PL", "BL-S", "PL-S"])
     def test_q1_answers_and_metrics_identical(self, name):
         engine = GlobalQueryEngine(build_school_federation())
         engine.ensure_signatures()
-        on = engine.execute(
-            Q1_TEXT, name, options=engine.options.with_(columnar=True)
-        )
-        off = engine.execute(
-            Q1_TEXT, name, options=engine.options.with_(columnar=False)
-        )
-        assert same_answers(on.results, off.results)
-        # Every work counter except cache traffic (the first run pays
-        # the decomposition miss) must match exactly.
-        import dataclasses
-
-        scrub = dict(cache_hits=0, cache_misses=0)
-        assert dataclasses.replace(
-            on.metrics.work, **scrub
-        ) == dataclasses.replace(off.metrics.work, **scrub)
+        differences = []
+        with shadowed_local_evaluation(differences):
+            report = engine.execute(Q1_TEXT, name)
+        assert differences == []
+        assert report.results.certain_rows() == [("Hedy", "Kelly")]
+        assert report.results.maybe_rows() == [("Tony", "Haley")]
 
     def test_generated_workloads_identical(self):
         from helpers import make_workload
@@ -392,17 +525,47 @@ class TestEngineTransparency:
         for seed in (11, 23, 47):
             workload = make_workload(seed=seed, scale=0.03)
             engine = GlobalQueryEngine(workload.system)
-            for name in ("CA", "BL", "PL"):
-                on = engine.execute(
-                    workload.query, name,
-                    options=engine.options.with_(columnar=True),
-                )
-                off = engine.execute(
-                    workload.query, name,
-                    options=engine.options.with_(columnar=False),
-                )
-                assert same_answers(on.results, off.results), (seed, name)
-                assert (
-                    on.metrics.work.comparisons
-                    == off.metrics.work.comparisons
-                ), (seed, name)
+            engine.ensure_signatures()
+            differences = []
+            with shadowed_local_evaluation(differences):
+                for name in ("CA", "BL", "PL", "BL-S", "PL-S"):
+                    engine.execute(workload.query, name)
+            assert differences == [], seed
+
+    def test_the_shadow_sees_a_wrong_kernel(self, monkeypatch):
+        from repro.objectdb import columnar
+
+        monkeypatch.setitem(  # LT answers as LE
+            columnar._TRUE_ROWS, Op.LT, lambda rows, lo, hi: rows[:hi]
+        )
+        db = column_db([1, 5, 9])
+        a_lt_5 = Predicate(path=Path.of("a"), op=Op.LT, operand=5)
+        differences = []
+        with shadowed_local_evaluation(differences):
+            result = db.execute_local(local_query(((a_lt_5,),)))
+        assert len(result.rows) == 2  # the caller gets the kernel's answer
+        assert len(differences) == 1
+        assert differences[0].startswith("execute_local at DB: result.rows: [")
+        assert ComponentDatabase.execute_local.__name__ == "execute_local"
+
+    def test_the_shadow_compares_exceptions(self, monkeypatch):
+        db = make_db([("c0", {"b": "first"}), ("c1", {"b": "second"})])
+        query = local_query(((B_LT_5,),))
+        differences = []
+        with shadowed_local_evaluation(differences):
+            with pytest.raises(QueryError, match="'first'"):
+                db.execute_local(query)
+        assert differences == []
+        # A kernel that raises the *last* error row differs.
+        scan_order = ComponentDatabase._raise_first_error
+        monkeypatch.setattr(
+            ComponentDatabase, "_raise_first_error",
+            lambda self, query, col, rows, *rest: scan_order(
+                self, query, col, list(reversed(rows)), *rest
+            ),
+        )
+        with shadowed_local_evaluation(differences):
+            with pytest.raises(QueryError, match="'second'"):
+                db.execute_local(query)
+        assert len(differences) == 1
+        assert differences[0].startswith("execute_local at DB: raised ")

@@ -167,6 +167,28 @@ class TestOracle:
         with pytest.raises(ReproError, match="does not define"):
             EvolutionController(built.system, built.evolution).run_all()
 
+    def test_local_eval_invariant_catches_a_wrong_kernel(self, monkeypatch):
+        """The shadow bites: a compare kernel whose ``<`` loses its
+        greatest TRUE row is a ``local-eval`` violation at the sites
+        that evaluated it.  (Exchanging ``<`` and ``<=`` would not show
+        here: no generated bound ties with a stored value — that one is
+        ``test_value_index.TestBoundaries``' to catch.)"""
+        from repro.core.query import Op
+        from repro.objectdb import columnar
+
+        monkeypatch.setitem(
+            columnar._TRUE_ROWS, Op.LT,
+            lambda rows, lo, hi: rows[:max(lo - 1, 0)],
+        )
+        case = FederationFuzzer(1996).case(8)  # p0 = 0 and p1 < 568570
+        violations = StrategyOracle().check(case)
+        local_eval = [v for v in violations if v.invariant == "local-eval"]
+        assert local_eval
+        assert any(
+            str(v).startswith("[local-eval] fuzz-1996-8: execute_local at ")
+            for v in local_eval
+        )
+
     def test_loose_entity_check_misses_what_oracle_catches(
         self, broken_resolver
     ):
@@ -267,3 +289,51 @@ class TestCli:
         assert main(["fuzz", "--replay", CASES_DIR]) == 0
         out = capsys.readouterr().out
         assert "replay: 3 case(s), 0 violation(s)" in out
+
+
+class TestImportBoundary:
+    """Production never imports the test harness, and the reference
+    evaluators never import the kernels they are the reference for."""
+
+    @staticmethod
+    def imports_by_module():
+        import ast
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        found = {}
+        for path in sorted(root.rglob("*.py")):
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    assert node.level == 0, f"{path}: relative import"
+                    names.add(node.module)
+                    names.update(
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    )
+            found[path.relative_to(root).as_posix()] = names
+        return found
+
+    def test_only_the_cli_imports_difftest(self):
+        offenders = {
+            module: sorted(n for n in names if n.startswith("repro.difftest"))
+            for module, names in self.imports_by_module().items()
+            if module != "cli.py" and not module.startswith("difftest/")
+        }
+        assert {m: n for m, n in offenders.items() if n} == {}
+
+    def test_references_do_not_import_the_columnar_kernels(self):
+        references = {
+            module: names
+            for module, names in self.imports_by_module().items()
+            if module.startswith("difftest/reference")
+        }
+        assert references
+        for module, names in references.items():
+            assert not any(
+                n.startswith("repro.objectdb.columnar") for n in names
+            ), module

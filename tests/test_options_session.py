@@ -147,7 +147,8 @@ class TestNoStrategyMutation:
         report = engine.execute(busy.query, auto, options=override)
         # The delegate ran under the very same options as a direct run.
         direct = engine.execute(
-            busy.query, auto.last_choice, options=override
+            busy.query, report.metrics.strategy.removeprefix("AUTO->"),
+            options=override,
         )
         assert report.metrics.work.messages == direct.metrics.work.messages
         assert (report.metrics.work.messages

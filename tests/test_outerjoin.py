@@ -218,37 +218,51 @@ class TestSiteExports:
 
 
 class TestBatchedMergeParity:
-    """columnar=True picks the batched group-major merge; its objects,
-    stats and errors must be identical to the per-object path."""
+    """The merge against literals recorded from the per-object merge it
+    replaced (the last commit that had both gave these on either)."""
 
-    def integrate_both(self, school, exports, stats_pair=None):
-        results = []
-        for columnar in (True, False):
-            stats = IntegrationStats()
-            integrated = integrate_class(
-                "Student", school.global_schema, school.catalog,
-                exports, stats, columnar=columnar,
-            )
-            results.append((integrated, stats))
-        if stats_pair is not None:
-            stats_pair.extend(s for _, s in results)
-        return results[0][0], results[1][0]
+    STUDENTS = {
+        "gs1": (
+            {"s-no": 804301, "name": "John", "age": 31,
+             "advisor": GOid("gt1"), "sex": "male", "address": GOid("ga2")},
+            (LOid("DB1", "s1"), LOid("DB2", "s2'")),
+        ),
+        "gs2": (
+            {"s-no": 798302, "name": "Tony", "age": 28,
+             "advisor": GOid("gt3"), "sex": "male"},
+            (LOid("DB1", "s2"),),
+        ),
+        "gs3": (
+            {"s-no": 808301, "name": "Mary", "age": 24,
+             "advisor": GOid("gt2"), "sex": "female"},
+            (LOid("DB1", "s3"),),
+        ),
+        "gs4": (
+            {"s-no": 762315, "name": "Hedy", "advisor": GOid("gt4"),
+             "sex": "female", "address": GOid("ga1")},
+            (LOid("DB2", "s1'"),),
+        ),
+        "gs5": (
+            {"s-no": 828307, "name": "Fanny", "advisor": GOid("gt1"),
+             "sex": "female", "address": GOid("ga1")},
+            (LOid("DB2", "s3'"),),
+        ),
+    }
 
     def test_school_objects_identical(self, school):
         exports = full_exports(school, ("Student",))["Student"]
-        stats_pair = []
-        batched, rowwise = self.integrate_both(school, exports, stats_pair)
-        assert set(batched) == set(rowwise)
-        for goid in batched:
-            left, right = batched[goid], rowwise[goid]
-            assert left.values == right.values
-            assert left.sources == right.sources
-            assert left.class_name == right.class_name
-        on, off = stats_pair
-        assert (on.objects_in, on.objects_out, on.comparisons,
-                on.translations) == (
-            off.objects_in, off.objects_out, off.comparisons,
-            off.translations,
+        stats = IntegrationStats()
+        integrated = integrate_class(
+            "Student", school.global_schema, school.catalog, exports, stats
+        )
+        assert [goid.value for goid in integrated] == list(self.STUDENTS)
+        for goid, obj in integrated.items():
+            values, sources = self.STUDENTS[goid.value]
+            assert list(obj.values.items()) == list(values.items())
+            assert obj.sources == sources
+            assert obj.class_name == "Student"
+        assert stats == IntegrationStats(
+            objects_in=6, objects_out=5, comparisons=14, translations=8
         )
 
     def test_non_reference_value_raises_identically(self, school):
@@ -257,29 +271,49 @@ class TestBatchedMergeParity:
         bad = LocalObject(
             LOid("DB1", "s1"), "Student", {"s-no": 1, "advisor": 42}
         )
-        messages = []
-        for columnar in (True, False):
-            with pytest.raises(MappingError) as err:
-                integrate_class(
-                    "Student", school.global_schema, school.catalog,
-                    {"DB1": [bad]}, columnar=columnar,
-                )
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        with pytest.raises(MappingError) as err:
+            integrate_class(
+                "Student", school.global_schema, school.catalog,
+                {"DB1": [bad]},
+            )
+        assert str(err.value) == (
+            "complex attribute holds non-reference value 42"
+        )
 
-    def test_materialize_columnar_flag(self, school):
+    def test_materialize_school_extents(self, school):
         classes = ("Student", "Teacher", "Department", "Address")
-        exports = full_exports(school, classes)
-        on = materialize(
-            classes, school.global_schema, school.catalog, exports,
-            columnar=True,
+        stats = IntegrationStats()
+        extent = materialize(
+            classes, school.global_schema, school.catalog,
+            full_exports(school, classes), stats,
         )
-        off = materialize(
-            classes, school.global_schema, school.catalog, exports,
-            columnar=False,
+        assert stats == IntegrationStats(
+            objects_in=20, objects_out=14, comparisons=32, translations=12
         )
-        for class_name in classes:
-            left, right = on.extent(class_name), off.extent(class_name)
-            assert set(left) == set(right)
-            for goid in left:
-                assert left[goid].values == right[goid].values
+        merged = {
+            name: {g.value: o.values for g, o in extent.extent(name).items()}
+            for name in classes
+        }
+        assert merged == {
+            "Student": {
+                goid: values for goid, (values, _) in self.STUDENTS.items()
+            },
+            "Teacher": {
+                "gt1": {"name": "Jeffery", "department": GOid("gd1"),
+                        "speciality": "network"},
+                "gt2": {"name": "Abel", "department": GOid("gd2")},
+                "gt3": {"name": "Haley", "department": GOid("gd1")},
+                "gt4": {"name": "Kelly", "department": GOid("gd1"),
+                        "speciality": "database"},
+            },
+            "Department": {
+                "gd1": {"name": "CS"},
+                "gd2": {"name": "EE", "location": "building E"},
+                "gd3": {"name": "PH", "location": "building D"},
+            },
+            "Address": {
+                "ga1": {"city": "Taipei", "street": "Park", "zipcode": 100},
+                "ga2": {"city": "HsinChu", "street": "Horber",
+                        "zipcode": 800},
+            },
+        }

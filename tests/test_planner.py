@@ -209,7 +209,9 @@ class TestNullRatioSampling:
         _null_the_tails(w)
         system, query = w.system, w.query
 
-        stride_pred = AdaptiveStrategy().predict(system, query, context())
+        stride_pred = AdaptiveStrategy().predict(
+            system, query, context()
+        ).predictions
         stride_pick = min(stride_pred, key=stride_pred.get)
 
         def first_n(db, class_name, attributes):
@@ -222,7 +224,9 @@ class TestNullRatioSampling:
             )
 
         monkeypatch.setattr(adaptive, "_sampled_null_ratio", first_n)
-        biased_pred = AdaptiveStrategy().predict(system, query, context())
+        biased_pred = AdaptiveStrategy().predict(
+            system, query, context()
+        ).predictions
         biased_pick = min(biased_pred, key=biased_pred.get)
         monkeypatch.undo()
 

@@ -3,7 +3,7 @@
 ``ColumnarExtent.predicate_column`` answers an operand it has never seen
 from a per-column value index (the scalar values in sorted order)
 instead of comparing every row.  The index is an implementation detail: verdicts,
-comparison charges, error rows and the exceptions the row-path fallback
+comparison charges, error rows and the exception a local evaluation
 surfaces must be what ``evaluate_predicate`` gives one object at a time.
 """
 
@@ -20,7 +20,8 @@ from repro.objectdb.objects import LocalObject
 from repro.objectdb.values import MultiValue, NULL
 
 from test_columnar import (
-    assert_result_sets_equal,
+    assert_collect_unsolved_is_reference,
+    assert_execute_local_is_reference,
     column_db,
     local_query,
     make_db,
@@ -77,16 +78,6 @@ def reference(db, col, predicate):
     return codes, charges, raised
 
 
-def batch_outcome(db, class_name, predicate, columnar):
-    """The id-sets, or the (type, message) of what the call raised."""
-    try:
-        return db.batch_evaluate_predicate(
-            class_name, predicate, columnar=columnar
-        )
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 def assert_kernel_is_row_path(db, class_name, predicate):
     col = db.columnar_extent(class_name)
     pcol = col.predicate_column(predicate)
@@ -94,11 +85,14 @@ def assert_kernel_is_row_path(db, class_name, predicate):
     assert pcol.error_rows == set(raised)
     assert pcol.codes == codes
     assert pcol.comparisons == charges
-    on = batch_outcome(db, class_name, predicate, columnar=True)
-    assert on == batch_outcome(db, class_name, predicate, columnar=False)
+    # The whole extent evaluated on it: the reference's rows and meters,
+    # or the exception of the first error row in scan order.
+    evaluated = assert_execute_local_is_reference(
+        db, local_query(((predicate,),))
+    )
     if raised:
         first = raised[min(raised)]
-        assert on == (type(first), str(first))
+        assert evaluated == (type(first), str(first))
 
 
 @pytest.mark.parametrize("operand", OPERANDS.values(), ids=OPERANDS.keys())
@@ -135,16 +129,6 @@ def test_non_reference_mid_path_is_an_error_row():
     db = make_db([("c1", {"ref": 42}), ("c2", {"ref": NULL})])
     assert_kernel_is_row_path(
         db, "C", Predicate(path=Path.of("ref", "x"), op=Op.EQ, operand=1)
-    )
-
-
-@pytest.mark.parametrize("op", [Op.EQ, Op.LT, Op.CONTAINS])
-def test_unhashable_operand_has_no_column(op):
-    db = column_db([1, NULL, 2])
-    predicate = Predicate(path=Path.of("a"), op=op, operand=[1])
-    assert db.columnar_extent("C").predicate_column(predicate) is None
-    assert batch_outcome(db, "C", predicate, True) == batch_outcome(
-        db, "C", predicate, False
     )
 
 
@@ -231,9 +215,7 @@ class TestIndexLifetime:
         query = local_query(((self.PREDICATE,),))
         assert len(db.execute_local(query).rows) == 2
         db.insert(LocalObject(LOid("DB", "c9"), "C", {"a": 7}), validate=False)
-        assert_result_sets_equal(
-            db.execute_local(query), db.execute_local(query, columnar=False)
-        )
+        assert_execute_local_is_reference(db, query)
         assert len(db.execute_local(query).rows) == 3
 
     def test_note_mutation(self):
@@ -242,9 +224,7 @@ class TestIndexLifetime:
         assert len(db.execute_local(query).rows) == 2
         db.get(LOid("DB", "c0")).values["a"] = 6
         db.note_mutation("C")
-        assert_result_sets_equal(
-            db.execute_local(query), db.execute_local(query, columnar=False)
-        )
+        assert_execute_local_is_reference(db, query)
         assert len(db.execute_local(query).rows) == 3
 
 
@@ -323,23 +303,13 @@ def test_unseen_operands_equal_the_row_path(seed, index_kind):
     # One warm columnar site answers query after query it has never seen;
     # every answer must be the row path's, object by object, with meters.
     rng = random.Random(1996 + seed)
-    objects = random_site(rng)
-    warm, cold = make_db(objects), make_db(objects)
+    warm = make_db(random_site(rng))
     if index_kind is not None:
         warm.create_index("C", "a", kind=index_kind)
-        cold.create_index("C", "a", kind=index_kind)
     probed = 0
     for _ in range(40):
         query = random_query(rng)
-        on = warm.execute_local(query, columnar=True)
-        off = cold.execute_local(query, columnar=False)
-        assert_result_sets_equal(on, off)
-        assert on.index_probe == off.index_probe
-        probed += on.index_probe is not None
-        scan_on, meter_on = warm.collect_unsolved(query, columnar=True)
-        scan_off, meter_off = cold.collect_unsolved(query, columnar=False)
-        assert scan_on.objects_scanned == scan_off.objects_scanned
-        assert scan_on.per_root == scan_off.per_root
-        assert list(scan_on.per_root) == list(scan_off.per_root)
-        assert meter_on == meter_off
+        result = assert_execute_local_is_reference(warm, query)
+        probed += result.index_probe is not None
+        assert_collect_unsolved_is_reference(warm, query)
     assert (probed > 0) == (index_kind is not None)
