@@ -147,12 +147,6 @@ def _execution_option_flags() -> argparse.ArgumentParser:
              "(one request/reply pair per check request)",
     )
     _add_planner_arg(flags)
-    flags.add_argument(
-        "--no-conditions", action="store_true", dest="no_conditions",
-        help="do not attach discharge conditions to degraded rows "
-             "(notes-only degradation; such reports cannot be repaired "
-             "with 'recertify')",
-    )
     return flags
 
 
@@ -177,7 +171,6 @@ def _cli_options(args: argparse.Namespace) -> ExecutionOptions:
         batch_checks=not args.no_batch,
         failover=args.failover,
         planner=args.planner,
-        conditions=not args.no_conditions,
     )
 
 

@@ -285,8 +285,6 @@ def mechanism(conditions: Iterable[Condition]) -> str:
     A row blocked *only* by genuine nulls is sampling missingness
     (MCAR-ish: recovery never certifies it); any site/copy/flux atom
     makes it systematic (dischargeable once the federation heals).
-    Rows with no conditions at all — fault-free maybes executed with
-    conditions disabled — default to sampling.
     """
     for condition in conditions:
         for atom in condition.atoms():

@@ -3,24 +3,28 @@
 A degraded :class:`~repro.core.report.ExecutionReport` carries (a)
 per-row discharge conditions and (b) a *repair state* — the exact
 evidence the strategy certified over, plus the work it had to skip
-(unreached local queries, undispatched check requests, stalled chase
-chains, unshipped CA exports).  Given a recovered federation, the
-:class:`ReCertifier` replays only that skipped work:
+(unreached sites, undispatched check requests, stalled chase chains,
+unshipped CA exports).  Certification is a pure function of that
+evidence, so repairing the answer is the *same* execution resumed over
+what it could not reach the first time: the :class:`ReCertifier` hands
+the state back to the strategy that captured it
+(``Strategy.execute(..., resume=state)``), which validates and
+decomposes the query at the current epoch, contacts only the sites the
+state names, routes and fails over under the repair's own fault plan
+like any execution, and certifies over the merged evidence.  What is
+left here is what only a repair does:
 
-1. contact the sites named in outstanding conditions — nobody else;
-2. fold the new evidence into the *original* evidence (verdict merges
-   are order-independent, VIOLATED is sticky);
-3. re-run the pure certification step over the merged evidence;
-4. re-apply the flux demotion rule against the *current* evolution
-   state, never touching rows the original answer already certified.
+1. enforce the monotone contract — a row never loses certainty across
+   a repair (:class:`RepairError` if it would);
+2. re-apply the flux demotion rule against the *current* evolution
+   state, never touching rows the original answer already certified,
+   and promote rows that waited only on a window that has closed;
+3. account for it (:class:`RepairSummary`) and build the new report.
 
-Because certification is a deterministic function of its evidence, a
-fully healed repair reproduces the fault-free baseline byte for byte —
-without re-running the query at any site that already answered.  The
-contract is monotone: a row never loses certainty across a repair
-(:class:`RepairError` if it would), and partially healed repairs return
-an updated repair state so recovery can proceed in as many increments
-as the federation needs.
+A fully healed repair reproduces the fault-free baseline byte for byte
+— without re-running the query at any site that already answered — and
+a partially healed one returns an updated repair state, so recovery
+can proceed in as many increments as the federation needs.
 """
 
 from __future__ import annotations
@@ -28,15 +32,12 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.conditions.algebra import (
     FluxEpoch,
     NullAttr,
-    SiteDown,
     SystemState,
-    UncheckedCopy,
-    attach,
     rank_mechanisms,
 )
 from repro.conditions.reasons import DegradationReason
@@ -86,19 +87,20 @@ class RepairSummary:
 
 @dataclass
 class LocalizedRepairState:
-    """Everything a localized (BL/PL) repair needs — and nothing more.
+    """What a localized (BL/PL) run resumes from — and nothing more.
 
     ``local_results``/``verdicts`` are the evidence the degraded run
-    certified over; the ``skipped_*`` fields are the exact work units
-    the fault plan forced the run to drop.  Repair = redo the skipped
-    units against the healed federation, merge, re-certify.
+    certified over; ``down_sites`` and the ``skipped_*`` fields are the
+    exact work units the fault plan forced it to drop.  Local queries
+    are not kept: the resumed run decomposes the query again, at the
+    schema epoch it runs in.
     """
 
+    #: Registered name of the strategy to resume ("BL", "PL-S", ...).
     strategy: str
     query: object
-    use_signatures: bool
-    #: Every decomposed per-site local query (down sites included).
-    local_queries: Dict[str, object]
+    #: Schema epoch the degraded run executed at.
+    schema_epoch: int
     #: Per-site local results actually obtained (pruned sites hold
     #: synthesized empty sets — they never need re-contact).
     local_results: Dict[str, object]
@@ -107,18 +109,20 @@ class LocalizedRepairState:
     #: Check requests never dispatched: ``(source_site, CheckRequest)``.
     skipped_requests: Tuple[Tuple[str, object], ...]
     #: Chase chains stalled at an unreachable assistant:
-    #: ``(site, orig_loid, orig_pred, holder, holder_class, remaining)``.
+    #: ``(orig_loid, orig_pred, holder, holder_class, remaining)``.
     skipped_chase: Tuple[Tuple, ...]
-    #: VerdictIndex snapshot (cloned — safe to merge into).
+    #: The run's VerdictIndex (a resumed run merges into a clone).
     verdicts: object
 
 
 @dataclass
 class CentralizedRepairState:
-    """A CA repair ships only the exports the degraded run skipped."""
+    """A resumed CA run ships only the exports the degraded run skipped."""
 
+    strategy: str
     query: object
-    involved_classes: Tuple[str, ...]
+    #: Schema epoch the degraded run executed at.
+    schema_epoch: int
     #: global class -> site -> exported objects (the partial
     #: materialization input the degraded run fused).
     exports_by_class: Dict[str, Dict[str, list]]
@@ -140,12 +144,15 @@ class ReCertifier:
     context that injects no faults (what the engine passes for a fully
     recovered federation) reaches every present site; one with an
     active fault plan yields partial repairs that leave still-blocked
-    conditions (and an updated repair state) in place.
+    conditions (and an updated repair state) in place.  *registry*
+    resolves the strategy a repair state names (default: the
+    process-wide one).
     """
 
-    def __init__(self, system, ctx):
+    def __init__(self, system, ctx, registry=None):
         self.system = system
         self.ctx = ctx
+        self.registry = registry
         self.state = SystemState.current(system, ctx)
 
     # -- entry point ---------------------------------------------------
@@ -155,34 +162,29 @@ class ReCertifier:
         from repro.core.report import ExecutionReport
 
         original = report.results
-        repair_state = getattr(report, "repair", None)
         protect = {row.goid for row in original.certain}
+        if report.repair is not None:
+            resumed = self._resume(report.repair)
+            repaired, new_state = resumed.results, resumed.repair
+            exchanges = resumed.exchanges
+            evo = self.system.evolution
+            if evo is not None:
+                # The straddle rule against the *current* flux view:
+                # rows this repair certified while a referenced window
+                # is open cannot be trusted; those the original answer
+                # certified predate the window and are protected.
+                from repro.core.engine import _demote_uncertified
 
-        if isinstance(repair_state, LocalizedRepairState):
-            query = repair_state.query
-            repaired, messages, contacted, new_state = (
-                self._repair_localized(repair_state)
-            )
-            self._demote_flux(repaired, query, protect)
-        elif isinstance(repair_state, CentralizedRepairState):
-            query = repair_state.query
-            repaired, messages, contacted, new_state = (
-                self._repair_centralized(repair_state)
-            )
-            self._demote_flux(repaired, query, protect)
-        else:
-            degraded = not report.availability.complete
-            has_conditions = any(
-                row.conditions for row in original.all_results()
-            )
-            if degraded and not has_conditions:
-                raise RepairError(
-                    "report carries no repair state and no conditions; "
-                    "re-run the query with conditions enabled to make "
-                    "the answer repairable"
+                _demote_uncertified(
+                    repaired, report.repair.query, evo.in_flux_view(),
+                    epoch=self.state.epoch, protect=protect,
                 )
-            repaired = self._copy_results(original)
-            messages, contacted, new_state = 0, (), None
+        else:
+            # Nothing was skipped: only a closed evolution window can
+            # still change the answer.
+            repaired, new_state, exchanges = (
+                self._copy_results(original), None, ()
+            )
             self._promote_flux(repaired)
 
         # Monotone contract: no row the original answer certified may
@@ -198,334 +200,35 @@ class ReCertifier:
             )
 
         summary = self._summarize(
-            report, original, repaired, messages, contacted, new_state
+            report, original, repaired, exchanges, new_state
         )
         return self._build_report(
             ExecutionReport, report, repaired, summary, new_state
         )
 
-    # -- localized (BL/PL) repair --------------------------------------
+    def _resume(self, state):
+        """Run the strategy *state* names, resumed from *state*.
 
-    def _repair_localized(self, state: LocalizedRepairState):
-        from repro.core.binding_resolution import (
-            ResolutionStats,
-            resolve_missing_bindings,
-        )
-        from repro.core.certification import (
-            SATISFIED,
-            VIOLATED,
-            certify,
-        )
-        from repro.core.strategies.base import (
-            chase_blocked,
-            evaluate_site,
-            run_checks_paired,
-        )
-        from repro.objectdb.local_query import BlockedAt, CheckReport
-        from repro.resilience.failover import (
-            covered_by_verdicts,
-            pending_skips_of,
-        )
+        The resumed run validates and decomposes the query against the
+        federation as it stands, exactly like an execution; a query an
+        evolution event has invalidated since cannot be repaired.
+        """
+        from repro.core.strategies.registry import resolve
+        from repro.errors import QueryError
 
-        system = self.system
-        verdicts = state.verdicts.clone()
-        local_results = dict(state.local_results)
-        messages = 0
-        contacted: List[str] = []
-        reports: List = []
-        still_down: List[str] = []
-        remaining_requests: List[Tuple[str, object]] = []
-
-        def run_request(request) -> None:
-            nonlocal messages
-            for _req, rep in run_checks_paired([request], system):
-                reports.append(rep)
-                verdicts.add_report(rep)
-            messages += 2
-            if request.db_name not in contacted:
-                contacted.append(request.db_name)
-
-        # 1. Healed queried sites answer their original local queries;
-        #    their maybe rows' unsolved items are dispatched as usual.
-        for site in state.down_sites:
-            if self.state.site_status(site) is not TV.TRUE:
-                still_down.append(site)
-                continue
-            local_query = state.local_queries.get(site)
-            if local_query is None:
-                still_down.append(site)
-                continue
-            result, _scan, _items, plan = evaluate_site(
-                system, site, local_query,
-                use_signatures=state.use_signatures,
+        strategy = resolve(state.strategy, self.registry)
+        try:
+            return strategy.execute(
+                self.system, state.query, self.ctx, resume=state
             )
-            local_results[site] = result
-            contacted.append(site)
-            messages += 2
-            for loid, predicate, verdict in plan.signature_verdicts:
-                verdicts.add(loid, predicate, verdict)
-            for request in plan.requests:
-                if self.state.site_status(request.db_name) is TV.TRUE:
-                    run_request(request)
-                else:
-                    remaining_requests.append((site, request))
-
-        # 2. Originally skipped check requests: an isomeric copy's
-        #    definitive verdict (collected elsewhere, or just merged)
-        #    discharges the whole request without any contact.
-        for src, request in state.skipped_requests:
-            skips = pending_skips_of(system, src, request)
-            if skips and all(
-                covered_by_verdicts(system, verdicts, skip)
-                for skip in skips
-            ):
-                continue
-            if self.state.site_status(request.db_name) is TV.TRUE:
-                run_request(request)
-            else:
-                remaining_requests.append((src, request))
-
-        # 3. Stalled chase chains re-enter the chase from the exact
-        #    block they stopped at — settled pairs need nothing.
-        synthetic: List = []
-        seen = set()
-        for entry in state.skipped_chase:
-            _site, orig_loid, orig_pred, holder, holder_cls, rest = entry
-            if verdicts.get(orig_loid, orig_pred) in (
-                SATISFIED,
-                VIOLATED,
-            ):
-                continue
-            key = (orig_loid, orig_pred, holder, rest)
-            if key in seen:
-                continue
-            seen.add(key)
-            synthetic.append(
-                BlockedAt(
-                    checked=orig_loid,
-                    predicate=orig_pred,
-                    holder=holder,
-                    holder_class=holder_cls,
-                    remaining=rest,
-                )
-            )
-
-        remaining_chase: List[Tuple] = []
-        chase_input = list(reports)
-        if synthetic:
-            chase_input.append(
-                CheckReport(
-                    db_name=system.global_site,
-                    class_name="",
-                    blocked=tuple(synthetic),
-                )
-            )
-        if chase_input:
-            predicates = state.query.all_predicates()
-            max_rounds = max(
-                (len(p.path) for p in predicates), default=0
-            )
-            deferred: List[Tuple] = []
-            skipped_entries: List[Tuple] = []
-            rounds = chase_blocked(
-                chase_input,
-                system,
-                verdicts,
-                max_rounds,
-                self.ctx,
-                deferred_skips=deferred,
-                skip_log=skipped_entries,
-            )
-            for chase in rounds:
-                messages += 2 * len(chase.requests)
-                for request in chase.requests:
-                    if request.db_name not in contacted:
-                        contacted.append(request.db_name)
-            for entry in skipped_entries:
-                site, orig_loid, orig_pred = entry[0], entry[1], entry[2]
-                holder, holder_cls, rest = entry[4], entry[5], entry[6]
-                if verdicts.get(orig_loid, orig_pred) in (
-                    SATISFIED,
-                    VIOLATED,
-                ):
-                    continue
-                shaped = (
-                    site, orig_loid, orig_pred, holder, holder_cls, rest,
-                )
-                if shaped not in remaining_chase:
-                    remaining_chase.append(shaped)
-
-        # 4. Certification is pure: rerunning it over the merged
-        #    evidence yields exactly what a fault-free run would have.
-        answer = certify(
-            state.query,
-            system.global_schema,
-            system.catalog,
-            local_results,
-            verdicts,
-        )
-        res_stats = ResolutionStats()
-        resolve_missing_bindings(
-            system, state.query, answer, self.ctx, stats=res_stats
-        )
-        messages += 2 * len(res_stats.fetches_by_site)
-        for fetch_db in sorted(res_stats.fetches_by_site):
-            if fetch_db not in contacted:
-                contacted.append(fetch_db)
-
-        # 5. Whatever is still blocked gets re-annotated, and an updated
-        #    repair state keeps the answer repairable incrementally.
-        new_state: Optional[LocalizedRepairState] = None
-        if still_down or remaining_requests or remaining_chase:
-            from repro.core.strategies.localized import annotate_site_loss
-
-            down = set()
-            skipped_goids: Dict[object, set] = {}
-            for src, request in remaining_requests:
-                down.add(request.db_name)
-                for skip in pending_skips_of(system, src, request):
-                    if not covered_by_verdicts(system, verdicts, skip):
-                        skipped_goids.setdefault(skip.goid, set()).add(
-                            request.db_name
-                        )
-            for entry in remaining_chase:
-                down.add(entry[0])
-            annotate_site_loss(
-                system,
-                state.query,
-                local_results,
-                answer,
-                down,
-                skipped_goids,
-                conditions=True,
-                queried_down=tuple(still_down),
-            )
-            new_state = LocalizedRepairState(
-                strategy=state.strategy,
-                query=state.query,
-                use_signatures=state.use_signatures,
-                local_queries=state.local_queries,
-                local_results=local_results,
-                down_sites=tuple(still_down),
-                skipped_requests=tuple(remaining_requests),
-                skipped_chase=tuple(remaining_chase),
-                verdicts=verdicts,
-            )
-        return answer, messages, tuple(contacted), new_state
-
-    # -- centralized (CA) repair ---------------------------------------
-
-    def _repair_centralized(self, state: CentralizedRepairState):
-        from repro.core.decompose import attributes_needed_by_class
-        from repro.core.strategies.centralized import (
-            demote_outerjoin_incomplete,
-            evaluate_global_extent,
-            export_site,
-        )
-        from repro.integration.outerjoin import materialize
-
-        system = self.system
-        schema = system.global_schema
-        exports = {
-            cls: dict(by_site)
-            for cls, by_site in state.exports_by_class.items()
-        }
-        needed = attributes_needed_by_class(
-            state.query, schema, state.involved_classes
-        )
-        messages = 0
-        contacted: List[str] = []
-        still_down: List[str] = []
-        for site in state.skipped_sites:
-            if self.state.site_status(site) is not TV.TRUE:
-                still_down.append(site)
-                continue
-            shipped = list(export_site(system, site, needed))
-            for global_class, objs, _n_attrs in shipped:
-                exports.setdefault(global_class, {})[site] = objs
-            if shipped:
-                contacted.append(site)
-                messages += 2
-
-        extent = materialize(
-            state.involved_classes,
-            schema,
-            system.catalog,
-            exports,
-        )
-        answer = evaluate_global_extent(state.query, extent)
-        new_state: Optional[CentralizedRepairState] = None
-        if still_down:
-            demote_outerjoin_incomplete(answer, still_down)
-            new_state = CentralizedRepairState(
-                query=state.query,
-                involved_classes=state.involved_classes,
-                exports_by_class=exports,
-                skipped_sites=tuple(still_down),
-            )
-        return answer, messages, tuple(contacted), new_state
+        except QueryError as exc:
+            raise RepairError(
+                f"the query of this answer (degraded at schema epoch "
+                f"{state.schema_epoch}) cannot be resumed at epoch "
+                f"{self.state.epoch}: {exc}"
+            ) from exc
 
     # -- flux handling -------------------------------------------------
-
-    def _open_hit_labels(self, query) -> List[str]:
-        evo = getattr(self.system, "evolution", None)
-        if evo is None or query is None:
-            return []
-        flux = evo.in_flux_view()
-        if not flux.uncertified_attrs:
-            return []
-        from repro.evolution.seeding import referenced_attributes
-
-        referenced = referenced_attributes(query)
-        return [
-            label
-            for label, event in flux.open_events
-            if any(a in referenced for a in event.touched_attrs)
-        ]
-
-    def _demote_flux(self, results, query, protect) -> int:
-        """Re-apply the straddle rule against the *current* flux view.
-
-        Rows certified by this repair while a referenced window is still
-        open cannot be trusted; rows the original answer certified are
-        protected (their certification predates the window — repair
-        never demotes).
-        """
-        hit = self._open_hit_labels(query)
-        if not hit:
-            return 0
-        from repro.core.results import ResultKind
-
-        epoch = getattr(self.system, "schema_epoch", 0)
-        atoms = [
-            FluxEpoch(epoch=epoch, event=label) for label in hit
-        ]
-        notes = tuple(
-            str(DegradationReason.schema_flux(label)) for label in hit
-        )
-        kept = []
-        demoted = 0
-        for row in results.certain:
-            if row.goid in protect:
-                kept.append(row)
-                continue
-            row.kind = ResultKind.MAYBE
-            row.notes = row.notes + tuple(
-                n for n in notes if n not in row.notes
-            )
-            attach(row, *atoms)
-            results.maybe.append(row)
-            demoted += 1
-        results.certain[:] = kept
-        # Rows still blocked on a site also wait on the open window: a
-        # later repair may promote them only once *both* clear.
-        for row in results.maybe:
-            if any(
-                isinstance(atom, (SiteDown, UncheckedCopy))
-                for atom in _leaf_atoms(row)
-            ):
-                attach(row, *atoms)
-        return demoted
 
     def _promote_flux(self, results) -> int:
         """Discharge flux-only rows whose windows have since closed.
@@ -584,7 +287,7 @@ class ReCertifier:
         return out
 
     def _summarize(
-        self, report, original, repaired, messages, contacted, new_state
+        self, report, original, repaired, exchanges, new_state
     ) -> RepairSummary:
         original_maybe = {row.goid: row for row in original.maybe}
         repaired_maybe = {row.goid: row for row in repaired.maybe}
@@ -626,8 +329,8 @@ class ReCertifier:
             outstanding=outstanding,
             promoted=promoted,
             dropped=dropped,
-            messages=messages,
-            sites_contacted=tuple(contacted),
+            messages=2 * len(exchanges),
+            sites_contacted=tuple(dict.fromkeys(exchanges)),
             fully_repaired=new_state is None and outstanding == 0,
         )
 

@@ -152,9 +152,13 @@ def certify(
     local_results: Mapping[str, LocalResultSet],
     verdicts: VerdictIndex,
     stats: Optional[CertificationStats] = None,
-    conditions: bool = True,
 ) -> ResultSet:
     """Merge per-site local results into the final global answer.
+
+    Maybe rows carry :class:`~repro.conditions.algebra.NullAttr` atoms,
+    one per (observing site, unsolved predicate) — the residual
+    genuine-null provenance that makes a fault-free maybe rank as
+    *sampling* missingness.
 
     Args:
         query: the original global query.
@@ -162,10 +166,6 @@ def certify(
             site that received a local query must appear (even with zero
             rows) — absence detection depends on it.
         verdicts: assistant-check verdicts collected by the strategy.
-        conditions: attach :class:`~repro.conditions.algebra.NullAttr`
-            atoms to maybe rows, one per (observing site, unsolved
-            predicate) — the residual genuine-null provenance that makes
-            a fault-free maybe rank as *sampling* missingness.
     """
     stats = stats if stats is not None else CertificationStats()
     root_table = catalog.table(query.range_class)
@@ -224,7 +224,7 @@ def certify(
                 unsolved,
                 conditions=tuple(
                     [NullAttr(site, goid, attr) for site, attr in null_atoms]
-                ) if conditions else (),
+                ),
             ))
     return answer
 

@@ -69,7 +69,7 @@ def _with_departed_outages(
 
 
 def _demote_uncertified(
-    results, query: Query, flux, epoch: int = 0, conditions: bool = True
+    results, query: Query, flux, epoch: int = 0, protect=frozenset()
 ) -> Tuple[int, List[str]]:
     """Apply the flux consistency contract to one straddling answer.
 
@@ -83,13 +83,23 @@ def _demote_uncertified(
     fault machinery's own degradation.)  Returns (rows demoted, labels
     of the windows that forced it).
 
-    With *conditions*, every demoted row carries a ``FluxEpoch`` atom
-    per forcing window, and rows *already* maybe for a site-loss reason
-    (``SiteDown`` / ``UncheckedCopy`` atoms) pick up the same atoms —
-    their answer is blocked by the outage AND the open window, and the
-    conjunction discharges only when both clear.  Atoms never alter
-    notes, so rendered degradation text is unchanged.
+    Every demoted row carries a ``FluxEpoch`` atom per forcing window,
+    and rows *already* maybe for a site-loss reason (``SiteDown`` /
+    ``UncheckedCopy`` atoms) pick up the same atoms — their answer is
+    blocked by the outage AND the open window, and the conjunction
+    discharges only when both clear.  Atoms never alter notes, so
+    rendered degradation text is unchanged.
+
+    *protect* names entities exempt from demotion: a repair passes the
+    rows the degraded answer had already certified, whose certification
+    predates the window — repair never demotes.
     """
+    from repro.conditions.algebra import (
+        FluxEpoch,
+        SiteDown,
+        UncheckedCopy,
+        attach,
+    )
     from repro.evolution.seeding import referenced_attributes
 
     if not flux.uncertified_attrs:
@@ -102,36 +112,22 @@ def _demote_uncertified(
     ]
     if not hit:
         return 0, hit
-    flux_atoms = ()
-    if conditions:
-        from repro.conditions.algebra import (
-            FluxEpoch,
-            SiteDown,
-            UncheckedCopy,
-            attach,
-        )
-
-        flux_atoms = tuple(
-            FluxEpoch(epoch=epoch, event=label) for label in hit
-        )
-        for row in results.maybe:
-            leaves = [a for c in row.conditions for a in c.atoms()]
-            if any(
-                isinstance(a, (SiteDown, UncheckedCopy)) for a in leaves
-            ):
-                attach(row, *flux_atoms)
-    if not results.certain:
+    flux_atoms = tuple(FluxEpoch(epoch=epoch, event=label) for label in hit)
+    for row in results.maybe:
+        leaves = [a for c in row.conditions for a in c.atoms()]
+        if any(isinstance(a, (SiteDown, UncheckedCopy)) for a in leaves):
+            attach(row, *flux_atoms)
+    demoted = [row for row in results.certain if row.goid not in protect]
+    if not demoted:
         return 0, hit
     notes = tuple(f"uncertified: schema in flux ({label})" for label in hit)
-    demoted = list(results.certain)
-    results.certain.clear()
+    results.certain[:] = [
+        row for row in results.certain if row.goid in protect
+    ]
     for row in demoted:
         row.kind = ResultKind.MAYBE
         row.notes = row.notes + notes
-        if flux_atoms:
-            from repro.conditions.algebra import attach
-
-            attach(row, *flux_atoms)
+        attach(row, *flux_atoms)
         results.maybe.append(row)
     return len(demoted), hit
 
@@ -254,7 +250,6 @@ class GlobalQueryEngine:
                     query,
                     flux,
                     epoch=self.system.schema_epoch,
-                    conditions=options.conditions,
                 )
                 if demoted:
                     result.metrics.certain_results = len(result.results.certain)
@@ -264,21 +259,20 @@ class GlobalQueryEngine:
                 schema_epoch=self.system.schema_epoch,
                 epochs_straddled=flux.labels if flux is not None else (),
             )
-        if options.conditions:
-            # Mechanism ranking of whatever stayed maybe: genuinely
-            # missing data (sampling-like) vs systematic loss (outages,
-            # skipped checks, open schema windows).  Data only — the
-            # counts surface through conditions_summary()/explain(), so
-            # availability.summary() text stays byte-stable.
-            from repro.conditions.algebra import rank_mechanisms
+        # Mechanism ranking of whatever stayed maybe: genuinely missing
+        # data (sampling-like) vs systematic loss (outages, skipped
+        # checks, open schema windows).  Data only — the counts surface
+        # through conditions_summary()/explain(), so
+        # availability.summary() text stays byte-stable.
+        from repro.conditions.algebra import rank_mechanisms
 
-            sampling, systematic = rank_mechanisms(result.results)
-            if sampling or systematic:
-                result.availability = dataclasses.replace(
-                    result.availability,
-                    maybe_sampling=sampling,
-                    maybe_systematic=systematic,
-                )
+        sampling, systematic = rank_mechanisms(result.results)
+        if sampling or systematic:
+            result.availability = dataclasses.replace(
+                result.availability,
+                maybe_sampling=sampling,
+                maybe_systematic=systematic,
+            )
         # Strategies do not see the cache layer; attribute the traffic
         # this execution generated (mapping-index + decomposition) to its
         # metrics before the lazy registry snapshot is built.
@@ -369,10 +363,11 @@ class GlobalQueryEngine:
         """Incrementally repair a degraded *report* against the
         federation as it stands now.
 
-        Only the sites named in the report's outstanding conditions and
-        repair state are re-contacted; everything the original execution
-        already collected (local results, check verdicts) is reused, and
-        re-certification runs over the merged evidence.  Promotion is
+        The strategy that produced *report* is resumed from the report's
+        repair state: only the sites it could not reach are contacted,
+        everything the original execution already collected (local
+        results, check verdicts, exports) is reused, and certification
+        runs over the merged evidence.  Promotion is
         monotone — a repaired answer never demotes a row the original
         certified — and a fully healed federation repairs the answer to
         the fault-free baseline byte for byte, at a fraction of a
@@ -385,15 +380,15 @@ class GlobalQueryEngine:
         repairable — call :meth:`recertify` again as more sites return.
 
         Raises:
-            RepairError: the report carries no repair state (it was
-                produced with ``conditions=False``), or repair would
-                demote a certified row.
+            RepairError: the federation no longer accepts the query (an
+                evolution event invalidated it since the degraded run),
+                or repair would demote a certified row.
         """
         from repro.conditions.recertify import ReCertifier
 
         effective = options if options is not None else ExecutionOptions()
         return ReCertifier(
-            self.system, ExecutionContext(effective)
+            self.system, ExecutionContext(effective), self.registry
         ).repair(report)
 
     def explain(

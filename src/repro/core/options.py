@@ -59,13 +59,6 @@ class ExecutionOptions:
             constraint catalog), or ``"full"`` (both).  Every mode is
             answer-identical to ``static`` — the soundness contract the
             difftest oracle's ``planner`` invariant enforces.
-        conditions: attach discharge conditions (``repro.conditions``
-            atoms) to maybe/uncertified rows and capture the repair
-            state that makes a degraded report incrementally
-            re-certifiable via ``engine.recertify`` (``False`` restores
-            bare notes-only degradation; such reports cannot be
-            repaired).  Conditions never appear in exported answers, so
-            the flag cannot change bytes on the wire.
     """
 
     fault_plan: Optional[FaultPlan] = None
@@ -74,7 +67,6 @@ class ExecutionOptions:
     batch_checks: bool = True
     failover: bool = True
     planner: str = "static"
-    conditions: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "policy", resolve_policy(self.policy))
@@ -107,7 +99,6 @@ class ExecutionOptions:
             f"batch_checks={self.batch_checks}",
             f"failover={self.failover}",
             f"planner={self.planner}",
-            f"conditions={self.conditions}",
         ]
         if self.fault_plan is not None:
             parts.insert(0, (

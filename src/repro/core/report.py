@@ -49,6 +49,7 @@ class ExecutionReport(StrategyResult):
             metrics=result.metrics,
             availability=result.availability,
             repair=result.repair,
+            exchanges=result.exchanges,
             query_text=query_text,
         )
 

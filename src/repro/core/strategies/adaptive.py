@@ -299,10 +299,14 @@ class AdaptiveStrategy(Strategy):
         system: DistributedSystem,
         query: Query,
         ctx: ExecutionContext,
+        resume=None,
     ) -> StrategyResult:
         from repro.core.strategies.registry import resolve
         from repro.obs.spans import TraceEvent
 
+        if resume is not None:
+            # The degraded run chose already; a repair resumes its pick.
+            return resolve(resume.strategy).execute(system, query, ctx, resume)
         predicted = self.predict(system, query, ctx)
         predictions = predicted.predictions
         choice = min(predictions, key=predictions.get)

@@ -58,9 +58,12 @@ class StrategyResult:
     #: ``repro.conditions.recertify`` state object): the evidence this
     #: run certified over plus the exact work it skipped, enough for
     #: ``engine.recertify`` to repair the answer without re-running the
-    #: query.  ``None`` when nothing repairable was skipped (or
-    #: conditions were disabled).
+    #: query.  ``None`` when nothing repairable was skipped.
     repair: Optional[object] = None
+    #: Destination site of every request/reply pair this execution
+    #: exchanged (site query, check, chase or fetch request), in the
+    #: order sent — what a repair reports as its message cost.
+    exchanges: Tuple[str, ...] = ()
 
     @property
     def total_time(self) -> float:
@@ -75,9 +78,9 @@ class Strategy(abc.ABC):
     """A query-execution strategy over a distributed federation.
 
     Strategies hold no execution option: everything configurable about
-    one run (wire protocol, evaluation path, planner mode, condition
-    capture, faults) arrives on the :class:`ExecutionContext`, so one
-    instance can serve any number of interleaved sessions.
+    one run (wire protocol, planner mode, faults) arrives on the
+    :class:`ExecutionContext`, so one instance can serve any number of
+    interleaved sessions.
     """
 
     #: Short name used in reports ("CA", "BL", "PL", "BL-S", "PL-S").
@@ -89,6 +92,7 @@ class Strategy(abc.ABC):
         system: DistributedSystem,
         query: Query,
         ctx: ExecutionContext,
+        resume: Optional[object] = None,
     ) -> StrategyResult:
         """Run *query* on *system*; return answer and metrics.
 
@@ -96,6 +100,11 @@ class Strategy(abc.ABC):
         fault state.  A context whose options inject no faults
         negotiates every contact cleanly and records nothing, so a
         fault-free run is this same code path, not a second one.
+
+        *resume* is the repair state (``StrategyResult.repair``) of a
+        degraded execution of the same query: the run then starts from
+        the evidence that execution collected and does only the work it
+        had to skip — a repair is this same code path too.
         """
 
     def __repr__(self) -> str:
@@ -473,6 +482,7 @@ def chase_blocked(
     ctx: ExecutionContext,
     deferred_skips: Optional[List[Tuple]] = None,
     skip_log: Optional[List[Tuple]] = None,
+    stalled: Iterable[Tuple] = (),
 ) -> List[ChaseRound]:
     """Resolve multi-hop missing-reference chains by iterated checking.
 
@@ -497,7 +507,9 @@ def chase_blocked(
     nothing was lost.  A *skip_log* list receives the same tuple for
     *every* skip (eager or deferred, even when the whole round dies) so
     a later repair can re-enter the chase from the exact block it
-    stalled at.
+    stalled at: *stalled* takes such chains — ``(original assistant,
+    original predicate, holder, holder class, remaining predicate)`` —
+    and chases them after the blocks of *initial_reports*.
     """
     # Each entry tracks the original pair a chain must report back to:
     # (original assistant, original relative predicate, blocker loid,
@@ -507,6 +519,7 @@ def chase_blocked(
         for report in initial_reports
         for b in report.blocked
     ]
+    pending.extend(stalled)
     rounds: List[ChaseRound] = []
     while pending and len(rounds) < max_rounds:
         round_data = ChaseRound()
@@ -629,9 +642,11 @@ def chase_blocked(
 def collect_verdicts(
     reports: Iterable[CheckReport],
     signature_verdicts: Iterable[Tuple[LOid, Predicate, str]] = (),
+    into: Optional[VerdictIndex] = None,
 ) -> VerdictIndex:
-    """Fold check reports and local signature verdicts into one index."""
-    verdicts = VerdictIndex()
+    """Fold check reports and local signature verdicts into one index
+    (*into*, when a resumed run already holds one)."""
+    verdicts = into if into is not None else VerdictIndex()
     for loid, predicate, verdict in signature_verdicts:
         verdicts.add(loid, predicate, verdict)
     for report in reports:

@@ -34,15 +34,14 @@ def evaluate_global_extent(
     query: Query,
     extent,
     meter: Optional[EvalMeter] = None,
-    conditions: bool = True,
 ) -> ResultSet:
     """Step CA_G3: evaluate the query over a materialized global extent.
 
-    Pure over its inputs, which is what makes CA repair cheap: the
-    re-certifier re-materializes with the recovered exports merged in
-    and calls this again — no site re-evaluates anything.  With
-    *conditions*, maybe rows carry ``NullAttr`` atoms (site ``""``: the
-    null was observed on the fused global object, not at one site).
+    Pure over its inputs, which is what makes CA repair cheap: a
+    resumed run re-materializes with the recovered exports merged in
+    and evaluates again — no site re-evaluates anything.  Maybe rows
+    carry ``NullAttr`` atoms (site ``""``: the null was observed on the
+    fused global object, not at one site).
     """
     meter = meter if meter is not None else EvalMeter()
     results = ResultSet(targets=query.targets)
@@ -71,11 +70,9 @@ def evaluate_global_extent(
                 bindings=bindings,
                 unsolved=unsolved,
             )
-            if conditions:
-                attach(result, *(
-                    NullAttr(site="", goid=goid, attr=str(p))
-                    for p in unsolved
-                ))
+            attach(result, *(
+                NullAttr(site="", goid=goid, attr=str(p)) for p in unsolved
+            ))
             results.add(result)
     return results
 
@@ -83,18 +80,17 @@ def evaluate_global_extent(
 def demote_outerjoin_incomplete(
     results: ResultSet,
     skipped_sites: Iterable[str],
-    conditions: bool = True,
 ) -> int:
     """Degraded-answer semantics of a partial CA materialization.
 
     CA fuses every shipped extent into one outerjoin, erasing per-site
     provenance: with any extent missing, a TRUE predicate can rest on an
     incomplete materialization, so no row can be soundly *certified* —
-    every certain result demotes to maybe.  With *conditions*, a
-    ``SiteDown`` atom per skipped site lands on **all** rows (existing
-    maybes included: their missing values may equally stem from the
-    unshipped extent), which is what lets repair later re-materialize
-    from exactly the named sites.  Returns the number of demoted rows.
+    every certain result demotes to maybe.  A ``SiteDown`` atom per
+    skipped site lands on **all** rows (existing maybes included: their
+    missing values may equally stem from the unshipped extent), which
+    is what lets repair later re-materialize from exactly the named
+    sites.  Returns the number of demoted rows.
     """
     skipped = sorted(skipped_sites)
     note = str(DegradationReason.outerjoin_incomplete(skipped))
@@ -104,10 +100,9 @@ def demote_outerjoin_incomplete(
         result.kind = ResultKind.MAYBE
         result.notes = result.notes + (note,)
         results.maybe.append(result)
-    if conditions:
-        atoms = [SiteDown(site=site) for site in skipped]
-        for result in results.maybe:
-            attach(result, *atoms)
+    atoms = [SiteDown(site=site) for site in skipped]
+    for result in results.maybe:
+        attach(result, *atoms)
     return len(demoted)
 
 
@@ -150,6 +145,7 @@ class CentralizedStrategy(Strategy):
         system: DistributedSystem,
         query: Query,
         ctx: ExecutionContext,
+        resume=None,
     ) -> StrategyResult:
         query.validate(system.global_schema.schema)
         fed = system.simulator(ctx.plan)
@@ -157,6 +153,7 @@ class CentralizedStrategy(Strategy):
         cost = system.cost_model
         fault_events: List[TraceEvent] = []
         skipped_sites: List[str] = []
+        exchanges: List[str] = []
 
         involved_classes = (query.range_class,) + query.branch_classes(
             system.global_schema.schema
@@ -169,8 +166,19 @@ class CentralizedStrategy(Strategy):
         exports_by_class: Dict[str, Dict[str, List[LocalObject]]] = {
             cls: {} for cls in involved_classes
         }
+        sites: Iterable[str] = system.databases
+        if resume is not None:
+            # A repair: the exports the degraded run fused are already
+            # here, and only the sites it skipped are asked to ship —
+            # one that left the federation since stays skipped for good.
+            for cls, by_site in resume.exports_by_class.items():
+                exports_by_class.setdefault(cls, {}).update(by_site)
+            sites = [s for s in resume.skipped_sites if s in system.databases]
+            skipped_sites.extend(
+                s for s in resume.skipped_sites if s not in system.databases
+            )
         ship_nodes = []
-        for db_name in system.databases:
+        for db_name in sites:
             negotiation = ctx.contact(system.global_site, db_name)
             entry_deps = fault_wait_chain(fed, ctx, negotiation, fault_events)
             if not negotiation.ok:
@@ -200,6 +208,7 @@ class CentralizedStrategy(Strategy):
             work.bytes_disk += site_bytes
             work.bytes_network += site_bytes
             work.messages += 1
+            exchanges.append(db_name)
             scan = fed.disk(
                 db_name,
                 nbytes=site_bytes,
@@ -243,11 +252,8 @@ class CentralizedStrategy(Strategy):
         )
 
         # --- step CA_G3: evaluate predicates on materialized classes (P) ---
-        use_conditions = ctx.options.conditions
         meter = EvalMeter()
-        results = evaluate_global_extent(
-            query, extent, meter, conditions=use_conditions
-        )
+        results = evaluate_global_extent(query, extent, meter)
         work.comparisons += meter.comparisons
         fed.cpu(
             system.global_site,
@@ -260,9 +266,7 @@ class CentralizedStrategy(Strategy):
         # --- degraded-answer semantics under site loss ---------------------
         repair_state = None
         if skipped_sites:
-            demoted = demote_outerjoin_incomplete(
-                results, skipped_sites, conditions=use_conditions
-            )
+            demoted = demote_outerjoin_incomplete(results, skipped_sites)
             fault_events.append(
                 TraceEvent.of(
                     "fault.degraded",
@@ -271,25 +275,23 @@ class CentralizedStrategy(Strategy):
                     sites_skipped=",".join(sorted(skipped_sites)),
                 )
             )
-            if use_conditions:
-                from repro.conditions.recertify import (
-                    CentralizedRepairState,
-                )
+            from repro.conditions.recertify import CentralizedRepairState
 
-                repair_state = CentralizedRepairState(
-                    query=query,
-                    involved_classes=involved_classes,
-                    exports_by_class=exports_by_class,
-                    skipped_sites=tuple(sorted(skipped_sites)),
+            repair_state = CentralizedRepairState(
+                strategy=self.name,
+                query=query,
+                schema_epoch=system.schema_epoch,
+                exports_by_class=exports_by_class,
+                skipped_sites=tuple(sorted(skipped_sites)),
+            )
+            fault_events.append(
+                TraceEvent.of(
+                    "conditions.attached",
+                    strategy=self.name,
+                    sites=",".join(sorted(skipped_sites)),
+                    rows=len(results.maybe),
                 )
-                fault_events.append(
-                    TraceEvent.of(
-                        "conditions.attached",
-                        strategy=self.name,
-                        sites=",".join(sorted(skipped_sites)),
-                        rows=len(results.maybe),
-                    )
-                )
+            )
 
         ctx.charge(work)
         outcome_sim = fed.run()
@@ -312,4 +314,5 @@ class CentralizedStrategy(Strategy):
             metrics=metrics,
             availability=ctx.availability(),
             repair=repair_state,
+            exchanges=tuple(exchanges),
         )

@@ -78,7 +78,6 @@ def annotate_site_loss(
     results: ResultSet,
     down: Set[str],
     skipped_goids: Dict[GOid, Set[str]],
-    conditions: bool = True,
     queried_down: Iterable[str] = (),
 ) -> None:
     """Annotate the maybe rows whose certification an unreachable site
@@ -88,16 +87,12 @@ def annotate_site_loss(
     whose assistant checks were skipped (*skipped_goids*, entity -> the
     down check sites), whose unsolved items' checks were skipped, or
     whose entity has a copy at a *down* site are affected: they stay
-    maybe, annotated with why.  With *conditions*, each such row also
-    carries machine-dischargeable atoms — :class:`UncheckedCopy` for the
-    exact skipped check pairs and :class:`SiteDown` for unreachable copy
-    holders.  *queried_down* names sites whose whole local block dropped;
-    they contribute ``SiteDown`` atoms but never notes, so degraded notes
-    stay byte-identical to the historical rendering.
-
-    The re-certifier calls this same function after a partial repair, so
-    a still-degraded repaired answer is annotated exactly like a fresh
-    degraded execution would annotate it.
+    maybe, annotated with why, and carry machine-dischargeable atoms —
+    :class:`UncheckedCopy` for the exact skipped check pairs and
+    :class:`SiteDown` for unreachable copy holders.  *queried_down*
+    names sites whose whole local block dropped; they contribute
+    ``SiteDown`` atoms but never notes, so degraded notes stay
+    byte-identical to the historical rendering.
     """
     down = set(down)
     atom_down = down | set(queried_down)
@@ -144,8 +139,6 @@ def annotate_site_loss(
             note = str(DegradationReason.site_unavailable(site))
             if note not in result_row.notes:
                 result_row.notes = result_row.notes + (note,)
-        if not conditions:
-            continue
         atoms = [
             UncheckedCopy(site=site, goid=goid)
             for goid, goid_sites in unchecked.items()
@@ -171,8 +164,9 @@ class _LocalizedStrategy(Strategy):
         system: DistributedSystem,
         query: Query,
         ctx: ExecutionContext,
+        resume=None,
     ) -> StrategyResult:
-        return _LocalizedRun(self, system, query, ctx).run()
+        return _LocalizedRun(self, system, query, ctx, resume).run()
 
     @staticmethod
     def _site_sizes(
@@ -243,6 +237,13 @@ class _LocalizedRun:
     post-resolution, certification, binding completion, annotation,
     repair capture — and every step reads and extends the same task
     graph, work counters, event list and skip bookkeeping held here.
+
+    A repair is the same run *resumed* from the
+    :class:`~repro.conditions.recertify.LocalizedRepairState` a degraded
+    run captured: the evidence starts out as that run left it and the
+    steps find only the work it skipped — its down sites (their local
+    queries decomposed anew, at the current epoch), its unsent check
+    requests, its stalled chase chains.
     """
 
     def __init__(
@@ -251,6 +252,7 @@ class _LocalizedRun:
         system: DistributedSystem,
         query: Query,
         ctx: ExecutionContext,
+        resume=None,
     ) -> None:
         self.strategy = strategy
         self.name = strategy.name
@@ -297,6 +299,32 @@ class _LocalizedRun:
         #: (src site, CheckRequest) pairs that were never executed — the
         #: re-runnable half of the repair state.
         self.skipped_check_requests: List[Tuple[str, CheckRequest]] = []
+        #: Destination of every request/reply pair, in the order sent.
+        self.exchanges: List[str] = []
+        local_queries = self.decomposed.local_queries
+        if resume is None:
+            #: The sites this run queries, with their local queries.
+            self.site_queries = local_queries
+            self.phase_o_first = strategy.phase_o_first
+            self.verdicts = VerdictIndex()
+            #: Work a degraded run left undone (none on a fresh one).
+            self.unsent_requests = self.stalled_chase = ()
+        else:
+            # PL scans first to overlap its checks with evaluation at
+            # the other sites; their evidence is in hand already, so a
+            # resumed run checks only what evaluation leaves maybe.
+            self.phase_o_first = False
+            self.local_results.update(resume.local_results)
+            self.site_queries = {}
+            for site in resume.down_sites:
+                if site in local_queries:
+                    self.site_queries[site] = local_queries[site]
+                else:
+                    # Gone from the federation since: down for good.
+                    ctx.note_queried_site_down(site)
+            self.verdicts = resume.verdicts.clone()
+            self.unsent_requests = resume.skipped_requests
+            self.stalled_chase = resume.skipped_chase
 
     def run(self) -> StrategyResult:
         ctx = self.ctx
@@ -306,7 +334,10 @@ class _LocalizedRun:
         if ctx.failover:
             ctx.recovery_tracked = True
         self._query_sites()
-        verdicts = collect_verdicts(self.reports, self.signature_verdicts)
+        verdicts = collect_verdicts(
+            self.reports, self.signature_verdicts, into=self.verdicts
+        )
+        self._send_unsent(verdicts)
         chase_skip_log = self._chase(verdicts)
         results, certify_node = self._certify(verdicts)
         self._complete_bindings(results, certify_node)
@@ -329,6 +360,7 @@ class _LocalizedRun:
             metrics=metrics,
             availability=ctx.availability(),
             repair=repair_state,
+            exchanges=tuple(self.exchanges),
         )
 
     # --- small shared pieces --------------------------------------------------
@@ -363,13 +395,13 @@ class _LocalizedRun:
         # (negotiations are memoized — the per-site loop below reuses
         # these outcomes without re-paying any retry ladder).
         surviving = [
-            db for db in self.decomposed.local_queries
+            db for db in self.site_queries
             if ctx.contact(system.global_site, db).ok
         ]
         self.sizes, self.avg_branch_bytes = _LocalizedStrategy._site_sizes(
             system, query, self.branch_classes, surviving
         )
-        for db_name, local_query in self.decomposed.local_queries.items():
+        for db_name, local_query in self.site_queries.items():
             self._query_site(db_name, local_query)
 
     def _query_site(self, db_name: str, local_query) -> None:
@@ -412,10 +444,11 @@ class _LocalizedRun:
         result, scanned, items, plan = evaluate_site(
             system, db_name, local_query,
             use_signatures=self.strategy.use_signatures,
-            scan_first=self.strategy.phase_o_first,
+            scan_first=self.phase_o_first,
             constraints=self.constraints,
         )
         self.local_results[db_name] = result
+        self.exchanges.append(db_name)
         self.signature_verdicts.extend(plan.signature_verdicts)
         work.checks_pruned += plan.checks_pruned
         if plan.checks_pruned:
@@ -437,7 +470,7 @@ class _LocalizedRun:
         work.signature_comparisons += plan.signature_comparisons
 
         # --- build the site's activity sub-graph ------------------------
-        if self.strategy.phase_o_first:
+        if self.phase_o_first:
             eval_node, dispatch_node = self._build_pl_site(
                 db_name, result, *scanned, plan, entry_deps
             )
@@ -459,14 +492,30 @@ class _LocalizedRun:
                 deps=[eval_node],
             )
         )
-        self._dispatch_checks(db_name, plan, dispatch_node)
+        self._dispatch_checks(db_name, plan.requests, [dispatch_node])
+
+    def _send_unsent(self, verdicts: VerdictIndex) -> None:
+        """Resumed run: send the check requests the degraded run could
+        not — except those an isomeric copy's definitive verdict
+        (collected then, or just now) has settled, which need no contact
+        at all."""
+        system = self.system
+        for src, request in self.unsent_requests:
+            skips = pending_skips_of(system, src, request)
+            if skips and all(
+                covered_by_verdicts(system, verdicts, skip) for skip in skips
+            ):
+                continue
+            for report in self._dispatch_checks(src, [request], []):
+                verdicts.add_report(report)
 
     # --- phase-O exchanges ----------------------------------------------------
 
     def _dispatch_checks(
-        self, src: str, plan: DispatchPlan, dispatch_node: Node
-    ) -> None:
-        """Route and schedule one site's assistant checks.
+        self, src: str, requests: List[CheckRequest], deps: List[Node]
+    ) -> List[CheckReport]:
+        """Route and schedule check *requests* of site *src*, gated by
+        *deps*; returns the reports of those that ran.
 
         Requests whose direct link is dead fail over to the global-site
         relay when that route is alive; requests with no live route are
@@ -482,7 +531,7 @@ class _LocalizedRun:
         """
         system, ctx = self.system, self.ctx
         runnable, relayed = [], []
-        for request in plan.requests:
+        for request in requests:
             dst = request.db_name
             if ctx.reachable(src, dst):
                 runnable.append(request)
@@ -507,11 +556,12 @@ class _LocalizedRun:
             )
         paired = run_checks_paired(runnable, system)
         relayed_paired = run_checks_paired(relayed, system)
-        self.reports.extend(report for _, report in paired)
-        self.reports.extend(report for _, report in relayed_paired)
+        reports = [report for _, report in paired + relayed_paired]
+        self.reports.extend(reports)
+        self.exchanges.extend(report.db_name for report in reports)
         coalesce = self.options.batch_checks
         for batch in batch_exchanges(src, paired, coalesce):
-            send_deps, via = self._hedged_deps(batch, [dispatch_node])
+            send_deps, via = self._hedged_deps(batch, deps)
             self.certify_deps.append(
                 self._exchange(batch, send_deps, kind="check", via=via)
             )
@@ -519,11 +569,12 @@ class _LocalizedRun:
         # global site, gated by *its* link to the destination.
         for batch in batch_exchanges(src, relayed_paired, coalesce):
             send_deps = self._wait(
-                ctx.contact(system.global_site, batch.dst), [dispatch_node]
+                ctx.contact(system.global_site, batch.dst), deps
             )
             self.certify_deps.append(self._exchange(
                 batch, send_deps, kind="check", via=system.global_site
             ))
+        return reports
 
     def _hedged_deps(
         self, batch: CheckBatch, send_deps: List[Node]
@@ -674,8 +725,15 @@ class _LocalizedRun:
             self.reports, system, verdicts, max_rounds, ctx,
             deferred_skips=deferred_chase_skips,
             skip_log=chase_skip_log,
+            # A resumed run re-enters the chains its degraded run left
+            # stalled, where they stopped — settled pairs need nothing.
+            stalled=dict.fromkeys(
+                chain for chain in self.stalled_chase
+                if verdicts.get(chain[0], chain[1]) not in (SATISFIED, VIOLATED)
+            ),
         )
         for round_no, chase in enumerate(chase_rounds, start=1):
+            self.exchanges.extend(r.db_name for r in chase.requests)
             self._event(
                 "chase.round",
                 round=round_no,
@@ -769,7 +827,6 @@ class _LocalizedRun:
             self.local_results,
             verdicts,
             cert_stats,
-            conditions=self.options.conditions,
         )
         self.work.comparisons += cert_stats.comparisons
         certify_node = self.fed.cpu(
@@ -810,6 +867,7 @@ class _LocalizedRun:
             reply_bytes = count * cost.attribute_bytes
             work.bytes_network += request_bytes + reply_bytes
             work.messages += 2
+            self.exchanges.append(fetch_db)
             send = fed.transfer(
                 system.global_site,
                 fetch_db,
@@ -844,9 +902,8 @@ class _LocalizedRun:
         whose certification depended on an unreachable assistant site
         are affected: they simply stay maybe, annotated with why.
         """
-        conditions = self.options.conditions
         queried_down = self.ctx.queried_sites_down
-        if self.unreachable_check_sites or (conditions and queried_down):
+        if self.unreachable_check_sites or queried_down:
             annotate_site_loss(
                 self.system,
                 self.query,
@@ -854,7 +911,6 @@ class _LocalizedRun:
                 results,
                 set(self.unreachable_check_sites),
                 self.skipped_goids,
-                conditions=conditions,
                 queried_down=tuple(queried_down),
             )
 
@@ -864,20 +920,18 @@ class _LocalizedRun:
         verdicts: VerdictIndex,
         chase_skip_log: List[Tuple],
     ):
-        """Repair state: what an incremental re-certification needs.
+        """Repair state: what a resumed run of this query starts from.
 
         Everything this execution *did not* do, plus the evidence it
         collected: healed sites can then be re-contacted one by one and
         the answer re-certified without re-running anything that
         already succeeded.
         """
-        if not self.options.conditions:
-            return None
         down_sites = tuple(sorted(self.ctx.queried_sites_down))
         remaining_chase = tuple(
-            (site, orig_loid, orig_pred, holder, holder_cls, rest)
+            (orig_loid, orig_pred, holder, holder_cls, rest)
             for (
-                site, orig_loid, orig_pred, _round, holder, holder_cls, rest,
+                _site, orig_loid, orig_pred, _round, holder, holder_cls, rest,
             ) in chase_skip_log
             if verdicts.get(orig_loid, orig_pred) not in (SATISFIED, VIOLATED)
         )
@@ -897,13 +951,12 @@ class _LocalizedRun:
         return LocalizedRepairState(
             strategy=self.name,
             query=self.query,
-            use_signatures=self.strategy.use_signatures,
-            local_queries=dict(self.decomposed.local_queries),
+            schema_epoch=self.system.schema_epoch,
             local_results=dict(self.local_results),
             down_sites=down_sites,
             skipped_requests=skipped_requests,
             skipped_chase=remaining_chase,
-            verdicts=verdicts.clone(),
+            verdicts=verdicts,
         )
 
     # --- per-site graphs ------------------------------------------------------

@@ -54,6 +54,15 @@ reproduce.  What it checks:
     fault-free answer byte for byte — through condition discharge
     alone, never a re-execution — and promotion must be monotone (no
     certified entity is demoted by repair).
+``repair-chained`` (with them)
+    The same under partial recovery: the degraded report is first
+    repaired while a strict half of the case's fault plan (its outages
+    only; its link faults only) is still active — so the resumed run
+    routes, relays and skips under a live plan — and then fully.  (A
+    half with nothing in it is the healed federation; that chain checks
+    that repairing a repaired report changes nothing.)  The final
+    answer must equal the fault-free one and no step may lose a certain
+    entity.
 ``monotonicity``
     After registering one extra consistent assistant copy, no certain
     result is demoted, no previously-eliminated entity is certified,
@@ -71,6 +80,7 @@ reproduce.  What it checks:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -426,13 +436,14 @@ class StrategyOracle:
         return violations
 
     #: Strategies exercised by the repair invariants — the global path
-    #: (CA: re-export + re-materialize) and both localized phase orders
+    #: (CA: re-export + re-materialize), both localized phase orders
     #: (BL/PL: healed-site re-query, skipped-check re-dispatch, chase
-    #: re-seed).  The signature variants share the localized repair seam.
-    REPAIR_STRATEGIES = ("CA", "BL", "PL")
+    #: re-seed) and their signature variants, which a repair resumes by
+    #: name like the others.
+    REPAIR_STRATEGIES = ("CA", "BL", "PL", "BL-S", "PL-S")
 
     def _check_repair(self, case, session, built, answers) -> List[Violation]:
-        """Healed degraded answers repair to the fault-free baseline.
+        """Degraded answers repair to the fault-free baseline.
 
         Each strategy runs under the case's fault plan; every execution
         that degraded hands its report to ``recertify`` against the
@@ -440,14 +451,24 @@ class StrategyOracle:
         Repair must reconstruct the strategy's own fault-free answer
         byte for byte through condition discharge alone — no full
         re-execution happens — and promotion must be monotone: no
-        entity the degraded run certified loses its certainty.
+        entity the degraded run certified loses its certainty.  Then the
+        same report is repaired in two steps, the first under each
+        strict half of the plan (``repair-chained``).
         """
         violations = []
+        plan = built.fault_plan
         fault_options = session.options.with_(
-            fault_plan=built.fault_plan,
+            fault_plan=plan,
             policy=FAULT_POLICY,
             fault_seed=case.fault_seed,
         )
+        halves = [
+            half for half in (
+                dataclasses.replace(plan, links=()),
+                dataclasses.replace(plan, outages=()),
+            )
+            if half != plan
+        ]
         for name in self.REPAIR_STRATEGIES:
             if name not in self.strategy_names:
                 continue
@@ -456,39 +477,60 @@ class StrategyOracle:
             )
             if report.availability.complete:
                 continue
+            violations.extend(self._repair_in_steps(
+                case, session, name, report, answers[name], [None],
+                "repair-soundness", "repair-monotonic",
+            ))
+            for half in halves:
+                violations.extend(self._repair_in_steps(
+                    case, session, name, report, answers[name],
+                    [fault_options.with_(fault_plan=half), None],
+                    "repair-chained", "repair-chained",
+                ))
+        return violations
+
+    def _repair_in_steps(
+        self, case, session, name, report, baseline, steps, soundness,
+        monotonic,
+    ) -> List[Violation]:
+        """Repair *report* under each options value of *steps* in turn
+        (``None`` = healed); the last must land on *baseline*."""
+        violations, demotions = [], []
+        for options in steps:
             try:
-                repaired = session.recertify(report)
+                repaired = session.recertify(report, options=options)
             except Exception as exc:  # noqa: BLE001 - any raise is a finding
                 violations.append(Violation(
-                    "repair-soundness", case.label,
+                    soundness, case.label,
                     f"{name}: recertify raised "
                     f"{type(exc).__name__}: {exc}",
                     case,
                 ))
-                continue
-            left = answer_digest(answers[name])
-            right = answer_digest(repaired.results)
-            if left != right:
-                violations.append(Violation(
-                    "repair-soundness", case.label,
-                    f"{name}: repaired answer differs from the "
-                    f"fault-free baseline ({left} vs {right}): "
-                    f"{_first_difference(answers[name], repaired.results)}",
-                    case,
-                ))
+                return violations
             lost = sorted(
                 {r.goid for r in report.results.certain}
                 - {r.goid for r in repaired.results.certain},
                 key=lambda g: g.value,
             )
             if lost:
-                violations.append(Violation(
-                    "repair-monotonic", case.label,
+                demotions.append(Violation(
+                    monotonic, case.label,
                     f"{name}: repair demoted {len(lost)} certain "
                     f"result(s), e.g. {lost[0]}",
                     case,
                 ))
-        return violations
+            report = repaired
+        left = answer_digest(baseline)
+        right = answer_digest(report.results)
+        if left != right:
+            violations.append(Violation(
+                soundness, case.label,
+                f"{name}: repaired answer differs from the "
+                f"fault-free baseline ({left} vs {right}): "
+                f"{_first_difference(baseline, report.results)}",
+                case,
+            ))
+        return violations + demotions
 
     def _check_monotonicity(self, case, session, built, answers) -> List[Violation]:
         """One extra consistent copy must only ever *add* certainty."""

@@ -72,7 +72,6 @@ def certify_reference(
     local_results: Mapping[str, LocalResultSet],
     verdicts: VerdictIndex,
     stats: Optional[CertificationStats] = None,
-    conditions: bool = True,
 ) -> ResultSet:
     """The Certification Rule, one entity at a time.
 
@@ -127,8 +126,7 @@ def certify_reference(
                 bindings=bindings,
                 unsolved=unsolved,
             )
-            if conditions:
-                _attach_null_atoms(result, goid, rows, unsolved)
+            _attach_null_atoms(result, goid, rows, unsolved)
             answer.add(result)
     return answer
 
@@ -381,18 +379,16 @@ def shadowed_certify(differences: List[str]) -> Iterator[None]:
     production = certification.certify
 
     def certify_both(
-        query, global_schema, catalog, local_results, verdicts,
-        stats=None, conditions=True,
+        query, global_schema, catalog, local_results, verdicts, stats=None,
     ):
         stats = stats if stats is not None else CertificationStats()
         expected_stats = dataclasses.replace(stats)
         answer = production(
-            query, global_schema, catalog, local_results, verdicts,
-            stats, conditions=conditions,
+            query, global_schema, catalog, local_results, verdicts, stats
         )
         expected = certify_reference(
             query, global_schema, catalog, local_results, verdicts,
-            expected_stats, conditions=conditions,
+            expected_stats,
         )
         difference = certification_difference(
             answer, stats, expected, expected_stats

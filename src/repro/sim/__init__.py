@@ -18,7 +18,6 @@ from repro.sim.kernel import (
     Timeout,
 )
 from repro.sim.metrics import ExecutionMetrics, WorkCounters
-from repro.sim.trace import TraceEntry, entries_from_nodes, format_timeline, phase_summary
 from repro.sim.taskgraph import (
     FederationSim,
     Node,
@@ -51,10 +50,6 @@ __all__ = [
     "SimOutcome",
     "Simulator",
     "Timeout",
-    "TraceEntry",
     "WorkCounters",
-    "entries_from_nodes",
-    "format_timeline",
-    "phase_summary",
     "table1_rows",
 ]

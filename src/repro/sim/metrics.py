@@ -13,7 +13,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.obs.spans import Span, TraceEvent, spans_from_nodes
 from repro.sim.taskgraph import SimOutcome
-from repro.sim.trace import TraceEntry, entries_from_nodes
 
 
 @dataclass
@@ -88,8 +87,6 @@ class ExecutionMetrics:
     work: WorkCounters = field(default_factory=WorkCounters)
     certain_results: int = 0
     maybe_results: int = 0
-    #: The full simulated schedule, for tracing/explain.
-    trace: Tuple[TraceEntry, ...] = ()
     #: Structured spans of the schedule (site/resource/queue-delay aware).
     spans: Tuple[Span, ...] = ()
     #: Instantaneous observability events recorded by the strategy/engine.
@@ -119,7 +116,6 @@ class ExecutionMetrics:
             work=work if work is not None else WorkCounters(),
             certain_results=certain_results,
             maybe_results=maybe_results,
-            trace=tuple(entries_from_nodes(outcome.scheduled)),
             spans=spans_from_nodes(outcome.scheduled),
             events=tuple(events),
             resource_wait=dict(outcome.resource_wait),

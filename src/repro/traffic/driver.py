@@ -521,60 +521,27 @@ class TrafficEngine:
         return self._sessions
 
     def _verify_serial(self, report: TrafficReport) -> None:
-        """Re-execute each distinct bound query serially; compare digests."""
-        if self._controller is not None:
-            self._verify_serial_evolved(report)
-            return
-        serial = GlobalQueryEngine(
-            self.system,
-            default_strategy=self.strategy,
-            options=self.engine.options,
-        )
-        expected: Dict[Tuple[object, Optional[int]], str] = {}
-        regen: Dict[int, List[BoundQuery]] = {
-            worker_id: self.replay_worker(worker_id)
-            for worker_id in range(self.workers)
-        }
-        for record in report.records:
-            if record.shed:
-                continue
-            bound = regen[record.worker][record.seq]
-            key = (bound.query, record.fault_seed)
-            digest = expected.get(key)
-            if digest is None:
-                opts = serial.options
-                if record.fault_seed is not None:
-                    opts = opts.with_(fault_seed=record.fault_seed)
-                digest = answer_digest(
-                    serial.execute(bound.query, options=opts).results
-                )
-                expected[key] = digest
-            report.verified += 1
-            if digest != record.digest:
-                report.violations.append(
-                    f"worker {record.worker} seq {record.seq} "
-                    f"({record.template}): interleaved digest "
-                    f"{record.digest} != serial {digest}"
-                )
+        """Re-execute each distinct bound query serially; compare digests.
 
-    def _verify_serial_evolved(self, report: TrafficReport) -> None:
-        """Serial verification of a churned run, epoch by epoch.
-
-        The live federation was mutated in place, so the serial baseline
-        is a *fresh* federation (from *system_factory*) plus a fresh
-        controller stepped to each record's pinned epoch.  Records are
-        replayed in (epoch, worker, seq) order — the controller only
-        steps forward — and the memo key includes the epoch: the same
-        bound query can legitimately answer differently across epochs.
+        A churned run mutated the live federation in place, so its
+        serial baseline is a *fresh* federation (from *system_factory*)
+        plus a fresh controller stepped to each record's pinned epoch.
+        Its records are replayed in (epoch, worker, seq) order — the
+        controller only steps forward — and the memo key includes the
+        epoch: the same bound query can legitimately answer differently
+        across epochs.  Without churn the baseline is the live
+        federation and every record sits at epoch 0.
         """
-        if self.system_factory is None:
-            raise WorkloadError(
-                "verifying an evolved traffic run needs system_factory "
-                "(a zero-argument callable rebuilding the pre-plan "
-                "federation)"
-            )
-        system = self.system_factory()
-        controller = EvolutionController(system, self.evolution)
+        system, controller = self.system, None
+        if self._controller is not None:
+            if self.system_factory is None:
+                raise WorkloadError(
+                    "verifying an evolved traffic run needs system_factory "
+                    "(a zero-argument callable rebuilding the pre-plan "
+                    "federation)"
+                )
+            system = self.system_factory()
+            controller = EvolutionController(system, self.evolution)
         serial = GlobalQueryEngine(
             system,
             default_strategy=self.strategy,
@@ -587,12 +554,12 @@ class TrafficEngine:
             worker_id: self.replay_worker(worker_id)
             for worker_id in range(self.workers)
         }
-        replay = sorted(
-            (r for r in report.records if not r.shed),
-            key=lambda r: (r.evo_step, r.worker, r.seq),
-        )
+        replay = [r for r in report.records if not r.shed]
+        if controller is not None:
+            replay.sort(key=lambda r: (r.evo_step, r.worker, r.seq))
         for record in replay:
-            controller.step_to(record.evo_step)
+            if controller is not None:
+                controller.step_to(record.evo_step)
             bound = regen[record.worker][record.seq]
             key = (bound.query, record.fault_seed, record.evo_step)
             digest = expected.get(key)
@@ -606,10 +573,14 @@ class TrafficEngine:
                 expected[key] = digest
             report.verified += 1
             if digest != record.digest:
+                epoch = (
+                    f"epoch {record.evo_step} " if controller is not None
+                    else ""
+                )
                 report.violations.append(
                     f"worker {record.worker} seq {record.seq} "
-                    f"epoch {record.evo_step} ({record.template}): "
-                    f"interleaved digest {record.digest} != serial {digest}"
+                    f"{epoch}({record.template}): interleaved digest "
+                    f"{record.digest} != serial {digest}"
                 )
 
     def replay_worker(self, worker_id: int) -> List[BoundQuery]:

@@ -100,23 +100,6 @@ class TestAdaptiveExecution:
         auto = engine.execute(workload.query, "AUTO")
         assert same_answers(baseline.results, auto.results)
 
-    @pytest.mark.parametrize("down", [None, "DB1"])
-    def test_auto_delegate_honors_conditions_off(self, school, down):
-        """Every option reaches AUTO's delegate: with conditions off no
-        row carries one and nothing repairable is captured."""
-        from repro.faults import FaultPlan
-
-        plan = None if down is None else FaultPlan.single_site_loss(down)
-        report = GlobalQueryEngine(school).execute(
-            Q1_TEXT, "AUTO",
-            options=ExecutionOptions(conditions=False, fault_plan=plan),
-        )
-        assert report.results.all_results()
-        assert not any(
-            row.conditions for row in report.results.all_results()
-        )
-        assert report.repair is None
-
     def test_choice_tracks_objective_ranking(self):
         workload = make_workload(seed=405, scale=0.02)
         result = AdaptiveStrategy(objective="response").execute(

@@ -190,17 +190,14 @@ def sweep(sites, share, items):
     )
 
 
-def assert_kernel_equals_reference(query, sites, mode, share=True, conditions=True):
+def assert_kernel_equals_reference(query, sites, mode, share=True):
     items = P2 in query.all_predicates()
     entities, schema, catalog, local = sweep(sites, share, items)
     verdicts = verdict_index(mode, entities, sites)
     stats, expected_stats = CertificationStats(), CertificationStats()
-    answer = certify(
-        query, schema, catalog, local, verdicts, stats, conditions=conditions
-    )
+    answer = certify(query, schema, catalog, local, verdicts, stats)
     expected = certify_reference(
-        query, schema, catalog, local, verdicts, expected_stats,
-        conditions=conditions,
+        query, schema, catalog, local, verdicts, expected_stats
     )
     assert certification_difference(
         answer, stats, expected, expected_stats
@@ -238,13 +235,6 @@ class TestTruthTable:
         )
         assert stats.eliminated_by_absence and stats.eliminated_by_violation
         assert stats.promoted_to_certain and stats.remained_maybe
-
-    def test_without_conditions(self):
-        answer, _ = assert_kernel_equals_reference(
-            QUERIES["conjunction"], SITES, "unknown", conditions=False
-        )
-        assert answer.maybe
-        assert all(row.conditions == () for row in answer.maybe)
 
     def test_maybe_rows_carry_sorted_null_atoms(self):
         answer, _ = assert_kernel_equals_reference(

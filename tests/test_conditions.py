@@ -37,6 +37,7 @@ from repro.core.engine import GlobalQueryEngine, _demote_uncertified
 from repro.core.options import ExecutionOptions
 from repro.core.results import GlobalResult, ResultKind
 from repro.core.tvl import TV
+from repro.errors import QueryError
 from repro.faults import FaultPlan, OutageWindow
 from repro.objectdb.ids import GOid
 from repro.resilience.failover import pending_skips_of
@@ -304,21 +305,6 @@ class TestAnswerRepair:
         assert repaired.repair_summary.messages == 0
         assert repaired.repair_summary.sites_contacted == ()
 
-    def test_degraded_without_conditions_is_unrepairable(
-        self, school_engine
-    ):
-        report = school_engine.execute(
-            Q1_TEXT,
-            "BL",
-            options=ExecutionOptions(fault_plan=DB2_DOWN, conditions=False),
-        )
-        assert report.repair is None
-        assert all(
-            not row.conditions for row in report.results.all_results()
-        )
-        with pytest.raises(RepairError):
-            school_engine.recertify(report)
-
     def test_partial_recovery_stays_maybe_but_repairable(
         self, school_engine
     ):
@@ -391,6 +377,42 @@ class TestAnswerRepair:
         assert "unchecked[DB2:gt1]" not in rows["gs1"]
         assert "site-down[DB2]" in rows["gs1"]
 
+    def test_coverage_discharge_spares_the_healed_site(
+        self, school, school_engine
+    ):
+        """The same discharge with every site back: the resumed run
+        could reach DB3 now, and still sends it nothing — a verdict in
+        hand settles each skipped request before it is dispatched."""
+        degraded = school_engine.execute(
+            Q1_TEXT, "PL", options=ExecutionOptions(fault_plan=DB3_DOWN)
+        )
+        state = degraded.repair
+        assert state.down_sites == () and state.skipped_requests
+        assert {r.db_name for _, r in state.skipped_requests} == {"DB3"}
+        for src, request in state.skipped_requests:
+            for skip in pending_skips_of(school, src, request):
+                placements = school.catalog.table(
+                    skip.global_class
+                ).loids_of(skip.goid)
+                state.verdicts.add(
+                    placements["DB3"], skip.predicate, SATISFIED
+                )
+        summary = school_engine.recertify(degraded).repair_summary
+        assert summary.messages == 0
+        assert summary.sites_contacted == ()
+        assert summary.discharged >= 1 and summary.fully_repaired
+
+    def test_auto_report_resumes_its_delegate(self, school_engine):
+        degraded = school_engine.execute(
+            Q1_TEXT, "AUTO", options=ExecutionOptions(fault_plan=DB2_DOWN)
+        )
+        chosen = degraded.metrics.strategy.removeprefix("AUTO->")
+        assert degraded.repair.strategy == chosen
+        repaired = school_engine.recertify(degraded)
+        assert repaired.repair_summary.fully_repaired
+        baseline = school_engine.execute(Q1_TEXT, chosen)
+        assert repaired.results.to_dicts() == baseline.results.to_dicts()
+
     def test_conditions_excluded_from_exports(self, school_engine):
         degraded = school_engine.execute(
             Q1_TEXT, "BL", options=ExecutionOptions(fault_plan=DB2_DOWN)
@@ -398,3 +420,60 @@ class TestAnswerRepair:
         assert any(row.conditions for row in degraded.results.maybe)
         for record in degraded.results.to_dicts():
             assert "conditions" not in record
+
+
+def evolve(system, spec):
+    """Apply one evolution event to *system*, window opened and closed."""
+    from repro.evolution.controller import EvolutionController
+    from repro.evolution.plan import EvolutionPlan
+
+    EvolutionController(system, EvolutionPlan.from_spec(spec)).run_all()
+
+
+class TestRepairAcrossEvolution:
+    """A repair validates and decomposes at the epoch it runs in."""
+
+    @pytest.mark.parametrize("strategy", ["CA", "BL"])
+    @pytest.mark.parametrize("spec", [
+        "drop:DB2.Teacher.speciality@0",
+        "rename:Student.name>fullname@0",
+    ])
+    def test_invalidated_query_is_a_repair_error(
+        self, school, school_engine, spec, strategy
+    ):
+        degraded = school_engine.execute(
+            Q1_TEXT, strategy, options=ExecutionOptions(fault_plan=DB2_DOWN)
+        )
+        then = school.schema_epoch
+        evolve(school, spec)
+        with pytest.raises(QueryError) as executed:
+            school_engine.execute(Q1_TEXT, strategy)
+        contacted = []
+        for db in school.databases.values():
+            db.execute_local = db.scan_for_export = (
+                lambda *args, _db=db: contacted.append(_db.name)
+            )
+        with pytest.raises(RepairError) as repaired:
+            school_engine.recertify(degraded)
+        assert not contacted
+        assert isinstance(repaired.value.__cause__, QueryError)
+        message = str(repaired.value)
+        assert str(executed.value) in message
+        assert f"epoch {then}" in message
+        assert f"epoch {school.schema_epoch}" in message
+        assert then != school.schema_epoch
+
+    @pytest.mark.parametrize("strategy", ["CA", "BL", "PL"])
+    def test_drop_of_an_attribute_defined_elsewhere_still_repairs(
+        self, school, school_engine, strategy
+    ):
+        degraded = school_engine.execute(
+            Q1_TEXT, strategy,
+            options=ExecutionOptions(fault_plan=FaultPlan.single_site_loss("DB1")),
+        )
+        assert degraded.repair is not None
+        evolve(school, "drop:DB1.Teacher.department@0")
+        repaired = school_engine.recertify(degraded)
+        assert repaired.repair_summary.fully_repaired
+        fresh = school_engine.execute(Q1_TEXT, strategy)
+        assert repaired.results.to_dicts() == fresh.results.to_dicts()

@@ -337,3 +337,31 @@ class TestImportBoundary:
             assert not any(
                 n.startswith("repro.objectdb.columnar") for n in names
             ), module
+
+    #: What drives an execution.  A repair resumes the strategy; it must
+    #: never call any of these itself again.
+    EXECUTION_STEPS = {
+        "evaluate_site", "run_checks_paired", "chase_blocked",
+        "plan_dispatch", "certify", "resolve_missing_bindings",
+        "annotate_site_loss", "export_site", "materialize",
+        "evaluate_global_extent",
+    }
+
+    def test_recertify_names_no_execution_step(self):
+        import ast
+        import pathlib
+
+        import repro.conditions.recertify as recertify
+
+        tree = ast.parse(pathlib.Path(recertify.__file__).read_text())
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    named.update(alias.name.split("."))
+                    named.add(alias.asname)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+        assert named & self.EXECUTION_STEPS == set()

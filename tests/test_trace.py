@@ -1,11 +1,8 @@
-"""Unit tests for execution traces and GlobalQueryEngine.explain."""
-
-import pytest
+"""The simulated schedule as the engine reports it: nodes, spans, explain."""
 
 from repro.core.engine import GlobalQueryEngine
 from repro.sim.costs import CostModel
 from repro.sim.taskgraph import FederationSim
-from repro.sim.trace import TraceEntry, entries_from_nodes, format_timeline, phase_summary
 from repro.workload.paper_example import Q1_TEXT
 
 UNIT = CostModel(disk_s_per_byte=1.0, net_s_per_byte=1.0,
@@ -21,45 +18,9 @@ def run_small_graph():
 
 
 class TestEntries:
-    def test_entries_sorted_by_start(self):
-        outcome = run_small_graph()
-        entries = entries_from_nodes(outcome.scheduled)
-        assert [e.label for e in entries] == ["read", "work", "ship A->G"]
-        assert entries[0].start == 0.0
-        assert entries[0].finish == 2.0
-        assert entries[1].start == 2.0
-        assert entries[2].finish == 6.0
-
-    def test_duration(self):
-        entry = TraceEntry("x", "A:cpu", "P", 1.0, 3.5)
-        assert entry.duration == 2.5
-
     def test_outcome_keeps_nodes(self):
         outcome = run_small_graph()
         assert len(outcome.scheduled) == 3
-
-
-class TestFormatting:
-    def test_timeline_contains_rows(self):
-        entries = entries_from_nodes(run_small_graph().scheduled)
-        text = format_timeline(entries, width=20)
-        assert text.count("\n") == 2
-        assert "read" in text and "ship" in text
-        assert "#" in text
-
-    def test_empty_schedule(self):
-        assert format_timeline([]) == "(empty schedule)"
-
-    def test_phase_summary(self):
-        entries = entries_from_nodes(run_small_graph().scheduled)
-        text = phase_summary(entries)
-        assert "scan" in text and "P" in text and "transfer" in text
-
-    def test_bars_never_exceed_width(self):
-        entries = entries_from_nodes(run_small_graph().scheduled)
-        for line in format_timeline(entries, width=10).splitlines():
-            bar = line.split("|")[1]
-            assert len(bar) == 10
 
 
 class TestExplain:
@@ -75,6 +36,6 @@ class TestExplain:
     def test_metrics_carry_trace(self, school):
         engine = GlobalQueryEngine(school)
         outcome = engine.execute(Q1_TEXT, "CA")
-        labels = {entry.label for entry in outcome.metrics.trace}
+        labels = {span.name for span in outcome.metrics.spans}
         assert any("CA_G2" in label for label in labels)
         assert any("CA_G3" in label for label in labels)
