@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.query import Path, Predicate
-from repro.objectdb.ids import GOid
-from repro.objectdb.values import NULL, Value, is_null
+from repro.objectdb.ids import GOid, LOid
+from repro.objectdb.values import NULL, MultiValue, Value, is_null
 
 
 class ResultKind(enum.Enum):
@@ -34,9 +34,6 @@ def export_value(value: Value) -> object:
     needs ``json.dumps(..., default=...)`` and is stable across runs, so
     it doubles as the canonical form for determinism digests.
     """
-    from repro.objectdb.ids import GOid, LOid
-    from repro.objectdb.values import MultiValue
-
     if is_null(value):
         return None
     if isinstance(value, MultiValue):
@@ -145,13 +142,14 @@ class ResultSet:
         and, for maybe results, the unsolved predicates as strings.
         """
         rows: List[Dict[str, object]] = []
+        names = [(str(target), target) for target in self.targets]
         for result in self.all_results():
             row: Dict[str, object] = {
                 "goid": result.goid.value,
                 "kind": result.kind.value,
             }
-            for target in self.targets:
-                row[str(target)] = export_value(result.value(target))
+            for name, target in names:
+                row[name] = export_value(result.bindings.get(target, NULL))
             if result.unsolved:
                 row["unsolved"] = [str(p) for p in result.unsolved]
             if result.notes:

@@ -10,19 +10,23 @@ step CA_G3).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.conditions.algebra import NullAttr, SiteDown, attach
 from repro.conditions.reasons import DegradationReason
 from repro.core.decompose import attributes_needed_by_class
-from repro.core.predicates import EvalMeter, evaluate_dnf, walk_path
-from repro.core.query import Query
+from repro.core.predicates import EvalMeter
+from repro.core.query import Predicate, Query
 from repro.core.results import GlobalResult, ResultKind, ResultSet
 from repro.core.strategies.base import Strategy, StrategyResult, fault_wait_chain
 from repro.core.system import DistributedSystem
-from repro.core.tvl import TV
 from repro.faults.injector import ExecutionContext
-from repro.integration.outerjoin import IntegrationStats, materialize
+from repro.integration.outerjoin import (
+    GlobalExtent,
+    IntegrationStats,
+    materialize,
+)
+from repro.objectdb.columnar import TRUE_CODE, UNKNOWN_CODE
 from repro.objectdb.objects import LocalObject
 from repro.objectdb.values import NULL
 from repro.obs.spans import TraceEvent
@@ -30,51 +34,77 @@ from repro.sim.metrics import ExecutionMetrics, WorkCounters
 from repro.sim.taskgraph import PHASE_I, PHASE_P, PHASE_SCAN
 
 
-def evaluate_global_extent(
-    query: Query,
-    extent,
-    meter: Optional[EvalMeter] = None,
+def evaluate_global(
+    query: Query, extent: GlobalExtent, meter: EvalMeter
 ) -> ResultSet:
-    """Step CA_G3: evaluate the query over a materialized global extent.
+    """Step CA_G3: phase P, on the kernels every site runs.
+
+    The root class of *extent* is one more columnar extent, rows in GOid
+    order.  *meter* gets the sums of the kernel's charge arrays plus the
+    survivors' target walks — what the modelled site, evaluating object
+    by object, is charged; only survivors become results, and nothing
+    keyed on an operand outlives the call.  Maybe rows carry
+    ``NullAttr`` atoms (site ``""``: the null was observed on the fused
+    global object, not at one site).
 
     Pure over its inputs, which is what makes CA repair cheap: a
     resumed run re-materializes with the recovered exports merged in
-    and evaluates again — no site re-evaluates anything.  Maybe rows
-    carry ``NullAttr`` atoms (site ``""``: the null was observed on the
-    fused global object, not at one site).
+    and evaluates again — no site re-evaluates anything.
     """
-    meter = meter if meter is not None else EvalMeter()
+    view = extent.view(query.range_class)
+    summary = view.build_dnf(query.where, view.build_compare)
+    walks = [view.walk(target) for target in query.targets]
+    rows = range(len(view))
+    if summary.error_rows or any(walk.errors for walk in walks):
+        view.raise_first_error(query, rows, summary, walks)
+    meter.comparisons += sum(summary.comparisons)
+    meter.derefs += sum(summary.derefs)
     results = ResultSet(targets=query.targets)
-    for goid in sorted(
-        extent.extent(query.range_class), key=lambda g: g.value
-    ):
-        obj = extent.extent(query.range_class)[goid]
-        outcome = evaluate_dnf(obj, query.where, extent.deref, meter)
-        if outcome.tv is TV.FALSE:
-            continue
+    codes = summary.codes
+    statuses = [column.codes for column in summary.columns.values()]
+    unsolved_of: Dict[bytes, Tuple[Predicate, ...]] = {}
+    for r in [r for r in rows if codes[r]]:
+        goid = view.ids[r]
         bindings = {}
-        for target in query.targets:
-            walk = walk_path(obj, target, extent.deref, meter)
-            bindings[target] = NULL if walk.is_missing else walk.value
-        if outcome.tv is TV.TRUE:
-            results.add(
-                GlobalResult(
-                    goid=goid, kind=ResultKind.CERTAIN, bindings=bindings
-                )
+        for target, walk in zip(query.targets, walks):
+            meter.derefs += walk.derefs[r]
+            bindings[target] = (
+                NULL if walk.miss[r] is not None else walk.values[r]
             )
-        else:
-            unsolved = tuple(o.predicate for o in outcome.unsolved)
-            result = GlobalResult(
-                goid=goid,
-                kind=ResultKind.MAYBE,
-                bindings=bindings,
-                unsolved=unsolved,
-            )
-            attach(result, *(
-                NullAttr(site="", goid=goid, attr=str(p)) for p in unsolved
+        if codes[r] == TRUE_CODE:
+            results.certain.append(GlobalResult(
+                goid=goid, kind=ResultKind.CERTAIN, bindings=bindings
             ))
-            results.add(result)
+            continue
+        packed = bytes([status[r] for status in statuses])
+        unsolved = unsolved_of.get(packed)
+        if unsolved is None:
+            unsolved = unsolved_of[packed] = _unsolved(
+                query.where, dict(zip(summary.columns, packed))
+            )
+        result = GlobalResult(
+            goid=goid, kind=ResultKind.MAYBE, bindings=bindings,
+            unsolved=unsolved,
+        )
+        attach(result, *(
+            NullAttr(site="", goid=goid, attr=str(p)) for p in unsolved
+        ))
+        results.maybe.append(result)
     return results
+
+
+def _unsolved(where, code_of: Dict[Predicate, int]) -> Tuple[Predicate, ...]:
+    """The unsolved predicates of one status pattern of a maybe row: the
+    UNKNOWN predicates of its UNKNOWN conjuncts, once each, in order of
+    first occurrence among those."""
+    unsolved: List[Predicate] = []
+    for conjunct in where:
+        if min(map(code_of.get, conjunct), default=TRUE_CODE) == UNKNOWN_CODE:
+            unsolved.extend([
+                p for p in dict.fromkeys(conjunct)
+                if code_of[p] == UNKNOWN_CODE and p not in unsolved
+            ])
+    return tuple(unsolved)
 
 
 def demote_outerjoin_incomplete(
@@ -234,6 +264,8 @@ class CentralizedStrategy(Strategy):
             )
 
         # --- step CA_G2: outerjoin over GOid at the global site (O + I) ----
+        # The exports a resumed run fuses were projected at the degraded
+        # run's versions, not this one's: it merges afresh.
         stats = IntegrationStats()
         extent = materialize(
             involved_classes,
@@ -241,6 +273,10 @@ class CentralizedStrategy(Strategy):
             system.catalog,
             exports_by_class,
             stats,
+            reuse=None if resume is not None else (
+                system.merged_extents(),
+                (involved_classes, tuple(needed.values()), tuple(exchanges)),
+            ),
         )
         work.comparisons += stats.comparisons
         integrate = fed.cpu(
@@ -253,7 +289,7 @@ class CentralizedStrategy(Strategy):
 
         # --- step CA_G3: evaluate predicates on materialized classes (P) ---
         meter = EvalMeter()
-        results = evaluate_global_extent(query, extent, meter)
+        results = evaluate_global(query, extent, meter)
         work.comparisons += meter.comparisons
         fed.cpu(
             system.global_site,

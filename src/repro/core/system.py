@@ -85,6 +85,8 @@ class DistributedSystem:
     #: and which strategy AUTO picks.
     _constraints: Optional[object] = field(default=None, repr=False)
     _planner_feedback: Optional[object] = field(default=None, repr=False)
+    #: (versions, merges made at them): see :meth:`merged_extents`.
+    _merged: Tuple = field(default=(None, None), repr=False)
 
     @classmethod
     def build(
@@ -184,6 +186,22 @@ class DistributedSystem:
         """
         self.schema_epoch += 1
         self.bump_schema_version()
+
+    def merged_extents(self) -> Dict:
+        """The global site's merges at this federation version, by shape.
+
+        What CA hands :func:`~repro.integration.outerjoin.materialize`
+        to reuse.  What a merge reads moves only with
+        :attr:`schema_version` or a site's ``data_version``: the store
+        is dropped wholesale when either does, and until then the shape
+        of the exports (classes, attributes, shipping sites) is the key.
+        """
+        versions = (self.schema_version, tuple(
+            (name, db.data_version) for name, db in self.databases.items()
+        ))
+        if self._merged[0] != versions:
+            self._merged = (versions, {})
+        return self._merged[1]
 
     def cache_stats(self) -> CacheStats:
         """Combined mapping-index + decomposition cache traffic."""

@@ -27,6 +27,17 @@ reproduce.  What it checks:
     columnar kernel must give an equal result — rows field by field,
     unsolved bookkeeping, index probe and every meter — or raise the
     same exception type and message.
+``global-eval``
+    Every CA run below — fault, evolution and repair runs included —
+    evaluates its materialized extent twice: on the columnar kernels
+    (``centralized.evaluate_global``) and object by object
+    (:func:`repro.difftest.reference.evaluate_global_extent`, the body
+    production ran before).  Answers in GOid order, per-row
+    ``conditions``, both meter totals and any exception must be equal.
+    Every extent CA evaluates, reused or not, must also equal a fresh
+    merge of the same exports, ``IntegrationStats`` and catalog probe
+    counts included.  This invariant matters more than its two
+    siblings: CA is the baseline every other comparison is made against.
 ``planner``
     For the :attr:`StrategyOracle.PLANNER_MATRIX` pairs, running with
     an adaptive planner mode (constraint pruning, trace feedback, or
@@ -98,6 +109,7 @@ from repro.core.system import DistributedSystem
 from repro.difftest.cases import FuzzCase
 from repro.difftest.reference import (
     shadowed_certify,
+    shadowed_global_evaluation,
     shadowed_local_evaluation,
 )
 from repro.objectdb.ids import GOid
@@ -180,10 +192,15 @@ class StrategyOracle:
         """All invariant violations of *case* (empty list = clean)."""
         certify: List[str] = []
         local_eval: List[str] = []
-        with shadowed_certify(certify), shadowed_local_evaluation(local_eval):
+        global_eval: List[str] = []
+        with shadowed_certify(certify), shadowed_local_evaluation(
+            local_eval
+        ), shadowed_global_evaluation(global_eval):
             violations = self._check_strategies(case)
         for invariant, differences in (
-            ("certify", certify), ("local-eval", local_eval)
+            ("certify", certify),
+            ("local-eval", local_eval),
+            ("global-eval", global_eval),
         ):
             violations.extend(
                 Violation(invariant, case.label, difference, case)
@@ -192,7 +209,7 @@ class StrategyOracle:
         return violations
 
     def _check_strategies(self, case: FuzzCase) -> List[Violation]:
-        """Every invariant but the two that watch these runs."""
+        """Every invariant but the three that watch these runs."""
         violations: List[Violation] = []
         built = case.build()
         engine = GlobalQueryEngine(built.system)

@@ -48,6 +48,7 @@ from repro.core.tvl import TV, all3, any3
 from repro.errors import MappingError, ObjectStoreError
 from repro.integration.global_schema import GlobalSchema
 from repro.integration.mapping import MappingCatalog
+from repro.integration.outerjoin import IntegrationStats
 from repro.objectdb.database import ComponentDatabase, UnsolvedScan
 from repro.objectdb.ids import GOid, LOid
 from repro.objectdb.local_query import (
@@ -718,12 +719,24 @@ def local_evaluation_difference(got, want) -> Optional[str]:
     return None if difference is None else "result" + difference
 
 
-def _attempt(method, db, arg):
+def _attempt(method, *args):
     """``(result, None)``, or ``(None, the exception raised)``."""
     try:
-        return method(db, arg), None
+        return method(*args), None
     except Exception as exc:  # compared by type and message by the caller
         return None, exc
+
+
+def _attempts_difference(kernel, reference) -> Optional[str]:
+    """Why two :func:`_attempt` outcomes differ, or ``None``: another
+    exception type or message, or results :func:`record_difference`
+    tells apart."""
+    (got, raised), (want, expected) = kernel, reference
+    if (type(raised), str(raised)) != (type(expected), str(expected)):
+        return f"raised {raised!r} != reference {expected!r}"
+    return None if raised is not None else local_evaluation_difference(
+        got, want
+    )
 
 
 @contextlib.contextmanager
@@ -751,12 +764,9 @@ def shadowed_local_evaluation(differences: List[str]) -> Iterator[None]:
 
         def evaluate(db, request):
             got, raised = _attempt(kernel, db, request)
-            want, expected = _attempt(reference, db, request)
-            difference = None
-            if (type(raised), str(raised)) != (type(expected), str(expected)):
-                difference = f"raised {raised!r} != reference {expected!r}"
-            elif raised is None:
-                difference = local_evaluation_difference(got, want)
+            difference = _attempts_difference(
+                (got, raised), _attempt(reference, db, request)
+            )
             if difference is not None:
                 differences.append(f"{name} at {db.name}: {difference}")
             if raised is not None:
@@ -772,3 +782,131 @@ def shadowed_local_evaluation(differences: List[str]) -> Iterator[None]:
     finally:
         for name, kernel in kernels.items():
             setattr(ComponentDatabase, name, kernel)
+
+
+# --- global evaluation (steps CA_G2 / CA_G3) ----------------------------------
+
+
+def evaluate_global_extent(
+    query: Query,
+    extent,
+    meter: Optional[EvalMeter] = None,
+) -> ResultSet:
+    """Step CA_G3: evaluate the query over a materialized global extent.
+
+    The body ``repro.core.strategies.centralized`` ran, one
+    :func:`~repro.core.predicates.evaluate_dnf` per global object, before
+    :func:`~repro.core.strategies.centralized.evaluate_global` put CA on
+    the columnar kernels; unchanged.  Maybe rows carry ``NullAttr`` atoms
+    (site ``""``: the null was observed on the fused global object, not
+    at one site).
+    """
+    from repro.conditions.algebra import NullAttr, attach
+
+    meter = meter if meter is not None else EvalMeter()
+    results = ResultSet(targets=query.targets)
+    for goid in sorted(
+        extent.extent(query.range_class), key=lambda g: g.value
+    ):
+        obj = extent.extent(query.range_class)[goid]
+        outcome = evaluate_dnf(obj, query.where, extent.deref, meter)
+        if outcome.tv is TV.FALSE:
+            continue
+        bindings = {}
+        for target in query.targets:
+            walk = walk_path(obj, target, extent.deref, meter)
+            bindings[target] = NULL if walk.is_missing else walk.value
+        if outcome.tv is TV.TRUE:
+            results.add(
+                GlobalResult(
+                    goid=goid, kind=ResultKind.CERTAIN, bindings=bindings
+                )
+            )
+        else:
+            unsolved = tuple(o.predicate for o in outcome.unsolved)
+            result = GlobalResult(
+                goid=goid,
+                kind=ResultKind.MAYBE,
+                bindings=bindings,
+                unsolved=unsolved,
+            )
+            attach(result, *(
+                NullAttr(site="", goid=goid, attr=str(p)) for p in unsolved
+            ))
+            results.add(result)
+    return results
+
+
+def extent_difference(got, want) -> Optional[str]:
+    """Why two :class:`~repro.integration.outerjoin.GlobalExtent` differ
+    (classes, GOid order, every integrated object), or ``None``."""
+    if got.classes() != want.classes():
+        return f": classes {got.classes()} != {want.classes()}"
+    for name in got.classes():
+        mine, theirs = got.extent(name), want.extent(name)
+        if list(mine.items()) != list(theirs.items()):
+            return f".{name}: {len(mine)} objects differ from a fresh merge"
+    return None
+
+
+@contextlib.contextmanager
+def shadowed_global_evaluation(differences: List[str]) -> Iterator[None]:
+    """Run the references beside CA's global site in the block.
+
+    In ``repro.core.strategies.centralized``, ``evaluate_global`` is
+    rebound to a wrapper that evaluates the same extent twice — kernel,
+    then :func:`evaluate_global_extent` — and ``materialize`` to one
+    that also merges the same exports afresh, with no store to reuse
+    from.  A line is appended to *differences* when answers, conditions
+    or meters differ, when one side raises and the other does not raise
+    the same type and message, or when a (possibly reused) extent, its
+    ``IntegrationStats`` or the catalog probes it was charged are not
+    those of the fresh merge.  The caller gets production's result (or
+    exception) either way.  Restored on exit; test scaffolding, not for
+    concurrent use.
+    """
+    from repro.core.strategies import centralized
+
+    evaluate, merge = centralized.evaluate_global, centralized.materialize
+
+    def evaluate_both(query, extent, meter):
+        expected_meter = dataclasses.replace(meter)
+        got, raised = _attempt(evaluate, query, extent, meter)
+        want, expected = _attempt(
+            evaluate_global_extent, query, extent, expected_meter
+        )
+        # Rows field by field, conditions included, then both meters.
+        difference = _attempts_difference(
+            ((got, meter), raised), ((want, expected_meter), expected)
+        )
+        if difference is not None:
+            differences.append(f"evaluate_global: {difference}")
+        if raised is not None:
+            raise raised
+        return got
+
+    def merge_both(classes, global_schema, catalog, exports, stats, reuse=None):
+        def merged(**how):
+            charged, probes = IntegrationStats(), catalog.cache_stats()
+            extent = merge(
+                classes, global_schema, catalog, exports, charged, **how
+            )
+            return extent, (charged, catalog.cache_stats().delta(probes))
+
+        got, charged = merged(reuse=reuse)
+        want, expected = merged()
+        stats.merge(charged[0])
+        difference = extent_difference(got, want)
+        if difference is None and charged != expected:
+            difference = f": charged {charged} != fresh merge {expected}"
+        if difference is not None:
+            differences.append(f"materialize{difference}")
+        return got
+
+    centralized.evaluate_global = evaluate_both
+    centralized.materialize = merge_both
+    try:
+        yield
+    finally:
+        centralized.evaluate_global = evaluate
+        centralized.materialize = merge

@@ -27,7 +27,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import MappingError
 from repro.integration.global_schema import GlobalSchema
-from repro.integration.mapping import MappingCatalog
+from repro.integration.mapping import CacheStats, MappingCatalog
+from repro.objectdb.columnar import ColumnarExtent
 from repro.objectdb.ids import GOid, LOid
 from repro.objectdb.objects import IntegratedObject, LocalObject
 from repro.objectdb.values import MultiValue, Value, is_null
@@ -102,6 +103,7 @@ class GlobalExtent:
     def __init__(self) -> None:
         self._by_class: Dict[str, Dict[GOid, IntegratedObject]] = {}
         self._flat: Dict[GOid, IntegratedObject] = {}
+        self._views: Dict[str, ColumnarExtent] = {}
 
     def install(self, class_name: str, objects: Dict[GOid, IntegratedObject]) -> None:
         self._by_class[class_name] = objects
@@ -109,6 +111,22 @@ class GlobalExtent:
 
     def extent(self, class_name: str) -> Dict[GOid, IntegratedObject]:
         return self._by_class.get(class_name, {})
+
+    def view(self, class_name: str) -> ColumnarExtent:
+        """One class as one more columnar extent, built on first use.
+
+        Rows are in ascending GOid order: the order of the answer, and
+        the order in which evaluation errors must surface.
+        """
+        view = self._views.get(class_name)
+        if view is None:
+            objects = self.extent(class_name)
+            goids = sorted(objects, key=lambda g: g.value)
+            view = self._views[class_name] = ColumnarExtent(
+                class_name, goids, [objects[g] for g in goids], self.deref,
+                version=None,
+            )
+        return view
 
     def deref(self, ref: Union[LOid, GOid]) -> Optional[IntegratedObject]:
         """Dereference a GOid (LOids never resolve in the global extent)."""
@@ -236,22 +254,49 @@ def integrate_class(
     return integrated
 
 
+#: Merged shapes kept per federation version (see :func:`materialize`).
+REUSED_SHAPES = 4
+
+
 def materialize(
     global_classes: Iterable[str],
     global_schema: GlobalSchema,
     catalog: MappingCatalog,
     exports_by_class: Mapping[str, Mapping[str, Iterable[LocalObject]]],
     stats: Optional[IntegrationStats] = None,
+    reuse: Optional[Tuple[Dict, object]] = None,
 ) -> GlobalExtent:
-    """Integrate several global classes into one :class:`GlobalExtent`."""
-    extent = GlobalExtent()
-    for class_name in global_classes:
-        integrated = integrate_class(
-            class_name,
-            global_schema,
-            catalog,
-            exports_by_class.get(class_name, {}),
-            stats,
-        )
-        extent.install(class_name, integrated)
+    """Integrate several global classes into one :class:`GlobalExtent`.
+
+    The simulated global site integrates on every call, and *stats* and
+    the catalog's probe counters say so.  This process need not: *reuse*
+    is ``(merged, key)``, the caller's store of earlier merges
+    (``DistributedSystem.merged_extents``) and a key that determines
+    *exports_by_class*.  A repeated key gets the extent merged before,
+    columnar views included, and is charged what merging it was.
+    """
+    merged, key = reuse if reuse is not None else ({}, None)
+    kept = merged.get(key)
+    if kept is not None:
+        extent, charged, probes = kept
+        for counters, probed in probes:
+            counters.hits += probed.hits
+            counters.misses += probed.misses
+    else:
+        before = {id(t): t.stats.snapshot() for t in catalog.tables()}
+        extent, charged = GlobalExtent(), IntegrationStats()
+        for class_name in global_classes:
+            extent.install(class_name, integrate_class(
+                class_name, global_schema, catalog,
+                exports_by_class.get(class_name, {}), charged,
+            ))
+        probes = [
+            (t.stats, t.stats.delta(before.get(id(t), CacheStats())))
+            for t in catalog.tables()
+        ]
+        if len(merged) >= REUSED_SHAPES:
+            merged.clear()
+        merged[key] = (extent, charged, probes)
+    if stats is not None:
+        stats.merge(charged)
     return extent

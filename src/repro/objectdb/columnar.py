@@ -1,8 +1,9 @@
 """Columnar extent views: per-attribute parallel arrays + batch 3VL kernels.
 
 Local evaluation (:mod:`repro.objectdb.database`) never walks a path or
-compares a value object by object.  A :class:`ColumnarExtent` is a
-cached, versioned view of one class extent that holds those per-object
+compares a value object by object, and neither does CA's global site
+over a materialized class.  A :class:`ColumnarExtent` is a cached,
+versioned view of one class extent that holds those per-object
 walks as *columns*:
 
 * :meth:`ColumnarExtent.column` — one parallel array per attribute with an
@@ -20,6 +21,11 @@ walks as *columns*:
   extent;
 * :meth:`ColumnarExtent.dnf_summary` — the whole ``Where`` clause reduced
   to one code array plus per-row comparison/deref charge arrays.
+
+``predicate_column`` and ``dnf_summary`` keep what they build, per
+operand, until the data moves; ``build_compare`` and ``build_dnf`` are
+the same kernels keeping nothing, which is what the global site calls
+(a column kept per operand cost it 23 % of peak RSS for no re-hit).
 
 What the kernels owe a scan
 ---------------------------
@@ -40,8 +46,9 @@ shadows every kernel call with it):
   the per-object evaluator, which raises the canonical exception.  Rows
   no scan would reach may hold error markers harmlessly.
 
-Views are keyed by :attr:`ComponentDatabase.data_version`, which every
-insert and every :meth:`ComponentDatabase.note_mutation` bumps, so a
+A site's views are keyed by :attr:`ComponentDatabase.data_version`,
+which every insert and every :meth:`ComponentDatabase.note_mutation`
+bumps (the global site's die with the merged extent they view), so a
 stale column can never serve a query (see docs/PERFORMANCE.md).
 """
 
@@ -49,26 +56,20 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from operator import add
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.predicates import EvalMeter, compare_values
+from repro.core.predicates import (
+    EvalMeter,
+    compare_values,
+    evaluate_dnf,
+    walk_path,
+)
 from repro.core.query import Conjunction, Op, Path, Predicate
 from repro.core.tvl import TV
 from repro.objectdb.ids import GOid, LOid
 from repro.objectdb.local_query import UnsolvedPredicateOnObject
 from repro.objectdb.objects import LocalObject
 from repro.objectdb.values import NULL, Value, is_null
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.objectdb.database import ComponentDatabase
 
 #: Packed truth codes: conjunction is ``min``, disjunction is ``max``.
 FALSE_CODE = 0
@@ -238,9 +239,11 @@ class DnfSummary:
     ``derefs[r]`` are the total evaluation charges for row ``r`` across
     *every* (conjunct, predicate) occurrence — a scan evaluates
     them all (no short-circuit), so charges are occurrence-exact.
+    ``columns`` maps each distinct predicate to its column, in order of
+    first occurrence — the order a row's status is populated in.
     """
 
-    __slots__ = ("codes", "comparisons", "derefs", "error_rows")
+    __slots__ = ("codes", "comparisons", "derefs", "error_rows", "columns")
 
     def __init__(
         self,
@@ -248,11 +251,13 @@ class DnfSummary:
         comparisons: List[int],
         derefs: List[int],
         error_rows: Set[int],
+        columns: Dict[Predicate, PredicateColumn],
     ):
         self.codes = codes
         self.comparisons = comparisons
         self.derefs = derefs
         self.error_rows = error_rows
+        self.columns = columns
 
 
 class UnsolvedEntry:
@@ -291,24 +296,25 @@ class UnsolvedEntry:
 
 
 class ColumnarExtent:
-    """A versioned columnar view of one class extent at one site.
+    """A versioned columnar view of one class extent.
 
-    Rows are the extent's insertion order (the scan order of the row
-    path).  All columns are built lazily and cached; the owning
-    :class:`~repro.objectdb.database.ComponentDatabase` discards the
-    whole view when its ``data_version`` moves.
+    Takes what it reads: the row *ids* and *objects* in scan order, the
+    *deref* that follows a reference one of them holds, and the
+    *version* of the data.  A site hands over a class extent in
+    insertion order and discards the view when its ``data_version``
+    moves; the global site hands over a materialized class in GOid
+    order.  All columns are built lazily and cached.
     """
 
-    def __init__(self, db: "ComponentDatabase", class_name: str) -> None:
-        extent = db.extent(class_name)
+    def __init__(self, class_name: str, ids, objects, deref, version) -> None:
         self.class_name = class_name
-        self.version = db.data_version
-        self.loids: List[LOid] = list(extent)
-        self.objects: List[LocalObject] = list(extent.values())
-        self.row_of: Dict[LOid, int] = {
-            loid: row for row, loid in enumerate(self.loids)
+        self.version = version
+        self.ids = list(ids)
+        self.objects = list(objects)
+        self.row_of: Dict[object, int] = {
+            ident: row for row, ident in enumerate(self.ids)
         }
-        self._deref = db.deref
+        self._deref = deref
         self._attrs: Dict[str, AttributeColumn] = {}
         self._walks: Dict[Tuple[str, ...], WalkColumn] = {}
         self._preds: Dict[Predicate, PredicateColumn] = {}
@@ -368,23 +374,23 @@ class ColumnarExtent:
             miss: List[Optional[Miss]] = [None] * n
             bitmap = attr.null_bitmap
             if bitmap:
-                objects = self.objects
+                ids, objects = self.ids, self.objects
                 for row in range(n):
                     if (bitmap >> row) & 1:
-                        obj = objects[row]
-                        miss[row] = (0, obj.loid, obj.class_name)
+                        miss[row] = (0, ids[row], objects[row].class_name)
             return WalkColumn(attr.values, miss, [0] * n, errors)
         values: List[Value] = [NULL] * n
         miss = [None] * n
         derefs = [0] * n
         deref = self._deref
-        for row, obj in enumerate(self.objects):
-            current = obj
+        for row, (ident, current) in enumerate(zip(self.ids, self.objects)):
+            # *ident* names *current*: a row id, then the reference
+            # followed to reach it (an LOid at a site, a GOid globally).
             paid = 0
             for depth, step in enumerate(steps):
                 value = current.values.get(step, NULL)
                 if is_null(value):
-                    miss[row] = (depth, current.loid, current.class_name)
+                    miss[row] = (depth, ident, current.class_name)
                     break
                 if depth == last:
                     values[row] = value
@@ -395,25 +401,26 @@ class ColumnarExtent:
                 paid += 1  # a scan is charged before a failed deref
                 nxt = deref(value)
                 if nxt is None:
-                    miss[row] = (depth, current.loid, current.class_name)
+                    miss[row] = (depth, ident, current.class_name)
                     break
-                current = nxt
+                ident, current = value, nxt
             derefs[row] = paid
         return WalkColumn(values, miss, derefs, errors)
 
     # --- predicate / DNF kernels ---------------------------------------------
 
     def predicate_column(self, predicate: Predicate) -> PredicateColumn:
-        """Evaluate *predicate* over every row (cached per operand)."""
+        """:meth:`build_compare`, kept per operand until the data moves."""
         col = self._preds.get(predicate)
         if col is None:
-            col = self._preds[predicate] = self._build_compare(predicate)
+            col = self._preds[predicate] = self.build_compare(predicate)
         return col
 
-    def _build_compare(self, predicate: Predicate) -> PredicateColumn:
-        """The operand-dependent half: O(log n + matching rows).
+    def build_compare(self, predicate: Predicate) -> PredicateColumn:
+        """Evaluate *predicate* over every row: O(log n + matching rows).
 
-        Copies the walk's base arrays and marks only the rows the value
+        The operand-dependent half, and nothing of it is retained:
+        copies the walk's base arrays and marks only the rows the value
         index finds; rows it cannot classify are compared one by one.
         """
         op = predicate.op
@@ -450,16 +457,29 @@ class ColumnarExtent:
         return PredicateColumn(codes, comps, walk.derefs, walk.miss, error_rows)
 
     def dnf_summary(self, where: Tuple[Conjunction, ...]) -> DnfSummary:
-        """Reduce a whole ``Where`` clause to flat per-row arrays (cached)."""
+        """:meth:`build_dnf` over the kept predicate columns, kept too."""
         cached = self._dnfs.get(where)
         if cached is None:
-            cached = self._dnfs[where] = self._build_dnf(where)
+            cached = self._dnfs[where] = self.build_dnf(
+                where, self.predicate_column
+            )
         return cached
 
-    def _build_dnf(self, where: Tuple[Conjunction, ...]) -> DnfSummary:
+    def build_dnf(self, where: Tuple[Conjunction, ...], column_of) -> DnfSummary:
+        """Reduce a whole ``Where`` clause to flat per-row arrays.
+
+        *column_of* makes the column of each distinct predicate: a site
+        passes :meth:`predicate_column`, the global site
+        :meth:`build_compare`, and the summary is all that holds them.
+        """
+        columns: Dict[Predicate, PredicateColumn] = {}
+        for conjunct in where:
+            for predicate in conjunct:
+                if predicate not in columns:
+                    columns[predicate] = column_of(predicate)
         n = len(self.objects)
         if not where:
-            return DnfSummary([TRUE_CODE] * n, [0] * n, [0] * n, set())
+            return DnfSummary([TRUE_CODE] * n, [0] * n, [0] * n, set(), {})
         comparisons = [0] * n
         derefs = [0] * n
         error_rows: Set[int] = set()
@@ -467,7 +487,7 @@ class ColumnarExtent:
         for conjunct in where:
             conj_codes: Optional[List[int]] = None
             for predicate in conjunct:
-                col = self.predicate_column(predicate)
+                col = columns[predicate]
                 error_rows.update(col.error_rows)
                 comparisons = list(map(add, comparisons, col.comparisons))
                 derefs = list(map(add, derefs, col.derefs))
@@ -484,7 +504,28 @@ class ColumnarExtent:
                 else list(map(max, dnf_codes, conj_codes))
             )
         assert dnf_codes is not None
-        return DnfSummary(dnf_codes, comparisons, derefs, error_rows)
+        return DnfSummary(dnf_codes, comparisons, derefs, error_rows, columns)
+
+    def raise_first_error(self, query, rows, summary, target_walks) -> None:
+        """Raise what a scan of *rows*, in that order, would hit first.
+
+        The kernels mark an error row instead of raising; here the first
+        marked row is evaluated by the canonical per-object evaluator,
+        which raises the canonical exception.  A row errs when its
+        ``Where`` evaluation does, or when it survives and a target walk
+        does — in that order, as a scan evaluates before it binds.
+        Marked rows outside *rows*, and eliminated rows with a bad target
+        walk, are never evaluated and so are harmless.
+        """
+        codes = summary.codes
+        for r in rows:
+            obj = self.objects[r]
+            if r in summary.error_rows:
+                evaluate_dnf(obj, query.where, self._deref)
+            if codes[r] != FALSE_CODE:
+                for target, walk in zip(query.targets, target_walks):
+                    if r in walk.errors:
+                        walk_path(obj, target, self._deref)
 
     # --- unsolved bookkeeping columns ----------------------------------------
 
@@ -535,12 +576,11 @@ class ColumnarExtent:
     def _build_holders(
         self, path: Path, depth: Optional[int]
     ) -> List[Optional[Holder]]:
-        loids = self.loids
         if depth is None:
             # Retracing d successful steps charges d derefs.
             return [
-                None if m is None else (m[0], m[1], m[2], m[1] == loid, m[0])
-                for m, loid in zip(self.walk(path).miss, loids)
+                None if m is None else (m[0], m[1], m[2], m[1] == ident, m[0])
+                for m, ident in zip(self.walk(path).miss, self.ids)
             ]
         steps = path.steps
         deref = self._deref

@@ -19,12 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.predicates import (
-    EvalMeter,
-    evaluate_dnf,
-    evaluate_predicate,
-    walk_path,
-)
+from repro.core.predicates import EvalMeter, evaluate_predicate, walk_path
 from repro.core.query import Path, Predicate
 from repro.core.tvl import TV
 from repro.errors import ObjectStoreError, UnknownClassError
@@ -165,7 +160,11 @@ class ComponentDatabase:
         """The versioned columnar view of one class extent (cached)."""
         cached = self._columnar.get(class_name)
         if cached is None or cached.version != self.data_version:
-            cached = ColumnarExtent(self, class_name)
+            extent = self.extent(class_name)
+            cached = ColumnarExtent(
+                class_name, extent, extent.values(), self.deref,
+                self.data_version,
+            )
             self._columnar[class_name] = cached
         return cached
 
@@ -212,16 +211,11 @@ class ComponentDatabase:
     ) -> List[LocalObject]:
         """Return the whole extent projected on *attributes* (plus LOid).
 
-        Attributes the class does not define are simply absent from the
-        projection (they will integrate as missing data).
+        An attribute an object holds no value for is simply absent from
+        its projection (it will integrate as missing data).
         """
-        local_attrs = tuple(
-            a
-            for a in attributes
-            if self.schema.cls(class_name).has_attribute(a)
-        )
         return [
-            obj.project(local_attrs) for obj in self.extent(class_name).values()
+            obj.project(attributes) for obj in self.extent(class_name).values()
         ]
 
     # --- local query execution (steps BL_C1 / PL_C2) -------------------------
@@ -254,19 +248,11 @@ class ComponentDatabase:
             rows = [row_of[obj.loid] for obj in candidates]
         target_walks = [col.walk(target) for target in query.targets]
         if summary.error_rows or any(walk.errors for walk in target_walks):
-            self._raise_first_error(query, col, rows, summary, target_walks)
-        # First-occurrence predicate order across conjuncts — the order
-        # a row's status dict is populated in.
-        ordered_preds = []
-        seen = set()
-        for conjunct in query.where:
-            for predicate in conjunct:
-                if predicate not in seen:
-                    seen.add(predicate)
-                    pcol = col.predicate_column(predicate)
-                    ordered_preds.append(
-                        (predicate, pcol, col.unsolved_column(predicate))
-                    )
+            col.raise_first_error(query, rows, summary, target_walks)
+        ordered_preds = [
+            (predicate, pcol, col.unsolved_column(predicate))
+            for predicate, pcol in summary.columns.items()
+        ]
         removed_cols = [
             (rem, col.unsolved_column(rem.predicate, rem.missing_depth))
             for rem in query.removed
@@ -355,29 +341,6 @@ class ComponentDatabase:
         result.comparisons = comp_acc
         result.derefs = deref_acc
         return result
-
-    def _raise_first_error(
-        self, query, col, rows, summary, target_walks
-    ) -> None:
-        """Raise what a site scanning *rows* in order would hit first.
-
-        The kernels mark an error row instead of raising; here the first
-        marked candidate is evaluated by the canonical per-object
-        evaluator, which raises the canonical exception.  A row errs when
-        its ``Where`` evaluation does, or when it survives and a target
-        walk does — in that order, as a scan evaluates before it binds.
-        Marked rows outside the candidate set, and eliminated rows with a
-        bad target walk, are never evaluated and so are harmless.
-        """
-        codes = summary.codes
-        for r in rows:
-            obj = col.objects[r]
-            if r in summary.error_rows:
-                evaluate_dnf(obj, query.where, self.deref)
-            if codes[r] != FALSE_CODE:
-                for target, walk in zip(query.targets, target_walks):
-                    if r in walk.errors:
-                        walk_path(obj, target, self.deref)
 
     def _select_candidates(
         self, query: LocalQuery

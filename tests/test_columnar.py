@@ -28,6 +28,7 @@ from repro.objectdb.columnar import (
     TRUE_CODE,
     TV_OF_CODE,
     UNKNOWN_CODE,
+    ColumnarExtent,
 )
 from repro.objectdb.database import ComponentDatabase
 from repro.objectdb.ids import LOid
@@ -557,11 +558,11 @@ class TestEngineTransparency:
                 db.execute_local(query)
         assert differences == []
         # A kernel that raises the *last* error row differs.
-        scan_order = ComponentDatabase._raise_first_error
+        scan_order = ColumnarExtent.raise_first_error
         monkeypatch.setattr(
-            ComponentDatabase, "_raise_first_error",
-            lambda self, query, col, rows, *rest: scan_order(
-                self, query, col, list(reversed(rows)), *rest
+            ColumnarExtent, "raise_first_error",
+            lambda self, query, rows, *rest: scan_order(
+                self, query, list(reversed(rows)), *rest
             ),
         )
         with shadowed_local_evaluation(differences):

@@ -189,6 +189,30 @@ class TestOracle:
             for v in local_eval
         )
 
+    def test_global_eval_invariant_catches_what_ca_vs_bl_cannot(
+        self, monkeypatch
+    ):
+        """CA is the baseline of every other comparison, and those
+        compare answers as sets: a global site that evaluates in extent
+        (merge) order instead of GOid order breaks the answer order and
+        the order errors surface in, and only ``global-eval`` sees it."""
+        from repro.integration.outerjoin import GlobalExtent
+        from repro.objectdb.columnar import ColumnarExtent
+
+        monkeypatch.setattr(
+            GlobalExtent, "view",
+            lambda self, name: ColumnarExtent(
+                name, self.extent(name), self.extent(name).values(),
+                self.deref, None,
+            ),
+        )
+        violations = StrategyOracle().check(FederationFuzzer(1996).case(8))
+        assert violations
+        assert {v.invariant for v in violations} == {"global-eval"}
+        assert str(violations[0]).startswith(
+            "[global-eval] fuzz-1996-8: evaluate_global: result[0].certain[0].goid"
+        )
+
     def test_loose_entity_check_misses_what_oracle_catches(
         self, broken_resolver
     ):
@@ -338,13 +362,35 @@ class TestImportBoundary:
                 n.startswith("repro.objectdb.columnar") for n in names
             ), module
 
+    def test_one_evaluator_at_the_global_site(self):
+        """CA evaluates on the kernels: ``centralized.py`` names no
+        per-object evaluator (the error re-raise is the extent's, as at
+        every site), and the body it used to run lives in difftest only."""
+        imports = self.imports_by_module()
+        evaluators = {
+            "evaluate_dnf", "evaluate_conjunction", "evaluate_predicate",
+            "walk_path", "compare_values",
+        }
+        named = {
+            n.rpartition(".")[2]
+            for n in imports["core/strategies/centralized.py"]
+        }
+        assert named & evaluators == set()
+        import repro.core.strategies.centralized as centralized
+        import repro.difftest.reference as reference
+
+        assert not hasattr(centralized, "evaluate_global_extent")
+        assert reference.evaluate_global_extent.__module__ == (
+            "repro.difftest.reference"
+        )
+
     #: What drives an execution.  A repair resumes the strategy; it must
     #: never call any of these itself again.
     EXECUTION_STEPS = {
         "evaluate_site", "run_checks_paired", "chase_blocked",
         "plan_dispatch", "certify", "resolve_missing_bindings",
         "annotate_site_loss", "export_site", "materialize",
-        "evaluate_global_extent",
+        "evaluate_global",
     }
 
     def test_recertify_names_no_execution_step(self):
