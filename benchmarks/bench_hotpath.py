@@ -29,7 +29,12 @@ contracts:
   (``local_eval_unseen``: only the per-extent structures are warm);
 * CA's global site, evaluating a materialized extent with operands it
   has never seen, is at least 3x faster on the kernels than the
-  per-object reference it replaced (``global_eval``).
+  per-object reference it replaced (``global_eval``);
+* the localized path from the site kernels to the digest —
+  ``execute_local`` at every site, ``certify``, ``answer_digest`` — on a
+  scan and on the paper query, operands never seen before, is at least
+  1.5x faster than the same path through ``execute_local_reference``
+  and ``certify_reference`` (``local_pipeline``).
 
 Runs standalone; CI runs the quick grid and diffs against the committed
 baseline::
@@ -39,8 +44,8 @@ baseline::
 
 The JSON output is fully determined by the grid: no timestamps and no
 dict-order dependence.  ``wall_s`` fields and the ``local_eval`` /
-``local_eval_unseen`` / ``global_eval`` timing sections are
-informational only and are ignored by ``--check``; a cell's ``wall_s`` is its cold execution *with*
+``local_eval_unseen`` / ``global_eval`` / ``local_pipeline`` timing
+sections are informational only and are ignored by ``--check``; a cell's ``wall_s`` is its cold execution *with*
 the shadowing reference, so it reads higher than an unshadowed run.
 """
 
@@ -64,15 +69,19 @@ from bench_common import make_workload, write_result
 
 from repro.bench.reporting import format_table
 from repro.core.decompose import attributes_needed_by_class
+from repro.core.certification import VerdictIndex, certify
 from repro.core.engine import GlobalQueryEngine
 from repro.core.predicates import EvalMeter
-from repro.core.query import Op, Predicate
+from repro.core.query import Op, Predicate, Query
+from repro.core.results import answer_digest
 from repro.core.strategies.centralized import evaluate_global, export_site
 from repro.difftest.reference import (
+    certify_reference,
     evaluate_global_extent,
     execute_local_reference,
     shadowed_local_evaluation,
 )
+from repro.objectdb.database import ComponentDatabase
 from repro.integration.outerjoin import materialize
 
 SCHEMA = "BENCH_hotpath/v3"
@@ -110,6 +119,10 @@ MIN_COLUMNAR_SPEEDUP = 5.0
 #: The same floor when no repetition has seen its operands before —
 #: at a site, and at CA's global site (which never sees one twice).
 MIN_UNSEEN_SPEEDUP = 3.0
+
+#: The floor of the whole localized path, kernels to digest, against
+#: the per-row references (``local_pipeline``).
+MIN_PIPELINE_SPEEDUP = 1.5
 
 _ORDER_OPS = (Op.LT, Op.LE, Op.GT, Op.GE)
 
@@ -320,6 +333,68 @@ def measure_global_eval(n_db: int, scale: float, reps: int = 5) -> dict:
     }
 
 
+def measure_local_pipeline(n_db: int, scale: float, reps: int = 5) -> dict:
+    """The localized path from the site kernels to the digest.
+
+    Per query: ``execute_local`` at every queried site, ``certify`` over
+    the results (no assistant verdicts: phase O is not what is timed),
+    ``answer_digest`` — against the same three steps through
+    ``execute_local_reference`` and ``certify_reference``.  The queries
+    are the traffic mix's scan (one range predicate on the root class,
+    most objects survive) and the workload's paper query, each repetition
+    with ordering operands no cache has seen; decomposition is done
+    beforehand and one warm-up of each side builds the per-extent
+    structures.  Timing only; both sides must agree on every digest.
+    """
+    workload = make_workload(WORKLOAD_SEEDS[n_db], scale, n_dbs=n_db)
+    system, paper = workload.system, workload.query
+    scan = Query.conjunctive(
+        paper.range_class, ["key", "t0"],
+        [Predicate.of("t0", "<", 500_000)],
+    )
+    queries = [
+        dataclasses.replace(query, where=tuple(
+            tuple(_moved(p, rep) for p in conjunct)
+            for conjunct in query.where
+        ))
+        for rep in range(reps + 1) for query in (scan, paper)
+    ]
+    decomposed = [
+        (query, system.decompose(query).local_queries) for query in queries
+    ]
+    walls, digests = {}, {}
+    for name, evaluate, certifier in (
+        ("columnar", ComponentDatabase.execute_local, certify),
+        ("reference", execute_local_reference, certify_reference),
+    ):
+        seen = digests[name] = []
+        for index, (query, local_queries) in enumerate(decomposed):
+            if index == 2:  # rep 0, both shapes, was the warm-up
+                start = time.perf_counter()
+            local = {
+                db_name: evaluate(system.db(db_name), local_query)
+                for db_name, local_query in local_queries.items()
+            }
+            seen.append(answer_digest(certifier(
+                query, system.global_schema, system.catalog, local,
+                VerdictIndex(),
+            )))
+        walls[name] = (time.perf_counter() - start) / reps
+    if digests["columnar"] != digests["reference"]:
+        raise AssertionError(
+            f"ndb{n_db} scale{scale:g}: the kernels and the references "
+            "disagree on a local-pipeline digest"
+        )
+    return {
+        "workload": f"ndb{n_db}-scale{scale:g}",
+        "n_db": n_db,
+        "scale": scale,
+        "columnar_wall_s": round(walls["columnar"], 6),
+        "reference_wall_s": round(walls["reference"], 6),
+        "speedup": round(walls["reference"] / walls["columnar"], 2),
+    }
+
+
 def sweep(grid) -> dict:
     cells = []
     for n_db, scale in grid:
@@ -331,7 +406,12 @@ def sweep(grid) -> dict:
         for n_db, scale in grid
     ]
     global_eval = [measure_global_eval(n_db, scale) for n_db, scale in grid]
-    _assert_contract(cells, local_eval, local_eval_unseen, global_eval)
+    local_pipeline = [
+        measure_local_pipeline(n_db, scale) for n_db, scale in grid
+    ]
+    _assert_contract(
+        cells, local_eval, local_eval_unseen, global_eval, local_pipeline
+    )
     return {
         "schema": SCHEMA,
         "seeds": {str(k): v for k, v in sorted(WORKLOAD_SEEDS.items())},
@@ -340,17 +420,19 @@ def sweep(grid) -> dict:
         "local_eval": local_eval,
         "local_eval_unseen": local_eval_unseen,
         "global_eval": global_eval,
+        "local_pipeline": local_pipeline,
     }
 
 
 def _assert_contract(
-    cells, local_eval, local_eval_unseen, global_eval
+    cells, local_eval, local_eval_unseen, global_eval, local_pipeline
 ) -> None:
     """Aggregate guarantees the per-cell checks cannot express."""
     for section, floor, what in (
         (local_eval, MIN_COLUMNAR_SPEEDUP, "repeated local eval"),
         (local_eval_unseen, MIN_UNSEEN_SPEEDUP, "unseen-operand local eval"),
         (global_eval, MIN_UNSEEN_SPEEDUP, "unseen-operand global eval"),
+        (local_pipeline, MIN_PIPELINE_SPEEDUP, "kernels-to-digest path"),
     ):
         largest = max(section, key=lambda e: (e["n_db"], e["scale"]))
         if largest["speedup"] < floor:
@@ -432,6 +514,9 @@ def render(result: dict) -> str:
          "warm local evaluation, operands never seen before"),
         ("global_eval",
          "CA global evaluation of one extent, operands never seen before"),
+        ("local_pipeline",
+         "execute_local at every site -> certify -> answer_digest, scan + "
+         "paper query, operands never seen before"),
     ):
         eval_rows = [
             [e["workload"], f"{e['columnar_wall_s']:.4f}",

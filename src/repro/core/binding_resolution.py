@@ -148,7 +148,7 @@ def _merge_entity_attribute(
     """
     table = system.catalog.table(global_class)
     stats.mapping_lookups += 1
-    placements = table.loids_of(goid)
+    placements = table.placements(goid)
     collected: List[Value] = []
     skipped_here = False
     for db_name in system.global_schema.databases_of(global_class):

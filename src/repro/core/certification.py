@@ -39,7 +39,6 @@ construction.  The tables live for one :func:`certify` call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import (
     Dict,
     List,
@@ -63,19 +62,13 @@ from repro.objectdb.columnar import (
     UNKNOWN_CODE,
 )
 from repro.objectdb.ids import GOid, LOid
-from repro.objectdb.local_query import (
-    CheckReport,
-    LocalResultRow,
-    LocalResultSet,
-)
+from repro.objectdb.local_query import Book, CheckReport, LocalResultSet
 from repro.objectdb.values import MultiValue, NULL, Value
 
 #: One site's packed codes in ``query.all_predicates()`` order.
 Codes = Tuple[int, ...]
-#: An entity's rows, one slot per queried site (``None``: no row there).
-SiteRows = Sequence[Optional[LocalResultRow]]
-
-_GOID_VALUE = attrgetter("value")
+#: What one site holds for an entity: its book and its value per target.
+SiteRow = Tuple[Book, Tuple[Value, ...]]
 
 #: Assistant-check verdict labels.
 SATISFIED = "satisfied"
@@ -170,57 +163,70 @@ def certify(
     stats = stats if stats is not None else CertificationStats()
     root_table = catalog.table(query.range_class)
     sites = tuple(local_results)
+    queried = len(sites)
+    targets = query.targets
 
-    groups: Dict[GOid, List[Optional[LocalResultRow]]] = {}
-    goid_of = root_table.goid_of
+    # An entity is, per queried site, that site's (book, values bound)
+    # for it — grouped on the site's GOid column, which is read at the
+    # catalog as it is now, also when a resumed run brings the results
+    # of an earlier one.
+    groups: Dict[str, Tuple[GOid, List[Optional[SiteRow]]]] = {}
     for slot, result in enumerate(local_results.values()):
-        for row in result.rows:
-            goid = goid_of(row.loid)
-            if goid is None:
-                raise MappingError(
-                    f"local result row {row.loid} has no GOid for root "
-                    f"class {query.range_class!r}"
-                )
-            rows = groups.get(goid)
-            if rows is None:
-                rows = groups[goid] = [None] * len(sites)
-            rows[slot] = row
+        ids, at, books, _ = result.as_columns()
+        goids = root_table.goids_at(ids, at)
+        if None in goids:
+            raise MappingError(
+                f"local result row {ids.loids[at[goids.index(None)]]} has "
+                f"no GOid for root class {query.range_class!r}"
+            )
+        for goid, row in zip(goids, zip(books, result.bound(targets))):
+            key = goid.value
+            entity = groups.get(key)
+            if entity is None:
+                entity = groups[key] = (goid, [None] * queried)
+            entity[1][slot] = row
 
     patterns = _PatternTables(query, sites)
-    targets = query.targets
-    loids_of = root_table.loids_of
+    placements_of = root_table.placements
     answer = ResultSet(targets=targets)
     stats.groups += len(groups)
-    for goid in sorted(groups, key=_GOID_VALUE):
-        rows = groups[goid]
-        if _eliminated_by_absence(rows, loids_of(goid), sites, stats):
+    for _, (goid, held) in sorted(groups.items()):
+        pattern = patterns.of(held)
+        if _eliminated_by_absence(
+            pattern.absent, placements_of(goid), queried, stats
+        ):
             stats.eliminated_by_absence += 1
             continue
-        pattern = patterns.of(rows)
         stats.comparisons += pattern.comparisons
-        codes = pattern.merged
-        for row in rows:
-            if row is not None and row.unsolved_items:
-                codes = _apply_assistant_verdicts(
+        outcome = pattern.outcome
+        rows = [row for row in held if row is not None]
+        for book, _ in rows:
+            if book.unsolved_items:
+                outcome = patterns.conclude(pattern, _apply_assistant_verdicts(
                     rows, global_schema, catalog, verdicts,
-                    patterns.index, codes, stats,
-                )
+                    patterns.index, pattern.merged, stats,
+                ))
                 break
-        where, unsolved, null_atoms = patterns.conclude(pattern, codes)
+        where, unsolved, null_atoms = outcome
         if where == FALSE_CODE:
             stats.eliminated_by_violation += 1
-        elif where == TRUE_CODE:
+            continue
+        bindings = (
+            dict(zip(targets, rows[0][1])) if len(rows) == 1
+            else _merge_bindings(targets, [bound for _, bound in rows])
+        )
+        if where == TRUE_CODE:
             stats.promoted_to_certain += 1
-            answer.certain.append(GlobalResult(
-                goid, ResultKind.CERTAIN, _merge_bindings(targets, rows)
-            ))
+            answer.certain.append(
+                GlobalResult(goid, ResultKind.CERTAIN, bindings)
+            )
         else:
             stats.remained_maybe += 1
             # The atoms are already deduplicated and in ``attach`` order.
             answer.maybe.append(GlobalResult(
                 goid,
                 ResultKind.MAYBE,
-                _merge_bindings(targets, rows),
+                bindings,
                 unsolved,
                 conditions=tuple(
                     [NullAttr(site, goid, attr) for site, attr in null_atoms]
@@ -248,6 +254,11 @@ class _Pattern(NamedTuple):
     #: The merged status vector, and what merging it charges.
     merged: Codes
     comparisons: int
+    #: The sites without a row, each with what the root-presence rule
+    #: has compared once it reaches that site.
+    absent: Tuple[Tuple[int, str], ...]
+    #: The rule's conclusion from ``merged`` itself.
+    outcome: _Outcome
     #: Status vector after assistant verdicts -> the rule's conclusion.
     outcomes: Dict[Codes, _Outcome]
 
@@ -256,13 +267,13 @@ class _PatternTables:
     """The per-call memo: status pattern -> :class:`_Pattern`.
 
     Two keys reach a pattern.  The fast one is the identity of each
-    row's ``predicate_status`` dict: columnar local evaluation hands
+    book's ``predicate_status`` dict: columnar local evaluation hands
     every row of one pattern the same dict, so the usual entity costs
     one probe and decodes nothing.  The other is the decoded codes
     themselves (one dict probe per predicate, once per dict), which is
     how rows that own their dict — the reference evaluator's, or a
     test's — find the pattern an earlier entity built.  Identity is a
-    sound key because every row, and so every dict, outlives the call
+    sound key because every book, and so every dict, outlives the call
     that holds these tables.
     """
 
@@ -276,28 +287,36 @@ class _PatternTables:
         self._by_identity: Dict[Tuple[int, ...], _Pattern] = {}
         self._by_codes: Dict[Tuple[Optional[Codes], ...], _Pattern] = {}
 
-    def of(self, rows: SiteRows) -> _Pattern:
-        key = tuple(
-            [0 if row is None else id(row.predicate_status) for row in rows]
-        )
+    def of(self, held: Sequence[Optional[SiteRow]]) -> _Pattern:
+        key = tuple([
+            0 if row is None else id(row[0].predicate_status) for row in held
+        ])
         pattern = self._by_identity.get(key)
         if pattern is None:
-            site_codes = tuple(
-                [None if row is None else self._decode(row) for row in rows]
-            )
+            site_codes = tuple([
+                None if row is None else self._decode(row[0].predicate_status)
+                for row in held
+            ])
             pattern = self._by_codes.get(site_codes)
             if pattern is None:
                 merged, comparisons = _merge_codes(
                     site_codes, len(self.predicates)
                 )
+                outcomes: Dict[Codes, _Outcome] = {}
                 pattern = self._by_codes[site_codes] = _Pattern(
-                    site_codes, merged, comparisons, {}
+                    site_codes, merged, comparisons,
+                    tuple([
+                        (slot + 1, site)
+                        for slot, site in enumerate(self.sites)
+                        if site_codes[slot] is None
+                    ]),
+                    self._conclude(site_codes, merged, outcomes),
+                    outcomes,
                 )
             self._by_identity[key] = pattern
         return pattern
 
-    def _decode(self, row: LocalResultRow) -> Codes:
-        status = row.predicate_status
+    def _decode(self, status: Mapping[Predicate, object]) -> Codes:
         codes = self._codes_of_status.get(id(status))
         if codes is None:
             # A predicate the site did not report is UNKNOWN.
@@ -309,26 +328,27 @@ class _PatternTables:
 
     def conclude(self, pattern: _Pattern, codes: Codes) -> _Outcome:
         """The rule's conclusion once assistant verdicts gave *codes*."""
-        outcome = pattern.outcomes.get(codes)
+        return self._conclude(pattern.site_codes, codes, pattern.outcomes)
+
+    def _conclude(self, site_codes, codes: Codes, outcomes) -> _Outcome:
+        outcome = outcomes.get(codes)
         if outcome is None:
             where = _where_code(self.where, codes)
             unsolved: Tuple[int, ...] = ()
             if where == UNKNOWN_CODE:
                 unsolved = _still_unsolved(self.where, codes)
-            outcome = pattern.outcomes[codes] = _Outcome(
+            outcome = outcomes[codes] = _Outcome(
                 where,
                 tuple([self.predicates[i] for i in unsolved]),
-                _null_atoms(
-                    unsolved, self.sites, pattern.site_codes, self.predicates
-                ),
+                _null_atoms(unsolved, self.sites, site_codes, self.predicates),
             )
         return outcome
 
 
 def _eliminated_by_absence(
-    rows: SiteRows,
+    absent: Sequence[Tuple[int, str]],
     placements: Mapping[str, LOid],
-    sites: Tuple[str, ...],
+    queried: int,
     stats: CertificationStats,
 ) -> bool:
     """Root-presence rule: an isomeric root object filtered out elsewhere.
@@ -336,12 +356,15 @@ def _eliminated_by_absence(
     If the entity has a representative in the local root class of a
     queried site but that site returned no row for it, the representative
     violated a local predicate there — the entity certainly fails the
-    query and is eliminated (the paper's s1 example).
+    query and is eliminated (the paper's s1 example).  The *queried* sites
+    are tried in order and each one tried, with a row or without,
+    counts one comparison.
     """
-    for row, db_name in zip(rows, sites):
-        stats.comparisons += 1
-        if row is None and db_name in placements:
+    for compared, db_name in absent:
+        if db_name in placements:
+            stats.comparisons += compared
             return True
+    stats.comparisons += queried
     return False
 
 
@@ -372,7 +395,7 @@ def _merge_codes(
 
 
 def _apply_assistant_verdicts(
-    rows: SiteRows,
+    rows: Sequence[SiteRow],
     global_schema: GlobalSchema,
     catalog: MappingCatalog,
     verdicts: VerdictIndex,
@@ -389,10 +412,8 @@ def _apply_assistant_verdicts(
     unsolved predicate".  Returns the status vector after the verdicts.
     """
     codes = list(merged)
-    for row in rows:
-        if row is None:
-            continue
-        for item in row.unsolved_items:
+    for book, _ in rows:
+        for item in book.unsolved_items:
             global_class = global_schema.global_class_of(
                 item.loid.db, item.class_name
             )
@@ -477,22 +498,18 @@ def _null_atoms(
 
 
 def _merge_bindings(
-    targets: Tuple[Path, ...], rows: SiteRows
+    targets: Tuple[Path, ...], sources: Sequence[Tuple[Value, ...]]
 ) -> Dict[Path, Value]:
     """Merge target bindings across isomeric rows (first non-null wins;
-    multi-values union)."""
-    sources = [row.bindings for row in rows if row is not None]
+    multi-values union).  Missing data is NULL in a value column."""
     bindings: Dict[Path, Value] = {}
-    for target in targets:
+    for target, values in zip(targets, zip(*sources)):
         merged: Value = NULL
-        for source in sources:
-            value = source.get(target, NULL)
+        for value in values:
             if value is NULL:
                 continue
             if isinstance(value, MultiValue):
-                if not value:  # an empty multi-value is missing data
-                    continue
-                merged = _union_bindings(target, sources)
+                merged = _union_bindings(values)
                 break
             if merged is NULL:
                 merged = value
@@ -500,11 +517,10 @@ def _merge_bindings(
     return bindings
 
 
-def _union_bindings(target: Path, sources: List[Dict[Path, Value]]) -> Value:
+def _union_bindings(values: Sequence[Value]) -> Value:
     """One target some site bound to a multi-value: the union of all."""
     collected: List[Value] = []
-    for source in sources:
-        value = source.get(target, NULL)
+    for value in values:
         if isinstance(value, MultiValue):
             collected.extend(value)
         elif value is not NULL:

@@ -186,11 +186,16 @@ class Predicate:
                 raise QueryError(f"unknown operator {op!r}") from None
         return cls(path=Path.parse(dotted_path), op=op, operand=operand)
 
-    def __str__(self) -> str:
-        return f"{self.path} {self.op} {self.operand!r}"
+    #: Set on the instance by the first ``str()`` / ``hash()``; not fields.
+    _text = _hash = None
 
-    #: Set on the instance by the first ``hash()``; not a field.
-    _hash = None
+    def __str__(self) -> str:
+        # Built once: dispatch planning sorts by it, per assistant.
+        text = self._text
+        if text is None:
+            text = f"{self.path} {self.op} {self.operand!r}"
+            _remember(self, "_text", text)
+        return text
 
     def __hash__(self) -> int:
         # The dataclass-generated value, computed once per instance.

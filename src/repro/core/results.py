@@ -13,6 +13,7 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.query import Path, Predicate
@@ -23,6 +24,13 @@ from repro.objectdb.values import NULL, MultiValue, Value, is_null
 class ResultKind(enum.Enum):
     CERTAIN = "certain"
     MAYBE = "maybe"
+
+
+#: A GOid orders as its value does.
+_GOID_ORDER = attrgetter("goid.value")
+
+#: The exact types :func:`export_value` returns unchanged.
+_JSON_TYPES = frozenset((bool, int, float, str))
 
 
 def export_value(value: Value) -> object:
@@ -122,8 +130,8 @@ class ResultSet:
 
     def sort(self) -> "ResultSet":
         """Normalize ordering (by GOid) for comparisons in tests."""
-        self.certain.sort(key=lambda r: r.goid)
-        self.maybe.sort(key=lambda r: r.goid)
+        self.certain.sort(key=_GOID_ORDER)
+        self.maybe.sort(key=_GOID_ORDER)
         return self
 
     def summary(self) -> str:
@@ -137,24 +145,34 @@ class ResultSet:
     def to_dicts(self) -> List[Dict[str, object]]:
         """Export every result as a plain dict (JSON-friendly values).
 
-        Each dict carries the entity's GOid, its kind, one key per target
-        path (NULL exported as ``None``, multi-values as sorted lists)
-        and, for maybe results, the unsolved predicates as strings.
+        Each dict carries the entity's GOid, the kind of the list it is
+        in, one key per target path (NULL exported as ``None``,
+        multi-values as sorted lists) and, for maybe results, the
+        unsolved predicates as strings.
         """
         rows: List[Dict[str, object]] = []
         names = [(str(target), target) for target in self.targets]
-        for result in self.all_results():
-            row: Dict[str, object] = {
-                "goid": result.goid.value,
-                "kind": result.kind.value,
-            }
-            for name, target in names:
-                row[name] = export_value(result.bindings.get(target, NULL))
-            if result.unsolved:
-                row["unsolved"] = [str(p) for p in result.unsolved]
-            if result.notes:
-                row["notes"] = list(result.notes)
-            rows.append(row)
+        for kind, results in (
+            (ResultKind.CERTAIN.value, self.certain),
+            (ResultKind.MAYBE.value, self.maybe),
+        ):
+            for result in results:
+                row: Dict[str, object] = {
+                    "goid": result.goid.value, "kind": kind
+                }
+                bindings = result.bindings
+                for name, target in names:
+                    value = bindings.get(target, NULL)
+                    # What export_value passes through needs no call.
+                    row[name] = (
+                        value if type(value) in _JSON_TYPES
+                        else export_value(value)
+                    )
+                if result.unsolved:
+                    row["unsolved"] = [str(p) for p in result.unsolved]
+                if result.notes:
+                    row["notes"] = list(result.notes)
+                rows.append(row)
         return rows
 
     def to_json(self, indent: int = 2) -> str:

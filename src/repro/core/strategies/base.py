@@ -40,7 +40,12 @@ from repro.errors import QueryError
 from repro.faults.injector import ExecutionContext, Negotiation
 from repro.obs.spans import TraceEvent
 from repro.objectdb.ids import LOid
-from repro.objectdb.local_query import CheckReport, CheckRequest, UnsolvedItem
+from repro.objectdb.local_query import (
+    CheckReport,
+    CheckRequest,
+    RowKind,
+    UnsolvedItem,
+)
 from repro.sim.metrics import ExecutionMetrics
 from repro.sim.taskgraph import FederationSim, Node
 
@@ -216,6 +221,9 @@ def plan_dispatch(
         )
     # (db, class, predicates) -> ordered unique loids
     buckets: Dict[Tuple[str, str, Tuple[Predicate, ...]], List[LOid]] = {}
+    # (assistant db, global class, relative path) -> missing depth: the
+    # schema is walked once per distinct path of this call.
+    depths: Dict[tuple, Optional[int]] = {}
     for item in items:
         global_class = system.global_schema.global_class_of(
             item.loid.db, item.class_name
@@ -228,7 +236,7 @@ def plan_dispatch(
         for assistant in assistants:
             plan.mapping_lookups += 1
             answerable = _answerable_predicates(
-                assistant, global_class, item, system
+                assistant, global_class, item, system, depths
             )
             if not answerable:
                 continue
@@ -304,6 +312,7 @@ def _answerable_predicates(
     global_class: str,
     item: UnsolvedItem,
     system: DistributedSystem,
+    depths: Dict[tuple, Optional[int]],
 ):
     """The item's unsolved predicates the assistant's site can advance.
 
@@ -317,12 +326,10 @@ def _answerable_predicates(
     """
     answerable = []
     for unsolved in item.unsolved:
-        depth = missing_depth(
-            system.global_schema,
-            assistant.db,
-            global_class,
-            unsolved.relative_path,
-        )
+        key = (assistant.db, global_class, unsolved.relative_path)
+        if key not in depths:
+            depths[key] = missing_depth(system.global_schema, *key)
+        depth = depths[key]
         if depth is None or depth >= 1:
             answerable.append(unsolved)
     return answerable
@@ -353,8 +360,8 @@ def evaluate_site(
     else:
         items = [
             item
-            for row in result.maybe_rows
-            for item in row.unsolved_items
+            for book in result.books if book.kind is RowKind.MAYBE
+            for item in book.unsolved_items
         ]
     plan = plan_dispatch(
         db_name, items, system,

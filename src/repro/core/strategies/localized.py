@@ -220,11 +220,11 @@ def _result_bytes(result: LocalResultSet, query: Query, cost) -> int:
     Each row carries LOid + GOid + target values; maybe rows add one
     LOid plus predicate descriptors per unsolved item/predicate.
     """
-    total = 0
-    for row in result.rows:
-        total += cost.row_bytes(len(query.targets))
-        total += len(row.unsolved) * cost.attribute_bytes
-        for item in row.unsolved_items:
+    books = result.books
+    total = len(books) * cost.row_bytes(len(query.targets))
+    for book in books:
+        total += len(book.unsolved) * cost.attribute_bytes
+        for item in book.unsolved_items:
             total += cost.loid_bytes
             total += len(item.unsolved) * cost.attribute_bytes
     return total

@@ -20,7 +20,7 @@ registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import MappingError
 from repro.objectdb.ids import GOid, LOid
@@ -67,10 +67,13 @@ class MappingTable:
     _iso_memo: Dict[LOid, Tuple[LOid, ...]] = field(
         default_factory=dict, repr=False
     )
-    _loids_memo: Dict[GOid, Tuple[Tuple[str, LOid], ...]] = field(
+    _loids_memo: Dict[GOid, Dict[str, LOid]] = field(
         default_factory=dict, repr=False
     )
     stats: CacheStats = field(default_factory=CacheStats, repr=False)
+    #: Bumped by every :meth:`invalidate`: what a GOid column read off
+    #: this table (:meth:`goids_at`) is valid for.
+    mutations: int = field(default=0, repr=False, compare=False)
 
     def add(self, goid: GOid, loid: LOid) -> None:
         """Record that *loid* is the representative of *goid* in its db.
@@ -100,6 +103,7 @@ class MappingTable:
         """Drop every memoized lookup (called on any mutation)."""
         self._iso_memo.clear()
         self._loids_memo.clear()
+        self.mutations += 1
 
     def discard_db(self, db_name: str) -> int:
         """Remove every entry of one component database (site excision).
@@ -133,16 +137,39 @@ class MappingTable:
             self.stats.hits += 1
         return goid
 
-    def loids_of(self, goid: GOid) -> Dict[str, LOid]:
-        """Per-database LOids of the entity (copy; may be empty)."""
+    def goids_at(self, ids, rows: Sequence[int]) -> List[Optional[GOid]]:
+        """:meth:`goid_of` for positions *rows* of ``ids.loids``.
+
+        Read off a GOid column of all of ``ids.loids``, kept in the
+        ``ids.goids`` slot for as long as this table is the one asked
+        and has not been mutated.  Counted as the lookups a caller
+        stopping at the first unmapped LOid would have made.
+        """
+        kept = ids.goids
+        if kept is None or kept[0] is not self or kept[1] != self.mutations:
+            column = list(map(self._by_loid.get, ids.loids))
+            kept = ids.goids = (self, self.mutations, column)
+        goids = list(map(kept[2].__getitem__, rows))
+        if None in goids:
+            self.stats.hits += goids.index(None)
+            self.stats.misses += 1
+        else:
+            self.stats.hits += len(goids)
+        return goids
+
+    def placements(self, goid: GOid) -> Mapping[str, LOid]:
+        """Per-database LOids of the entity: the memo itself, read-only."""
         memo = self._loids_memo.get(goid)
         if memo is None:
             self.stats.misses += 1
-            memo = tuple(self._by_goid.get(goid, {}).items())
-            self._loids_memo[goid] = memo
+            memo = self._loids_memo[goid] = dict(self._by_goid.get(goid, ()))
         else:
             self.stats.hits += 1
-        return dict(memo)
+        return memo
+
+    def loids_of(self, goid: GOid) -> Dict[str, LOid]:
+        """Per-database LOids of the entity (copy; may be empty)."""
+        return dict(self.placements(goid))
 
     def loid_in(self, goid: GOid, db_name: str) -> Optional[LOid]:
         return self._by_goid.get(goid, {}).get(db_name)

@@ -67,7 +67,7 @@ from repro.core.predicates import (
 from repro.core.query import Conjunction, Op, Path, Predicate
 from repro.core.tvl import TV
 from repro.objectdb.ids import GOid, LOid
-from repro.objectdb.local_query import UnsolvedPredicateOnObject
+from repro.objectdb.local_query import RowIds, UnsolvedPredicateOnObject
 from repro.objectdb.objects import LocalObject
 from repro.objectdb.values import NULL, Value, is_null
 
@@ -120,7 +120,8 @@ class WalkColumn:
 
     ``miss[r]`` is ``None`` when the walk reached a (non-null) final
     value, else ``(depth, holder_loid, holder_class)`` — the columnar
-    form of :class:`~repro.core.predicates.MissingAt`.  ``derefs[r]``
+    form of :class:`~repro.core.predicates.MissingAt` — and then
+    ``values[r]`` is :data:`NULL`, what the row binds.  ``derefs[r]``
     counts the dereferences a scan is charged (including the one paid
     *before* a dangling deref).  ``errors`` holds the rows where
     :func:`~repro.core.predicates.walk_path` raises.
@@ -310,6 +311,8 @@ class ColumnarExtent:
         self.class_name = class_name
         self.version = version
         self.ids = list(ids)
+        #: The same ids as every local result over this view carries them.
+        self.row_ids = RowIds(self.ids)
         self.objects = list(objects)
         self.row_of: Dict[object, int] = {
             ident: row for row, ident in enumerate(self.ids)
@@ -322,6 +325,7 @@ class ColumnarExtent:
         self._unsolved: Dict[
             Tuple[Predicate, Optional[int]], "UnsolvedColumn"
         ] = {}
+        self._relative: Dict[Predicate, Dict[int, tuple]] = {}
         self._holder_walks: Dict[
             Tuple[Tuple[str, ...], Optional[int]], List[Optional[Holder]]
         ] = {}
@@ -553,14 +557,18 @@ class ColumnarExtent:
         dangling reference.
 
         The holder walk is shared by every predicate on the same path;
-        the column (and the relative predicates it hands out) is cached
-        per predicate.
+        the column is cached per (predicate, depth), the relative
+        predicates it hands out per predicate: over one extent version
+        two :class:`UnsolvedPredicateOnObject` are equal only when they
+        are the same object, which is how unsolved data is deduplicated.
         """
         holders = self._holders(predicate.path, depth)
         key = (predicate, depth)
         col = self._unsolved.get(key)
         if col is None:
-            col = self._unsolved[key] = UnsolvedColumn(predicate, holders)
+            col = self._unsolved[key] = UnsolvedColumn(
+                predicate, holders, self._relative.setdefault(predicate, {})
+            )
         return col
 
     def _holders(
@@ -617,19 +625,21 @@ class UnsolvedColumn:
     where their missing data sits, so an entry is made when its row is
     first read and kept for the next reader.  The relative predicate and
     reached-via prefix depend on the blocking depth alone: each is built
-    once and shared across rows.
+    once and shared across rows, and (through *parts*) across the
+    predicate's columns.
     """
 
     __slots__ = ("predicate", "holders", "_parts", "_entries")
 
     def __init__(
-        self, predicate: Predicate, holders: List[Optional[Holder]]
+        self,
+        predicate: Predicate,
+        holders: List[Optional[Holder]],
+        parts: Dict[int, Tuple[UnsolvedPredicateOnObject, Optional[Path]]],
     ) -> None:
         self.predicate = predicate
         self.holders = holders
-        self._parts: Dict[
-            int, Tuple[UnsolvedPredicateOnObject, Optional[Path]]
-        ] = {}
+        self._parts = parts
         self._entries: List[Optional[UnsolvedEntry]] = [None] * len(holders)
 
     def __getitem__(self, row: int) -> Optional[UnsolvedEntry]:

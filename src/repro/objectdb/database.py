@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.predicates import EvalMeter, evaluate_predicate, walk_path
@@ -34,10 +35,10 @@ from repro.objectdb.ids import GOid, LOid
 from repro.objectdb.indexes import IndexManager, IndexProbe
 from repro.objectdb.local_query import (
     BlockedAt,
+    Book,
     CheckReport,
     CheckRequest,
     LocalQuery,
-    LocalResultRow,
     LocalResultSet,
     RemovedPredicate,
     RowKind,
@@ -46,7 +47,6 @@ from repro.objectdb.local_query import (
 )
 from repro.objectdb.objects import LocalObject
 from repro.objectdb.schema import ComponentSchema
-from repro.objectdb.values import NULL, Value
 
 
 @dataclass
@@ -243,104 +243,106 @@ class ComponentDatabase:
         candidates, probe = self._select_candidates(query)
         if probe is None:
             rows: Sequence[int] = range(len(col.objects))
+            at = iter  # a column read at *rows* is the column
         else:
             row_of = col.row_of
             rows = [row_of[obj.loid] for obj in candidates]
+
+            def at(column):
+                return map(column.__getitem__, rows)
         target_walks = [col.walk(target) for target in query.targets]
         if summary.error_rows or any(walk.errors for walk in target_walks):
             col.raise_first_error(query, rows, summary, target_walks)
-        ordered_preds = [
-            (predicate, pcol, col.unsolved_column(predicate))
-            for predicate, pcol in summary.columns.items()
-        ]
-        removed_cols = [
-            (rem, col.unsolved_column(rem.predicate, rem.missing_depth))
-            for rem in query.removed
-        ]
-        result = LocalResultSet(
-            db_name=self.name, range_class=query.range_class
-        )
-        result.index_probe = probe
-        codes = summary.codes
-        objects = col.objects
-        targets = query.targets
-        rows_out = result.rows
         # The modelled site scans every candidate; this process only
-        # walks the survivors.
-        result.objects_scanned = len(rows)
-        comp_acc = sum(map(summary.comparisons.__getitem__, rows))
-        deref_acc = sum(map(summary.derefs.__getitem__, rows))
+        # gathers the survivors' columns.
+        comp_acc = sum(at(summary.comparisons))
+        deref_acc = sum(at(summary.derefs))
         if probe is not None:
             comp_acc += probe.comparisons
-        # Per-row bookkeeping (status, kind, unsolved tuples, holder-walk
-        # deref charge) is deterministic for one query shape on one
-        # extent version: memoize it so a repeated query only re-reads.
-        memo = col.row_bookkeeping(
-            (query.where, query.removed, query.removed_by_conjunct)
-        )
-        # Rows with the same packed codes share one status dict (and one
-        # certain/maybe verdict): the global site recognises a status
-        # pattern by the dict's identity and certifies it once.
-        by_pattern: Dict[bytes, Tuple[Dict[Predicate, TV], bool]] = {}
-        for r in [r for r in rows if codes[r]]:
-            obj = objects[r]
-            cached = memo.get(r)
-            if cached is None:
-                packed = bytes([pcol.codes[r] for _, pcol, _ in ordered_preds])
-                shared = by_pattern.get(packed)
-                if shared is None:
-                    status: Dict[Predicate, TV] = {
-                        predicate: TV_OF_CODE[code]
-                        for (predicate, _, _), code in zip(ordered_preds, packed)
-                    }
-                    for rem, _ in removed_cols:
-                        status.setdefault(rem.predicate, TV.UNKNOWN)
-                    shared = by_pattern[packed] = (
-                        status, not self._locally_certain(query, status)
-                    )
-                status, maybe = shared
-                root_unsolved: List[UnsolvedPredicateOnObject] = []
-                items: Dict[LOid, UnsolvedItem] = {}
-                unsolved_derefs = 0
-                for code, (_, _, ucol) in zip(packed, ordered_preds):
-                    if code == UNKNOWN_CODE:
-                        entry = ucol[r]
-                        if entry is not None:
-                            unsolved_derefs += entry.derefs
-                            self._apply_unsolved(entry, root_unsolved, items)
-                for _, rcol in removed_cols:
-                    entry = rcol[r]
-                    unsolved_derefs += entry.derefs
-                    self._apply_unsolved(entry, root_unsolved, items)
-                cached = memo[r] = (
-                    RowKind.MAYBE if maybe else RowKind.CERTAIN,
+        survivors = list(compress(rows, at(summary.codes)))
+        predicates = summary.columns
+        packs = zip(*[
+            map(pcol.codes.__getitem__, survivors)
+            for pcol in predicates.values()
+        ]) if predicates else repeat(())
+        ucols = [col.unsolved_column(predicate) for predicate in predicates]
+        removed_cols = [
+            col.unsolved_column(rem.predicate, rem.missing_depth)
+            for rem in query.removed
+        ]
+        # One book per packed status pattern: rows without unsolved data
+        # share it whole, the others its status dict — the global site
+        # recognises a pattern by that dict's identity and certifies it
+        # once.  A row with unsolved data owns its book, which is
+        # deterministic for one query shape on one extent version and
+        # memoised with the holder-walk derefs it charges.
+        patterns: Dict[tuple, Book] = {}
+        memo: Optional[Dict[int, Tuple[Book, int]]] = None
+        books: List[Book] = []
+        for r, packed in zip(survivors, packs):
+            book = patterns.get(packed)
+            if book is None:
+                status = dict(
+                    zip(predicates, map(TV_OF_CODE.__getitem__, packed))
+                )
+                for rem in query.removed:
+                    status.setdefault(rem.predicate, TV.UNKNOWN)
+                book = patterns[packed] = Book(
+                    RowKind.CERTAIN if self._locally_certain(query, status)
+                    else RowKind.MAYBE,
                     status,
-                    tuple(root_unsolved) if maybe else (),
-                    tuple(items.values()) if maybe else (),
-                    unsolved_derefs,
                 )
-            kind, status, unsolved_t, items_t, unsolved_derefs = cached
-            deref_acc += unsolved_derefs
-            bindings: Dict[Path, Value] = {}
-            for target, walk in zip(targets, target_walks):
-                deref_acc += walk.derefs[r]
-                bindings[target] = (
-                    NULL if walk.miss[r] is not None else walk.values[r]
-                )
-            rows_out.append(
-                LocalResultRow(
-                    loid=obj.loid,
-                    class_name=obj.class_name,
-                    kind=kind,
-                    bindings=bindings,
-                    unsolved=unsolved_t,
-                    unsolved_items=items_t,
-                    predicate_status=status,
-                )
+            if removed_cols or UNKNOWN_CODE in packed:
+                if memo is None:
+                    memo = col.row_bookkeeping(
+                        (query.where, query.removed, query.removed_by_conjunct)
+                    )
+                owned = memo.get(r)
+                if owned is None:
+                    owned = memo[r] = self._unsolved_book(
+                        book, r, zip(packed, ucols), removed_cols
+                    )
+                book, paid = owned
+                deref_acc += paid
+            books.append(book)
+        values = {}
+        for target, walk in zip(query.targets, target_walks):
+            deref_acc += sum(map(walk.derefs.__getitem__, survivors))
+            values[target] = list(map(walk.values.__getitem__, survivors))
+        return LocalResultSet(
+            db_name=self.name,
+            range_class=query.range_class,
+            objects_scanned=len(rows),
+            comparisons=comp_acc,
+            derefs=deref_acc,
+            index_probe=probe,
+            columns=(col.row_ids, survivors, books, values),
+        )
+
+    def _unsolved_book(
+        self, pattern: Book, r: int, evaluated, removed_cols
+    ) -> Tuple[Book, int]:
+        """Row *r*'s own book — its pattern's plus where its unsolved
+        data sits — and the derefs a scan pays locating the holders."""
+        root_unsolved: Dict[int, UnsolvedPredicateOnObject] = {}
+        items: Dict[LOid, tuple] = {}
+        paid = 0
+        for code, ucol in evaluated:
+            if code == UNKNOWN_CODE:
+                entry = ucol[r]
+                if entry is not None:
+                    paid += entry.derefs
+                    self._apply_unsolved(entry, root_unsolved, items)
+        for rcol in removed_cols:
+            entry = rcol[r]
+            paid += entry.derefs
+            self._apply_unsolved(entry, root_unsolved, items)
+        if pattern.kind is RowKind.MAYBE:
+            pattern = Book(
+                RowKind.MAYBE, pattern.predicate_status,
+                *self._unsolved_tuples(root_unsolved, items),
             )
-        result.comparisons = comp_acc
-        result.derefs = deref_acc
-        return result
+        return pattern, paid
 
     def _select_candidates(
         self, query: LocalQuery
@@ -415,36 +417,38 @@ class ComponentDatabase:
     @staticmethod
     def _apply_unsolved(
         entry: "UnsolvedEntry",
-        root_unsolved: List[UnsolvedPredicateOnObject],
-        items: Dict[LOid, UnsolvedItem],
+        root_unsolved: Dict[int, UnsolvedPredicateOnObject],
+        items: Dict[LOid, tuple],
     ) -> None:
         """Attach *entry*'s predicate as unsolved on the object holding
         the data: the row's root object, or an unsolved item.
 
-        The holder walk and the relative-predicate construction were
-        done once per extent version by
-        :meth:`~repro.objectdb.columnar.ColumnarExtent.unsolved_column`.
+        Deduplicated by identity: an extent version hands out one
+        relative predicate per (predicate, blocking depth), so equal
+        means identical (see
+        :meth:`~repro.objectdb.columnar.ColumnarExtent.unsolved_column`).
         """
         relative = entry.relative
         if entry.is_root:
-            if relative not in root_unsolved:
-                root_unsolved.append(relative)
+            root_unsolved[id(relative)] = relative
             return
-        item = items.get(entry.holder_loid)
-        if item is None:
-            items[entry.holder_loid] = UnsolvedItem(
-                loid=entry.holder_loid,
-                class_name=entry.holder_class,
-                reached_via=entry.reached_via,
-                unsolved=(relative,),
+        held = items.get(entry.holder_loid)
+        if held is None:
+            held = items[entry.holder_loid] = (entry, {})
+        held[1][id(relative)] = relative
+
+    @staticmethod
+    def _unsolved_tuples(root_unsolved, items):
+        """What :meth:`_apply_unsolved` gathered, as a row reports it."""
+        return tuple(root_unsolved.values()), tuple([
+            UnsolvedItem(
+                loid=first.holder_loid,
+                class_name=first.holder_class,
+                reached_via=first.reached_via,
+                unsolved=tuple(relatives.values()),
             )
-        elif relative not in item.unsolved:
-            items[entry.holder_loid] = UnsolvedItem(
-                loid=item.loid,
-                class_name=item.class_name,
-                reached_via=item.reached_via,
-                unsolved=item.unsolved + (relative,),
-            )
+            for first, relatives in items.values()
+        ])
 
     # --- phase-O-first scan (step PL_C1) --------------------------------------
 
@@ -504,8 +508,8 @@ class ComponentDatabase:
         ]
         for r in rows:
             obj = objects[r]
-            root_unsolved: List[UnsolvedPredicateOnObject] = []
-            items: Dict[LOid, UnsolvedItem] = {}
+            root_unsolved: Dict[int, UnsolvedPredicateOnObject] = {}
+            items: Dict[LOid, tuple] = {}
             for ucol in ucols:
                 entry = ucol[r]
                 if entry is not None:
@@ -516,9 +520,8 @@ class ComponentDatabase:
                 meter.derefs += entry.derefs
                 self._apply_unsolved(entry, root_unsolved, items)
             if root_unsolved or items:
-                scan.per_root[obj.loid] = (
-                    tuple(root_unsolved),
-                    tuple(items.values()),
+                scan.per_root[obj.loid] = self._unsolved_tuples(
+                    root_unsolved, items
                 )
         return scan, meter
 

@@ -22,8 +22,18 @@ items (nested complex objects with their relative unsolved predicates).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from dataclasses import InitVar, dataclass, field
+from itertools import repeat
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.objectdb.indexes import IndexProbe
@@ -31,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.core.query import Conjunction, Path, Predicate
 from repro.core.tvl import TV
 from repro.objectdb.ids import LOid
-from repro.objectdb.values import Value
+from repro.objectdb.values import NULL, Value, is_null
 
 
 @dataclass(frozen=True)
@@ -150,40 +160,73 @@ class UnsolvedItem:
     unsolved: Tuple[UnsolvedPredicateOnObject, ...]
 
 
+class Book(NamedTuple):
+    """What local evaluation concluded about a row, apart from which
+    object it is and what it binds.  Read-only: every row of one status
+    pattern shares ``predicate_status`` (the global site recognises the
+    pattern by that dict's identity), and rows without unsolved data
+    share the whole book.
+    """
+
+    kind: RowKind
+    #: Three-valued status of every global predicate at this site, keyed
+    #: by the original predicate; certification recombines these across
+    #: sites and assistant checks.
+    predicate_status: Dict[Predicate, TV]
+    #: Unsolved predicates whose missing data sits on the root object.
+    unsolved: Tuple[UnsolvedPredicateOnObject, ...] = ()
+    unsolved_items: Tuple[UnsolvedItem, ...] = ()
+
+
 @dataclass
 class LocalResultRow:
-    """One root object surviving local evaluation at a component database."""
+    """One root object surviving local evaluation at a component
+    database: one position of a :class:`LocalResultSet`, as a record."""
 
     loid: LOid
     class_name: str
     kind: RowKind
     bindings: Dict[Path, Value] = field(default_factory=dict)
-    # Unsolved predicates whose missing data sits on the root object itself.
     unsolved: Tuple[UnsolvedPredicateOnObject, ...] = ()
     unsolved_items: Tuple[UnsolvedItem, ...] = ()
-    # Three-valued status of every global predicate at this site, keyed by
-    # the original predicate.  Certification recombines these across sites
-    # and assistant checks.  Read-only: local evaluation hands every
-    # row of one status pattern the same dict.
     predicate_status: Dict[Predicate, TV] = field(default_factory=dict)
 
     @property
     def is_maybe(self) -> bool:
         return self.kind is RowKind.MAYBE
 
-    def all_unsolved_count(self) -> int:
-        return len(self.unsolved) + sum(
-            len(item.unsolved) for item in self.unsolved_items
-        )
+
+class RowIds:
+    """The LOids a result's rows are positions of — one extent version's,
+    shared by every result over it — and, in ``goids``, the slot where
+    ``MappingTable.goids_at`` keeps the GOid column read off them."""
+
+    __slots__ = ("loids", "goids")
+
+    def __init__(self, loids: Sequence[LOid]) -> None:
+        self.loids = loids
+        self.goids: Optional[tuple] = None
+
+
+#: The stored form of a local result: the row LOids as positions of a
+#: :class:`RowIds`, one book per row, one value list per target (NULL
+#: where the data is missing).
+Columns = Tuple[RowIds, Sequence[int], List[Book], Dict[Path, List[Value]]]
 
 
 @dataclass
 class LocalResultSet:
-    """Everything a component database returns for a local query."""
+    """Everything a component database returns for a local query.
+
+    A local result is columns (:meth:`as_columns`); ``rows`` is a view,
+    materialised on first access and kept.  A set built from ``rows=``
+    (the reference evaluator, tests) derives its columns from them when
+    first asked, so rows appended before that count.
+    """
 
     db_name: str
     range_class: str
-    rows: List[LocalResultRow] = field(default_factory=list)
+    rows: List[LocalResultRow] = None  # type: ignore[assignment]
     # Work accounting for the simulator.
     objects_scanned: int = 0
     comparisons: int = 0
@@ -191,6 +234,60 @@ class LocalResultSet:
     # Set when a secondary index restricted the scan (see
     # repro.objectdb.indexes); index candidates are random fetches.
     index_probe: Optional["IndexProbe"] = None
+    columns: InitVar[Optional[Columns]] = None
+
+    def __post_init__(self, columns: Optional[Columns]) -> None:
+        self._columns = columns
+
+    def _view(self) -> List[LocalResultRow]:
+        if self._rows is None and self._columns is None:
+            self._rows = []
+        elif self._rows is None:
+            ids, at, books, values = self._columns
+            self._rows = [
+                LocalResultRow(
+                    ids.loids[r], self.range_class, book.kind,
+                    dict(zip(values, vals)), book.unsolved,
+                    book.unsolved_items, book.predicate_status,
+                )
+                for r, book, vals in zip(at, books, self.bound(tuple(values)))
+            ]
+        return self._rows
+
+    def as_columns(self) -> Columns:
+        """The stored form (derived from the rows a set was built with)."""
+        if self._columns is None:
+            rows = self.rows
+            targets = dict.fromkeys(t for row in rows for t in row.bindings)
+            self._columns = (
+                RowIds([row.loid for row in rows]),
+                range(len(rows)),
+                [
+                    Book(row.kind, row.predicate_status, row.unsolved,
+                         row.unsolved_items)
+                    for row in rows
+                ],
+                {
+                    t: [
+                        NULL if is_null(v) else v
+                        for v in (row.bindings.get(t, NULL) for row in rows)
+                    ]
+                    for t in targets
+                },
+            )
+        return self._columns
+
+    def bound(self, targets: Sequence[Path]) -> Iterator[Tuple[Value, ...]]:
+        """Per row, its value for each of *targets* (NULL when not bound)."""
+        _, _, books, values = self.as_columns()
+        unbound = [NULL] * len(books)
+        return zip(*[
+            values.get(target, unbound) for target in targets
+        ]) if targets else repeat((), len(books))
+
+    @property
+    def books(self) -> List[Book]:
+        return self.as_columns()[2]
 
     @property
     def certain_rows(self) -> List[LocalResultRow]:
@@ -205,6 +302,13 @@ class LocalResultSet:
             if row.loid == loid:
                 return row
         return None
+
+
+# ``rows`` stays a declared field (constructor keyword, equality, repr,
+# field-by-field comparison) whose storage is the view above.
+LocalResultSet.rows = property(  # type: ignore[assignment]
+    LocalResultSet._view, lambda self, rows: setattr(self, "_rows", rows)
+)
 
 
 @dataclass(frozen=True)
