@@ -38,6 +38,16 @@ reproduce.  What it checks:
     merge of the same exports, ``IntegrationStats`` and catalog probe
     counts included.  This invariant matters more than its two
     siblings: CA is the baseline every other comparison is made against.
+``schedule``
+    Every activity graph any run below schedules — fault, failover,
+    repair and evolution runs included — is scheduled twice: by
+    ``FederationSim.run``'s flat loop and, on a twin of the graph, by
+    :func:`repro.difftest.reference.schedule_reference` on the generic
+    event kernel (the body ``run`` had before).  Every node's ``ready``
+    / ``start`` / ``finish``, the response time, every device's busy
+    and wait time and any exception must be equal — bit for bit, ties
+    at zero-cost barriers included; every simulated time this
+    repository reports comes out of that loop.
 ``planner``
     For the :attr:`StrategyOracle.PLANNER_MATRIX` pairs, running with
     an adaptive planner mode (constraint pruning, trace feedback, or
@@ -111,6 +121,7 @@ from repro.difftest.reference import (
     shadowed_certify,
     shadowed_global_evaluation,
     shadowed_local_evaluation,
+    shadowed_schedule,
 )
 from repro.objectdb.ids import GOid
 from repro.objectdb.values import is_null
@@ -193,14 +204,18 @@ class StrategyOracle:
         certify: List[str] = []
         local_eval: List[str] = []
         global_eval: List[str] = []
+        schedule: List[str] = []
         with shadowed_certify(certify), shadowed_local_evaluation(
             local_eval
-        ), shadowed_global_evaluation(global_eval):
+        ), shadowed_global_evaluation(global_eval), shadowed_schedule(
+            schedule
+        ):
             violations = self._check_strategies(case)
         for invariant, differences in (
             ("certify", certify),
             ("local-eval", local_eval),
             ("global-eval", global_eval),
+            ("schedule", schedule),
         ):
             violations.extend(
                 Violation(invariant, case.label, difference, case)
@@ -209,7 +224,7 @@ class StrategyOracle:
         return violations
 
     def _check_strategies(self, case: FuzzCase) -> List[Violation]:
-        """Every invariant but the three that watch these runs."""
+        """Every invariant but the four that watch these runs."""
         violations: List[Violation] = []
         built = case.build()
         engine = GlobalQueryEngine(built.system)

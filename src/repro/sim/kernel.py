@@ -21,6 +21,20 @@ provides the simulation substrate:
 Determinism: simultaneous events fire in scheduling order (a monotone
 sequence number breaks ties), so repeated runs of the same strategy over
 the same data produce identical timings.
+
+Who runs on it.  Processes whose next step depends on what they observe
+— :class:`~repro.traffic.driver.TrafficEngine`'s workers and its
+admission gate.  A strategy's activity graph does not: it is a static
+DAG, and :meth:`repro.sim.taskgraph.FederationSim.run` schedules it in a
+flat loop of its own.  The order that loop follows (begin → started →
+finish → released → notified, a drained grant queued before the
+releaser's own next hop, events due at the current instant before
+events raised during it) is the order this kernel gives one generator
+per node; it is written out in :mod:`repro.sim.taskgraph` and this
+kernel remains its executable reference
+(:func:`repro.difftest.reference.schedule_reference`).  A change to how
+:class:`Process` or :class:`Resource` order their callbacks is therefore
+a change to that contract.
 """
 
 from __future__ import annotations

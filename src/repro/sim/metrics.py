@@ -91,7 +91,7 @@ class ExecutionMetrics:
     spans: Tuple[Span, ...] = ()
     #: Instantaneous observability events recorded by the strategy/engine.
     events: Tuple[TraceEvent, ...] = ()
-    #: Kernel-measured FIFO wait per resource (queueing delay).
+    #: Scheduler-measured FIFO wait per resource (queueing delay).
     resource_wait: Dict[str, float] = field(default_factory=dict)
     #: Injected outage windows as (site, start, end), for trace export.
     fault_windows: Tuple[Tuple[str, float, float], ...] = ()

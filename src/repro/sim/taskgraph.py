@@ -6,13 +6,66 @@ A strategy's execution is described as a DAG of *nodes*:
 * **transfers** consume the network channel for ``bytes * T_net``.
 
 Nodes wait for their dependencies, queue FIFO on their resource, run, and
-complete.  The graph is executed on the :mod:`repro.sim.kernel` event
-loop, which yields the two quantities the paper reports:
+complete.  The graph yields the two quantities the paper reports:
 
 * **total execution time** — the sum of all node durations (total work
   performed in the federation, regardless of overlap);
 * **response time** — the simulated completion time of the whole graph
   (what the user waits; parallelism shortens it).
+
+Scheduling contract
+-------------------
+
+The graph is static — every node, dependency and duration is known
+before :meth:`FederationSim.run` — so ``run`` schedules it in one flat
+loop over node indexes rather than on the generic coroutine kernel
+(:mod:`repro.sim.kernel`, which stays for processes whose next step
+depends on what they observe: ``TrafficEngine``'s workers).  Simulated
+time only orders events; between events of one instant the order below
+decides who gets a device first, so it is part of the results and is
+written down here.  ``repro.difftest.reference.schedule_reference`` runs
+the same graph on the kernel, where this order is what the kernel's
+``(time, sequence number)`` heap does to one generator per node; the
+oracle's ``schedule`` invariant and ``tests/test_property_sim.py`` hold
+the two bit-identical.
+
+*Events.*  An event fires at an instant.  An event raised for the
+current instant (``now + delay == now`` in floating point, so a zero or
+sub-ulp duration counts) joins the back of a FIFO; one raised for a
+later instant waits in a heap ordered by (instant, order raised).  The
+loop always takes, first, a heap event due at the current instant —
+it was raised earlier than anything in the FIFO — then the front of the
+FIFO, and only when both are empty advances the clock to the next heap
+event.  The response time is the instant of the last event.
+
+*Hops.*  Each node goes through these events, one hop each:
+
+1. **begin** — at time 0, in node order, before any other event.  A node
+   with dependencies only waits; its dependencies will notify it in the
+   order (node, position in ``deps``) the waits were registered.
+2. **ready** (inside the begin hop of a node without dependencies, else
+   inside the hop of its last notification) — ``ready`` is set.  A
+   *delay* sets ``start`` and raises its finish after ``seconds``.  A
+   *transfer* under a fault plan whose endpoints are not both up raises
+   a **stalled** hop for the instant they are, which checks again.
+   Otherwise the node asks for its device: a device inside a downtime
+   window queues it and raises a **drain** hop for the window's end; a
+   busy device queues it; a free one is taken and the node's started
+   hop is raised for this instant.
+3. **started** — ``start`` is set; the finish is raised after
+   ``seconds``.
+4. **finish** — ``finish`` is set.  A delay notifies its dependents here.
+   Otherwise the device is released and, if its FIFO is not empty,
+   drained — the head's started hop is raised (or, inside a window, a
+   drain hop for its end) — and *then* this node's released hop.
+5. **released** — one **notified** hop per dependent is raised, in
+   registration order.
+6. **notified** — the dependent counts one dependency off; at zero it is
+   ready (2) in the same hop.
+
+A **drain** hop serves the head of a device's FIFO if the device is
+free and up, and re-arms at the end of a window that covers the instant
+(chained windows).
 
 The network is a single shared channel by default, so simultaneous
 transfers from several component databases queue — reproducing the
@@ -24,15 +77,27 @@ component databases transfer data simultaneously".  Pass
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import (
+    TYPE_CHECKING,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids a hard dep
     from repro.faults.plan import FaultPlan
 from repro.sim.costs import CostModel, PAPER_COSTS
-from repro.sim.kernel import Acquire, AllOf, Event, Release, Resource, Simulator, Timeout
 
 #: Phase tags used for breakdowns (paper's phases plus bookkeeping).
 PHASE_O = "O"  # looking up / checking assistant objects
@@ -54,8 +119,11 @@ class Node:
     phase: str
     site: str
     nbytes: int = 0
-    #: Destination site of a transfer ("" for site-local work) — lets the
-    #: scheduler stall transfers whose endpoint is inside an outage window.
+    #: Destination site of a transfer ("" for site-local work).  Having
+    #: one is what makes a node a transfer: its resource is a network
+    #: channel, which no outage takes down, it moves ``nbytes``, and the
+    #: scheduler stalls it while either endpoint is inside an outage
+    #: window.
     dst: str = ""
     deps: Tuple["Node", ...] = ()
     start: Optional[float] = None
@@ -63,6 +131,51 @@ class Node:
     #: When dependencies completed and the node began queueing for its
     #: resource — ``start - ready`` is the FIFO queueing delay.
     ready: Optional[float] = None
+
+
+#: The hops of one node, as the low three bits of an event (the module
+#: docstring fixes their order).
+_BEGIN, _STARTED, _FINISH, _RELEASED, _NOTIFIED, _DRAIN, _STALLED = range(7)
+
+
+class _Device:
+    """One FIFO server (a CPU, a disk arm, a network channel) in a run."""
+
+    __slots__ = (
+        "number", "downtimes", "in_use", "queue",
+        "busy_time", "busy_since", "wait_time",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        number: int,
+        windows: Tuple[Tuple[float, float], ...],
+    ) -> None:
+        for start, end in windows:
+            if end <= start:
+                raise SimulationError(
+                    f"resource {name!r}: empty downtime [{start}, {end})"
+                )
+        #: Its index among the run's devices: what a drain event carries.
+        self.number = number
+        #: Crash windows (start, end), sorted; no grant while inside one.
+        self.downtimes = sorted(windows)
+        self.in_use = False
+        #: Waiting (node index, time it queued), FIFO.
+        self.queue: Deque[Tuple[int, float]] = deque()
+        self.busy_time = 0.0
+        self.busy_since = 0.0
+        self.wait_time = 0.0
+
+    def down_until(self, t: float) -> Optional[float]:
+        """End of the downtime window covering *t* (None when up)."""
+        for start, end in self.downtimes:
+            if start <= t < end:
+                return end
+            if start > t:
+                break
+        return None
 
 
 class FederationSim:
@@ -104,7 +217,7 @@ class FederationSim:
         seconds: float,
         phase: str,
         site: str,
-        nbytes: int = 0,
+        nbytes: float = 0,
         deps: Iterable[Node] = (),
         dst: str = "",
     ) -> Node:
@@ -112,6 +225,10 @@ class FederationSim:
             raise SimulationError("cannot add nodes after run()")
         if seconds < 0:
             raise SimulationError(f"node {label!r} has negative duration")
+        if not math.isfinite(seconds):
+            raise SimulationError(
+                f"node {label!r} has non-finite duration {seconds}"
+            )
         node = Node(
             index=len(self._nodes),
             label=label,
@@ -119,7 +236,7 @@ class FederationSim:
             seconds=seconds,
             phase=phase,
             site=site,
-            nbytes=nbytes,
+            nbytes=int(nbytes),
             dst=dst,
             deps=tuple(deps),
         )
@@ -164,7 +281,7 @@ class FederationSim:
             + seeks * self.cost_model.disk_seek_s,
             phase,
             site,
-            nbytes=int(nbytes),
+            nbytes=nbytes,
             deps=deps,
         )
 
@@ -197,7 +314,7 @@ class FederationSim:
             seconds,
             phase,
             src,
-            nbytes=int(nbytes),
+            nbytes=nbytes,
             deps=deps,
             dst=dst,
         )
@@ -229,72 +346,176 @@ class FederationSim:
     # --- execution ----------------------------------------------------------
 
     def run(self) -> "SimOutcome":
-        """Schedule all nodes on the kernel and collect the outcome."""
+        """Schedule all nodes and collect the outcome.
+
+        One flat event loop over node indexes, in the hop order the
+        module docstring fixes.  An event is an int, ``index << 3 | hop``;
+        same-instant events wait in a FIFO, later ones in a heap.
+        """
         if self._ran:
             raise SimulationError("FederationSim.run() called twice")
         self._ran = True
-        sim = Simulator()
-        resources: Dict[str, Resource] = {}
-        done_events: Dict[int, Event] = {}
-
+        nodes = self._nodes
         plan = self.fault_plan
+        #: Each site's outage windows as ``(start, end)`` in the plan's
+        #: order, resolved once per run.
+        windows: Dict[str, Tuple[Tuple[float, float], ...]] = {}
 
-        def get_resource(name: str) -> Resource:
-            if name not in resources:
-                resource = sim.resource(name)
-                # Site devices ("DB1:cpu", "DB1:disk") inherit the
-                # site's outage windows: work queued during a crash is
-                # served when the site recovers.
-                if plan is not None and ":" in name and not name.startswith("net"):
-                    site = name.split(":", 1)[0]
-                    for window in plan.windows(site):
-                        resource.add_downtime(window.start, window.end)
-                resources[name] = resource
-            return resources[name]
+        def windows_of(site: str) -> Tuple[Tuple[float, float], ...]:
+            found = windows.get(site)
+            if found is None:
+                found = windows[site] = tuple(
+                    (w.start, w.end) for w in plan.windows(site)
+                )
+            return found
 
-        def node_body(node: Node):
-            dep_events = tuple(done_events[d.index] for d in node.deps)
-            if dep_events:
-                yield AllOf(dep_events)
-            node.ready = sim.now
-            if not node.resource_name:
-                # A pure delay (fault wait): holds no device.
-                node.start = sim.now
-                yield Timeout(node.seconds)
-                node.finish = sim.now
-                done_events[node.index].trigger()
+        def next_up(site: str, t: float) -> float:
+            # FaultPlan.next_up over the resolved windows.
+            for start, end in windows_of(site):
+                if start <= t < end:
+                    t = end
+            return t
+
+        # The static structure: how many completions each node waits
+        # for, whom its own completion notifies, what it runs on.
+        left = [len(node.deps) for node in nodes]
+        notifies: List[List[int]] = [[] for _ in nodes]
+        devices: Dict[str, _Device] = {}
+        device_of: List[Optional[_Device]] = []
+        for index, node in enumerate(nodes):
+            for dep in node.deps:
+                notifies[dep.index].append(index << 3 | _NOTIFIED)
+            name = node.resource_name
+            device = devices.get(name) if name else None
+            if name and device is None:
+                # A site device — the resource of anything but a
+                # transfer — inherits the site's outage windows: work
+                # queued during a crash is served when the site recovers.
+                device = devices[name] = _Device(
+                    name, len(devices),
+                    windows_of(node.site)
+                    if plan is not None and not node.dst else (),
+                )
+            device_of.append(device)
+        by_number = list(devices.values())
+
+        now = 0.0
+        soon: Deque[int] = deque()
+        later: List[Tuple[float, int, int]] = []
+        ticket = itertools.count()
+        soon_push = soon.append
+
+        def after(now: float, delay: float, event: int) -> None:
+            when = now + delay
+            if when == now:
+                soon_push(event)
+            else:
+                heappush(later, (when, next(ticket), event))
+
+        def drain(device: _Device, now: float) -> None:
+            # Serve the head of the FIFO if the device is free and up;
+            # re-arm at the window end when it is down.
+            if device.in_use or not device.queue:
                 return
+            down = device.down_until(now)
+            if down is not None:
+                after(now, down - now, device.number << 3 | _DRAIN)
+                return
+            index, since = device.queue.popleft()
+            device.wait_time += now - since
+            device.in_use = True
+            device.busy_since = now
+            soon_push(index << 3 | _STARTED)
+
+        # The begin hops come first, in node order; one does something
+        # only for a node that waits for nothing.
+        soon.extend(
+            index << 3 | _BEGIN for index, n in enumerate(left) if not n
+        )
+        while True:
+            if later and later[0][0] == now:
+                event = heappop(later)[2]
+            elif soon:
+                event = soon.popleft()
+            elif later:
+                now, _ticket, event = heappop(later)
+            else:
+                break
+            index = event >> 3
+            hop = event & 7
+            if hop == _STARTED:
+                node = nodes[index]
+                node.start = now
+                # ``after``, inlined: the one timer every device node sets.
+                when = now + node.seconds
+                if when == now:
+                    soon_push(index << 3 | _FINISH)
+                else:
+                    heappush(later, (when, next(ticket), index << 3 | _FINISH))
+                continue
+            if hop == _FINISH:
+                nodes[index].finish = now
+                device = device_of[index]
+                if device is None:
+                    # A delay held nothing: it notifies in this hop.
+                    soon.extend(notifies[index])
+                    continue
+                device.in_use = False
+                device.busy_time += now - device.busy_since
+                if device.queue:
+                    drain(device, now)
+                soon_push(index << 3 | _RELEASED)
+                continue
+            if hop == _RELEASED:
+                soon.extend(notifies[index])
+                continue
+            if hop == _DRAIN:
+                drain(by_number[index], now)
+                continue
+            if hop == _NOTIFIED:
+                left[index] -= 1
+                if left[index]:
+                    continue
+                hop = _BEGIN
+            node = nodes[index]
+            device = device_of[index]
+            if hop == _BEGIN:
+                node.ready = now
+                if device is None:
+                    # A pure delay (fault wait): holds no device.
+                    node.start = now
+                    after(now, node.seconds, index << 3 | _FINISH)
+                    continue
             if plan is not None and node.dst:
                 # A transfer cannot progress while either endpoint is
                 # inside an outage window — stall until both are up.
-                while True:
-                    up = max(
-                        plan.next_up(node.site, sim.now),
-                        plan.next_up(node.dst, sim.now),
-                    )
-                    if up <= sim.now:
-                        break
-                    yield Timeout(up - sim.now)
-            resource = get_resource(node.resource_name)
-            yield Acquire(resource)
-            node.start = sim.now
-            yield Timeout(node.seconds)
-            node.finish = sim.now
-            yield Release(resource)
-            done_events[node.index].trigger()
+                up = max(next_up(node.site, now), next_up(node.dst, now))
+                if up > now:
+                    after(now, up - now, index << 3 | _STALLED)
+                    continue
+            down = device.down_until(now) if device.downtimes else None
+            if down is not None:
+                device.queue.append((index, now))
+                after(now, down - now, device.number << 3 | _DRAIN)
+            elif device.in_use:
+                device.queue.append((index, now))
+            else:
+                device.in_use = True
+                device.busy_since = now
+                soon_push(index << 3 | _STARTED)
 
-        for node in self._nodes:
-            done_events[node.index] = sim.event(f"done:{node.label}")
-        for node in self._nodes:
-            sim.process(node_body(node), name=node.label)
-
-        response_time = sim.run()
-        unfinished = [n.label for n in self._nodes if n.finish is None]
+        unfinished = [n.label for n in nodes if n.finish is None]
         if unfinished:
             raise SimulationError(
                 f"activity graph deadlocked; unfinished nodes: {unfinished[:5]}"
             )
-        return SimOutcome.from_nodes(self._nodes, response_time, resources)
+        names = sorted(devices)
+        return SimOutcome.from_nodes(
+            nodes,
+            now,
+            resource_busy={name: devices[name].busy_time for name in names},
+            resource_wait={name: devices[name].wait_time for name in names},
+        )
 
 
 @dataclass
@@ -309,9 +530,9 @@ class SimOutcome:
     nodes: int = 0
     #: The scheduled nodes (with start/finish), for tracing/explain.
     scheduled: Tuple[Node, ...] = ()
-    #: Kernel-measured busy time per resource (device utilization).
+    #: Scheduler-measured busy time per resource (device utilization).
     resource_busy: Dict[str, float] = field(default_factory=dict)
-    #: Kernel-measured FIFO wait time per resource (queueing delay).
+    #: Scheduler-measured FIFO wait time per resource (queueing delay).
     resource_wait: Dict[str, float] = field(default_factory=dict)
 
     @classmethod
@@ -319,7 +540,8 @@ class SimOutcome:
         cls,
         nodes: Sequence[Node],
         response_time: float,
-        resources: Dict[str, Resource],
+        resource_busy: Dict[str, float],
+        resource_wait: Dict[str, float],
     ) -> "SimOutcome":
         phase_time: Dict[str, float] = {}
         site_busy: Dict[str, float] = {}
@@ -328,11 +550,11 @@ class SimOutcome:
         for node in nodes:
             total += node.seconds
             phase_time[node.phase] = phase_time.get(node.phase, 0.0) + node.seconds
-            # Network nodes (shared channel or per-pair channels) move
-            # bytes; resource-less nodes are pure waiting (fault
+            # Transfers (the nodes with a destination) move bytes;
+            # resource-less nodes are pure waiting (fault
             # timeouts/backoffs) and keep no device busy; everything
             # else is busy time at its site's devices.
-            if node.resource_name == "net" or node.resource_name.startswith("net:"):
+            if node.dst:
                 bytes_transferred += node.nbytes
             elif node.resource_name:
                 site_busy[node.site] = site_busy.get(node.site, 0.0) + node.seconds
@@ -344,10 +566,6 @@ class SimOutcome:
             bytes_transferred=bytes_transferred,
             nodes=len(nodes),
             scheduled=tuple(nodes),
-            resource_busy={
-                name: res.busy_time for name, res in sorted(resources.items())
-            },
-            resource_wait={
-                name: res.wait_time for name, res in sorted(resources.items())
-            },
+            resource_busy=resource_busy,
+            resource_wait=resource_wait,
         )

@@ -213,6 +213,24 @@ class TestOracle:
             "[global-eval] fuzz-1996-8: evaluate_global: result[0].certain[0].goid"
         )
 
+    def test_schedule_invariant_catches_a_wrong_scheduler(self, monkeypatch):
+        """No other invariant reads a simulated time: a scheduler whose
+        devices serve the newest waiter first changes no answer, and
+        only ``schedule`` — the kernel run beside every
+        ``FederationSim.run`` — sees it.  (The tie-breaking hops are out
+        of this stream's reach, docs/TESTING.md: those wrong schedulers
+        are ``test_taskgraph.TestHopOrder``'s to catch.)"""
+        from helpers import wrong_scheduler
+        from repro.sim.taskgraph import FederationSim
+
+        monkeypatch.setattr(FederationSim, "run", wrong_scheduler("lifo-device"))
+        violations = StrategyOracle().check(FederationFuzzer(1996).case(8))
+        assert violations
+        assert {v.invariant for v in violations} == {"schedule"}
+        assert str(violations[0]).startswith(
+            "[schedule] fuzz-1996-8: FederationSim.run: node "
+        )
+
     def test_loose_entity_check_misses_what_oracle_catches(
         self, broken_resolver
     ):

@@ -6,13 +6,19 @@ For arbitrary layered activity graphs:
 * response time is at least the longest single node and the critical
   path lower bound, and at most the total;
 * scheduling is deterministic;
-* with all work on one resource, response equals total (full serialization).
+* with all work on one resource, response equals total (full serialization);
+* the flat loop of ``FederationSim.run`` and the kernel-backed reference
+  schedule every graph identically, bit for bit, ties included.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import add_nodes
+from repro.difftest.reference import schedule_difference, schedule_reference
+from repro.errors import SimulationError
+from repro.faults.plan import FaultPlan, LinkFault, OutageWindow
 from repro.sim.costs import CostModel
 from repro.sim.taskgraph import FederationSim
 
@@ -95,3 +101,74 @@ def test_single_resource_serializes(durations):
     outcome = fed.run()
     assert outcome.response_time == pytest.approx(sum(durations))
     assert outcome.total_time == pytest.approx(sum(durations))
+
+
+# --- the flat loop against the kernel ----------------------------------------
+
+#: Few sites (one spelled like a network channel) and one global site,
+#: so devices are contended; few distinct durations, most of them zero
+#: or below the clock's ulp once it has left 0, so events tie.
+LAW_SITES = ("A", "netlab", "G")
+law_seconds = st.sampled_from([0, 0, 0, 1, 1, 2, 5e-324, 1e-17, 0.1, 0.7])
+
+
+@st.composite
+def law_graphs(draw):
+    """(nodes, shared_network, fault plan): nodes are (kind, site, dst,
+    seconds, deps) with deps any earlier nodes, repeats allowed."""
+    nodes = []
+    for index in range(draw(st.integers(0, 12))):
+        earlier = st.integers(0, index - 1)
+        nodes.append((
+            draw(st.sampled_from(
+                ["cpu", "disk", "transfer", "transfer", "delay", "barrier"]
+            )),
+            draw(st.sampled_from(LAW_SITES)),
+            draw(st.sampled_from(LAW_SITES)),
+            draw(law_seconds),
+            draw(st.lists(earlier, max_size=3)) if index else [],
+        ))
+    outages = []
+    for _ in range(draw(st.integers(0, 3))):
+        window = OutageWindow(
+            draw(st.sampled_from(LAW_SITES)),
+            draw(st.sampled_from([0, 0, 0.5, 1, 2])),
+            draw(st.sampled_from([0.5, 1, 2])),
+        )
+        outages.append(window)
+        if draw(st.booleans()):  # chained: down again the instant it is up
+            outages.append(OutageWindow(window.site, window.end, 1))
+    links = tuple(
+        LinkFault(src, "*", latency_multiplier=draw(
+            st.sampled_from([1.0, 1.5, 2.0])
+        ))
+        for src in draw(st.lists(st.sampled_from(("*",) + LAW_SITES),
+                                 max_size=2))
+    )
+    plan = FaultPlan(outages=tuple(outages), links=links)
+    return nodes, draw(st.booleans()), plan
+
+
+def build_law_graph(spec):
+    nodes, shared_network, plan = spec
+    return add_nodes(
+        FederationSim(
+            LAW_SITES[:2], global_site="G", cost_model=UNIT,
+            shared_network=shared_network, fault_plan=plan,
+        ),
+        nodes,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(law_graphs())
+def test_flat_loop_schedules_as_the_kernel_does(spec):
+    flat, kernel = build_law_graph(spec), build_law_graph(spec)
+    outcome, reference = flat.run(), schedule_reference(kernel)
+    assert schedule_difference(outcome, reference) is None
+    # A second run is refused by both, in the same words.
+    with pytest.raises(SimulationError) as refused:
+        flat.run()
+    with pytest.raises(SimulationError) as expected:
+        schedule_reference(kernel)
+    assert str(refused.value) == str(expected.value)

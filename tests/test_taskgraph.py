@@ -2,7 +2,10 @@
 
 import pytest
 
+from helpers import SCHEDULER_MUTATIONS, add_nodes, wrong_scheduler
+from repro.difftest.reference import schedule_difference, schedule_reference
 from repro.errors import SimulationError
+from repro.faults.plan import FaultPlan, OutageWindow
 from repro.sim.costs import CostModel
 from repro.sim.taskgraph import (
     FederationSim,
@@ -144,6 +147,22 @@ class TestValidation:
         with pytest.raises(SimulationError):
             f.cpu("A", comparisons=-1)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, seconds):
+        """A NaN duration used to pass ``seconds < 0``, poison the heap
+        order and return a schedule with a dependent starting before its
+        dependency finished (``total_time`` nan, no error)."""
+        f = fed()
+        for add in (
+            lambda: f.cpu("A", comparisons=seconds),
+            lambda: f.disk("A", nbytes=seconds),
+            lambda: f.delay("A", seconds),
+        ):
+            with pytest.raises(SimulationError, match="non-finite duration"):
+                add()
+        f.cpu("A", comparisons=1)
+        assert f.run().total_time == 1
+
     def test_run_twice_rejected(self):
         f = fed()
         f.cpu("A", comparisons=1)
@@ -161,3 +180,117 @@ class TestValidation:
     def test_global_site_always_present(self):
         f = FederationSim(["A"], global_site="G", cost_model=UNIT)
         assert "G" in f.sites
+
+
+class TestOutages:
+    """A site device inherits its site's outage windows; a network
+    channel does not — whatever the site is called."""
+
+    @pytest.mark.parametrize("shared_network", [True, False])
+    @pytest.mark.parametrize("site", ["DB1", "netlab"])
+    def test_a_down_site_does_not_work(self, site, shared_network):
+        f = FederationSim(
+            [site, "B"], global_site="G", cost_model=UNIT,
+            shared_network=shared_network,
+            fault_plan=FaultPlan(outages=(OutageWindow(site, 0, 5),)),
+        )
+        work = f.cpu(site, comparisons=1)
+        scan = f.disk(site, nbytes=1)
+        elsewhere = f.transfer("B", "G", nbytes=2)
+        ship = f.transfer(site, "G", nbytes=3, deps=[work])
+        outcome = f.run()
+        assert (work.start, scan.start) == (5.0, 5.0)
+        # The channel itself is never down: other sites use it meanwhile,
+        # and the down site's own transfer only waits for its endpoint.
+        assert elsewhere.start == 0.0
+        assert ship.start == 6.0
+        assert outcome.bytes_transferred == 5
+        assert outcome.site_busy == {site: 2.0}
+        assert outcome.resource_wait[f"{site}:cpu"] == 5.0
+
+
+def _g_down_for(seconds):
+    return FaultPlan(outages=(OutageWindow("G", 0, seconds),))
+
+
+# One graph per clause of the scheduling contract (the taskgraph module
+# docstring): (kind, site, duration, dependencies) per node, the fault
+# plan, and every node's start.  Each is scheduled differently by the
+# wrong scheduler of the same name in ``helpers.SCHEDULER_MUTATIONS``.
+HOP_ORDER_GRAPHS = {
+    "released-before-drained-grant": (
+        [
+            ("barrier", "G", 0, []),
+            ("barrier", "G", 0, []),
+            ("delay", "A", 0, [0]),
+            ("cpu", "G", 0, [0, 1, 2]),
+            ("cpu", "G", 2, [1]),
+            ("barrier", "G", 0, [0, 2, 3]),
+        ],
+        None,
+        [0.0, 0.0, 0.0, 2.0, 0.0, 2.0],
+    ),
+    "fifo-before-due-heap": (
+        [
+            ("delay", "A", 0, []),
+            ("transfer", "G", 0, []),
+            ("transfer", "A", 2, [0]),
+            ("transfer", "A", 2, [1]),
+        ],
+        _g_down_for(2),
+        [0.0, 2.0, 2.0, 4.0],
+    ),
+    "zero-duration-to-heap": (
+        [
+            ("delay", "A", 0, []),
+            ("cpu", "A", 0, []),
+            ("delay", "A", 0, [0]),
+            ("cpu", "G", 1, [2]),
+            ("cpu", "G", 2, [1]),
+        ],
+        None,
+        [0.0, 0.0, 0.0, 0.0, 1.0],
+    ),
+    "no-released-hop": (
+        [
+            ("transfer", "A", 1, []),
+            ("barrier", "G", 0, []),
+            ("delay", "A", 1, [1]),
+            ("transfer", "G", 1, [0, 2]),
+            ("transfer", "G", 1, [0]),
+        ],
+        None,
+        [0.0, 0.0, 0.0, 1.0, 2.0],
+    ),
+    "lifo-device": (
+        [("cpu", "G", 0, []), ("cpu", "G", 1, []), ("cpu", "G", 0, [0, 1])],
+        _g_down_for(1),
+        [1.0, 1.0, 2.0],
+    ),
+}
+
+
+def hop_order_graph(name):
+    spec, plan, _starts = HOP_ORDER_GRAPHS[name]
+    return add_nodes(
+        fed(fault_plan=plan),
+        [(kind, site, "G", seconds, deps) for kind, site, seconds, deps in spec],
+    )
+
+
+class TestHopOrder:
+    def test_every_mutation_has_its_graph(self):
+        assert set(HOP_ORDER_GRAPHS) == set(SCHEDULER_MUTATIONS)
+
+    @pytest.mark.parametrize("name", sorted(HOP_ORDER_GRAPHS))
+    def test_ties_resolve_as_on_the_kernel(self, name):
+        outcome = hop_order_graph(name).run()
+        assert [n.start for n in outcome.scheduled] == HOP_ORDER_GRAPHS[name][2]
+        reference = schedule_reference(hop_order_graph(name))
+        assert schedule_difference(outcome, reference) is None
+
+    @pytest.mark.parametrize("name", sorted(HOP_ORDER_GRAPHS))
+    def test_a_wrong_hop_order_shows(self, name):
+        outcome = wrong_scheduler(name)(hop_order_graph(name))
+        reference = schedule_reference(hop_order_graph(name))
+        assert schedule_difference(outcome, reference) is not None
