@@ -33,8 +33,6 @@ no timestamps, no dict-order dependence.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import pathlib
 import sys
 
@@ -44,7 +42,13 @@ if __package__ in (None, ""):  # runnable as a plain script from anywhere
     if _SRC.is_dir():
         sys.path.insert(0, str(_SRC))
 
-from bench_common import write_result
+from bench_common import (
+    add_baseline_args,
+    answer_fingerprint,
+    finish,
+    run_once,
+    write_result,
+)
 
 from repro.bench.reporting import format_table
 from repro.core.engine import GlobalQueryEngine
@@ -81,12 +85,6 @@ def _scenarios(storms, seed):
     yield "none", None
     for loss in storms:
         yield f"peer:{loss:g}", _storm_plan(seed, loss)
-
-
-def _digest(report):
-    """Stable fingerprint of the answer (certain + maybe rows)."""
-    payload = json.dumps(report.results.to_json(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _event_attrs(report, name):
@@ -137,7 +135,7 @@ def auto_cell(mode, plan, concrete):
         "mispredicted": outcome["mispredicted"] == "true",
         "certain": len(report.results.certain),
         "maybe": len(report.results.maybe),
-        "answer_digest": _digest(report),
+        "answer_digest": answer_fingerprint(report.results),
         "response_s": round(report.response_time, 6),
     }
 
@@ -243,7 +241,7 @@ def prune_sweep():
                 "mode": mode,
                 "certain": len(report.results.certain),
                 "maybe": len(report.results.maybe),
-                "answer_digest": _digest(report),
+                "answer_digest": answer_fingerprint(report.results),
                 "sites_pruned": report.metrics.work.sites_pruned,
                 "checks_pruned": report.metrics.work.checks_pruned,
                 "assistants_checked":
@@ -303,46 +301,18 @@ def render(result):
         format_table(headers, table_rows)
 
 
-#: Per-row fields compared by --check (all deterministic).
-ACCURACY_CHECKED = ("choice", "ground_truth", "accurate", "used_feedback",
-                    "rank_of_actual", "certain", "maybe", "answer_digest",
-                    "response_s")
-PRUNE_CHECKED = ("certain", "maybe", "answer_digest", "sites_pruned",
-                 "checks_pruned", "assistants_checked", "objects_scanned",
-                 "response_s", "total_s")
-
-
-def check_against(result, baseline_path):
-    """Deterministic-field diffs vs the committed baseline.
-
-    Compares rows present in both runs (the CI quick sweep is a subset
-    of the committed full sweep).
-    """
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    diffs = []
-
-    def compare(kind, rows, base_rows, key_fields, checked):
-        base_by_key = {
-            tuple(r[k] for k in key_fields): r for r in base_rows
-        }
-        for row in rows:
-            key = tuple(row[k] for k in key_fields)
-            base = base_by_key.get(key)
-            if base is None:
-                continue
-            for fname in checked:
-                if row[fname] != base[fname]:
-                    diffs.append(
-                        f"{kind} {'/'.join(str(k) for k in key)}."
-                        f"{fname}: {base[fname]} -> {row[fname]}"
-                    )
-
-    compare("accuracy", result["accuracy"], baseline["accuracy"],
-            ("scenario", "mode"), ACCURACY_CHECKED)
-    compare("prune", result["prunes"], baseline["prunes"],
-            ("case", "mode"), PRUNE_CHECKED)
-    return diffs
+#: What --check compares (all deterministic).
+SECTIONS = (
+    ("accuracy", "accuracy", ("scenario", "mode"), (
+        "choice", "ground_truth", "accurate", "used_feedback",
+        "rank_of_actual", "certain", "maybe", "answer_digest", "response_s",
+    )),
+    ("prune", "prunes", ("case", "mode"), (
+        "certain", "maybe", "answer_digest", "sites_pruned",
+        "checks_pruned", "assistants_checked", "objects_scanned",
+        "response_s", "total_s",
+    )),
+)
 
 
 def main(argv=None):
@@ -352,11 +322,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--storms", default="",
                         help="comma-separated peer-loss rates, e.g. 0.3,0.6")
-    parser.add_argument("--json", default="", dest="json_path",
-                        help="also write the machine-readable result here")
-    parser.add_argument("--check", default="", dest="check_path",
-                        help="fail when deterministic fields differ from "
-                             "this committed baseline JSON")
+    add_baseline_args(parser)
     args = parser.parse_args(argv)
 
     if args.storms:
@@ -365,31 +331,11 @@ def main(argv=None):
         storms = QUICK_STORMS if args.quick else FULL_STORMS
 
     result = sweep(storms, args.seed)
-    text = render(result)
-    print(text)
-    write_result("adaptive", text)
-
-    if args.json_path:
-        with open(args.json_path, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\njson written to {args.json_path}")
-
-    if args.check_path:
-        diffs = check_against(result, args.check_path)
-        if diffs:
-            print(f"\nBASELINE REGRESSION vs {args.check_path}:")
-            for diff in diffs:
-                print(f"  {diff}")
-            return 1
-        print(f"\nbaseline check OK vs {args.check_path}")
-    return 0
+    return finish("adaptive", result, render(result), args, SECTIONS)
 
 
 def test_adaptive_sweep(benchmark):
     """pytest-benchmark entry point (quick storms)."""
-    from bench_common import run_once
-
     result = run_once(benchmark, lambda: sweep(QUICK_STORMS, seed=3))
     write_result("adaptive", render(result))
     by_key = {(r["scenario"], r["mode"]): r for r in result["accuracy"]}

@@ -35,8 +35,6 @@ no timestamps, no dict-order dependence.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import pathlib
 import sys
 
@@ -46,7 +44,13 @@ if __package__ in (None, ""):  # runnable as a plain script from anywhere
     if _SRC.is_dir():
         sys.path.insert(0, str(_SRC))
 
-from bench_common import write_result
+from bench_common import (
+    add_baseline_args,
+    answer_fingerprint,
+    finish,
+    run_once,
+    write_result,
+)
 
 from repro.bench.reporting import format_table
 from repro.core.engine import GlobalQueryEngine
@@ -133,6 +137,20 @@ def sweep(rates, seed, storm_rates):
                 round(cell["certain"] / base, 4) if base else 1.0
             )
             rows.append({"scenario": label, "strategy": strategy, **cell})
+    # The acceptance contrast: under any single-site loss CA certifies
+    # no more than the localized strategies do.
+    by_key = {(r["scenario"], r["strategy"]): r for r in rows}
+    for site in sites:
+        if by_key[(f"loss:{site}", "CA")]["complete"]:
+            continue
+        ca, bl, pl = (
+            by_key[(f"loss:{site}", strategy)]["certain"]
+            for strategy in ("CA", "BL", "PL")
+        )
+        if not (ca <= bl and ca <= pl):
+            raise AssertionError(
+                f"loss:{site}: CA certified {ca} > localized ({bl}/{pl})"
+            )
     return {
         "schema": SCHEMA,
         "query": Q1_TEXT,
@@ -157,12 +175,6 @@ def _storm_plan(sites, loss):
     return FaultPlan.from_spec(spec)
 
 
-def _digest(report):
-    """Stable fingerprint of the answer (certain + maybe rows)."""
-    payload = json.dumps(report.results.to_json(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def run_failover_cell(strategy, plan, mode):
     """One (strategy, storm, failover-mode) execution."""
     engine = GlobalQueryEngine(build_school_federation())
@@ -180,7 +192,7 @@ def run_failover_cell(strategy, plan, mode):
         "mode": mode,
         "certain": len(report.results.certain),
         "maybe": len(report.results.maybe),
-        "answer_digest": _digest(report),
+        "answer_digest": answer_fingerprint(report.results),
         "checks_skipped": avail.checks_skipped,
         "checks_failed_over": avail.checks_failed_over,
         "hedges": avail.hedges,
@@ -199,7 +211,7 @@ def failover_sweep(sites, storm_rates):
     for strategy in LOCALIZED:
         engine = GlobalQueryEngine(build_school_federation())
         clean = engine.execute(Q1_TEXT, strategy)
-        baseline_digest[strategy] = _digest(clean)
+        baseline_digest[strategy] = answer_fingerprint(clean.results)
         rows.append({
             "loss": 0.0,
             "strategy": strategy,
@@ -291,48 +303,19 @@ def render(result):
         format_table(headers, table_rows)
 
 
-#: Per-row fields compared by --check (all deterministic; the chaos and
-#: failover sweeps carry no wall-clock fields at all).
-CHAOS_CHECKED = ("certain", "maybe", "completeness", "total_s",
-                 "response_s", "retries", "availability")
-FAILOVER_CHECKED = ("certain", "maybe", "answer_digest", "checks_skipped",
-                    "checks_failed_over", "hedges", "hedges_won",
-                    "fully_recovered", "contacts_suppressed", "total_s",
-                    "response_s")
-
-
-def check_against(result, baseline_path):
-    """Deterministic-field diffs vs the committed baseline.
-
-    Compares rows present in both runs (the CI quick sweep is a subset
-    of the committed full sweep).
-    """
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    diffs = []
-
-    def compare(kind, rows, base_rows, key_fields, checked):
-        base_by_key = {
-            tuple(r[k] for k in key_fields): r for r in base_rows
-        }
-        for row in rows:
-            key = tuple(row[k] for k in key_fields)
-            base = base_by_key.get(key)
-            if base is None:
-                continue
-            for fname in checked:
-                if row[fname] != base[fname]:
-                    diffs.append(
-                        f"{kind} {'/'.join(str(k) for k in key)}."
-                        f"{fname}: {base[fname]} -> {row[fname]}"
-                    )
-
-    compare("chaos", result["rows"], baseline["rows"],
-            ("scenario", "strategy"), CHAOS_CHECKED)
-    compare("failover", result["failover"]["rows"],
-            baseline["failover"]["rows"],
-            ("loss", "strategy", "mode"), FAILOVER_CHECKED)
-    return diffs
+#: What --check compares (all deterministic; the chaos and failover
+#: sweeps carry no wall-clock fields at all).
+SECTIONS = (
+    ("chaos", "rows", ("scenario", "strategy"), (
+        "certain", "maybe", "completeness", "total_s", "response_s",
+        "retries", "availability",
+    )),
+    ("failover", "failover.rows", ("loss", "strategy", "mode"), (
+        "certain", "maybe", "answer_digest", "checks_skipped",
+        "checks_failed_over", "hedges", "hedges_won", "fully_recovered",
+        "contacts_suppressed", "total_s", "response_s",
+    )),
+)
 
 
 def main(argv=None):
@@ -342,11 +325,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--rates", default="",
                         help="comma-separated chaos rates, e.g. 0.25,0.5")
-    parser.add_argument("--json", default="", dest="json_path",
-                        help="also write the machine-readable result here")
-    parser.add_argument("--check", default="", dest="check_path",
-                        help="fail when deterministic fields differ from "
-                             "this committed baseline JSON")
+    add_baseline_args(parser)
     args = parser.parse_args(argv)
 
     if args.rates:
@@ -356,45 +335,11 @@ def main(argv=None):
     storm_rates = QUICK_STORM_RATES if args.quick else FULL_STORM_RATES
 
     result = sweep(rates, args.seed, storm_rates)
-    text = render(result)
-    print(text)
-    write_result("chaos", text)
-
-    # The acceptance contrast: under any single-site loss CA certifies
-    # strictly less than the localized strategies do.
-    by_key = {(r["scenario"], r["strategy"]): r for r in result["rows"]}
-    degraded = [s for s in result["sites"]
-                if not by_key[(f"loss:{s}", "CA")]["complete"]]
-    for site in degraded:
-        ca = by_key[(f"loss:{site}", "CA")]["certain"]
-        bl = by_key[(f"loss:{site}", "BL")]["certain"]
-        pl = by_key[(f"loss:{site}", "PL")]["certain"]
-        if not (ca <= bl and ca <= pl):
-            raise AssertionError(
-                f"loss:{site}: CA certified {ca} > localized ({bl}/{pl})"
-            )
-
-    if args.json_path:
-        with open(args.json_path, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\njson written to {args.json_path}")
-
-    if args.check_path:
-        diffs = check_against(result, args.check_path)
-        if diffs:
-            print(f"\nBASELINE REGRESSION vs {args.check_path}:")
-            for diff in diffs:
-                print(f"  {diff}")
-            return 1
-        print(f"\nbaseline check OK vs {args.check_path}")
-    return 0
+    return finish("chaos", result, render(result), args, SECTIONS)
 
 
 def test_chaos_sweep(benchmark):
     """pytest-benchmark entry point (quick rates)."""
-    from bench_common import run_once
-
     result = run_once(
         benchmark, lambda: sweep(QUICK_RATES, seed=7,
                                  storm_rates=QUICK_STORM_RATES)

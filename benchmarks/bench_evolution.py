@@ -29,7 +29,6 @@ against the committed baseline::
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -40,7 +39,13 @@ if __package__ in (None, ""):  # runnable as a plain script from anywhere
     if _SRC.is_dir():
         sys.path.insert(0, str(_SRC))
 
-from bench_common import make_workload, write_result
+from bench_common import (
+    add_baseline_args,
+    finish,
+    make_workload,
+    run_once,
+    write_result,
+)
 
 from repro.bench.reporting import format_table
 from repro.evolution import EvolutionPlan, mix_referenced_attributes, resolve_auto
@@ -78,24 +83,15 @@ SCENARIOS = {
 QUICK_NAMES = ("calm-lag50ms", "churn-lag1s")
 FULL_NAMES = tuple(SCENARIOS)
 
-#: Fields compared by --check (all deterministic).
-CHECKED_FIELDS = (
-    "completed",
-    "shed",
-    "makespan_s",
-    "throughput_qps",
-    "latency_p50_s",
-    "latency_p95_s",
-    "latency_p99_s",
-    "verified",
-)
-#: Deterministic subfields of the report's ``evolution`` block.
-CHECKED_EVOLUTION_FIELDS = (
-    "plan",
-    "transitions",
-    "final_epoch",
-    "queries_straddled",
-    "propagation_lag_mean_s",
+#: What --check compares (all deterministic), with the deterministic
+#: subfields of the report's ``evolution`` block.
+SECTIONS = (
+    ("scenario", "cells", ("scenario",), (
+        "completed", "shed", "makespan_s", "throughput_qps",
+        "latency_p50_s", "latency_p95_s", "latency_p99_s", "verified",
+        "evolution.plan", "evolution.transitions", "evolution.final_epoch",
+        "evolution.queries_straddled", "evolution.propagation_lag_mean_s",
+    )),
 )
 
 
@@ -196,32 +192,6 @@ def sweep(names, verify: bool = True) -> dict:
     return {"schema": SCHEMA, "scenarios": list(names), "cells": cells}
 
 
-def check_against(result: dict, baseline_path: str) -> list:
-    """Deterministic-field diffs vs the committed baseline."""
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    base_by_name = {c["scenario"]: c for c in baseline["cells"]}
-    diffs = []
-    for cell in result["cells"]:
-        base = base_by_name.get(cell["scenario"])
-        if base is None:
-            continue
-        for fname in CHECKED_FIELDS:
-            if cell[fname] != base[fname]:
-                diffs.append(
-                    f"{cell['scenario']}.{fname}: "
-                    f"{base[fname]} -> {cell[fname]}"
-                )
-        for fname in CHECKED_EVOLUTION_FIELDS:
-            if cell["evolution"][fname] != base["evolution"][fname]:
-                diffs.append(
-                    f"{cell['scenario']}.evolution.{fname}: "
-                    f"{base['evolution'][fname]} -> "
-                    f"{cell['evolution'][fname]}"
-                )
-    return diffs
-
-
 def render(result: dict) -> str:
     headers = [
         "scenario", "workers", "done", "lag (s)", "epochs",
@@ -249,41 +219,16 @@ def main(argv=None):
                         help="quick scenario pair (CI smoke)")
     parser.add_argument("--no-verify", action="store_true",
                         help="skip serial answer verification")
-    parser.add_argument("--json", default="", dest="json_path",
-                        help="write the machine-readable result here")
-    parser.add_argument("--check", default="", dest="check_path",
-                        help="fail when deterministic fields differ from "
-                             "this committed baseline JSON")
+    add_baseline_args(parser)
     args = parser.parse_args(argv)
 
     names = QUICK_NAMES if args.quick else FULL_NAMES
     result = sweep(names, verify=not args.no_verify)
-
-    text = render(result)
-    print(text)
-    write_result("evolution", text)
-
-    if args.json_path:
-        with open(args.json_path, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\njson written to {args.json_path}")
-
-    if args.check_path:
-        diffs = check_against(result, args.check_path)
-        if diffs:
-            print(f"\nBASELINE REGRESSION vs {args.check_path}:")
-            for diff in diffs:
-                print(f"  {diff}")
-            return 1
-        print(f"\nbaseline check OK vs {args.check_path}")
-    return 0
+    return finish("evolution", result, render(result), args, SECTIONS)
 
 
 def test_evolution_sweep(benchmark):
     """pytest-benchmark entry point (quick scenarios)."""
-    from bench_common import run_once
-
     result = run_once(benchmark, lambda: sweep(QUICK_NAMES))
     write_result("evolution", render(result))
     for cell in result["cells"]:

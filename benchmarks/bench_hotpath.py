@@ -36,25 +36,27 @@ contracts:
   1.5x faster than the same path through ``execute_local_reference``
   and ``certify_reference`` (``local_pipeline``).
 
-Runs standalone; CI runs the quick grid and diffs against the committed
-baseline::
+Runs standalone; CI runs the quick grid against the committed baseline,
+then once more against its own first run (the determinism check: the
+wall-clock fields rule out a plain ``diff``)::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py --quick \
         --json BENCH_hotpath.json --check benchmarks/results/BENCH_hotpath.json
+    PYTHONPATH=src python benchmarks/bench_hotpath.py --quick \
+        --json hotpath-b.json --check BENCH_hotpath.json
 
 The JSON output is fully determined by the grid: no timestamps and no
 dict-order dependence.  ``wall_s`` fields and the ``local_eval`` /
 ``local_eval_unseen`` / ``global_eval`` / ``local_pipeline`` timing
-sections are informational only and are ignored by ``--check``; a cell's ``wall_s`` is its cold execution *with*
-the shadowing reference, so it reads higher than an unshadowed run.
+sections are informational only and are ignored by ``--check``; a
+cell's ``wall_s`` is its cold execution *with* the shadowing reference,
+so it reads higher than an unshadowed run.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
-import json
 import pathlib
 import sys
 import time
@@ -65,7 +67,14 @@ if __package__ in (None, ""):  # runnable as a plain script from anywhere
     if _SRC.is_dir():
         sys.path.insert(0, str(_SRC))
 
-from bench_common import make_workload, write_result
+from bench_common import (
+    add_baseline_args,
+    answer_fingerprint,
+    finish,
+    make_workload,
+    run_once,
+    write_result,
+)
 
 from repro.bench.reporting import format_table
 from repro.core.decompose import attributes_needed_by_class
@@ -99,17 +108,19 @@ FULL_GRID = tuple(
 )
 QUICK_GRID = ((3, 0.03), (4, 0.03))
 
-#: Fields compared by --check (everything deterministic; wall_s is not).
-CHECKED_FIELDS = (
-    "answer_digest",
-    "messages_batched",
-    "messages_unbatched",
-    "bytes_batched",
-    "bytes_unbatched",
-    "total_s",
-    "response_s",
-    "warm_cache_hits",
-    "warm_cache_misses",
+#: What --check compares (everything deterministic; wall_s is not).
+SECTIONS = (
+    ("cell", "cells", ("workload", "strategy"), (
+        "answer_digest",
+        "messages_batched",
+        "messages_unbatched",
+        "bytes_batched",
+        "bytes_unbatched",
+        "total_s",
+        "response_s",
+        "warm_cache_hits",
+        "warm_cache_misses",
+    )),
 )
 
 #: Minimum warm local-eval speedup (kernels vs reference) the sweep's
@@ -125,12 +136,6 @@ MIN_UNSEEN_SPEEDUP = 3.0
 MIN_PIPELINE_SPEEDUP = 1.5
 
 _ORDER_OPS = (Op.LT, Op.LE, Op.GT, Op.GE)
-
-
-def _digest(report) -> str:
-    """Stable fingerprint of the answer (certain + maybe rows)."""
-    payload = json.dumps(report.results.to_json(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def run_cell(n_db: int, scale: float, strategy: str) -> dict:
@@ -154,13 +159,13 @@ def run_cell(n_db: int, scale: float, strategy: str) -> dict:
         options=engine.options.with_(batch_checks=False),
     )
 
-    cold_digest = _digest(cold)
-    if _digest(unbatched) != cold_digest:
+    cold_digest = answer_fingerprint(cold.results)
+    if answer_fingerprint(unbatched.results) != cold_digest:
         raise AssertionError(
             f"{strategy} ndb{n_db} scale{scale:g}: batched and unbatched "
             "answers differ"
         )
-    if _digest(warm) != cold_digest:
+    if answer_fingerprint(warm.results) != cold_digest:
         raise AssertionError(
             f"{strategy} ndb{n_db} scale{scale:g}: repeated query changed "
             "the answer"
@@ -207,6 +212,11 @@ def _moved(predicate, shift: int):
     )
 
 
+def _moved_dnf(where, shift: int):
+    """A ``Where`` clause with every ordering operand moved by *shift*."""
+    return tuple(tuple(_moved(p, shift) for p in conj) for conj in where)
+
+
 def _with_unseen_operands(local_query, shift: int):
     """*local_query* with every ordering operand moved by *shift*.
 
@@ -218,19 +228,38 @@ def _with_unseen_operands(local_query, shift: int):
     """
     return dataclasses.replace(
         local_query,
-        where=tuple(
-            tuple(_moved(p, shift) for p in conjunct)
-            for conjunct in local_query.where
-        ),
+        where=_moved_dnf(local_query.where, shift),
         removed=tuple(
             dataclasses.replace(r, predicate=_moved(r.predicate, shift))
             for r in local_query.removed
         ),
-        removed_by_conjunct=tuple(
-            tuple(_moved(p, shift) for p in conjunct)
-            for conjunct in local_query.removed_by_conjunct
-        ),
+        removed_by_conjunct=_moved_dnf(local_query.removed_by_conjunct, shift),
     )
+
+
+def _timed_row(n_db, scale, run, sides, warm_up, timed, reps) -> dict:
+    """One row of a kernels-vs-reference timing section.
+
+    ``run(side, items)`` works through *items* on one side; each of the
+    two *sides* (the kernels, then the reference) runs *warm_up* once,
+    then *timed* — *reps* repetitions — is timed on each in turn.
+    """
+    for side in sides:
+        run(side, warm_up)
+    walls = []
+    for side in sides:
+        start = time.perf_counter()
+        run(side, timed)
+        walls.append((time.perf_counter() - start) / reps)
+    columnar_s, reference_s = walls
+    return {
+        "workload": f"ndb{n_db}-scale{scale:g}",
+        "n_db": n_db,
+        "scale": scale,
+        "columnar_wall_s": round(columnar_s, 6),
+        "reference_wall_s": round(reference_s, 6),
+        "speedup": round(reference_s / columnar_s, 2),
+    }
 
 
 def measure_local_eval(
@@ -254,34 +283,21 @@ def measure_local_eval(
         (system.db(lq.db_name), lq)
         for lq in decomp.local_queries.values()
     ]
-    for db, lq in pairs:
-        db.execute_local(lq)
-        execute_local_reference(db, lq)
     passes = [
-        [
-            (db, _with_unseen_operands(lq, rep) if unseen else lq)
-            for db, lq in pairs
-        ]
+        (db, _with_unseen_operands(lq, rep) if unseen else lq)
         for rep in range(1, reps + 1)
+        for db, lq in pairs
     ]
-    start = time.perf_counter()
-    for one_pass in passes:
-        for db, lq in one_pass:
-            db.execute_local(lq)
-    columnar_s = (time.perf_counter() - start) / reps
-    start = time.perf_counter()
-    for one_pass in passes:
-        for db, lq in one_pass:
-            execute_local_reference(db, lq)
-    reference_s = (time.perf_counter() - start) / reps
-    return {
-        "workload": f"ndb{n_db}-scale{scale:g}",
-        "n_db": n_db,
-        "scale": scale,
-        "columnar_wall_s": round(columnar_s, 6),
-        "reference_wall_s": round(reference_s, 6),
-        "speedup": round(reference_s / columnar_s, 2),
-    }
+
+    def run(evaluate, items):
+        for db, lq in items:
+            evaluate(db, lq)
+
+    return _timed_row(
+        n_db, scale, run,
+        (ComponentDatabase.execute_local, execute_local_reference),
+        pairs, passes, reps,
+    )
 
 
 def measure_global_eval(n_db: int, scale: float, reps: int = 5) -> dict:
@@ -307,30 +323,20 @@ def measure_global_eval(n_db: int, scale: float, reps: int = 5) -> dict:
     extent = materialize(
         classes, system.global_schema, system.catalog, exports
     )
-    queries = [
-        dataclasses.replace(query, where=tuple(
-            tuple(_moved(p, rep) for p in conjunct)
-            for conjunct in query.where
-        ))
-        for rep in range(1, reps + 1)
-    ]
-    walls = {}
-    for name, evaluate in (
-        ("columnar", evaluate_global), ("reference", evaluate_global_extent)
-    ):
-        evaluate(query, extent, EvalMeter())
-        start = time.perf_counter()
+
+    def run(evaluate, queries):
         for moved in queries:
             evaluate(moved, extent, EvalMeter())
-        walls[name] = (time.perf_counter() - start) / reps
-    return {
-        "workload": f"ndb{n_db}-scale{scale:g}",
-        "n_db": n_db,
-        "scale": scale,
-        "columnar_wall_s": round(walls["columnar"], 6),
-        "reference_wall_s": round(walls["reference"], 6),
-        "speedup": round(walls["reference"] / walls["columnar"], 2),
-    }
+
+    return _timed_row(
+        n_db, scale, run, (evaluate_global, evaluate_global_extent),
+        [query],
+        [
+            dataclasses.replace(query, where=_moved_dnf(query.where, rep))
+            for rep in range(1, reps + 1)
+        ],
+        reps,
+    )
 
 
 def measure_local_pipeline(n_db: int, scale: float, reps: int = 5) -> dict:
@@ -352,47 +358,41 @@ def measure_local_pipeline(n_db: int, scale: float, reps: int = 5) -> dict:
         paper.range_class, ["key", "t0"],
         [Predicate.of("t0", "<", 500_000)],
     )
-    queries = [
-        dataclasses.replace(query, where=tuple(
-            tuple(_moved(p, rep) for p in conjunct)
-            for conjunct in query.where
-        ))
-        for rep in range(reps + 1) for query in (scan, paper)
-    ]
-    decomposed = [
-        (query, system.decompose(query).local_queries) for query in queries
-    ]
-    walls, digests = {}, {}
-    for name, evaluate, certifier in (
-        ("columnar", ComponentDatabase.execute_local, certify),
-        ("reference", execute_local_reference, certify_reference),
-    ):
-        seen = digests[name] = []
-        for index, (query, local_queries) in enumerate(decomposed):
-            if index == 2:  # rep 0, both shapes, was the warm-up
-                start = time.perf_counter()
+    decomposed = []
+    for rep in range(reps + 1):
+        for query in (scan, paper):
+            moved = dataclasses.replace(
+                query, where=_moved_dnf(query.where, rep)
+            )
+            decomposed.append((moved, system.decompose(moved).local_queries))
+    sides = (
+        (ComponentDatabase.execute_local, certify),
+        (execute_local_reference, certify_reference),
+    )
+    digests = {side: [] for side in sides}
+
+    def run(side, items):
+        evaluate, certifier = side
+        for query, local_queries in items:
             local = {
                 db_name: evaluate(system.db(db_name), local_query)
                 for db_name, local_query in local_queries.items()
             }
-            seen.append(answer_digest(certifier(
+            digests[side].append(answer_digest(certifier(
                 query, system.global_schema, system.catalog, local,
                 VerdictIndex(),
             )))
-        walls[name] = (time.perf_counter() - start) / reps
-    if digests["columnar"] != digests["reference"]:
+
+    # rep 0, both shapes, is the warm-up.
+    row = _timed_row(
+        n_db, scale, run, sides, decomposed[:2], decomposed[2:], reps
+    )
+    if digests[sides[0]] != digests[sides[1]]:
         raise AssertionError(
             f"ndb{n_db} scale{scale:g}: the kernels and the references "
             "disagree on a local-pipeline digest"
         )
-    return {
-        "workload": f"ndb{n_db}-scale{scale:g}",
-        "n_db": n_db,
-        "scale": scale,
-        "columnar_wall_s": round(walls["columnar"], 6),
-        "reference_wall_s": round(walls["reference"], 6),
-        "speedup": round(walls["reference"] / walls["columnar"], 2),
-    }
+    return row
 
 
 def sweep(grid) -> dict:
@@ -469,32 +469,6 @@ def _assert_contract(
             )
 
 
-def check_against(result: dict, baseline_path: str) -> list:
-    """Deterministic-field diffs vs the committed baseline.
-
-    Compares the cells present in both runs (the CI quick grid is a
-    subset of the committed full grid); wall-clock is ignored.
-    """
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    base_by_key = {
-        (c["workload"], c["strategy"]): c for c in baseline["cells"]
-    }
-    diffs = []
-    for cell in result["cells"]:
-        key = (cell["workload"], cell["strategy"])
-        base = base_by_key.get(key)
-        if base is None:
-            continue
-        for fname in CHECKED_FIELDS:
-            if cell[fname] != base[fname]:
-                diffs.append(
-                    f"{key[0]}/{key[1]}.{fname}: "
-                    f"{base[fname]} -> {cell[fname]}"
-                )
-    return diffs
-
-
 def render(result: dict) -> str:
     headers = ["workload", "strategy", "msgs (batched)", "msgs (unbatched)",
                "net bytes", "total (s)", "response (s)", "warm hit rate"]
@@ -535,40 +509,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="small grid (CI smoke)")
-    parser.add_argument("--json", default="", dest="json_path",
-                        help="write the machine-readable result here")
-    parser.add_argument("--check", default="", dest="check_path",
-                        help="fail when deterministic fields differ from "
-                             "this committed baseline JSON")
+    add_baseline_args(parser)
     args = parser.parse_args(argv)
 
-    grid = QUICK_GRID if args.quick else FULL_GRID
-    result = sweep(grid)
-    text = render(result)
-    print(text)
-    write_result("hotpath", text)
-
-    if args.json_path:
-        with open(args.json_path, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\njson written to {args.json_path}")
-
-    if args.check_path:
-        diffs = check_against(result, args.check_path)
-        if diffs:
-            print(f"\nBASELINE REGRESSION vs {args.check_path}:")
-            for diff in diffs:
-                print(f"  {diff}")
-            return 1
-        print(f"\nbaseline check OK vs {args.check_path}")
-    return 0
+    result = sweep(QUICK_GRID if args.quick else FULL_GRID)
+    return finish("hotpath", result, render(result), args, SECTIONS)
 
 
 def test_hotpath_sweep(benchmark):
     """pytest-benchmark entry point (quick grid)."""
-    from bench_common import run_once
-
     result = run_once(benchmark, lambda: sweep(QUICK_GRID))
     write_result("hotpath", render(result))
     localized = [c for c in result["cells"] if c["strategy"] in LOCALIZED]

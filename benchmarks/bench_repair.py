@@ -35,8 +35,6 @@ fields, no dict-order dependence.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import pathlib
 import sys
 
@@ -46,7 +44,13 @@ if __package__ in (None, ""):  # runnable as a plain script from anywhere
     if _SRC.is_dir():
         sys.path.insert(0, str(_SRC))
 
-from bench_common import write_result
+from bench_common import (
+    add_baseline_args,
+    answer_fingerprint,
+    finish,
+    run_once,
+    write_result,
+)
 
 from repro.bench.reporting import format_table
 from repro.core.engine import GlobalQueryEngine
@@ -59,12 +63,6 @@ STRATEGIES = ("CA", "BL", "PL")
 
 #: Chained-recovery scenario: both sites down, then DB2 heals first.
 CHAINED_DOWN = ("DB2", "DB3")
-
-
-def _digest(results):
-    """Stable fingerprint of an answer (certain + maybe rows)."""
-    payload = json.dumps(results.to_json(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _plan(*sites):
@@ -92,8 +90,8 @@ def run_cell(strategy, site, seed):
         Q1_TEXT, strategy
     )
 
-    baseline_digest = _digest(reexec.results)
-    repaired_digest = _digest(repaired.results)
+    baseline_digest = answer_fingerprint(reexec.results)
+    repaired_digest = answer_fingerprint(repaired.results)
     if repaired_digest != baseline_digest:
         raise AssertionError(
             f"loss:{site}/{strategy}: repaired answer {repaired_digest} "
@@ -142,7 +140,8 @@ def run_chained(strategy, seed):
     baseline = GlobalQueryEngine(build_school_federation()).execute(
         Q1_TEXT, strategy
     )
-    if _digest(full.results) != _digest(baseline.results):
+    digest = answer_fingerprint(full.results)
+    if digest != answer_fingerprint(baseline.results):
         raise AssertionError(
             f"chained/{strategy}: converged answer differs from the "
             "fault-free baseline"
@@ -161,7 +160,7 @@ def run_chained(strategy, seed):
         "phase2_messages": full.repair_summary.messages,
         "phase2_sites": ",".join(full.repair_summary.sites_contacted),
         "converged": full.repair_summary.fully_repaired,
-        "answer_digest": _digest(full.results),
+        "answer_digest": digest,
     }
 
 
@@ -206,81 +205,32 @@ def render(result):
         format_table(headers, table_rows)
 
 
-#: Per-row fields compared by --check (all deterministic).
-REPAIR_CHECKED = ("certain_degraded", "maybe_degraded", "repair_messages",
-                  "reexec_messages", "saved_frac", "promoted", "dropped",
-                  "discharged", "sites_contacted", "fully_repaired",
-                  "answer_digest")
-CHAINED_CHECKED = ("phase1_messages", "phase1_outstanding", "phase1_sites",
-                   "phase2_messages", "phase2_sites", "converged",
-                   "answer_digest")
-
-
-def check_against(result, baseline_path):
-    """Deterministic-field diffs vs the committed baseline."""
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    diffs = []
-
-    def compare(kind, rows, base_rows, key_fields, checked):
-        base_by_key = {
-            tuple(r[k] for k in key_fields): r for r in base_rows
-        }
-        for row in rows:
-            key = tuple(row[k] for k in key_fields)
-            base = base_by_key.get(key)
-            if base is None:
-                continue
-            for fname in checked:
-                if row[fname] != base[fname]:
-                    diffs.append(
-                        f"{kind} {'/'.join(str(k) for k in key)}."
-                        f"{fname}: {base[fname]} -> {row[fname]}"
-                    )
-
-    compare("repair", result["rows"], baseline["rows"],
-            ("scenario", "strategy"), REPAIR_CHECKED)
-    compare("chained", result["chained"], baseline["chained"],
-            ("strategy",), CHAINED_CHECKED)
-    return diffs
+#: What --check compares (all deterministic).
+SECTIONS = (
+    ("repair", "rows", ("scenario", "strategy"), (
+        "certain_degraded", "maybe_degraded", "repair_messages",
+        "reexec_messages", "saved_frac", "promoted", "dropped",
+        "discharged", "sites_contacted", "fully_repaired", "answer_digest",
+    )),
+    ("chained", "chained", ("strategy",), (
+        "phase1_messages", "phase1_outstanding", "phase1_sites",
+        "phase2_messages", "phase2_sites", "converged", "answer_digest",
+    )),
+)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", default="", dest="json_path",
-                        help="also write the machine-readable result here")
-    parser.add_argument("--check", default="", dest="check_path",
-                        help="fail when deterministic fields differ from "
-                             "this committed baseline JSON")
+    add_baseline_args(parser)
     args = parser.parse_args(argv)
 
     result = sweep(args.seed)
-    text = render(result)
-    print(text)
-    write_result("repair", text)
-
-    if args.json_path:
-        with open(args.json_path, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\njson written to {args.json_path}")
-
-    if args.check_path:
-        diffs = check_against(result, args.check_path)
-        if diffs:
-            print(f"\nBASELINE REGRESSION vs {args.check_path}:")
-            for diff in diffs:
-                print(f"  {diff}")
-            return 1
-        print(f"\nbaseline check OK vs {args.check_path}")
-    return 0
+    return finish("repair", result, render(result), args, SECTIONS)
 
 
 def test_repair_sweep(benchmark):
     """pytest-benchmark entry point."""
-    from bench_common import run_once
-
     result = run_once(benchmark, lambda: sweep(seed=0))
     write_result("repair", render(result))
     # run_cell/run_chained already asserted soundness and the message

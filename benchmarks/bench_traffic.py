@@ -28,7 +28,6 @@ scenario with those knobs (--queries is the *total* across workers).
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -39,7 +38,13 @@ if __package__ in (None, ""):  # runnable as a plain script from anywhere
     if _SRC.is_dir():
         sys.path.insert(0, str(_SRC))
 
-from bench_common import make_workload, write_result
+from bench_common import (
+    add_baseline_args,
+    finish,
+    make_workload,
+    run_once,
+    write_result,
+)
 
 from repro.bench.reporting import format_table
 from repro.traffic import AdmissionControl, TrafficEngine, default_mix
@@ -70,20 +75,14 @@ SCENARIOS = {
 QUICK_NAMES = ("smooth-4", "contended-8")
 FULL_NAMES = tuple(SCENARIOS)
 
-#: Fields compared by --check (all deterministic; there is no wall
-#: clock anywhere in the JSON).
-CHECKED_FIELDS = (
-    "completed",
-    "shed",
-    "makespan_s",
-    "throughput_qps",
-    "latency_p50_s",
-    "latency_p95_s",
-    "latency_p99_s",
-    "cache_hits",
-    "cache_misses",
-    "shared_hits",
-    "verified",
+#: What --check compares (all deterministic; there is no wall clock
+#: anywhere in the JSON).
+SECTIONS = (
+    ("scenario", "cells", ("scenario",), (
+        "completed", "shed", "makespan_s", "throughput_qps",
+        "latency_p50_s", "latency_p95_s", "latency_p99_s", "cache_hits",
+        "cache_misses", "shared_hits", "verified",
+    )),
 )
 
 
@@ -161,28 +160,6 @@ def sweep(names, verify: bool = True) -> dict:
     return {"schema": SCHEMA, "scenarios": list(names), "cells": cells}
 
 
-def check_against(result: dict, baseline_path: str) -> list:
-    """Deterministic-field diffs vs the committed baseline.
-
-    Compares the scenarios present in both runs (the CI quick set is a
-    subset of the committed full set)."""
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    base_by_name = {c["scenario"]: c for c in baseline["cells"]}
-    diffs = []
-    for cell in result["cells"]:
-        base = base_by_name.get(cell["scenario"])
-        if base is None:
-            continue
-        for fname in CHECKED_FIELDS:
-            if cell[fname] != base[fname]:
-                diffs.append(
-                    f"{cell['scenario']}.{fname}: "
-                    f"{base[fname]} -> {cell[fname]}"
-                )
-    return diffs
-
-
 def render(result: dict) -> str:
     headers = [
         "scenario", "workers", "queries", "done", "shed", "q/s",
@@ -216,11 +193,7 @@ def main(argv=None):
                         help="ad-hoc run: execution strategy")
     parser.add_argument("--no-verify", action="store_true",
                         help="skip serial answer verification")
-    parser.add_argument("--json", default="", dest="json_path",
-                        help="write the machine-readable result here")
-    parser.add_argument("--check", default="", dest="check_path",
-                        help="fail when deterministic fields differ from "
-                             "this committed baseline JSON")
+    add_baseline_args(parser)
     args = parser.parse_args(argv)
 
     verify = not args.no_verify
@@ -242,31 +215,11 @@ def main(argv=None):
         names = QUICK_NAMES if args.quick else FULL_NAMES
         result = sweep(names, verify=verify)
 
-    text = render(result)
-    print(text)
-    write_result("traffic", text)
-
-    if args.json_path:
-        with open(args.json_path, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\njson written to {args.json_path}")
-
-    if args.check_path:
-        diffs = check_against(result, args.check_path)
-        if diffs:
-            print(f"\nBASELINE REGRESSION vs {args.check_path}:")
-            for diff in diffs:
-                print(f"  {diff}")
-            return 1
-        print(f"\nbaseline check OK vs {args.check_path}")
-    return 0
+    return finish("traffic", result, render(result), args, SECTIONS)
 
 
 def test_traffic_sweep(benchmark):
     """pytest-benchmark entry point (quick scenarios)."""
-    from bench_common import run_once
-
     result = run_once(benchmark, lambda: sweep(QUICK_NAMES))
     write_result("traffic", render(result))
     for cell in result["cells"]:

@@ -96,26 +96,6 @@ def dump_traces(
     return written
 
 
-def utilization_table(reports: Mapping[str, "ExecutionReport"]) -> str:
-    """Cross-strategy utilization summary: response vs critical path vs
-    total busy time and queueing delay."""
-    rows = []
-    for name, report in reports.items():
-        util = report.utilization
-        rows.append([
-            name,
-            f"{report.response_time * 1000:.3f}",
-            f"{util.critical_path_time * 1000:.3f}",
-            f"{util.total_busy * 1000:.3f}",
-            f"{util.total_queue_delay * 1000:.3f}",
-        ])
-    return format_table(
-        ["strategy", "response (ms)", "critical path (ms)",
-         "busy (ms)", "queued (ms)"],
-        rows,
-    )
-
-
 def shape_report(series: SweepSeries) -> Dict[str, bool]:
     """Machine-checkable shape facts about one sweep (used by benches)."""
     facts: Dict[str, bool] = {}

@@ -336,7 +336,7 @@ class _PatternTables:
             where = _where_code(self.where, codes)
             unsolved: Tuple[int, ...] = ()
             if where == UNKNOWN_CODE:
-                unsolved = _still_unsolved(self.where, codes)
+                unsolved = still_unsolved(self.where, codes)
             outcome = outcomes[codes] = _Outcome(
                 where,
                 tuple([self.predicates[i] for i in unsolved]),
@@ -451,13 +451,15 @@ def _where_code(where: Sequence[Sequence[int]], codes: Codes) -> int:
     ])
 
 
-def _still_unsolved(
-    where: Sequence[Sequence[int]], codes: Codes
+def still_unsolved(
+    where: Sequence[Sequence[int]], codes: Sequence[int]
 ) -> Tuple[int, ...]:
     """Positions of the predicates keeping the entity a maybe result.
 
     UNKNOWN predicates appearing in conjuncts that are not already FALSE,
-    in first-occurrence order.
+    in first-occurrence order.  *where* is the ``Where`` clause over
+    predicate positions and *codes* the packed status at each position;
+    certification and CA's phase P (CA_G3) both decide by this rule.
     """
     unsolved: Dict[int, None] = {}
     for conjunct in where:

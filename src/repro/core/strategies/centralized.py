@@ -14,9 +14,10 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.conditions.algebra import NullAttr, SiteDown, attach
 from repro.conditions.reasons import DegradationReason
+from repro.core.certification import still_unsolved
 from repro.core.decompose import attributes_needed_by_class
 from repro.core.predicates import EvalMeter
-from repro.core.query import Predicate, Query
+from repro.core.query import Query
 from repro.core.results import GlobalResult, ResultKind, ResultSet
 from repro.core.strategies.base import Strategy, StrategyResult, fault_wait_chain
 from repro.core.system import DistributedSystem
@@ -26,7 +27,7 @@ from repro.integration.outerjoin import (
     IntegrationStats,
     materialize,
 )
-from repro.objectdb.columnar import TRUE_CODE, UNKNOWN_CODE
+from repro.objectdb.columnar import TRUE_CODE
 from repro.objectdb.objects import LocalObject
 from repro.objectdb.values import NULL
 from repro.obs.spans import TraceEvent
@@ -61,8 +62,10 @@ def evaluate_global(
     meter.derefs += sum(summary.derefs)
     results = ResultSet(targets=query.targets)
     codes = summary.codes
+    predicates = tuple(summary.columns)
     statuses = [column.codes for column in summary.columns.values()]
-    unsolved_of: Dict[bytes, Tuple[Predicate, ...]] = {}
+    position = {p: i for i, p in enumerate(predicates)}
+    where = [[position[p] for p in conjunct] for conjunct in query.where]
     for r in [r for r in rows if codes[r]]:
         goid = view.ids[r]
         bindings = {}
@@ -77,11 +80,9 @@ def evaluate_global(
             ))
             continue
         packed = bytes([status[r] for status in statuses])
-        unsolved = unsolved_of.get(packed)
-        if unsolved is None:
-            unsolved = unsolved_of[packed] = _unsolved(
-                query.where, dict(zip(summary.columns, packed))
-            )
+        unsolved = tuple([
+            predicates[i] for i in still_unsolved(where, packed)
+        ])
         result = GlobalResult(
             goid=goid, kind=ResultKind.MAYBE, bindings=bindings,
             unsolved=unsolved,
@@ -91,20 +92,6 @@ def evaluate_global(
         ))
         results.maybe.append(result)
     return results
-
-
-def _unsolved(where, code_of: Dict[Predicate, int]) -> Tuple[Predicate, ...]:
-    """The unsolved predicates of one status pattern of a maybe row: the
-    UNKNOWN predicates of its UNKNOWN conjuncts, once each, in order of
-    first occurrence among those."""
-    unsolved: List[Predicate] = []
-    for conjunct in where:
-        if min(map(code_of.get, conjunct), default=TRUE_CODE) == UNKNOWN_CODE:
-            unsolved.extend([
-                p for p in dict.fromkeys(conjunct)
-                if code_of[p] == UNKNOWN_CODE and p not in unsolved
-            ])
-    return tuple(unsolved)
 
 
 def demote_outerjoin_incomplete(

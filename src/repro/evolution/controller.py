@@ -191,17 +191,6 @@ class EvolutionController:
 
     # --- the engine's view --------------------------------------------------
 
-    def is_settled(self, label: str) -> bool:
-        """Whether the named propagation window has closed.
-
-        This is the discharge test for a ``FluxEpoch`` condition atom
-        (:mod:`repro.conditions`): a row demoted for straddling window
-        *label* can be re-certified only once the window is no longer
-        open.  Unknown labels count as settled — a window that never
-        opened here (or was already garbage-collected) cannot block.
-        """
-        return label not in self._open_events
-
     def in_flux_view(self) -> InFluxView:
         """Snapshot of the currently-open propagation windows."""
         if not self._open_events:

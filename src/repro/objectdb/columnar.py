@@ -329,7 +329,6 @@ class ColumnarExtent:
         self._holder_walks: Dict[
             Tuple[Tuple[str, ...], Optional[int]], List[Optional[Holder]]
         ] = {}
-        self._row_book: Dict[object, Dict[int, tuple]] = {}
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -532,17 +531,6 @@ class ColumnarExtent:
                         walk_path(obj, target, self._deref)
 
     # --- unsolved bookkeeping columns ----------------------------------------
-
-    def row_bookkeeping(self, key: object) -> Dict[int, tuple]:
-        """Mutable per-row memo for one query shape.
-
-        The caller owns the contents: it stores whatever per-row
-        bookkeeping (status dict, unsolved tuples, kind, charges) one
-        query shape produces, so a repeated query re-reads it instead of
-        re-deriving it.  Everything stored is deterministic given this
-        extent version.
-        """
-        return self._row_book.setdefault(key, {})
 
     def unsolved_column(
         self, predicate: Predicate, depth: Optional[int] = None

@@ -273,11 +273,9 @@ class ComponentDatabase:
         # One book per packed status pattern: rows without unsolved data
         # share it whole, the others its status dict — the global site
         # recognises a pattern by that dict's identity and certifies it
-        # once.  A row with unsolved data owns its book, which is
-        # deterministic for one query shape on one extent version and
-        # memoised with the holder-walk derefs it charges.
+        # once.  A row with unsolved data owns its book, built here with
+        # the holder-walk derefs it charges.
         patterns: Dict[tuple, Book] = {}
-        memo: Optional[Dict[int, Tuple[Book, int]]] = None
         books: List[Book] = []
         for r, packed in zip(survivors, packs):
             book = patterns.get(packed)
@@ -293,16 +291,9 @@ class ComponentDatabase:
                     status,
                 )
             if removed_cols or UNKNOWN_CODE in packed:
-                if memo is None:
-                    memo = col.row_bookkeeping(
-                        (query.where, query.removed, query.removed_by_conjunct)
-                    )
-                owned = memo.get(r)
-                if owned is None:
-                    owned = memo[r] = self._unsolved_book(
-                        book, r, zip(packed, ucols), removed_cols
-                    )
-                book, paid = owned
+                book, paid = self._unsolved_book(
+                    book, r, zip(packed, ucols), removed_cols
+                )
                 deref_acc += paid
             books.append(book)
         values = {}

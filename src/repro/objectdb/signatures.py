@@ -266,17 +266,6 @@ class SignatureCatalog:
         """
         return self.index_object(obj, attributes)
 
-    def remove_object(self, class_name: str, loid: LOid) -> bool:
-        """Drop one object's signature (True when it was present)."""
-        table = self._tables.get(class_name)
-        removed = False
-        if table is not None and table.pop(loid, None) is not None:
-            removed = True
-            if not table:
-                del self._tables[class_name]
-        self._encoded.pop(loid, None)
-        return removed
-
     def drop_site(self, db_name: str) -> int:
         """Drop every signature of objects homed at *db_name*.
 

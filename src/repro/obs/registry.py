@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -174,25 +174,6 @@ class MetricsRegistry:
         for name, histogram in self._histograms.items():
             out[name] = histogram.summary()
         return dict(sorted(out.items()))
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Mapping[str, object]) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`snapshot` (histograms become
-        count-preserving approximations: the summary scalars re-observed).
-        """
-        registry = cls()
-        for name, value in snapshot.items():
-            if isinstance(value, Mapping):
-                histogram = registry.histogram(name)
-                # Re-observe min/mean/max so order statistics stay sane.
-                for key in ("min", "mean", "max"):
-                    if value.get("count", 0):
-                        histogram.observe(float(value[key]))
-            elif isinstance(value, float):
-                registry.gauge(name).set(value)
-            else:
-                registry.counter(name).inc(value)
-        return registry
 
 
 def registry_from_metrics(metrics: object) -> MetricsRegistry:

@@ -18,8 +18,8 @@ signature-catalog build) and offers the exporters as methods:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Phase tag used for engine-level (non-simulated) setup events.
 PHASE_SETUP = "setup"
@@ -181,9 +181,6 @@ class Trace:
 
     def sites(self) -> Tuple[str, ...]:
         return tuple(dict.fromkeys(s.site for s in self.spans))
-
-    def with_events(self, events: Iterable[TraceEvent]) -> "Trace":
-        return replace(self, events=self.events + tuple(events))
 
     # --- exporters (implemented in repro.obs.exporters) -------------------
 

@@ -22,7 +22,6 @@ from repro.resilience.failover import (
     HedgeDecision,
     PendingSkip,
     covered_by_verdicts,
-    covered_pairs,
     pending_skips_of,
     plan_hedge,
     relay_route,
@@ -48,7 +47,6 @@ __all__ = [
     "SiteHealth",
     "SiteHealthRegistry",
     "covered_by_verdicts",
-    "covered_pairs",
     "pending_skips_of",
     "plan_hedge",
     "relay_route",

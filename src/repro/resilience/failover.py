@@ -36,7 +36,7 @@ wall-clock — so failover and hedging preserve byte-determinism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.certification import SATISFIED, VIOLATED, VerdictIndex
 from repro.objectdb.ids import GOid
@@ -187,15 +187,3 @@ def plan_hedge(
         relay_wait_s=relay_wait,
         winner=winner,
     )
-
-
-def covered_pairs(
-    system: "DistributedSystem",
-    requests: Iterable[CheckRequest],
-) -> Set[Tuple[GOid, object]]:
-    """The (entity, predicate) pairs a set of dispatched requests covers."""
-    pairs: Set[Tuple[GOid, object]] = set()
-    for request in requests:
-        for skip in pending_skips_of(system, request.db_name, request):
-            pairs.add((skip.goid, skip.predicate))
-    return pairs

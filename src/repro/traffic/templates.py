@@ -17,8 +17,8 @@ an identical answer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Mapping, Optional, Tuple
 
 from repro.core.query import Op, Path, Predicate, Query
 from repro.errors import WorkloadError
@@ -81,10 +81,6 @@ class BoundQuery:
     template: str
     query: Query
     params: Tuple[Tuple[str, object], ...]
-
-    @property
-    def param_dict(self) -> Dict[str, object]:
-        return dict(self.params)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,144 @@
+"""The shared runner of the baseline-checked benches.
+
+``benchmarks/bench_common.py`` is loaded by path: ``benchmarks/`` is
+not a package and not on the test path.  The committed ``BENCH_*.json``
+baselines are only as good as the comparator that reads them and the
+fingerprint that fills their ``answer_digest`` fields.
+"""
+
+import argparse
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+from repro.core.engine import GlobalQueryEngine
+from repro.workload.paper_example import Q1_TEXT, build_school_federation
+
+_PATH = pathlib.Path(__file__).parent.parent / "benchmarks" / "bench_common.py"
+_SPEC = importlib.util.spec_from_file_location("bench_common", _PATH)
+bench_common = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_common)
+
+SECTIONS = (
+    ("chaos", "rows", ("scenario", "strategy"), ("certain", "total_s")),
+    ("failover", "failover.rows", ("loss", "strategy"), ("certain",)),
+    ("scenario", "cells", ("scenario",), ("evolution.plan",)),
+)
+
+
+def result(certain=2, total_s=0.5, plan="join@2", extra_row=False):
+    rows = [{"scenario": "none", "strategy": "BL", "certain": certain,
+             "total_s": total_s, "unchecked": 0}]
+    if extra_row:
+        rows.append({"scenario": "loss:DB9", "strategy": "BL",
+                     "certain": 99, "total_s": 9.0, "unchecked": 0})
+    return {
+        "rows": rows,
+        "failover": {"rows": [
+            {"loss": 0.9, "strategy": "PL", "certain": 1},
+        ]},
+        "cells": [
+            {"scenario": "calm", "evolution": {"plan": plan, "epoch": 3}},
+        ],
+    }
+
+
+class TestBaselineDiffs:
+    def test_an_identical_result_has_no_diffs(self):
+        assert bench_common.baseline_diffs(result(), result(), SECTIONS) == []
+
+    def test_a_changed_flat_field_is_reported(self):
+        diffs = bench_common.baseline_diffs(
+            result(certain=3), result(), SECTIONS
+        )
+        assert diffs == ["chaos none/BL.certain: 2 -> 3"]
+
+    def test_a_changed_dotted_field_is_reported(self):
+        diffs = bench_common.baseline_diffs(
+            result(plan="join@2,drop@8"), result(), SECTIONS
+        )
+        assert diffs == [
+            "scenario calm.evolution.plan: join@2 -> join@2,drop@8"
+        ]
+
+    def test_a_nested_rows_key_is_followed(self):
+        base = result()
+        base["failover"]["rows"][0]["certain"] = 0
+        diffs = bench_common.baseline_diffs(result(), base, SECTIONS)
+        assert diffs == ["failover 0.9/PL.certain: 0 -> 1"]
+
+    def test_a_row_the_baseline_lacks_is_skipped(self):
+        assert bench_common.baseline_diffs(
+            result(extra_row=True), result(), SECTIONS
+        ) == []
+
+    def test_an_unchecked_field_is_ignored(self):
+        changed = result()
+        changed["rows"][0]["unchecked"] = 7
+        changed["cells"][0]["evolution"]["epoch"] = 4
+        assert bench_common.baseline_diffs(changed, result(), SECTIONS) == []
+
+    def test_the_message_names_kind_key_and_field(self):
+        (diff,) = bench_common.baseline_diffs(
+            result(total_s=0.75), result(), SECTIONS
+        )
+        kind, rest = diff.split(" ", 1)
+        assert kind == "chaos"
+        assert rest.startswith("none/BL.total_s: ")
+        assert rest.endswith("0.5 -> 0.75")
+
+
+class TestFinish:
+    def run(self, tmp_path, monkeypatch, capsys, run_result, baseline):
+        monkeypatch.setattr(bench_common, "RESULTS_DIR", tmp_path)
+        check = tmp_path / "BENCH_x.json"
+        check.write_text(json.dumps(baseline))
+        parser = argparse.ArgumentParser()
+        bench_common.add_baseline_args(parser)
+        out = tmp_path / "out.json"
+        args = parser.parse_args(["--json", str(out), "--check", str(check)])
+        status = bench_common.finish("x", run_result, "table", args, SECTIONS)
+        return status, out, capsys.readouterr().out
+
+    def test_a_clean_run_writes_and_passes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        status, out, printed = self.run(
+            tmp_path, monkeypatch, capsys, result(), result()
+        )
+        assert status == 0
+        assert (tmp_path / "x.txt").read_text() == "table\n"
+        assert out.read_text() == json.dumps(
+            result(), indent=2, sort_keys=True
+        ) + "\n"
+        assert printed == (
+            f"table\n\njson written to {out}\n\n"
+            f"baseline check OK vs {tmp_path / 'BENCH_x.json'}\n"
+        )
+
+    def test_a_regression_fails_and_lists_the_diffs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        status, _out, printed = self.run(
+            tmp_path, monkeypatch, capsys, result(certain=3), result()
+        )
+        assert status == 1
+        assert printed.endswith(
+            f"\nBASELINE REGRESSION vs {tmp_path / 'BENCH_x.json'}:\n"
+            "  chaos none/BL.certain: 2 -> 3\n"
+        )
+
+
+#: ``answer_digest`` of Q1 on the school federation, as the benches
+#: recorded it before the fingerprint moved into bench_common.
+Q1_FINGERPRINT = "38239a5271a0cf58"
+
+
+@pytest.mark.parametrize("strategy", ["CA", "PL"])
+def test_answer_fingerprint_is_the_recorded_digest(strategy):
+    report = GlobalQueryEngine(build_school_federation()).execute(
+        Q1_TEXT, strategy
+    )
+    assert bench_common.answer_fingerprint(report.results) == Q1_FINGERPRINT

@@ -1,9 +1,10 @@
 """A local result is columns; a row is a view.
 
 The columnar ``LocalResultSet`` against the per-object reference (the
-``rows`` view, the books shared per status pattern, what the bookkeeping
-memo keeps), ``certify`` reading the columns (binding merge, the GOid
-column and when it is read again), and the export fast path.
+``rows`` view, the books shared per status pattern, and that no book
+outlives its execution), ``certify`` reading the columns (binding
+merge, the GOid column and when it is read again), and the export fast
+path.
 """
 
 import dataclasses
@@ -164,8 +165,24 @@ class TestRowsView:
         assert result.as_columns()[3] == {TARGETS[0]: [NULL]}
 
 
+def held_books(extent):
+    """Every :class:`Book` the extent's containers hold, however deep."""
+    stack = list(vars(extent).values())
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, Book):
+            yield obj
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set)):
+            stack.extend(obj)
+
+
 class TestBookkeepingMemo:
-    def test_unseen_operands_keep_only_rows_with_unsolved_data(self):
+    """A book is built per execution: nothing per query shape outlives
+    the call (an unseen operand never re-reads a row's bookkeeping)."""
+
+    def test_unseen_operands_keep_nothing_per_query_shape(self):
         values = [NULL if i % 10 == 0 else i for i in range(60)]
         db = make_db([(f"c{i}", {"a": v}) for i, v in enumerate(values)])
         nulls = {i for i, v in enumerate(values) if v is NULL}
@@ -175,17 +192,31 @@ class TestBookkeepingMemo:
             assert len(got.rows) == len(nulls) + min(bound, 59) + 1 - len(
                 [i for i in nulls if i <= bound]
             )
-        memo = db.columnar_extent("C")._row_book
-        assert len(memo) == 200
-        for rows in memo.values():
-            assert set(rows) == nulls
-            assert all(book.kind is RowKind.MAYBE for book, _ in rows.values())
+            assert local_evaluation_difference(
+                got, execute_local_reference(db, query)
+            ) is None
+        assert list(held_books(db.columnar_extent("C"))) == []
 
     def test_a_query_without_unsolved_data_leaves_no_memo(self):
         db = make_db([(f"c{i}", {"a": i}) for i in range(20)])
         for bound in range(20):
-            db.execute_local(local_query(((pred("a", Op.GE, bound),),)))
-        assert db.columnar_extent("C")._row_book == {}
+            query = local_query(((pred("a", Op.GE, bound),),))
+            assert local_evaluation_difference(
+                db.execute_local(query), execute_local_reference(db, query)
+            ) is None
+        assert list(held_books(db.columnar_extent("C"))) == []
+
+    def test_a_repeated_query_rebuilds_its_books(self):
+        db = make_db([
+            (f"c{i}", {"a": NULL if i % 3 == 0 else i}) for i in range(12)
+        ])
+        query = local_query(((pred("a", Op.LT, 7),),))
+        first, again = (
+            db.execute_local(query).as_columns()[2] for _ in range(2)
+        )
+        owned = [i for i, book in enumerate(first) if book.unsolved]
+        assert owned and first == again
+        assert all(first[i] is not again[i] for i in owned)
 
 
 # --- unsolved data is deduplicated by identity -------------------------------
