@@ -47,7 +47,8 @@ def test_phase_o_scan(benchmark, setup):
 
 
 def test_outerjoin_materialization(benchmark, setup):
-    from repro.core.decompose import attributes_needed
+    from repro.core.decompose import attributes_needed_by_class
+    from repro.core.strategies.centralized import export_site
     from repro.integration.outerjoin import materialize
 
     workload, _decomposed = setup
@@ -55,20 +56,13 @@ def test_outerjoin_materialization(benchmark, setup):
     classes = (workload.query.range_class,) + workload.query.branch_classes(
         system.global_schema.schema
     )
-    exports = {}
-    for cls in classes:
-        per_db = {}
-        for db_name, db in system.databases.items():
-            local = system.global_schema.constituent_class(db_name, cls)
-            if local is None:
-                continue
-            needed = attributes_needed(workload.query, system.global_schema, cls)
-            per_db[db_name] = db.scan_for_export(
-                local,
-                tuple(a for a in needed
-                      if db.schema.cls(local).has_attribute(a)),
-            )
-        exports[cls] = per_db
+    needed = attributes_needed_by_class(
+        workload.query, system.global_schema, classes
+    )
+    exports = {cls: {} for cls in classes}
+    for db_name in system.databases:
+        for cls, objs, _n_attrs in export_site(system, db_name, needed):
+            exports[cls][db_name] = list(objs)
 
     extent = benchmark(
         materialize, classes, system.global_schema, system.catalog, exports

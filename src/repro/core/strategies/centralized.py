@@ -10,7 +10,7 @@ step CA_G3).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.conditions.algebra import NullAttr, SiteDown, attach
 from repro.conditions.reasons import DegradationReason
@@ -123,18 +123,48 @@ def demote_outerjoin_incomplete(
     return len(demoted)
 
 
+class Shipment:
+    """One class's CA_C1 export from one site, projected on first use.
+
+    ``len`` is the site's extent size — what the simulated site scans,
+    projects and ships, and what CA charges.  The projected copies are
+    made only when iterated: by ``materialize`` on a merge miss, or for
+    a repair state.  A reused merge never reads them, so this process
+    never builds them.  Once made they are kept, so one execution
+    projects each object at most once.
+    """
+
+    __slots__ = ("_db", "_local_class", "_attributes", "_objects")
+
+    def __init__(self, db, local_class: str, attributes: Tuple[str, ...]):
+        self._db, self._local_class = db, local_class
+        self._attributes = attributes
+        self._objects: Optional[List[LocalObject]] = None
+
+    def __len__(self) -> int:
+        return self._db.count(self._local_class)
+
+    def __iter__(self) -> Iterator[LocalObject]:
+        if self._objects is None:
+            self._objects = self._db.scan_for_export(
+                self._local_class, self._attributes
+            )
+        return iter(self._objects)
+
+
 def export_site(
     system: DistributedSystem,
     db_name: str,
     needed: Dict[str, Tuple[str, ...]],
-) -> Iterator[Tuple[str, List[LocalObject], int]]:
+) -> Iterator[Tuple[str, Shipment, int]]:
     """Step CA_C1 at one site: retrieve and project its extents.
 
     *needed* maps each involved global class to the attributes the
     query needs of it (:func:`attributes_needed_by_class`).  For each
     class the site holds a constituent of, yields ``(global class,
-    exported objects, attributes projected)`` — projected on the LOid
-    and the needed attributes the local class actually defines.
+    shipment, attributes projected)`` — the :class:`Shipment` of its
+    objects projected on the LOid and the needed attributes the local
+    class actually defines.
     """
     db = system.db(db_name)
     for global_class, attributes in needed.items():
@@ -147,7 +177,7 @@ def export_site(
         local_needed = tuple(a for a in attributes if cdef.has_attribute(a))
         yield (
             global_class,
-            db.scan_for_export(local_class, local_needed),
+            Shipment(db, local_class, local_needed),
             len(local_needed),
         )
 
@@ -180,7 +210,7 @@ class CentralizedStrategy(Strategy):
         )
 
         # --- step CA_C1: each site retrieves, projects and ships extents ---
-        exports_by_class: Dict[str, Dict[str, List[LocalObject]]] = {
+        exports_by_class: Dict[str, Dict[str, Iterable[LocalObject]]] = {
             cls: {} for cls in involved_classes
         }
         sites: Iterable[str] = system.databases
@@ -300,11 +330,16 @@ class CentralizedStrategy(Strategy):
             )
             from repro.conditions.recertify import CentralizedRepairState
 
+            # Plain lists, projected now: a resumed run merges the data
+            # as it was here, never a lazy view of live objects.
             repair_state = CentralizedRepairState(
                 strategy=self.name,
                 query=query,
                 schema_epoch=system.schema_epoch,
-                exports_by_class=exports_by_class,
+                exports_by_class={
+                    cls: {site: list(objs) for site, objs in by_site.items()}
+                    for cls, by_site in exports_by_class.items()
+                },
                 skipped_sites=tuple(sorted(skipped_sites)),
             )
             fault_events.append(

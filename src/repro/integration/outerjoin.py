@@ -273,7 +273,8 @@ def materialize(
     is ``(merged, key)``, the caller's store of earlier merges
     (``DistributedSystem.merged_extents``) and a key that determines
     *exports_by_class*.  A repeated key gets the extent merged before,
-    columnar views included, and is charged what merging it was.
+    columnar views included, and is charged what merging it was; it
+    never iterates *exports_by_class*, so lazy exports stay unbuilt.
     """
     merged, key = reuse if reuse is not None else ({}, None)
     kept = merged.get(key)

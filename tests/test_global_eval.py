@@ -36,6 +36,7 @@ from repro.objectdb.ids import GOid, LOid
 from repro.objectdb.objects import IntegratedObject, LocalObject
 from repro.objectdb.values import MultiValue, NULL
 from repro.traffic import default_mix
+from repro.workload.paper_example import Q1_TEXT
 
 
 # --- kernel = reference ------------------------------------------------------
@@ -491,6 +492,19 @@ def count_merges(monkeypatch):
     return merged
 
 
+def count_projections(monkeypatch):
+    """The objects ``LocalObject.project`` copies from here on."""
+    projected = []
+    project = LocalObject.project
+
+    def counting(self, attributes):
+        projected.append(self.loid)
+        return project(self, attributes)
+
+    monkeypatch.setattr(LocalObject, "project", counting)
+    return projected
+
+
 class TestReuse:
     def test_alternating_templates_merge_once_per_shape(self, monkeypatch):
         workload = make_workload(1996)
@@ -531,6 +545,77 @@ class TestReuse:
         )
         assert int(integrate.attr_dict()["outerjoin_comparisons"]) > 0
         assert second.metrics.work.cache_hits > 0
+
+    def test_a_hit_projects_nothing_and_charges_in_full(self, monkeypatch):
+        workload = make_workload(1996)
+        system = workload.system
+        session = ca_session(system)
+        projected = count_projections(monkeypatch)
+        runs = []
+        for _ in range(2):
+            before, probes = len(projected), system.catalog.cache_stats()
+            report = session.execute(workload.query)
+            runs.append((
+                report, len(projected) - before,
+                system.catalog.cache_stats().delta(probes),
+            ))
+        (miss, miss_projected, miss_probes), (hit, hit_projected, hit_probes) = runs
+        work = miss.metrics.work
+        assert miss_projected == work.objects_shipped > 0
+        assert hit_projected == 0
+        for name in ("objects_scanned", "objects_shipped", "bytes_disk",
+                     "bytes_network", "messages"):
+            assert getattr(hit.metrics.work, name) == getattr(work, name)
+        assert hit_probes == miss_probes and miss_probes.lookups > 0
+
+        def integrate_event(report):
+            event, = (
+                e for e in report.metrics.events if e.name == "ca.integrate"
+            )
+            return event.attr_dict()
+
+        assert integrate_event(hit) == integrate_event(miss)
+        assert [(s.name, s.site, s.duration) for s in hit.metrics.spans] == [
+            (s.name, s.site, s.duration) for s in miss.metrics.spans
+        ]
+        assert any(s.name.startswith("CA_C1 project") for s in hit.metrics.spans)
+        assert hit.metrics.total_time == miss.metrics.total_time
+        assert hit.metrics.response_time == miss.metrics.response_time
+        assert_same_report(hit, miss)
+
+    def test_a_degraded_run_stores_copies_not_live_objects(self, school):
+        engine = GlobalQueryEngine(school)
+        degraded = engine.execute(
+            Q1_TEXT, "CA",
+            options=ExecutionOptions(fault_plan=FaultPlan.single_site_loss("DB2")),
+        )
+        stored = degraded.repair.exports_by_class
+        shipped = [
+            (site, obj)
+            for by_site in stored.values()
+            for site, objs in by_site.items()
+            for obj in objs
+        ]
+        assert shipped and {site for site, _ in shipped} == {"DB1", "DB3"}
+        for by_site in stored.values():
+            assert all(type(objs) is list for objs in by_site.values())
+        for site, obj in shipped:
+            assert type(obj) is LocalObject
+            assert obj is not school.db(site).get(obj.loid)
+        snapshot = [(obj.loid, dict(obj.values)) for _, obj in shipped]
+
+        site, copy = next((s, o) for s, o in shipped if o.values)
+        live = school.db(site).get(copy.loid)
+        attr = next(iter(copy.values))
+        version = school.db(site).data_version
+        live.values[attr] = "written after the degraded run"
+        school.note_mutation(site, live)
+        assert school.db(site).data_version > version
+
+        repaired = engine.recertify(degraded)
+        assert repaired.repair_summary.fully_repaired
+        assert [(obj.loid, dict(obj.values)) for _, obj in shipped] == snapshot
+        assert copy.values[attr] != live.values[attr]
 
     def test_the_store_is_bounded_and_dropped_wholesale(self):
         workload = make_workload(1996)
