@@ -34,7 +34,6 @@ from repro.conditions.algebra import (
     mechanism,
     rank_mechanisms,
 )
-from repro.conditions.reasons import DegradationReason, ReasonKind
 from repro.conditions.recertify import (
     CentralizedRepairState,
     LocalizedRepairState,
@@ -47,13 +46,11 @@ __all__ = [
     "And",
     "CentralizedRepairState",
     "Condition",
-    "DegradationReason",
     "FluxEpoch",
     "LocalizedRepairState",
     "NullAttr",
     "Or",
     "ReCertifier",
-    "ReasonKind",
     "RepairError",
     "RepairSummary",
     "SiteDown",

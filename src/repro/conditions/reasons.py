@@ -1,80 +1,34 @@
-"""Structured degradation reasons behind the free-text ``notes`` strings.
+"""The degradation notes: one spelling for each reason a row is weaker.
 
-Before this module, every degradation site rendered its own note string
-inline (``localized.py``, ``centralized.py``, the engine's flux
-demotion), which invited drift — three spellings of "this row is weaker
-than a fault-free execution would make it".  :class:`DegradationReason`
-is the single source of those strings now: each degradation path builds
-a reason value and renders it with ``str()``, producing byte-identical
-output to the historical notes (the back-compat contract — committed
-bench baselines and tests match on these exact strings).
+A row a fault-free execution would make certain, but this one could
+not, carries a free-text note saying why.  Every site that writes a
+note — or strips one again, as a repair does — spells it with one of
+these functions, so the strings cannot drift apart.  Committed bench
+baselines and tests match on them byte for byte.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable
 
 
-class ReasonKind(enum.Enum):
-    """Why a row (or a whole answer) was degraded."""
-
-    #: A localized strategy could not reach a site holding certification
-    #: evidence (an assistant copy, or a placement of the entity).
-    SITE_UNAVAILABLE = "site-unavailable"
-    #: CA's fused outerjoin ran over a partial materialization: with any
-    #: extent missing, no row can be soundly certified.
-    OUTERJOIN_INCOMPLETE = "outerjoin-incomplete"
-    #: The execution straddled an open evolution window touching an
-    #: attribute the query references.
-    SCHEMA_FLUX = "schema-flux"
+def site_unavailable(site: str) -> str:
+    """A localized strategy could not reach a site holding certification
+    evidence (an assistant copy, or a placement of the entity)."""
+    return f"uncertified: site {site} unavailable"
 
 
-@dataclass(frozen=True)
-class DegradationReason:
-    """One structured degradation annotation.
+def outerjoin_incomplete(sites: Iterable[str]) -> str:
+    """CA's fused outerjoin ran without the extents of *sites*: no row
+    can be soundly certified."""
+    return (
+        "uncertified: outerjoin incomplete (site "
+        + ", ".join(sorted(sites))
+        + " unavailable)"
+    )
 
-    ``str()`` renders the exact historical note string for the kind, so
-    existing note-matching tests and committed baselines are unaffected
-    by the switch from inline f-strings to structured reasons.
-    """
 
-    kind: ReasonKind
-    #: Sites involved (one for SITE_UNAVAILABLE; all skipped export
-    #: sites for OUTERJOIN_INCOMPLETE; empty for SCHEMA_FLUX).
-    sites: Tuple[str, ...] = ()
-    #: Evolution window label (SCHEMA_FLUX only).
-    label: str = ""
-
-    @classmethod
-    def site_unavailable(cls, site: str) -> "DegradationReason":
-        return cls(kind=ReasonKind.SITE_UNAVAILABLE, sites=(site,))
-
-    @classmethod
-    def outerjoin_incomplete(
-        cls, sites: Iterable[str]
-    ) -> "DegradationReason":
-        return cls(
-            kind=ReasonKind.OUTERJOIN_INCOMPLETE,
-            sites=tuple(sorted(sites)),
-        )
-
-    @classmethod
-    def schema_flux(cls, label: str) -> "DegradationReason":
-        return cls(kind=ReasonKind.SCHEMA_FLUX, label=label)
-
-    def render(self) -> str:
-        """The historical note string, byte for byte."""
-        if self.kind is ReasonKind.SITE_UNAVAILABLE:
-            return f"uncertified: site {self.sites[0]} unavailable"
-        if self.kind is ReasonKind.OUTERJOIN_INCOMPLETE:
-            return (
-                "uncertified: outerjoin incomplete (site "
-                + ", ".join(self.sites)
-                + " unavailable)"
-            )
-        return f"uncertified: schema in flux ({self.label})"
-
-    def __str__(self) -> str:
-        return self.render()
+def schema_flux(label: str) -> str:
+    """The execution straddled the open evolution window *label*, which
+    touches an attribute the query references."""
+    return f"uncertified: schema in flux ({label})"

@@ -40,7 +40,7 @@ from repro.conditions.algebra import (
     SystemState,
     rank_mechanisms,
 )
-from repro.conditions.reasons import DegradationReason
+from repro.conditions.reasons import schema_flux
 from repro.core.tvl import TV
 from repro.errors import ReproError
 
@@ -57,14 +57,12 @@ class RepairSummary:
     #: Atoms from the degraded answer no longer outstanding (cleared by
     #: new evidence, isomeric coverage, or a closed evolution window).
     discharged: int = 0
-    #: Maybe rows eliminated by new definitive evidence (the fault-free
-    #: baseline never had them).
-    refuted: int = 0
     #: Site/flux atoms still blocking rows after this pass.
     outstanding: int = 0
     #: Rows promoted maybe -> certain.
     promoted: int = 0
-    #: Rows dropped from the answer entirely (== refuted rows).
+    #: Maybe rows eliminated by new definitive evidence (the fault-free
+    #: baseline never had them).
     dropped: int = 0
     #: Repair exchanges only (2 per request/reply pair) — the number the
     #: recertify-vs-reexecute bench compares against a full re-run.
@@ -253,9 +251,7 @@ class ReCertifier:
             ):
                 kept.append(row)
                 continue
-            flux_notes = {
-                str(DegradationReason.schema_flux(a.event)) for a in atoms
-            }
+            flux_notes = {schema_flux(a.event) for a in atoms}
             row.notes = tuple(
                 n for n in row.notes if n not in flux_notes
             )
@@ -325,7 +321,6 @@ class ReCertifier:
         return RepairSummary(
             strategy=report.metrics.strategy,
             discharged=discharged,
-            refuted=dropped,
             outstanding=outstanding,
             promoted=promoted,
             dropped=dropped,

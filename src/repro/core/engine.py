@@ -100,6 +100,7 @@ def _demote_uncertified(
         UncheckedCopy,
         attach,
     )
+    from repro.conditions.reasons import schema_flux
     from repro.evolution.seeding import referenced_attributes
 
     if not flux.uncertified_attrs:
@@ -120,7 +121,7 @@ def _demote_uncertified(
     demoted = [row for row in results.certain if row.goid not in protect]
     if not demoted:
         return 0, hit
-    notes = tuple(f"uncertified: schema in flux ({label})" for label in hit)
+    notes = tuple(schema_flux(label) for label in hit)
     results.certain[:] = [
         row for row in results.certain if row.goid in protect
     ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.conditions.algebra import NullAttr, SiteDown, attach
-from repro.conditions.reasons import DegradationReason
+from repro.conditions.reasons import outerjoin_incomplete
 from repro.core.certification import still_unsolved
 from repro.core.decompose import attributes_needed_by_class
 from repro.core.predicates import EvalMeter
@@ -110,7 +110,7 @@ def demote_outerjoin_incomplete(
     sites.  Returns the number of demoted rows.
     """
     skipped = sorted(skipped_sites)
-    note = str(DegradationReason.outerjoin_incomplete(skipped))
+    note = outerjoin_incomplete(skipped)
     demoted = results.certain
     results.certain = []
     for result in demoted:

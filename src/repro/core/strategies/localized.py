@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.conditions.algebra import SiteDown, UncheckedCopy, attach
-from repro.conditions.reasons import DegradationReason
+from repro.conditions.reasons import site_unavailable
 from repro.core.binding_resolution import (
     ResolutionStats,
     resolve_missing_bindings,
@@ -136,7 +136,7 @@ def annotate_site_loss(
         placements = set(table.loids_of(result_row.goid))
         note_sites |= placements & down
         for site in sorted(note_sites):
-            note = str(DegradationReason.site_unavailable(site))
+            note = site_unavailable(site)
             if note not in result_row.notes:
                 result_row.notes = result_row.notes + (note,)
         atoms = [

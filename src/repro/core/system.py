@@ -239,9 +239,8 @@ class DistributedSystem:
     def constraints(self):
         """The per-site constraint catalog (created on first use).
 
-        Entries memoize on each database's ``data_version``, so the
-        catalog itself never goes stale — mutations are picked up on the
-        next consult.
+        It reads each database's columnar extent, so it never goes
+        stale — mutations are picked up on the next consult.
         """
         if self._constraints is None:
             from repro.planner.constraints import ConstraintCatalog

@@ -315,10 +315,10 @@ class EvolutionController:
         self._swap_class_def(db, new_def)
         for obj in db.extent(local_cls).values():
             obj.values.pop(event.attr, None)
-        db.indexes.drop(local_cls, event.attr)
-        # In-place mutation: refresh the site's derived state (remaining
-        # indexes, columnar extents) and re-sign the touched objects
-        # instead of rebuilding the whole signature catalog.
+        db.drop_index(local_cls, event.attr)
+        # In-place mutation: refresh the site's derived state (columnar
+        # extents) and re-sign the touched objects instead of rebuilding
+        # the whole signature catalog.
         db.note_mutation(local_cls)
         if self.system.signatures is not None:
             for obj in db.extent(local_cls).values():
@@ -357,12 +357,9 @@ class EvolutionController:
             for obj in db.extent(ref.class_name).values():
                 if event.attr in obj.values:
                     obj.values[event.new_name] = obj.values.pop(event.attr)
-            index = db.indexes._indexes.pop((ref.class_name, event.attr), None)
-            if index is not None:
-                db.create_index(
-                    ref.class_name, event.new_name,
-                    kind=getattr(index, "kind", "hash"),
-                )
+            kind = db.drop_index(ref.class_name, event.attr)
+            if kind is not None:
+                db.create_index(ref.class_name, event.new_name, kind)
             # The rename mutated every stored object in place; refresh
             # the site's derived state and re-sign the class (signature
             # codes hash the attribute *name*, so a rename changes them).

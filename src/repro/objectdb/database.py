@@ -15,7 +15,6 @@ projected on the attributes the query needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -32,7 +31,7 @@ from repro.objectdb.columnar import (
     UnsolvedEntry,
 )
 from repro.objectdb.ids import GOid, LOid
-from repro.objectdb.indexes import IndexManager, IndexProbe
+from repro.objectdb.indexes import SERVES, IndexProbe, index_probe
 from repro.objectdb.local_query import (
     BlockedAt,
     Book,
@@ -76,7 +75,8 @@ class ComponentDatabase:
         self._extents: Dict[str, Dict[LOid, LocalObject]] = {
             name: {} for name in schema.class_names
         }
-        self.indexes = IndexManager()
+        #: Declared indexes: (class, attribute) -> ``"hash"``/``"sorted"``.
+        self.indexes: Dict[Tuple[str, str], str] = {}
         #: O(1) LOid lookup across all extents (mirrors :meth:`get`'s
         #: schema-order scan semantics for cross-class duplicates).
         self._by_loid: Dict[LOid, LocalObject] = {}
@@ -116,7 +116,6 @@ class ComponentDatabase:
                 if found is not None:
                     self._by_loid[obj.loid] = found
                     break
-        self.indexes.maintain(obj)
         self.data_version += 1
 
     def bulk_insert(self, objects: Iterable[LocalObject], validate: bool = False) -> int:
@@ -134,13 +133,11 @@ class ComponentDatabase:
     def note_mutation(self, class_name: Optional[str] = None) -> None:
         """Record an in-place mutation of stored objects' attributes.
 
-        A built secondary index snapshots attribute values and a columnar
-        view snapshots whole extents, so mutating ``obj.values`` without
-        this hook would leave both stale.  Bumps :attr:`data_version`
-        (invalidating every columnar view lazily) and rebuilds the
-        mutated class's indexes from the live extent.  Call with no
-        *class_name* when the mutated class is unknown; then every
-        class's indexes are rebuilt.
+        A columnar view snapshots whole extents (and every index probe
+        reads one), so mutating ``obj.values`` without this hook would
+        leave it stale.  Bumps :attr:`data_version`, invalidating every
+        columnar view.  *class_name* names the mutated class; every view
+        is dropped either way.
 
         :meth:`DistributedSystem.note_mutation
         <repro.core.system.DistributedSystem.note_mutation>` wraps this
@@ -148,13 +145,6 @@ class ComponentDatabase:
         """
         self.data_version += 1
         self._columnar.clear()
-        if class_name is None:
-            for name, extent in self._extents.items():
-                self.indexes.refresh(name, extent.values())
-        else:
-            self.indexes.refresh(
-                class_name, self.extent(class_name).values()
-            )
 
     def columnar_extent(self, class_name: str) -> ColumnarExtent:
         """The versioned columnar view of one class extent (cached)."""
@@ -187,11 +177,12 @@ class ComponentDatabase:
     def create_index(
         self, class_name: str, attribute: str, kind: str = "hash"
     ) -> None:
-        """Build a secondary index over one attribute of one class.
+        """Declare a secondary index over one attribute of one class.
 
         Indexed local evaluation (:meth:`execute_local`) restricts its
         scan to the probe's candidates — answer-identical to a full scan
-        because null holders are always kept as maybe candidates.
+        because null holders are always kept as maybe candidates (see
+        :mod:`repro.objectdb.indexes`).
         """
         if class_name not in self._extents:
             raise UnknownClassError(class_name, where=f"db {self.name!r}")
@@ -200,9 +191,13 @@ class ComponentDatabase:
                 f"cannot index undeclared attribute {attribute!r} of "
                 f"{class_name!r}"
             )
-        self.indexes.create(
-            class_name, attribute, self._extents[class_name].values(), kind
-        )
+        if kind not in SERVES:
+            raise ObjectStoreError(f"unknown index kind {kind!r}")
+        self.indexes[(class_name, attribute)] = kind
+
+    def drop_index(self, class_name: str, attribute: str) -> Optional[str]:
+        """Forget the index on one attribute: its kind, or None if none."""
+        return self.indexes.pop((class_name, attribute), None)
 
     # --- centralized export (step CA_C1) -------------------------------------
 
@@ -338,52 +333,26 @@ class ComponentDatabase:
     def _select_candidates(
         self, query: LocalQuery
     ) -> Tuple[Iterable[LocalObject], Optional[IndexProbe]]:
-        """Pick the scan source: a secondary index probe or the extent.
+        """Pick the scan source: an index probe's candidates or the extent.
 
-        An index is usable for a *conjunctive* local query with a
-        single-step predicate on an indexed root attribute.  The probe's
-        null bucket keeps objects with missing data in the candidate set,
-        so indexed evaluation is answer-identical to a full scan.
+        An index is usable for a *conjunctive* local query (a candidate
+        restriction by one disjunct's predicate would drop objects
+        satisfying another) with a single-step predicate on an indexed
+        root attribute, under an operator the index serves.
         """
-        extent = self.extent(query.range_class)
-        if len(self._indexable_conjuncts(query)) != 1:
-            return extent.values(), None
-        for predicate in self._indexable_conjuncts(query)[0]:
-            if len(predicate.path.steps) != 1:
-                continue
-            index = self.indexes.best_for(
-                query.range_class, predicate.path.first, predicate.op
-            )
-            if index is None:
-                continue
-            matches, nulls = index.probe(predicate.op, predicate.operand)
-            seen = set()
-            candidates: List[LocalObject] = []
-            for loid in matches + nulls:
-                if loid not in seen:
-                    seen.add(loid)
-                    obj = extent.get(loid)
-                    if obj is not None:
-                        candidates.append(obj)
-            comparisons = (
-                1
-                if index.kind == "hash"
-                else max(1, int(math.log2(max(index.entries, 2))))
-            )
-            return candidates, IndexProbe(
-                index_kind=index.kind,
-                attribute=predicate.path.first,
-                candidates=len(candidates),
-                comparisons=comparisons,
-            )
-        return extent.values(), None
-
-    @staticmethod
-    def _indexable_conjuncts(query: LocalQuery):
-        """Index probes are only sound for single-conjunct queries: a
-        candidate restriction by one disjunct's predicate would drop
-        objects satisfying another disjunct."""
-        return query.where if len(query.where) == 1 else ()
+        if self.indexes and len(query.where) == 1:
+            for predicate in query.where[0]:
+                if len(predicate.path.steps) != 1:
+                    continue
+                kind = self.indexes.get(
+                    (query.range_class, predicate.path.first)
+                )
+                if kind is None or predicate.op not in SERVES[kind]:
+                    continue
+                col = self.columnar_extent(query.range_class)
+                rows, probe = index_probe(kind, col, predicate)
+                return [col.objects[r] for r in rows], probe
+        return self.extent(query.range_class).values(), None
 
     @staticmethod
     def _locally_certain(query: LocalQuery, status: Dict[Predicate, TV]) -> bool:

@@ -1,147 +1,42 @@
-"""Secondary indexes for component databases.
+"""Secondary indexes for component databases: declared access paths.
 
-Two access methods over one attribute of one class:
+An index is a declaration — ``ComponentDatabase.create_index(class,
+attribute, kind)`` — and nothing else: it keeps no copy of the column.
+A probe reads the indexed predicate's column from the site's
+:class:`~repro.objectdb.columnar.ColumnarExtent`, which local evaluation
+builds anyway and which dies when the data moves, so an index can never
+be stale.  Two kinds, by the operators they serve:
 
-* :class:`HashIndex` — equality lookups;
-* :class:`SortedIndex` — ordering lookups (<, <=, >, >=) via bisection.
+* ``"hash"`` — equality lookups (``=``, ``CONTAINS``), one comparison;
+* ``"sorted"`` — ordering lookups (``=``, ``<``, ``<=``, ``>``, ``>=``),
+  charged as a bisection of its entries.
 
-Both track **null entries** separately: an object whose indexed attribute
-is null (or structurally missing) can never be *eliminated* by an index
-probe — under three-valued semantics it remains a maybe candidate, so
-every probe returns ``matches + nulls``.  That makes index-accelerated
+The candidates are every row the predicate does not make FALSE, in
+extent order: its matches, the rows whose attribute is null or missing
+(under three-valued semantics they stay maybe, an index probe can never
+eliminate them) and the rows whose comparison raises (a scan raises
+there, so the probe must reach them too).  That makes index-accelerated
 local evaluation answer-identical to a full scan (tested).
 
-Indexes are opt-in (``ComponentDatabase.create_index``); the paper's
-experiments run scan-based, and the index ablation bench quantifies the
-difference.
+Indexes are opt-in; the paper's experiments run scan-based, and the
+index ablation bench quantifies the difference.
 """
 
 from __future__ import annotations
 
-import bisect
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from itertools import compress
+from typing import List, Tuple
 
-from repro.core.query import Op
-from repro.errors import ObjectStoreError
-from repro.objectdb.ids import LOid
-from repro.objectdb.objects import LocalObject
-from repro.objectdb.values import MultiValue, is_null
+from repro.core.query import Op, Predicate
+from repro.objectdb.values import MultiValue
 
-
-class HashIndex:
-    """Equality index: attribute value -> LOids (plus a null bucket)."""
-
-    kind = "hash"
-
-    def __init__(self, class_name: str, attribute: str) -> None:
-        self.class_name = class_name
-        self.attribute = attribute
-        self._buckets: Dict[object, List[LOid]] = {}
-        self._nulls: List[LOid] = []
-
-    def add(self, obj: LocalObject) -> None:
-        value = obj.get(self.attribute)
-        if is_null(value):
-            self._nulls.append(obj.loid)
-            return
-        members = list(value) if isinstance(value, MultiValue) else [value]
-        for member in members:
-            self._buckets.setdefault(member, []).append(obj.loid)
-
-    def supports(self, op: Op) -> bool:
-        return op in (Op.EQ, Op.CONTAINS)
-
-    def probe(self, op: Op, operand: object) -> Tuple[List[LOid], List[LOid]]:
-        """Return (possible matches, null candidates) for ``op operand``."""
-        if not self.supports(op):
-            raise ObjectStoreError(
-                f"hash index on {self.attribute!r} cannot serve {op}"
-            )
-        return list(self._buckets.get(operand, ())), list(self._nulls)
-
-    @property
-    def entries(self) -> int:
-        return sum(len(b) for b in self._buckets.values()) + len(self._nulls)
-
-    @property
-    def null_count(self) -> int:
-        return len(self._nulls)
-
-
-class SortedIndex:
-    """Ordering index: a sorted (value, LOid) array probed by bisection."""
-
-    kind = "sorted"
-
-    def __init__(self, class_name: str, attribute: str) -> None:
-        self.class_name = class_name
-        self.attribute = attribute
-        self._keys: List[object] = []
-        self._loids: List[LOid] = []
-        self._nulls: List[LOid] = []
-        self._dirty: List[Tuple[object, LOid]] = []
-
-    def add(self, obj: LocalObject) -> None:
-        value = obj.get(self.attribute)
-        if is_null(value):
-            self._nulls.append(obj.loid)
-            return
-        if isinstance(value, MultiValue):
-            for member in value:
-                self._dirty.append((member, obj.loid))
-        else:
-            self._dirty.append((value, obj.loid))
-
-    def _settle(self) -> None:
-        if not self._dirty:
-            return
-        try:
-            pairs = sorted(
-                list(zip(self._keys, self._loids)) + self._dirty,
-                key=lambda kv: kv[0],
-            )
-        except TypeError:
-            raise ObjectStoreError(
-                f"sorted index on {self.attribute!r} holds values of "
-                "incomparable types"
-            ) from None
-        self._keys = [k for k, _ in pairs]
-        self._loids = [l for _, l in pairs]
-        self._dirty = []
-
-    def supports(self, op: Op) -> bool:
-        return op in (Op.EQ, Op.LT, Op.LE, Op.GT, Op.GE)
-
-    def probe(self, op: Op, operand: object) -> Tuple[List[LOid], List[LOid]]:
-        """Return (possible matches, null candidates) for ``op operand``."""
-        if not self.supports(op):
-            raise ObjectStoreError(
-                f"sorted index on {self.attribute!r} cannot serve {op}"
-            )
-        self._settle()
-        lo = bisect.bisect_left(self._keys, operand)
-        hi = bisect.bisect_right(self._keys, operand)
-        if op is Op.EQ:
-            selected = self._loids[lo:hi]
-        elif op is Op.LT:
-            selected = self._loids[:lo]
-        elif op is Op.LE:
-            selected = self._loids[:hi]
-        elif op is Op.GT:
-            selected = self._loids[hi:]
-        else:  # GE
-            selected = self._loids[lo:]
-        return list(selected), list(self._nulls)
-
-    @property
-    def entries(self) -> int:
-        self._settle()
-        return len(self._keys) + len(self._nulls)
-
-    @property
-    def null_count(self) -> int:
-        return len(self._nulls)
+#: The operators each index kind serves.
+SERVES = {
+    "hash": (Op.EQ, Op.CONTAINS),
+    "sorted": (Op.EQ, Op.LT, Op.LE, Op.GT, Op.GE),
+}
 
 
 @dataclass
@@ -154,77 +49,31 @@ class IndexProbe:
     comparisons: int  # probe cost charged to the CPU
 
 
-class IndexManager:
-    """All secondary indexes of one component database."""
+def index_probe(
+    kind: str, col, predicate: Predicate
+) -> Tuple[List[int], IndexProbe]:
+    """The candidate rows of *col* for *predicate* under a *kind* index.
 
-    def __init__(self) -> None:
-        self._indexes: Dict[Tuple[str, str], object] = {}
-
-    def create(
-        self,
-        class_name: str,
-        attribute: str,
-        objects: Iterable[LocalObject],
-        kind: str = "hash",
-    ):
-        """Build (or rebuild) an index over the current extent."""
-        if kind == "hash":
-            index = HashIndex(class_name, attribute)
-        elif kind == "sorted":
-            index = SortedIndex(class_name, attribute)
-        else:
-            raise ObjectStoreError(f"unknown index kind {kind!r}")
-        for obj in objects:
-            index.add(obj)
-        self._indexes[(class_name, attribute)] = index
-        return index
-
-    def maintain(self, obj: LocalObject) -> None:
-        """Keep indexes current on insert."""
-        for (class_name, _attr), index in self._indexes.items():
-            if class_name == obj.class_name:
-                index.add(obj)  # type: ignore[attr-defined]
-
-    def refresh(self, class_name: str, objects: Iterable[LocalObject]) -> int:
-        """Rebuild every index on *class_name* from the live extent.
-
-        :meth:`maintain` only covers inserts; an in-place attribute
-        mutation leaves a built index stale (it snapshots values at build
-        time).  The mutation hooks
-        (:meth:`~repro.objectdb.database.ComponentDatabase.note_mutation`)
-        call this so probes never serve pre-mutation buckets.  Returns
-        the number of indexes rebuilt.
-        """
-        targets = [
-            (attribute, index)
-            for (cls, attribute), index in self._indexes.items()
-            if cls == class_name
-        ]
-        if not targets:
-            return 0
-        snapshot = list(objects)
-        for attribute, index in targets:
-            self.create(
-                class_name,
-                attribute,
-                snapshot,
-                getattr(index, "kind", "hash"),
-            )
-        return len(targets)
-
-    def drop(self, class_name: str, attribute: str) -> bool:
-        """Remove one index; True when it existed (no-op when absent)."""
-        return self._indexes.pop((class_name, attribute), None) is not None
-
-    def get(self, class_name: str, attribute: str):
-        return self._indexes.get((class_name, attribute))
-
-    def best_for(self, class_name: str, attribute: str, op: Op):
-        """The index able to serve ``attribute op _``, if any."""
-        index = self.get(class_name, attribute)
-        if index is not None and index.supports(op):  # type: ignore[attr-defined]
-            return index
-        return None
-
-    def __len__(self) -> int:
-        return len(self._indexes)
+    A hash probe costs one comparison; a sorted probe bisects its
+    entries — one per scalar, one per multi-value member, one per null.
+    """
+    codes = col.predicate_column(predicate).codes
+    # FALSE is code 0: the TRUE, UNKNOWN and error rows (coded UNKNOWN)
+    # are kept.
+    rows = list(compress(range(len(codes)), codes))
+    comparisons = 1
+    if kind == "sorted":
+        walk = col.walk(predicate.path)
+        values = walk.values
+        entries = len(values) + sum(
+            len(values[r]) - 1
+            for r in walk.index.irregular_rows
+            if isinstance(values[r], MultiValue)
+        )
+        comparisons = max(1, int(math.log2(max(entries, 2))))
+    return rows, IndexProbe(
+        index_kind=kind,
+        attribute=predicate.path.first,
+        candidates=len(rows),
+        comparisons=comparisons,
+    )

@@ -83,7 +83,10 @@ class Histogram:
         return self.total / self.count if self._values else 0.0
 
     def percentile(self, p: float) -> float:
-        """Exact p-th percentile (nearest-rank), p in [0, 100]."""
+        """Exact p-th percentile, p in [0, 100]: the observation at index
+        ``round(p / 100 * (n - 1))`` of the ascending list, with Python's
+        round-half-to-even.  This is not the nearest-rank ``ceil(q * n)``
+        rule of :func:`repro.traffic.driver._percentile`."""
         if not self._values:
             return 0.0
         if not 0.0 <= p <= 100.0:

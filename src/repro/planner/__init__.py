@@ -21,11 +21,7 @@ every planner mode returns the same answer as ``static`` — is enforced
 by the difftest oracle's ``planner`` invariant.
 """
 
-from repro.planner.constraints import (
-    AttributeStats,
-    ClassStats,
-    ConstraintCatalog,
-)
+from repro.planner.constraints import AttributeStats, ConstraintCatalog
 from repro.planner.feedback import PlannerFeedback, SiteObservation
 
 #: Valid values of ``ExecutionOptions.planner``.
@@ -44,7 +40,6 @@ def uses_feedback(mode: str) -> bool:
 
 __all__ = [
     "AttributeStats",
-    "ClassStats",
     "ConstraintCatalog",
     "PlannerFeedback",
     "SiteObservation",

@@ -31,18 +31,20 @@ from the catalog under the exact 3VL semantics of
   (only SATISFIED/VIOLATED change an entity's status), so an all-null
   column makes the check unable to change the answer.
 
-The catalog is derived state: per-(site, class) statistics are memoized
-on the component database's ``data_version`` and rebuilt lazily after
-mutations, so a stale range can never mask a fresh value.
+The catalog keeps nothing: an attribute's statistics are read off the
+site's :class:`~repro.objectdb.columnar.ColumnarExtent` (the value index
+of the attribute's walk column), which is rebuilt whenever the site's
+``data_version`` moves, so a stale range can never mask a fresh value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.core.query import Op, Predicate
-from repro.objectdb.values import MultiValue, is_null
+from repro.core.query import Op, Path, Predicate
+from repro.objectdb.values import MultiValue
 
 #: Scalar kind labels of a homogeneous column.
 KIND_NUMBER = "number"
@@ -89,16 +91,6 @@ class AttributeStats:
         )
 
 
-@dataclass(frozen=True)
-class ClassStats:
-    """Constraint summary of one class extent at one site."""
-
-    db_name: str
-    class_name: str
-    count: int
-    attributes: Dict[str, AttributeStats] = field(default_factory=dict)
-
-
 def _operand_kind(operand: object) -> Optional[str]:
     if isinstance(operand, bool) or isinstance(operand, (int, float)):
         return KIND_NUMBER
@@ -107,92 +99,50 @@ def _operand_kind(operand: object) -> Optional[str]:
     return None
 
 
+#: The value index's ordering kinds, as the catalog labels them.
+_KIND_LABELS = {"num": KIND_NUMBER, "str": KIND_STRING}
+
+
 class ConstraintCatalog:
-    """Lazily built, version-invalidated constraint summaries per site.
+    """Constraint summaries per site, computed on demand.
 
-    The catalog holds no database references of its own; callers pass
-    the live :class:`~repro.objectdb.database.ComponentDatabase` and the
-    catalog keys its memo on ``(db.name, class_name)`` with the entry
-    invalidated whenever ``db.data_version`` moves.
+    The catalog holds no database references and no statistics of its
+    own; callers pass the live
+    :class:`~repro.objectdb.database.ComponentDatabase`, whose columnar
+    extent is the one derived copy of each column.
     """
-
-    def __init__(self) -> None:
-        self._memo: Dict[Tuple[str, str], Tuple[int, ClassStats]] = {}
-        #: Build/consult accounting (observability; never answers).
-        self.builds = 0
-        self.hits = 0
 
     # --- statistics ---------------------------------------------------------
 
-    def class_stats(self, db, class_name: str) -> ClassStats:
-        """Summarize *class_name*'s extent at *db* (memoized)."""
-        key = (db.name, class_name)
-        cached = self._memo.get(key)
-        if cached is not None and cached[0] == db.data_version:
-            self.hits += 1
-            return cached[1]
-        stats = self._build(db, class_name)
-        self._memo[key] = (db.data_version, stats)
-        self.builds += 1
-        return stats
+    def attribute_stats(
+        self, db, class_name: str, attribute: str
+    ) -> Optional[AttributeStats]:
+        """Summarize one attribute of *class_name*'s extent at *db*.
 
-    def _build(self, db, class_name: str) -> ClassStats:
-        extent = db.extent(class_name)
-        cdef = db.schema.cls(class_name)
-        attr_names = tuple(a.name for a in cdef.attributes)
-        per_attr: Dict[str, dict] = {
-            name: {"nulls": 0, "multi": 0, "kind": None,
-                   "mixed": False, "lo": None, "hi": None}
-            for name in attr_names
-        }
-        count = 0
-        for obj in extent.values():
-            count += 1
-            for name in attr_names:
-                value = obj.get(name)
-                acc = per_attr[name]
-                if is_null(value):
-                    acc["nulls"] += 1
-                    continue
-                if isinstance(value, MultiValue):
-                    acc["multi"] += 1
-                    acc["mixed"] = True
-                    continue
-                if isinstance(value, bool) or isinstance(value, (int, float)):
-                    kind = KIND_NUMBER
-                    if value != value:  # NaN defeats range reasoning
-                        acc["mixed"] = True
-                        continue
-                elif isinstance(value, str):
-                    kind = KIND_STRING
-                else:
-                    acc["mixed"] = True
-                    continue
-                if acc["kind"] is None:
-                    acc["kind"] = kind
-                elif acc["kind"] != kind:
-                    acc["mixed"] = True
-                    continue
-                if acc["lo"] is None or value < acc["lo"]:
-                    acc["lo"] = value
-                if acc["hi"] is None or value > acc["hi"]:
-                    acc["hi"] = value
-        attributes = {}
-        for name, acc in per_attr.items():
-            mixed = acc["mixed"] or acc["kind"] is None
-            attributes[name] = AttributeStats(
-                values=count,
-                nulls=acc["nulls"],
-                multi=acc["multi"],
-                kind=None if mixed else acc["kind"],
-                lo=None if mixed else acc["lo"],
-                hi=None if mixed else acc["hi"],
-            )
-        return ClassStats(
-            db_name=db.name,
-            class_name=class_name,
-            count=count,
-            attributes=attributes,
+        ``None`` when the class does not declare *attribute*.
+        """
+        col = db.columnar_extent(class_name)
+        if not db.schema.cls(class_name).has_attribute(attribute):
+            return None
+        walk = col.walk(Path((attribute,)))
+        index = walk.index
+        values = walk.values
+        irregular = index.irregular_rows
+        kind = None if irregular else _KIND_LABELS.get(index.kind)
+        lo = hi = None
+        if kind is not None:
+            ordered = index.values
+            # A scan keeps the first value of the lowest and of the
+            # highest run (1, 1.0 and True tie).
+            lo = ordered[0]
+            hi = ordered[bisect_left(ordered, ordered[-1])]
+        return AttributeStats(
+            values=len(values),
+            nulls=len(values) - len(index.rows) - len(irregular),
+            multi=sum(isinstance(values[r], MultiValue) for r in irregular),
+            kind=kind,
+            lo=lo,
+            hi=hi,
         )
 
     # --- the two sound prunes ----------------------------------------------
@@ -210,10 +160,9 @@ class ConstraintCatalog:
         """
         if len(predicate.path) != 1:
             return False
-        stats = self.class_stats(db, class_name)
-        if stats.count == 0:
-            return False  # vacuous; the empty-extent prune handles it
-        attr = stats.attributes.get(predicate.path.last)
+        # An empty extent is never range-usable: the empty-extent prune
+        # handles it.
+        attr = self.attribute_stats(db, class_name, predicate.path.last)
         if attr is None or not attr.range_usable:
             return False
         op = predicate.op
@@ -256,10 +205,7 @@ class ConstraintCatalog:
         """
         if len(predicate.path) != 1:
             return False
-        stats = self.class_stats(db, class_name)
-        if stats.count == 0:
-            return False
-        attr = stats.attributes.get(predicate.path.last)
+        attr = self.attribute_stats(db, class_name, predicate.path.last)
         return attr is not None and attr.all_null
 
     def site_prune_reason(self, db, local_query) -> Optional[str]:
@@ -273,8 +219,7 @@ class ConstraintCatalog:
         locally).  The pruned site still serves incoming assistant
         checks — only its own local query is skipped.
         """
-        stats = self.class_stats(db, local_query.range_class)
-        if stats.count == 0:
+        if db.count(local_query.range_class) == 0:
             return "empty-extent"
         if not local_query.where:
             return None

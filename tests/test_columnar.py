@@ -382,16 +382,16 @@ class TestErrorOrder:
         ) == unorderable("first")
 
     def test_index_probe_order_is_the_scan_order(self):
-        # The probe lists matches before null holders: c1 is reached
-        # before c0 although it is stored after it.
+        # The probe keeps extent order: c0, a null holder, is reached
+        # before the match c1 stored after it.
         db = make_db([
             ("c0", {"a": NULL, "b": "stored first"}),
-            ("c1", {"a": 1, "b": "probed first"}),
+            ("c1", {"a": 1, "b": "stored second"}),
         ])
         db.create_index("C", "a")
         assert assert_execute_local_is_reference(
             db, local_query(((A_EQ_1, B_LT_5),))
-        ) == unorderable("probed first")
+        ) == unorderable("stored first")
 
     def test_error_row_outside_the_candidates_is_harmless(self):
         db = make_db([

@@ -3,7 +3,7 @@
 Covers the `repro.conditions` package three ways: unit tests of the
 3VL algebra (atom status against live :class:`SystemState` views,
 strong-Kleene connectives, attach/mechanism helpers, byte-exact
-:class:`DegradationReason` renders); compound outage-AND-flux
+:mod:`repro.conditions.reasons` notes); compound outage-AND-flux
 conjunctions through the engine's flux demotion; and end-to-end
 answer repair on the school federation — partial recovery that stays
 maybe but remains repairable, chained repair converging on the
@@ -18,11 +18,9 @@ import pytest
 from helpers import context
 from repro.conditions import (
     And,
-    DegradationReason,
     FluxEpoch,
     NullAttr,
     Or,
-    ReasonKind,
     RepairError,
     SiteDown,
     SystemState,
@@ -32,6 +30,7 @@ from repro.conditions import (
     mechanism,
     rank_mechanisms,
 )
+from repro.conditions import reasons
 from repro.core.certification import SATISFIED
 from repro.core.engine import GlobalQueryEngine, _demote_uncertified
 from repro.core.options import ExecutionOptions
@@ -208,23 +207,21 @@ class TestAttachAndRanking:
 
 
 class TestDegradationReason:
-    """The structured reasons must render the historical note strings
-    byte for byte — committed bench baselines match on them."""
+    """The note functions must spell the historical note strings byte
+    for byte — committed bench baselines match on them."""
 
     def test_site_unavailable(self):
-        reason = DegradationReason.site_unavailable("DB2")
-        assert reason.kind is ReasonKind.SITE_UNAVAILABLE
-        assert str(reason) == "uncertified: site DB2 unavailable"
+        assert reasons.site_unavailable("DB2") == (
+            "uncertified: site DB2 unavailable"
+        )
 
     def test_outerjoin_incomplete_sorts_sites(self):
-        reason = DegradationReason.outerjoin_incomplete(["DB3", "DB1"])
-        assert str(reason) == (
+        assert reasons.outerjoin_incomplete(["DB3", "DB1"]) == (
             "uncertified: outerjoin incomplete (site DB1, DB3 unavailable)"
         )
 
     def test_schema_flux(self):
-        reason = DegradationReason.schema_flux("drop:DB1.K1.a@2")
-        assert str(reason) == (
+        assert reasons.schema_flux("drop:DB1.K1.a@2") == (
             "uncertified: schema in flux (drop:DB1.K1.a@2)"
         )
 

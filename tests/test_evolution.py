@@ -166,6 +166,20 @@ class TestControllerKinds:
             assert not cdef.has_attribute("t0")
         assert system.global_schema.cls("K1").has_attribute("t0r")
 
+    def test_attr_drop_forgets_its_index(self, workload):
+        db = workload.system.db("DB1")
+        local = workload.system.global_schema.constituent_class("DB1", "K1")
+        db.create_index(local, "t0", kind="sorted")
+        self.run_event(workload, "drop:DB1.K1.t0@1").step()
+        assert db.indexes == {}
+
+    def test_attr_rename_rekeys_its_index(self, workload):
+        db = workload.system.db("DB1")
+        local = workload.system.global_schema.constituent_class("DB1", "K1")
+        db.create_index(local, "t0", kind="sorted")
+        self.run_event(workload, "rename:K1.t0>t0r@1").step()
+        assert db.indexes == {(local, "t0r"): "sorted"}
+
     def test_key_attribute_protected(self, workload):
         controller = self.run_event(workload, "drop:DB1.K1.key@1")
         with pytest.raises(EvolutionError, match="correspondence key"):

@@ -115,6 +115,24 @@ class TestMetricsRegistry:
         assert snap["lat"]["mean"] == pytest.approx(2.5)
         assert registry.histogram("lat").percentile(50) == 3.0
 
+    def test_percentile_rounds_the_interpolated_index(self):
+        # Index round(p/100 * (n-1)), half to even; nearest-rank
+        # (ceil(q*n), the rule of the traffic report) would give 10 at
+        # p=25 and 20 at p=50.
+        histogram = Histogram("h")
+        for value in (40, 10, 30, 20):
+            histogram.observe(value)
+        assert [histogram.percentile(p) for p in (0, 25, 50, 100)] == [
+            10.0, 20.0, 30.0, 40.0,
+        ]
+        pair = Histogram("pair")
+        pair.observe(2)
+        pair.observe(1)
+        assert pair.percentile(50) == 1.0  # round(0.5) == 0
+        assert Histogram("empty").percentile(95) == 0.0
+        with pytest.raises(ValueError):
+            histogram.percentile(101)
+
     def test_name_collision_across_types(self):
         registry = MetricsRegistry()
         registry.counter("x")

@@ -14,7 +14,7 @@ import pytest
 from helpers import context, make_workload
 from repro.core.engine import GlobalQueryEngine
 from repro.core.options import ExecutionOptions
-from repro.core.query import Op, Predicate, Query
+from repro.core.query import Op, Path, Predicate, Query
 from repro.core.results import same_answers
 from repro.core.strategies.adaptive import (
     NULL_RATIO_CAP,
@@ -25,14 +25,20 @@ from repro.core.strategies.adaptive import (
     extract_params_ex,
 )
 from repro.faults.plan import FaultPlan, LinkFault
-from repro.objectdb.values import NULL, is_null
+from repro.objectdb.database import ComponentDatabase
+from repro.objectdb.ids import LOid
+from repro.objectdb.objects import LocalObject
+from repro.objectdb.schema import ClassDef, ComponentSchema, primitive
+from repro.objectdb.values import NULL, MultiValue, is_null
 from repro.planner import (
     PLANNER_MODES,
+    AttributeStats,
     ConstraintCatalog,
     PlannerFeedback,
     uses_constraints,
     uses_feedback,
 )
+from repro.planner.constraints import KIND_NUMBER
 from repro.planner.feedback import SLOWDOWN_CAP
 from repro.resilience.health import (
     CLOSED,
@@ -290,29 +296,57 @@ class TestConstraintCatalog:
     def test_class_stats_counts_nulls_and_ranges(self):
         system = build_school_federation()
         catalog = ConstraintCatalog()
-        stats = catalog.class_stats(system.db("DB1"), "Student")
-        assert stats.count == 3
-        sno = stats.attributes["s-no"]
+        db = system.db("DB1")
+        sno = catalog.attribute_stats(db, "Student", "s-no")
+        assert sno.values == 3
         assert (sno.lo, sno.hi) == (798302, 808301)
         assert sno.range_usable
-        sex = stats.attributes["sex"]
+        sex = catalog.attribute_stats(db, "Student", "sex")
         assert sex.nulls == 1 and not sex.range_usable
         assert sex.coverage == pytest.approx(2 / 3)
+        assert catalog.attribute_stats(db, "Student", "undeclared") is None
 
     def test_memo_hits_and_data_version_invalidation(self):
+        # The catalog keeps nothing: a repeat reads the columnar
+        # extent's value index again, and a mutation drops that extent.
         system = build_school_federation()
         catalog = ConstraintCatalog()
         db = system.db("DB1")
-        catalog.class_stats(db, "Student")
-        catalog.class_stats(db, "Student")
-        assert catalog.builds == 1 and catalog.hits == 1
+        first = catalog.attribute_stats(db, "Student", "age")
+        index = db.columnar_extent("Student").walk(Path.of("age")).index
+        assert catalog.attribute_stats(db, "Student", "age") == first
+        assert db.columnar_extent("Student").walk(Path.of("age")).index is index
         for obj in db.extent("Student").values():
             obj.values["age"] = 99
             break
         db.note_mutation("Student")
-        fresh = catalog.class_stats(db, "Student")
-        assert catalog.builds == 2
-        assert fresh.attributes["age"].hi == 99
+        fresh = catalog.attribute_stats(db, "Student", "age")
+        assert fresh.hi == 99
+        assert db.columnar_extent("Student").walk(Path.of("age")).index is not index
+
+    def test_stats_equal_a_scan_of_the_column(self):
+        # lo/hi keep the first of a tied run, as a min/max scan does.
+        values = [1.0, True, NULL, 1, 0.5, MultiValue([])]
+        schema = ComponentSchema.of("DB", [ClassDef.of("C", [primitive("a")])])
+        db = ComponentDatabase(schema)
+        for i, value in enumerate(values):
+            db.insert(
+                LocalObject(LOid("DB", f"c{i}"), "C", {"a": value}),
+                validate=False,
+            )
+        stats = ConstraintCatalog().attribute_stats(db, "C", "a")
+        assert stats == AttributeStats(
+            values=6, nulls=2, multi=0, kind=KIND_NUMBER, lo=0.5, hi=1.0
+        )
+        assert type(stats.hi) is float
+        db.insert(
+            LocalObject(LOid("DB", "m"), "C", {"a": MultiValue([2])}),
+            validate=False,
+        )
+        stats = ConstraintCatalog().attribute_stats(db, "C", "a")
+        assert (stats.multi, stats.kind, stats.lo, stats.hi) == (
+            1, None, None, None
+        )
 
     def test_range_prunes_are_3vl_sound(self):
         system = build_school_federation()
