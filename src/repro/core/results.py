@@ -10,11 +10,13 @@ informative answers".
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.query import Path, Predicate
 from repro.objectdb.ids import GOid, LOid
@@ -26,11 +28,12 @@ class ResultKind(enum.Enum):
     MAYBE = "maybe"
 
 
+_CERTAIN = ResultKind.CERTAIN
+#: The ``kind`` the export gives each list (certain, then maybe).
+_KINDS = (ResultKind.CERTAIN.value, ResultKind.MAYBE.value)
 #: A GOid orders as its value does.
 _GOID_ORDER = attrgetter("goid.value")
-
-#: The exact types :func:`export_value` returns unchanged.
-_JSON_TYPES = frozenset((bool, int, float, str))
+_VALUE = attrgetter("value")
 
 
 def export_value(value: Value) -> object:
@@ -94,11 +97,32 @@ class GlobalResult:
 
 @dataclass
 class ResultSet:
-    """The full answer of a global query."""
+    """The full answer of a global query.
+
+    Certain rows may be stored as ``columns=`` (GOids, and one value list
+    per target: what CA_G3 builds).  ``certain`` builds their results on
+    first read and is authoritative from then on; counting, :meth:`sort`,
+    :meth:`summary` and the export read the columns.
+    """
 
     targets: Tuple[Path, ...] = ()
-    certain: List[GlobalResult] = field(default_factory=list)
+    certain: List[GlobalResult] = None  # type: ignore[assignment]
     maybe: List[GlobalResult] = field(default_factory=list)
+    columns: InitVar[Optional[Tuple[list, List[list]]]] = None
+
+    def __post_init__(self, columns) -> None:
+        self._columns = columns
+        if columns is None and self._certain is None:
+            self._certain = []
+
+    def _certain_view(self) -> List[GlobalResult]:
+        if self._certain is None:
+            goids, values = self._columns
+            self._certain = [
+                GlobalResult(goid, _CERTAIN, dict(zip(self.targets, row)))
+                for goid, *row in zip(goids, *values)
+            ]
+        return self._certain
 
     def add(self, result: GlobalResult) -> None:
         if result.is_certain:
@@ -106,8 +130,14 @@ class ResultSet:
         else:
             self.maybe.append(result)
 
+    @property
+    def certain_count(self) -> int:
+        """``len(certain)``, read off the columns while there are any."""
+        rows = self._columns[0] if self._certain is None else self._certain
+        return len(rows)
+
     def __len__(self) -> int:
-        return len(self.certain) + len(self.maybe)
+        return self.certain_count + len(self.maybe)
 
     def all_results(self) -> List[GlobalResult]:
         return list(self.certain) + list(self.maybe)
@@ -130,50 +160,62 @@ class ResultSet:
 
     def sort(self) -> "ResultSet":
         """Normalize ordering (by GOid) for comparisons in tests."""
-        self.certain.sort(key=_GOID_ORDER)
+        if self._certain is None:
+            goids, values = self._columns
+            keys = list(map(_VALUE, goids))
+            if keys != sorted(keys):
+                order = sorted(range(len(keys)), key=keys.__getitem__)
+                self._columns = ([goids[r] for r in order],
+                                 [[col[r] for r in order] for col in values])
+        else:
+            self._certain.sort(key=_GOID_ORDER)
         self.maybe.sort(key=_GOID_ORDER)
         return self
 
     def summary(self) -> str:
         return (
-            f"{len(self.certain)} certain, {len(self.maybe)} maybe "
+            f"{self.certain_count} certain, {len(self.maybe)} maybe "
             f"result(s)"
         )
 
     # --- export -------------------------------------------------------------
 
+    def _export_columns(self) -> Iterator[tuple]:
+        """Per non-empty list, certain then maybe: ``(kind, GOids, one
+        value column per target, rows)`` — rows ``None`` while certain
+        is columns, else the columns are derived from the rows."""
+        for kind, rows in zip(_KINDS, (self._certain, self.maybe)):
+            if rows is None and self._columns[0]:
+                yield (kind, *self._columns, None)
+            elif rows:
+                yield kind, [r.goid for r in rows], [
+                    [r.bindings.get(t, NULL) for r in rows]
+                    for t in self.targets
+                ], rows
+
     def to_dicts(self) -> List[Dict[str, object]]:
         """Export every result as a plain dict (JSON-friendly values).
 
-        Each dict carries the entity's GOid, the kind of the list it is
-        in, one key per target path (NULL exported as ``None``,
-        multi-values as sorted lists) and, for maybe results, the
-        unsolved predicates as strings.
+        Each dict carries the entity's GOid (``"goid"``), the kind of the
+        list it is in (``"kind"``), one key per target path (NULL
+        exported as ``None``, multi-values as sorted lists) and, where a
+        row has them, its unsolved predicates as strings (``"unsolved"``)
+        and its notes (``"notes"``).  The row's own keys win: a target
+        named ``goid``, ``kind``, ``unsolved`` or ``notes`` is exported
+        as ``"$" + name`` (no path the SQL/X parser reads holds a ``$``).
         """
-        rows: List[Dict[str, object]] = []
-        names = [(str(target), target) for target in self.targets]
-        for kind, results in (
-            (ResultKind.CERTAIN.value, self.certain),
-            (ResultKind.MAYBE.value, self.maybe),
-        ):
-            for result in results:
-                row: Dict[str, object] = {
-                    "goid": result.goid.value, "kind": kind
-                }
-                bindings = result.bindings
-                for name, target in names:
-                    value = bindings.get(target, NULL)
-                    # What export_value passes through needs no call.
-                    row[name] = (
-                        value if type(value) in _JSON_TYPES
-                        else export_value(value)
-                    )
-                if result.unsolved:
-                    row["unsolved"] = [str(p) for p in result.unsolved]
-                if result.notes:
-                    row["notes"] = list(result.notes)
-                rows.append(row)
-        return rows
+        keys = _export_keys(self.targets)
+        out: List[Dict[str, object]] = []
+        for kind, goids, values, rows in self._export_columns():
+            for r, goid in enumerate(goids):
+                row: Dict[str, object] = {"goid": goid.value, "kind": kind}
+                for key, i in keys:
+                    row[key] = export_value(values[i][r])
+                for key, of in _OPTIONAL.items() if rows is not None else ():
+                    if of(rows[r]):
+                        row[key] = [str(item) for item in of(rows[r])]
+                out.append(row)
+        return out
 
     def to_json(self, indent: int = 2) -> str:
         """The :meth:`to_dicts` export as a JSON string.
@@ -182,9 +224,14 @@ class ResultSet:
         dump needs no ``default=`` escape hatch and the text round-trips:
         ``json.loads(rs.to_json()) == rs.to_dicts()``.
         """
-        import json
-
         return json.dumps(self.to_dicts(), indent=indent)
+
+
+# ``certain`` stays a declared field (constructor keyword, equality, repr,
+# field-by-field comparison) whose storage is the view above.
+ResultSet.certain = property(  # type: ignore[assignment]
+    ResultSet._certain_view, lambda self, rows: setattr(self, "_certain", rows)
+)
 
 
 @dataclass(frozen=True)
@@ -373,7 +420,69 @@ def same_entities(left: ResultSet, right: ResultSet) -> bool:
     return left_certain == right_certain and left_maybe == right_maybe
 
 
+#: The keys an exported row has, or may have, of its own; only some
+#: rows have the last two (read with these getters).
+_ROW_KEYS = ("goid", "kind", "unsolved", "notes")
+_OPTIONAL = {key: attrgetter(key) for key in _ROW_KEYS[2:]}
+
+
+@functools.lru_cache(maxsize=256)
+def _export_keys(targets: Tuple[Path, ...]) -> Tuple[Tuple[str, int], ...]:
+    """(export key, target index) per target, in order (of targets that
+    print alike the last is exported); a target named like a row key is
+    exported as ``"$" + name``."""
+    names = enumerate(map(str, targets))
+    return tuple(("$" + n if n in _ROW_KEYS else n, i) for i, n in names)
+
+
+def _encode(values: Iterable[object]) -> List[str]:
+    """Each value as ``json.dumps`` writes its :func:`export_value`."""
+    return [
+        int.__repr__(v) if type(v) is int
+        else encode_basestring_ascii(v) if type(v) is str
+        else "null" if v is NULL
+        else json.dumps(export_value(v))
+        for v in values
+    ]
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(kind: str, keys: Tuple[str, ...]) -> Tuple[str, Tuple[str, ...]]:
+    """A list's row as a ``%`` template (keys sorted as ``json.dumps``
+    sorts them, ``kind`` written in) and the column each ``%s`` takes.
+    An optional key's ``%s`` holds ``', "key": [...]'`` or ``''``; it is
+    never first, as ``goid``, which every row has, sorts before it."""
+    items: List[str] = []
+    for key in sorted(keys + ("kind",)):
+        if key in _OPTIONAL:
+            items[-1] += "%s"
+        else:
+            value = f'"{kind}"' if key == "kind" else "%s"
+            items.append(json.dumps(key).replace("%", "%%") + ": " + value)
+    return "{" + ", ".join(items) + "}", tuple(sorted(keys))
+
+
 def answer_digest(results: ResultSet) -> str:
-    """Stable content hash of an answer (first 12 hex chars)."""
-    payload = json.dumps(results.to_dicts(), sort_keys=True)
+    """Stable content hash of an answer (first 12 hex chars).
+
+    The sha256 of ``json.dumps(results.to_dicts(), sort_keys=True)``,
+    byte for byte, written from columns: each value column is encoded in
+    one pass and each row fills its list's layout.  A certain list that
+    is still columns is never turned into results.
+    """
+    keys = _export_keys(results.targets)
+    texts: List[str] = []
+    for kind, goids, values, rows in results._export_columns():
+        columns = {"goid": _encode(map(_VALUE, goids))}
+        for key, i in keys:
+            columns[key] = _encode(values[i])
+        for key, of in _OPTIONAL.items() if rows is not None else ():
+            own = list(map(of, rows))
+            if any(own):
+                columns[key] = [f', "{key}": [' + ", ".join(
+                    map(encode_basestring_ascii, map(str, items))
+                ) + "]" if items else "" for items in own]
+        template, fields = _layout(kind, tuple(columns))
+        texts += [template % row for row in zip(*map(columns.get, fields))]
+    payload = "[" + ", ".join(texts) + "]"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]

@@ -29,7 +29,6 @@ from repro.integration.outerjoin import (
 )
 from repro.objectdb.columnar import TRUE_CODE
 from repro.objectdb.objects import LocalObject
-from repro.objectdb.values import NULL
 from repro.obs.spans import TraceEvent
 from repro.sim.metrics import ExecutionMetrics, WorkCounters
 from repro.sim.taskgraph import PHASE_I, PHASE_P, PHASE_SCAN
@@ -43,10 +42,11 @@ def evaluate_global(
     The root class of *extent* is one more columnar extent, rows in GOid
     order.  *meter* gets the sums of the kernel's charge arrays plus the
     survivors' target walks — what the modelled site, evaluating object
-    by object, is charged; only survivors become results, and nothing
-    keyed on an operand outlives the call.  Maybe rows carry
-    ``NullAttr`` atoms (site ``""``: the null was observed on the fused
-    global object, not at one site).
+    by object, is charged; nothing keyed on an operand outlives the
+    call.  Certain rows stay columns (GOids and target values) until
+    someone reads them; maybe rows are results carrying ``NullAttr``
+    atoms (site ``""``: the null was observed on the fused global
+    object, not at one site).
 
     Pure over its inputs, which is what makes CA repair cheap: a
     resumed run re-materializes with the recovered exports merged in
@@ -58,27 +58,25 @@ def evaluate_global(
     rows = range(len(view))
     if summary.error_rows or any(walk.errors for walk in walks):
         view.raise_first_error(query, rows, summary, walks)
-    meter.comparisons += sum(summary.comparisons)
-    meter.derefs += sum(summary.derefs)
-    results = ResultSet(targets=query.targets)
     codes = summary.codes
+    survivors = [r for r in rows if codes[r]]
+    meter.comparisons += sum(summary.comparisons)
+    meter.derefs += sum(summary.derefs) + sum(
+        sum(map(walk.derefs.__getitem__, survivors)) for walk in walks
+    )
+    # Walk columns hold NULL at miss rows: certain rows stay columns.
+    certain = [r for r in survivors if codes[r] == TRUE_CODE]
+    results = ResultSet(targets=query.targets, columns=(
+        list(map(view.ids.__getitem__, certain)),
+        [list(map(walk.values.__getitem__, certain)) for walk in walks],
+    ))
     predicates = tuple(summary.columns)
     statuses = [column.codes for column in summary.columns.values()]
     position = {p: i for i, p in enumerate(predicates)}
     where = [[position[p] for p in conjunct] for conjunct in query.where]
-    for r in [r for r in rows if codes[r]]:
+    for r in [r for r in survivors if codes[r] != TRUE_CODE]:
         goid = view.ids[r]
-        bindings = {}
-        for target, walk in zip(query.targets, walks):
-            meter.derefs += walk.derefs[r]
-            bindings[target] = (
-                NULL if walk.miss[r] is not None else walk.values[r]
-            )
-        if codes[r] == TRUE_CODE:
-            results.certain.append(GlobalResult(
-                goid=goid, kind=ResultKind.CERTAIN, bindings=bindings
-            ))
-            continue
+        bindings = dict(zip(query.targets, [w.values[r] for w in walks]))
         packed = bytes([status[r] for status in statuses])
         unsolved = tuple([
             predicates[i] for i in still_unsolved(where, packed)
@@ -357,7 +355,7 @@ class CentralizedStrategy(Strategy):
             self.name,
             outcome_sim,
             work,
-            certain_results=len(results.certain),
+            certain_results=results.certain_count,
             maybe_results=len(results.maybe),
             events=[TraceEvent.of(
                 "ca.integrate",

@@ -79,9 +79,9 @@ class AdmissionControl:
             raise WorkloadError("shed_backoff_s must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryRecord:
-    """One query's life on the traffic clock."""
+    """One query's life on the traffic clock (slotted: a run keeps all)."""
 
     worker: int
     seq: int
