@@ -14,13 +14,12 @@ robustness claim: losing one site collapses CA's fused outerjoin to
 zero certainty while BL/PL still certify every row whose provenance
 avoids the dead site.
 
-A second sweep A/B-tests replica failover: every component->component
+A second sweep exercises replica failover: every component->component
 link degrades (global-site links stay clean — the sites themselves are
-alive), and each localized strategy runs with failover off, on, and
-on+hedging.  The contract enforced per cell: failover never certifies
-less than the eager-demotion baseline, strictly more somewhere in the
-sweep, a fully-recovered answer is byte-identical to the fault-free
-run, and hedging never changes any answer.
+alive), and each localized strategy runs plain and with hedging.  The
+contract enforced per cell: a fully-recovered answer is byte-identical
+to the fault-free run, and hedging never changes any answer; and some
+storm cell fails over at least one check and fully recovers.
 
 Runs standalone (CI calls it twice, diffs the JSON for determinism, and
 checks it against the committed baseline)::
@@ -62,7 +61,7 @@ STRATEGIES = ("CA", "BL", "PL")
 FULL_RATES = (0.25, 0.5, 0.75, 1.0)
 QUICK_RATES = (0.5, 1.0)
 
-#: Failover A/B sweep: loss probability applied to every
+#: Failover sweep: loss probability applied to every
 #: component->component link (the global site stays reachable, so each
 #: skipped check has an isomeric copy a relay can still certify).
 LOCALIZED = ("BL", "PL")
@@ -176,14 +175,13 @@ def _storm_plan(sites, loss):
 
 
 def run_failover_cell(strategy, plan, mode):
-    """One (strategy, storm, failover-mode) execution."""
+    """One (strategy, storm, mode) execution; mode "hedge" hedges."""
     engine = GlobalQueryEngine(build_school_federation())
     report = engine.execute(
         Q1_TEXT, strategy,
         options=engine.options.with_(
             fault_plan=plan,
             fault_seed=FAILOVER_SEED,
-            failover=mode != "off",
             policy=HEDGE_POLICY if mode == "hedge" else None,
         ),
     )
@@ -220,7 +218,7 @@ def failover_sweep(sites, storm_rates):
     for loss in storm_rates:
         plan = _storm_plan(sites, loss)
         for strategy in LOCALIZED:
-            for mode in ("off", "on", "hedge"):
+            for mode in ("on", "hedge"):
                 rows.append({
                     "loss": loss,
                     "strategy": strategy,
@@ -239,22 +237,15 @@ def failover_sweep(sites, storm_rates):
 def _assert_failover_contract(rows, baseline_digest):
     """The acceptance contract of replica failover, cell by cell."""
     by_key = {(r["loss"], r["strategy"], r["mode"]): r for r in rows}
-    strict_gain = False
+    failed_over_and_recovered = False
     for (loss, strategy, mode), row in by_key.items():
-        if mode == "off" or loss == 0.0:
+        if loss == 0.0:
             continue
-        off = by_key[(loss, strategy, "off")]
-        if row["certain"] < off["certain"]:
-            raise AssertionError(
-                f"loss{loss:g}/{strategy}/{mode}: failover certified "
-                f"{row['certain']} < {off['certain']} without it"
-            )
-        if mode == "on" and off["checks_skipped"] > 0:
-            # Every skipped check has a live isomeric copy (only
-            # component links are down), so failover must win ground.
-            if row["certain"] > off["certain"]:
-                strict_gain = True
         if row["fully_recovered"]:
+            # Every lost link has a live relay (only component links
+            # are down), so some cell must fail over and recover.
+            if row["checks_failed_over"] > 0:
+                failed_over_and_recovered = True
             expected = baseline_digest[strategy]
             if row["answer_digest"] != expected:
                 raise AssertionError(
@@ -269,10 +260,10 @@ def _assert_failover_contract(rows, baseline_digest):
                     f"loss{loss:g}/{strategy}: hedging changed the "
                     "answer"
                 )
-    if not strict_gain:
+    if not failed_over_and_recovered:
         raise AssertionError(
-            "no storm cell showed failover strictly beating eager "
-            "demotion — the sweep exercises nothing"
+            "no storm cell failed over a check and fully recovered — "
+            "the sweep exercises nothing"
         )
 
 
@@ -299,7 +290,7 @@ def render(result):
          f"{row['response_s']:.3f}"]
         for row in result["failover"]["rows"]
     ]
-    return text + "\n\nfailover A/B (component-link storms):\n" + \
+    return text + "\n\nfailover (component-link storms):\n" + \
         format_table(headers, table_rows)
 
 

@@ -3,23 +3,18 @@
 Sweeps generated federations over an (N_db x extent scale) grid and, per
 strategy, runs each query
 
-* **batched** (the default wire protocol: one check request/reply pair
-  per ``(src, dst)`` link; every local evaluation of this run is
-  shadowed by the per-object reference evaluator),
-* **batched again** (same engine — measures mapping-index/decomposition
-  cache hits on a repeated query), and
-* **unbatched** (``batch_checks=False``: the historical
-  one-message-pair-per-request protocol),
+* **cold** (the batched wire protocol: one check request/reply pair per
+  ``(src, dst)`` link; every local evaluation of this run is shadowed
+  by the per-object reference evaluator), and
+* **warm** (same engine — measures mapping-index/decomposition cache
+  hits on a repeated query),
 
 recording network messages, bytes, simulated total/response time, cache
-traffic and wall-clock.  The bench enforces the batching and kernel
-contracts:
+traffic and wall-clock.  The bench enforces the kernel contracts:
 
-* answers are byte-identical between the batched and unbatched runs
-  (same ResultSet JSON, cell by cell), and every site's columnar local
-  evaluation equals the reference's — rows, bookkeeping and meters;
-* batching never sends more messages, and strictly fewer in aggregate
-  for every localized strategy;
+* every site's columnar local evaluation equals the reference's — rows,
+  bookkeeping and meters — and the repeated query's answer equals the
+  cold one's;
 * a repeated query hits the caches (warm hit rate > 0);
 * warm local evaluation over the columnar kernels is at least 5x faster
   than the reference evaluator at the sweep's largest grid cell when the query
@@ -93,14 +88,14 @@ from repro.difftest.reference import (
 from repro.objectdb.database import ComponentDatabase
 from repro.integration.outerjoin import materialize
 
-SCHEMA = "BENCH_hotpath/v3"
+SCHEMA = "BENCH_hotpath/v4"
 STRATEGIES = ("CA", "BL", "PL", "BL-S", "PL-S")
 LOCALIZED = ("BL", "PL", "BL-S", "PL-S")
 
 #: Workload seed per federation size.  Chosen so every drawn parameter
 #: set actually produces missing data (phase-O check traffic) — a
-#: federation without unsolved items exercises neither batching nor the
-#: chase path.
+#: federation without unsolved items exercises neither check batches
+#: nor the chase path.
 WORKLOAD_SEEDS = {3: 103, 4: 304, 5: 105}
 
 FULL_GRID = tuple(
@@ -113,9 +108,7 @@ SECTIONS = (
     ("cell", "cells", ("workload", "strategy"), (
         "answer_digest",
         "messages_batched",
-        "messages_unbatched",
         "bytes_batched",
-        "bytes_unbatched",
         "total_s",
         "response_s",
         "warm_cache_hits",
@@ -154,28 +147,12 @@ def run_cell(n_db: int, scale: float, strategy: str) -> dict:
             f"from the reference: {differences[0]}"
         )
     warm = engine.execute(workload.query, strategy)
-    unbatched = engine.execute(
-        workload.query, strategy,
-        options=engine.options.with_(batch_checks=False),
-    )
 
     cold_digest = answer_fingerprint(cold.results)
-    if answer_fingerprint(unbatched.results) != cold_digest:
-        raise AssertionError(
-            f"{strategy} ndb{n_db} scale{scale:g}: batched and unbatched "
-            "answers differ"
-        )
     if answer_fingerprint(warm.results) != cold_digest:
         raise AssertionError(
             f"{strategy} ndb{n_db} scale{scale:g}: repeated query changed "
             "the answer"
-        )
-    batched_msgs = cold.metrics.work.messages
-    unbatched_msgs = unbatched.metrics.work.messages
-    if batched_msgs > unbatched_msgs:
-        raise AssertionError(
-            f"{strategy} ndb{n_db} scale{scale:g}: batching sent more "
-            f"messages ({batched_msgs} > {unbatched_msgs})"
         )
     warm_work = warm.metrics.work
     return {
@@ -186,10 +163,8 @@ def run_cell(n_db: int, scale: float, strategy: str) -> dict:
         "answer_digest": cold_digest,
         "certain": len(cold.results.certain),
         "maybe": len(cold.results.maybe),
-        "messages_batched": batched_msgs,
-        "messages_unbatched": unbatched_msgs,
+        "messages_batched": cold.metrics.work.messages,
         "bytes_batched": cold.metrics.work.bytes_network,
-        "bytes_unbatched": unbatched.metrics.work.bytes_network,
         "total_s": round(cold.total_time, 6),
         "response_s": round(cold.response_time, 6),
         "cold_cache_hits": cold.metrics.work.cache_hits,
@@ -441,20 +416,6 @@ def _assert_contract(
                 f"{largest['speedup']}x faster than the reference "
                 f"(contract: >= {floor}x at the largest cell)"
             )
-    for strategy in LOCALIZED:
-        batched = sum(
-            c["messages_batched"] for c in cells
-            if c["strategy"] == strategy
-        )
-        unbatched = sum(
-            c["messages_unbatched"] for c in cells
-            if c["strategy"] == strategy
-        )
-        if not batched < unbatched:
-            raise AssertionError(
-                f"{strategy}: batching did not strictly reduce messages "
-                f"across the sweep ({batched} vs {unbatched})"
-            )
     warm_lookups = [
         c for c in cells
         if c["warm_cache_hits"] + c["warm_cache_misses"] > 0
@@ -470,11 +431,11 @@ def _assert_contract(
 
 
 def render(result: dict) -> str:
-    headers = ["workload", "strategy", "msgs (batched)", "msgs (unbatched)",
-               "net bytes", "total (s)", "response (s)", "warm hit rate"]
+    headers = ["workload", "strategy", "msgs", "net bytes", "total (s)",
+               "response (s)", "warm hit rate"]
     rows = [
         [c["workload"], c["strategy"], str(c["messages_batched"]),
-         str(c["messages_unbatched"]), str(c["bytes_batched"]),
+         str(c["bytes_batched"]),
          f"{c['total_s']:.3f}", f"{c['response_s']:.3f}",
          f"{c['warm_cache_hit_rate']:.2f}"]
         for c in result["cells"]
@@ -521,9 +482,7 @@ def test_hotpath_sweep(benchmark):
     result = run_once(benchmark, lambda: sweep(QUICK_GRID))
     write_result("hotpath", render(result))
     localized = [c for c in result["cells"] if c["strategy"] in LOCALIZED]
-    assert sum(c["messages_batched"] for c in localized) < sum(
-        c["messages_unbatched"] for c in localized
-    )
+    assert all(c["messages_batched"] > 0 for c in localized)
 
 
 if __name__ == "__main__":

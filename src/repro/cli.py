@@ -31,7 +31,8 @@ Commands:
 Every query-running command executes through an
 :class:`~repro.core.session.EngineSession` configured with one
 :class:`~repro.core.options.ExecutionOptions` value built from the
-fault/batching flags.
+execution flags (``--faults``, ``--fault-seed``, ``--policy``,
+``--planner``).
 """
 
 from __future__ import annotations
@@ -43,16 +44,14 @@ import random
 import sys
 from typing import List, Optional
 
-import dataclasses
-
 from repro.bench.experiments import figure9, figure10, figure11
 from repro.bench.reporting import dump_traces, format_table, series_table
 from repro.core.engine import GlobalQueryEngine
 from repro.core.options import PLANNER_MODES, ExecutionOptions
 from repro.core.results import answer_digest
 from repro.core.strategies import DEFAULT_REGISTRY
-from repro.errors import EvolutionError, FaultPlanError
-from repro.faults import POLICIES, FaultPlan, resolve_policy
+from repro.errors import ReproError
+from repro.faults import POLICIES, FaultPlan
 from repro.sim.costs import table1_rows
 from repro.workload.generator import generate
 from repro.workload.paper_example import Q1_TEXT, build_school_federation
@@ -130,46 +129,16 @@ def _execution_option_flags() -> argparse.ArgumentParser:
              "inline overrides, e.g. 'degrade:timeout=0.5,retries=3,"
              "hedge=0.1' (default: degrade to partial answers)",
     )
-    flags.add_argument(
-        "--failover", action=argparse.BooleanOptionalAction, default=True,
-        help="reroute checks over the global-site relay and demote rows "
-             "only when no isomeric copy answered (--no-failover "
-             "restores eager skip-and-demote)",
-    )
-    flags.add_argument(
-        "--hedge", type=float, default=None, metavar="SECONDS",
-        help="hedged dispatch: duplicate a check over the relay when "
-             "the direct link is slower than this seeded delay",
-    )
-    flags.add_argument(
-        "--no-batch", action="store_true", dest="no_batch",
-        help="disable per-link batching of phase-O check messages "
-             "(one request/reply pair per check request)",
-    )
     _add_planner_arg(flags)
     return flags
-
-
-def _resolve_cli_policy(args: argparse.Namespace):
-    """The execution policy from --policy (+ --hedge shorthand)."""
-    policy = resolve_policy(args.policy)
-    if args.hedge is not None:
-        policy = dataclasses.replace(
-            policy,
-            name=f"{policy.name}+hedge",
-            hedge_delay_s=args.hedge,
-        )
-    return policy
 
 
 def _cli_options(args: argparse.Namespace) -> ExecutionOptions:
     """One ExecutionOptions value from the execution-option flags."""
     return ExecutionOptions(
         fault_plan=_load_fault_plan(args),
-        policy=_resolve_cli_policy(args),
+        policy=args.policy,
         fault_seed=args.fault_seed,
-        batch_checks=not args.no_batch,
-        failover=args.failover,
         planner=args.planner,
     )
 
@@ -648,7 +617,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (EvolutionError, FaultPlanError) as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -11,7 +11,7 @@ never re-runs the query.
 
 Per-execution configuration lives in one immutable
 :class:`~repro.core.options.ExecutionOptions` value (``engine.options``);
-derive variants with ``engine.options.with_(batch_checks=False)`` and
+derive variants with ``engine.options.with_(planner="constraints")`` and
 pass them as ``options=`` — the one way to configure an execution.
 
 Concurrent callers over one shared federation each take an
@@ -233,13 +233,13 @@ class GlobalQueryEngine:
         # advances between executions (sim-kernel grants are atomic).
         evo = self.system.evolution
         flux = evo.in_flux_view() if evo is not None else None
-        if flux is not None and flux.departed_sites:
-            options = _with_departed_outages(options, flux.departed_sites)
+        departed = flux.departed_sites if flux is not None else ()
+        if departed:
+            options = _with_departed_outages(options, departed)
         ctx = ExecutionContext(options)
-        if ctx.health is not None and flux is not None:
-            for site in flux.departed_sites:
-                # Formal leave: suppress contact ladders immediately.
-                ctx.health.force_open(site)
+        for site in departed:
+            # Formal leave: suppress contact ladders immediately.
+            ctx.health.force_open(site)
         cache_before = self.system.cache_stats()
         with self.system.cache_scope(session.name):
             result = chosen.execute(self.system, query, ctx)
@@ -319,16 +319,14 @@ class GlobalQueryEngine:
                 policy=ctx.policy.name,
                 seed=ctx.injector.seed,
                 complete=ctx.complete,
-                failover=ctx.failover,
             ))
-            if ctx.health is not None and ctx.health.transitions:
-                for site, from_state, to_state in ctx.health.transitions:
-                    report.record_event(TraceEvent.of(
-                        "fault.breaker",
-                        site=site,
-                        from_state=from_state,
-                        to_state=to_state,
-                    ))
+            for site, from_state, to_state in ctx.health.transitions:
+                report.record_event(TraceEvent.of(
+                    "fault.breaker",
+                    site=site,
+                    from_state=from_state,
+                    to_state=to_state,
+                ))
         return report
 
     def execute(

@@ -7,7 +7,7 @@ one instance as its default, every execution's
 it runs under to the strategy as ``ctx.options``, and callers derive
 variants with :meth:`ExecutionOptions.with_`::
 
-    opts = engine.options.with_(batch_checks=False)
+    opts = engine.options.with_(planner="constraints")
     engine.execute(query, "PL", options=opts)
 
 The object is frozen, so a derived instance can never mutate the
@@ -45,12 +45,6 @@ class ExecutionOptions:
             :class:`~repro.faults.policy.ExecutionPolicy`, a preset name,
             or an inline spec like ``"degrade:timeout=0.5,retries=3"``.
         fault_seed: seed for loss draws and backoff jitter.
-        batch_checks: coalesce phase-O check/chase messages per
-            ``(src, dst)`` link (``False`` restores the historical
-            one-message-per-request wire protocol).
-        failover: resilient dispatch under a fault plan — circuit
-            breakers, relay rerouting and verdict-aware demotion
-            (``False`` restores eager skip-and-demote).
         planner: adaptive-planning mode — ``"static"`` (default; the
             analytic model's unmodified predictions, no pruning),
             ``"feedback"`` (AUTO's pick consults observed stalls,
@@ -64,8 +58,6 @@ class ExecutionOptions:
     fault_plan: Optional[FaultPlan] = None
     policy: Union[str, ExecutionPolicy, None] = None
     fault_seed: int = 0
-    batch_checks: bool = True
-    failover: bool = True
     planner: str = "static"
 
     def __post_init__(self) -> None:
@@ -90,22 +82,6 @@ class ExecutionOptions:
     def faults_active(self) -> bool:
         """Whether this options value injects any faults at all."""
         return self.fault_plan is not None and self.fault_plan.active
-
-    def describe(self) -> str:
-        """One-line summary (CLI/bench reporting)."""
-        parts = [
-            f"policy={self.policy.name}",
-            f"fault_seed={self.fault_seed}",
-            f"batch_checks={self.batch_checks}",
-            f"failover={self.failover}",
-            f"planner={self.planner}",
-        ]
-        if self.fault_plan is not None:
-            parts.insert(0, (
-                f"faults(outages={len(self.fault_plan.outages)},"
-                f"links={len(self.fault_plan.links)})"
-            ))
-        return " ".join(parts)
 
 
 #: Field names accepted by :meth:`ExecutionOptions.with_`.

@@ -14,15 +14,15 @@ GOid mapping tables and the other component schemas"), optionally
 pre-filter through object signatures, and group what remains into
 per-site check requests.
 
-It also covers phase O's *wire protocol*: by default every check (and
-chase) request a site holds for one destination is coalesced into a
-single batched request/reply exchange (:class:`CheckBatch`) — one
-network message pair per ``(src, dst)`` link instead of one per
+It also covers phase O's *wire protocol*: every check (and chase)
+request a site holds for one destination is coalesced into a single
+batched request/reply exchange (:class:`CheckBatch`) — one network
+message pair per ``(src, dst)`` link instead of one per
 :class:`~repro.objectdb.local_query.CheckRequest`, matching the
-aggregated per-peer exchange the analytic model already charges.
-Reports stay keyed by their request (:func:`run_checks_paired`), so
-verdict collection, certification and fault skip/annotation logic are
-untouched by batching.
+aggregated per-peer exchange the analytic model charges.  Reports stay
+keyed by their request (:func:`run_checks_paired`), so verdict
+collection, certification and fault skip/annotation logic are untouched
+by batching.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class Strategy(abc.ABC):
     """A query-execution strategy over a distributed federation.
 
     Strategies hold no execution option: everything configurable about
-    one run (wire protocol, planner mode, faults) arrives on the
+    one run (planner mode, faults) arrives on the
     :class:`ExecutionContext`, so one instance can serve any number of
     interleaved sessions.
     """
@@ -438,22 +438,12 @@ class CheckBatch:
 def batch_exchanges(
     src: str,
     pairs: Sequence[Tuple[CheckRequest, CheckReport]],
-    coalesce: bool = True,
 ) -> List[CheckBatch]:
     """Group ``(request, report)`` pairs into one batch per destination.
 
     Batches come out ordered by destination name for deterministic
     scheduling; pairs keep their relative order within a batch.
-    Without *coalesce* (the unbatched wire protocol) nothing is grouped:
-    every pair is its own batch of one, in pair order — a request's
-    predicates are distinct by construction, so such a batch costs
-    exactly the bytes of the single request.
     """
-    if not coalesce:
-        return [
-            CheckBatch(src=src, dst=request.db_name, pairs=[(request, report)])
-            for request, report in pairs
-        ]
     by_dst: Dict[str, CheckBatch] = {}
     for request, report in pairs:
         batch = by_dst.get(request.db_name)
@@ -476,9 +466,6 @@ class ChaseRound:
         default_factory=list
     )
     mapping_lookups: int = 0
-    #: Sites whose follow-up checks were skipped (unreachable under the
-    #: execution's fault plan) — the affected chains stay UNKNOWN.
-    skipped_sites: List[str] = field(default_factory=list)
 
 
 def chase_blocked(
@@ -487,8 +474,7 @@ def chase_blocked(
     verdicts: VerdictIndex,
     max_rounds: int,
     ctx: ExecutionContext,
-    deferred_skips: Optional[List[Tuple]] = None,
-    skip_log: Optional[List[Tuple]] = None,
+    skipped: Optional[List[Tuple]] = None,
     stalled: Iterable[Tuple] = (),
 ) -> List[ChaseRound]:
     """Resolve multi-hop missing-reference chains by iterated checking.
@@ -505,18 +491,16 @@ def chase_blocked(
     Each hop strictly shortens the remaining relative path, so the loop
     terminates within the query's maximum path length.
 
-    With failover enabled (``ctx.failover`` and a *deferred_skips* list),
-    an unreachable follow-up site does not demote the chain immediately:
-    the ``(site, original assistant, original predicate, round, holder,
-    holder class, remaining predicate)`` tuple is recorded and the
-    caller decides *after* all verdicts are in — another copy of the
-    blocking object may settle the original pair anyway, in which case
-    nothing was lost.  A *skip_log* list receives the same tuple for
-    *every* skip (eager or deferred, even when the whole round dies) so
-    a later repair can re-enter the chase from the exact block it
-    stalled at: *stalled* takes such chains — ``(original assistant,
-    original predicate, holder, holder class, remaining predicate)`` —
-    and chases them after the blocks of *initial_reports*.
+    An unreachable follow-up site does not demote the chain here: the
+    ``(site, original assistant, original predicate, round, holder,
+    holder class, remaining predicate)`` tuple goes to the *skipped*
+    list and the caller decides *after* all verdicts are in — another
+    copy of the blocking object may settle the original pair anyway, in
+    which case nothing was lost.  The same tuples let a later repair
+    re-enter the chase from the exact block it stalled at: *stalled*
+    takes such chains — ``(original assistant, original predicate,
+    holder, holder class, remaining predicate)`` — and chases them after
+    the blocks of *initial_reports*.
     """
     # Each entry tracks the original pair a chain must report back to:
     # (original assistant, original relative predicate, blocker loid,
@@ -553,25 +537,17 @@ def chase_blocked(
                     continue  # cannot even start the walk there
                 if not ctx.reachable(system.global_site, assistant.db):
                     # The follow-up check cannot be issued; the chain
-                    # stays UNKNOWN and the row remains maybe — unless
-                    # failover defers the verdict to a live copy.
-                    skip_entry = (
-                        assistant.db,
-                        orig_loid,
-                        orig_pred,
-                        len(rounds) + 1,
-                        holder,
-                        holder_class,
-                        remaining,
-                    )
-                    if skip_log is not None:
-                        skip_log.append(skip_entry)
-                    if ctx.failover and deferred_skips is not None:
-                        deferred_skips.append(skip_entry)
-                    else:
-                        if assistant.db not in round_data.skipped_sites:
-                            round_data.skipped_sites.append(assistant.db)
-                        ctx.note_skipped_check()
+                    # stays UNKNOWN unless a live copy settles its pair.
+                    if skipped is not None:
+                        skipped.append((
+                            assistant.db,
+                            orig_loid,
+                            orig_pred,
+                            len(rounds) + 1,
+                            holder,
+                            holder_class,
+                            remaining,
+                        ))
                     continue
                 answerable.append(assistant)
                 target_class = system.global_schema.constituent_class(

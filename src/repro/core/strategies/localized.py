@@ -259,7 +259,6 @@ class _LocalizedRun:
         self.system = system
         self.query = query
         self.ctx = ctx
-        self.options = ctx.options
         self.decomposed = system.decompose(query)
         self.fed = system.simulator(ctx.plan)
         self.work = WorkCounters()
@@ -271,7 +270,7 @@ class _LocalizedRun:
         # like an unasked check).
         self.constraints = (
             system.constraints
-            if uses_constraints(self.options.planner)
+            if uses_constraints(ctx.options.planner)
             else None
         )
         self.local_results: Dict[str, LocalResultSet] = {}
@@ -328,21 +327,20 @@ class _LocalizedRun:
 
     def run(self) -> StrategyResult:
         ctx = self.ctx
-        # Failover mode: skipped check pairs are not demoted eagerly but
-        # resolved after verdict collection (a live isomeric copy may
-        # have settled them anyway).
-        if ctx.failover:
-            ctx.recovery_tracked = True
+        # Skipped check pairs are not demoted eagerly but resolved after
+        # verdict collection (a live isomeric copy may have settled
+        # them anyway), so this run can tell a full recovery.
+        ctx.recovery_tracked = True
         self._query_sites()
         verdicts = collect_verdicts(
             self.reports, self.signature_verdicts, into=self.verdicts
         )
         self._send_unsent(verdicts)
-        chase_skip_log = self._chase(verdicts)
+        chase_skips = self._chase(verdicts)
         results, certify_node = self._certify(verdicts)
         self._complete_bindings(results, certify_node)
         self._annotate(results)
-        repair_state = self._capture_repair(results, verdicts, chase_skip_log)
+        repair_state = self._capture_repair(results, verdicts, chase_skips)
 
         ctx.charge(self.work)
         outcome = self.fed.run()
@@ -373,18 +371,6 @@ class _LocalizedRun:
         return fault_wait_chain(
             self.fed, self.ctx, negotiation, self.events, deps=deps
         )
-
-    def _demote_request(
-        self, src: str, request: CheckRequest, skips: List[PendingSkip]
-    ) -> None:
-        """A check request no route could carry: *skips* stay unchecked,
-        and the request joins the re-runnable half of the repair state."""
-        dst = request.db_name
-        self.unreachable_check_sites.setdefault(dst)
-        self.skipped_check_requests.append((src, request))
-        self.ctx.note_skipped_check()
-        for skip in skips:
-            self.skipped_goids.setdefault(skip.goid, set()).add(dst)
 
     # --- the site loop --------------------------------------------------------
 
@@ -519,14 +505,11 @@ class _LocalizedRun:
 
         Requests whose direct link is dead fail over to the global-site
         relay when that route is alive; requests with no live route are
-        skipped — eagerly demoting their rows, or (failover mode)
-        deferring the demotion until verdicts are in: a live isomeric
-        copy may settle the pair.
+        skipped, their demotion deferred until verdicts are in: a live
+        isomeric copy may settle the pair.
 
         Every request sharing a destination rides one request/reply
-        message pair; with ``batch_checks`` off nothing is grouped and
-        each request is its own exchange (the historical wire protocol,
-        byte for byte).  Direct exchanges may additionally *hedge*; see
+        message pair.  Direct exchanges may additionally *hedge*; see
         :meth:`_hedged_deps`.
         """
         system, ctx = self.system, self.ctx
@@ -536,7 +519,7 @@ class _LocalizedRun:
             if ctx.reachable(src, dst):
                 runnable.append(request)
                 continue
-            via = relay_route(ctx, system, dst) if ctx.failover else None
+            via = relay_route(ctx, system, dst)
             if via is not None:
                 ctx.checks_failed_over += 1
                 self._event(
@@ -545,11 +528,9 @@ class _LocalizedRun:
                 )
                 relayed.append(request)
                 continue
-            skips = pending_skips_of(system, src, request)
-            if ctx.failover:
-                self.deferred_requests.append((src, request, skips))
-            else:
-                self._demote_request(src, request, skips)
+            self.deferred_requests.append(
+                (src, request, pending_skips_of(system, src, request))
+            )
             self._event(
                 "fault.check_skipped",
                 src=src, dst=dst, assistants=len(request.loids),
@@ -559,15 +540,14 @@ class _LocalizedRun:
         reports = [report for _, report in paired + relayed_paired]
         self.reports.extend(reports)
         self.exchanges.extend(report.db_name for report in reports)
-        coalesce = self.options.batch_checks
-        for batch in batch_exchanges(src, paired, coalesce):
+        for batch in batch_exchanges(src, paired):
             send_deps, via = self._hedged_deps(batch, deps)
             self.certify_deps.append(
                 self._exchange(batch, send_deps, kind="check", via=via)
             )
         # Relayed requests lost their direct link: they hop through the
         # global site, gated by *its* link to the destination.
-        for batch in batch_exchanges(src, relayed_paired, coalesce):
+        for batch in batch_exchanges(src, relayed_paired):
             send_deps = self._wait(
                 ctx.contact(system.global_site, batch.dst), deps
             )
@@ -633,8 +613,7 @@ class _LocalizedRun:
 
         The per-request disk read and verdict evaluation at the
         destination are separate nodes; only the two network messages
-        are shared by the whole batch (a batch of one when
-        ``batch_checks`` is off).
+        are shared by the whole batch.
 
         With *via* (failover / hedge relay) the request rides two hops
         (``src -> via -> dst``), each billed in full; the reply path is
@@ -687,20 +666,19 @@ class _LocalizedRun:
                     deps=[check_disk],
                 )
             )
-        if self.options.batch_checks:
-            attrs = dict(
-                src=batch.src,
-                dst=batch.dst,
-                requests=len(batch.pairs),
-                loids=batch.total_loids,
-                request_bytes=request_bytes,
-                reply_bytes=reply_bytes,
-            )
-            if round_no is not None:
-                attrs["round"] = round_no
-            if via is not None:
-                attrs["via"] = via
-            self._event("dispatch.batch", **attrs)
+        attrs = dict(
+            src=batch.src,
+            dst=batch.dst,
+            requests=len(batch.pairs),
+            loids=batch.total_loids,
+            request_bytes=request_bytes,
+            reply_bytes=reply_bytes,
+        )
+        if round_no is not None:
+            attrs["round"] = round_no
+        if via is not None:
+            attrs["via"] = via
+        self._event("dispatch.batch", **attrs)
         return fed.transfer(
             batch.dst,
             system.global_site,
@@ -713,18 +691,16 @@ class _LocalizedRun:
     # --- chase rounds for multi-hop missing-reference chains ------------------
 
     def _chase(self, verdicts: VerdictIndex) -> List[Tuple]:
-        """Run the chase, settle what failover deferred, schedule the
-        rounds.  Returns the log of every skipped follow-up check."""
-        system, ctx = self.system, self.ctx
+        """Run the chase, settle every deferred skip, schedule the
+        rounds.  Returns the skipped follow-up checks."""
+        system = self.system
         max_rounds = max(
             (len(p.path) for p in self.query.all_predicates()), default=0
         )
-        deferred_chase_skips: List[Tuple] = []
-        chase_skip_log: List[Tuple] = []
+        chase_skips: List[Tuple] = []
         chase_rounds = chase_blocked(
-            self.reports, system, verdicts, max_rounds, ctx,
-            deferred_skips=deferred_chase_skips,
-            skip_log=chase_skip_log,
+            self.reports, system, verdicts, max_rounds, self.ctx,
+            skipped=chase_skips,
             # A resumed run re-enters the chains its degraded run left
             # stalled, where they stopped — settled pairs need nothing.
             stalled=dict.fromkeys(
@@ -740,10 +716,7 @@ class _LocalizedRun:
                 requests=len(chase.requests),
                 mapping_lookups=chase.mapping_lookups,
             )
-            for site in chase.skipped_sites:
-                self._chase_check_skipped(site, round_no)
-        if ctx.failover:
-            self._resolve_deferred(verdicts, deferred_chase_skips)
+        self._resolve_deferred(verdicts, chase_skips)
 
         prev_deps: List[Node] = list(self.certify_deps)
         for round_no, chase in enumerate(chase_rounds, start=1):
@@ -760,23 +733,14 @@ class _LocalizedRun:
                 self._exchange(
                     batch, [lookup], kind="chase", round_no=round_no
                 )
-                for batch in batch_exchanges(
-                    system.global_site, chase.pairs, self.options.batch_checks
-                )
+                for batch in batch_exchanges(system.global_site, chase.pairs)
             ]
             self.certify_deps.extend(round_replies)
             prev_deps = round_replies or [lookup]
-        return chase_skip_log
-
-    def _chase_check_skipped(self, site: str, round_no: int) -> None:
-        self.unreachable_check_sites.setdefault(site)
-        self._event(
-            "fault.check_skipped",
-            src=self.system.global_site, dst=site, round=round_no,
-        )
+        return chase_skips
 
     def _resolve_deferred(
-        self, verdicts: VerdictIndex, deferred_chase_skips: List[Tuple]
+        self, verdicts: VerdictIndex, chase_skips: List[Tuple]
     ) -> None:
         """Failover post-resolution.
 
@@ -795,17 +759,28 @@ class _LocalizedRun:
             if not uncovered:
                 recovered_pairs += len(skips)
                 continue
+            # No route carried the request: its uncovered pairs stay
+            # unchecked, and it joins the re-runnable repair state.
             demoted_pairs += len(uncovered)
-            self._demote_request(src, request, uncovered)
+            dst = request.db_name
+            self.unreachable_check_sites.setdefault(dst)
+            self.skipped_check_requests.append((src, request))
+            self.ctx.note_skipped_check()
+            for skip in uncovered:
+                self.skipped_goids.setdefault(skip.goid, set()).add(dst)
         for (
             site, orig_loid, orig_pred, round_no, _holder, _hcls, _rest
-        ) in deferred_chase_skips:
+        ) in chase_skips:
             if verdicts.get(orig_loid, orig_pred) in (SATISFIED, VIOLATED):
                 recovered_pairs += 1
                 continue
             demoted_pairs += 1
             self.ctx.note_skipped_check()
-            self._chase_check_skipped(site, round_no)
+            self.unreachable_check_sites.setdefault(site)
+            self._event(
+                "fault.check_skipped",
+                src=self.system.global_site, dst=site, round=round_no,
+            )
         if recovered_pairs or demoted_pairs:
             self._event(
                 "fault.failover",
@@ -918,7 +893,7 @@ class _LocalizedRun:
         self,
         results: ResultSet,
         verdicts: VerdictIndex,
-        chase_skip_log: List[Tuple],
+        chase_skips: List[Tuple],
     ):
         """Repair state: what a resumed run of this query starts from.
 
@@ -932,7 +907,7 @@ class _LocalizedRun:
             (orig_loid, orig_pred, holder, holder_cls, rest)
             for (
                 _site, orig_loid, orig_pred, _round, holder, holder_cls, rest,
-            ) in chase_skip_log
+            ) in chase_skips
             if verdicts.get(orig_loid, orig_pred) not in (SATISFIED, VIOLATED)
         )
         skipped_requests = tuple(self.skipped_check_requests)

@@ -11,7 +11,6 @@ asserting
 * strict answer equality (same entities, same kinds, same projected
   bindings, same unsolved-predicate sets — :func:`repro.core.results
   .same_answers`);
-* batching transparency (``batch_checks`` never changes an answer);
 * execution determinism (same seed, byte-identical export);
 * fault soundness (complete runs under a plan equal the fault-free
   answer; degraded runs certify only a subset of it);

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import typing
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -141,6 +142,14 @@ class FuzzCase:
             )
         if "seed" not in raw:
             raise ReproError("fuzz case needs a seed")
+        hints = typing.get_type_hints(cls)
+        for name, value in raw.items():
+            hint = hints[name]
+            if not _matches(value, hint):
+                raise ReproError(
+                    f"fuzz case field {name!r} must be "
+                    f"{getattr(hint, '__name__', hint)}, got {value!r}"
+                )
         return cls(**raw)  # type: ignore[arg-type]
 
     @classmethod
@@ -172,6 +181,18 @@ class FuzzCase:
         if self.evolve:
             parts.append(f"evolve={self.evolve}")
         return " ".join(parts)
+
+
+def _matches(value: object, hint) -> bool:
+    """Whether a JSON *value* fits a field annotated *hint*: ``bool`` is
+    no ``int`` here, an ``int`` is a ``float``, ``Optional`` admits None."""
+    if typing.get_origin(hint) is typing.Union:
+        return any(_matches(value, arg) for arg in typing.get_args(hint))
+    if isinstance(value, bool) or hint is bool:
+        return hint is bool and isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 #: Default value per field — to_dict() omits them for compact case files.

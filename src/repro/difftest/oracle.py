@@ -16,10 +16,6 @@ reproduce.  What it checks:
     the per-entity Certification Rule the pattern-batched kernel
     replaced.  The two must give an equal ``ResultSet`` (binding order
     included), equal ``conditions`` and equal ``CertificationStats``.
-``batching``
-    For strategies that dispatch phase-O checks at all (everything
-    but :attr:`StrategyOracle.UNBATCHED_STRATEGIES`), the unbatched
-    answer strictly equals the batched one.
 ``local-eval``
     Every ``execute_local`` / ``collect_unsolved`` / ``check_assistants``
     call any run below makes at any site is also answered by the
@@ -60,15 +56,13 @@ reproduce.  What it checks:
     Under the case's fault plan, executions that stayed complete must
     strictly equal the fault-free answer; degraded executions may only
     certify a subset of it (degradation never adds certainty).
-``failover-*``
-    Replica failover must be sound and monotone: the failover-enabled
-    run certifies no entity the fault-free baseline does not
-    (``failover-soundness``) and loses none the eager skip-and-demote
-    run kept (``failover-monotonic`` — fuzz federations hold consistent
-    copies, so extra verdicts only add certainty).  A run reporting
-    ``fully_recovered`` must equal the fault-free answer byte for byte
-    (``failover-recovery``), and hedged dispatch must never change the
-    answer at all (``hedge-invariance``).
+``failover-*`` / ``hedge-invariance``
+    Replica failover must be sound: a localized run under the plan
+    certifies no entity the fault-free baseline does not
+    (``failover-soundness``).  A run reporting ``fully_recovered`` must
+    equal the fault-free answer byte for byte (``failover-recovery``),
+    and hedged dispatch must never change the answer at all
+    (``hedge-invariance``).
 ``repair-soundness`` / ``repair-monotonic`` (opt-in: ``recertify=True``)
     Every degraded fault execution, handed to ``engine.recertify``
     against the healed federation, must repair to that strategy's own
@@ -247,7 +241,6 @@ class StrategyOracle:
                     case,
                 ))
 
-        violations.extend(self._check_batching(case, session, built, answers))
         violations.extend(self._check_planner(case, session, built, answers))
         violations.extend(self._check_determinism(case, baseline))
         if built.fault_plan is not None:
@@ -271,29 +264,6 @@ class StrategyOracle:
         return violations
 
     # --- invariants --------------------------------------------------------
-
-    #: CA ships whole extents and never dispatches phase-O checks, so
-    #: the batching flag cannot change its execution.
-    UNBATCHED_STRATEGIES = ("CA",)
-
-    def _check_batching(self, case, session, built, answers) -> List[Violation]:
-        """Flipping batch_checks must never change an answer."""
-        violations = []
-        unbatched_options = session.options.with_(batch_checks=False)
-        for name in self.strategy_names:
-            if name in self.UNBATCHED_STRATEGIES:
-                continue
-            unbatched = session.execute(
-                built.query, name, options=unbatched_options
-            ).results
-            if not same_answers(answers[name], unbatched):
-                violations.append(Violation(
-                    "batching", case.label,
-                    f"{name}: batched vs unbatched: "
-                    f"{_first_difference(answers[name], unbatched)}",
-                    case,
-                ))
-        return violations
 
     #: (strategy, planner mode) pairs exercised by the planner invariant.
     #: BL and PL cover both localized phase orders under constraint
@@ -399,7 +369,7 @@ class StrategyOracle:
     FAILOVER_STRATEGIES = ("BL", "PL")
 
     def _check_failover(self, case, session, built, baseline) -> List[Violation]:
-        """Failover is sound, monotone, recovery-exact and hedge-stable."""
+        """Failover is sound, recovery-exact and hedge-stable."""
         violations = []
         fault_options = session.options.with_(
             fault_plan=built.fault_plan,
@@ -409,14 +379,7 @@ class StrategyOracle:
         for name in self.FAILOVER_STRATEGIES:
             if name not in self.strategy_names:
                 continue
-            on = session.execute(
-                built.query, name,
-                options=fault_options.with_(failover=True),
-            )
-            off = session.execute(
-                built.query, name,
-                options=fault_options.with_(failover=False),
-            )
+            on = session.execute(built.query, name, options=fault_options)
             if not certified_subset(on.results, baseline):
                 extra = sorted(
                     {r.goid for r in on.results.certain}
@@ -425,21 +388,9 @@ class StrategyOracle:
                 )
                 violations.append(Violation(
                     "failover-soundness", case.label,
-                    f"{name} with failover certified {len(extra)} "
+                    f"{name} under the plan certified {len(extra)} "
                     f"entities the fault-free answer does not, "
                     f"e.g. {extra[0]}",
-                    case,
-                ))
-            if not certified_subset(off.results, on.results):
-                lost = sorted(
-                    {r.goid for r in off.results.certain}
-                    - {r.goid for r in on.results.certain},
-                    key=lambda g: g.value,
-                )
-                violations.append(Violation(
-                    "failover-monotonic", case.label,
-                    f"{name} with failover lost {len(lost)} certain "
-                    f"result(s) the eager path kept, e.g. {lost[0]}",
                     case,
                 ))
             if on.availability.fully_recovered and not same_answers(
@@ -455,7 +406,7 @@ class StrategyOracle:
             hedged = session.execute(
                 built.query, name,
                 options=fault_options.with_(
-                    failover=True, policy=f"{FAULT_POLICY}:hedge=0.05"
+                    policy=f"{FAULT_POLICY}:hedge=0.05"
                 ),
             )
             if not same_answers(on.results, hedged.results):

@@ -198,14 +198,9 @@ class ExecutionContext:
         #: Links whose wait ladder was already scheduled as delay nodes
         #: (strategies consult this so a link's waits appear only once).
         self.scheduled_links: set = set()
-        #: Replica failover: reroute checks over the global-site relay
-        #: and demote rows only when every isomeric copy is unreachable.
-        #: There is nothing to fail over from without faults.
-        self.failover = self.active and options.failover
-        #: Per-site breakers; None when failover is disabled, keeping
-        #: the original contact path byte-identical.
+        #: Per-site circuit breakers; None on an inactive context.
         self.health: Optional["SiteHealthRegistry"] = None
-        if self.failover:
+        if self.active:
             from repro.resilience.health import SiteHealthRegistry
 
             self.health = SiteHealthRegistry(seed=options.fault_seed)
@@ -219,16 +214,16 @@ class ExecutionContext:
         #: Binding-completion walks left unresolved by unreachable sites.
         self.fetches_unresolved = 0
         #: Whether the executing strategy maintains the recovery signals
-        #: above (localized strategies with failover do; CA does not).
+        #: above (localized strategies do; CA does not).
         self.recovery_tracked = False
 
     def contact(self, src: str, dst: str) -> Negotiation:
         """Negotiate the ``src -> dst`` link, with policy enforcement.
 
         An inactive context injects nothing: every link negotiates to
-        the shared clean outcome and nothing is recorded.  With a health
-        registry attached (failover mode), a fresh negotiation to an
-        open-circuit site is suppressed: a synthetic zero-wait
+        the shared clean outcome and nothing is recorded.  On an active
+        one, a fresh negotiation to an open-circuit site is suppressed
+        by the health registry: a synthetic zero-wait
         ``open-circuit`` negotiation is memoized instead of paying the
         retry ladder, and half-open probes go through the normal
         injector path.
@@ -240,7 +235,7 @@ class ExecutionContext:
         if self.injector is None:
             return _CLEAN
         fresh = (src, dst) not in self.injector._memo
-        if fresh and self.health is not None and not self.health.allow(dst):
+        if fresh and not self.health.allow(dst):
             negotiation = Negotiation(
                 src=src,
                 dst=dst,
@@ -268,10 +263,9 @@ class ExecutionContext:
                         self.contacted.append(dst)
                 elif dst not in self.skipped:
                     self.skipped.append(dst)
-                if self.health is not None:
-                    self.health.record(
-                        dst, negotiation.ok, latency_s=negotiation.wait_s
-                    )
+                self.health.record(
+                    dst, negotiation.ok, latency_s=negotiation.wait_s
+                )
         deadline = self.policy.deadline_s
         if deadline is not None and self.wait_s > deadline:
             raise ExecutionTimeout(self.wait_s, deadline)
@@ -363,11 +357,6 @@ class ExecutionContext:
             hedges_won=self.hedges_won,
             fully_recovered=self.fully_recovered,
             queried_sites_down=tuple(sorted(self.queried_sites_down)),
-            breaker=(
-                self.health.snapshot() if self.health is not None else ()
-            ),
-            contacts_suppressed=(
-                self.health.suppressed_total
-                if self.health is not None else 0
-            ),
+            breaker=self.health.snapshot(),
+            contacts_suppressed=self.health.suppressed_total,
         )

@@ -22,11 +22,20 @@ chaos sweeps (``chaos``).
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import FaultPlanError
+
+
+def require_finite(what: str, value: float, allow_inf: bool = False) -> None:
+    """Raise :class:`FaultPlanError` unless *value* is finite (or, with
+    *allow_inf*, ``+inf``): a NaN compares false with every bound, so
+    range checks alone let it through."""
+    if not (math.isfinite(value) or (allow_inf and value == math.inf)):
+        raise FaultPlanError(f"{what} {value} is not finite")
 
 
 @dataclass(frozen=True)
@@ -40,6 +49,12 @@ class OutageWindow:
     def __post_init__(self) -> None:
         if not self.site:
             raise FaultPlanError("outage window needs a site name")
+        require_finite(f"outage of {self.site!r}: start", self.start)
+        # An infinite duration is a site down for the rest of the run.
+        require_finite(
+            f"outage of {self.site!r}: duration", self.duration,
+            allow_inf=True,
+        )
         if self.start < 0:
             raise FaultPlanError(
                 f"outage of {self.site!r} starts at negative time {self.start}"
@@ -80,6 +95,9 @@ class LinkFault:
     loss: float = 0.0
 
     def __post_init__(self) -> None:
+        link = f"link {self.src}->{self.dst}"
+        require_finite(f"{link}: latency multiplier", self.latency_multiplier)
+        require_finite(f"{link}: loss probability", self.loss)
         if self.latency_multiplier < 1.0:
             raise FaultPlanError(
                 f"link {self.src}->{self.dst}: latency multiplier "
@@ -293,12 +311,17 @@ def _parse_link(part: str) -> LinkFault:
     multiplier = 1.0
     loss = 0.0
     for knob in pieces[1:]:
-        if knob.startswith("x"):
-            multiplier = float(knob[1:])
-        elif knob.startswith("loss"):
-            loss = float(knob[4:])
-        else:
-            raise FaultPlanError(f"bad link knob {knob!r} in {part!r}")
+        try:
+            if knob.startswith("x"):
+                multiplier = float(knob[1:])
+            elif knob.startswith("loss"):
+                loss = float(knob[4:])
+            else:
+                raise ValueError(knob)
+        except ValueError:
+            raise FaultPlanError(
+                f"bad link knob {knob!r} in {part!r}"
+            ) from None
     return LinkFault(src.strip() or "*", dst.strip() or "*",
                      latency_multiplier=multiplier, loss=loss)
 

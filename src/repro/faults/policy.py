@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.errors import FaultPlanError
+from repro.faults.plan import require_finite
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,16 @@ class ExecutionPolicy:
     hedge_delay_s: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for what, value in (
+            ("policy timeout", self.timeout_s),
+            ("backoff", self.backoff_base_s),
+            ("backoff multiplier", self.backoff_multiplier),
+            ("jitter", self.jitter),
+            ("deadline", self.deadline_s),
+            ("hedge delay", self.hedge_delay_s),
+        ):
+            if value is not None:
+                require_finite(what, value)
         if self.timeout_s <= 0:
             raise FaultPlanError(f"policy timeout {self.timeout_s} <= 0")
         if self.max_retries < 0:

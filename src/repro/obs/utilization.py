@@ -69,14 +69,6 @@ class UtilizationReport:
     def critical_path_time(self) -> float:
         return sum(s.duration for s in self.critical_path)
 
-    @property
-    def total_busy(self) -> float:
-        return sum(p.busy for p in self.resources.values())
-
-    @property
-    def total_queue_delay(self) -> float:
-        return sum(p.queue_delay for p in self.resources.values())
-
     def table(self) -> str:
         """The profiles as a short text table (for explain/benches)."""
         lines = ["resource          busy ms   util%   queued ms   spans"]

@@ -139,10 +139,9 @@ class PlannerFeedback:
                     self.alpha,
                 )
                 record.peer_stall_samples += 1
-        if ctx.health is not None:
-            for site, _from, to_state in ctx.health.transitions:
-                if to_state == OPEN:
-                    self.site(site).breaker_opens += 1
+        for site, _from, to_state in ctx.health.transitions:
+            if to_state == OPEN:
+                self.site(site).breaker_opens += 1
         if metrics is not None:
             self._fold_spans(metrics)
 

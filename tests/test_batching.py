@@ -1,10 +1,10 @@
 """Batched phase-O dispatch: one message pair per (src, dst) link.
 
-Covers the wire-protocol contract (batched and unbatched runs return
-byte-identical answers; batching never sends more and usually sends
-strictly fewer messages), the explicit request<->report pairing that
-replaced positional ``zip`` alignment, the ``dispatch.batch`` trace
-events, and the engine/CLI plumbing of ``batch_checks``.
+Covers the wire protocol (answers, messages and bytes pinned at the
+values recorded when a one-message-per-request protocol still ran
+beside it), the explicit request<->report pairing that replaced
+positional ``zip`` alignment, the ``dispatch.batch`` trace events, and
+the engine plumbing of per-call options.
 """
 
 from __future__ import annotations
@@ -15,12 +15,14 @@ from helpers import make_workload
 from repro.core.engine import GlobalQueryEngine
 from repro.core.options import ExecutionOptions
 from repro.core.query import Predicate
+from repro.core.results import answer_digest
 from repro.core.strategies.base import (
     CheckBatch,
     batch_exchanges,
     run_checks_paired,
 )
 from repro.objectdb.local_query import CheckReport, CheckRequest
+from repro.faults import FaultPlan
 from repro.objectdb.ids import LOid
 from repro.workload.paper_example import Q1_TEXT, build_school_federation
 
@@ -36,41 +38,43 @@ def busy_workload():
 
 LOCALIZED = ("BL", "PL", "BL-S", "PL-S")
 
+#: The busy workload's answer digest, every strategy and protocol alike.
+BUSY_DIGEST = "d02e7a18008f"
+#: strategy -> (messages, network bytes) of the batched protocol, and of
+#: one message pair per check request (recorded when both still ran).
+BUSY_TRAFFIC = {
+    "BL": ((23, 72880), (45, 73392)),
+    "PL": ((23, 75648), (61, 76400)),
+    "BL-S": ((23, 72784), (45, 73312)),
+    "PL-S": ((23, 74912), (59, 75600)),
+}
+
 
 class TestBatchingContract:
     @pytest.mark.parametrize("strategy", LOCALIZED)
     def test_answers_byte_identical(self, busy_workload, strategy):
-        engine = GlobalQueryEngine(busy_workload.system)
-        batched = engine.execute(busy_workload.query, strategy)
-        unbatched = engine.execute(
-            busy_workload.query, strategy,
-            options=engine.options.with_(batch_checks=False),
+        report = GlobalQueryEngine(busy_workload.system).execute(
+            busy_workload.query, strategy
         )
-        assert batched.results.to_json() == unbatched.results.to_json()
+        assert answer_digest(report.results) == BUSY_DIGEST
 
     @pytest.mark.parametrize("strategy", LOCALIZED)
     def test_strictly_fewer_messages(self, busy_workload, strategy):
-        engine = GlobalQueryEngine(busy_workload.system)
-        batched = engine.execute(busy_workload.query, strategy)
-        unbatched = engine.execute(
-            busy_workload.query, strategy,
-            options=engine.options.with_(batch_checks=False),
+        report = GlobalQueryEngine(busy_workload.system).execute(
+            busy_workload.query, strategy
         )
-        assert (batched.metrics.work.messages
-                < unbatched.metrics.work.messages)
+        (messages, _), (per_request, _) = BUSY_TRAFFIC[strategy]
+        assert report.metrics.work.messages == messages < per_request
 
     @pytest.mark.parametrize("strategy", LOCALIZED)
     def test_never_more_bytes(self, busy_workload, strategy):
         """Shared predicate descriptors ship once per batch, so the
         batched request stream can only shrink."""
-        engine = GlobalQueryEngine(busy_workload.system)
-        batched = engine.execute(busy_workload.query, strategy)
-        unbatched = engine.execute(
-            busy_workload.query, strategy,
-            options=engine.options.with_(batch_checks=False),
+        report = GlobalQueryEngine(busy_workload.system).execute(
+            busy_workload.query, strategy
         )
-        assert (batched.metrics.work.bytes_network
-                <= unbatched.metrics.work.bytes_network)
+        (_, nbytes), (_, per_request) = BUSY_TRAFFIC[strategy]
+        assert report.metrics.work.bytes_network == nbytes <= per_request
 
     def test_dispatch_batch_events_present_and_sized(self, busy_workload):
         report = GlobalQueryEngine(busy_workload.system).execute(
@@ -85,14 +89,6 @@ class TestBatchingContract:
             assert int(attrs["loids"]) >= 1
             assert int(attrs["request_bytes"]) > 0
             assert attrs["src"] != attrs["dst"]
-
-    def test_unbatched_run_has_no_batch_events(self, busy_workload):
-        report = GlobalQueryEngine(busy_workload.system).execute(
-            busy_workload.query, "BL",
-            options=ExecutionOptions(batch_checks=False),
-        )
-        assert not [e for e in report.metrics.events
-                    if e.name == "dispatch.batch"]
 
     def test_existing_cost_inequalities_survive(self, busy_workload):
         """The paper-level ordering (BL beats CA on network traffic for
@@ -110,13 +106,8 @@ class TestChaseBatching:
         batched = GlobalQueryEngine(build_chain_federation(7)).execute(
             QUERY, "BL"
         )
-        unbatched = GlobalQueryEngine(build_chain_federation(7)).execute(
-            QUERY, "BL",
-            options=ExecutionOptions(batch_checks=False),
-        )
-        assert batched.results.to_json() == unbatched.results.to_json()
-        assert (batched.metrics.work.messages
-                <= unbatched.metrics.work.messages)
+        assert answer_digest(batched.results) == "952a991fb66c"
+        assert batched.metrics.work.messages == 7
         # The chase round's batch events carry their round number.
         rounds = [e for e in batched.metrics.events
                   if e.name == "dispatch.batch"
@@ -192,39 +183,45 @@ class TestCheckBatchUnits:
         )
 
 
+#: A site outage that takes DB2's traffic off the busy workload.
+DB2_DOWN = FaultPlan.single_site_loss("DB2")
+
+
 class TestEnginePlumbing:
     def test_engine_wide_flag_and_per_call_override(self, busy_workload):
         engine = GlobalQueryEngine(
             busy_workload.system,
-            options=ExecutionOptions(batch_checks=False),
+            options=ExecutionOptions(fault_plan=DB2_DOWN),
         )
-        off = engine.execute(busy_workload.query, "BL")
-        on = engine.execute(
+        faulted = engine.execute(busy_workload.query, "BL")
+        clean = engine.execute(
             busy_workload.query, "BL",
-            options=engine.options.with_(batch_checks=True),
+            options=engine.options.with_(fault_plan=None),
         )
-        assert on.metrics.work.messages < off.metrics.work.messages
+        assert not faulted.availability.complete
+        assert clean.availability.complete
+        assert faulted.metrics.work.messages < clean.metrics.work.messages
 
     def test_auto_threads_flag_to_delegate(self, busy_workload):
         engine = GlobalQueryEngine(busy_workload.system)
-        batched = engine.execute(busy_workload.query, "AUTO")
-        unbatched = engine.execute(
-            busy_workload.query, "AUTO",
-            options=engine.options.with_(batch_checks=False),
+        options = engine.options.with_(fault_plan=DB2_DOWN)
+        auto = engine.execute(busy_workload.query, "AUTO", options=options)
+        direct = engine.execute(
+            busy_workload.query,
+            auto.metrics.strategy.removeprefix("AUTO->"),
+            options=options,
         )
-        assert batched.results.to_json() == unbatched.results.to_json()
-        assert (batched.metrics.work.messages
-                <= unbatched.metrics.work.messages)
+        assert auto.results.to_json() == direct.results.to_json()
+        assert auto.metrics.work.messages == direct.metrics.work.messages
 
     def test_cli_no_batch_flag(self, capsys):
+        """The one wire protocol has no switch."""
         from repro.cli import main
 
-        assert main(["query", Q1_TEXT, "--no-batch"]) == 0
-        plain = capsys.readouterr().out
-        assert main(["query", Q1_TEXT]) == 0
-        batched = capsys.readouterr().out
-        # Same answer either way (the school federation's Q1).
-        assert plain == batched
+        with pytest.raises(SystemExit) as exc:
+            main(["query", Q1_TEXT, "--no-batch"])
+        assert exc.value.code == 2
+        assert "--no-batch" in capsys.readouterr().err
 
     def test_messages_counter_in_registry(self, busy_workload):
         report = GlobalQueryEngine(busy_workload.system).execute(

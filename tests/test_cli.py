@@ -67,6 +67,36 @@ class TestCommands:
         assert "strategy" in out and "PL-S" in out
 
 
+class TestTypedErrors:
+    """Every ``repro.errors`` failure ends in ``error: ...`` and exit 2."""
+
+    def test_syntax_error(self, capsys):
+        assert main(["query", "SELECT name FROM Student WHERE age < 30"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_deadline_overrun(self, capsys):
+        from repro.workload.paper_example import Q1_TEXT
+
+        code = main([
+            "query", Q1_TEXT, "--faults", "DB2@0:1e9",
+            "--policy", "degrade:deadline=0.01",
+        ])
+        assert code == 2
+        assert "deadline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--faults", "DB2@0:nan"],
+        ["--faults", "link:*>DB2:xinf"],
+        ["--policy", "degrade:deadline=nan"],
+    ])
+    def test_non_finite_fault_values(self, capsys, flags):
+        from repro.workload.paper_example import Q1_TEXT
+
+        assert main(["query", Q1_TEXT, *flags]) == 2
+        assert "not finite" in capsys.readouterr().err
+
+
 class TestAutoStrategy:
     def test_query_with_auto(self, capsys):
         from repro.cli import main

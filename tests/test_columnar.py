@@ -505,7 +505,6 @@ class TestEngineTransparency:
         # There is one local-evaluation path and nothing to select.
         options = ExecutionOptions()
         assert "columnar" not in OPTION_FIELDS
-        assert "columnar" not in options.describe()
         with pytest.raises(TypeError, match="unknown execution option"):
             options.with_(**{"columnar": False})
 

@@ -61,7 +61,7 @@ def healed(system, **view):
 
 def db2_down(system):
     return SystemState(
-        system=system, ctx=context(fault_plan=DB2_DOWN, failover=False)
+        system=system, ctx=context(fault_plan=DB2_DOWN)
     )
 
 
@@ -81,7 +81,7 @@ class TestSystemState:
         assert healed(school).site_status("DBX") is TV.FALSE
 
     def test_outage_blocks_without_refuting(self, school):
-        ctx = context(fault_plan=DB2_DOWN, failover=False)
+        ctx = context(fault_plan=DB2_DOWN)
         state = SystemState(system=school, ctx=ctx)
         assert state.site_status("DB2") is TV.UNKNOWN
         assert state.site_status("DB1") is TV.TRUE

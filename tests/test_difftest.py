@@ -65,6 +65,22 @@ class TestFuzzCase:
         with pytest.raises(ReproError, match="object"):
             FuzzCase.from_json("[1, 2]")
 
+    @pytest.mark.parametrize("text,field", [
+        ('{"seed": 1, "n_dbs": "3"}', "n_dbs"),
+        ('{"seed": 1, "scale": "nan"}', "scale"),
+        ('{"seed": "x"}', "seed"),
+        ('{"seed": 1, "fault_seed": true}', "fault_seed"),
+    ])
+    def test_wrongly_typed_field_rejected(self, text, field):
+        with pytest.raises(ReproError, match=f"field '{field}' must be"):
+            FuzzCase.from_json(text)
+
+    def test_typed_fields_accept_their_values(self):
+        case = FuzzCase.from_json(
+            '{"seed": 1, "scale": 1, "local_pred_attr_bias": null}'
+        )
+        assert case.scale == 1 and case.local_pred_attr_bias is None
+
     def test_validation(self):
         with pytest.raises(ReproError):
             FuzzCase(seed=1, n_dbs=0)
@@ -331,6 +347,14 @@ class TestCli:
         assert main(["fuzz", "--replay", CASES_DIR]) == 0
         out = capsys.readouterr().out
         assert "replay: 3 case(s), 0 violation(s)" in out
+
+    def test_fuzz_replay_malformed_case_exits_2(self, capsys, tmp_path):
+        from repro.cli import main
+
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"seed": 1, "n_dbs": "3"}')
+        assert main(["fuzz", "--replay", str(bad)]) == 2
+        assert "error: fuzz case field 'n_dbs'" in capsys.readouterr().err
 
 
 class TestImportBoundary:

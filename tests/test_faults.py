@@ -154,6 +154,57 @@ class TestExecutionPolicy:
             resolve_policy("yolo")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteValues:
+    """A NaN slips past every range check, and an infinity past most."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: ExecutionPolicy(timeout_s=NAN),
+        lambda: ExecutionPolicy(backoff_base_s=INF),
+        lambda: ExecutionPolicy(backoff_multiplier=INF),
+        lambda: ExecutionPolicy(jitter=NAN),
+        lambda: ExecutionPolicy(deadline_s=NAN),
+        lambda: ExecutionPolicy(hedge_delay_s=INF),
+        lambda: OutageWindow("DB2", NAN, 1.0),
+        lambda: OutageWindow("DB2", 0.0, NAN),
+        lambda: LinkFault(latency_multiplier=INF),
+        lambda: LinkFault(loss=NAN),
+    ], ids=[
+        "timeout_s", "backoff_base_s", "backoff_multiplier", "jitter",
+        "deadline_s", "hedge_delay_s", "start", "duration",
+        "latency_multiplier", "loss",
+    ])
+    def test_rejected_at_construction(self, build):
+        with pytest.raises(FaultPlanError, match="not finite"):
+            build()
+
+    @pytest.mark.parametrize("spec", [
+        "DB2@0:nan", "DB2@nan:1", "DB2@inf:1", "link:*>DB2:xinf",
+    ])
+    def test_rejected_in_specs(self, spec):
+        with pytest.raises(FaultPlanError, match="not finite"):
+            FaultPlan.from_spec(spec)
+
+    @pytest.mark.parametrize("spec", [
+        "degrade:deadline=nan", "degrade:timeout=nan", "degrade:hedge=inf",
+    ])
+    def test_rejected_in_policy_specs(self, spec):
+        with pytest.raises(FaultPlanError, match="not finite"):
+            resolve_policy(spec)
+
+    def test_unbounded_outage_stays(self):
+        """``DB2@0:inf``: down for the rest of the run."""
+        plan = FaultPlan.from_spec("DB2@0:inf")
+        assert plan.is_down("DB2", 1e12)
+        assert plan.next_up("DB2", 0.0) == INF
+
+    def test_bad_link_knob_value_is_typed(self):
+        with pytest.raises(FaultPlanError, match="bad link knob"):
+            FaultPlan.from_spec("link:*>DB2:xfast")
+
+
 class TestFaultInjector:
     def test_down_site_exhausts_retries(self):
         plan = FaultPlan.single_site_loss("DB1")
@@ -196,11 +247,8 @@ class TestFaultInjector:
 
 
 def down_context(**options):
-    """A context under DB1's loss, with eager (no-failover) skipping."""
-    return context(
-        fault_plan=FaultPlan.single_site_loss("DB1"), failover=False,
-        **options,
-    )
+    """A context under DB1's loss."""
+    return context(fault_plan=FaultPlan.single_site_loss("DB1"), **options)
 
 
 class TestExecutionContext:
@@ -250,7 +298,7 @@ class TestExecutionContext:
 
         monkeypatch.setattr(injector, "FaultInjector", forbidden)
         for ctx in (context(), context(fault_plan=FaultPlan())):
-            assert not ctx.active and not ctx.failover
+            assert not ctx.active
             assert ctx.health is None
             assert ctx.reachable("G", "DB1")
             assert ctx.contact("G", "DB1") is ctx.contact("DB2", "DB3")

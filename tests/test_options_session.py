@@ -10,6 +10,7 @@ federation-wide delta, and cross-session shared-hit attribution.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -30,8 +31,8 @@ PLAN = "DB2@0:0.8,link:*>DB3:loss0.4"
 
 @pytest.fixture
 def busy():
-    """A federation whose sites hold several checks per destination, so
-    the wire protocol shows in the message count."""
+    """A federation whose message count shows whether PLAN was applied
+    (DB2's outage drops its traffic)."""
     from helpers import make_workload
 
     return make_workload(103, n_dbs=3)
@@ -42,7 +43,7 @@ class TestExecutionOptions:
         options = ExecutionOptions()
         assert options.fault_plan is None
         assert options.fault_seed == 0
-        assert options.batch_checks and options.failover
+        assert options.planner == "static"
         assert not options.faults_active
         assert options.policy == resolve_policy(None)
 
@@ -53,10 +54,10 @@ class TestExecutionOptions:
 
     def test_with_overrides_and_preserves(self):
         base = ExecutionOptions(fault_seed=7)
-        derived = base.with_(batch_checks=False)
-        assert not derived.batch_checks
+        derived = base.with_(planner="full")
+        assert derived.planner == "full"
         assert derived.fault_seed == 7
-        assert base.batch_checks  # the original is untouched
+        assert base.planner == "static"  # the original is untouched
 
     def test_with_rejects_unknown_names(self):
         with pytest.raises(TypeError, match="unknown execution option"):
@@ -64,20 +65,20 @@ class TestExecutionOptions:
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            ExecutionOptions().batch_checks = False
+            ExecutionOptions().planner = "full"
 
     def test_faults_active_requires_active_plan(self):
         plan = FaultPlan.from_spec(PLAN)
         assert ExecutionOptions(fault_plan=plan).faults_active
         assert not ExecutionOptions(fault_plan=FaultPlan()).faults_active
 
-    def test_describe_mentions_every_field(self):
-        text = ExecutionOptions(
-            fault_plan=FaultPlan.from_spec(PLAN), fault_seed=3
-        ).describe()
-        for token in ("faults(", "policy=", "fault_seed=3",
-                      "batch_checks=True", "failover=True"):
-            assert token in text
+    def test_four_fields_and_no_legacy_switch(self):
+        assert [f.name for f in dataclasses.fields(ExecutionOptions)] == [
+            "fault_plan", "policy", "fault_seed", "planner",
+        ]
+        for legacy in ("batch_checks", "failover"):
+            with pytest.raises(TypeError, match="unknown execution option"):
+                ExecutionOptions().with_(**{legacy: True})
 
     def test_option_fields_match_dataclass(self):
         assert set(OPTION_FIELDS) == set(
@@ -99,51 +100,52 @@ class TestNoStrategyMutation:
             ]
             assert not carried, f"{info.name} carries {carried}"
 
-    def test_batch_override_leaves_instance_alone_fault_free(self, busy):
+    def test_session_override_leaves_instance_alone(self, busy):
         engine = GlobalQueryEngine(busy.system)
         shared = engine.registry.create("BL")
-        batched = engine.session("batched", strategy=shared)
-        unbatched = engine.session(
-            "unbatched", strategy=shared,
-            options=engine.options.with_(batch_checks=False),
+        clean = engine.session("clean", strategy=shared)
+        faulted = engine.session(
+            "faulted", strategy=shared,
+            options=engine.options.with_(fault_plan=FaultPlan.from_spec(PLAN)),
         )
         # Interleave the two callers over the one instance: each gets
-        # its own wire protocol every time.
-        counts = {"batched": set(), "unbatched": set()}
+        # its own options every time.
+        counts = {"clean": set(), "faulted": set()}
         for _ in range(2):
-            for session in (batched, unbatched):
+            for session in (clean, faulted):
                 report = session.execute(busy.query)
                 counts[session.name].add(report.metrics.work.messages)
-        assert len(counts["batched"]) == len(counts["unbatched"]) == 1
-        assert counts["unbatched"].pop() > counts["batched"].pop()
-        assert not hasattr(shared, "batch_checks")
+        assert counts == {"clean": {23}, "faulted": {10}}
+        assert not hasattr(shared, "fault_plan")
 
-    def test_batch_override_leaves_instance_alone_under_faults(self, busy):
+    def test_call_override_leaves_instance_alone(self, busy):
         engine = GlobalQueryEngine(busy.system)
         shared = engine.registry.create("BL")
-        faulted = engine.options.with_(fault_plan=FaultPlan.from_spec(PLAN))
-        unbatched = engine.execute(
-            busy.query, shared, options=faulted.with_(batch_checks=False)
+        faulted = engine.execute(
+            busy.query, shared,
+            options=engine.options.with_(fault_plan=FaultPlan.from_spec(PLAN)),
         )
-        batched = engine.execute(busy.query, shared, options=faulted)
-        assert (unbatched.metrics.work.messages
-                > batched.metrics.work.messages)
-        assert not hasattr(shared, "batch_checks")
+        clean = engine.execute(busy.query, shared)
+        assert (faulted.metrics.work.messages
+                < clean.metrics.work.messages)
+        assert not hasattr(shared, "fault_plan")
 
     def test_default_strategy_not_mutated_by_session_override(self, busy):
         engine = GlobalQueryEngine(busy.system)
         before = engine.execute(busy.query).metrics.work.messages
         session = engine.session(
-            options=engine.options.with_(batch_checks=False)
+            options=engine.options.with_(fault_plan=FaultPlan.from_spec(PLAN))
         )
-        assert session.execute(busy.query).metrics.work.messages > before
-        # The engine's own default strategy still runs batched.
+        assert session.execute(busy.query).metrics.work.messages < before
+        # The engine's own default strategy still runs fault-free.
         assert engine.execute(busy.query).metrics.work.messages == before
 
     def test_auto_delegate_honors_override_without_mutation(self, busy):
         engine = GlobalQueryEngine(busy.system)
         auto = engine.registry.create("AUTO")
-        override = engine.options.with_(batch_checks=False, failover=False)
+        override = engine.options.with_(
+            fault_plan=FaultPlan.from_spec(PLAN), fault_seed=5
+        )
         report = engine.execute(busy.query, auto, options=override)
         # The delegate ran under the very same options as a direct run.
         direct = engine.execute(
@@ -152,8 +154,8 @@ class TestNoStrategyMutation:
         )
         assert report.metrics.work.messages == direct.metrics.work.messages
         assert (report.metrics.work.messages
-                > engine.execute(busy.query, auto).metrics.work.messages)
-        assert not hasattr(auto, "batch_checks")
+                < engine.execute(busy.query, auto).metrics.work.messages)
+        assert not hasattr(auto, "fault_plan")
 
 
 class TestEngineSession:
@@ -161,18 +163,18 @@ class TestEngineSession:
         engine = GlobalQueryEngine(school)
         session = engine.session()
         assert session.options == engine.options
-        engine.options = engine.options.with_(batch_checks=False)
-        assert not session.options.batch_checks  # inherits live
+        engine.options = engine.options.with_(planner="full")
+        assert session.options.planner == "full"  # inherits live
 
     def test_session_own_options_are_isolated(self, school):
         engine = GlobalQueryEngine(school)
         session = engine.session(
-            options=engine.options.with_(batch_checks=False),
+            options=engine.options.with_(planner="full"),
             fault_seed=21,
         )
-        assert not session.options.batch_checks
+        assert session.options.planner == "full"
         assert session.options.fault_seed == 21
-        assert engine.options.batch_checks
+        assert engine.options.planner == "static"
         assert engine.options.fault_seed == 0
 
     def test_session_default_strategy(self, school):

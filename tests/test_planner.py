@@ -421,7 +421,7 @@ class TestPlannerModes:
     def test_options_validate_planner(self):
         with pytest.raises(TypeError, match="unknown planner mode"):
             ExecutionOptions(planner="psychic")
-        assert "planner=full" in ExecutionOptions(planner="full").describe()
+        assert ExecutionOptions(planner="full").planner == "full"
 
     def test_mode_predicates(self):
         assert PLANNER_MODES == ("static", "feedback", "constraints", "full")
@@ -530,7 +530,7 @@ class _StubInjector:
 class _StubCtx:
     def __init__(self, memo, health=None):
         self.injector = _StubInjector(memo)
-        self.health = health
+        self.health = health if health is not None else SiteHealthRegistry()
 
 
 class TestPlannerFeedback:

@@ -2,15 +2,15 @@
 
 Covers the circuit breaker state machine, inline policy-spec parsing,
 replica failover under component-link storms (including byte-identical
-full recovery), hedged dispatch invariance, the zero-overhead contract
-of ``failover=False``, and the new CLI flags.
+full recovery), hedged dispatch invariance, breakers on every active
+fault context, and the CLI's policy spelling of hedging.
 """
 
 import pytest
 
 from repro.core.engine import GlobalQueryEngine
 from repro.core.options import ExecutionOptions
-from repro.core.results import Availability
+from repro.core.results import Availability, answer_digest
 from repro.errors import FaultPlanError
 from repro.faults import ExecutionPolicy, FaultPlan
 from repro.faults.injector import ExecutionContext
@@ -179,28 +179,18 @@ class TestReplicaFailover:
         assert avail.checks_skipped == 0
         assert on.results.to_dicts() == clean.results.to_dicts()
 
+    #: Certain rows of Q1 under the storm when skipped checks were
+    #: demoted eagerly (recorded when that path still existed).
+    EAGER_CERTAIN = 0
+
     @pytest.mark.parametrize("strategy", ["BL", "PL"])
     def test_failover_beats_eager_demotion(self, school, strategy):
         engine = GlobalQueryEngine(school)
-        off = engine.execute(
-            Q1_TEXT, strategy,
-            options=engine.options.with_(
-                fault_plan=storm_plan(),
-                fault_seed=0,
-                failover=False,
-            ),
-        )
         on = engine.execute(
             Q1_TEXT, strategy,
             options=engine.options.with_(fault_plan=storm_plan(), fault_seed=0),
         )
-        assert off.availability.checks_skipped > 0
-        assert not off.availability.fully_recovered
-        assert len(on.results.certain) > len(off.results.certain)
-        # Monotonicity: off-certainty is a subset of on-certainty.
-        off_certain = {r.goid for r in off.results.certain}
-        on_certain = {r.goid for r in on.results.certain}
-        assert off_certain <= on_certain
+        assert len(on.results.certain) == 1 > self.EAGER_CERTAIN
 
     def test_failover_emits_relay_events(self, school):
         report = GlobalQueryEngine(school).execute(
@@ -218,18 +208,15 @@ class TestReplicaFailover:
 
     def test_site_outage_failover_matches_legacy(self, school):
         # A whole-site outage kills the relay route too, so failover
-        # must degrade exactly like the eager path.
+        # must degrade exactly like the eager path did (its answer
+        # digest, recorded when that path still existed).
         plan = FaultPlan.single_site_loss("DB2")
         engine = GlobalQueryEngine(school)
         on = engine.execute(
             Q1_TEXT, "BL",
             options=engine.options.with_(fault_plan=plan),
         )
-        off = engine.execute(
-            Q1_TEXT, "BL",
-            options=engine.options.with_(fault_plan=plan, failover=False),
-        )
-        assert on.results.to_dicts() == off.results.to_dicts()
+        assert answer_digest(on.results) == "7346c091f15f"
         assert not on.availability.fully_recovered
         assert on.availability.checks_failed_over == 0
 
@@ -251,72 +238,12 @@ class TestReplicaFailover:
         assert runs[0].total_time == runs[1].total_time
 
     def test_context_without_failover_has_no_health(self):
-        plan = storm_plan()
-        base = ExecutionOptions(fault_plan=plan, policy=ExecutionPolicy())
-        ctx = ExecutionContext(base.with_(failover=False))
-        assert not ctx.failover
-        assert ctx.health is None
-        on = ExecutionContext(base)
-        assert on.health is not None
-
-
-class TestUnbatchedFailoverPins:
-    """The unbatched wire protocol under failover, pinned.
-
-    No other test (and not the oracle) runs ``batch_checks=False``
-    together with relays or hedges; the unbatched protocol is scheduled
-    as batches of one, so these cells pin that the two agree to the
-    byte and the simulated second.  Values recorded before the two
-    schedulers were folded into one.
-    """
-
-    #: (policy, strategy) -> (messages, bytes_network, bytes_disk,
-    #: total_time, response_time, event names in order).
-    PINS = {
-        (None, "BL"): (
-            10, 1152, 1469, 0.7462754368698258, 0.702062436869826,
-            ["dispatch.plan", "fault.failover", "fault.attempt",
-             "fault.attempt", "fault.recovered", "dispatch.plan",
-             "fault.failover", "faults.plan"],
-        ),
-        (None, "PL"): (
-            13, 1328, 1527, 0.7605749368698258, 0.7020659368698259,
-            ["dispatch.plan", "fault.failover", "fault.attempt",
-             "fault.attempt", "fault.recovered", "dispatch.plan",
-             "fault.failover", "fault.failover", "faults.plan"],
-        ),
-        ("degrade:hedge=0.05", "BL"): (
-            12, 1312, 1469, 0.13186426583713307, 0.08765126583713306,
-            ["dispatch.plan", "fault.failover", "fault.hedge",
-             "dispatch.plan", "fault.failover", "faults.plan"],
-        ),
-        ("degrade:hedge=0.05", "PL"): (
-            15, 1488, 1527, 0.14616376583713303, 0.08765476583713307,
-            ["dispatch.plan", "fault.failover", "fault.hedge",
-             "dispatch.plan", "fault.failover", "fault.failover",
-             "faults.plan"],
-        ),
-    }
-
-    @pytest.mark.parametrize("policy,strategy", sorted(
-        PINS, key=lambda cell: (cell[0] or "", cell[1])
-    ))
-    def test_unbatched_storm(self, school, policy, strategy):
-        report = GlobalQueryEngine(school).execute(
-            Q1_TEXT, strategy,
-            options=ExecutionOptions(
-                fault_plan=storm_plan(), fault_seed=0, policy=policy,
-                batch_checks=False,
-            ),
+        """Only an inactive (fault-free) context goes without breakers."""
+        assert ExecutionContext(ExecutionOptions()).health is None
+        active = ExecutionContext(
+            ExecutionOptions(fault_plan=storm_plan(), policy=ExecutionPolicy())
         )
-        work = report.metrics.work
-        assert (
-            work.messages, work.bytes_network, work.bytes_disk,
-            report.total_time, report.response_time,
-            [event.name for event in report.metrics.events],
-        ) == self.PINS[policy, strategy]
-        assert report.availability.checks_failed_over > 0
-        assert report.availability.hedges == (1 if policy else 0)
+        assert active.health is not None
 
 
 class TestHedgedDispatch:
@@ -404,18 +331,18 @@ class TestAvailabilityAnnotation:
 
 
 class TestCliFlags:
-    def test_failover_flags_parse(self):
+    def test_removed_flags_rejected(self):
+        """Failover has no off switch; hedging is a policy override."""
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["query", "q"])
-        assert args.failover is True
-        args = build_parser().parse_args(["query", "q", "--no-failover"])
-        assert args.failover is False
+        for flags in (["--failover"], ["--no-failover"], ["--hedge", "0.1"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["query", "q", *flags])
+            assert exc.value.code == 2
         args = build_parser().parse_args(
-            ["query", "q", "--hedge", "0.05", "--policy", "patient"]
+            ["query", "q", "--policy", "patient:hedge=0.05"]
         )
-        assert args.hedge == 0.05
-        assert args.policy == "patient"
+        assert args.policy == "patient:hedge=0.05"
 
     def test_bad_policy_spec_exits_2(self, capsys):
         from repro.cli import main
@@ -434,7 +361,7 @@ class TestCliFlags:
             "Select X.name From Student X "
             "Where X.advisor.speciality = database",
             "--faults", "link:DB1>DB2:loss0.9",
-            "--policy", "degrade:retries=2", "--hedge", "0.05",
+            "--policy", "degrade:retries=2,hedge=0.05",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -443,8 +370,9 @@ class TestCliFlags:
     def test_query_no_failover(self, capsys):
         from repro.cli import main
 
-        code = main([
-            "query", "Select X.name From Student X",
-            "--faults", "link:DB1>DB2:loss0.9", "--no-failover",
-        ])
-        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "query", "Select X.name From Student X",
+                "--faults", "link:DB1>DB2:loss0.9", "--no-failover",
+            ])
+        assert exc.value.code == 2
