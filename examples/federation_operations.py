@@ -1,29 +1,18 @@
 #!/usr/bin/env python3
-"""Operating a federation: audit, replicate the catalog, save/restore.
+"""Auditing a federation: the invariants the strategies rely on.
 
-Day-2 concerns around the paper's machinery:
-
-* :func:`repro.integration.validate.check_federation` audits schema
-  conformance, referential integrity, catalog coverage and replica
-  consistency — and pinpoints injected corruption;
-* :class:`repro.integration.replication.ReplicatedCatalog` maintains the
-  per-site GOid mapping replicas the localized strategies consult, with
-  measurable propagation traffic;
-* :mod:`repro.objectdb.serialize` round-trips the whole federation
-  through JSON.
+:func:`repro.integration.validate.check_federation` audits schema
+conformance, referential integrity, catalog coverage and replica
+consistency, and pinpoints injected corruption.  The fuzz oracle runs
+the same audit on every generated federation before it compares
+strategies.
 
 Run:  python examples/federation_operations.py
 """
 
-import tempfile
-
-from repro.core.engine import GlobalQueryEngine
-from repro.integration.replication import ReplicatedCatalog
 from repro.integration.validate import check_federation
-from repro.objectdb.ids import GOid, LOid
-from repro.objectdb.objects import LocalObject
-from repro.objectdb.serialize import load_federation, save_federation
-from repro.workload.paper_example import Q1_TEXT, build_school_federation
+from repro.objectdb.ids import LOid
+from repro.workload.paper_example import build_school_federation
 
 
 def main() -> None:
@@ -42,34 +31,6 @@ def main() -> None:
     print(f"   {report.summary()}")
     for finding in report.findings:
         print(f"   {finding}")
-    print()
-
-    print("3) Replicate the GOid mapping tables (Section 4.1's replication)")
-    replicated = ReplicatedCatalog(
-        ["DB1", "DB2", "DB3"], eager=False
-    )
-    load_report = replicated.bulk_load(build_school_federation().catalog)
-    print(f"   initial load: {load_report.updates} updates shipped, "
-          f"{load_report.total_bytes} bytes, "
-          f"{load_report.seconds_network * 1000:.3f} ms on the wire")
-    # A new student enrolls; the update propagates lazily.
-    replicated.record("Student", GOid("gs6"), LOid("DB1", "s4"))
-    print(f"   pending at DB3 before sync: {replicated.pending('DB3')}")
-    sync_report = replicated.sync()
-    print(f"   after sync: consistent={replicated.verify_consistent()}, "
-          f"{sync_report.updates} replica updates applied\n")
-
-    print("4) Save and restore the federation through JSON")
-    clean = build_school_federation()
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
-        path = handle.name
-    save_federation(clean, path)
-    restored = load_federation(path)
-    outcome = GlobalQueryEngine(restored).execute(Q1_TEXT, "BL")
-    print(f"   saved to {path}")
-    print(f"   restored federation answers Q1: "
-          f"certain={outcome.results.certain_rows()} "
-          f"maybe={outcome.results.maybe_rows()}")
 
 
 if __name__ == "__main__":

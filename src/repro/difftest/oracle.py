@@ -5,6 +5,13 @@ fault-free answer anchors every comparison, exactly as the paper's
 Section 4 treats CA as the reference the localized strategies must
 reproduce.  What it checks:
 
+``replicas``
+    Before anything runs, the case's federation passes
+    :func:`repro.integration.validate.check_federation` with no finding:
+    isomeric copies never disagree on a single-valued primitive
+    attribute (EXPERIMENTS.md deviation 4, the premise of every CA vs
+    BL/PL comparison below), every object conforms to its class, every
+    reference resolves and the GOid catalog covers every stored object.
 ``equivalence``
     Every registered strategy's fault-free answer strictly equals CA's
     (:func:`repro.core.results.same_answers`: kinds, projected bindings,
@@ -117,6 +124,7 @@ from repro.difftest.reference import (
     shadowed_local_evaluation,
     shadowed_schedule,
 )
+from repro.integration.validate import check_federation
 from repro.objectdb.ids import GOid
 from repro.objectdb.values import is_null
 
@@ -219,8 +227,11 @@ class StrategyOracle:
 
     def _check_strategies(self, case: FuzzCase) -> List[Violation]:
         """Every invariant but the four that watch these runs."""
-        violations: List[Violation] = []
         built = case.build()
+        violations = [
+            Violation("replicas", case.label, str(finding), case)
+            for finding in check_federation(built.system).findings
+        ]
         engine = GlobalQueryEngine(built.system)
         engine.ensure_signatures()
         # One session per case: every oracle execution flows through it

@@ -27,9 +27,6 @@ _EXPORTS = {
     "isomerism_ratio": "repro.integration.isomerism",
     "materialize": "repro.integration.outerjoin",
     "table_from_correspondences": "repro.integration.isomerism",
-    "CatalogUpdate": "repro.integration.replication",
-    "PropagationReport": "repro.integration.replication",
-    "ReplicatedCatalog": "repro.integration.replication",
     "AuditReport": "repro.integration.validate",
     "Finding": "repro.integration.validate",
     "check_federation": "repro.integration.validate",

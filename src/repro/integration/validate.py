@@ -12,9 +12,10 @@ through a query:
 * **catalog coverage** — every stored object of an integrated class has
   a GOid, and every catalog entry points at a stored object;
 * **replica value consistency** — isomeric copies never disagree on a
-  shared non-null attribute (the no-inconsistency assumption under which
-  CA/BL/PL equivalence holds; violations are reported as warnings, not
-  errors).
+  shared non-null single-valued primitive attribute (the
+  no-inconsistency assumption under which CA/BL/PL equivalence holds;
+  violations are reported as warnings, not errors).  A global attribute
+  declared multi-valued is exempt: integration unions its copies.
 """
 
 from __future__ import annotations
@@ -142,6 +143,7 @@ def check_federation(system, max_findings: int = 200) -> AuditReport:
     # --- replica value consistency -------------------------------------------
     for global_class in system.global_schema.class_names:
         table = system.catalog.table(global_class)
+        gdef = system.global_schema.cls(global_class)
         for goid, row in table.entries():
             if len(row) < 2 or not room():
                 continue
@@ -152,16 +154,12 @@ def check_federation(system, max_findings: int = 200) -> AuditReport:
             copies = [c for c in copies if c is not None]
             attrs = set().union(*(c.values.keys() for c in copies))
             for attr_name in attrs:
-                attr_defs = [
-                    system.db(c.loid.db).schema.cls(c.class_name)
-                    for c in copies
-                ]
-                is_complex = any(
-                    d.has_attribute(attr_name) and d.attribute(attr_name).is_complex
-                    for d in attr_defs
-                )
-                if is_complex:
-                    continue  # references differ by construction (local LOids)
+                if gdef.has_attribute(attr_name):
+                    gattr = gdef.attribute(attr_name)
+                    # References differ by construction (local LOids),
+                    # and a multi-valued attribute unions its copies.
+                    if gattr.is_complex or gattr.multi_valued:
+                        continue
                 non_null = {
                     c.get(attr_name)
                     for c in copies

@@ -10,12 +10,17 @@ from repro.workload.generator import generate
 from repro.workload.params import sample_params
 
 
-def make_workload(seed: int, scale: float = 0.03, **kwargs):
+def make_workload(
+    seed: int, scale: float = 0.03, multi_valued_targets: bool = False,
+    **kwargs,
+):
     """One generated workload, deterministic in *seed*."""
     rng = random.Random(seed)
     params = sample_params(rng, **kwargs)
     params.seed = seed
-    return generate(params, scale=scale)
+    return generate(
+        params, scale=scale, multi_valued_targets=multi_valued_targets
+    )
 
 
 def context(**options) -> ExecutionContext:

@@ -247,6 +247,33 @@ class TestOracle:
             "[schedule] fuzz-1996-8: FederationSim.run: node "
         )
 
+    def test_replicas_invariant_catches_a_disagreeing_copy(
+        self, monkeypatch
+    ):
+        """EXPERIMENTS.md deviation 4 is checked, not assumed: a case
+        whose federation stores one scalar copy that disagrees with its
+        isomeric twin is a ``replicas`` violation."""
+        build = FuzzCase.build
+
+        def corrupted(case):
+            built = build(case)
+            system = built.system
+            table = system.catalog.table(built.query.range_class)
+            row = next(row for _, row in table.entries() if len(row) > 1)
+            loid = next(iter(row.values()))
+            system.db(loid.db).get(loid).values["t0"] = -1
+            system.db(loid.db).note_mutation()
+            return built
+
+        monkeypatch.setattr(FuzzCase, "build", corrupted)
+        violations = StrategyOracle().check(FederationFuzzer(1996).case(8))
+        replicas = [v for v in violations if v.invariant == "replicas"]
+        assert len(replicas) == 1
+        assert str(replicas[0]).startswith(
+            "[replicas] fuzz-1996-8: [warning] consistency: "
+        )
+        assert "copies disagree on 't0'" in str(replicas[0])
+
     def test_loose_entity_check_misses_what_oracle_catches(
         self, broken_resolver
     ):

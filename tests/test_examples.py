@@ -56,4 +56,4 @@ class TestExamples:
         assert proc.returncode == 0, proc.stderr
         assert "0 error(s)" in proc.stdout
         assert "dangles" in proc.stdout
-        assert "consistent=True" in proc.stdout
+        assert "copies disagree on 'name'" in proc.stdout

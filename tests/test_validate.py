@@ -17,8 +17,16 @@ class TestCleanFederations:
         assert report.warnings == []
         assert report.objects_audited == 20  # all Figure 4 objects
 
-    def test_generated_is_clean(self):
-        workload = make_workload(seed=17, scale=0.03)
+    @pytest.mark.parametrize(
+        "multi_valued_targets", [False, True],
+        ids=["multi_valued_targets=False", "multi_valued_targets=True"],
+    )
+    def test_generated_is_clean(self, multi_valued_targets):
+        """Copies of a multi-valued global attribute hold their own
+        values by design (integration unions them): no disagreement."""
+        workload = make_workload(
+            seed=17, scale=0.03, multi_valued_targets=multi_valued_targets
+        )
         report = check_federation(workload.system)
         assert report.ok, [str(f) for f in report.findings[:5]]
         assert report.warnings == []
