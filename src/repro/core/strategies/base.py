@@ -219,32 +219,43 @@ def plan_dispatch(
             "signature strategy requested but system.build_signatures() "
             "was never called"
         )
-    # (db, class, predicates) -> ordered unique loids
-    buckets: Dict[Tuple[str, str, Tuple[Predicate, ...]], List[LOid]] = {}
+    # (db, class, predicates) -> unique loids, in order of first arrival
+    buckets: Dict[tuple, Dict[LOid, None]] = {}
     # (assistant db, global class, relative path) -> missing depth: the
     # schema is walked once per distinct path of this call.
     depths: Dict[tuple, Optional[int]] = {}
+    global_classes: Dict[Tuple[str, str], str] = {}
+    # (assistant db, global class, ids of the item's relatives) ->
+    # [answerable, home class, bucket key, bucket once used], or [] when
+    # the site cannot help: one decision per unsolved group.  ``held``
+    # keeps the relatives alive, so no id of this call is reused.
+    groups: Dict[tuple, list] = {}
+    held = []
     for item in items:
-        global_class = system.global_schema.global_class_of(
-            item.loid.db, item.class_name
-        )
-        if global_class is None:
+        class_key = (item.loid.db, item.class_name)
+        global_class = global_classes.get(class_key)
+        if global_class is None:  # "" names no global class
+            global_class = global_classes[class_key] = (
+                system.global_schema.global_class_of(*class_key) or ""
+            )
+        if not global_class:
             continue
-        plan.mapping_lookups += 1
         assistants = system.catalog.assistants_of(global_class, item.loid)
+        # One mapping lookup for the item, then one per assistant.
+        plan.mapping_lookups += 1 + len(assistants)
         plan.assistants_found += len(assistants)
+        relatives = tuple(map(id, item.unsolved))
         for assistant in assistants:
-            plan.mapping_lookups += 1
-            answerable = _answerable_predicates(
-                assistant, global_class, item, system, depths
-            )
-            if not answerable:
+            group_key = (assistant.db, global_class, relatives)
+            group = groups.get(group_key)
+            if group is None:
+                held.append(item.unsolved)
+                group = groups[group_key] = _plan_group(
+                    assistant.db, global_class, item, system, depths
+                )
+            if not group:
                 continue
-            home_class = system.global_schema.constituent_class(
-                assistant.db, global_class
-            )
-            if home_class is None:  # pragma: no cover - mapping implies it
-                continue
+            answerable, home_class, key, bucket = group
             if constraints is not None:
                 kept = []
                 for up in answerable:
@@ -282,17 +293,16 @@ def plan_dispatch(
                 ]
                 if not answerable:
                     continue
-            key = (
-                assistant.db,
-                home_class,
-                tuple(sorted(
-                    {up.relative_predicate for up in answerable}, key=str
-                )),
-            )
-            bucket = buckets.setdefault(key, [])
-            if assistant not in bucket:
-                bucket.append(assistant)
-                plan.assistants_dispatched += 1
+            if answerable is group[0] or len(answerable) == len(group[0]):
+                if bucket is None:
+                    bucket = group[3] = buckets.setdefault(key, {})
+            else:  # some of the group's checks are settled already
+                bucket = buckets.setdefault(
+                    _bucket_key(assistant.db, home_class, answerable), {}
+                )
+            bucket[assistant] = None  # a repeat keeps its first place
+    # Each bucket holds every assistant once: those are the dispatched.
+    plan.assistants_dispatched = sum(map(len, buckets.values()))
     for (db_name, class_name, predicates), loids in sorted(
         buckets.items(), key=lambda kv: (kv[0][0], kv[0][1], repr(kv[0][2]))
     ):
@@ -307,14 +317,37 @@ def plan_dispatch(
     return plan
 
 
+def _plan_group(db_name, global_class, item, system, depths) -> list:
+    """``[answerable, home class, bucket key, None]`` of an assistant at
+    *db_name* for *item*'s unsolved group, or ``[]`` when it cannot help."""
+    answerable = _answerable_predicates(
+        db_name, global_class, item, system, depths
+    )
+    home_class = answerable and system.global_schema.constituent_class(
+        db_name, global_class
+    )
+    if not home_class:  # nothing to ask, or (never) no constituent
+        return []
+    key = _bucket_key(db_name, home_class, answerable)
+    return [answerable, home_class, key, None]
+
+
+def _bucket_key(db_name: str, home_class: str, answerable) -> tuple:
+    return (
+        db_name,
+        home_class,
+        tuple(sorted({up.relative_predicate for up in answerable}, key=str)),
+    )
+
+
 def _answerable_predicates(
-    assistant: LOid,
+    db_name: str,
     global_class: str,
     item: UnsolvedItem,
     system: DistributedSystem,
     depths: Dict[tuple, Optional[int]],
 ):
-    """The item's unsolved predicates the assistant's site can advance.
+    """The item's unsolved predicates the site *db_name* can advance.
 
     A site can *provide* the missing data when its schema defines the
     whole relative path from the assistant's class; it can still
@@ -326,7 +359,7 @@ def _answerable_predicates(
     """
     answerable = []
     for unsolved in item.unsolved:
-        key = (assistant.db, global_class, unsolved.relative_path)
+        key = (db_name, global_class, unsolved.relative_path)
         if key not in depths:
             depths[key] = missing_depth(system.global_schema, *key)
         depth = depths[key]

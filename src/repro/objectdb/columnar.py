@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from operator import add
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core.predicates import (
     EvalMeter,
@@ -261,7 +261,7 @@ class DnfSummary:
         self.columns = columns
 
 
-class UnsolvedEntry:
+class UnsolvedEntry(NamedTuple):
     """Precomputed unsolved bookkeeping for one (row, predicate) miss.
 
     The holder object the relative predicate attaches to (``is_root``
@@ -270,30 +270,28 @@ class UnsolvedEntry:
     same depth — and the deref charge a scan pays walking to the holder.
     """
 
-    __slots__ = (
-        "holder_loid",
-        "holder_class",
-        "is_root",
-        "relative",
-        "reached_via",
-        "derefs",
-    )
+    holder_loid: LOid
+    holder_class: str
+    is_root: bool
+    relative: UnsolvedPredicateOnObject
+    reached_via: Optional[Path]
+    derefs: int
 
-    def __init__(
-        self,
-        holder_loid: LOid,
-        holder_class: str,
-        is_root: bool,
-        relative: UnsolvedPredicateOnObject,
-        reached_via: Optional[Path],
-        derefs: int,
-    ):
-        self.holder_loid = holder_loid
-        self.holder_class = holder_class
-        self.is_root = is_root
-        self.relative = relative
-        self.reached_via = reached_via
-        self.derefs = derefs
+
+class UnsolvedLayout(NamedTuple):
+    """Where PL's scan finds each row's unsolved data, operands aside.
+
+    ``derefs`` is the scan's deref total.  ``rows`` lists ``(row, shape,
+    holders)`` for each row with unsolved data, ``holders`` being each
+    unsolved item's (LOid, class).  ``shapes[shape]`` is ``(root,
+    items)``: the ``pairs`` — distinct (probe, reached depth) — the root
+    object holds and, per item, that item holds, in scan order.
+    """
+
+    derefs: int
+    rows: List[Tuple[int, int, tuple]]
+    shapes: List[Tuple[tuple, tuple]]
+    pairs: List[Tuple[int, int]]
 
 
 class ColumnarExtent:
@@ -329,6 +327,7 @@ class ColumnarExtent:
         self._holder_walks: Dict[
             Tuple[Tuple[str, ...], Optional[int]], List[Optional[Holder]]
         ] = {}
+        self._layouts: Dict[tuple, UnsolvedLayout] = {}
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -559,6 +558,43 @@ class ColumnarExtent:
             )
         return col
 
+    def unsolved_layout(self, probes) -> UnsolvedLayout:
+        """The :class:`UnsolvedLayout` of *probes* — ``(path, None)`` per
+        local predicate, then ``(path, missing depth)`` per removed one —
+        kept per ``(path.steps, depth)`` like the holder walks it reads."""
+        key = tuple([(path.steps, depth) for path, depth in probes])
+        layout = self._layouts.get(key)
+        if layout is not None:
+            return layout
+        walks = [self._holders(path, depth) for path, depth in probes]
+        derefs = sum(sum(self.walk(p).derefs) for p, d in probes if d is None)
+        rows: List[Tuple[int, int, tuple]] = []
+        shapes: Dict[tuple, int] = {}  # shape -> its index
+        pairs: Dict[Tuple[int, int], int] = {}  # (probe, reached) -> index
+        for r, holders in enumerate(zip(*walks)):
+            root, items = [], {}  # pairs; holder LOid -> (class, pairs)
+            for probe, holder in enumerate(holders):
+                if holder is not None:
+                    reached, loid, cls, is_root, paid = holder
+                    derefs += paid
+                    at = pairs.setdefault((probe, reached), len(pairs))
+                    if is_root:
+                        root.append(at)
+                    else:
+                        items.setdefault(loid, (cls, []))[1].append(at)
+            if root or items:
+                shape = tuple(root), tuple(tuple(a) for _, a in items.values())
+                held = tuple([(loid, cls) for loid, (cls, _) in items.items()])
+                rows.append((r, shapes.setdefault(shape, len(shapes)), held))
+        layout = UnsolvedLayout(derefs, rows, [*shapes], [*pairs])
+        self._layouts[key] = layout
+        return layout
+
+    def relative(self, predicate: Predicate, reached: int) -> tuple:
+        """:func:`relative_parts` of *predicate*, kept per extent version."""
+        parts = self._relative.setdefault(predicate, {})
+        return relative_parts(parts, predicate, reached)
+
     def _holders(
         self, path: Path, depth: Optional[int]
     ) -> List[Optional[Holder]]:
@@ -613,17 +649,14 @@ class UnsolvedColumn:
     where their missing data sits, so an entry is made when its row is
     first read and kept for the next reader.  The relative predicate and
     reached-via prefix depend on the blocking depth alone: each is built
-    once and shared across rows, and (through *parts*) across the
-    predicate's columns.
+    once into the predicate's *parts*, which the extent shares across
+    the predicate's columns and its PL layouts (:func:`relative_parts`).
     """
 
     __slots__ = ("predicate", "holders", "_parts", "_entries")
 
     def __init__(
-        self,
-        predicate: Predicate,
-        holders: List[Optional[Holder]],
-        parts: Dict[int, Tuple[UnsolvedPredicateOnObject, Optional[Path]]],
+        self, predicate: Predicate, holders: List[Optional[Holder]], parts
     ) -> None:
         self.predicate = predicate
         self.holders = holders
@@ -638,22 +671,30 @@ class UnsolvedColumn:
         if holder is None:
             return None
         reached, holder_loid, holder_class, is_root, paid = holder
-        parts = self._parts.get(reached)
-        if parts is None:
-            steps = self.predicate.path.steps
-            # At depth 0 the holder is the root itself: no reached-via
-            # prefix is ever read there.
-            parts = self._parts[reached] = (
-                UnsolvedPredicateOnObject(
-                    original=self.predicate,
-                    relative_path=Path(steps[reached:]),
-                ),
-                Path(steps[:reached]) if reached else None,
-            )
         entry = self._entries[row] = UnsolvedEntry(
-            holder_loid, holder_class, is_root, parts[0], parts[1], paid
+            holder_loid, holder_class, is_root,
+            *relative_parts(self._parts, self.predicate, reached), paid,
         )
         return entry
+
+
+def relative_parts(
+    parts: Dict[int, tuple], predicate: Predicate, reached: int
+) -> Tuple[UnsolvedPredicateOnObject, Optional[Path]]:
+    """The relative predicate and reached-via prefix of *predicate*
+    blocked *reached* steps in, kept in *parts*, its dict of them."""
+    got = parts.get(reached)
+    if got is None:
+        steps = predicate.path.steps
+        # At depth 0 the holder is the root itself: no reached-via
+        # prefix is ever read there.
+        got = parts[reached] = (
+            UnsolvedPredicateOnObject(
+                original=predicate, relative_path=Path(steps[reached:])
+            ),
+            Path(steps[:reached]) if reached else None,
+        )
+    return got
 
 
 #: Exact types the value index classifies, by ordering kind; everything

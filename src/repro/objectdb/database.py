@@ -425,10 +425,9 @@ class ComponentDatabase:
         overhead.
 
         One comparison per (object, predicate) probe is charged to the
-        meter for the missing-data test; path walks charge derefs.  The
-        probes read cached walk columns; only objects with actual misses
-        (or statically removed predicates) take the per-object
-        bookkeeping path.
+        meter for the missing-data test; path walks charge derefs.  Where
+        the unsolved data sits is the extent's cached, operand-free
+        :class:`~repro.objectdb.columnar.UnsolvedLayout`.
         """
         if query.db_name != self.name:
             raise ObjectStoreError(
@@ -443,46 +442,31 @@ class ComponentDatabase:
             obj = col.objects[min(r for walk in walks for r in walk.errors)]
             for predicate in local_predicates:
                 walk_path(obj, predicate.path, self.deref)
+        layout = col.unsolved_layout(
+            [(predicate.path, None) for predicate in local_predicates]
+            + [(r.predicate.path, r.missing_depth) for r in query.removed]
+        )
+        predicates = [*local_predicates, *(r.predicate for r in query.removed)]
+        parts = [col.relative(predicates[p], d) for p, d in layout.pairs]
+
+        def relatives(at):  # deduplicated by identity, as in a scan
+            return tuple({id(parts[i][0]): parts[i][0] for i in at}.values())
+
+        shapes = [
+            (relatives(root),
+             [(parts[at[0]][1], relatives(at)) for at in items])
+            for root, items in layout.shapes
+        ]
         n = len(col.objects)
-        meter = EvalMeter()
-        scan = UnsolvedScan(db_name=self.name, range_class=query.range_class)
-        scan.objects_scanned = n
-        meter.comparisons = n * (len(local_predicates) + len(query.removed))
-        miss_rows: set = set()
-        deref_acc = 0
-        for walk in walks:
-            deref_acc += sum(walk.derefs)
-            miss = walk.miss
-            miss_rows.update(
-                r for r in range(n) if miss[r] is not None
-            )
-        meter.derefs = deref_acc
-        objects = col.objects
-        rows = range(n) if query.removed else sorted(miss_rows)
-        ucols = [
-            col.unsolved_column(predicate) for predicate in local_predicates
-        ]
-        removed_cols = [
-            (rem, col.unsolved_column(rem.predicate, rem.missing_depth))
-            for rem in query.removed
-        ]
-        for r in rows:
-            obj = objects[r]
-            root_unsolved: Dict[int, UnsolvedPredicateOnObject] = {}
-            items: Dict[LOid, tuple] = {}
-            for ucol in ucols:
-                entry = ucol[r]
-                if entry is not None:
-                    meter.derefs += entry.derefs
-                    self._apply_unsolved(entry, root_unsolved, items)
-            for _rem, rcol in removed_cols:
-                entry = rcol[r]
-                meter.derefs += entry.derefs
-                self._apply_unsolved(entry, root_unsolved, items)
-            if root_unsolved or items:
-                scan.per_root[obj.loid] = self._unsolved_tuples(
-                    root_unsolved, items
-                )
+        meter = EvalMeter(n * len(predicates), layout.derefs)
+        scan = UnsolvedScan(self.name, query.range_class, n)
+        for r, shape, holders in layout.rows:
+            root, items = shapes[shape]
+            scan.per_root[col.ids[r]] = (root, tuple([
+                UnsolvedItem(loid, class_name, reached_via, unsolved)
+                for (loid, class_name), (reached_via, unsolved)
+                in zip(holders, items)
+            ]))
         return scan, meter
 
     # --- assistant checking (steps BL_C3 / PL_C3) -----------------------------

@@ -8,6 +8,7 @@ path.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -50,9 +51,13 @@ from repro.objectdb.local_query import (
     LocalResultSet,
     RemovedPredicate,
     RowKind,
+    UnsolvedPredicateOnObject,
 )
 from repro.objectdb.objects import LocalObject
 from repro.objectdb.values import MultiValue, NULL
+from repro.planner.constraints import ConstraintCatalog
+from repro.sqlx import parse_query
+from repro.workload.paper_example import Q1_TEXT, build_school_federation
 
 
 def pred(path, op, operand):
@@ -276,6 +281,108 @@ class TestUnsolvedIdentity:
         assert shared
         c2 = next(row for row in got.rows if row.loid.value == "c2")
         assert [len(item.unsolved) for item in c2.unsolved_items] == [1]
+
+
+# --- PL's scan reads a layout kept per path and depth ------------------------
+
+
+def assert_scan_is_reference(db, query):
+    got = db.collect_unsolved(query)
+    assert local_evaluation_difference(
+        got, collect_unsolved_reference(db, query)
+    ) is None
+    return got
+
+
+class TestUnsolvedLayout:
+    """Where PL's scan finds unsolved data depends on paths and depths:
+    one layout per query shape, never read across a data version."""
+
+    def test_two_operands_of_one_shape_build_the_layout_once(self):
+        db = make_db(mixed_rows())
+        extent = db.columnar_extent("C")
+        kept = []
+        for operand in (10, 11):
+            lost = pred("ref.y", Op.LT, operand)
+            assert_scan_is_reference(db, LocalQuery(
+                db_name="DB", range_class="C", targets=TARGETS,
+                where=((pred("ref.x", Op.EQ, operand), A1),),
+                removed=(RemovedPredicate(lost, 1),),
+                removed_by_conjunct=((lost,),),
+            ))
+            kept.append(list(extent._layouts.values()))
+        assert db.columnar_extent("C") is extent
+        assert len(kept[0]) == 1 and kept[1][0] is kept[0][0]
+        assert len(kept[1]) == 1
+
+    def test_one_path_removed_at_two_depths_reads_two_layouts(self):
+        db = make_db(mixed_rows())
+        for depth in (1, 0):
+            assert_scan_is_reference(db, LocalQuery(
+                db_name="DB", range_class="C", targets=TARGETS,
+                where=((A1,),), removed=(RemovedPredicate(Y5, depth),),
+                removed_by_conjunct=((Y5,),),
+            ))
+        assert len(db.columnar_extent("C")._layouts) == 2
+
+    @staticmethod
+    def null_a_branch_reference(system, query):
+        """Null the ``ref`` of the first DB1 branch object some root
+        reaches through a non-null ``ref``; returns the site."""
+        db = system.db("DB1")
+        for root in db.extent("K1").values():
+            branch = db.deref(root.values.get("ref", NULL))
+            if branch is not None and db.deref(
+                branch.values.get("ref", NULL)
+            ) is not None:
+                branch.values["ref"] = NULL
+                system.note_mutation("DB1", branch)
+                return "DB1"
+        raise AssertionError("no branch object holds a live reference")
+
+    @staticmethod
+    def insert_a_root(system, query):
+        """Insert a DB2 root copying the first one with unsolved data;
+        returns the site."""
+        db = system.db("DB2")
+        local = system.decompose(query).local_queries["DB2"]
+        first = next(iter(db.collect_unsolved(local)[0].per_root))
+        values = dict(db.get(first).values)
+        db.insert(LocalObject(LOid("DB2", "inserted"), "K1", values),
+                  validate=False)
+        return "DB2"
+
+    @pytest.mark.parametrize("change", ["null_a_branch_reference",
+                                        "insert_a_root"])
+    def test_a_warm_database_reads_what_a_fresh_one_does(self, change):
+        workload = make_workload(1996)
+        query = workload.query
+
+        def scans(system):
+            local = system.decompose(query).local_queries
+            return {
+                db_name: (system.db(db_name), local_query)
+                for db_name, local_query in sorted(local.items())
+            }
+
+        warm, fresh = workload.system, make_workload(1996).system
+        before = {
+            db_name: db.collect_unsolved(local_query)
+            for db_name, (db, local_query) in scans(warm).items()
+        }
+        changed = getattr(self, change)(warm, query)
+        assert getattr(self, change)(fresh, query) == changed
+        fresh_scans = scans(fresh)
+        for db_name, (db, local_query) in scans(warm).items():
+            got = assert_scan_is_reference(db, local_query)
+            fresh_db, fresh_query = fresh_scans[db_name]
+            assert local_evaluation_difference(
+                got, fresh_db.collect_unsolved(fresh_query)
+            ) is None
+            if db_name == changed:
+                assert local_evaluation_difference(
+                    got, before[db_name]
+                ) is not None
 
 
 # --- certify over the columns ------------------------------------------------
@@ -590,6 +697,142 @@ def test_plan_dispatch_walks_the_schema_once_per_relative_path(monkeypatch):
         assert base.plan_dispatch(db_name, items, system) == plan
         monkeypatch.setattr(base, "missing_depth", counted)
     assert planned
+
+
+# --- dispatch planning is pinned on every branch -----------------------------
+
+
+def dispatch_cases():
+    """``(name, system, site, items)``: BL's maybe-row items and PL's
+    scan items at every site of three federations, then one list holding
+    each Q1 item twice — the second time as an equal but distinct
+    relative predicate tuple."""
+    workload = make_workload(1996)
+    # No DB2 teacher has a speciality: the constraint catalog prunes.
+    nulled = build_school_federation()
+    for obj in nulled.db("DB2").extent("Teacher").values():
+        obj.values["speciality"] = NULL
+        nulled.note_mutation("DB2", obj)
+    federations = (
+        ("gen1996", workload.system, workload.query),
+        ("nulled", nulled, parse_query(Q1_TEXT)),
+        ("q1", build_school_federation(), parse_query(Q1_TEXT)),
+    )
+    for fed, system, query in federations:
+        local = system.decompose(query).local_queries
+        for db_name, lq in sorted(local.items()):
+            db = system.db(db_name)
+            result = db.execute_local(lq)
+            books = [
+                item
+                for book in result.books if book.kind is RowKind.MAYBE
+                for item in book.unsolved_items
+            ]
+            scan = db.collect_unsolved(lq)[0].all_items()
+            yield f"{fed}/{db_name}/BL", system, db_name, books
+            yield f"{fed}/{db_name}/PL", system, db_name, scan
+    # The last case's items: Q1's PL scan at DB2.
+    twins = [
+        dataclasses.replace(item, unsolved=tuple(
+            UnsolvedPredicateOnObject(u.original, u.relative_path)
+            for u in item.unsolved
+        ))
+        for item in scan
+    ]
+    yield "q1/twins", system, db_name, scan + twins
+
+
+def planned(system, db_name, items, mode):
+    """The plan of *mode* and the mapping cache traffic it caused."""
+    if mode == "signatures" and system.signatures is None:
+        system.build_signatures()
+    before = system.catalog.cache_stats()
+    plan = base.plan_dispatch(
+        db_name, items, system,
+        use_signatures=mode == "signatures",
+        constraints=ConstraintCatalog() if mode == "constraints" else None,
+    )
+    return plan, system.catalog.cache_stats().delta(before)
+
+
+def plan_digest(plan, delta):
+    return hashlib.sha256(
+        repr((plan, delta.hits, delta.misses)).encode()
+    ).hexdigest()[:16]
+
+
+#: ``plan_digest`` of every case and mode, recorded before phase O was
+#: planned per group, with (requests, assistants dispatched, checks
+#: pruned, signature comparisons) beside it to read a failure by.
+DISPATCH_PINS = {
+    "gen1996/DB1/BL/plain": ("e510e8623b5d11fa", 3, 4, 0, 0),
+    "gen1996/DB1/BL/signatures": ("3b058dbe8a3bba65", 2, 3, 0, 25),
+    "gen1996/DB1/BL/constraints": ("021f301ff2327dff", 3, 4, 0, 0),
+    "gen1996/DB1/PL/plain": ("ade9d2127985cabc", 8, 43, 0, 0),
+    "gen1996/DB1/PL/signatures": ("0c0627b922449c80", 7, 27, 0, 193),
+    "gen1996/DB1/PL/constraints": ("8585cd1a83876419", 8, 43, 0, 0),
+    "gen1996/DB2/BL/plain": ("7494768561e8ed26", 3, 4, 0, 0),
+    "gen1996/DB2/BL/signatures": ("1ea0543c3bafb4d7", 2, 3, 0, 15),
+    "gen1996/DB2/BL/constraints": ("bee9c1e80e60de4d", 3, 4, 0, 0),
+    "gen1996/DB2/PL/plain": ("f35d0accee23212f", 9, 48, 0, 0),
+    "gen1996/DB2/PL/signatures": ("907c88e9f4d8ca30", 8, 36, 0, 376),
+    "gen1996/DB2/PL/constraints": ("cd0d3630c4e726b9", 9, 48, 0, 0),
+    "gen1996/DB3/BL/plain": ("b1eae44933ce492e", 9, 19, 0, 0),
+    "gen1996/DB3/BL/signatures": ("f7b4dc71fb406ffb", 4, 5, 0, 69),
+    "gen1996/DB3/BL/constraints": ("6b1205e5f646300a", 9, 19, 0, 0),
+    "gen1996/DB3/PL/plain": ("5b26a4359058254e", 9, 70, 0, 0),
+    "gen1996/DB3/PL/signatures": ("41fdcb4833ac2799", 6, 33, 0, 394),
+    "gen1996/DB3/PL/constraints": ("1379b057d6331535", 9, 70, 0, 0),
+    "nulled/DB1/BL/plain": ("cb4220d319e8623e", 2, 2, 0, 0),
+    "nulled/DB1/BL/signatures": ("4344a299ff63cf3d", 2, 2, 0, 2),
+    "nulled/DB1/BL/constraints": ("ae9a1a7d49f433a0", 1, 1, 1, 0),
+    "nulled/DB1/PL/plain": ("a7a4667e9361be99", 2, 2, 0, 0),
+    "nulled/DB1/PL/signatures": ("4344a299ff63cf3d", 2, 2, 0, 2),
+    "nulled/DB1/PL/constraints": ("ae9a1a7d49f433a0", 1, 1, 1, 0),
+    "nulled/DB2/BL/plain": ("ea4eda1917f570a7", 2, 2, 0, 0),
+    "nulled/DB2/BL/signatures": ("52b7f607a9689355", 2, 2, 0, 2),
+    "nulled/DB2/BL/constraints": ("c2b0080ca39e3a4f", 2, 2, 0, 0),
+    "nulled/DB2/PL/plain": ("b1394b74667478ed", 2, 2, 0, 0),
+    "nulled/DB2/PL/signatures": ("9a8ce91480013097", 2, 2, 0, 3),
+    "nulled/DB2/PL/constraints": ("b1394b74667478ed", 2, 2, 0, 0),
+    "q1/DB1/BL/plain": ("cb4220d319e8623e", 2, 2, 0, 0),
+    "q1/DB1/BL/signatures": ("dcafe4edecdc5d53", 1, 1, 0, 2),
+    "q1/DB1/BL/constraints": ("a7a4667e9361be99", 2, 2, 0, 0),
+    "q1/DB1/PL/plain": ("a7a4667e9361be99", 2, 2, 0, 0),
+    "q1/DB1/PL/signatures": ("dcafe4edecdc5d53", 1, 1, 0, 2),
+    "q1/DB1/PL/constraints": ("a7a4667e9361be99", 2, 2, 0, 0),
+    "q1/DB2/BL/plain": ("04c2a04bf3fadd77", 1, 1, 0, 0),
+    "q1/DB2/BL/signatures": ("24fae721cdcb311d", 1, 1, 0, 1),
+    "q1/DB2/BL/constraints": ("48d3138a8581bac3", 1, 1, 0, 0),
+    "q1/DB2/PL/plain": ("e5e5b40a4885837c", 2, 2, 0, 0),
+    "q1/DB2/PL/signatures": ("9a8ce91480013097", 2, 2, 0, 3),
+    "q1/DB2/PL/constraints": ("b1394b74667478ed", 2, 2, 0, 0),
+    "q1/twins/plain": ("af577fdd33379520", 2, 2, 0, 0),
+    "q1/twins/signatures": ("472059acb9d7c53c", 2, 2, 0, 6),
+    "q1/twins/constraints": ("af577fdd33379520", 2, 2, 0, 0),
+}
+
+
+def test_plan_dispatch_is_pinned_on_every_branch():
+    got = {}
+    for name, system, db_name, items in dispatch_cases():
+        for mode in ("plain", "signatures", "constraints"):
+            plan, delta = planned(system, db_name, items, mode)
+            got[f"{name}/{mode}"] = (
+                plan_digest(plan, delta), len(plan.requests),
+                plan.assistants_dispatched, plan.checks_pruned,
+                plan.signature_comparisons,
+            )
+    assert got == DISPATCH_PINS
+
+
+def test_equal_relatives_plan_as_the_same_relatives():
+    *_, (name, system, db_name, items) = dispatch_cases()
+    half = len(items) // 2
+    for mode in ("plain", "signatures", "constraints"):
+        twins, delta = planned(system, db_name, items, mode)
+        same, same_delta = planned(system, db_name, items[:half] * 2, mode)
+        assert twins == same and delta.lookups == same_delta.lookups
 
 
 # --- export ------------------------------------------------------------------
