@@ -261,35 +261,20 @@ class DnfSummary:
         self.columns = columns
 
 
-class UnsolvedEntry(NamedTuple):
-    """Precomputed unsolved bookkeeping for one (row, predicate) miss.
-
-    The holder object the relative predicate attaches to (``is_root``
-    when it is the row's root object itself), the relative
-    predicate/``reached_via`` prefix — shared across rows blocked at the
-    same depth — and the deref charge a scan pays walking to the holder.
-    """
-
-    holder_loid: LOid
-    holder_class: str
-    is_root: bool
-    relative: UnsolvedPredicateOnObject
-    reached_via: Optional[Path]
-    derefs: int
-
-
 class UnsolvedLayout(NamedTuple):
-    """Where PL's scan finds each row's unsolved data, operands aside.
+    """Where each row's unsolved data sits, operands aside — what PL's
+    scan reports of every row and BL's evaluation of its maybe rows.
 
-    ``derefs`` is the scan's deref total.  ``rows`` lists ``(row, shape,
-    holders)`` for each row with unsolved data, ``holders`` being each
-    unsolved item's (LOid, class).  ``shapes[shape]`` is ``(root,
+    ``derefs`` is the scan's deref total.  ``rows`` maps each row with
+    unsolved data, in row order, to ``(shape, holders, derefs)``:
+    ``holders`` is each unsolved item's (LOid, class), ``derefs`` what
+    walking to the row's holders charges.  ``shapes[shape]`` is ``(root,
     items)``: the ``pairs`` — distinct (probe, reached depth) — the root
     object holds and, per item, that item holds, in scan order.
     """
 
     derefs: int
-    rows: List[Tuple[int, int, tuple]]
+    rows: Dict[int, Tuple[int, tuple, int]]
     shapes: List[Tuple[tuple, tuple]]
     pairs: List[Tuple[int, int]]
 
@@ -320,9 +305,6 @@ class ColumnarExtent:
         self._walks: Dict[Tuple[str, ...], WalkColumn] = {}
         self._preds: Dict[Predicate, PredicateColumn] = {}
         self._dnfs: Dict[Tuple[Conjunction, ...], DnfSummary] = {}
-        self._unsolved: Dict[
-            Tuple[Predicate, Optional[int]], "UnsolvedColumn"
-        ] = {}
         self._relative: Dict[Predicate, Dict[int, tuple]] = {}
         self._holder_walks: Dict[
             Tuple[Tuple[str, ...], Optional[int]], List[Optional[Holder]]
@@ -529,34 +511,7 @@ class ColumnarExtent:
                     if r in walk.errors:
                         walk_path(obj, target, self._deref)
 
-    # --- unsolved bookkeeping columns ----------------------------------------
-
-    def unsolved_column(
-        self, predicate: Predicate, depth: Optional[int] = None
-    ) -> "UnsolvedColumn":
-        """Per-row :class:`UnsolvedEntry` values for *predicate*.
-
-        With ``depth=None`` entries exist exactly at the predicate walk's
-        missing rows — the evaluation-miss form.  With an explicit
-        *depth* (a statically removed predicate) **every** row gets an
-        entry: the holder walk retraces the path prefix and may be
-        blocked earlier than *depth* by a null/non-reference value or a
-        dangling reference.
-
-        The holder walk is shared by every predicate on the same path;
-        the column is cached per (predicate, depth), the relative
-        predicates it hands out per predicate: over one extent version
-        two :class:`UnsolvedPredicateOnObject` are equal only when they
-        are the same object, which is how unsolved data is deduplicated.
-        """
-        holders = self._holders(predicate.path, depth)
-        key = (predicate, depth)
-        col = self._unsolved.get(key)
-        if col is None:
-            col = self._unsolved[key] = UnsolvedColumn(
-                predicate, holders, self._relative.setdefault(predicate, {})
-            )
-        return col
+    # --- where unsolved data sits --------------------------------------------
 
     def unsolved_layout(self, probes) -> UnsolvedLayout:
         """The :class:`UnsolvedLayout` of *probes* — ``(path, None)`` per
@@ -568,32 +523,53 @@ class ColumnarExtent:
             return layout
         walks = [self._holders(path, depth) for path, depth in probes]
         derefs = sum(sum(self.walk(p).derefs) for p, d in probes if d is None)
-        rows: List[Tuple[int, int, tuple]] = []
+        rows: Dict[int, Tuple[int, tuple, int]] = {}
         shapes: Dict[tuple, int] = {}  # shape -> its index
         pairs: Dict[Tuple[int, int], int] = {}  # (probe, reached) -> index
         for r, holders in enumerate(zip(*walks)):
             root, items = [], {}  # pairs; holder LOid -> (class, pairs)
+            charged = 0
             for probe, holder in enumerate(holders):
                 if holder is not None:
                     reached, loid, cls, is_root, paid = holder
-                    derefs += paid
+                    charged += paid
                     at = pairs.setdefault((probe, reached), len(pairs))
                     if is_root:
                         root.append(at)
                     else:
                         items.setdefault(loid, (cls, []))[1].append(at)
             if root or items:
+                derefs += charged
                 shape = tuple(root), tuple(tuple(a) for _, a in items.values())
                 held = tuple([(loid, cls) for loid, (cls, _) in items.items()])
-                rows.append((r, shapes.setdefault(shape, len(shapes)), held))
+                rows[r] = (shapes.setdefault(shape, len(shapes)), held, charged)
         layout = UnsolvedLayout(derefs, rows, [*shapes], [*pairs])
         self._layouts[key] = layout
         return layout
 
-    def relative(self, predicate: Predicate, reached: int) -> tuple:
-        """:func:`relative_parts` of *predicate*, kept per extent version."""
+    def relative(
+        self, predicate: Predicate, reached: int
+    ) -> Tuple[UnsolvedPredicateOnObject, Optional[Path]]:
+        """The relative predicate and reached-via prefix of *predicate*
+        blocked *reached* steps in, made once per extent version.
+
+        Over one version two relative predicates are equal only when
+        they are the same object, which is how unsolved data is
+        deduplicated.
+        """
         parts = self._relative.setdefault(predicate, {})
-        return relative_parts(parts, predicate, reached)
+        got = parts.get(reached)
+        if got is None:
+            steps = predicate.path.steps
+            # At depth 0 the holder is the root itself: no reached-via
+            # prefix is ever read there.
+            got = parts[reached] = (
+                UnsolvedPredicateOnObject(
+                    original=predicate, relative_path=Path(steps[reached:])
+                ),
+                Path(steps[:reached]) if reached else None,
+            )
+        return got
 
     def _holders(
         self, path: Path, depth: Optional[int]
@@ -640,61 +616,6 @@ class ColumnarExtent:
                 paid,
             ))
         return holders
-
-
-class UnsolvedColumn:
-    """``column[row]`` -> the row's :class:`UnsolvedEntry` (or ``None``).
-
-    Most rows of a local evaluation are eliminated before anyone asks
-    where their missing data sits, so an entry is made when its row is
-    first read and kept for the next reader.  The relative predicate and
-    reached-via prefix depend on the blocking depth alone: each is built
-    once into the predicate's *parts*, which the extent shares across
-    the predicate's columns and its PL layouts (:func:`relative_parts`).
-    """
-
-    __slots__ = ("predicate", "holders", "_parts", "_entries")
-
-    def __init__(
-        self, predicate: Predicate, holders: List[Optional[Holder]], parts
-    ) -> None:
-        self.predicate = predicate
-        self.holders = holders
-        self._parts = parts
-        self._entries: List[Optional[UnsolvedEntry]] = [None] * len(holders)
-
-    def __getitem__(self, row: int) -> Optional[UnsolvedEntry]:
-        entry = self._entries[row]
-        if entry is not None:
-            return entry
-        holder = self.holders[row]
-        if holder is None:
-            return None
-        reached, holder_loid, holder_class, is_root, paid = holder
-        entry = self._entries[row] = UnsolvedEntry(
-            holder_loid, holder_class, is_root,
-            *relative_parts(self._parts, self.predicate, reached), paid,
-        )
-        return entry
-
-
-def relative_parts(
-    parts: Dict[int, tuple], predicate: Predicate, reached: int
-) -> Tuple[UnsolvedPredicateOnObject, Optional[Path]]:
-    """The relative predicate and reached-via prefix of *predicate*
-    blocked *reached* steps in, kept in *parts*, its dict of them."""
-    got = parts.get(reached)
-    if got is None:
-        steps = predicate.path.steps
-        # At depth 0 the holder is the root itself: no reached-via
-        # prefix is ever read there.
-        got = parts[reached] = (
-            UnsolvedPredicateOnObject(
-                original=predicate, relative_path=Path(steps[reached:])
-            ),
-            Path(steps[:reached]) if reached else None,
-        )
-    return got
 
 
 #: Exact types the value index classifies, by ordering kind; everything

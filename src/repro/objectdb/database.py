@@ -28,7 +28,6 @@ from repro.objectdb.columnar import (
     FALSE_CODE,
     TV_OF_CODE,
     UNKNOWN_CODE,
-    UnsolvedEntry,
 )
 from repro.objectdb.ids import GOid, LOid
 from repro.objectdb.indexes import SERVES, IndexProbe, index_probe
@@ -260,16 +259,14 @@ class ComponentDatabase:
             map(pcol.codes.__getitem__, survivors)
             for pcol in predicates.values()
         ]) if predicates else repeat(())
-        ucols = [col.unsolved_column(predicate) for predicate in predicates]
-        removed_cols = [
-            col.unsolved_column(rem.predicate, rem.missing_depth)
-            for rem in query.removed
-        ]
+        removed = query.removed
         # One book per packed status pattern: rows without unsolved data
         # share it whole, the others its status dict — the global site
         # recognises a pattern by that dict's identity and certifies it
-        # once.  A row with unsolved data owns its book, built here with
-        # the holder-walk derefs it charges.
+        # once.  A row with unsolved data charges the holder-walk derefs
+        # of its row in the layout PL's scan reads, and a maybe one owns
+        # its book, built from that row.
+        layout = None
         patterns: Dict[tuple, Book] = {}
         books: List[Book] = []
         for r, packed in zip(survivors, packs):
@@ -278,18 +275,24 @@ class ComponentDatabase:
                 status = dict(
                     zip(predicates, map(TV_OF_CODE.__getitem__, packed))
                 )
-                for rem in query.removed:
+                for rem in removed:
                     status.setdefault(rem.predicate, TV.UNKNOWN)
                 book = patterns[packed] = Book(
                     RowKind.CERTAIN if self._locally_certain(query, status)
                     else RowKind.MAYBE,
                     status,
                 )
-            if removed_cols or UNKNOWN_CODE in packed:
-                book, paid = self._unsolved_book(
-                    book, r, zip(packed, ucols), removed_cols
-                )
-                deref_acc += paid
+            if removed or UNKNOWN_CODE in packed:
+                if layout is None:
+                    layout, unsolved_of = self._layout(col, query, predicates)
+                held = layout.rows.get(r)
+                if held is not None:
+                    deref_acc += held[2]
+                    if book.kind is RowKind.MAYBE:
+                        book = Book(
+                            RowKind.MAYBE, book.predicate_status,
+                            *unsolved_of(held),
+                        )
             books.append(book)
         values = {}
         for target, walk in zip(query.targets, target_walks):
@@ -304,31 +307,6 @@ class ComponentDatabase:
             index_probe=probe,
             columns=(col.row_ids, survivors, books, values),
         )
-
-    def _unsolved_book(
-        self, pattern: Book, r: int, evaluated, removed_cols
-    ) -> Tuple[Book, int]:
-        """Row *r*'s own book — its pattern's plus where its unsolved
-        data sits — and the derefs a scan pays locating the holders."""
-        root_unsolved: Dict[int, UnsolvedPredicateOnObject] = {}
-        items: Dict[LOid, tuple] = {}
-        paid = 0
-        for code, ucol in evaluated:
-            if code == UNKNOWN_CODE:
-                entry = ucol[r]
-                if entry is not None:
-                    paid += entry.derefs
-                    self._apply_unsolved(entry, root_unsolved, items)
-        for rcol in removed_cols:
-            entry = rcol[r]
-            paid += entry.derefs
-            self._apply_unsolved(entry, root_unsolved, items)
-        if pattern.kind is RowKind.MAYBE:
-            pattern = Book(
-                RowKind.MAYBE, pattern.predicate_status,
-                *self._unsolved_tuples(root_unsolved, items),
-            )
-        return pattern, paid
 
     def _select_candidates(
         self, query: LocalQuery
@@ -375,40 +353,40 @@ class ComponentDatabase:
         return False
 
     @staticmethod
-    def _apply_unsolved(
-        entry: "UnsolvedEntry",
-        root_unsolved: Dict[int, UnsolvedPredicateOnObject],
-        items: Dict[LOid, tuple],
-    ) -> None:
-        """Attach *entry*'s predicate as unsolved on the object holding
-        the data: the row's root object, or an unsolved item.
+    def _layout(col: ColumnarExtent, query: LocalQuery, predicates):
+        """The extent's :class:`~repro.objectdb.columnar.UnsolvedLayout`
+        of *predicates* (evaluated in place) and the query's removed
+        ones, and a reader of what one of its rows reports: the root's
+        unsolved predicates and the row's unsolved items.  Each shape's
+        operands resolve once per call, when a row of it is first read."""
+        removed = query.removed
+        layout = col.unsolved_layout(
+            [(predicate.path, None) for predicate in predicates]
+            + [(r.predicate.path, r.missing_depth) for r in removed]
+        )
+        probed = [*predicates, *(r.predicate for r in removed)]
+        parts = [col.relative(probed[p], d) for p, d in layout.pairs]
+        shapes: List[Optional[tuple]] = [None] * len(layout.shapes)
 
-        Deduplicated by identity: an extent version hands out one
-        relative predicate per (predicate, blocking depth), so equal
-        means identical (see
-        :meth:`~repro.objectdb.columnar.ColumnarExtent.unsolved_column`).
-        """
-        relative = entry.relative
-        if entry.is_root:
-            root_unsolved[id(relative)] = relative
-            return
-        held = items.get(entry.holder_loid)
-        if held is None:
-            held = items[entry.holder_loid] = (entry, {})
-        held[1][id(relative)] = relative
+        def relatives(at):  # deduplicated by identity, as in a scan
+            return tuple({id(parts[i][0]): parts[i][0] for i in at}.values())
 
-    @staticmethod
-    def _unsolved_tuples(root_unsolved, items):
-        """What :meth:`_apply_unsolved` gathered, as a row reports it."""
-        return tuple(root_unsolved.values()), tuple([
-            UnsolvedItem(
-                loid=first.holder_loid,
-                class_name=first.holder_class,
-                reached_via=first.reached_via,
-                unsolved=tuple(relatives.values()),
-            )
-            for first, relatives in items.values()
-        ])
+        def unsolved_of(held):
+            shape, holders, _ = held
+            resolved = shapes[shape]
+            if resolved is None:
+                root, items = layout.shapes[shape]
+                resolved = shapes[shape] = relatives(root), [
+                    (parts[at[0]][1], relatives(at)) for at in items
+                ]
+            root, items = resolved
+            return root, tuple([
+                UnsolvedItem(loid, class_name, reached_via, unsolved)
+                for (loid, class_name), (reached_via, unsolved)
+                in zip(holders, items)
+            ])
+
+        return layout, unsolved_of
 
     # --- phase-O-first scan (step PL_C1) --------------------------------------
 
@@ -442,31 +420,14 @@ class ComponentDatabase:
             obj = col.objects[min(r for walk in walks for r in walk.errors)]
             for predicate in local_predicates:
                 walk_path(obj, predicate.path, self.deref)
-        layout = col.unsolved_layout(
-            [(predicate.path, None) for predicate in local_predicates]
-            + [(r.predicate.path, r.missing_depth) for r in query.removed]
-        )
-        predicates = [*local_predicates, *(r.predicate for r in query.removed)]
-        parts = [col.relative(predicates[p], d) for p, d in layout.pairs]
-
-        def relatives(at):  # deduplicated by identity, as in a scan
-            return tuple({id(parts[i][0]): parts[i][0] for i in at}.values())
-
-        shapes = [
-            (relatives(root),
-             [(parts[at[0]][1], relatives(at)) for at in items])
-            for root, items in layout.shapes
-        ]
+        layout, unsolved_of = self._layout(col, query, local_predicates)
         n = len(col.objects)
-        meter = EvalMeter(n * len(predicates), layout.derefs)
+        meter = EvalMeter(
+            n * (len(local_predicates) + len(query.removed)), layout.derefs
+        )
         scan = UnsolvedScan(self.name, query.range_class, n)
-        for r, shape, holders in layout.rows:
-            root, items = shapes[shape]
-            scan.per_root[col.ids[r]] = (root, tuple([
-                UnsolvedItem(loid, class_name, reached_via, unsolved)
-                for (loid, class_name), (reached_via, unsolved)
-                in zip(holders, items)
-            ]))
+        for r, held in layout.rows.items():
+            scan.per_root[col.ids[r]] = unsolved_of(held)
         return scan, meter
 
     # --- assistant checking (steps BL_C3 / PL_C3) -----------------------------

@@ -43,6 +43,7 @@ from repro.evolution.controller import EvolutionController
 from repro.faults import FaultPlan
 from repro.integration.isomerism import table_from_correspondences
 from repro.integration.mapping import MappingCatalog, MappingTable
+from repro.objectdb.database import ComponentDatabase
 from repro.objectdb.ids import GOid, LOid
 from repro.objectdb.local_query import (
     Book,
@@ -54,6 +55,12 @@ from repro.objectdb.local_query import (
     UnsolvedPredicateOnObject,
 )
 from repro.objectdb.objects import LocalObject
+from repro.objectdb.schema import (
+    ClassDef,
+    ComponentSchema,
+    complex_attr,
+    primitive,
+)
 from repro.objectdb.values import MultiValue, NULL
 from repro.planner.constraints import ConstraintCatalog
 from repro.sqlx import parse_query
@@ -184,8 +191,8 @@ def held_books(extent):
 
 
 class TestBookkeepingMemo:
-    """A book is built per execution: nothing per query shape outlives
-    the call (an unseen operand never re-reads a row's bookkeeping)."""
+    """A book is built per execution: no book outlives the call, and
+    what an unseen operand leaves is its query shape's one layout."""
 
     def test_unseen_operands_keep_nothing_per_query_shape(self):
         values = [NULL if i % 10 == 0 else i for i in range(60)]
@@ -201,6 +208,7 @@ class TestBookkeepingMemo:
                 got, execute_local_reference(db, query)
             ) is None
         assert list(held_books(db.columnar_extent("C"))) == []
+        assert len(db.columnar_extent("C")._layouts) == 1
 
     def test_a_query_without_unsolved_data_leaves_no_memo(self):
         db = make_db([(f"c{i}", {"a": i}) for i in range(20)])
@@ -257,7 +265,7 @@ class TestUnsolvedIdentity:
 
     def test_one_predicate_at_two_depths(self):
         # Removed at depth 1 and evaluated (missing at depth 0 or 1): rows
-        # blocked at the same object by both get one entry, not two.
+        # blocked at the same object by both get one relative, not two.
         nested = pred("ref.x", Op.EQ, 10)
         query = LocalQuery(
             db_name="DB", range_class="C", targets=TARGETS,
@@ -268,16 +276,22 @@ class TestUnsolvedIdentity:
         db = make_db(mixed_rows())
         got = self.assert_is_reference(db, query)
         col = db.columnar_extent("C")
-        evaluated, removed = col.unsolved_column(nested), col.unsolved_column(
-            nested, 1
-        )
+        layout = col.unsolved_layout([(nested.path, None), (nested.path, 1)])
+        _, at, books, _ = got.as_columns()
+        book_of = dict(zip(at, books))
         shared = 0
-        for r in range(len(col)):
-            if evaluated[r] is not None and (
-                evaluated[r].holder_loid == removed[r].holder_loid
-            ):
-                assert evaluated[r].relative is removed[r].relative
-                shared += 1
+        for r, (shape, holders, _) in layout.rows.items():
+            root, items = layout.shapes[shape]
+            book = book_of[r]
+            for held, unsolved in [(root, book.unsolved)] + [
+                (pairs, item.unsolved)
+                for pairs, item in zip(items, book.unsolved_items)
+            ]:
+                forms = [layout.pairs[i] for i in held]
+                if {probe for probe, _ in forms} == {0, 1}:
+                    assert len(unsolved) == 1
+                    assert unsolved[0] is col.relative(nested, forms[0][1])[0]
+                    shared += 1
         assert shared
         c2 = next(row for row in got.rows if row.loid.value == "c2")
         assert [len(item.unsolved) for item in c2.unsolved_items] == [1]
@@ -325,6 +339,31 @@ class TestUnsolvedLayout:
             ))
         assert len(db.columnar_extent("C")._layouts) == 2
 
+    def test_an_item_reached_two_ways_keeps_the_first_prefix(self):
+        # Both predicates block at d1, reached through ``alt`` and then
+        # through ``ref``: the item is reported as the scan first met it.
+        db = ComponentDatabase(ComponentSchema.of("DB", [
+            ClassDef.of("C", [complex_attr("ref", "D"),
+                              complex_attr("alt", "D")]),
+            ClassDef.of("D", [primitive("x")]),
+        ]))
+        d1 = LOid("DB", "d1")
+        db.insert(LocalObject(d1, "D", {"x": NULL}))
+        db.insert(LocalObject(LOid("DB", "c1"), "C", {"ref": d1, "alt": d1}))
+        query = local_query(
+            ((pred("alt.x", Op.EQ, 1), pred("ref.x", Op.EQ, 1)),), TARGETS
+        )
+        got = db.execute_local(query)
+        assert local_evaluation_difference(
+            got, execute_local_reference(db, query)
+        ) is None
+        scan = assert_scan_is_reference(db, query)[0]
+        for items in (got.rows[0].unsolved_items, scan.all_items()):
+            assert [(item.loid, item.reached_via) for item in items] == [
+                (d1, Path.of("alt"))
+            ]
+            assert len(items[0].unsolved) == 2
+
     @staticmethod
     def null_a_branch_reference(system, query):
         """Null the ``ref`` of the first DB1 branch object some root
@@ -370,6 +409,8 @@ class TestUnsolvedLayout:
             db_name: db.collect_unsolved(local_query)
             for db_name, (db, local_query) in scans(warm).items()
         }
+        for db, local_query in scans(warm).values():
+            db.execute_local(local_query)  # warms the maybe rows' layout
         changed = getattr(self, change)(warm, query)
         assert getattr(self, change)(fresh, query) == changed
         fresh_scans = scans(fresh)
@@ -383,6 +424,13 @@ class TestUnsolvedLayout:
                 assert local_evaluation_difference(
                     got, before[db_name]
                 ) is not None
+            evaluated = db.execute_local(local_query)
+            assert local_evaluation_difference(
+                evaluated, execute_local_reference(db, local_query)
+            ) is None
+            assert local_evaluation_difference(
+                evaluated, fresh_db.execute_local(fresh_query)
+            ) is None
 
 
 # --- certify over the columns ------------------------------------------------
