@@ -16,10 +16,10 @@ avoids the dead site.
 
 A second sweep exercises replica failover: every component->component
 link degrades (global-site links stay clean — the sites themselves are
-alive), and each localized strategy runs plain and with hedging.  The
-contract enforced per cell: a fully-recovered answer is byte-identical
-to the fault-free run, and hedging never changes any answer; and some
-storm cell fails over at least one check and fully recovers.
+alive), and each localized strategy runs under it.  The contract
+enforced per cell: a fully-recovered answer is byte-identical to the
+fault-free run; and some storm cell fails over at least one check and
+fully recovers.
 
 Runs standalone (CI calls it twice, diffs the JSON for determinism, and
 checks it against the committed baseline)::
@@ -68,7 +68,6 @@ LOCALIZED = ("BL", "PL")
 FULL_STORM_RATES = (0.5, 0.9, 0.97)
 QUICK_STORM_RATES = (0.9, 0.97)
 FAILOVER_SEED = 0
-HEDGE_POLICY = "degrade:hedge=0.05"
 
 
 #: Chaos window horizon, matched to Q1's simulated timescale (~80 ms)
@@ -174,29 +173,23 @@ def _storm_plan(sites, loss):
     return FaultPlan.from_spec(spec)
 
 
-def run_failover_cell(strategy, plan, mode):
-    """One (strategy, storm, mode) execution; mode "hedge" hedges."""
+def run_failover_cell(strategy, plan):
+    """One (strategy, storm) execution."""
     engine = GlobalQueryEngine(build_school_federation())
     report = engine.execute(
         Q1_TEXT, strategy,
         options=engine.options.with_(
-            fault_plan=plan,
-            fault_seed=FAILOVER_SEED,
-            policy=HEDGE_POLICY if mode == "hedge" else None,
+            fault_plan=plan, fault_seed=FAILOVER_SEED
         ),
     )
     avail = report.availability
     return {
-        "mode": mode,
         "certain": len(report.results.certain),
         "maybe": len(report.results.maybe),
         "answer_digest": answer_fingerprint(report.results),
         "checks_skipped": avail.checks_skipped,
         "checks_failed_over": avail.checks_failed_over,
-        "hedges": avail.hedges,
-        "hedges_won": avail.hedges_won,
         "fully_recovered": avail.fully_recovered,
-        "contacts_suppressed": avail.contacts_suppressed,
         "total_s": round(report.total_time, 6),
         "response_s": round(report.response_time, 6),
         "availability": avail.summary(),
@@ -213,22 +206,20 @@ def failover_sweep(sites, storm_rates):
         rows.append({
             "loss": 0.0,
             "strategy": strategy,
-            **run_failover_cell(strategy, None, "on"),
+            **run_failover_cell(strategy, None),
         })
     for loss in storm_rates:
         plan = _storm_plan(sites, loss)
         for strategy in LOCALIZED:
-            for mode in ("on", "hedge"):
-                rows.append({
-                    "loss": loss,
-                    "strategy": strategy,
-                    **run_failover_cell(strategy, plan, mode),
-                })
+            rows.append({
+                "loss": loss,
+                "strategy": strategy,
+                **run_failover_cell(strategy, plan),
+            })
     _assert_failover_contract(rows, baseline_digest)
     return {
         "seed": FAILOVER_SEED,
         "rates": list(storm_rates),
-        "hedge_policy": HEDGE_POLICY,
         "baseline_digest": baseline_digest,
         "rows": rows,
     }
@@ -236,9 +227,9 @@ def failover_sweep(sites, storm_rates):
 
 def _assert_failover_contract(rows, baseline_digest):
     """The acceptance contract of replica failover, cell by cell."""
-    by_key = {(r["loss"], r["strategy"], r["mode"]): r for r in rows}
     failed_over_and_recovered = False
-    for (loss, strategy, mode), row in by_key.items():
+    for row in rows:
+        loss, strategy = row["loss"], row["strategy"]
         if loss == 0.0:
             continue
         if row["fully_recovered"]:
@@ -249,16 +240,9 @@ def _assert_failover_contract(rows, baseline_digest):
             expected = baseline_digest[strategy]
             if row["answer_digest"] != expected:
                 raise AssertionError(
-                    f"loss{loss:g}/{strategy}/{mode}: recovered answer "
+                    f"loss{loss:g}/{strategy}: recovered answer "
                     f"digest {row['answer_digest']} != fault-free "
                     f"{expected}"
-                )
-        if mode == "hedge":
-            on = by_key[(loss, strategy, "on")]
-            if row["answer_digest"] != on["answer_digest"]:
-                raise AssertionError(
-                    f"loss{loss:g}/{strategy}: hedging changed the "
-                    "answer"
                 )
     if not failed_over_and_recovered:
         raise AssertionError(
@@ -278,14 +262,12 @@ def render(result):
         for row in result["rows"]
     ]
     text = format_table(headers, table_rows)
-    headers = ["link loss", "strategy", "mode", "certain", "maybe",
-               "skipped", "failover", "hedges", "recovered",
-               "response (s)"]
+    headers = ["link loss", "strategy", "certain", "maybe",
+               "skipped", "failover", "recovered", "response (s)"]
     table_rows = [
-        [f"{row['loss']:g}", row["strategy"], row["mode"],
+        [f"{row['loss']:g}", row["strategy"],
          str(row["certain"]), str(row["maybe"]),
          str(row["checks_skipped"]), str(row["checks_failed_over"]),
-         f"{row['hedges_won']}/{row['hedges']}",
          "yes" if row["fully_recovered"] else "no",
          f"{row['response_s']:.3f}"]
         for row in result["failover"]["rows"]
@@ -301,10 +283,9 @@ SECTIONS = (
         "certain", "maybe", "completeness", "total_s", "response_s",
         "retries", "availability",
     )),
-    ("failover", "failover.rows", ("loss", "strategy", "mode"), (
+    ("failover", "failover.rows", ("loss", "strategy"), (
         "certain", "maybe", "answer_digest", "checks_skipped",
-        "checks_failed_over", "hedges", "hedges_won", "fully_recovered",
-        "contacts_suppressed", "total_s", "response_s",
+        "checks_failed_over", "fully_recovered", "total_s", "response_s",
     )),
 )
 
@@ -346,7 +327,7 @@ def test_chaos_sweep(benchmark):
     # The failover contract already ran inside sweep(); spot-check that
     # at least one storm cell fully recovered the fault-free answer.
     fo_rows = result["failover"]["rows"]
-    assert any(r["fully_recovered"] for r in fo_rows if r["mode"] == "on")
+    assert any(r["fully_recovered"] for r in fo_rows)
 
 
 if __name__ == "__main__":

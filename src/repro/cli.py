@@ -100,7 +100,7 @@ def _add_planner_arg(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--planner", default="static", choices=PLANNER_MODES,
         help="adaptive-planning mode: feedback (AUTO consults observed "
-             "stalls/breakers/queue delays), constraints (prune sites "
+             "stalls/queue delays), constraints (prune sites "
              "and checks via the per-site constraint catalog), full "
              "(both); answers are identical in every mode",
     )
@@ -126,8 +126,8 @@ def _execution_option_flags() -> argparse.ArgumentParser:
         "--policy", default="degrade", metavar="SPEC",
         help="fault-handling policy: a preset "
              f"({', '.join(sorted(POLICIES))}) optionally followed by "
-             "inline overrides, e.g. 'degrade:timeout=0.5,retries=3,"
-             "hedge=0.1' (default: degrade to partial answers)",
+             "inline overrides, e.g. 'degrade:timeout=0.5,retries=3' "
+             "(default: degrade to partial answers)",
     )
     _add_planner_arg(flags)
     return flags

@@ -21,11 +21,9 @@ window are *systematic* (dischargeable once the federation heals).
 """
 
 from repro.conditions.algebra import (
-    And,
     Condition,
     FluxEpoch,
     NullAttr,
-    Or,
     SiteDown,
     SystemState,
     UncheckedCopy,
@@ -43,13 +41,11 @@ from repro.conditions.recertify import (
 )
 
 __all__ = [
-    "And",
     "CentralizedRepairState",
     "Condition",
     "FluxEpoch",
     "LocalizedRepairState",
     "NullAttr",
-    "Or",
     "ReCertifier",
     "RepairError",
     "RepairSummary",

@@ -19,18 +19,18 @@ discharge is possible (site reachable again, window closed), FALSE when
 it never will be (a genuine null; a site formally excised from the
 federation), UNKNOWN while still blocked.  The atoms attached to one
 row form an implicit conjunction: the row can be fully re-certified
-only when every atom's status is TRUE (:func:`And` / strong-Kleene
-``all3``), which is exactly the monotone repair contract the
-:class:`~repro.conditions.recertify.ReCertifier` enforces.
+only when every atom's status is TRUE, which is exactly the monotone
+repair contract the :class:`~repro.conditions.recertify.ReCertifier`
+enforces.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Tuple
+from typing import TYPE_CHECKING, Iterable, Tuple
 
-from repro.core.tvl import TV, all3, any3
+from repro.core.tvl import TV
 from repro.objectdb.ids import GOid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -97,15 +97,11 @@ class SystemState:
 
 
 class Condition(abc.ABC):
-    """A 3VL-evaluable discharge condition (atom or connective)."""
+    """A 3VL-evaluable discharge condition (one atom)."""
 
     @abc.abstractmethod
     def status(self, state: SystemState) -> TV:
         """Is the blocking cause cleared under *state*?"""
-
-    @abc.abstractmethod
-    def atoms(self) -> Iterator["Condition"]:
-        """The leaf atoms of this condition, in order."""
 
     @abc.abstractmethod
     def sort_key(self) -> Tuple:
@@ -137,9 +133,6 @@ class NullAttr(Condition):
     def status(self, state: SystemState) -> TV:
         return TV.FALSE
 
-    def atoms(self) -> Iterator[Condition]:
-        yield self
-
     def sort_key(self) -> Tuple:
         return ("null", self.site, self.goid.value, self.attr)
 
@@ -162,9 +155,6 @@ class SiteDown(Condition):
     def status(self, state: SystemState) -> TV:
         return state.site_status(self.site)
 
-    def atoms(self) -> Iterator[Condition]:
-        yield self
-
     def sort_key(self) -> Tuple:
         return ("site-down", self.site, "", "")
 
@@ -181,9 +171,6 @@ class UncheckedCopy(Condition):
 
     def status(self, state: SystemState) -> TV:
         return state.site_status(self.site)
-
-    def atoms(self) -> Iterator[Condition]:
-        yield self
 
     def sort_key(self) -> Tuple:
         return ("unchecked", self.site, self.goid.value, "")
@@ -206,54 +193,11 @@ class FluxEpoch(Condition):
     def status(self, state: SystemState) -> TV:
         return state.flux_status(self.event)
 
-    def atoms(self) -> Iterator[Condition]:
-        yield self
-
     def sort_key(self) -> Tuple:
         return ("flux", self.event, str(self.epoch), "")
 
     def describe(self) -> str:
         return f"flux[{self.event}@{self.epoch}]"
-
-
-@dataclass(frozen=True)
-class And(Condition):
-    """Strong-Kleene conjunction: dischargeable when every part is."""
-
-    parts: Tuple[Condition, ...]
-
-    def status(self, state: SystemState) -> TV:
-        return all3(part.status(state) for part in self.parts)
-
-    def atoms(self) -> Iterator[Condition]:
-        for part in self.parts:
-            yield from part.atoms()
-
-    def sort_key(self) -> Tuple:
-        return ("and",) + tuple(p.sort_key() for p in self.parts)
-
-    def describe(self) -> str:
-        return "(" + " & ".join(p.describe() for p in self.parts) + ")"
-
-
-@dataclass(frozen=True)
-class Or(Condition):
-    """Strong-Kleene disjunction: dischargeable when any part is."""
-
-    parts: Tuple[Condition, ...]
-
-    def status(self, state: SystemState) -> TV:
-        return any3(part.status(state) for part in self.parts)
-
-    def atoms(self) -> Iterator[Condition]:
-        for part in self.parts:
-            yield from part.atoms()
-
-    def sort_key(self) -> Tuple:
-        return ("or",) + tuple(p.sort_key() for p in self.parts)
-
-    def describe(self) -> str:
-        return "(" + " | ".join(p.describe() for p in self.parts) + ")"
 
 
 def attach(row, *conditions: Condition) -> None:
@@ -271,12 +215,11 @@ def attach(row, *conditions: Condition) -> None:
 
 def condition_sites(conditions: Iterable[Condition]) -> Tuple[str, ...]:
     """The sites named by site-blocked atoms, sorted (repair targets)."""
-    sites = set()
-    for condition in conditions:
-        for atom in condition.atoms():
-            if isinstance(atom, (SiteDown, UncheckedCopy)):
-                sites.add(atom.site)
-    return tuple(sorted(sites))
+    return tuple(sorted({
+        atom.site
+        for atom in conditions
+        if isinstance(atom, (SiteDown, UncheckedCopy))
+    }))
 
 
 def mechanism(conditions: Iterable[Condition]) -> str:
@@ -286,11 +229,9 @@ def mechanism(conditions: Iterable[Condition]) -> str:
     (MCAR-ish: recovery never certifies it); any site/copy/flux atom
     makes it systematic (dischargeable once the federation heals).
     """
-    for condition in conditions:
-        for atom in condition.atoms():
-            if not isinstance(atom, NullAttr):
-                return SYSTEMATIC
-    return SAMPLING
+    if all(isinstance(atom, NullAttr) for atom in conditions):
+        return SAMPLING
+    return SYSTEMATIC
 
 
 def rank_mechanisms(results) -> Tuple[int, int]:

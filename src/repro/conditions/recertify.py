@@ -32,7 +32,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.conditions.algebra import (
     FluxEpoch,
@@ -126,13 +126,6 @@ class CentralizedRepairState:
     exports_by_class: Dict[str, Dict[str, list]]
     #: Sites whose exports were never shipped.
     skipped_sites: Tuple[str, ...]
-
-
-def _leaf_atoms(row) -> List:
-    out = []
-    for condition in row.conditions:
-        out.extend(condition.atoms())
-    return out
 
 
 class ReCertifier:
@@ -240,7 +233,7 @@ class ReCertifier:
         kept = []
         promoted = 0
         for row in results.maybe:
-            atoms = _leaf_atoms(row)
+            atoms = row.conditions
             if (
                 row.unsolved
                 or not atoms
@@ -301,20 +294,20 @@ class ReCertifier:
         for goid, row in original_maybe.items():
             old_atoms = {
                 atom
-                for atom in _leaf_atoms(row)
+                for atom in row.conditions
                 if not isinstance(atom, NullAttr)
             }
             if not old_atoms:
                 continue
             if goid in repaired_maybe:
-                new_atoms = set(_leaf_atoms(repaired_maybe[goid]))
+                new_atoms = set(repaired_maybe[goid].conditions)
                 discharged += len(old_atoms - new_atoms)
             else:
                 discharged += len(old_atoms)
         outstanding = sum(
             1
             for row in repaired.maybe
-            for atom in _leaf_atoms(row)
+            for atom in row.conditions
             if not isinstance(atom, NullAttr)
             and atom.status(self.state) is not TV.TRUE
         )

@@ -19,8 +19,8 @@ Concurrent callers over one shared federation each take an
 default strategy, options and per-worker cache accounting.  Every
 execution gets its own
 :class:`~repro.faults.injector.ExecutionContext`, the single carrier of
-its options and all per-execution state (fault negotiations, breakers,
-hedges), so strategies hold no option and interleaved executions can
+its options and all per-execution state (fault negotiations, departed
+sites), so strategies hold no option and interleaved executions can
 never bleed into each other.
 """
 
@@ -115,8 +115,9 @@ def _demote_uncertified(
         return 0, hit
     flux_atoms = tuple(FluxEpoch(epoch=epoch, event=label) for label in hit)
     for row in results.maybe:
-        leaves = [a for c in row.conditions for a in c.atoms()]
-        if any(isinstance(a, (SiteDown, UncheckedCopy)) for a in leaves):
+        if any(
+            isinstance(a, (SiteDown, UncheckedCopy)) for a in row.conditions
+        ):
             attach(row, *flux_atoms)
     demoted = [row for row in results.certain if row.goid not in protect]
     if not demoted:
@@ -236,10 +237,7 @@ class GlobalQueryEngine:
         departed = flux.departed_sites if flux is not None else ()
         if departed:
             options = _with_departed_outages(options, departed)
-        ctx = ExecutionContext(options)
-        for site in departed:
-            # Formal leave: suppress contact ladders immediately.
-            ctx.health.force_open(site)
+        ctx = ExecutionContext(options, departed)
         cache_before = self.system.cache_stats()
         with self.system.cache_scope(session.name):
             result = chosen.execute(self.system, query, ctx)
@@ -282,10 +280,10 @@ class GlobalQueryEngine:
         result.metrics.work.cache_misses = cache_delta.misses
         session.note_execution(cache_delta)
         if ctx.active:
-            # Trace-fed planning: fold this execution's observed stalls,
-            # breaker transitions and span queue delays into the shared
-            # feedback store.  Collected regardless of planner mode (so
-            # a later feedback-mode AUTO pick benefits from every prior
+            # Trace-fed planning: fold this execution's observed stalls
+            # and span queue delays into the shared feedback store.
+            # Collected regardless of planner mode (so a later
+            # feedback-mode AUTO pick benefits from every prior
             # execution); consumed only under feedback/full.
             self.system.planner_feedback.observe_execution(
                 ctx, result.metrics, self.system.global_site
@@ -320,13 +318,6 @@ class GlobalQueryEngine:
                 seed=ctx.injector.seed,
                 complete=ctx.complete,
             ))
-            for site, from_state, to_state in ctx.health.transitions:
-                report.record_event(TraceEvent.of(
-                    "fault.breaker",
-                    site=site,
-                    from_state=from_state,
-                    to_state=to_state,
-                ))
         return report
 
     def execute(

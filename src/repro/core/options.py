@@ -47,8 +47,8 @@ class ExecutionOptions:
         fault_seed: seed for loss draws and backoff jitter.
         planner: adaptive-planning mode — ``"static"`` (default; the
             analytic model's unmodified predictions, no pruning),
-            ``"feedback"`` (AUTO's pick consults observed stalls,
-            breaker history and span queue delays), ``"constraints"``
+            ``"feedback"`` (AUTO's pick consults observed stalls and
+            span queue delays), ``"constraints"``
             (localized strategies prune sites/checks via the per-site
             constraint catalog), or ``"full"`` (both).  Every mode is
             answer-identical to ``static`` — the soundness contract the

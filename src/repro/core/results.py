@@ -253,19 +253,12 @@ class Availability:
     fault_wait_s: float = 0.0
     #: Check requests rerouted over the global-site relay (failover).
     checks_failed_over: int = 0
-    #: Hedge races fired / won by the relay route.
-    hedges: int = 0
-    hedges_won: int = 0
     #: True when failover neutralized every injected fault: the answer
     #: is byte-identical to the fault-free baseline even though some
     #: links were down (``complete`` stays False — links *were* lost).
     fully_recovered: bool = False
     #: Queried sites whose whole block dropped (unrecoverable loss).
     queried_sites_down: Tuple[str, ...] = ()
-    #: (site, breaker state) for sites not in the default closed state.
-    breaker: Tuple[Tuple[str, str], ...] = ()
-    #: Contacts suppressed by open circuit breakers (ladders not paid).
-    contacts_suppressed: int = 0
     #: Federation evolution epoch the execution was pinned to (0 for a
     #: frozen federation).
     schema_epoch: int = 0
@@ -303,12 +296,8 @@ class Availability:
             "messages_lost": self.messages_lost,
             "fault_wait_s": self.fault_wait_s,
             "checks_failed_over": self.checks_failed_over,
-            "hedges": self.hedges,
-            "hedges_won": self.hedges_won,
             "fully_recovered": self.fully_recovered,
             "queried_sites_down": list(self.queried_sites_down),
-            "breaker": {site: state for site, state in self.breaker},
-            "contacts_suppressed": self.contacts_suppressed,
             "schema_epoch": self.schema_epoch,
             "epochs_straddled": list(self.epochs_straddled),
         }
@@ -336,12 +325,6 @@ class Availability:
             parts.append(f"checks_skipped={self.checks_skipped}")
         if self.checks_failed_over:
             parts.append(f"failover={self.checks_failed_over}")
-        if self.hedges:
-            parts.append(f"hedges={self.hedges_won}/{self.hedges}")
-        if self.breaker:
-            parts.append(
-                "breaker=" + ",".join(f"{s}:{b}" for s, b in self.breaker)
-            )
         if self.messages_lost:
             parts.append(f"lost={self.messages_lost}")
         if self.fault_wait_s:

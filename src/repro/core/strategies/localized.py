@@ -64,7 +64,6 @@ from repro.resilience.failover import (
     PendingSkip,
     covered_by_verdicts,
     pending_skips_of,
-    plan_hedge,
     relay_route,
 )
 from repro.sim.metrics import ExecutionMetrics, WorkCounters
@@ -509,8 +508,7 @@ class _LocalizedRun:
         isomeric copy may settle the pair.
 
         Every request sharing a destination rides one request/reply
-        message pair.  Direct exchanges may additionally *hedge*; see
-        :meth:`_hedged_deps`.
+        message pair, gated by its link's fault-wait ladder.
         """
         system, ctx = self.system, self.ctx
         runnable, relayed = [], []
@@ -541,9 +539,9 @@ class _LocalizedRun:
         self.reports.extend(reports)
         self.exchanges.extend(report.db_name for report in reports)
         for batch in batch_exchanges(src, paired):
-            send_deps, via = self._hedged_deps(batch, deps)
+            send_deps = self._wait(ctx.contact(src, batch.dst), deps)
             self.certify_deps.append(
-                self._exchange(batch, send_deps, kind="check", via=via)
+                self._exchange(batch, send_deps, kind="check")
             )
         # Relayed requests lost their direct link: they hop through the
         # global site, gated by *its* link to the destination.
@@ -555,51 +553,6 @@ class _LocalizedRun:
                 batch, send_deps, kind="check", via=system.global_site
             ))
         return reports
-
-    def _hedged_deps(
-        self, batch: CheckBatch, send_deps: List[Node]
-    ) -> Tuple[List[Node], Optional[str]]:
-        """Dependency frontier (and relay site, if the relay won) for
-        one direct exchange, racing the hedge when the policy asks.
-
-        No hedge (or the direct route wins): the link's fault-wait
-        ladder gates the send as before; the losing relay duplicate — if
-        a race fired — is billed but never gates anything.  Relay wins:
-        the send waits on the seeded hedge delay plus the relay link's
-        ladder instead of the slow direct ladder, and the direct
-        request's bytes are billed as the loser.
-        """
-        system, ctx = self.system, self.ctx
-        src, dst = batch.src, batch.dst
-        negotiation = ctx.contact(src, dst)
-        decision = plan_hedge(ctx, system, src, dst, negotiation)
-        if decision is None:
-            return self._wait(negotiation, send_deps), None
-        ctx.hedges += 1
-        self._event(
-            "fault.hedge",
-            src=src,
-            dst=dst,
-            via=decision.via,
-            winner=decision.winner,
-            delay_s=f"{decision.delay_s:.6f}",
-        )
-        # The loser's request message is sent regardless; pay for it.
-        self.work.bytes_network += batch.request_bytes(system.cost_model)
-        self.work.messages += 1
-        if not decision.relay_won:
-            return self._wait(negotiation, send_deps), None
-        ctx.hedges_won += 1
-        delay_node = self.fed.delay(
-            src,
-            decision.delay_s,
-            label=f"hedge {src}->{dst}",
-            deps=send_deps,
-        )
-        return (
-            self._wait(ctx.contact(system.global_site, dst), [delay_node]),
-            decision.via,
-        )
 
     def _exchange(
         self,
@@ -615,7 +568,7 @@ class _LocalizedRun:
         destination are separate nodes; only the two network messages
         are shared by the whole batch.
 
-        With *via* (failover / hedge relay) the request rides two hops
+        With *via* (failover relay) the request rides two hops
         (``src -> via -> dst``), each billed in full; the reply path is
         unchanged (``dst -> global site``), so a relayed exchange costs
         one extra message and one extra request-sized transfer.

@@ -63,13 +63,12 @@ reproduce.  What it checks:
     Under the case's fault plan, executions that stayed complete must
     strictly equal the fault-free answer; degraded executions may only
     certify a subset of it (degradation never adds certainty).
-``failover-*`` / ``hedge-invariance``
+``failover-*``
     Replica failover must be sound: a localized run under the plan
     certifies no entity the fault-free baseline does not
-    (``failover-soundness``).  A run reporting ``fully_recovered`` must
-    equal the fault-free answer byte for byte (``failover-recovery``),
-    and hedged dispatch must never change the answer at all
-    (``hedge-invariance``).
+    (``failover-soundness``), and a run reporting ``fully_recovered``
+    must equal the fault-free answer byte for byte
+    (``failover-recovery``).
 ``repair-soundness`` / ``repair-monotonic`` (opt-in: ``recertify=True``)
     Every degraded fault execution, handed to ``engine.recertify``
     against the healed federation, must repair to that strategy's own
@@ -380,7 +379,7 @@ class StrategyOracle:
     FAILOVER_STRATEGIES = ("BL", "PL")
 
     def _check_failover(self, case, session, built, baseline) -> List[Violation]:
-        """Failover is sound, recovery-exact and hedge-stable."""
+        """Failover is sound and recovery-exact."""
         violations = []
         fault_options = session.options.with_(
             fault_plan=built.fault_plan,
@@ -412,19 +411,6 @@ class StrategyOracle:
                     f"{name} claimed full recovery but differs from the "
                     f"fault-free answer: "
                     f"{_first_difference(baseline, on.results)}",
-                    case,
-                ))
-            hedged = session.execute(
-                built.query, name,
-                options=fault_options.with_(
-                    policy=f"{FAULT_POLICY}:hedge=0.05"
-                ),
-            )
-            if not same_answers(on.results, hedged.results):
-                violations.append(Violation(
-                    "hedge-invariance", case.label,
-                    f"{name}: hedging changed the answer: "
-                    f"{_first_difference(on.results, hedged.results)}",
                     case,
                 ))
         return violations

@@ -8,8 +8,9 @@ simulated clock:
 * **open** (at ``event.at``) — the propagation window starts.  Attribute
   changes mutate the component schemas and re-integrate the global
   schema immediately; a leaving site becomes administratively
-  unreachable (breaker forced open, synthetic whole-execution outage
-  merged into every in-flux query's fault plan); a join stays invisible.
+  unreachable (the engine refuses every contact to it without a retry
+  ladder and merges a synthetic whole-execution outage into every
+  in-flux query's fault plan); a join stays invisible.
 * **close** (at ``open + propagation_lag_s * n_sites``) — the window
   ends: every site has learned of the change.  A departed site is
   excised from the schema, mapping tables and signature catalog; a
@@ -61,7 +62,6 @@ from repro.objectdb.schema import (
     primitive,
 )
 from repro.objectdb.values import NULL, is_null
-from repro.resilience.health import SiteHealthRegistry
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,7 @@ class InFluxView:
 class EvolutionController:
     """Applies one plan's transitions to a federation, epoch by epoch."""
 
-    def __init__(
-        self,
-        system,
-        plan: EvolutionPlan,
-        health: Optional[SiteHealthRegistry] = None,
-    ) -> None:
+    def __init__(self, system, plan: EvolutionPlan) -> None:
         if plan.needs_resolution:
             raise EvolutionError(
                 "evolution plan has unresolved auto targets; pass it "
@@ -114,12 +109,6 @@ class EvolutionController:
             )
         self.system = system
         self.plan = plan
-        #: Persistent administrative breaker registry: a formal leave
-        #: force-opens the departing site's breaker; a formal (re)join
-        #: resets it so the site is contacted immediately.
-        self.health = health if health is not None else SiteHealthRegistry(
-            seed=plan.seed
-        )
         #: Transitions applied so far == the federation's schema epoch
         #: advance attributable to evolution.
         self.applied = 0
@@ -242,10 +231,10 @@ class EvolutionController:
         self._open_events[label] = event
 
         if event.kind == SITE_LEAVE:
+            # Administrative leave: the site is in in_flux_view's
+            # departed_sites from now on, so the engine refuses it
+            # without paying a single retry ladder.
             self._require_site(event.site)
-            # Administrative leave: unreachable the instant the window
-            # opens, without paying a single retry ladder.
-            self.health.force_open(event.site)
         elif event.kind == ATTR_ADD:
             self._apply_attr_add(event)
         elif event.kind == ATTR_DROP:
@@ -265,8 +254,6 @@ class EvolutionController:
             self._apply_site_excision(event)
         elif event.kind == SITE_JOIN:
             self._apply_site_join(event)
-            # Administrative (re)join: contact the site immediately.
-            self.health.reset(event.site)
         self._bump()
         return Transition(phase="close", event=event, at=at, epoch=self.applied)
 

@@ -17,9 +17,9 @@ Semantics per kind (see ``docs/EVOLUTION.md`` for the full contract):
     the pre-join federation.
 ``site_leave``
     A site formally departs.  The window opening makes the site
-    unreachable (an administrative breaker-open plus a synthetic
-    whole-execution outage); the window closing excises the site from
-    the schema, the mapping tables and the signature catalog.
+    unreachable (every contact refused without a retry ladder, plus a
+    synthetic whole-execution outage); the window closing excises the
+    site from the schema, the mapping tables and the signature catalog.
 ``attr_add`` / ``attr_drop`` / ``attr_rename``
     Component-schema changes at one site (add/drop) or across every
     defining site (rename), applied when the window opens and

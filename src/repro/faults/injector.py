@@ -17,7 +17,8 @@ outcomes do not depend on the order in which links are negotiated.
 
 :class:`ExecutionContext` wraps one execution's injector together with
 the availability bookkeeping every strategy shares (sites contacted /
-skipped / retried, messages lost, cumulative wait).
+skipped / retried, messages lost, cumulative wait) and the refusal of
+formally departed sites.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.options import ExecutionOptions
-    from repro.resilience.health import SiteHealthRegistry
     from repro.sim.metrics import WorkCounters
 
 from repro.core.results import COMPLETE, Availability
@@ -41,8 +41,8 @@ from repro.faults.policy import DEGRADE, ExecutionPolicy
 OK = "ok"
 DOWN = "down"
 LOST = "lost"
-#: Synthetic outcome of a contact suppressed by an open circuit breaker
-#: (no retry ladder is paid; the wait is zero by construction).
+#: Synthetic outcome of a contact to a formally departed site (no retry
+#: ladder is paid; the wait is zero by construction).
 OPEN_CIRCUIT = "open-circuit"
 
 
@@ -167,16 +167,23 @@ class ExecutionContext:
     :class:`~repro.core.results.Availability` reports and enforces the
     policy's fail-fast and deadline semantics.
 
+    *departed* names the sites whose formal leave window is open (the
+    engine passes ``InFluxView.departed_sites``): a contact to one is
+    refused at once, without paying the retry ladder.
+
     When the options inject no faults the context is *inactive*: it
-    allocates no injector and no breakers, every contact negotiates to
-    one shared clean :class:`Negotiation`, nothing is recorded and
+    allocates no injector, every contact negotiates to one shared clean
+    :class:`Negotiation`, nothing is recorded and
     :meth:`availability` is the default ``Availability()`` — so a
     fault-free execution is the faulted code path with a context that
     injects nothing.
     """
 
-    def __init__(self, options: "ExecutionOptions") -> None:
+    def __init__(
+        self, options: "ExecutionOptions", departed: Iterable[str] = ()
+    ) -> None:
         self.options = options
+        self.departed = frozenset(departed)
         #: Whether this execution injects faults at all.
         self.active = options.faults_active
         self.plan = options.fault_plan
@@ -198,17 +205,8 @@ class ExecutionContext:
         #: Links whose wait ladder was already scheduled as delay nodes
         #: (strategies consult this so a link's waits appear only once).
         self.scheduled_links: set = set()
-        #: Per-site circuit breakers; None on an inactive context.
-        self.health: Optional["SiteHealthRegistry"] = None
-        if self.active:
-            from repro.resilience.health import SiteHealthRegistry
-
-            self.health = SiteHealthRegistry(seed=options.fault_seed)
         #: Check requests recovered by rerouting through the relay.
         self.checks_failed_over = 0
-        #: Hedge races fired / won by the relay route.
-        self.hedges = 0
-        self.hedges_won = 0
         #: Queried sites whose whole block dropped (no local results).
         self.queried_sites_down: List[str] = []
         #: Binding-completion walks left unresolved by unreachable sites.
@@ -222,11 +220,9 @@ class ExecutionContext:
 
         An inactive context injects nothing: every link negotiates to
         the shared clean outcome and nothing is recorded.  On an active
-        one, a fresh negotiation to an open-circuit site is suppressed
-        by the health registry: a synthetic zero-wait
-        ``open-circuit`` negotiation is memoized instead of paying the
-        retry ladder, and half-open probes go through the normal
-        injector path.
+        one, a fresh negotiation to a departed site is refused: a
+        synthetic zero-wait ``open-circuit`` negotiation is memoized
+        instead of paying the retry ladder.
 
         Raises:
             UnavailableError: the link is dead and the policy fails fast.
@@ -235,7 +231,7 @@ class ExecutionContext:
         if self.injector is None:
             return _CLEAN
         fresh = (src, dst) not in self.injector._memo
-        if fresh and not self.health.allow(dst):
+        if fresh and dst in self.departed:
             negotiation = Negotiation(
                 src=src,
                 dst=dst,
@@ -263,9 +259,6 @@ class ExecutionContext:
                         self.contacted.append(dst)
                 elif dst not in self.skipped:
                     self.skipped.append(dst)
-                self.health.record(
-                    dst, negotiation.ok, latency_s=negotiation.wait_s
-                )
         deadline = self.policy.deadline_s
         if deadline is not None and self.wait_s > deadline:
             raise ExecutionTimeout(self.wait_s, deadline)
@@ -290,28 +283,12 @@ class ExecutionContext:
         (policy enforcement included — fail-fast links raise instead)."""
         return self.contact(src, dst).ok
 
-    def hedge_delay(self, src: str, dst: str) -> Optional[float]:
-        """The effective (seeded, jittered) hedge delay for one link.
-
-        None when the policy does not hedge.  The jitter draw depends
-        only on (fault seed, plan seed, src, dst), so hedge decisions
-        are byte-deterministic and order-independent.
-        """
-        base = self.policy.hedge_delay_s
-        if base is None:
-            return None
-        u = random.Random(
-            f"hedge:{self.options.fault_seed}:{self.plan.seed}:{src}->{dst}"
-        ).random()
-        return base * (1.0 + self.policy.jitter * u)
-
     def charge(self, work: "WorkCounters") -> None:
         """Fold this execution's fault totals into its work counters."""
         work.retries = self.retries
         work.timeouts = self.timeouts
         work.messages_lost = self.messages_lost
         work.checks_failed_over = self.checks_failed_over
-        work.hedges = self.hedges
 
     def fault_windows(
         self, sites: Iterable[str]
@@ -353,10 +330,6 @@ class ExecutionContext:
             messages_lost=self.messages_lost,
             fault_wait_s=self.wait_s,
             checks_failed_over=self.checks_failed_over,
-            hedges=self.hedges,
-            hedges_won=self.hedges_won,
             fully_recovered=self.fully_recovered,
             queried_sites_down=tuple(sorted(self.queried_sites_down)),
-            breaker=self.health.snapshot(),
-            contacts_suppressed=self.health.suppressed_total,
         )

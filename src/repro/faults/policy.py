@@ -13,15 +13,11 @@ execution runs under:
   of degrading to a partial answer when a site stays unreachable;
 * ``deadline_s`` — optional hard cap on the cumulative fault wait of one
   execution (exceeding it raises
-  :class:`~repro.errors.ExecutionTimeout` even in degrade mode);
-* ``hedge_delay_s`` — optional hedged dispatch: when a link negotiation
-  waits longer than this (seeded, jittered) delay, the in-flight check
-  is duplicated through the global-site relay and the faster route wins
-  (see :mod:`repro.resilience.failover`).
+  :class:`~repro.errors.ExecutionTimeout` even in degrade mode).
 
 The named presets (``DEGRADE``, ``FAIL_FAST``, ``PATIENT``) are what the
 CLI's ``--policy`` flag selects; inline overrides like
-``degrade:timeout=0.5,retries=3,hedge=0.1`` are parsed by
+``degrade:timeout=0.5,retries=3`` are parsed by
 :func:`parse_policy_spec` and validated by
 :meth:`ExecutionPolicy.__post_init__`.
 """
@@ -48,7 +44,6 @@ class ExecutionPolicy:
     jitter: float = 0.5
     fail_fast: bool = False
     deadline_s: Optional[float] = None
-    hedge_delay_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         for what, value in (
@@ -57,7 +52,6 @@ class ExecutionPolicy:
             ("backoff multiplier", self.backoff_multiplier),
             ("jitter", self.jitter),
             ("deadline", self.deadline_s),
-            ("hedge delay", self.hedge_delay_s),
         ):
             if value is not None:
                 require_finite(what, value)
@@ -71,8 +65,6 @@ class ExecutionPolicy:
             raise FaultPlanError(f"jitter {self.jitter} outside [0, 1]")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise FaultPlanError(f"deadline {self.deadline_s} <= 0")
-        if self.hedge_delay_s is not None and self.hedge_delay_s <= 0:
-            raise FaultPlanError(f"hedge delay {self.hedge_delay_s} <= 0")
 
     def backoff_s(self, attempt: int, u: float) -> float:
         """Backoff after the *attempt*-th failure (0-based); ``u`` in
@@ -115,7 +107,6 @@ _SPEC_FIELDS: Dict[str, Tuple[str, Callable[[str], object]]] = {
     "jitter": ("jitter", float),
     "fail_fast": ("fail_fast", _parse_bool),
     "deadline": ("deadline_s", float),
-    "hedge": ("hedge_delay_s", float),
 }
 
 
@@ -125,7 +116,7 @@ def parse_policy_spec(spec: str) -> ExecutionPolicy:
     The preset names a base policy from :data:`POLICIES`; each override
     maps onto an :class:`ExecutionPolicy` field (``timeout``,
     ``retries``, ``backoff``, ``multiplier``, ``jitter``, ``fail_fast``,
-    ``deadline``, ``hedge``).  The rebuilt dataclass re-runs
+    ``deadline``).  The rebuilt dataclass re-runs
     ``__post_init__``, so out-of-range overrides fail validation with
     the same errors a programmatic construction would raise.
     """
@@ -168,7 +159,7 @@ def resolve_policy(
     policy: Union[str, ExecutionPolicy, None]
 ) -> ExecutionPolicy:
     """Accept a policy object, a preset name or inline spec
-    (``"degrade:timeout=0.5,retries=3,hedge=0.1"``), or None
+    (``"degrade:timeout=0.5,retries=3"``), or None
     (-> DEGRADE)."""
     if policy is None:
         return DEGRADE

@@ -211,7 +211,6 @@ def registry_from_metrics(metrics: object) -> MetricsRegistry:
         "timeouts",
         "messages_lost",
         "checks_failed_over",
-        "hedges",
     ):
         registry.counter(f"work.{fname}").inc(getattr(work, fname))
     registry.counter(

@@ -11,8 +11,8 @@ inputs (selected by ``ExecutionOptions.planner``):
 
 ``feedback``
     A cross-execution :class:`~repro.planner.feedback.PlannerFeedback`
-    store (observed negotiation stalls, breaker opens, span queue
-    delays) that replaces the static cost-model assumptions in AUTO's
+    store (observed negotiation stalls and span queue delays) that
+    replaces the static cost-model assumptions in AUTO's
     CA/BL/PL prediction with measured conditions.
 
 ``full`` enables both; ``static`` (the default) disables both and is

@@ -1,11 +1,9 @@
-"""Trace-fed planner feedback: observed stalls, breakers, queue delays.
+"""Trace-fed planner feedback: observed stalls and queue delays.
 
 AUTO's analytic model assumes the static Table 1 cost constants and a
 fault-free network.  Real executions record what actually happened —
 negotiation retry ladders (:class:`~repro.faults.injector.Negotiation`
-waits), circuit-breaker opens
-(:class:`~repro.resilience.health.SiteHealthRegistry` transitions), and
-device queueing (span ``queue_delay``).  A :class:`PlannerFeedback`
+waits) and device queueing (span ``queue_delay``).  A :class:`PlannerFeedback`
 store folds those observations across a federation's executions so the
 ``feedback`` / ``full`` planner modes can replace the static
 assumptions with measured per-site conditions:
@@ -29,18 +27,15 @@ Feedback never touches answers: it only reorders AUTO's prediction
 ranking.  The difftest oracle's ``planner`` invariant proves every mode
 answer-identical to ``static``.
 
-All folding follows the first-sample-seeded, success-aware EWMA
-discipline fixed in ``repro.resilience.health`` — zero-wait synthetic
-negotiations (open-circuit suppressions) are counted as failures but
-never dilute the stall EWMAs.
+All folding seeds each EWMA with its first sample, and zero-wait
+synthetic negotiations (the refused contacts of a departed site) are
+counted as failures but never dilute the stall EWMAs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-from repro.resilience.health import OPEN
+from typing import Dict, List, Tuple
 
 #: Default EWMA smoothing factor for observed stalls/slowdowns.
 FEEDBACK_ALPHA = 0.3
@@ -67,8 +62,6 @@ class SiteObservation:
     peer_stall_samples: int = 0
     peer_successes: int = 0
     peer_failures: int = 0
-    #: Times this site's breaker opened (failure-driven or formal leave).
-    breaker_opens: int = 0
     #: EWMA of span wall-time / busy-time at this site (>= 1.0).
     slowdown_ewma: float = 1.0
     slowdown_samples: int = 0
@@ -100,7 +93,7 @@ class PlannerFeedback:
         """Fold one finished execution's fault context + metrics.
 
         Called by the engine after every faulted execution (the fault
-        context is where negotiations and breaker transitions live);
+        context is where negotiations live);
         cheap — a handful of dict folds per contacted site.
         """
         self.executions_observed += 1
@@ -119,9 +112,9 @@ class PlannerFeedback:
                     record.peer_failures += 1
             wait = negotiation.wait_s
             if not negotiation.ok and wait <= 0.0:
-                # Synthetic open-circuit suppression: a real failure
+                # A departed site's synthetic refusal: a real failure
                 # signal, but folding its zero wait would dilute the
-                # stall EWMA exactly like the pre-fix health bug.
+                # stall EWMA.
                 continue
             if entry:
                 record.entry_stall_ewma_s = record._fold(
@@ -139,9 +132,6 @@ class PlannerFeedback:
                     self.alpha,
                 )
                 record.peer_stall_samples += 1
-        for site, _from, to_state in ctx.health.transitions:
-            if to_state == OPEN:
-                self.site(site).breaker_opens += 1
         if metrics is not None:
             self._fold_spans(metrics)
 
@@ -222,7 +212,6 @@ class PlannerFeedback:
                 f"{name}: entry={r.entry_stall_ewma_s:.6f}s"
                 f"/{r.entry_stall_samples}"
                 f" peer={r.peer_stall_ewma_s:.6f}s/{r.peer_stall_samples}"
-                f" opens={r.breaker_opens}"
                 f" slowdown={r.slowdown_ewma:.4f}/{r.slowdown_samples}"
             )
         return "; ".join(parts) if parts else "no observations"

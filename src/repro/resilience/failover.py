@@ -1,4 +1,4 @@
-"""Replica-aware failover of assistant checks, plus hedged dispatch.
+"""Replica-aware failover of assistant checks.
 
 The paper's redundancy premise — isomeric copies at multiple sites, any
 of which can certify a maybe result — already shapes phase O: dispatch
@@ -13,7 +13,7 @@ replicated GOid mapping tables and receives every check report anyway.
 This module supplies the routing half of the resilience layer:
 
 * :func:`relay_route` — the global-site relay for a dead component
-  link (breaker-aware, negotiated like any other link);
+  link (negotiated like any other link);
 * :func:`pending_skips_of` / :func:`covered_by_verdicts` — the
   mapping-table consult that demotes a skipped check to "uncertified"
   only when *no* isomeric copy of the affected entity produced a
@@ -23,14 +23,10 @@ This module supplies the routing half of the resilience layer:
   atoms, and the :class:`~repro.conditions.recertify.ReCertifier`
   re-applies :func:`covered_by_verdicts` against its merged verdict
   index first — so a sibling copy's later verdict discharges the atom
-  with zero messages to the dead site;
-* :func:`plan_hedge` — hedged dispatch: when a link negotiation is
-  slower than the policy's seeded hedge delay, race a duplicate of the
-  in-flight request through the relay and take the faster route,
-  cost-accounting the loser.
+  with zero messages to the dead site.
 
 Everything is computed analytically from negotiation outcomes — no
-wall-clock — so failover and hedging preserve byte-determinism.
+wall-clock — so failover preserves byte-determinism.
 """
 
 from __future__ import annotations
@@ -44,11 +40,7 @@ from repro.objectdb.local_query import CheckRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import DistributedSystem
-    from repro.faults.injector import ExecutionContext, Negotiation
-
-#: Hedge race outcomes.
-DIRECT = "direct"
-RELAY = "relay"
+    from repro.faults.injector import ExecutionContext
 
 
 @dataclass(frozen=True)
@@ -74,8 +66,8 @@ def relay_route(
 
     Component sites ship their local results to the global processing
     site regardless, so the relay re-issues the request over the
-    ``global -> dst`` link (negotiated and breaker-gated like any other
-    link; the ladder is paid at most once per execution).
+    ``global -> dst`` link (negotiated like any other link; the ladder
+    is paid at most once per execution).
     """
     if dst == system.global_site:
         return None
@@ -129,61 +121,3 @@ def covered_by_verdicts(
         if verdict in (SATISFIED, VIOLATED):
             return True
     return False
-
-
-@dataclass(frozen=True)
-class HedgeDecision:
-    """The analytic outcome of racing a slow direct link against the
-    relay route."""
-
-    src: str
-    dst: str
-    via: str
-    delay_s: float
-    direct_wait_s: float
-    relay_wait_s: float  # includes the hedge delay; inf when relay dead
-    winner: str  # DIRECT or RELAY
-
-    @property
-    def relay_won(self) -> bool:
-        return self.winner == RELAY
-
-
-def plan_hedge(
-    ctx: "ExecutionContext",
-    system: "DistributedSystem",
-    src: str,
-    dst: str,
-    negotiation: "Negotiation",
-) -> Optional[HedgeDecision]:
-    """Decide the hedge race for one link, or None when no hedge fires.
-
-    A hedge fires when the policy sets ``hedge_delay_s``, the direct
-    negotiation eventually succeeds but only after a fault wait longer
-    than the (seeded, jittered) effective delay.  The duplicate request
-    goes through the global-site relay; whichever route completes first
-    wins, and the loser's request message is still paid for.
-    """
-    if not negotiation.ok or not negotiation.failures:
-        return None  # dead links fail over instead; clean ones never wait
-    delay = ctx.hedge_delay(src, dst)
-    if delay is None or negotiation.wait_s <= delay:
-        return None
-    if src == system.global_site or dst == system.global_site:
-        return None
-    relay = ctx.contact(system.global_site, dst)
-    if relay.ok:
-        relay_wait = delay + relay.wait_s
-        winner = RELAY if relay_wait < negotiation.wait_s else DIRECT
-    else:
-        relay_wait = float("inf")
-        winner = DIRECT
-    return HedgeDecision(
-        src=src,
-        dst=dst,
-        via=system.global_site,
-        delay_s=delay,
-        direct_wait_s=negotiation.wait_s,
-        relay_wait_s=relay_wait,
-        winner=winner,
-    )

@@ -37,9 +37,8 @@ class WorkCounters:
     retries: int = 0
     timeouts: int = 0
     messages_lost: int = 0
-    # Resilience work: relay-rerouted check requests and hedge races.
+    # Resilience work: relay-rerouted check requests.
     checks_failed_over: int = 0
-    hedges: int = 0
     # Constraint-planner savings: site blocks proven empty and assistant
     # checks proven UNKNOWN at decomposition (planner=constraints/full).
     sites_pruned: int = 0
@@ -69,7 +68,6 @@ class WorkCounters:
         self.timeouts += other.timeouts
         self.messages_lost += other.messages_lost
         self.checks_failed_over += other.checks_failed_over
-        self.hedges += other.hedges
         self.sites_pruned += other.sites_pruned
         self.checks_pruned += other.checks_pruned
         self.conditions_discharged += other.conditions_discharged

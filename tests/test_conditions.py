@@ -2,8 +2,8 @@
 
 Covers the `repro.conditions` package three ways: unit tests of the
 3VL algebra (atom status against live :class:`SystemState` views,
-strong-Kleene connectives, attach/mechanism helpers, byte-exact
-:mod:`repro.conditions.reasons` notes); compound outage-AND-flux
+attach/mechanism helpers, byte-exact :mod:`repro.conditions.reasons`
+notes); compound outage-AND-flux
 conjunctions through the engine's flux demotion; and end-to-end
 answer repair on the school federation — partial recovery that stays
 maybe but remains repairable, chained repair converging on the
@@ -17,10 +17,8 @@ import pytest
 
 from helpers import context
 from repro.conditions import (
-    And,
     FluxEpoch,
     NullAttr,
-    Or,
     RepairError,
     SiteDown,
     SystemState,
@@ -129,45 +127,6 @@ class TestAtoms:
         assert str(SiteDown("DB2")) == "site-down[DB2]"
         assert str(UncheckedCopy("DB2", goid("gt1"))) == "unchecked[DB2:gt1]"
         assert str(FluxEpoch(3, "w")) == "flux[w@3]"
-
-
-class TestConnectives:
-    """Strong-Kleene over atoms with known statuses: NullAttr is FALSE,
-    a reachable SiteDown is TRUE, an outaged one UNKNOWN."""
-
-    @pytest.fixture()
-    def state(self, school):
-        return db2_down(school)
-
-    def test_and_truth_table(self, state):
-        true = SiteDown("DB1")
-        unknown = SiteDown("DB2")
-        false = NullAttr("DB1", goid("g"), "p")
-        assert And((true, true)).status(state) is TV.TRUE
-        assert And((true, unknown)).status(state) is TV.UNKNOWN
-        assert And((false, unknown)).status(state) is TV.FALSE
-        assert And(()).status(state) is TV.TRUE
-
-    def test_or_truth_table(self, state):
-        true = SiteDown("DB1")
-        unknown = SiteDown("DB2")
-        false = NullAttr("DB1", goid("g"), "p")
-        assert Or((false, unknown)).status(state) is TV.UNKNOWN
-        assert Or((true, unknown)).status(state) is TV.TRUE
-        assert Or((false, false)).status(state) is TV.FALSE
-        assert Or(()).status(state) is TV.FALSE
-
-    def test_atoms_flatten_nested_connectives(self):
-        a = SiteDown("DB1")
-        b = NullAttr("DB1", goid("g"), "p")
-        c = FluxEpoch(1, "w")
-        nested = And((Or((a, b)), c))
-        assert list(nested.atoms()) == [a, b, c]
-
-    def test_connective_describe(self):
-        a, b = SiteDown("DB1"), SiteDown("DB2")
-        assert str(And((a, b))) == "(site-down[DB1] & site-down[DB2])"
-        assert str(Or((a, b))) == "(site-down[DB1] | site-down[DB2])"
 
 
 class TestAttachAndRanking:

@@ -10,8 +10,8 @@ The load-bearing guarantees:
 * the flux consistency contract holds: a query straddling a window is
   annotated, and certified rows referencing an in-flux attribute are
   demoted to maybe — never a wrong certain answer;
-* a formal leave force-opens the site's breaker administratively and a
-  formal rejoin resets it (the stale-open-circuit regression);
+* a formal leave makes every execution refuse the site without a retry
+  ladder, and a formal rejoin is contacted again;
 * an epoch bump invalidates every session's cached decompositions;
 * traffic runs with an active plan verify against serial replay and
   are byte-identical across rebuilds.
@@ -36,7 +36,7 @@ from repro.evolution import (
     resolve_auto,
     safe_plan,
 )
-from repro.resilience.health import BreakerPolicy, SiteHealthRegistry
+from repro.faults import FaultPlan
 from repro.traffic import TrafficEngine, default_mix
 
 
@@ -193,7 +193,6 @@ class TestControllerKinds:
         # Open: still a member, but administratively unreachable and
         # reported departed to the engine.
         assert "DB2" in system.databases
-        assert controller.health.state("DB2") == "open"
         assert controller.in_flux_view().departed_sites == ("DB2",)
         controller.step()
         assert "DB2" not in system.databases
@@ -225,7 +224,6 @@ class TestControllerKinds:
                 name = system.global_schema.global_class_of("DBX", local)
                 assert system.catalog.table(name).goid_of(obj.loid) is not None
         assert cloned > 0
-        assert controller.health.state("DBX") == "closed"
 
     def test_step_to_replays_and_refuses_backwards(self):
         a = fresh_workload()
@@ -390,58 +388,47 @@ class TestSeeding:
         assert "key" in attrs and "t0" in attrs
 
 
-class TestRejoinBreaker:
-    """Satellite: formal leave/rejoin hooks on the breaker registry."""
+class TestDepartedSite:
+    """A formal leave refuses the site at once; a rejoin contacts it."""
 
-    def test_force_open_suppresses_without_probes(self):
-        registry = SiteHealthRegistry()
-        registry.force_open("DB1")
-        # No cooldown-driven half-open probe ever fires.
-        assert all(not registry.allow("DB1") for _ in range(20))
-        assert registry.state("DB1") == "open"
-        assert registry.health("DB1").suppressed == 20
-
-    def test_reset_recovers_stale_open_circuit(self):
-        # Regression: without reset(), a rejoined site sat behind the
-        # stale open circuit until cooldown expiry + a lucky probe.
-        policy = BreakerPolicy(failure_threshold=2, cooldown_attempts=50)
-        registry = SiteHealthRegistry(policy=policy)
-        for _ in range(2):
-            registry.record("DB1", ok=False)
-        assert registry.state("DB1") == "open"
-        assert not registry.allow("DB1")
-        registry.reset("DB1")
-        assert registry.state("DB1") == "closed"
-        assert registry.allow("DB1")
-        record = registry.health("DB1")
-        assert record.consecutive_failures == 0
-        assert not record.administrative
-        # Lifetime counters survive for observability.
-        assert record.failures == 2
-
-    def test_reset_clears_administrative_flag(self):
-        registry = SiteHealthRegistry()
-        registry.force_open("DB1")
-        registry.reset("DB1")
-        assert registry.allow("DB1")
-        assert not registry.health("DB1").administrative
-
-    def test_reset_unknown_site_is_noop(self):
-        SiteHealthRegistry().reset("DB9")  # must not raise
-
-    def test_leave_then_rejoin_through_controller(self):
+    def leave_then_rejoin(self):
         w = fresh_workload()
         plan = EvolutionPlan.from_spec("leave:DB2@1,join:DB2@5", seed=1)
         controller = EvolutionController(w.system, plan)
+        return w, controller, GlobalQueryEngine(w.system)
+
+    def test_leave_refuses_the_site_without_a_ladder(self):
+        w, controller, engine = self.leave_then_rejoin()
         controller.step()  # leave opens
-        assert not controller.health.allow("DB2")
-        controller.step()  # leave closes (site excised)
-        controller.step()  # join opens
-        assert controller.health.state("DB2") == "open"
-        controller.step()  # join closes -> formal rejoin resets breaker
-        assert controller.health.state("DB2") == "closed"
-        assert controller.health.allow("DB2")
+        for _ in range(2):
+            report = engine.execute(w.query, "BL")
+            attempts = [
+                e.attr_dict() for e in report.metrics.events
+                if e.name == "fault.attempt"
+            ]
+            # The whole-execution outage on DB2 would cost a retry
+            # ladder per link; the refusal costs nothing.
+            assert attempts and all(
+                (a["dst"], a["outcome"], a["wait_s"])
+                == ("DB2", "open-circuit", "0.000000")
+                for a in attempts
+            )
+            assert report.availability.fault_wait_s == 0.0
+            assert report.availability.sites_skipped == ("DB2",)
+
+    def test_rejoin_is_contacted_again(self):
+        w, controller, engine = self.leave_then_rejoin()
+        for _ in range(4):  # leave opens, closes; join opens, closes
+            controller.step()
         assert "DB2" in w.system.databases
+        # A plan that is active but never fires, so contacts are recorded.
+        options = engine.options.with_(
+            fault_plan=FaultPlan.from_spec("DB1@1e6:1")
+        )
+        report = engine.execute("Select X.key From K1 X", "BL", options=options)
+        assert "DB2" in report.availability.sites_contacted
+        assert report.availability.sites_skipped == ()
+        assert report.availability.fault_wait_s == 0.0
 
 
 class TestCrossSessionStaleness:

@@ -166,14 +166,13 @@ class TestNonFiniteValues:
         lambda: ExecutionPolicy(backoff_multiplier=INF),
         lambda: ExecutionPolicy(jitter=NAN),
         lambda: ExecutionPolicy(deadline_s=NAN),
-        lambda: ExecutionPolicy(hedge_delay_s=INF),
         lambda: OutageWindow("DB2", NAN, 1.0),
         lambda: OutageWindow("DB2", 0.0, NAN),
         lambda: LinkFault(latency_multiplier=INF),
         lambda: LinkFault(loss=NAN),
     ], ids=[
         "timeout_s", "backoff_base_s", "backoff_multiplier", "jitter",
-        "deadline_s", "hedge_delay_s", "start", "duration",
+        "deadline_s", "start", "duration",
         "latency_multiplier", "loss",
     ])
     def test_rejected_at_construction(self, build):
@@ -187,11 +186,13 @@ class TestNonFiniteValues:
         with pytest.raises(FaultPlanError, match="not finite"):
             FaultPlan.from_spec(spec)
 
-    @pytest.mark.parametrize("spec", [
-        "degrade:deadline=nan", "degrade:timeout=nan", "degrade:hedge=inf",
-    ])
-    def test_rejected_in_policy_specs(self, spec):
-        with pytest.raises(FaultPlanError, match="not finite"):
+    @pytest.mark.parametrize("spec, match", [
+        ("degrade:deadline=nan", "not finite"),
+        ("degrade:timeout=nan", "not finite"),
+        ("degrade:hedge=inf", "unknown policy override"),
+    ], ids=["degrade:deadline=nan", "degrade:timeout=nan", "degrade:hedge=inf"])
+    def test_rejected_in_policy_specs(self, spec, match):
+        with pytest.raises(FaultPlanError, match=match):
             resolve_policy(spec)
 
     def test_unbounded_outage_stays(self):
@@ -299,7 +300,7 @@ class TestExecutionContext:
         monkeypatch.setattr(injector, "FaultInjector", forbidden)
         for ctx in (context(), context(fault_plan=FaultPlan())):
             assert not ctx.active
-            assert ctx.health is None
+            assert ctx.injector is None
             assert ctx.reachable("G", "DB1")
             assert ctx.contact("G", "DB1") is ctx.contact("DB2", "DB3")
             assert ctx.contacted == [] and ctx.wait_s == 0.0

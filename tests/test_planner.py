@@ -1,10 +1,9 @@
 """Constraint-pruned, trace-fed adaptive planning (repro.planner).
 
-Covers the tentpole and its satellites: the health EWMA fixes, the
-stride-based null-ratio sampler (and the AUTO flip the first-N bias
-caused), the constraint catalog's sound prunes, trace feedback folding,
-misprediction accounting, and the answer-identity contract across every
-planner mode.
+Covers the stride-based null-ratio sampler (and the AUTO flip the
+first-N bias caused), the constraint catalog's sound prunes, trace
+feedback folding, misprediction accounting, and the answer-identity
+contract across every planner mode.
 """
 
 from __future__ import annotations
@@ -40,86 +39,7 @@ from repro.planner import (
 )
 from repro.planner.constraints import KIND_NUMBER
 from repro.planner.feedback import SLOWDOWN_CAP
-from repro.resilience.health import (
-    CLOSED,
-    OPEN,
-    BreakerPolicy,
-    SiteHealthRegistry,
-)
 from repro.workload.paper_example import Q1_TEXT, build_school_federation
-
-
-# --- satellite 1: health EWMA fixes -----------------------------------------
-
-
-class TestHealthEwma:
-    def test_first_sample_seeds_the_ewma(self):
-        """The first observation is taken outright, not blended with 0.0."""
-        reg = SiteHealthRegistry()
-        reg.record("DB2", ok=True, latency_s=0.5)
-        assert reg.health("DB2").latency_ewma_s == pytest.approx(0.5)
-        assert reg.health("DB2").ewma_samples == 1
-
-    def test_ewma_converges_with_standard_smoothing(self):
-        reg = SiteHealthRegistry(BreakerPolicy(ewma_alpha=0.3))
-        reg.record("DB2", ok=True, latency_s=1.0)
-        reg.record("DB2", ok=True, latency_s=2.0)
-        # seeded at 1.0, then 1.0 + 0.3 * (2.0 - 1.0)
-        assert reg.health("DB2").latency_ewma_s == pytest.approx(1.3)
-
-    def test_failures_never_fold_latency(self):
-        """A failure's (defaulted-zero) latency must not drag the EWMA."""
-        reg = SiteHealthRegistry()
-        reg.record("DB2", ok=True, latency_s=2.0)
-        for _ in range(10):
-            reg.record("DB2", ok=False)
-        assert reg.health("DB2").latency_ewma_s == pytest.approx(2.0)
-        assert reg.health("DB2").ewma_samples == 1
-
-    def test_failure_sequence_then_success_keeps_seeding(self):
-        """Failures before the first success leave the EWMA unseeded."""
-        reg = SiteHealthRegistry()
-        reg.record("DB2", ok=False)
-        reg.record("DB2", ok=False)
-        assert reg.health("DB2").ewma_samples == 0
-        reg.record("DB2", ok=True, latency_s=0.8)
-        assert reg.health("DB2").latency_ewma_s == pytest.approx(0.8)
-
-    def test_flaky_site_does_not_win_latency_tiebreak(self):
-        """Pre-fix, failures folded latency 0 and made a flaky site look
-        fast; now the slow-but-honest ranking survives failures."""
-        reg = SiteHealthRegistry()
-        reg.record("fast", ok=True, latency_s=0.1)
-        reg.record("flaky", ok=True, latency_s=0.9)
-        # Two failures: below the threshold, so state/failure-count keys
-        # differ — reset the streak with one success and check the EWMA
-        # was not diluted meanwhile.
-        reg.record("flaky", ok=False)
-        reg.record("flaky", ok=False)
-        reg.record("flaky", ok=True, latency_s=0.9)
-        assert reg.health("flaky").latency_ewma_s > 0.5
-        assert reg.rank(["flaky", "fast"]) == ["fast", "flaky"]
-
-    def test_rank_equal_health_is_site_name_order(self):
-        reg = SiteHealthRegistry()
-        for site in ("DB3", "DB1", "DB2"):
-            reg.record(site, ok=True, latency_s=0.2)
-        assert reg.rank(["DB3", "DB1", "DB2"]) == ["DB1", "DB2", "DB3"]
-        # Unknown sites rank identically by name too.
-        assert reg.rank(["Z", "A"]) == ["A", "Z"]
-
-    def test_rank_orders_state_then_failures_then_ewma(self):
-        reg = SiteHealthRegistry(BreakerPolicy(failure_threshold=3))
-        reg.record("slow", ok=True, latency_s=5.0)
-        reg.record("quick", ok=True, latency_s=0.1)
-        reg.record("striking", ok=False)
-        for _ in range(3):
-            reg.record("open", ok=False)
-        assert reg.state("open") == OPEN
-        assert reg.state("striking") == CLOSED
-        assert reg.rank(["open", "striking", "slow", "quick"]) == [
-            "quick", "slow", "striking", "open",
-        ]
 
 
 # --- satellite 2: stride null-ratio sampling --------------------------------
@@ -528,9 +448,8 @@ class _StubInjector:
 
 
 class _StubCtx:
-    def __init__(self, memo, health=None):
+    def __init__(self, memo):
         self.injector = _StubInjector(memo)
-        self.health = health if health is not None else SiteHealthRegistry()
 
 
 class TestPlannerFeedback:
@@ -545,9 +464,9 @@ class TestPlannerFeedback:
         assert fb.has_data
 
     def test_zero_wait_failures_do_not_dilute_the_ewma(self):
-        """Open-circuit suppressions synthesize failed negotiations with
-        zero wait — the same dilution bug class the health EWMA fix
-        removed; the feedback fold must skip them too."""
+        """A departed site's refused contacts synthesize failed
+        negotiations with zero wait; folding them would dilute the stall
+        EWMA, so the feedback fold skips them."""
         fb = PlannerFeedback()
         fb.observe_execution(_StubCtx({
             ("GPS", "DB1"): _StubNegotiation(True, 1.0),
