@@ -47,7 +47,6 @@ from bench_common import (
     answer_fingerprint,
     finish,
     run_once,
-    write_result,
 )
 
 from repro.bench.reporting import format_table
@@ -337,7 +336,6 @@ def main(argv=None):
 def test_adaptive_sweep(benchmark):
     """pytest-benchmark entry point (quick storms)."""
     result = run_once(benchmark, lambda: sweep(QUICK_STORMS, seed=3))
-    write_result("adaptive", render(result))
     by_key = {(r["scenario"], r["mode"]): r for r in result["accuracy"]}
     # The differentiator: somewhere in the ladder the trace-fed pick is
     # accurate where the static pick is not.

@@ -48,7 +48,6 @@ from bench_common import (
     answer_fingerprint,
     finish,
     run_once,
-    write_result,
 )
 
 from repro.bench.reporting import format_table
@@ -316,7 +315,6 @@ def test_chaos_sweep(benchmark):
         benchmark, lambda: sweep(QUICK_RATES, seed=7,
                                  storm_rates=QUICK_STORM_RATES)
     )
-    write_result("chaos", render(result))
     losses = [r for r in result["rows"] if r["scenario"].startswith("loss:")]
     assert any(not r["complete"] for r in losses)
     # CA never certifies more than BL/PL under a single-site loss.

@@ -3,7 +3,9 @@
 Set ``REPRO_SAMPLES`` to control how many Table 2 parameter sets each
 figure sweep averages (the paper uses 500; the default of 150 keeps a
 full benchmark run under a couple of minutes).  Every figure bench
-writes its reproduced rows to ``benchmarks/results/<name>.txt``.
+writes its reproduced rows to ``benchmarks/results/<name>.txt``; a
+baseline-checked bench writes its table there only from a full run
+without ``--check`` (see :func:`finish`).
 
 The benches with a committed ``results/BENCH_<name>.json`` baseline
 share their command line and its checking here: a script declares which
@@ -79,25 +81,43 @@ def _get(record, dotted: str):
     return record
 
 
+def _by_key(kind: str, side: str, rows, key_fields, diffs: list) -> dict:
+    """*rows* by their key fields; a key held twice is a diff."""
+    by_key = {}
+    for row in rows:
+        key = tuple(row[k] for k in key_fields)
+        if key in by_key:
+            diffs.append(
+                f"{kind} {'/'.join(map(str, key))}: key repeated in {side}"
+            )
+        by_key[key] = row
+    return by_key
+
+
 def baseline_diffs(result: dict, baseline: dict, sections) -> list:
     """Checked-field differences of *result* from *baseline*.
 
     Each section ``(kind, rows key, key fields, checked fields)`` pairs
     the rows of both by their key fields and compares the checked ones.
     A row the baseline lacks is skipped: the ``--quick`` sweeps are
-    subsets of the full sweeps the baselines hold.
+    subsets of the full sweeps the baselines hold.  A key held by two
+    rows on either side, and a section where no row pairs up, are diffs
+    too: either would let a regression pass unchecked.
     """
-    diffs = []
+    diffs: list = []
     for kind, rows_key, key_fields, checked in sections:
-        base_by_key = {
-            tuple(row[k] for k in key_fields): row
-            for row in _get(baseline, rows_key)
-        }
-        for row in _get(result, rows_key):
-            key = tuple(row[k] for k in key_fields)
+        base_by_key = _by_key(
+            kind, "the baseline", _get(baseline, rows_key), key_fields, diffs
+        )
+        rows = _by_key(
+            kind, "the result", _get(result, rows_key), key_fields, diffs
+        )
+        matched = 0
+        for key, row in rows.items():
             base = base_by_key.get(key)
             if base is None:
                 continue
+            matched += 1
             for field in checked:
                 old, new = _get(base, field), _get(row, field)
                 if new != old:
@@ -105,18 +125,23 @@ def baseline_diffs(result: dict, baseline: dict, sections) -> list:
                         f"{kind} {'/'.join(map(str, key))}.{field}: "
                         f"{old} -> {new}"
                     )
+        if not matched:
+            diffs.append(f"{kind}: no row pairs with a baseline row")
     return diffs
 
 
 def finish(name: str, result: dict, text: str, args, sections) -> int:
     """Report one bench run; returns its exit status.
 
-    Prints *text* and writes it to ``results/<name>.txt``, writes
-    *result* to ``--json`` when given, and with ``--check`` compares it
-    with that baseline over *sections* (see :func:`baseline_diffs`).
+    Prints *text*, writes *result* to ``--json`` when given, and with
+    ``--check`` compares it with that baseline over *sections* (see
+    :func:`baseline_diffs`).  Only a full run without ``--check`` writes
+    *text* to ``results/<name>.txt``: the committed tables are the full
+    sweeps, and a ``--quick`` or checking run must leave them as they are.
     """
     print(text)
-    write_result(name, text)
+    if not (getattr(args, "quick", False) or args.check_path):
+        write_result(name, text)
     if args.json_path:
         with open(args.json_path, "w") as handle:
             json.dump(result, handle, indent=2, sort_keys=True)

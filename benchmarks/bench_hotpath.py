@@ -68,7 +68,6 @@ from bench_common import (
     finish,
     make_workload,
     run_once,
-    write_result,
 )
 
 from repro.bench.reporting import format_table
@@ -480,7 +479,6 @@ def main(argv=None):
 def test_hotpath_sweep(benchmark):
     """pytest-benchmark entry point (quick grid)."""
     result = run_once(benchmark, lambda: sweep(QUICK_GRID))
-    write_result("hotpath", render(result))
     localized = [c for c in result["cells"] if c["strategy"] in LOCALIZED]
     assert all(c["messages_batched"] > 0 for c in localized)
 

@@ -43,7 +43,6 @@ from bench_common import (
     finish,
     make_workload,
     run_once,
-    write_result,
 )
 
 from repro.bench.reporting import format_table
@@ -221,7 +220,6 @@ def main(argv=None):
 def test_traffic_sweep(benchmark):
     """pytest-benchmark entry point (quick scenarios)."""
     result = run_once(benchmark, lambda: sweep(QUICK_NAMES))
-    write_result("traffic", render(result))
     for cell in result["cells"]:
         assert cell["violations"] == []
 

@@ -78,31 +78,43 @@ def resolve_missing_bindings(
     attribute is multi-valued in the global schema (the local rows see
     only their own site's values; CA's answer is the union over all
     copies).  Values the sites already agreed on are left untouched.
+
+    The answer is read as columns (:meth:`ResultSet.as_columns`), row by
+    row: a certain list that is still columns is written in place and
+    never turned into results.
     """
     stats = stats if stats is not None else ResolutionStats()
-    results = answer.all_results()
-    if not results:
+    if not len(answer):
         return stats  # nothing to walk, so no target is resolved either
     schema = system.global_schema.schema
+    targets = answer.targets
     chains = [
-        (target, schema.resolve_path(query.range_class, target.steps))
-        for target in answer.targets
+        (i, target, schema.resolve_path(query.range_class, target.steps))
+        for i, target in enumerate(targets)
     ]
-    for result in results:
-        touched = False
-        for target, chain in chains:
-            current = result.bindings.get(target, NULL)
-            if not chain[-1].multi_valued and not is_null(current):
-                continue
-            value = _global_walk(
-                system, result.goid, query.range_class, target.steps,
-                chain, ctx, stats,
-            )
-            if value != current:
-                result.bindings[target] = value
-                touched = True
-        if touched:
-            stats.entities_resolved += 1
+    repeated = len(set(targets)) < len(targets)
+    for _, goids, values, rows in answer.as_columns():
+        for r in range(len(goids)):
+            touched = False
+            for i, target, chain in chains:
+                current = values[i][r]
+                if not chain[-1].multi_valued and not is_null(current):
+                    continue
+                value = _global_walk(
+                    system, goids[r], query.range_class, target.steps,
+                    chain, ctx, stats,
+                )
+                if value != current:
+                    values[i][r] = value
+                    if repeated:  # a repeated target is one binding
+                        for j, other in enumerate(targets):
+                            if other == target:
+                                values[j][r] = value
+                    if rows is not None:
+                        rows[r].bindings[target] = value
+                    touched = True
+            if touched:
+                stats.entities_resolved += 1
     return stats
 
 

@@ -32,13 +32,17 @@ and its exact comparison charge, the ``Where`` code (conjunction is
 function of the pattern, so it is computed on the pattern's first
 entity and read back for the rest.  What stays per entity is what
 depends on the entity: GOid grouping, the root-presence rule, assistant
-verdicts for rows that carry unsolved items, binding merge and result
-construction.  The tables live for one :func:`certify` call.
+verdicts for rows that carry unsolved items, and the binding merge of an
+entity several sites hold.  The certain answer stays columns
+(``ResultSet(columns=...)``), gathered by row index from the sites'
+value columns; only a maybe row becomes a result.  The tables live for
+one :func:`certify` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
     Dict,
     List,
@@ -50,7 +54,7 @@ from typing import (
 )
 
 from repro.conditions.algebra import NullAttr
-from repro.core.query import Path, Predicate, Query
+from repro.core.query import Predicate, Query
 from repro.core.results import GlobalResult, ResultKind, ResultSet
 from repro.errors import MappingError
 from repro.integration.global_schema import GlobalSchema
@@ -67,8 +71,6 @@ from repro.objectdb.values import MultiValue, NULL, Value
 
 #: One site's packed codes in ``query.all_predicates()`` order.
 Codes = Tuple[int, ...]
-#: What one site holds for an entity: its book and its value per target.
-SiteRow = Tuple[Book, Tuple[Value, ...]]
 
 #: Assistant-check verdict labels.
 SATISFIED = "satisfied"
@@ -166,32 +168,55 @@ def certify(
     queried = len(sites)
     targets = query.targets
 
-    # An entity is, per queried site, that site's (book, values bound)
-    # for it — grouped on the site's GOid column, which is read at the
-    # catalog as it is now, also when a resumed run brings the results
-    # of an earlier one.
-    groups: Dict[str, Tuple[GOid, List[Optional[SiteRow]]]] = {}
+    # An entity is ``[goid, slot, row, slot, row, ...]``: its row at
+    # each queried site that holds it, grouped on the site's GOid
+    # column, which is read at the catalog as it is now, also when a
+    # resumed run brings the results of an earlier one.  Books and
+    # values are read off the sites' columns by that row.
+    patterns = _PatternTables(query, sites)
+    groups: Dict[str, list] = {}
+    books_at: List[Sequence[Book]] = []
+    values_at: List[List[Sequence[Value]]] = []
     for slot, result in enumerate(local_results.values()):
-        ids, at, books, _ = result.as_columns()
+        ids, at, books, values = result.as_columns()
         goids = root_table.goids_at(ids, at)
         if None in goids:
             raise MappingError(
                 f"local result row {ids.loids[at[goids.index(None)]]} has "
                 f"no GOid for root class {query.range_class!r}"
             )
-        for goid, row in zip(goids, zip(books, result.bound(targets))):
-            key = goid.value
-            entity = groups.get(key)
+        books_at.append(books)
+        unbound = [NULL] * len(books)
+        values_at.append([values.get(target, unbound) for target in targets])
+        for r, goid in enumerate(goids):
+            entity = groups.get(goid.value)
             if entity is None:
-                entity = groups[key] = (goid, [None] * queried)
-            entity[1][slot] = row
+                groups[goid.value] = [goid, slot, r]
+            elif entity[-2] == slot:  # a second row there: the last counts
+                entity[-1] = r
+            else:
+                entity += (slot, r)
 
-    patterns = _PatternTables(query, sites)
     placements_of = root_table.placements
-    answer = ResultSet(targets=targets)
+    # Per certain entity, its GOid and where its values are: the answer's
+    # columns are gathered from there at the end.
+    certain: List[Tuple[GOid, int, int]] = []
+    maybe: List[GlobalResult] = []
     stats.groups += len(groups)
-    for _, (goid, held) in sorted(groups.items()):
-        pattern = patterns.of(held)
+    for key in sorted(groups):
+        entity = groups[key]
+        goid = entity[0]
+        if len(entity) == 3:  # held at one site, as most entities are
+            slot, r = entity[1], entity[2]
+            books: Sequence[Book] = (books_at[slot][r],)
+            pattern = patterns.at(slot, books[0])
+        else:
+            rows = list(zip(entity[1::2], entity[2::2]))
+            held: List[Optional[Book]] = [None] * queried
+            for slot, r in rows:
+                held[slot] = books_at[slot][r]
+            books = [book for book in held if book is not None]
+            pattern = patterns.of(held)
         if _eliminated_by_absence(
             pattern.absent, placements_of(goid), queried, stats
         ):
@@ -199,40 +224,42 @@ def certify(
             continue
         stats.comparisons += pattern.comparisons
         outcome = pattern.outcome
-        rows = [row for row in held if row is not None]
-        for book, _ in rows:
+        for book in books:
             if book.unsolved_items:
                 outcome = patterns.conclude(pattern, _apply_assistant_verdicts(
-                    rows, global_schema, catalog, verdicts,
+                    books, global_schema, catalog, verdicts,
                     patterns.index, pattern.merged, stats,
                 ))
                 break
-        where, unsolved, null_atoms = outcome
+        where = outcome.where
         if where == FALSE_CODE:
             stats.eliminated_by_violation += 1
             continue
-        bindings = (
-            dict(zip(targets, rows[0][1])) if len(rows) == 1
-            else _merge_bindings(targets, [bound for _, bound in rows])
-        )
+        if len(entity) > 3:  # its merged values: one more one-row "site"
+            values_at.append([[value] for value in _merge_values([
+                [column[r] for column in values_at[slot]] for slot, r in rows
+            ])])
+            slot, r = len(values_at) - 1, 0
         if where == TRUE_CODE:
             stats.promoted_to_certain += 1
-            answer.certain.append(
-                GlobalResult(goid, ResultKind.CERTAIN, bindings)
-            )
-        else:
-            stats.remained_maybe += 1
-            # The atoms are already deduplicated and in ``attach`` order.
-            answer.maybe.append(GlobalResult(
-                goid,
-                ResultKind.MAYBE,
-                bindings,
-                unsolved,
-                conditions=tuple(
-                    [NullAttr(site, goid, attr) for site, attr in null_atoms]
-                ),
-            ))
-    return answer
+            certain.append((goid, slot, r))
+            continue
+        stats.remained_maybe += 1
+        # The atoms are already deduplicated and in ``attach`` order.
+        maybe.append(GlobalResult(
+            goid,
+            ResultKind.MAYBE,
+            dict(zip(targets, map(itemgetter(r), values_at[slot]))),
+            outcome.unsolved,
+            conditions=tuple([
+                NullAttr(site, goid, attr) for site, attr in outcome.null_atoms
+            ]),
+        ))
+    return ResultSet(targets, maybe=maybe, columns=(
+        [goid for goid, _, _ in certain],
+        [[values_at[slot][i][r] for _, slot, r in certain]
+         for i in range(len(targets))],
+    ))
 
 
 class _Outcome(NamedTuple):
@@ -269,7 +296,8 @@ class _PatternTables:
     Two keys reach a pattern.  The fast one is the identity of each
     book's ``predicate_status`` dict: columnar local evaluation hands
     every row of one pattern the same dict, so the usual entity costs
-    one probe and decodes nothing.  The other is the decoded codes
+    one probe, keyed ``(slot, id)`` when one site holds it (:meth:`at`),
+    and decodes nothing.  The other is the decoded codes
     themselves (one dict probe per predicate, once per dict), which is
     how rows that own their dict — the reference evaluator's, or a
     test's — find the pattern an earlier entity built.  Identity is a
@@ -285,17 +313,28 @@ class _PatternTables:
         self.where = [[index[p] for p in conjunct] for conjunct in query.where]
         self._codes_of_status: Dict[int, Codes] = {}
         self._by_identity: Dict[Tuple[int, ...], _Pattern] = {}
+        self._by_site: Dict[Tuple[int, int], _Pattern] = {}
         self._by_codes: Dict[Tuple[Optional[Codes], ...], _Pattern] = {}
 
-    def of(self, held: Sequence[Optional[SiteRow]]) -> _Pattern:
+    def at(self, slot: int, book: Book) -> _Pattern:
+        """:meth:`of` an entity that only the site at *slot* holds."""
+        key = (slot, id(book.predicate_status))
+        pattern = self._by_site.get(key)
+        if pattern is None:
+            held: List[Optional[Book]] = [None] * len(self.sites)
+            held[slot] = book
+            pattern = self._by_site[key] = self.of(held)
+        return pattern
+
+    def of(self, held: Sequence[Optional[Book]]) -> _Pattern:
         key = tuple([
-            0 if row is None else id(row[0].predicate_status) for row in held
+            0 if book is None else id(book.predicate_status) for book in held
         ])
         pattern = self._by_identity.get(key)
         if pattern is None:
             site_codes = tuple([
-                None if row is None else self._decode(row[0].predicate_status)
-                for row in held
+                None if book is None else self._decode(book.predicate_status)
+                for book in held
             ])
             pattern = self._by_codes.get(site_codes)
             if pattern is None:
@@ -395,7 +434,7 @@ def _merge_codes(
 
 
 def _apply_assistant_verdicts(
-    rows: Sequence[SiteRow],
+    books: Sequence[Book],
     global_schema: GlobalSchema,
     catalog: MappingCatalog,
     verdicts: VerdictIndex,
@@ -405,14 +444,14 @@ def _apply_assistant_verdicts(
 ) -> Codes:
     """Resolve UNKNOWN predicates through unsolved-item assistant checks.
 
-    For every unsolved item of every merged row, look up the verdicts of
-    its assistant objects on the item's relative predicates and fold them
-    into the original predicate's status.  Violation has precedence:
+    For every unsolved item in the entity's *books*, look up the verdicts
+    of its assistant objects on the item's relative predicates and fold
+    them into the original predicate's status.  Violation has precedence:
     "object o is eliminated when any of its assistant objects violates an
     unsolved predicate".  Returns the status vector after the verdicts.
     """
     codes = list(merged)
-    for book, _ in rows:
+    for book in books:
         for item in book.unsolved_items:
             global_class = global_schema.global_class_of(
                 item.loid.db, item.class_name
@@ -499,13 +538,12 @@ def _null_atoms(
     return tuple(sorted(atoms))
 
 
-def _merge_bindings(
-    targets: Tuple[Path, ...], sources: Sequence[Tuple[Value, ...]]
-) -> Dict[Path, Value]:
-    """Merge target bindings across isomeric rows (first non-null wins;
-    multi-values union).  Missing data is NULL in a value column."""
-    bindings: Dict[Path, Value] = {}
-    for target, values in zip(targets, zip(*sources)):
+def _merge_values(sources: Sequence[Sequence[Value]]) -> List[Value]:
+    """Merge target values across isomeric rows, per target (first
+    non-null wins; multi-values union).  Missing data is NULL in a value
+    column."""
+    merged_values: List[Value] = []
+    for values in zip(*sources):
         merged: Value = NULL
         for value in values:
             if value is NULL:
@@ -515,8 +553,8 @@ def _merge_bindings(
                 break
             if merged is NULL:
                 merged = value
-        bindings[target] = merged
-    return bindings
+        merged_values.append(merged)
+    return merged_values
 
 
 def _union_bindings(values: Sequence[Value]) -> Value:

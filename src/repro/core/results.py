@@ -100,9 +100,10 @@ class ResultSet:
     """The full answer of a global query.
 
     Certain rows may be stored as ``columns=`` (GOids, and one value list
-    per target: what CA_G3 builds).  ``certain`` builds their results on
-    first read and is authoritative from then on; counting, :meth:`sort`,
-    :meth:`summary` and the export read the columns.
+    per target: what CA_G3 and BL/PL certification build).  ``certain``
+    builds their results on first read and is authoritative from then
+    on; counting, :meth:`sort`, :meth:`summary`, the export and binding
+    completion read the columns.
     """
 
     targets: Tuple[Path, ...] = ()
@@ -180,10 +181,11 @@ class ResultSet:
 
     # --- export -------------------------------------------------------------
 
-    def _export_columns(self) -> Iterator[tuple]:
+    def as_columns(self) -> Iterator[tuple]:
         """Per non-empty list, certain then maybe: ``(kind, GOids, one
-        value column per target, rows)`` — rows ``None`` while certain
-        is columns, else the columns are derived from the rows."""
+        value column per target, rows)``.  Rows are ``None`` while
+        certain is columns, and the columns are then the answer's own;
+        else the columns are copies derived from the rows."""
         for kind, rows in zip(_KINDS, (self._certain, self.maybe)):
             if rows is None and self._columns[0]:
                 yield (kind, *self._columns, None)
@@ -206,7 +208,7 @@ class ResultSet:
         """
         keys = _export_keys(self.targets)
         out: List[Dict[str, object]] = []
-        for kind, goids, values, rows in self._export_columns():
+        for kind, goids, values, rows in self.as_columns():
             for r, goid in enumerate(goids):
                 row: Dict[str, object] = {"goid": goid.value, "kind": kind}
                 for key, i in keys:
@@ -455,7 +457,7 @@ def answer_digest(results: ResultSet) -> str:
     """
     keys = _export_keys(results.targets)
     texts: List[str] = []
-    for kind, goids, values, rows in results._export_columns():
+    for kind, goids, values, rows in results.as_columns():
         columns = {"goid": _encode(map(_VALUE, goids))}
         for key, i in keys:
             columns[key] = _encode(values[i])

@@ -347,7 +347,7 @@ class _LocalizedRun:
             self.name,
             outcome,
             self.work,
-            certain_results=len(results.certain),
+            certain_results=results.certain_count,
             maybe_results=len(results.maybe),
             events=self.events,
             fault_windows=ctx.fault_windows(self.fed.sites),

@@ -7,18 +7,28 @@
 * A target named like one of the row's own export keys (``goid``,
   ``kind``, ``unsolved``, ``notes``) is exported as ``"$" + name`` and
   never overwrites the row's key.
-* A CA answer keeps its certain rows as columns: executing, counting,
-  sorting, summarising and digesting build no certain ``GlobalResult``.
+* A CA, BL or PL answer keeps its certain rows as columns: executing,
+  counting, sorting, summarising and digesting build no certain
+  ``GlobalResult``.
+* Binding completion over columns does what it does over rows: the same
+  bindings, and the same walks, lookups and fetches.
 """
 
+import copy
 import dataclasses
 import hashlib
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_workload
+from helpers import context, make_workload
+from repro.core.binding_resolution import (
+    ResolutionStats,
+    _global_walk,
+    resolve_missing_bindings,
+)
 from repro.core.engine import GlobalQueryEngine
 from repro.core.query import Op, Path, Predicate
 from repro.core.results import (
@@ -26,10 +36,12 @@ from repro.core.results import (
     ResultKind,
     ResultSet,
     answer_digest,
+    same_answers,
 )
 from repro.core.strategies.centralized import demote_outerjoin_incomplete
+from repro.faults import FaultPlan
 from repro.objectdb.ids import GOid, LOid
-from repro.objectdb.values import NULL, MultiValue
+from repro.objectdb.values import NULL, MultiValue, is_null
 from repro.traffic import QueryRecord
 
 CERTAIN, MAYBE = ResultKind.CERTAIN, ResultKind.MAYBE
@@ -238,6 +250,100 @@ def test_unsorted_columns_sort_by_goid():
     )).sort()
     rows = [(r.goid.value, r.value(a), r.value(b)) for r in answer.certain]
     assert rows == [("g1", 1, "a"), ("g2", 2, "b"), ("g3", 3, "c")]
+
+
+# --- column-backed BL and PL answers -----------------------------------------
+
+
+@pytest.mark.parametrize("strategy", ["BL", "PL"])
+def test_localized_answer_keeps_certain_rows_as_columns(
+    strategy, monkeypatch
+):
+    built = count_certain_results(monkeypatch)
+    workload = make_workload(seed=7)
+    answer = GlobalQueryEngine(workload.system).execute(
+        workload.query, strategy=strategy
+    ).results
+    assert answer.certain_count > 0 and answer._certain is None
+    digest, rows = answer_digest(answer), answer.to_dicts()
+    assert answer._certain is None and built == []
+    twin = copy.deepcopy(answer)
+    twin.certain  # the materialised twin
+    assert twin._certain is not None and len(built) == answer.certain_count
+    assert twin.to_dicts() == rows and answer_digest(twin) == digest
+    assert same_answers(answer, twin)
+
+
+def resolve_row_by_row(system, query, answer, ctx, stats):
+    """Binding completion as a walk over result rows: per row, per
+    target in order, walk when the binding is NULL or multi-valued."""
+    schema = system.global_schema.schema
+    for result in answer.all_results():
+        touched = False
+        for target in answer.targets:
+            chain = schema.resolve_path(query.range_class, target.steps)
+            current = result.bindings.get(target, NULL)
+            if not chain[-1].multi_valued and not is_null(current):
+                continue
+            value = _global_walk(
+                system, result.goid, query.range_class, target.steps,
+                chain, ctx, stats,
+            )
+            if value != current:
+                result.bindings[target] = value
+                touched = True
+        stats.entities_resolved += touched
+
+
+@pytest.mark.parametrize("outage", [None, "DB2"])
+@pytest.mark.parametrize("multi", [True, False])
+def test_column_resolution_equals_row_resolution(outage, multi):
+    """A NULL single-valued target, a multi-valued one, a nested one and
+    a target repeated (``Select X.t0, X.t0``) that the local site bound
+    NULL: walking the columns binds and counts what walking rows does."""
+    workload = make_workload(seed=7, multi_valued_targets=True)
+    system = workload.system
+    t0, t1, ref_t0 = Path(("t0",)), Path(("t1",)), Path(("ref", "t0"))
+    targets = (t0, t0, t1, ref_t0) if multi else (t0, t0, ref_t0)
+    query = dataclasses.replace(workload.query, targets=targets)
+    goids = sorted(
+        system.catalog.table(query.range_class).goids(), key=str
+    )[:12]
+    n = len(goids)
+    local = {
+        t0: [NULL if r % 3 else "local" for r in range(n)],
+        t1: [MultiValue(["local"]) if r % 2 else NULL for r in range(n)],
+        ref_t0: [NULL if r % 4 else "local" for r in range(n)],
+    }
+    maybe = GlobalResult(goids[-1], MAYBE, {t0: NULL})
+
+    def ctx():
+        if outage is None:
+            return context()
+        return context(
+            fault_plan=FaultPlan.single_site_loss(outage), policy="degrade"
+        )
+
+    by_columns = ResultSet(targets, maybe=[copy.deepcopy(maybe)], columns=(
+        list(goids), [list(local[t]) for t in targets],
+    ))
+    by_rows = ResultSet(targets, [
+        GlobalResult(goid, CERTAIN, {t: local[t][r] for t in targets})
+        for r, goid in enumerate(goids)
+    ], [copy.deepcopy(maybe)])
+    column_stats, row_stats = ResolutionStats(), ResolutionStats()
+    resolve_missing_bindings(system, query, by_columns, ctx(), column_stats)
+    resolve_row_by_row(system, query, by_rows, ctx(), row_stats)
+    assert by_columns._certain is None
+    assert column_stats == row_stats
+    assert row_stats.entities_resolved > 0 and row_stats.mapping_lookups > 0
+    assert bool(row_stats.skipped_sites) == (outage is not None)
+    assert by_columns.to_dicts() == by_rows.to_dicts()
+    assert [r.bindings for r in by_columns.all_results()] == [
+        r.bindings for r in by_rows.all_results()
+    ]
+    _, values = by_columns._columns
+    assert values[0] == values[1] != local[t0]
 
 
 # --- traffic records ---------------------------------------------------------

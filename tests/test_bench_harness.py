@@ -80,6 +80,30 @@ class TestBaselineDiffs:
         changed["cells"][0]["evolution"]["epoch"] = 4
         assert bench_common.baseline_diffs(changed, result(), SECTIONS) == []
 
+    def test_a_key_repeated_on_either_side_is_reported(self):
+        doubled = result()
+        doubled["rows"].append(dict(doubled["rows"][0], certain=9))
+        assert bench_common.baseline_diffs(doubled, result(), SECTIONS) == [
+            "chaos none/BL: key repeated in the result",
+            "chaos none/BL.certain: 2 -> 9",
+        ]
+        assert bench_common.baseline_diffs(result(), doubled, SECTIONS) == [
+            "chaos none/BL: key repeated in the baseline",
+            "chaos none/BL.certain: 9 -> 2",
+        ]
+
+    def test_a_section_where_no_row_pairs_is_reported(self):
+        renamed = result()
+        renamed["failover"]["rows"][0]["strategy"] = "PL-S"
+        assert bench_common.baseline_diffs(renamed, result(), SECTIONS) == [
+            "failover: no row pairs with a baseline row"
+        ]
+        empty = result()
+        empty["cells"] = []
+        assert bench_common.baseline_diffs(empty, result(), SECTIONS) == [
+            "scenario: no row pairs with a baseline row"
+        ]
+
     def test_the_message_names_kind_key_and_field(self):
         (diff,) = bench_common.baseline_diffs(
             result(total_s=0.75), result(), SECTIONS
@@ -91,25 +115,30 @@ class TestBaselineDiffs:
 
 
 class TestFinish:
-    def run(self, tmp_path, monkeypatch, capsys, run_result, baseline):
+    def run(self, tmp_path, monkeypatch, capsys, run_result, baseline,
+            flags=("--check",)):
         monkeypatch.setattr(bench_common, "RESULTS_DIR", tmp_path)
         check = tmp_path / "BENCH_x.json"
         check.write_text(json.dumps(baseline))
         parser = argparse.ArgumentParser()
         bench_common.add_baseline_args(parser)
+        parser.add_argument("--quick", action="store_true")
         out = tmp_path / "out.json"
-        args = parser.parse_args(["--json", str(out), "--check", str(check)])
+        argv = ["--json", str(out)]
+        for flag in flags:
+            argv += [flag, str(check)] if flag == "--check" else [flag]
+        args = parser.parse_args(argv)
         status = bench_common.finish("x", run_result, "table", args, SECTIONS)
         return status, out, capsys.readouterr().out
 
-    def test_a_clean_run_writes_and_passes(
+    def test_a_clean_check_passes_and_writes_no_table(
         self, tmp_path, monkeypatch, capsys
     ):
         status, out, printed = self.run(
             tmp_path, monkeypatch, capsys, result(), result()
         )
         assert status == 0
-        assert (tmp_path / "x.txt").read_text() == "table\n"
+        assert not (tmp_path / "x.txt").exists()
         assert out.read_text() == json.dumps(
             result(), indent=2, sort_keys=True
         ) + "\n"
@@ -117,6 +146,18 @@ class TestFinish:
             f"table\n\njson written to {out}\n\n"
             f"baseline check OK vs {tmp_path / 'BENCH_x.json'}\n"
         )
+
+    def test_only_a_full_run_without_check_writes_the_table(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        for flags in (("--quick",), ("--quick", "--check")):
+            self.run(tmp_path, monkeypatch, capsys, result(), result(), flags)
+            assert not (tmp_path / "x.txt").exists()
+        status, _out, _printed = self.run(
+            tmp_path, monkeypatch, capsys, result(), result(), ()
+        )
+        assert status == 0
+        assert (tmp_path / "x.txt").read_text() == "table\n"
 
     def test_a_regression_fails_and_lists_the_diffs(
         self, tmp_path, monkeypatch, capsys
