@@ -2,7 +2,7 @@
 
 Not a paper figure — performance tracking for the building blocks every
 experiment leans on: local query evaluation, outerjoin materialization,
-assistant checking, certification, and the DES kernel itself.
+assistant checking, certification, and the activity-graph scheduler.
 """
 
 import random

@@ -2,7 +2,7 @@
 
 Drives the :mod:`repro.traffic` engine over a set of scenarios — N
 seeded workers interleaving a weighted point/scan/paper query mix
-through the simulation kernel against one shared federation, behind an
+on one simulated clock against one shared federation, behind an
 admission gate — and reports, per scenario:
 
 * throughput (completed queries per simulated second) and the p50/p95/

@@ -34,12 +34,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.conditions.algebra import (
-    FluxEpoch,
-    NullAttr,
-    SystemState,
-    rank_mechanisms,
-)
+from repro.conditions.algebra import FluxEpoch, NullAttr, SystemState
 from repro.conditions.reasons import schema_flux
 from repro.core.tvl import TV
 from repro.errors import ReproError
@@ -327,15 +322,12 @@ class ReCertifier:
     ):
         from repro.obs.spans import TraceEvent
 
-        sampling, systematic = rank_mechanisms(repaired)
         availability = dataclasses.replace(
             report.availability,
             fully_recovered=(
                 report.availability.fully_recovered
                 or summary.fully_repaired
             ),
-            maybe_sampling=sampling,
-            maybe_systematic=systematic,
         )
         metrics = copy.copy(report.metrics)
         metrics.work = dataclasses.replace(report.metrics.work)

@@ -231,7 +231,8 @@ class GlobalQueryEngine:
         # Epoch pinning: the execution runs synchronously against the
         # federation state *now*, so snapshotting the flux view here is
         # what "pinned to schema_epoch" means — the controller only
-        # advances between executions (sim-kernel grants are atomic).
+        # advances between executions (a traffic worker executes a whole
+        # query at its admission grant).
         evo = self.system.evolution
         flux = evo.in_flux_view() if evo is not None else None
         departed = flux.departed_sites if flux is not None else ()
@@ -257,20 +258,6 @@ class GlobalQueryEngine:
                 result.availability,
                 schema_epoch=self.system.schema_epoch,
                 epochs_straddled=flux.labels if flux is not None else (),
-            )
-        # Mechanism ranking of whatever stayed maybe: genuinely missing
-        # data (sampling-like) vs systematic loss (outages, skipped
-        # checks, open schema windows).  Data only — the counts surface
-        # through conditions_summary()/explain(), so
-        # availability.summary() text stays byte-stable.
-        from repro.conditions.algebra import rank_mechanisms
-
-        sampling, systematic = rank_mechanisms(result.results)
-        if sampling or systematic:
-            result.availability = dataclasses.replace(
-                result.availability,
-                maybe_sampling=sampling,
-                maybe_systematic=systematic,
             )
         # Strategies do not see the cache layer; attribute the traffic
         # this execution generated (mapping-index + decomposition) to its

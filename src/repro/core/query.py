@@ -333,17 +333,17 @@ class Query:
         """Type-check the query against *schema* (raises QueryError)."""
         if self.range_class not in schema:
             raise QueryError(f"unknown range class {self.range_class!r}")
+        root, chains = self.range_class, {}
         for path in self.all_paths():
             try:
-                schema.resolve_path(self.range_class, path.steps)
+                chains[path] = schema.resolve_path(root, path.steps)
             except Exception as exc:  # re-raise uniformly as QueryError
                 raise QueryError(
                     f"path {path} does not type-check from "
                     f"{self.range_class!r}: {exc}"
                 ) from exc
         for pred in self.all_predicates():
-            chain = schema.resolve_path(self.range_class, pred.path.steps)
-            final = chain[-1]
+            final = chains[pred.path][-1]
             if final.is_complex:
                 raise QueryError(
                     f"predicate {pred} compares complex attribute "

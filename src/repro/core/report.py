@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional
 
+from repro.conditions.algebra import rank_mechanisms
 from repro.core.strategies.base import StrategyResult
 from repro.obs.registry import MetricsRegistry, registry_from_metrics
 from repro.obs.spans import Trace, TraceEvent
@@ -102,8 +103,7 @@ class ExecutionReport(StrategyResult):
         appears through :meth:`explain` or the ``recertify`` CLI).
         """
         parts = []
-        sampling = self.availability.maybe_sampling
-        systematic = self.availability.maybe_systematic
+        sampling, systematic = rank_mechanisms(self.results)
         if sampling or systematic:
             parts.append(
                 f"maybe rows: sampling={sampling} systematic={systematic}"

@@ -268,14 +268,6 @@ class Availability:
     #: non-empty means the answer straddled schema/membership
     #: propagation and is covered by the flux consistency contract.
     epochs_straddled: Tuple[str, ...] = ()
-    #: Missingness-mechanism ranking of the maybe rows (Bertossi,
-    #: arXiv:2604.06520): rows blocked only by genuine nulls (sampling —
-    #: no recovery certifies them) vs rows a heal can discharge
-    #: (systematic: site down, unchecked copy, open flux window).
-    #: Surfaced via ``explain``; deliberately absent from to_dict() and
-    #: summary() so committed baselines stay byte-stable.
-    maybe_sampling: int = 0
-    maybe_systematic: int = 0
 
     @property
     def certification_intact(self) -> bool:

@@ -18,8 +18,8 @@ catalog and decomposition/mapping caches.  What a session owns is the
 * an execution counter.
 
 Sessions are cooperative, not thread-backed: the traffic engine
-interleaves thousands of session executions deterministically through
-the simulation kernel.  All per-execution fault/failover state lives in
+interleaves thousands of session executions deterministically on one
+simulated clock.  All per-execution fault/failover state lives in
 an :class:`~repro.faults.injector.ExecutionContext` created per call,
 so interleaved executions can never bleed into each other.
 """

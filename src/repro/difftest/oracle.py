@@ -43,14 +43,14 @@ reproduce.  What it checks:
     siblings: CA is the baseline every other comparison is made against.
 ``schedule``
     Every activity graph any run below schedules — fault, failover,
-    repair and evolution runs included — is scheduled twice: by
-    ``FederationSim.run``'s flat loop and, on a twin of the graph, by
-    :func:`repro.difftest.reference.schedule_reference` on the generic
-    event kernel (the body ``run`` had before).  Every node's ``ready``
-    / ``start`` / ``finish``, the response time, every device's busy
-    and wait time and any exception must be equal — bit for bit, ties
-    at zero-cost barriers included; every simulated time this
-    repository reports comes out of that loop.
+    repair and evolution runs included — must keep the scheduling
+    contract the :mod:`repro.sim.taskgraph` docstring writes down
+    (:func:`repro.difftest.schedule.schedule_violation`): readiness,
+    durations, one node at a time and FIFO per device, no idle device
+    while a node waits (outage windows and stalled transfers
+    included), and busy / wait accounting and the response time that
+    agree with the node times.  Every simulated time this repository
+    reports comes out of that loop.
 ``planner``
     For the :attr:`StrategyOracle.PLANNER_MATRIX` pairs, running with
     an adaptive planner mode (constraint pruning, trace feedback, or
@@ -121,8 +121,8 @@ from repro.difftest.reference import (
     shadowed_certify,
     shadowed_global_evaluation,
     shadowed_local_evaluation,
-    shadowed_schedule,
 )
+from repro.difftest.schedule import checked_schedule
 from repro.integration.validate import check_federation
 from repro.objectdb.ids import GOid
 from repro.objectdb.values import is_null
@@ -208,7 +208,7 @@ class StrategyOracle:
         schedule: List[str] = []
         with shadowed_certify(certify), shadowed_local_evaluation(
             local_eval
-        ), shadowed_global_evaluation(global_eval), shadowed_schedule(
+        ), shadowed_global_evaluation(global_eval), checked_schedule(
             schedule
         ):
             violations = self._check_strategies(case)

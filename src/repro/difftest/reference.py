@@ -26,7 +26,6 @@ invariant.
 from __future__ import annotations
 
 import contextlib
-import copy
 import dataclasses
 import sys
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -46,7 +45,7 @@ from repro.core.predicates import (
 from repro.core.query import Path, Predicate, Query
 from repro.core.results import GlobalResult, ResultKind, ResultSet
 from repro.core.tvl import TV, all3, any3
-from repro.errors import MappingError, ObjectStoreError, SimulationError
+from repro.errors import MappingError, ObjectStoreError
 from repro.integration.global_schema import GlobalSchema
 from repro.integration.mapping import MappingCatalog
 from repro.integration.outerjoin import IntegrationStats
@@ -65,16 +64,6 @@ from repro.objectdb.local_query import (
 )
 from repro.objectdb.objects import LocalObject
 from repro.objectdb.values import MultiValue, NULL, Value, is_null
-from repro.sim.kernel import (
-    Acquire,
-    AllOf,
-    Event,
-    Release,
-    Resource,
-    Simulator,
-    Timeout,
-)
-from repro.sim.taskgraph import FederationSim, Node, SimOutcome
 
 
 def certify_reference(
@@ -921,151 +910,3 @@ def shadowed_global_evaluation(differences: List[str]) -> Iterator[None]:
     finally:
         centralized.evaluate_global = evaluate
         centralized.materialize = merge
-
-
-# --- activity-graph scheduling (FederationSim.run) ---------------------------
-
-
-def schedule_reference(fed: FederationSim) -> SimOutcome:
-    """Schedule *fed*'s activity graph on the generic event kernel.
-
-    The body :meth:`~repro.sim.taskgraph.FederationSim.run` had before
-    the flat loop replaced it: one generator
-    :class:`~repro.sim.kernel.Process` per node, one
-    :class:`~repro.sim.kernel.Event` per node and per grant, a kernel
-    :class:`~repro.sim.kernel.Resource` per device.  The hop order the
-    flat loop is written to is what this body does on the kernel's
-    ``(time, seq)`` heap.  Unchanged but for one line: a resource is a
-    site device when its node is not a transfer, not when its name does
-    not start with ``net`` (the site ``netlab`` has outages too).  Like
-    ``run`` it marks *fed* as run and writes ``ready`` / ``start`` /
-    ``finish`` on its nodes.
-    """
-    if fed._ran:
-        raise SimulationError("FederationSim.run() called twice")
-    fed._ran = True
-    sim = Simulator()
-    resources: Dict[str, Resource] = {}
-    done_events: Dict[int, Event] = {}
-
-    plan = fed.fault_plan
-
-    def get_resource(node: Node) -> Resource:
-        name = node.resource_name
-        if name not in resources:
-            resource = sim.resource(name)
-            # Site devices ("DB1:cpu", "DB1:disk") inherit the
-            # site's outage windows: work queued during a crash is
-            # served when the site recovers.
-            if plan is not None and not node.dst:
-                for window in plan.windows(node.site):
-                    resource.add_downtime(window.start, window.end)
-            resources[name] = resource
-        return resources[name]
-
-    def node_body(node: Node):
-        dep_events = tuple(done_events[d.index] for d in node.deps)
-        if dep_events:
-            yield AllOf(dep_events)
-        node.ready = sim.now
-        if not node.resource_name:
-            # A pure delay (fault wait): holds no device.
-            node.start = sim.now
-            yield Timeout(node.seconds)
-            node.finish = sim.now
-            done_events[node.index].trigger()
-            return
-        if plan is not None and node.dst:
-            # A transfer cannot progress while either endpoint is
-            # inside an outage window — stall until both are up.
-            while True:
-                up = max(
-                    plan.next_up(node.site, sim.now),
-                    plan.next_up(node.dst, sim.now),
-                )
-                if up <= sim.now:
-                    break
-                yield Timeout(up - sim.now)
-        resource = get_resource(node)
-        yield Acquire(resource)
-        node.start = sim.now
-        yield Timeout(node.seconds)
-        node.finish = sim.now
-        yield Release(resource)
-        done_events[node.index].trigger()
-
-    for node in fed._nodes:
-        done_events[node.index] = sim.event(f"done:{node.label}")
-    for node in fed._nodes:
-        sim.process(node_body(node), name=node.label)
-
-    response_time = sim.run()
-    unfinished = [n.label for n in fed._nodes if n.finish is None]
-    if unfinished:
-        raise SimulationError(
-            f"activity graph deadlocked; unfinished nodes: {unfinished[:5]}"
-        )
-    ordered = sorted(resources.items())
-    return SimOutcome.from_nodes(
-        fed._nodes,
-        response_time,
-        resource_busy={name: res.busy_time for name, res in ordered},
-        resource_wait={name: res.wait_time for name, res in ordered},
-    )
-
-
-def schedule_difference(got: SimOutcome, want: SimOutcome) -> Optional[str]:
-    """Why two schedules of one graph differ, or ``None``: a node's
-    ``ready`` / ``start`` / ``finish``, the response time, or a device's
-    busy or wait time (keys and their order included)."""
-    for mine, theirs in zip(got.scheduled, want.scheduled):
-        times = (mine.ready, mine.start, mine.finish)
-        expected = (theirs.ready, theirs.start, theirs.finish)
-        if times != expected:
-            return (
-                f"node {mine.index} {mine.label!r} ready/start/finish "
-                f"{times} != reference {expected}"
-            )
-    for name in ("response_time", "resource_busy", "resource_wait"):
-        difference = record_difference(getattr(got, name), getattr(want, name))
-        if difference is not None:
-            return name + difference
-    return None
-
-
-@contextlib.contextmanager
-def shadowed_schedule(differences: List[str]) -> Iterator[None]:
-    """Run the kernel beside every ``FederationSim.run`` made in the block.
-
-    ``run`` is rebound to a wrapper that schedules the graph twice — the
-    flat loop on the :class:`FederationSim` itself, then
-    :func:`schedule_reference` on a twin taken before (same state, own
-    copies of the nodes) — and appends a line to *differences* when a
-    node's times, the response time or a device's accounting differ, or
-    when one side raises and the other does not raise the same type and
-    message.  The caller gets production's outcome (or exception) either
-    way.  Restored on exit; test scaffolding, not for concurrent use.
-    """
-    production = FederationSim.run
-
-    def run_both(fed: FederationSim) -> SimOutcome:
-        twin = copy.copy(fed)
-        # The reference reads only ``index`` of a dependency, so the
-        # twin's nodes may keep pointing at the originals.
-        twin._nodes = [dataclasses.replace(node) for node in fed._nodes]
-        got, raised = _attempt(production, fed)
-        difference = _attempts_difference(
-            (got, raised), _attempt(schedule_reference, twin),
-            schedule_difference,
-        )
-        if difference is not None:
-            differences.append(f"FederationSim.run: {difference}")
-        if raised is not None:
-            raise raised
-        return got
-
-    FederationSim.run = run_both
-    try:
-        yield
-    finally:
-        FederationSim.run = production

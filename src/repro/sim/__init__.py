@@ -1,22 +1,11 @@
 """Discrete-event simulation substrate.
 
-The event kernel (:mod:`repro.sim.kernel`), the paper's cost model
-(:mod:`repro.sim.costs`), activity-graph scheduling over simulated sites
-(:mod:`repro.sim.taskgraph`) and the execution metrics bundle
-(:mod:`repro.sim.metrics`).
+The paper's cost model (:mod:`repro.sim.costs`), activity-graph
+scheduling over simulated sites (:mod:`repro.sim.taskgraph`) and the
+execution metrics bundle (:mod:`repro.sim.metrics`).
 """
 
 from repro.sim.costs import MICROSECOND, CostModel, PAPER_COSTS, table1_rows
-from repro.sim.kernel import (
-    Acquire,
-    AllOf,
-    Event,
-    Process,
-    Release,
-    Resource,
-    Simulator,
-    Timeout,
-)
 from repro.sim.metrics import ExecutionMetrics, WorkCounters
 from repro.sim.taskgraph import (
     FederationSim,
@@ -30,10 +19,7 @@ from repro.sim.taskgraph import (
 )
 
 __all__ = [
-    "Acquire",
-    "AllOf",
     "CostModel",
-    "Event",
     "ExecutionMetrics",
     "FederationSim",
     "MICROSECOND",
@@ -44,12 +30,7 @@ __all__ = [
     "PHASE_P",
     "PHASE_SCAN",
     "PHASE_XFER",
-    "Process",
-    "Release",
-    "Resource",
     "SimOutcome",
-    "Simulator",
-    "Timeout",
     "WorkCounters",
     "table1_rows",
 ]

@@ -18,16 +18,13 @@ Scheduling contract
 
 The graph is static — every node, dependency and duration is known
 before :meth:`FederationSim.run` — so ``run`` schedules it in one flat
-loop over node indexes rather than on the generic coroutine kernel
-(:mod:`repro.sim.kernel`, which stays for processes whose next step
-depends on what they observe: ``TrafficEngine``'s workers).  Simulated
-time only orders events; between events of one instant the order below
-decides who gets a device first, so it is part of the results and is
-written down here.  ``repro.difftest.reference.schedule_reference`` runs
-the same graph on the kernel, where this order is what the kernel's
-``(time, sequence number)`` heap does to one generator per node; the
-oracle's ``schedule`` invariant and ``tests/test_property_sim.py`` hold
-the two bit-identical.
+loop over node indexes.  Simulated time only orders events; between
+events of one instant the order below decides who gets a device first,
+so it is part of the results and is written down here.  The oracle's
+``schedule`` invariant and ``tests/test_property_sim.py`` check every
+schedule against the clauses that hold whichever way ties fall
+(:func:`repro.difftest.schedule.schedule_violation`);
+``tests/test_taskgraph.py::TestHopOrder`` pins how ties fall.
 
 *Events.*  An event fires at an instant.  An event raised for the
 current instant (``now + delay == now`` in floating point, so a zero or

@@ -10,7 +10,7 @@ Layers (see ``docs/TRAFFIC.md``):
   (:func:`~repro.traffic.mix.default_mix` builds the standard
   point/scan/paper mix from a generated workload);
 * :mod:`repro.traffic.driver` — the engine: N cooperative workers
-  interleaved through the simulation kernel behind an admission gate,
+  interleaved on one simulated clock behind an admission gate,
   with per-worker cache accounting and optional serial verification.
 """
 

@@ -1,9 +1,9 @@
 """The concurrent traffic engine: N workers over one shared federation.
 
 :class:`TrafficEngine` interleaves thousands of queries from N logical
-workers through the simulation kernel against *one*
-:class:`~repro.core.system.DistributedSystem`.  Workers are cooperative
-:class:`~repro.sim.kernel.Process`\\ es, not threads: each holds an
+workers on one simulated clock against *one*
+:class:`~repro.core.system.DistributedSystem`.  Workers are generator
+bodies resumed by that clock, not threads: each holds an
 :class:`~repro.core.session.EngineSession` (its own options, fault
 seeds and cache accounting over the shared caches), draws queries from
 a weighted :class:`~repro.traffic.mix.QueryMix` with its own derived
@@ -12,12 +12,11 @@ RNG, and competes for an admission gate before executing.
 Timing model: executing a query is synchronous on the host (the
 strategy runs its own inner federation simulation), and its simulated
 ``total_time`` is then *charged on the traffic clock* while the worker
-holds an admission slot.  The gate is a kernel
-:class:`~repro.sim.kernel.Resource` with ``max_in_flight`` servers and
-a bounded FIFO: a submission finding ``queue_depth`` waiters is *shed*
-(counted, never executed) and the worker backs off.  The (time, seq)
-event ordering makes the whole interleaving — grants, sheds, finish
-times — byte-deterministic in the root seed.
+holds an admission slot.  The gate has ``max_in_flight`` slots and a
+bounded FIFO: a submission finding ``queue_depth`` waiters is *shed*
+(counted, never executed) and the worker backs off.  The clock's
+(time, order raised) event ordering makes the whole interleaving —
+grants, sheds, finish times — byte-deterministic in the root seed.
 
 Correctness under interleaving is checked, not assumed:
 :meth:`TrafficEngine.run` with ``verify=True`` re-executes every
@@ -26,7 +25,7 @@ byte-identical answer digest (the difftest oracle's notion of answer
 equality).  Shared caches may change *cost*, never *answers*.
 
 Live evolution: pass an :class:`~repro.evolution.plan.EvolutionPlan`
-and the engine runs a controller pump process alongside the workers —
+and the clock also resumes a controller pump beside the workers —
 membership and schema changes fire on the same simulated clock the
 queries run on.  Every grant records the federation epoch it executed
 against (``QueryRecord.evo_step``); serial verification of a churned
@@ -37,10 +36,13 @@ epoch before re-executing.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.engine import GlobalQueryEngine
 from repro.core.options import ExecutionOptions
@@ -50,7 +52,6 @@ from repro.errors import WorkloadError
 from repro.evolution.controller import EvolutionController
 from repro.evolution.plan import EvolutionPlan
 from repro.integration.mapping import CacheStats
-from repro.sim.kernel import Acquire, Release, Resource, Simulator, Timeout
 from repro.traffic.mix import QueryMix
 from repro.traffic.seeds import derive_seed
 from repro.traffic.templates import BoundQuery
@@ -247,6 +248,65 @@ def _percentile(sorted_values: List[float], q: float) -> float:
     return sorted_values[min(n, rank) - 1]
 
 
+#: What a body on the traffic clock yields besides a delay in simulated
+#: seconds: ask for an admission slot, or give one back.
+ACQUIRE, RELEASE = object(), object()
+
+
+class _Clock:
+    """One traffic run's clock and admission gate.
+
+    A heap of (time, order raised, body) events, each resuming one
+    generator body, which yields a delay, :data:`ACQUIRE` or
+    :data:`RELEASE`.  Every resumption goes through the heap, an
+    immediate grant too, and a release resumes the waiter it hands its
+    slot to before the releaser: that order fixes the interleaving, and
+    so every number a run reports.
+    """
+
+    def __init__(self, slots: int) -> None:
+        self.now = 0.0
+        self.events: List[Tuple[float, int, Iterator]] = []
+        self.order = itertools.count()
+        self.free_slots = slots
+        #: Bodies waiting for a slot, with the time they asked, FIFO.
+        self.waiting: Deque[Tuple[Iterator, float]] = deque()
+        self.wait_time, self.grants_queued, self.rejected = 0.0, 0, 0
+
+    def resume(self, body: Iterator, delay: float = 0.0) -> None:
+        heappush(self.events, (self.now + delay, next(self.order), body))
+
+    def admit(self, depth: int) -> bool:
+        """Room for one more submission (a free slot, or fewer than
+        *depth* waiting)?  A refusal is counted."""
+        if self.free_slots or len(self.waiting) < depth:
+            return True
+        self.rejected += 1
+        return False
+
+    def run(self) -> None:
+        while self.events:
+            self.now, _order, body = heappop(self.events)
+            step = next(body, None)
+            if step is ACQUIRE:
+                if self.free_slots:
+                    self.free_slots -= 1
+                    self.resume(body)
+                else:
+                    self.waiting.append((body, self.now))
+            elif step is RELEASE:
+                if self.waiting:
+                    waiter, since = self.waiting.popleft()
+                    self.wait_time += self.now - since
+                    self.grants_queued += 1
+                    self.resume(waiter)
+                else:
+                    self.free_slots += 1
+                self.resume(body)
+            elif step is not None:
+                self.resume(body, step)
+
+
 class TrafficEngine:
     """Drive a seeded concurrent workload through one shared federation."""
 
@@ -299,9 +359,8 @@ class TrafficEngine:
         # arbitrary worker for shared work.
         if getattr(self.engine.default_strategy, "use_signatures", False):
             self.engine.ensure_signatures()
-        self._sessions: List = []
         #: Evolution under load: the plan runs on the traffic clock via
-        #: a controller pump process; *system_factory* rebuilds a fresh
+        #: a controller pump body; *system_factory* rebuilds a fresh
         #: pre-plan federation for serial verification of churned runs.
         self.evolution = (
             evolution if evolution is not None and evolution.active else None
@@ -311,7 +370,7 @@ class TrafficEngine:
 
     # --- the evolution pump -------------------------------------------------
 
-    def _evolution_pump(self, sim: Simulator, ctl: EvolutionController):
+    def _evolution_pump(self, clock: _Clock, ctl: EvolutionController):
         """Apply plan transitions at their simulated times.
 
         Workers execute queries synchronously at the admission grant, so
@@ -322,16 +381,15 @@ class TrafficEngine:
             next_t = ctl.next_time()
             if next_t is None:  # pragma: no cover - done implies None
                 break
-            if next_t > sim.now:
-                yield Timeout(next_t - sim.now)
+            if next_t > clock.now:
+                yield next_t - clock.now
             ctl.step()
 
-    # --- the worker process -------------------------------------------------
+    # --- the worker body ----------------------------------------------------
 
     def _worker_body(
         self,
-        sim: Simulator,
-        gate: Resource,
+        clock: _Clock,
         worker_id: int,
         session,
         records: List[QueryRecord],
@@ -339,20 +397,21 @@ class TrafficEngine:
         """One worker: draw, admit (or shed), execute, repeat.
 
         Two independent derived RNG streams per worker: *params* drives
-        template choice and parameter binding, *clock* drives think/
-        backoff jitter — so retuning the timing knobs never changes
+        template choice and parameter binding, *jitter* drives think/
+        backoff delays — so retuning the timing knobs never changes
         which queries are asked.
         """
         params = random.Random(derive_seed(self.seed, "worker", worker_id))
-        clock = random.Random(derive_seed(self.seed, "clock", worker_id))
-        base = session.options
+        jitter = random.Random(derive_seed(self.seed, "clock", worker_id))
+        base, ctl = session.options, self._controller
+        backoff = self.admission.shed_backoff_s
         for seq in range(self._counts[worker_id]):
             if self.think_time_s > 0:
-                yield Timeout(clock.random() * 2 * self.think_time_s)
+                yield jitter.random() * 2 * self.think_time_s
             template = self.mix.choose(params)
             bound = template.instantiate(params)
-            submitted = sim.now
-            if not gate.admit(self.admission.queue_depth):
+            submitted = clock.now
+            if not clock.admit(self.admission.queue_depth):
                 records.append(QueryRecord(
                     worker=worker_id,
                     seq=seq,
@@ -363,18 +422,12 @@ class TrafficEngine:
                     service_s=0.0,
                     digest="",
                     shed=True,
-                    evo_step=(
-                        self._controller.applied
-                        if self._controller is not None else 0
-                    ),
+                    evo_step=ctl.applied if ctl is not None else 0,
                 ))
-                if self.admission.shed_backoff_s > 0:
-                    yield Timeout(
-                        self.admission.shed_backoff_s
-                        * (0.5 + clock.random())
-                    )
+                if backoff > 0:
+                    yield backoff * (0.5 + jitter.random())
                 continue
-            yield Acquire(gate)
+            yield ACQUIRE
             fault_seed: Optional[int] = None
             opts = base
             if base.faults_active:
@@ -382,21 +435,18 @@ class TrafficEngine:
                 opts = base.with_(fault_seed=fault_seed)
             # The execution is synchronous at the grant instant, so the
             # controller's applied count here *is* the query's epoch pin.
-            evo_step = (
-                self._controller.applied if self._controller is not None
-                else 0
-            )
+            evo_step = ctl.applied if ctl is not None else 0
             report = session.execute(bound.query, options=opts)
             service = report.metrics.total_time
-            yield Timeout(service)
-            yield Release(gate)
+            yield service
+            yield RELEASE
             records.append(QueryRecord(
                 worker=worker_id,
                 seq=seq,
                 template=bound.template,
                 submitted_s=submitted,
-                started_s=sim.now - service,
-                finished_s=sim.now,
+                started_s=clock.now - service,
+                finished_s=clock.now,
                 service_s=service,
                 digest=answer_digest(report.results),
                 fault_seed=fault_seed,
@@ -415,10 +465,7 @@ class TrafficEngine:
         interleaved run produced — 0 violations means the shared-cache
         interleaving changed no answer.
         """
-        sim = Simulator()
-        gate = Resource(
-            sim, "admission", capacity=self.admission.max_in_flight
-        )
+        clock = _Clock(self.admission.max_in_flight)
         records: List[QueryRecord] = []
         if self.evolution is not None:
             if self._controller is not None:
@@ -429,18 +476,16 @@ class TrafficEngine:
             self._controller = EvolutionController(
                 self.system, self.evolution
             )
-            sim.process(
-                self._evolution_pump(sim, self._controller),
-                name="evolution",
-            )
-        self._sessions = [
+            clock.resume(self._evolution_pump(clock, self._controller))
+        sessions = [
             self.engine.session(name=f"worker-{worker_id}")
             for worker_id in range(self.workers)
         ]
-        for worker_id, session in enumerate(self._sessions):
-            body = self._worker_body(sim, gate, worker_id, session, records)
-            sim.process(body, name=f"worker-{worker_id}")
-        sim.run()
+        for worker_id, session in enumerate(sessions):
+            clock.resume(
+                self._worker_body(clock, worker_id, session, records)
+            )
+        clock.run()
         records.sort(key=lambda r: (r.worker, r.seq))
         done = [r for r in records if not r.shed]
         shed = len(records) - len(done)
@@ -469,33 +514,23 @@ class TrafficEngine:
             mean_service_s=(
                 sum(r.service_s for r in done) / len(done) if done else 0.0
             ),
-            gate_wait_s=gate.wait_time,
-            gate_queued=gate.grants_queued,
-            gate_rejected=gate.rejected,
-            cache_hits=sum(
-                s.cache.hits for s in self.engine_sessions()
-            ),
-            cache_misses=sum(
-                s.cache.misses for s in self.engine_sessions()
-            ),
+            gate_wait_s=clock.wait_time,
+            gate_queued=clock.grants_queued,
+            gate_rejected=clock.rejected,
+            cache_hits=sum(s.cache.hits for s in sessions),
+            cache_misses=sum(s.cache.misses for s in sessions),
             shared_hits=self.system.shared_hits_total,
             template_counts=template_counts,
             per_worker=[
                 WorkerSummary(
-                    worker=int(s.name.split("-")[-1]),
-                    completed=sum(
-                        1 for r in done
-                        if f"worker-{r.worker}" == s.name
-                    ),
-                    shed=sum(
-                        1 for r in records
-                        if r.shed and f"worker-{r.worker}" == s.name
-                    ),
+                    worker=worker_id,
+                    completed=sum(1 for r in done if r.worker == worker_id),
+                    shed=sum(r.shed for r in records if r.worker == worker_id),
                     cache_hits=s.cache.hits,
                     cache_misses=s.cache.misses,
                     shared_hits=s.shared_hits,
                 )
-                for s in self.engine_sessions()
+                for worker_id, s in enumerate(sessions)
             ],
             records=records,
         )
@@ -515,10 +550,6 @@ class TrafficEngine:
         if verify:
             self._verify_serial(report)
         return report
-
-    def engine_sessions(self):
-        """The worker sessions of the most recent run, in worker order."""
-        return self._sessions
 
     def _verify_serial(self, report: TrafficReport) -> None:
         """Re-execute each distinct bound query serially; compare digests.

@@ -232,7 +232,7 @@ class TestOracle:
     def test_schedule_invariant_catches_a_wrong_scheduler(self, monkeypatch):
         """No other invariant reads a simulated time: a scheduler whose
         devices serve the newest waiter first changes no answer, and
-        only ``schedule`` — the kernel run beside every
+        only ``schedule`` — the contract checked after every
         ``FederationSim.run`` — sees it.  (The tie-breaking hops are out
         of this stream's reach, docs/TESTING.md: those wrong schedulers
         are ``test_taskgraph.TestHopOrder``'s to catch.)"""

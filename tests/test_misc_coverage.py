@@ -1,6 +1,4 @@
-"""Edge-path tests across modules (kernel guards, meters, reporting)."""
-
-import pytest
+"""Edge-path tests across modules (error messages, meters, reporting)."""
 
 from repro.core.predicates import EvalMeter
 from repro.core.query import Path
@@ -14,7 +12,6 @@ from repro.errors import (
 )
 from repro.objectdb.ids import GOid
 from repro.objectdb.values import NULL
-from repro.sim.kernel import Simulator, Timeout
 
 
 class TestErrorMessages:
@@ -39,39 +36,6 @@ class TestErrorMessages:
     def test_hierarchy(self):
         assert issubclass(UnknownClassError, ReproError)
         assert issubclass(SimulationError, ReproError)
-
-
-class TestKernelGuards:
-    def test_max_events_guard(self):
-        sim = Simulator()
-
-        def forever():
-            while True:
-                yield Timeout(1.0)
-
-        sim.process(forever())
-        with pytest.raises(SimulationError):
-            sim.run(max_events=100)
-
-    def test_event_value_passes_through(self):
-        sim = Simulator()
-        evt = sim.event()
-        got = []
-
-        def waiter():
-            value = yield evt
-            got.append(value)
-
-        sim.process(waiter())
-        sim.schedule(1.0, lambda: evt.trigger({"payload": 3}))
-        sim.run()
-        assert got == [{"payload": 3}]
-
-    def test_resource_names(self):
-        sim = Simulator()
-        res = sim.resource("disk", capacity=3)
-        assert res.name == "disk"
-        assert res.capacity == 3
 
 
 class TestEvalMeter:

@@ -3,7 +3,7 @@
 import pytest
 
 from helpers import SCHEDULER_MUTATIONS, add_nodes, wrong_scheduler
-from repro.difftest.reference import schedule_difference, schedule_reference
+from repro.difftest.schedule import schedule_violation
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.sim.costs import CostModel
@@ -284,13 +284,14 @@ class TestHopOrder:
 
     @pytest.mark.parametrize("name", sorted(HOP_ORDER_GRAPHS))
     def test_ties_resolve_as_on_the_kernel(self, name):
-        outcome = hop_order_graph(name).run()
+        """The pinned starts are those the generic event kernel, the
+        scheduler before the flat loop, gave each graph."""
+        graph = hop_order_graph(name)
+        outcome = graph.run()
         assert [n.start for n in outcome.scheduled] == HOP_ORDER_GRAPHS[name][2]
-        reference = schedule_reference(hop_order_graph(name))
-        assert schedule_difference(outcome, reference) is None
+        assert schedule_violation(outcome, graph.fault_plan) is None
 
     @pytest.mark.parametrize("name", sorted(HOP_ORDER_GRAPHS))
     def test_a_wrong_hop_order_shows(self, name):
         outcome = wrong_scheduler(name)(hop_order_graph(name))
-        reference = schedule_reference(hop_order_graph(name))
-        assert schedule_difference(outcome, reference) is not None
+        assert [n.start for n in outcome.scheduled] != HOP_ORDER_GRAPHS[name][2]

@@ -26,6 +26,8 @@ import pytest
 from helpers import make_workload
 from repro.core.query import Op
 from repro.errors import WorkloadError
+from repro.evolution import EvolutionPlan, resolve_auto
+from repro.evolution.seeding import mix_referenced_attributes
 from repro.faults.plan import FaultPlan
 from repro.traffic import (
     AdmissionControl,
@@ -39,6 +41,7 @@ from repro.traffic import (
     derive_seed,
 )
 from repro.core.options import ExecutionOptions
+from repro.traffic.driver import ACQUIRE, RELEASE, _Clock
 
 
 @pytest.fixture(scope="module")
@@ -272,16 +275,32 @@ class TestAdmissionControl:
         with pytest.raises(WorkloadError):
             AdmissionControl(queue_depth=-1)
 
-    def test_kernel_admit_counter(self):
-        from repro.sim.kernel import Resource, Simulator
+    def test_gate_admit_counter(self):
+        """One slot: the second worker waits, admission counts the
+        refusals, and a release resumes the waiter it hands its slot to
+        before the releaser."""
+        clock = _Clock(slots=1)
+        assert clock.admit(0)  # a slot is free
+        seen = []
 
-        sim = Simulator()
-        gate = Resource(sim, "gate", capacity=1)
-        assert gate.admit(0)  # nothing queued yet
-        gate.acquire()
-        gate.acquire()  # queues (capacity held)
-        assert not gate.admit(1)
-        assert gate.rejected == 1
+        def holder(name):
+            yield ACQUIRE
+            seen.append((name, clock.now, clock.admit(1), clock.admit(2)))
+            yield 1.0
+            yield RELEASE
+            seen.append((name, "resumed", clock.now))
+
+        clock.resume(holder("a"))
+        clock.resume(holder("b"))
+        clock.run()
+        assert seen == [
+            ("a", 0.0, False, True),  # "b" is waiting: depth 1 is full
+            ("b", 1.0, True, True),
+            ("a", "resumed", 1.0),
+            ("b", "resumed", 2.0),
+        ]
+        assert (clock.rejected, clock.grants_queued) == (1, 1)
+        assert (clock.wait_time, clock.free_slots) == (1.0, 1)
 
     def test_signature_strategy_builds_catalog_once(self, workload):
         system = make_workload(304).system
@@ -293,6 +312,107 @@ class TestAdmissionControl:
         assert system.signatures is not None
         report = engine.run(verify=True)
         assert report.violations == []
+
+
+class TestLoopOrder:
+    """The traffic clock's resumption order, pinned.
+
+    A run that sheds, queues at the gate, thinks between queries and
+    steps an evolution pump; its report and per-record times were
+    taken from the generic event kernel the clock replaced.  Any change
+    to the order in which simultaneous events resume moves them.
+    """
+
+    def churned_run(self):
+        w = make_workload(17, scale=0.03)
+        mix = default_mix(w)
+        plan = resolve_auto(
+            EvolutionPlan.from_spec(
+                "join@0.5,rename@1.5", seed=17, propagation_lag_s=0.2
+            ),
+            w.system, w.query,
+            extra_referenced=mix_referenced_attributes(mix),
+        )
+        return TrafficEngine(
+            w.system, mix, workers=5, queries=3, seed=17, strategy="BL",
+            admission=AdmissionControl(
+                max_in_flight=1, queue_depth=2, shed_backoff_s=0.05
+            ),
+            think_time_s=0.02,
+            evolution=plan,
+        ).run()
+
+    def test_report_is_pinned(self):
+        report = self.churned_run()
+        assert report.to_dict() == {
+            "admission": {
+                "max_in_flight": 1, "queue_depth": 2, "shed_backoff_s": 0.05,
+            },
+            "cache_hits": 1810,
+            "cache_misses": 267,
+            "completed": 9,
+            "evolution": {
+                "final_epoch": 4,
+                "plan": "evolve(join:DBJ1,rename:K4.t1>t1x1)",
+                "propagation_lag_mean_s": 0.7,
+                "queries_straddled": 2,
+                "transitions": 4,
+            },
+            "gate_queued": 8,
+            "gate_rejected": 6,
+            "gate_wait_s": 11.643011207,
+            "latency_p50_s": 2.322919691,
+            "latency_p95_s": 2.773192961,
+            "latency_p99_s": 2.773192961,
+            "makespan_s": 6.960867865,
+            "mean_service_s": 0.771744333,
+            "mix": "point=57% scan=29% paper=14%",
+            "per_worker": [
+                {"cache_hits": 569, "cache_misses": 259, "completed": 3,
+                 "shared_hits": 0, "shed": 0, "worker": 0},
+                {"cache_hits": 821, "cache_misses": 4, "completed": 3,
+                 "shared_hits": 0, "shed": 0, "worker": 1},
+                {"cache_hits": 0, "cache_misses": 0, "completed": 0,
+                 "shared_hits": 0, "shed": 3, "worker": 2},
+                {"cache_hits": 0, "cache_misses": 0, "completed": 0,
+                 "shared_hits": 0, "shed": 3, "worker": 3},
+                {"cache_hits": 420, "cache_misses": 4, "completed": 3,
+                 "shared_hits": 0, "shed": 0, "worker": 4},
+            ],
+            "queries_per_worker": 3,
+            "queries_total": 15,
+            "seed": 17,
+            "shared_hits": 0,
+            "shed": 6,
+            "strategy": "BL",
+            "template_counts": {"point": 10, "scan": 5},
+            "throughput_qps": 1.292942,
+            "verified": 0,
+            "violations": [],
+            "workers": 5,
+        }
+        # (worker, seq, shed, epoch, started, finished) per record.
+        assert [
+            (r.worker, r.seq, r.shed, r.evo_step,
+             round(r.started_s, 9), round(r.finished_s, 9))
+            for r in report.records
+        ] == [
+            (0, 0, False, 2, 1.164386865, 2.232434865),
+            (0, 1, False, 4, 3.942029865, 4.637457865),
+            (0, 2, False, 4, 6.266208365, 6.960867865),
+            (1, 0, False, 1, 0.589777865, 1.164386865),
+            (1, 1, False, 4, 2.927094365, 3.942029865),
+            (1, 2, False, 4, 5.520739865, 6.266208365),
+            (2, 0, True, 0, 0.026100524, 0.026100524),
+            (2, 1, True, 0, 0.10432154, 0.10432154),
+            (2, 2, True, 0, 0.184601451, 0.184601451),
+            (3, 0, True, 0, 0.031478891, 0.031478891),
+            (3, 1, True, 0, 0.103055027, 0.103055027),
+            (3, 2, True, 0, 0.165759418, 0.165759418),
+            (4, 0, False, 0, 0.015168865, 0.589777865),
+            (4, 1, False, 3, 2.232434865, 2.927094365),
+            (4, 2, False, 4, 4.637457865, 5.520739865),
+        ]
 
 
 class TestPercentile:
