@@ -86,11 +86,10 @@ def resolve_missing_bindings(
     stats = stats if stats is not None else ResolutionStats()
     if not len(answer):
         return stats  # nothing to walk, so no target is resolved either
-    schema = system.global_schema.schema
     targets = answer.targets
+    shape = system.query_shape(query)
     chains = [
-        (i, target, schema.resolve_path(query.range_class, target.steps))
-        for i, target in enumerate(targets)
+        (i, target, shape.chains[target]) for i, target in enumerate(targets)
     ]
     repeated = len(set(targets)) < len(targets)
     for _, goids, values, rows in answer.as_columns():

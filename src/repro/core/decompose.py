@@ -157,3 +157,54 @@ def attributes_needed_by_class(
     return {
         cls: attributes_needed(query, global_schema, cls) for cls in classes
     }
+
+
+class QueryShape:
+    """What executing a query needs that depends only on its shape (range
+    class and paths) and the schemas: one per shape and schema version,
+    kept by :meth:`~repro.core.system.DistributedSystem.query_shape`."""
+
+    def __init__(self, system, query: Query) -> None:
+        root, schema = query.range_class, system.global_schema.schema
+        self._system, self._root = system, root
+        #: The paper's branch classes (:meth:`Query.branch_classes`).
+        self.branch_classes = query.branch_classes(schema)
+        #: :func:`attributes_needed` of the root and each branch class.
+        self.needed = attributes_needed_by_class(
+            query, system.global_schema, (root,) + self.branch_classes
+        )
+        #: Every path of the query -> its resolved attribute chain.
+        self.chains = {
+            path: schema.resolve_path(root, path.steps)
+            for path in query.all_paths()
+        }
+        self._sizes: Dict[str, Tuple[float, float]] = {}
+
+    def site_size(self, db_name: str) -> Tuple[float, float]:
+        """(root object bytes, average branch object bytes) at *db_name*,
+        counting the needed attributes the site's classes store."""
+        sizes = self._sizes.get(db_name)
+        if sizes is None:
+            system, needed = self._system, self.needed
+
+            def stored(global_cls: str) -> int:
+                local_cls = system.global_schema.constituent_class(
+                    db_name, global_cls
+                )
+                if local_cls is None:
+                    return len(needed[global_cls])
+                cdef = system.db(db_name).schema.cls(local_cls)
+                return sum(map(cdef.has_attribute, needed[global_cls]))
+
+            cost, branch = system.cost_model, self.branch_classes
+            sizes = self._sizes[db_name] = (
+                cost.object_bytes(stored(self._root)),
+                cost.object_bytes(sum(map(stored, branch)) / len(branch))
+                if branch else 0.0,
+            )
+        return sizes
+
+    def branch_average(self, sites: Iterable[str]) -> float:
+        """The branch object size averaged over *sites* (0.0 for none)."""
+        branch = [self.site_size(db_name)[1] for db_name in sites]
+        return sum(branch) / len(branch) if branch else 0.0

@@ -15,7 +15,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.conditions.algebra import NullAttr, SiteDown, attach
 from repro.conditions.reasons import outerjoin_incomplete
 from repro.core.certification import still_unsolved
-from repro.core.decompose import attributes_needed_by_class
 from repro.core.predicates import EvalMeter
 from repro.core.query import Query
 from repro.core.results import GlobalResult, ResultKind, ResultSet
@@ -200,12 +199,8 @@ class CentralizedStrategy(Strategy):
         skipped_sites: List[str] = []
         exchanges: List[str] = []
 
-        involved_classes = (query.range_class,) + query.branch_classes(
-            system.global_schema.schema
-        )
-        needed = attributes_needed_by_class(
-            query, system.global_schema, involved_classes
-        )
+        needed = system.query_shape(query).needed
+        involved_classes = tuple(needed)  # the root, then branch classes
 
         # --- step CA_C1: each site retrieves, projects and ships extents ---
         exports_by_class: Dict[str, Dict[str, Iterable[LocalObject]]] = {

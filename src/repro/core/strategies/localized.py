@@ -39,7 +39,6 @@ from repro.core.certification import (
     VerdictIndex,
     certify,
 )
-from repro.core.decompose import attributes_needed_by_class
 from repro.core.query import Query
 from repro.core.results import ResultSet
 from repro.core.strategies.base import (
@@ -167,51 +166,6 @@ class _LocalizedStrategy(Strategy):
     ) -> StrategyResult:
         return _LocalizedRun(self, system, query, ctx, resume).run()
 
-    @staticmethod
-    def _site_sizes(
-        system: DistributedSystem,
-        query: Query,
-        branch_classes: Tuple[str, ...],
-        sites: Iterable[str],
-    ) -> Tuple[Dict[str, Tuple[float, float]], float]:
-        """Object sizes at each of *sites*, and their branch average.
-
-        Per site: (root object bytes, average branch object bytes).
-        Only attributes the site's constituent classes actually define
-        are stored there, so projections (and disk reads) are sized
-        per-site.  The second result averages the branch figure across
-        *sites* (0.0 when there are none).
-        """
-        cost = system.cost_model
-        global_schema = system.global_schema
-        needed = attributes_needed_by_class(
-            query, global_schema, (query.range_class,) + branch_classes
-        )
-
-        def local_attr_count(db_name: str, global_cls: str) -> int:
-            local_cls = global_schema.constituent_class(db_name, global_cls)
-            if local_cls is None:
-                return len(needed[global_cls])
-            cdef = system.db(db_name).schema.cls(local_cls)
-            return sum(1 for a in needed[global_cls] if cdef.has_attribute(a))
-
-        sizes: Dict[str, Tuple[float, float]] = {}
-        for db_name in sites:
-            root_attrs = local_attr_count(db_name, query.range_class)
-            if branch_classes:
-                avg_attrs = sum(
-                    local_attr_count(db_name, cls) for cls in branch_classes
-                ) / len(branch_classes)
-                branch_bytes = cost.object_bytes(avg_attrs)
-            else:
-                branch_bytes = 0.0
-            sizes[db_name] = (cost.object_bytes(root_attrs), branch_bytes)
-        average = (
-            sum(branch for _, branch in sizes.values()) / len(sizes)
-            if sizes else 0.0
-        )
-        return sizes, average
-
 
 def _result_bytes(result: LocalResultSet, query: Query, cost) -> int:
     """Bytes of one site's local result shipment.
@@ -259,6 +213,7 @@ class _LocalizedRun:
         self.query = query
         self.ctx = ctx
         self.decomposed = system.decompose(query)
+        self.shape = system.query_shape(query)
         self.fed = system.simulator(ctx.plan)
         self.work = WorkCounters()
         self.events: List[TraceEvent] = []
@@ -280,9 +235,6 @@ class _LocalizedRun:
         #: Average branch object at the sites actually consulted; sizes
         #: the reads of checks, which run at assistants' home sites.
         self.avg_branch_bytes = 0.0
-        #: site -> (root object bytes, average branch object bytes).
-        self.sizes: Dict[str, Tuple[float, float]] = {}
-        self.branch_classes = query.branch_classes(system.global_schema.schema)
         # Assistant home sites whose checks could not be dispatched
         # (dict-as-ordered-set: insertion order is the deterministic
         # site-loop order, membership tests stay O(1)).
@@ -374,7 +326,7 @@ class _LocalizedRun:
     # --- the site loop --------------------------------------------------------
 
     def _query_sites(self) -> None:
-        system, ctx, query = self.system, self.ctx, self.query
+        system, ctx = self.system, self.ctx
         # Sites whose negotiation fails drop out of the execution
         # entirely, so they must not skew the average branch object
         # (negotiations are memoized — the per-site loop below reuses
@@ -383,9 +335,7 @@ class _LocalizedRun:
             db for db in self.site_queries
             if ctx.contact(system.global_site, db).ok
         ]
-        self.sizes, self.avg_branch_bytes = _LocalizedStrategy._site_sizes(
-            system, query, self.branch_classes, surviving
-        )
+        self.avg_branch_bytes = self.shape.branch_average(surviving)
         for db_name, local_query in self.site_queries.items():
             self._query_site(db_name, local_query)
 
@@ -896,7 +846,7 @@ class _LocalizedRun:
         constituent = self.system.global_schema.constituent_class
         return sum(
             db.count(local_cls)
-            for global_cls in self.branch_classes
+            for global_cls in self.shape.branch_classes
             for local_cls in [constituent(db_name, global_cls)]
             if local_cls is not None
         )
@@ -915,7 +865,7 @@ class _LocalizedRun:
         once (CA's export charges the same one-pass read).
         """
         fed, work = self.fed, self.work
-        root_obj_bytes, branch_obj_bytes = self.sizes[db_name]
+        root_obj_bytes, branch_obj_bytes = self.shape.site_size(db_name)
         branch_capacity = self._branch_capacity(db_name)
         scan_bytes = (
             result.objects_scanned * root_obj_bytes
@@ -967,7 +917,7 @@ class _LocalizedRun:
         checks and assistant transfers, not to a second full scan).
         """
         fed, work = self.fed, self.work
-        root_obj_bytes, branch_obj_bytes = self.sizes[db_name]
+        root_obj_bytes, branch_obj_bytes = self.shape.site_size(db_name)
         branch_capacity = self._branch_capacity(db_name)
         probe_reads = min(scan_meter.derefs, branch_capacity)
         scan_bytes = (

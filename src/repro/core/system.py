@@ -65,6 +65,8 @@ class DistributedSystem:
     #: engine consults it per execution for flux annotations/demotion.
     evolution: Optional[object] = field(default=None, repr=False)
     _decompose_cache: Dict = field(default_factory=dict, repr=False)
+    #: (range class, paths) -> QueryShape: see :meth:`query_shape`.
+    _shape_cache: Dict = field(default_factory=dict, repr=False)
     _decompose_stats: CacheStats = field(
         default_factory=CacheStats, repr=False
     )
@@ -166,6 +168,18 @@ class DistributedSystem:
             self._decompose_owner[key] = self._cache_scope
         return decomposed
 
+    def query_shape(self, query):
+        """The :class:`~repro.core.decompose.QueryShape` of *query*: one
+        per (range class, paths) until :meth:`bump_schema_version`, and
+        not counted in :meth:`cache_stats`."""
+        key = (query.range_class, query.all_paths())
+        shape = self._shape_cache.get(key)
+        if shape is None:
+            from repro.core.decompose import QueryShape
+
+            shape = self._shape_cache[key] = QueryShape(self, query)
+        return shape
+
     def bump_schema_version(self) -> None:
         """Invalidate the decomposition cache after a mutation.
 
@@ -176,6 +190,7 @@ class DistributedSystem:
         """
         self.schema_version += 1
         self._decompose_cache.clear()
+        self._shape_cache.clear()
         self._decompose_owner.clear()
 
     def bump_epoch(self) -> None:

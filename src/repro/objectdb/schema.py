@@ -128,6 +128,9 @@ class Schema:
                 raise SchemaError(f"duplicate class definition {cdef.name!r}")
             self._classes[cdef.name] = cdef
         self._validate_domains()
+        #: (root class, steps) -> resolved chain.  A schema is never
+        #: mutated (evolution builds a new one), so entries never go stale.
+        self._chains: Dict[tuple, Tuple[AttributeDef, ...]] = {}
 
     def _validate_domains(self) -> None:
         for cdef in self._classes.values():
@@ -163,7 +166,7 @@ class Schema:
 
     def resolve_path(
         self, root_class: str, path: Sequence[str]
-    ) -> List[AttributeDef]:
+    ) -> Tuple[AttributeDef, ...]:
         """Type-check *path* from *root_class*; return the attribute chain.
 
         A path like ``("advisor", "department", "name")`` from ``Student``
@@ -176,6 +179,10 @@ class Schema:
             UnknownAttributeError: if a step does not exist on its class.
             SchemaError: if a non-final step is primitive.
         """
+        key = (root_class, tuple(path))
+        resolved = self._chains.get(key)
+        if resolved is not None:
+            return resolved
         if not path:
             raise SchemaError("path expression must have at least one step")
         chain: List[AttributeDef] = []
@@ -191,7 +198,8 @@ class Schema:
                         "primitive but is not the final step"
                     )
                 current = self.cls(attr.domain)  # type: ignore[arg-type]
-        return chain
+        resolved = self._chains[key] = tuple(chain)
+        return resolved
 
     def classes_on_path(
         self, root_class: str, path: Sequence[str]

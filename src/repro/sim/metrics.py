@@ -8,11 +8,11 @@ and correctness in one object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.obs.spans import Span, TraceEvent, spans_from_nodes
-from repro.sim.taskgraph import SimOutcome
+from repro.sim.taskgraph import Node, SimOutcome
 
 
 @dataclass
@@ -85,14 +85,24 @@ class ExecutionMetrics:
     work: WorkCounters = field(default_factory=WorkCounters)
     certain_results: int = 0
     maybe_results: int = 0
-    #: Structured spans of the schedule (site/resource/queue-delay aware).
-    spans: Tuple[Span, ...] = ()
+    #: Structured spans of the schedule (site/resource/queue-delay aware),
+    #: built from ``scheduled=`` (the task-graph nodes) on first read.
+    spans: Tuple[Span, ...] = None  # type: ignore[assignment]
     #: Instantaneous observability events recorded by the strategy/engine.
     events: Tuple[TraceEvent, ...] = ()
     #: Scheduler-measured FIFO wait per resource (queueing delay).
     resource_wait: Dict[str, float] = field(default_factory=dict)
     #: Injected outage windows as (site, start, end), for trace export.
     fault_windows: Tuple[Tuple[str, float, float], ...] = ()
+    scheduled: InitVar[Tuple[Node, ...]] = ()
+
+    def __post_init__(self, scheduled) -> None:
+        self._scheduled = scheduled
+
+    def _spans_view(self) -> Tuple[Span, ...]:
+        if self._spans is None:
+            self._spans = spans_from_nodes(self._scheduled)
+        return self._spans
 
     @classmethod
     def from_outcome(
@@ -114,10 +124,10 @@ class ExecutionMetrics:
             work=work if work is not None else WorkCounters(),
             certain_results=certain_results,
             maybe_results=maybe_results,
-            spans=spans_from_nodes(outcome.scheduled),
             events=tuple(events),
             resource_wait=dict(outcome.resource_wait),
             fault_windows=tuple(fault_windows),
+            scheduled=outcome.scheduled,
         )
 
     def add_event(self, event: TraceEvent) -> None:
@@ -131,3 +141,10 @@ class ExecutionMetrics:
             f"net={self.work.bytes_network}B "
             f"answers={self.certain_results}+{self.maybe_results}m"
         )
+
+
+# ``spans`` stays a declared field (constructor keyword, equality, repr,
+# ``dataclasses.asdict``) whose storage is the view above.
+ExecutionMetrics.spans = property(  # type: ignore[assignment]
+    ExecutionMetrics._spans_view, lambda self, v: setattr(self, "_spans", v)
+)

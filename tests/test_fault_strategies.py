@@ -285,35 +285,27 @@ class TestSurvivingSiteCosting:
 
     def test_average_over_subset_differs_from_all_sites(self):
         from helpers import make_workload
-        from repro.core.strategies.localized import _LocalizedStrategy
 
         workload = make_workload(seed=304)
         system, query = workload.system, workload.query
         all_sites = tuple(system.databases)
-        branch_classes = query.branch_classes(system.global_schema.schema)
-
-        def average(sites):
-            return _LocalizedStrategy._site_sizes(
-                system, query, branch_classes, sites
-            )[1]
-
-        full = average(all_sites)
-        per_site = {db: average([db]) for db in all_sites}
+        shape = system.query_shape(query)
+        full = shape.branch_average(all_sites)
+        per_site = {db: shape.site_size(db)[1] for db in all_sites}
         # This federation's sites store different constituent attributes,
         # so the per-site sizes differ and a subset shifts the average.
         assert len(set(per_site.values())) > 1
+        assert {db: shape.branch_average([db]) for db in all_sites} == per_site
         assert full == pytest.approx(
             sum(per_site.values()) / len(per_site)
         )
 
     def test_no_surviving_sites_charges_nothing(self, school):
-        from repro.core.strategies.localized import _LocalizedStrategy
         from repro.sqlx import parse_query
 
-        query = parse_query(Q1_TEXT)
-        assert _LocalizedStrategy._site_sizes(
-            school, query, query.branch_classes(school.global_schema.schema), []
-        ) == ({}, 0.0)
+        shape = school.query_shape(parse_query(Q1_TEXT))
+        assert shape.branch_average([]) == 0.0
+        assert shape._sizes == {}  # no site was sized
 
     def test_faulted_run_uses_surviving_average(self, school):
         """With DB3 down, check replies are costed at the DB1/DB2
