@@ -1,18 +1,15 @@
-"""Adaptive-planner bench: static vs trace-fed AUTO, plus prune savings.
+"""Adaptive-planner bench: AUTO's pick accuracy, plus prune savings.
 
 Two sweeps over the school federation's Q1:
 
-* **pick-accuracy A/B** — for the fault-free reference and a ladder of
+* **pick accuracy** — for the fault-free reference and a ladder of
   peer-link storms (DB1->DB3 and DB2->DB3 degraded: the localized
   strategies pay the stalls on their assistant-check exchanges, CA never
-  touches those links), run AUTO under ``planner=static`` and
-  ``planner=feedback`` (three warm-up executions feed the trace store)
-  and score each pick against the ground truth — the argmin of the
-  *concretely executed* CA/BL/PL response times under the same plan.
-  The contract: trace-fed AUTO is at least as accurate as static AUTO,
-  flips its pick somewhere in the storm ladder, never changes an
-  answer, and matches static's fault-free response exactly (no warm-path
-  regression).
+  touches those links), run AUTO under ``planner=static`` and score the
+  pick against the ground truth — the argmin of the *concretely
+  executed* CA/BL/PL response times under the same plan.  Three warm-up
+  executions precede the measured one; the contract is that they pick
+  what it picks (AUTO reads no state an earlier execution left behind).
 * **constraint-prune savings** — the two sound prunes A/B'd against
   ``planner=static``: a range-pruned site (``s-no >= 810000`` proves
   DB1's whole block empty) and a provably-UNKNOWN assistant check
@@ -66,7 +63,7 @@ FULL_STORMS = (0.3, 0.6, 0.8)
 QUICK_STORMS = (0.6,)
 PEER_MULTIPLIER = 8.0
 
-#: Executions that feed the trace store before the measured pick.
+#: Executions under the same plan before the measured pick.
 WARMUPS = 3
 
 
@@ -106,30 +103,34 @@ def ground_truth(plan):
     return concrete
 
 
-def auto_cell(mode, plan, concrete):
-    """One measured AUTO pick after WARMUPS trace-feeding executions.
+def _choice(report):
+    return _event_attrs(report, "auto.predict")["choice"]
 
-    A fresh engine per cell: the static cell must not benefit from the
-    feedback cell's observations or vice versa.  The warm-ups run under
-    the same plan/mode, so by the measured run the feedback store has
-    seen the storm (and the static cell has seen nothing it can use).
+
+def auto_cell(mode, plan, concrete):
+    """One measured AUTO pick after WARMUPS executions on a fresh engine.
+
+    The warm-ups run under the same plan and mode; each must pick what
+    the measured run picks.
     """
     engine = GlobalQueryEngine(build_school_federation())
     options = engine.options.with_(planner=mode)
     if plan is not None:
         options = options.with_(fault_plan=plan)
-    for _ in range(WARMUPS):
-        engine.execute(Q1_TEXT, "AUTO", options=options)
+    warm = [_choice(engine.execute(Q1_TEXT, "AUTO", options=options))
+            for _ in range(WARMUPS)]
     report = engine.execute(Q1_TEXT, "AUTO", options=options)
-    predict = _event_attrs(report, "auto.predict")
     outcome = _event_attrs(report, "auto.outcome")
-    choice = predict["choice"]
+    choice = _choice(report)
+    if any(pick != choice for pick in warm):
+        raise AssertionError(
+            f"AUTO's pick moved across executions: {warm} then {choice}"
+        )
     best = min(concrete.values())
     return {
         "mode": mode,
         "choice": choice,
         "accurate": concrete[choice] <= best + 1e-9,
-        "used_feedback": predict["used_feedback"] == "true",
         "rank_of_actual": int(outcome["rank_of_actual"]),
         "mispredicted": outcome["mispredicted"] == "true",
         "certain": len(report.results.certain),
@@ -143,60 +144,13 @@ def accuracy_sweep(storms, seed):
     rows = []
     for label, plan in _scenarios(storms, seed):
         concrete = ground_truth(plan)
-        best = min(concrete, key=concrete.get)
-        for mode in ("static", "feedback"):
-            cell = auto_cell(mode, plan, concrete)
-            rows.append({
-                "scenario": label,
-                "ground_truth": best,
-                "concrete": concrete,
-                **cell,
-            })
-    _assert_accuracy_contract(rows)
+        rows.append({
+            "scenario": label,
+            "ground_truth": min(concrete, key=concrete.get),
+            "concrete": concrete,
+            **auto_cell("static", plan, concrete),
+        })
     return rows
-
-
-def _assert_accuracy_contract(rows):
-    by_key = {(r["scenario"], r["mode"]): r for r in rows}
-    scenarios = sorted({r["scenario"] for r in rows})
-    static_hits = sum(by_key[(s, "static")]["accurate"] for s in scenarios)
-    feedback_hits = sum(by_key[(s, "feedback")]["accurate"]
-                        for s in scenarios)
-    if feedback_hits < static_hits:
-        raise AssertionError(
-            f"trace-fed AUTO picked worse than static: "
-            f"{feedback_hits}/{len(scenarios)} vs "
-            f"{static_hits}/{len(scenarios)}"
-        )
-    # No warm-path regression: with nothing observed (fault-free runs
-    # feed no trace), feedback mode is byte-identical to static on the
-    # fault-free reference — same pick, same response.
-    clean_static = by_key[("none", "static")]
-    clean_feedback = by_key[("none", "feedback")]
-    if clean_feedback["choice"] != clean_static["choice"]:
-        raise AssertionError(
-            f"fault-free pick moved under feedback mode: "
-            f"{clean_static['choice']} -> {clean_feedback['choice']}"
-        )
-    if clean_feedback["response_s"] != clean_static["response_s"]:
-        raise AssertionError(
-            f"fault-free response moved under feedback mode: "
-            f"{clean_static['response_s']} -> "
-            f"{clean_feedback['response_s']}"
-        )
-    flipped = [s for s in scenarios
-               if by_key[(s, "feedback")]["choice"]
-               != by_key[(s, "static")]["choice"]]
-    if not flipped:
-        raise AssertionError("no scenario flipped the trace-fed pick — "
-                             "the sweep exercises nothing")
-    for scenario in scenarios:
-        left = by_key[(scenario, "static")]
-        right = by_key[(scenario, "feedback")]
-        if left["answer_digest"] != right["answer_digest"]:
-            raise AssertionError(
-                f"{scenario}: planner mode changed the answer"
-            )
 
 
 # --- constraint-prune savings ------------------------------------------------
@@ -276,12 +230,11 @@ def sweep(storms, seed):
 
 
 def render(result):
-    headers = ["scenario", "mode", "pick", "truth", "accurate", "fed",
+    headers = ["scenario", "mode", "pick", "truth", "accurate",
                "rank", "response (s)", "answer"]
     table_rows = [
         [row["scenario"], row["mode"], row["choice"], row["ground_truth"],
          "yes" if row["accurate"] else "NO",
-         "yes" if row["used_feedback"] else "no",
          str(row["rank_of_actual"]), f"{row['response_s']:.3f}",
          f"{row['certain']}+{row['maybe']}m"]
         for row in result["accuracy"]
@@ -303,8 +256,8 @@ def render(result):
 #: What --check compares (all deterministic).
 SECTIONS = (
     ("accuracy", "accuracy", ("scenario", "mode"), (
-        "choice", "ground_truth", "accurate", "used_feedback",
-        "rank_of_actual", "certain", "maybe", "answer_digest", "response_s",
+        "choice", "ground_truth", "accurate", "rank_of_actual",
+        "certain", "maybe", "answer_digest", "response_s",
     )),
     ("prune", "prunes", ("case", "mode"), (
         "certain", "maybe", "answer_digest", "sites_pruned",
@@ -336,15 +289,6 @@ def main(argv=None):
 def test_adaptive_sweep(benchmark):
     """pytest-benchmark entry point (quick storms)."""
     result = run_once(benchmark, lambda: sweep(QUICK_STORMS, seed=3))
-    by_key = {(r["scenario"], r["mode"]): r for r in result["accuracy"]}
-    # The differentiator: somewhere in the ladder the trace-fed pick is
-    # accurate where the static pick is not.
-    gains = [
-        s for s in {r["scenario"] for r in result["accuracy"]}
-        if by_key[(s, "feedback")]["accurate"]
-        and not by_key[(s, "static")]["accurate"]
-    ]
-    assert gains
     assert all(r["sites_pruned"] or r["checks_pruned"]
                for r in result["prunes"] if r["mode"] == "constraints")
 

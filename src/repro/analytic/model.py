@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.sim.costs import CostModel, PAPER_COSTS
 from repro.sim.metrics import WorkCounters
 from repro.sim.taskgraph import (
     FederationSim,
-    PHASE_FAULT,
     PHASE_I,
     PHASE_O,
     PHASE_P,
@@ -86,9 +85,6 @@ class AnalyticModel:
         cost_model: CostModel = PAPER_COSTS,
         shared_network: bool = True,
         root_selectivity: Optional[float] = None,
-        site_entry_stall_s: Optional[Mapping[str, float]] = None,
-        site_peer_stall_s: Optional[Mapping[str, float]] = None,
-        site_multipliers: Optional[Mapping[str, float]] = None,
     ) -> None:
         self.params = params
         self.cost = cost_model
@@ -96,17 +92,6 @@ class AnalyticModel:
         #: Optional override of the local predicates' selectivity on the
         #: root class (the paper's Figure 11 sweeps it).
         self.root_selectivity = root_selectivity
-        #: Trace-fed feedback (see repro.planner.feedback): observed
-        #: stall seconds negotiating global->site links — paid once at
-        #: every strategy's entry to that site, including CA's export.
-        self.site_entry_stall_s = dict(site_entry_stall_s or {})
-        #: Observed stall seconds negotiating peer->site links — paid by
-        #: the localized strategies' check exchanges only; CA never
-        #: touches peer links.
-        self.site_peer_stall_s = dict(site_peer_stall_s or {})
-        #: Observed per-site work slowdown (span wall/busy ratio) that
-        #: scales the scheduled device seconds at that site.
-        self.site_multipliers = dict(site_multipliers or {})
 
     # --- shared shape quantities ------------------------------------------
 
@@ -307,38 +292,6 @@ class AnalyticModel:
             shared_network=self.shared_network,
         )
 
-    # --- trace-fed feedback hooks -----------------------------------------
-
-    def _mult(self, site: str) -> float:
-        """Observed work slowdown at *site* (1.0 without feedback)."""
-        return max(self.site_multipliers.get(site, 1.0), 1.0)
-
-    def _entry_gate(self, fed: FederationSim, site: str):
-        """Schedule the observed global->site entry stall, if any.
-
-        Returns the dependency list downstream site work should wait on
-        (empty without feedback — identical schedule to the static
-        model).
-        """
-        stall = self.site_entry_stall_s.get(site, 0.0)
-        if stall <= 0.0:
-            return []
-        return [
-            fed.delay(site, stall, f"observed entry stall {site}", PHASE_FAULT)
-        ]
-
-    def _peer_gate(self, fed: FederationSim, src: str, dst: str, deps):
-        """Gate a check exchange on the observed peer->dst stall."""
-        stall = self.site_peer_stall_s.get(dst, 0.0)
-        if stall <= 0.0:
-            return deps
-        return [
-            fed.delay(
-                src, stall, f"observed peer stall {src}->{dst}", PHASE_FAULT,
-                deps,
-            )
-        ]
-
     def _evaluate_ca(self) -> AnalyticOutcome:
         fed = self._fed()
         work = WorkCounters()
@@ -356,13 +309,9 @@ class AnalyticModel:
             work.objects_shipped += int(site_objects)
             work.bytes_disk += int(site_bytes)
             work.bytes_network += int(site_bytes)
-            mult = self._mult(db_name)
-            scan = fed.disk(
-                db_name, site_bytes * mult, "scan", PHASE_SCAN,
-                self._entry_gate(fed, db_name),
-            )
+            scan = fed.disk(db_name, site_bytes, "scan", PHASE_SCAN)
             project = fed.cpu(
-                db_name, site_objects * mult, "project", PHASE_SCAN, [scan]
+                db_name, site_objects, "project", PHASE_SCAN, [scan]
             )
             ship_nodes.append(
                 fed.transfer(db_name, GLOBAL_SITE, site_bytes, "ship", [project])
@@ -387,11 +336,10 @@ class AnalyticModel:
         )
         eval_cmp = root_entities * max(1, self.params.total_predicates())
         work.comparisons += int(join_cmp + eval_cmp)
-        gps_mult = self._mult(GLOBAL_SITE)
         integrate = fed.cpu(
-            GLOBAL_SITE, join_cmp * gps_mult, "outerjoin", PHASE_I, ship_nodes
+            GLOBAL_SITE, join_cmp, "outerjoin", PHASE_I, ship_nodes
         )
-        fed.cpu(GLOBAL_SITE, eval_cmp * gps_mult, "evaluate", PHASE_P, [integrate])
+        fed.cpu(GLOBAL_SITE, eval_cmp, "evaluate", PHASE_P, [integrate])
         outcome = fed.run()
         return AnalyticOutcome(
             strategy="CA",
@@ -503,40 +451,36 @@ class AnalyticModel:
             )
             work.assistants_looked_up += int(load.checks_dispatched)
 
-            mult = self._mult(db_name)
-            entry = self._entry_gate(fed, db_name)
             if strategy == "BL":
                 scan = fed.disk(
-                    db_name, load.scan_bytes * mult, "BL_C1 scan", PHASE_SCAN,
-                    entry,
+                    db_name, load.scan_bytes, "BL_C1 scan", PHASE_SCAN
                 )
                 evaluate = fed.cpu(
-                    db_name, load.eval_comparisons * mult, "BL_C1 eval",
+                    db_name, load.eval_comparisons, "BL_C1 eval",
                     PHASE_P, [scan],
                 )
                 dispatch = fed.cpu(
-                    db_name, load.mapping_lookups * mult, "BL_C2 lookup",
+                    db_name, load.mapping_lookups, "BL_C2 lookup",
                     PHASE_O, [evaluate],
                 )
                 ship_from = dispatch
             else:
                 scan = fed.disk(
-                    db_name, load.scan_bytes * mult, "PL_C1 scan", PHASE_SCAN,
-                    entry,
+                    db_name, load.scan_bytes, "PL_C1 scan", PHASE_SCAN
                 )
                 dispatch = fed.cpu(
                     db_name,
-                    (load.probe_comparisons + load.mapping_lookups) * mult,
+                    load.probe_comparisons + load.mapping_lookups,
                     "PL_C1 lookup",
                     PHASE_O,
                     [scan],
                 )
                 eval_read = fed.disk(
-                    db_name, load.eval_extra_bytes * mult, "PL_C2 read",
+                    db_name, load.eval_extra_bytes, "PL_C2 read",
                     PHASE_SCAN, [dispatch],
                 )
                 ship_from = fed.cpu(
-                    db_name, load.eval_comparisons * mult, "PL_C2 eval",
+                    db_name, load.eval_comparisons, "PL_C2 eval",
                     PHASE_P, [eval_read],
                 )
 
@@ -566,18 +510,16 @@ class AnalyticModel:
                     work.comparisons += int(check_cmp)
                     check_bytes = share * branch_bytes
                     work.bytes_disk += int(check_bytes)
-                    other_mult = self._mult(other)
                     send = fed.transfer(
                         db_name, other, request_bytes, "check-req",
-                        self._peer_gate(fed, db_name, other, [dispatch]),
+                        [dispatch],
                     )
                     read = fed.disk(
-                        other, check_bytes * other_mult, "check read", PHASE_O,
+                        other, check_bytes, "check read", PHASE_O,
                         [send], seeks=share,
                     )
                     evaluated = fed.cpu(
-                        other, check_cmp * other_mult, "check eval", PHASE_O,
-                        [read],
+                        other, check_cmp, "check eval", PHASE_O, [read]
                     )
                     certify_deps.append(
                         fed.transfer(
@@ -588,10 +530,7 @@ class AnalyticModel:
 
         certify_cmp = total_survivors * max(1, self.params.total_predicates())
         work.comparisons += int(certify_cmp)
-        fed.cpu(
-            GLOBAL_SITE, certify_cmp * self._mult(GLOBAL_SITE), "certify",
-            PHASE_I, certify_deps,
-        )
+        fed.cpu(GLOBAL_SITE, certify_cmp, "certify", PHASE_I, certify_deps)
         outcome = fed.run()
         return AnalyticOutcome(
             strategy=strategy,

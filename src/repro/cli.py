@@ -99,10 +99,9 @@ def _load_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
 def _add_planner_arg(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--planner", default="static", choices=PLANNER_MODES,
-        help="adaptive-planning mode: feedback (AUTO consults observed "
-             "stalls/queue delays), constraints (prune sites "
-             "and checks via the per-site constraint catalog), full "
-             "(both); answers are identical in every mode",
+        help="adaptive-planning mode: constraints (prune sites and "
+             "checks via the per-site constraint catalog); answers are "
+             "identical in every mode",
     )
 
 

@@ -266,15 +266,6 @@ class GlobalQueryEngine:
         result.metrics.work.cache_hits = cache_delta.hits
         result.metrics.work.cache_misses = cache_delta.misses
         session.note_execution(cache_delta)
-        if ctx.active:
-            # Trace-fed planning: fold this execution's observed stalls
-            # and span queue delays into the shared feedback store.
-            # Collected regardless of planner mode (so a later
-            # feedback-mode AUTO pick benefits from every prior
-            # execution); consumed only under feedback/full.
-            self.system.planner_feedback.observe_execution(
-                ctx, result.metrics, self.system.global_site
-            )
         report = ExecutionReport.from_result(result, query_text=query_text)
         if built_signatures:
             report.record_event(TraceEvent.of(

@@ -27,10 +27,8 @@ from typing import Optional, Union
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import ExecutionPolicy, resolve_policy
 
-#: Valid values of :attr:`ExecutionOptions.planner` (mirrored by
-#: :data:`repro.planner.PLANNER_MODES`; duplicated here to keep this
-#: module import-light).
-PLANNER_MODES = ("static", "feedback", "constraints", "full")
+#: Valid values of :attr:`ExecutionOptions.planner`.
+PLANNER_MODES = ("static", "constraints")
 
 
 @dataclass(frozen=True)
@@ -45,14 +43,11 @@ class ExecutionOptions:
             :class:`~repro.faults.policy.ExecutionPolicy`, a preset name,
             or an inline spec like ``"degrade:timeout=0.5,retries=3"``.
         fault_seed: seed for loss draws and backoff jitter.
-        planner: adaptive-planning mode — ``"static"`` (default; the
-            analytic model's unmodified predictions, no pruning),
-            ``"feedback"`` (AUTO's pick consults observed stalls and
-            span queue delays), ``"constraints"``
-            (localized strategies prune sites/checks via the per-site
-            constraint catalog), or ``"full"`` (both).  Every mode is
-            answer-identical to ``static`` — the soundness contract the
-            difftest oracle's ``planner`` invariant enforces.
+        planner: adaptive-planning mode — ``"static"`` (default; no
+            pruning) or ``"constraints"`` (localized strategies prune
+            sites/checks via the per-site constraint catalog).  Both
+            are answer-identical — the soundness contract the difftest
+            oracle's ``planner`` invariant enforces.
     """
 
     fault_plan: Optional[FaultPlan] = None

@@ -11,14 +11,11 @@ one per query.  :class:`AdaptiveStrategy` does exactly that:
 3. delegate execution to the predicted winner (objective: response time
    by default, or total execution time).
 
-Under ``planner="feedback"`` (or ``"full"``) the model additionally
-consumes the federation's :class:`~repro.planner.feedback.PlannerFeedback`
-store: observed entry/peer negotiation stalls become scheduled gate
-delays, span queue-delay ratios become per-site device multipliers, and
-sites that have only ever failed join the CA unreachability penalty.
-The prediction stays a heuristic — the model works on expectations — but
-it can never return a wrong *answer* (all strategies, in every planner
-mode, are answer-equivalent).
+The pick reads only the federation and the execution's own fault plan,
+so it never depends on what ran before it.  The prediction stays a
+heuristic — the model works on expectations — but it can never return a
+wrong *answer* (all strategies, in every planner mode, are
+answer-equivalent).
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from repro.core.system import DistributedSystem
 from repro.errors import QueryError
 from repro.faults.injector import ExecutionContext
 from repro.objectdb.values import is_null
-from repro.planner import uses_feedback
 from repro.workload.params import ClassParams, DbClassParams, WorkloadParams
 
 #: Objects sampled per extent when estimating null ratios.
@@ -181,17 +177,12 @@ class Prediction:
         predictions: strategy name -> predicted seconds for the
             strategy's objective (CA already penalized).
         unreachable: sites the fault plan makes unreachable at dispatch.
-        observed_unreliable: sites whose CA penalty came from observed
-            feedback (the ones plan-peeking alone would have missed).
         notes: estimation notes (e.g. null-ratio clamps).
-        used_feedback: whether the prediction consumed trace feedback.
     """
 
     predictions: Dict[str, float]
     unreachable: Tuple[str, ...] = ()
-    observed_unreliable: Tuple[str, ...] = ()
     notes: Tuple[str, ...] = ()
-    used_feedback: bool = False
 
 
 class AdaptiveStrategy(Strategy):
@@ -244,37 +235,13 @@ class AdaptiveStrategy(Strategy):
         unreachable site: centralized collection stalls on the retry
         ladder of every dead export, while the localized strategies
         degrade that site to a partial answer and move on.
-
-        When the execution's planner mode consumes feedback and the
-        federation's :class:`PlannerFeedback` store has observations,
-        the model is built with observed entry/peer stall gates and
-        per-site slowdown multipliers, and observed-unreliable sites
-        (entry failures, zero successes) extend the CA penalty set —
-        so partial link degradation the plan-peek cannot see still
-        steers the pick.
         """
         params, notes = extract_params_ex(system, query)
-        feedback = system.planner_feedback
-        used_feedback = (
-            uses_feedback(ctx.options.planner) and feedback.has_data
+        model = AnalyticModel(
+            params,
+            cost_model=system.cost_model,
+            shared_network=system.shared_network,
         )
-        if used_feedback:
-            model = AnalyticModel(
-                params,
-                cost_model=system.cost_model,
-                shared_network=system.shared_network,
-                site_entry_stall_s=feedback.entry_stalls(),
-                site_peer_stall_s=feedback.peer_stalls(),
-                site_multipliers=feedback.site_multipliers(),
-            )
-            observed = tuple(sorted(feedback.unreliable_sites()))
-        else:
-            model = AnalyticModel(
-                params,
-                cost_model=system.cost_model,
-                shared_network=system.shared_network,
-            )
-            observed = ()
         outcomes = model.evaluate_all(
             include_signatures=system.signatures is not None
         )
@@ -283,16 +250,9 @@ class AdaptiveStrategy(Strategy):
         else:
             predictions = {n: o.total_time for n, o in outcomes.items()}
         unreachable = self._unreachable_sites(system, ctx)
-        observed_unreliable = tuple(
-            s for s in observed if s not in unreachable
-        )
-        penalized = len(unreachable) + len(observed_unreliable)
-        if penalized and "CA" in predictions:
-            predictions["CA"] *= 1e3 * penalized
-        return Prediction(
-            predictions, unreachable, observed_unreliable, notes,
-            used_feedback,
-        )
+        if unreachable and "CA" in predictions:
+            predictions["CA"] *= 1e3 * len(unreachable)
+        return Prediction(predictions, unreachable, notes)
 
     def execute(
         self,
@@ -319,11 +279,7 @@ class AdaptiveStrategy(Strategy):
             choice=choice,
             objective=self.objective,
             planner=ctx.options.planner,
-            used_feedback=str(predicted.used_feedback).lower(),
             unreachable=",".join(predicted.unreachable) or "none",
-            observed_unreliable=(
-                ",".join(predicted.observed_unreliable) or "none"
-            ),
             notes="; ".join(predicted.notes) or "none",
             **{f"predicted_{name}_s": f"{value:.6f}"
                for name, value in sorted(predictions.items())},

@@ -205,7 +205,7 @@ def plan_dispatch(
     the replicated signature catalog: assistants that provably violate a
     predicate yield a local VIOLATED verdict and are not shipped.
 
-    With a *constraints* catalog (planner ``constraints``/``full``),
+    With a *constraints* catalog (planner ``constraints``),
     checks whose verdict is provably UNKNOWN — a single-step relative
     predicate on an attribute that is null for every object of the
     assistant's class at its site — are dropped before dispatch.

@@ -81,12 +81,9 @@ class DistributedSystem:
     #: for and another reused.
     _shared_hits: Dict[str, int] = field(default_factory=dict, repr=False)
     #: Lazily created planner state (see :mod:`repro.planner`): the
-    #: per-site constraint catalog and the cross-execution feedback
-    #: store.  Both are derived/observational — they never change
-    #: answers, only how much work a planner-enabled execution schedules
-    #: and which strategy AUTO picks.
+    #: per-site constraint catalog.  It is derived — it never changes
+    #: answers, only how much work a planner-enabled execution schedules.
     _constraints: Optional[object] = field(default=None, repr=False)
-    _planner_feedback: Optional[object] = field(default=None, repr=False)
     #: (versions, merges made at them): see :meth:`merged_extents`.
     _merged: Tuple = field(default=(None, None), repr=False)
 
@@ -262,15 +259,6 @@ class DistributedSystem:
 
             self._constraints = ConstraintCatalog()
         return self._constraints
-
-    @property
-    def planner_feedback(self):
-        """The cross-execution feedback store (created on first use)."""
-        if self._planner_feedback is None:
-            from repro.planner.feedback import PlannerFeedback
-
-            self._planner_feedback = PlannerFeedback()
-        return self._planner_feedback
 
     # --- dynamic registration -----------------------------------------------
 

@@ -53,9 +53,8 @@ reproduce.  What it checks:
     reports comes out of that loop.
 ``planner``
     For the :attr:`StrategyOracle.PLANNER_MATRIX` pairs, running with
-    an adaptive planner mode (constraint pruning, trace feedback, or
-    both) yields an answer strictly equal to ``static``'s — the
-    soundness contract of ``repro.planner``.
+    constraint pruning yields an answer strictly equal to
+    ``static``'s — the soundness contract of ``repro.planner``.
 ``determinism``
     Rebuilding the case from its recipe and re-executing yields a
     byte-identical answer export.
@@ -183,9 +182,9 @@ class StrategyOracle:
         self.registry = registry
         #: Base planner mode for every invariant run; the fuzz CLI's
         #: ``--planner`` flag pins another than ``static``, so the whole
-        #: invariant suite also runs with pruning/feedback live.  The
-        #: ``planner`` invariant below always compares ``static`` against
-        #: the adaptive modes regardless of this base.
+        #: invariant suite also runs with pruning live.  The ``planner``
+        #: invariant below always compares ``static`` against
+        #: ``constraints`` regardless of this base.
         self.planner = planner
         #: With ``recertify``, every degraded fault execution is handed
         #: to ``engine.recertify`` against the healed federation and the
@@ -277,28 +276,23 @@ class StrategyOracle:
 
     #: (strategy, planner mode) pairs exercised by the planner invariant.
     #: BL and PL cover both localized phase orders under constraint
-    #: pruning; AUTO covers the trace-fed pick; ``full`` composes both.
-    #: CA is absent (it neither prunes nor predicts: nothing for a
-    #: planner mode to change), and the signature variants share BL/PL's
-    #: pruning seam, so the matrix stays at six extra executions a case.
+    #: pruning; AUTO covers pruning inside whichever delegate it picks.
+    #: CA is absent (it never prunes: nothing for a planner mode to
+    #: change), and the signature variants share BL/PL's pruning seam,
+    #: so the matrix stays at three extra executions a case.
     PLANNER_MATRIX = (
         ("BL", "constraints"),
-        ("BL", "full"),
         ("PL", "constraints"),
-        ("PL", "full"),
-        ("AUTO", "feedback"),
-        ("AUTO", "full"),
+        ("AUTO", "constraints"),
     )
 
     def _check_planner(self, case, session, built, answers) -> List[Violation]:
         """Every planner mode must be answer-identical to ``static``.
 
-        The soundness contract of the constraint catalog (a prune fires
-        only when the static path provably produces the same answer) and
-        of trace feedback (it only reorders AUTO's prediction ranking,
-        never touches evaluation).  Each matrix entry re-runs the
-        strategy with the mode pinned and compares strictly against the
-        strategy's base (static) answer.
+        The soundness contract of the constraint catalog: a prune fires
+        only when the static path provably produces the same answer.
+        Each matrix entry re-runs the strategy with the mode pinned and
+        compares strictly against the strategy's base (static) answer.
         """
         violations = []
         static_options = session.options.with_(planner="static")

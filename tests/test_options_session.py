@@ -54,8 +54,8 @@ class TestExecutionOptions:
 
     def test_with_overrides_and_preserves(self):
         base = ExecutionOptions(fault_seed=7)
-        derived = base.with_(planner="full")
-        assert derived.planner == "full"
+        derived = base.with_(planner="constraints")
+        assert derived.planner == "constraints"
         assert derived.fault_seed == 7
         assert base.planner == "static"  # the original is untouched
 
@@ -163,16 +163,16 @@ class TestEngineSession:
         engine = GlobalQueryEngine(school)
         session = engine.session()
         assert session.options == engine.options
-        engine.options = engine.options.with_(planner="full")
-        assert session.options.planner == "full"  # inherits live
+        engine.options = engine.options.with_(planner="constraints")
+        assert session.options.planner == "constraints"  # inherits live
 
     def test_session_own_options_are_isolated(self, school):
         engine = GlobalQueryEngine(school)
         session = engine.session(
-            options=engine.options.with_(planner="full"),
+            options=engine.options.with_(planner="constraints"),
             fault_seed=21,
         )
-        assert session.options.planner == "full"
+        assert session.options.planner == "constraints"
         assert session.options.fault_seed == 21
         assert engine.options.planner == "static"
         assert engine.options.fault_seed == 0

@@ -1,9 +1,9 @@
-"""Constraint-pruned, trace-fed adaptive planning (repro.planner).
+"""Constraint-pruned adaptive planning (repro.planner).
 
 Covers the stride-based null-ratio sampler (and the AUTO flip the
-first-N bias caused), the constraint catalog's sound prunes, trace
-feedback folding, misprediction accounting, and the answer-identity
-contract across every planner mode.
+first-N bias caused), the constraint catalog's sound prunes,
+misprediction accounting, and the answer-identity contract across
+every planner mode.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.core.strategies.adaptive import (
     _sampled_null_ratio,
     extract_params_ex,
 )
-from repro.faults.plan import FaultPlan, LinkFault
 from repro.objectdb.database import ComponentDatabase
 from repro.objectdb.ids import LOid
 from repro.objectdb.objects import LocalObject
@@ -33,12 +32,9 @@ from repro.planner import (
     PLANNER_MODES,
     AttributeStats,
     ConstraintCatalog,
-    PlannerFeedback,
     uses_constraints,
-    uses_feedback,
 )
 from repro.planner.constraints import KIND_NUMBER
-from repro.planner.feedback import SLOWDOWN_CAP
 from repro.workload.paper_example import Q1_TEXT, build_school_federation
 
 
@@ -197,16 +193,16 @@ class TestMispredictionAccounting:
         engine = GlobalQueryEngine(build_school_federation())
         report = engine.execute(
             Q1_TEXT, "AUTO",
-            options=engine.options.with_(planner="feedback"),
+            options=engine.options.with_(planner="constraints"),
         )
         attrs = dict(
             [e for e in report.metrics.events if e.name == "auto.predict"][0]
             .attrs
         )
-        assert attrs["planner"] == "feedback"
-        # No prior observations: feedback mode behaves statically.
-        assert attrs["used_feedback"] == "false"
+        assert attrs["planner"] == "constraints"
+        assert attrs["unreachable"] == "none"
         assert "notes" in attrs
+        assert {"used_feedback", "observed_unreliable"}.isdisjoint(attrs)
 
 
 # --- tentpole: constraint catalog -------------------------------------------
@@ -341,17 +337,21 @@ class TestPlannerModes:
     def test_options_validate_planner(self):
         with pytest.raises(TypeError, match="unknown planner mode"):
             ExecutionOptions(planner="psychic")
-        assert ExecutionOptions(planner="full").planner == "full"
+        assert ExecutionOptions(planner="constraints").planner == "constraints"
+        for retired in ("feedback", "full"):
+            with pytest.raises(
+                TypeError,
+                match=r"choose from \['static', 'constraints'\]",
+            ):
+                ExecutionOptions(planner=retired)
 
     def test_mode_predicates(self):
-        assert PLANNER_MODES == ("static", "feedback", "constraints", "full")
-        assert uses_constraints("constraints") and uses_constraints("full")
-        assert not uses_constraints("feedback")
-        assert uses_feedback("feedback") and uses_feedback("full")
-        assert not uses_feedback("static")
+        assert PLANNER_MODES == ("static", "constraints")
+        assert uses_constraints("constraints")
+        assert not uses_constraints("static")
 
     @pytest.mark.parametrize("strategy", ["CA", "BL", "PL", "AUTO"])
-    @pytest.mark.parametrize("mode", ["feedback", "constraints", "full"])
+    @pytest.mark.parametrize("mode", ["constraints"])
     def test_every_mode_answer_identical_to_static(self, strategy, mode):
         system = build_school_federation()
         engine = GlobalQueryEngine(system)
@@ -431,119 +431,3 @@ class TestPlannerModes:
             for r in second.results.certain
         )
         assert names == ["Fanny", "Zoe"]
-
-
-# --- tentpole: trace-fed feedback -------------------------------------------
-
-
-class _StubNegotiation:
-    def __init__(self, ok, wait_s):
-        self.ok = ok
-        self.wait_s = wait_s
-
-
-class _StubInjector:
-    def __init__(self, memo):
-        self._memo = memo
-
-
-class _StubCtx:
-    def __init__(self, memo):
-        self.injector = _StubInjector(memo)
-
-
-class TestPlannerFeedback:
-    def test_entry_and_peer_buckets(self):
-        fb = PlannerFeedback()
-        fb.observe_execution(_StubCtx({
-            ("GPS", "DB1"): _StubNegotiation(True, 0.2),
-            ("DB2", "DB1"): _StubNegotiation(True, 0.6),
-        }), None, "GPS")
-        assert fb.entry_stalls() == {"DB1": pytest.approx(0.2)}
-        assert fb.peer_stalls() == {"DB1": pytest.approx(0.6)}
-        assert fb.has_data
-
-    def test_zero_wait_failures_do_not_dilute_the_ewma(self):
-        """A departed site's refused contacts synthesize failed
-        negotiations with zero wait; folding them would dilute the stall
-        EWMA, so the feedback fold skips them."""
-        fb = PlannerFeedback()
-        fb.observe_execution(_StubCtx({
-            ("GPS", "DB1"): _StubNegotiation(True, 1.0),
-        }), None, "GPS")
-        for _ in range(5):
-            fb.observe_execution(_StubCtx({
-                ("GPS", "DB1"): _StubNegotiation(False, 0.0),
-            }), None, "GPS")
-        assert fb.entry_stalls() == {"DB1": pytest.approx(1.0)}
-        record = fb.site("DB1")
-        assert record.entry_failures == 5 and record.entry_successes == 1
-
-    def test_unreliable_sites_require_zero_successes(self):
-        fb = PlannerFeedback()
-        fb.observe_execution(_StubCtx({
-            ("GPS", "DB1"): _StubNegotiation(False, 0.5),
-            ("GPS", "DB2"): _StubNegotiation(True, 0.1),
-        }), None, "GPS")
-        assert fb.unreliable_sites() == ("DB1",)
-        fb.observe_execution(_StubCtx({
-            ("GPS", "DB1"): _StubNegotiation(True, 0.5),
-        }), None, "GPS")
-        assert fb.unreliable_sites() == ()
-
-    def test_slowdown_multiplier_is_capped(self):
-        fb = PlannerFeedback()
-        record = fb.site("GPS")
-        record.slowdown_ewma = 40.0
-        record.slowdown_samples = 3
-        assert fb.site_multipliers()["GPS"] == pytest.approx(SLOWDOWN_CAP)
-
-    def test_engine_folds_observations_under_faults(self):
-        system = build_school_federation()
-        engine = GlobalQueryEngine(system)
-        plan = FaultPlan(seed=3, links=(
-            LinkFault(src="DB1", dst="DB3",
-                      latency_multiplier=8.0, loss=0.6),
-            LinkFault(src="DB2", dst="DB3",
-                      latency_multiplier=8.0, loss=0.6),
-        ))
-        opts = engine.options.with_(fault_plan=plan)
-        engine.execute(Q1_TEXT, "PL", options=opts)
-        fb = system.planner_feedback
-        assert fb.executions_observed == 1
-        assert "DB3" in fb.peer_stalls()
-
-    def test_peer_storm_flips_auto_toward_ca(self):
-        """The differentiator static plan-peeking cannot see: sub-0.99
-        peer-link loss stalls only the localized check exchanges, so a
-        warmed feedback store flips AUTO's pick to CA — with the answer
-        unchanged."""
-        system = build_school_federation()
-        engine = GlobalQueryEngine(system)
-        plan = FaultPlan(seed=3, links=(
-            LinkFault(src="DB1", dst="DB3",
-                      latency_multiplier=8.0, loss=0.6),
-            LinkFault(src="DB2", dst="DB3",
-                      latency_multiplier=8.0, loss=0.6),
-        ))
-        feedback_opts = engine.options.with_(
-            fault_plan=plan, planner="feedback"
-        )
-        static_opts = engine.options.with_(
-            fault_plan=plan, planner="static"
-        )
-        for _ in range(3):  # warm the store
-            engine.execute(Q1_TEXT, "AUTO", options=feedback_opts)
-        fed = engine.execute(Q1_TEXT, "AUTO", options=feedback_opts)
-        static = engine.execute(Q1_TEXT, "AUTO", options=static_opts)
-        fed_choice = dict(
-            [e for e in fed.metrics.events if e.name == "auto.predict"][0]
-            .attrs
-        )["choice"]
-        static_choice = dict(
-            [e for e in static.metrics.events if e.name == "auto.predict"][0]
-            .attrs
-        )["choice"]
-        assert static_choice in ("BL", "PL")
-        assert fed_choice == "CA"
-        assert same_answers(fed.results, static.results)

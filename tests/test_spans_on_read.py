@@ -1,7 +1,7 @@
 """Spans are built when read, and every view of them reads as before.
 
 ``ExecutionMetrics`` keeps the scheduled nodes and flattens them into
-spans on first read: a fault-free execution reads none, and the trace,
+spans on first read: an execution, faulted or not, reads none, and the trace,
 Chrome and JSONL exports, the registry and the utilization table are
 pinned byte for byte (md5) to the spans the eager flattening built.
 """
@@ -91,6 +91,17 @@ def test_a_fault_free_execution_flattens_no_spans(name, counted):
     assert spans and len(counted) == 1
     assert result.metrics.spans is spans  # built once
     assert len(counted) == 1
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_a_faulted_execution_flattens_no_spans(name, counted):
+    engine = GlobalQueryEngine(build_school_federation())
+    report = engine.execute(Q1_TEXT, name, options=ExecutionOptions(
+        fault_plan=FaultPlan.from_spec("link:*>DB3:loss0.5")
+    ))
+    assert "faults.plan" in [e.name for e in report.metrics.events]
+    assert counted == []
+    assert report.trace.spans and len(counted) == 1
 
 
 @pytest.mark.parametrize("name", STRATEGIES)
