@@ -120,7 +120,6 @@ def auto_cell(mode, plan, concrete):
     warm = [_choice(engine.execute(Q1_TEXT, "AUTO", options=options))
             for _ in range(WARMUPS)]
     report = engine.execute(Q1_TEXT, "AUTO", options=options)
-    outcome = _event_attrs(report, "auto.outcome")
     choice = _choice(report)
     if any(pick != choice for pick in warm):
         raise AssertionError(
@@ -131,8 +130,8 @@ def auto_cell(mode, plan, concrete):
         "mode": mode,
         "choice": choice,
         "accurate": concrete[choice] <= best + 1e-9,
-        "rank_of_actual": int(outcome["rank_of_actual"]),
-        "mispredicted": outcome["mispredicted"] == "true",
+        # 1 + strategies that ran strictly faster than the pick.
+        "rank": 1 + sum(t < concrete[choice] for t in concrete.values()),
         "certain": len(report.results.certain),
         "maybe": len(report.results.maybe),
         "answer_digest": answer_fingerprint(report.results),
@@ -235,7 +234,7 @@ def render(result):
     table_rows = [
         [row["scenario"], row["mode"], row["choice"], row["ground_truth"],
          "yes" if row["accurate"] else "NO",
-         str(row["rank_of_actual"]), f"{row['response_s']:.3f}",
+         str(row["rank"]), f"{row['response_s']:.3f}",
          f"{row['certain']}+{row['maybe']}m"]
         for row in result["accuracy"]
     ]
@@ -256,7 +255,7 @@ def render(result):
 #: What --check compares (all deterministic).
 SECTIONS = (
     ("accuracy", "accuracy", ("scenario", "mode"), (
-        "choice", "ground_truth", "accurate", "rank_of_actual",
+        "choice", "ground_truth", "accurate", "rank",
         "certain", "maybe", "answer_digest", "response_s",
     )),
     ("prune", "prunes", ("case", "mode"), (

@@ -239,7 +239,7 @@ class GlobalQueryEngine:
         if departed:
             options = _with_departed_outages(options, departed)
         ctx = ExecutionContext(options, departed)
-        cache_before = self.system.cache_stats()
+        hits_before, misses_before = self.system.cache_counts()
         with self.system.cache_scope(session.name):
             result = chosen.execute(self.system, query, ctx)
         demoted, flux_labels = 0, []
@@ -262,10 +262,12 @@ class GlobalQueryEngine:
         # Strategies do not see the cache layer; attribute the traffic
         # this execution generated (mapping-index + decomposition) to its
         # metrics before the lazy registry snapshot is built.
-        cache_delta = self.system.cache_stats().delta(cache_before)
-        result.metrics.work.cache_hits = cache_delta.hits
-        result.metrics.work.cache_misses = cache_delta.misses
-        session.note_execution(cache_delta)
+        hits, misses = self.system.cache_counts()
+        hits -= hits_before
+        misses -= misses_before
+        result.metrics.work.cache_hits = hits
+        result.metrics.work.cache_misses = misses
+        session.note_execution(hits, misses)
         report = ExecutionReport.from_result(result, query_text=query_text)
         if built_signatures:
             report.record_event(TraceEvent.of(

@@ -94,9 +94,10 @@ class EngineSession:
         """Hits on cache entries another session paid the miss for."""
         return self.engine.system.shared_hits_of(self.name)
 
-    def note_execution(self, cache_delta: CacheStats) -> None:
+    def note_execution(self, hits: int, misses: int) -> None:
         """Engine callback: attribute one execution's cache traffic."""
-        self.cache = self.cache.merge(cache_delta)
+        self.cache.hits += hits
+        self.cache.misses += misses
         self.executions += 1
 
     # --- execution ---------------------------------------------------------

@@ -9,12 +9,7 @@
   extension).
 """
 
-from repro.core.strategies.adaptive import (
-    AdaptiveStrategy,
-    NullRatioSample,
-    extract_params,
-    extract_params_ex,
-)
+from repro.core.strategies.adaptive import AdaptiveStrategy
 from repro.core.strategies.base import (
     DispatchPlan,
     Strategy,
@@ -43,7 +38,6 @@ __all__ = [
     "BasicLocalizedStrategy",
     "CentralizedStrategy",
     "DispatchPlan",
-    "NullRatioSample",
     "ParallelLocalizedStrategy",
     "SignatureBasicLocalizedStrategy",
     "SignatureParallelLocalizedStrategy",
@@ -52,8 +46,6 @@ __all__ = [
     "StrategyRegistry",
     "StrategyResult",
     "collect_verdicts",
-    "extract_params",
-    "extract_params_ex",
     "plan_dispatch",
     "resolve",
     "run_checks_paired",

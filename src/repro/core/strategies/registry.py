@@ -143,8 +143,8 @@ def _default_registry() -> StrategyRegistry:
     registry.register(StrategyInfo(
         name="AUTO",
         factory=AdaptiveStrategy,
-        phase_order="model-chosen",
-        summary="adaptive: analytic cost model picks CA/BL/PL per query",
+        phase_order="rule-chosen",
+        summary="adaptive: picks CA or BL by where the predicates live",
     ))
     return registry
 

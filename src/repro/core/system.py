@@ -215,9 +215,15 @@ class DistributedSystem:
             self._merged = (versions, {})
         return self._merged[1]
 
+    def cache_counts(self) -> Tuple[int, int]:
+        """(hits, misses) of the mapping-index and decomposition caches."""
+        hits, misses = self.catalog.cache_counts()
+        stats = self._decompose_stats
+        return hits + stats.hits, misses + stats.misses
+
     def cache_stats(self) -> CacheStats:
         """Combined mapping-index + decomposition cache traffic."""
-        return self.catalog.cache_stats().merge(self._decompose_stats)
+        return CacheStats(*self.cache_counts())
 
     @contextmanager
     def cache_scope(self, name: Optional[str]):

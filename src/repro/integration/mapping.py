@@ -41,11 +41,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(
-            hits=self.hits + other.hits, misses=self.misses + other.misses
-        )
-
     def delta(self, earlier: "CacheStats") -> "CacheStats":
         """Traffic accumulated since the *earlier* snapshot."""
         return CacheStats(
@@ -245,9 +240,14 @@ class MappingCatalog:
         """Isomeric objects of *loid* in the other component databases."""
         return self.table(global_class).isomeric_objects(loid)
 
+    def cache_counts(self) -> Tuple[int, int]:
+        """(hits, misses) summed across every table's memo layer."""
+        hits = misses = 0
+        for table in self._tables.values():
+            hits += table.stats.hits
+            misses += table.stats.misses
+        return hits, misses
+
     def cache_stats(self) -> CacheStats:
         """Aggregate cache traffic across every table's memo layer."""
-        stats = CacheStats()
-        for table in self._tables.values():
-            stats = stats.merge(table.stats)
-        return stats
+        return CacheStats(*self.cache_counts())

@@ -51,7 +51,6 @@ from repro.core.system import DistributedSystem
 from repro.errors import WorkloadError
 from repro.evolution.controller import EvolutionController
 from repro.evolution.plan import EvolutionPlan
-from repro.integration.mapping import CacheStats
 from repro.traffic.mix import QueryMix
 from repro.traffic.seeds import derive_seed
 from repro.traffic.templates import BoundQuery

@@ -1,4 +1,4 @@
-"""Tests for the adaptive strategy (analytic-model-driven selection)."""
+"""Tests for the adaptive strategy (decomposition-driven selection)."""
 
 import pytest
 
@@ -6,57 +6,76 @@ from helpers import context, make_workload
 from repro.core.engine import GlobalQueryEngine
 from repro.core.options import ExecutionOptions
 from repro.core.results import same_answers
-from repro.core.strategies import AdaptiveStrategy, extract_params, resolve
+from repro.core.strategies import AdaptiveStrategy, resolve
 from repro.errors import QueryError
+from repro.faults import FaultPlan
 from repro.sqlx import parse_query
 from repro.workload.paper_example import Q1_TEXT, expected_q1_answers
 
+#: One predicate, local at DB1 only (DB2's Student lacks ``age``, DB3
+#: holds no Student): kept 1 of 1 x 3 sites, a share of exactly 1/3.
+ONE_THIRD = "Select X.name From Student X Where X.age > 25"
 
-class TestExtraction:
-    def test_school_q1_params(self, school):
-        params = extract_params(school, parse_query(Q1_TEXT))
-        assert params.db_names == ("DB1", "DB2", "DB3")
-        # Chain: Student, then branch classes.
-        names_by_index = {0: "Student"}
-        root = params.classes[0]
-        assert root.per_db["DB1"].n_objects == 3
-        assert root.per_db["DB2"].n_objects == 3
-        assert root.per_db["DB3"].n_objects == 0  # no Student at DB3
-        # Root-class predicates: none end on Student itself.
-        assert root.n_predicates == 0
+#: Three ``age`` predicates (DB1 only) and ``s-no`` (DB1 and DB2): kept
+#: 5 of 4 x 3 sites, the smallest share above 1/3 four predicates reach.
+ABOVE_ONE_THIRD = (
+    "Select X.name From Student X Where X.age > 25 and X.age < 60 "
+    "and X.age <> 30 and X.s-no > 0"
+)
 
-    def test_predicates_assigned_to_final_class(self, school):
-        params = extract_params(school, parse_query(Q1_TEXT))
-        # Teacher carries speciality; Department carries name; Address city.
-        total = sum(c.n_predicates for c in params.classes)
-        assert total == 3
 
-    def test_null_ratio_sampled(self, school):
-        query = parse_query(
-            "Select X.name From Student X Where X.age > 25"
-        )
-        params = extract_params(school, query)
-        root = params.classes[0]
-        # DB1 defines age with no nulls; DB2 lacks it entirely.
-        assert root.per_db["DB1"].n_local_pred_attrs == 1
-        assert root.per_db["DB1"].r_missing == 0.0
-        assert root.per_db["DB2"].n_local_pred_attrs == 0
+def pick(system, text, ctx=None):
+    return AdaptiveStrategy().predict(
+        system, parse_query(text), ctx if ctx is not None else context()
+    )
+
+
+class TestRule:
+    def test_share_of_one_third_picks_ca(self, school):
+        predicted = pick(school, ONE_THIRD)
+        assert (predicted.kept, predicted.total) == (1, 3)
+        assert predicted.choice == "CA"
+
+    def test_share_just_above_one_third_picks_bl(self, school):
+        predicted = pick(school, ABOVE_ONE_THIRD)
+        assert (predicted.kept, predicted.total) == (5, 12)
+        assert predicted.choice == "BL"
+
+    def test_predicate_free_query_picks_bl(self, school):
+        # CA 0.0074 s, BL 0.0067 s: with nothing to evaluate there are
+        # no maybe results, and shipping the extents only costs.
+        text = "Select s.name From Student s"
+        predicted = pick(school, text)
+        assert (predicted.kept, predicted.total) == (0, 0)
+        assert predicted.choice == "BL"
+        engine = GlobalQueryEngine(school)
+        assert (engine.execute(text, "BL").response_time
+                < engine.execute(text, "CA").response_time)
+
+    def test_q1_pinned_as_ca(self, school):
+        # Q1's local queries keep address.city and advisor.speciality at
+        # DB2 and advisor.department.name at DB1; DB3 holds no Student
+        # and gets no local query.  Share 3/9.  Concrete response times:
+        # CA 0.0210 s < PL 0.0366 s < BL 0.0411 s.
+        predicted = pick(school, Q1_TEXT)
+        assert (predicted.kept, predicted.total) == (3, 9)
+        assert predicted.choice == "CA"
+
+    def test_down_site_never_yields_ca(self, school):
+        for site in school.site_names:
+            ctx = context(fault_plan=FaultPlan.single_site_loss(site))
+            for text in (ONE_THIRD, Q1_TEXT):
+                predicted = pick(school, text, ctx)
+                assert predicted.unreachable == (site,)
+                assert predicted.choice == "BL"
 
     def test_invalid_query_rejected(self, school):
         from repro.core.query import Query
 
         with pytest.raises(QueryError):
-            extract_params(school, Query.conjunctive("Ghost", ["x"]))
-
-
-def predicted_seconds(metrics):
-    """strategy -> predicted seconds, read back from ``auto.predict``."""
-    (event,) = [e for e in metrics.events if e.name == "auto.predict"]
-    return {
-        key[len("predicted_"):-len("_s")]: float(value)
-        for key, value in event.attr_dict().items()
-        if key.startswith("predicted_")
-    }
+            AdaptiveStrategy().predict(
+                school, Query.conjunctive("Ghost", ["x"]), context()
+            )
 
 
 class TestAdaptiveExecution:
@@ -72,23 +91,10 @@ class TestAdaptiveExecution:
         result = AdaptiveStrategy().execute(
             school, parse_query(Q1_TEXT), context()
         )
-        assert result.metrics.strategy in ("AUTO->CA", "AUTO->BL", "AUTO->PL")
-        assert set(predicted_seconds(result.metrics)) == {"CA", "BL", "PL"}
-
-    def test_objectives(self, school):
-        query = parse_query(Q1_TEXT)
-        response = AdaptiveStrategy(objective="response").predict(
-            school, query, context()
-        )
-        total = AdaptiveStrategy(objective="total").predict(
-            school, query, context()
-        )
-        assert all(v > 0 for v in response.predictions.values())
-        assert all(v > 0 for v in total.predictions.values())
-
-    def test_bad_objective_rejected(self):
-        with pytest.raises(QueryError):
-            AdaptiveStrategy(objective="latency")
+        assert result.metrics.strategy == "AUTO->CA"
+        (event,) = [e for e in result.metrics.events
+                    if e.name == "auto.predict"]
+        assert event.attr_dict()["choice"] == "CA"
 
     def test_registry_lookup(self):
         assert resolve("auto").name == "AUTO"
@@ -99,15 +105,6 @@ class TestAdaptiveExecution:
         baseline = engine.execute(workload.query, "CA")
         auto = engine.execute(workload.query, "AUTO")
         assert same_answers(baseline.results, auto.results)
-
-    def test_choice_tracks_objective_ranking(self):
-        workload = make_workload(seed=405, scale=0.02)
-        result = AdaptiveStrategy(objective="response").execute(
-            workload.system, workload.query, context()
-        )
-        predictions = predicted_seconds(result.metrics)
-        choice = min(predictions, key=predictions.get)
-        assert result.metrics.strategy == f"AUTO->{choice}"
 
 
 class TestFaultAwarePrediction:
@@ -123,33 +120,23 @@ class TestFaultAwarePrediction:
         assert clean.unreachable == ()
 
     def test_down_site_penalizes_ca(self, school):
-        from repro.faults import FaultPlan
-
-        strategy = AdaptiveStrategy()
-        query = parse_query(Q1_TEXT)
-        clean = strategy.predict(school, query, context()).predictions
+        assert pick(school, ONE_THIRD).choice == "CA"
         ctx = context(fault_plan=FaultPlan.single_site_loss("DB2"))
-        predicted = strategy.predict(school, query, ctx)
-        faulted = predicted.predictions
+        predicted = pick(school, ONE_THIRD, ctx)
         assert predicted.unreachable == ("DB2",)
-        assert faulted["CA"] > clean["CA"]
-        # Localized predictions are untouched.
-        assert faulted["BL"] == clean["BL"]
-        assert faulted["PL"] == clean["PL"]
+        assert predicted.choice == "BL"
+        # The share is a property of the schemas, not of the plan.
+        assert (predicted.kept, predicted.total) == (1, 3)
 
     def test_predict_does_not_consume_negotiations(self, school):
         """Prediction must read the plan, never negotiate: availability
         bookkeeping belongs to the delegate's execution alone."""
-        from repro.faults import FaultPlan
-
         ctx = context(fault_plan=FaultPlan.single_site_loss("DB1"))
         AdaptiveStrategy().predict(school, parse_query(Q1_TEXT), ctx)
         assert ctx.contacted == []
         assert ctx.skipped == []
 
     def test_fully_lossy_link_counts_as_unreachable(self, school):
-        from repro.faults import FaultPlan
-
         # Two stacked 0.9-loss faults compose to 0.99: hopeless delivery.
         ctx = context(fault_plan=FaultPlan.from_spec(
             "link:*>DB3:loss0.9,link:GPS>DB3:loss0.9"
@@ -160,8 +147,6 @@ class TestFaultAwarePrediction:
         assert "DB3" in predicted.unreachable
 
     def test_auto_event_records_unreachable(self, school):
-        from repro.faults import FaultPlan
-
         report = GlobalQueryEngine(school).execute(
             Q1_TEXT, "AUTO",
             options=ExecutionOptions(
@@ -171,12 +156,9 @@ class TestFaultAwarePrediction:
         events = {e.name: e.attr_dict() for e in report.metrics.events}
         assert events["auto.predict"]["unreachable"] == "DB1"
 
-    def test_signature_variants_ranked_when_built(self, school):
-        strategy = AdaptiveStrategy()
-        query = parse_query(Q1_TEXT)
-        assert set(strategy.predict(school, query, context()).predictions) == {
-            "CA", "BL", "PL"
-        }
+    def test_picks_bl_s_once_built(self, school):
+        assert pick(school, ABOVE_ONE_THIRD).choice == "BL"
         school.build_signatures()
-        ranked = set(strategy.predict(school, query, context()).predictions)
-        assert {"BL-S", "PL-S"} <= ranked
+        assert pick(school, ABOVE_ONE_THIRD).choice == "BL-S"
+        # A CA pick does not move: signatures speed only the checks.
+        assert pick(school, Q1_TEXT).choice == "CA"

@@ -22,10 +22,8 @@ class TestCacheStats:
         assert stats.hit_rate == 0.75
         assert CacheStats().hit_rate == 0.0
 
-    def test_merge_and_delta(self):
-        merged = CacheStats(hits=2, misses=1).merge(CacheStats(hits=1))
-        assert (merged.hits, merged.misses) == (3, 1)
-        delta = merged.delta(CacheStats(hits=2, misses=1))
+    def test_delta(self):
+        delta = CacheStats(hits=3, misses=1).delta(CacheStats(hits=2, misses=1))
         assert (delta.hits, delta.misses) == (1, 0)
 
 

@@ -1,9 +1,8 @@
 """Constraint-pruned adaptive planning (repro.planner).
 
-Covers the stride-based null-ratio sampler (and the AUTO flip the
-first-N bias caused), the constraint catalog's sound prunes,
-misprediction accounting, and the answer-identity contract across
-every planner mode.
+Covers AUTO's trace event and delegation, the constraint catalog's
+sound prunes, and the answer-identity contract across every planner
+mode.
 """
 
 from __future__ import annotations
@@ -15,14 +14,6 @@ from repro.core.engine import GlobalQueryEngine
 from repro.core.options import ExecutionOptions
 from repro.core.query import Op, Path, Predicate, Query
 from repro.core.results import same_answers
-from repro.core.strategies.adaptive import (
-    NULL_RATIO_CAP,
-    NULL_SAMPLE_SIZE,
-    AdaptiveStrategy,
-    NullRatioSample,
-    _sampled_null_ratio,
-    extract_params_ex,
-)
 from repro.objectdb.database import ComponentDatabase
 from repro.objectdb.ids import LOid
 from repro.objectdb.objects import LocalObject
@@ -38,147 +29,10 @@ from repro.planner.constraints import KIND_NUMBER
 from repro.workload.paper_example import Q1_TEXT, build_school_federation
 
 
-# --- satellite 2: stride null-ratio sampling --------------------------------
-
-
-def _first_n_ratio(db, class_name, attributes):
-    """The pre-fix first-N sampler, reimplemented for comparison."""
-    seen = nulls = 0
-    for obj in db.extent(class_name).values():
-        for attr in attributes:
-            seen += 1
-            if is_null(obj.get(attr)):
-                nulls += 1
-        if seen >= NULL_SAMPLE_SIZE * len(attributes):
-            break
-    return nulls / seen if seen else 0.0
-
-
-def _null_the_tails(workload):
-    """Null every predicate attribute beyond the first NULL_SAMPLE_SIZE
-    insertion-ordered objects of every queried extent."""
-    system, query = workload.system, workload.query
-    schema = system.global_schema
-    chain = [query.range_class] + list(query.branch_classes(schema.schema))
-    pred_attrs = {p.path.last for p in query.all_predicates()}
-    for db_name in system.databases:
-        db = system.db(db_name)
-        for global_cls in chain:
-            local = schema.constituent_class(db_name, global_cls)
-            if local is None:
-                continue
-            for obj in list(db.extent(local).values())[NULL_SAMPLE_SIZE:]:
-                for attr in pred_attrs:
-                    if attr in obj.values:
-                        obj.values[attr] = NULL
-            db.note_mutation(local)
-
-
-class TestNullRatioSampling:
-    def test_stride_sees_the_skewed_tail(self):
-        """First-N reads insertion order and misses a null-heavy tail;
-        the stride samples the whole extent."""
-        w = make_workload(seed=7)
-        _null_the_tails(w)
-        schema = w.system.global_schema
-        local = schema.constituent_class("DB1", w.query.range_class)
-        db = w.system.db("DB1")
-        sample = _sampled_null_ratio(db, local, ["p0"])
-        assert sample.ratio > 0.5
-        assert _first_n_ratio(db, local, ["p0"]) == 0.0
-
-    def test_stride_is_deterministic_and_bounded(self):
-        w = make_workload(seed=7)
-        schema = w.system.global_schema
-        local = schema.constituent_class("DB1", w.query.range_class)
-        db = w.system.db("DB1")
-        a = _sampled_null_ratio(db, local, ["p0"])
-        b = _sampled_null_ratio(db, local, ["p0"])
-        assert a == b
-        assert a.objects_sampled <= NULL_SAMPLE_SIZE
-
-    def test_clamp_is_surfaced_not_silent(self):
-        """An all-null column reports raw 1.0, clamped flag set, and an
-        extraction note."""
-        system = build_school_federation()
-        db = system.db("DB2")
-        for obj in db.extent("Teacher").values():
-            obj.values["speciality"] = NULL
-        db.note_mutation("Teacher")
-        sample = _sampled_null_ratio(db, "Teacher", ["speciality"])
-        assert sample.raw_ratio == pytest.approx(1.0)
-        assert sample.clamped
-        assert sample.ratio == pytest.approx(NULL_RATIO_CAP)
-        from repro.sqlx import parse_query
-        _params, notes = extract_params_ex(system, parse_query(Q1_TEXT))
-        assert any("null-ratio clamp" in note for note in notes)
-
-    def test_empty_inputs(self):
-        system = build_school_federation()
-        db = system.db("DB1")
-        assert _sampled_null_ratio(db, "Student", []) == NullRatioSample(
-            0.0, 0.0, False, 0
-        )
-
-    def test_biased_sampler_flipped_the_auto_pick(self, monkeypatch):
-        """Regression: with a null-skewed tail the first-N sampler saw a
-        phantom fully-populated federation and picked a localized
-        strategy; whole-extent sampling flips the pick (seed 14: to CA).
-        Both picks stay answer-identical — only the cost moves."""
-        import repro.core.strategies.adaptive as adaptive
-
-        w = make_workload(seed=14)
-        _null_the_tails(w)
-        system, query = w.system, w.query
-
-        stride_pred = AdaptiveStrategy().predict(
-            system, query, context()
-        ).predictions
-        stride_pick = min(stride_pred, key=stride_pred.get)
-
-        def first_n(db, class_name, attributes):
-            if not attributes:
-                return NullRatioSample(0.0, 0.0, False, 0)
-            ratio = _first_n_ratio(db, class_name, attributes)
-            return NullRatioSample(
-                min(ratio, NULL_RATIO_CAP), ratio,
-                ratio > NULL_RATIO_CAP, NULL_SAMPLE_SIZE,
-            )
-
-        monkeypatch.setattr(adaptive, "_sampled_null_ratio", first_n)
-        biased_pred = AdaptiveStrategy().predict(
-            system, query, context()
-        ).predictions
-        biased_pick = min(biased_pred, key=biased_pred.get)
-        monkeypatch.undo()
-
-        assert biased_pick != stride_pick
-        assert stride_pick == "CA" and biased_pick == "BL"
-        engine = GlobalQueryEngine(system)
-        left = engine.execute(query, stride_pick).results
-        right = engine.execute(query, biased_pick).results
-        assert same_answers(left, right)
-
-
-# --- satellite 3: misprediction accounting ----------------------------------
+# --- AUTO's pick event --------------------------------------------------
 
 
 class TestMispredictionAccounting:
-    def test_auto_outcome_event_records_predicted_vs_actual(self):
-        engine = GlobalQueryEngine(build_school_federation())
-        report = engine.execute(Q1_TEXT, "AUTO")
-        outcomes = [
-            e for e in report.metrics.events if e.name == "auto.outcome"
-        ]
-        assert len(outcomes) == 1
-        attrs = dict(outcomes[0].attrs)
-        assert attrs["choice"] in ("CA", "BL", "PL")
-        assert float(attrs["predicted_s"]) > 0.0
-        assert float(attrs["actual_s"]) > 0.0
-        rank = int(attrs["rank_of_actual"])
-        assert 1 <= rank <= 3
-        assert attrs["mispredicted"] == ("true" if rank > 1 else "false")
-
     def test_auto_answers_identical_to_delegate(self):
         engine = GlobalQueryEngine(build_school_federation())
         auto = engine.execute(Q1_TEXT, "AUTO")
@@ -199,10 +53,13 @@ class TestMispredictionAccounting:
             [e for e in report.metrics.events if e.name == "auto.predict"][0]
             .attrs
         )
-        assert attrs["planner"] == "constraints"
-        assert attrs["unreachable"] == "none"
-        assert "notes" in attrs
-        assert {"used_feedback", "observed_unreliable"}.isdisjoint(attrs)
+        assert attrs == {
+            "choice": "CA",
+            "planner": "constraints",
+            "unreachable": "none",
+            "share": "3/9",
+        }
+        assert report.metrics.strategy == "AUTO->CA"
 
 
 # --- tentpole: constraint catalog -------------------------------------------
